@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.legendre import leggauss
 
 from .multiindex import enumerate_upto, multi_binom, sub, sub_indices
+from .splines import composite_gauss
 
 _EPS = 1e-12
 
@@ -82,17 +82,6 @@ class DifferenceEvaluator:
 # ---------------------------------------------------------------------------
 # quadrature and norms
 
-def _composite_gauss(extent, cells: int, points_per_cell: int):
-    lo, hi = extent
-    nodes, weights = leggauss(points_per_cell)
-    edges = np.linspace(lo, hi, cells + 1)
-    half = 0.5 * (hi - lo) / cells
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half * nodes[None, :]).ravel()
-    wts = np.broadcast_to(half * weights[None, :], (cells, points_per_cell)).ravel()
-    return pts, wts
-
-
 def norm_Hm(evaluator, box, m: int, resolution: int, points_per_cell: int = 3) -> float:
     """sqrt of sum over |alpha| <= m of the Gauss-quadrature integral of
     (D^alpha u)^2 over the box."""
@@ -104,7 +93,7 @@ def norm_Hm(evaluator, box, m: int, resolution: int, points_per_cell: int = 3) -
         if not lo < hi:
             raise ValueError(f"empty box extent ({lo}, {hi})")
         cells = max(1, round((hi - lo) * resolution))
-        pts, wts = _composite_gauss((lo, hi), cells, points_per_cell)
+        pts, wts = composite_gauss((lo, hi), cells, points_per_cell)
         axes.append(pts)
         W = np.multiply.outer(W, wts)
     total = 0.0
@@ -306,7 +295,7 @@ def galerkin_interior_residual(
         for k in range(n):
             lo, hi = centers[k] - widths[k], centers[k] + widths[k]
             cells = max(1, round((hi - lo) * resolution))
-            pts, wts = _composite_gauss((lo, hi), cells, ppc)
+            pts, wts = composite_gauss((lo, hi), cells, ppc)
             axes.append(pts)
             W = np.multiply.outer(W, wts)
         grids = np.meshgrid(*axes, indexing="ij")

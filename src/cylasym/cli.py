@@ -1,13 +1,14 @@
 """Command-line front end: sweep, refine, validate.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 structural
-hypothesis failure, 3 solver failure.
+Exit codes: 0 success, 1 configuration or usage error (an assembly failure
+included), 2 structural hypothesis failure, 3 solver failure.
 """
 
 import argparse
 import os
 import sys
 
+from .assembly import AssemblyError
 from .harness import HypothesisError, SweepPlan, run_refinement, run_sweep
 from .linalg import SolverError
 from .problem import (
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ProblemConfigError, ValueError, OSError) as exc:
+    except (ProblemConfigError, ValueError, OSError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisError as exc:

@@ -28,7 +28,7 @@ from .analysis import (
     write_report_json,
     write_refinement_csv,
 )
-from .assembly import assemble_cylinder, assemble_limit, cells_for
+from .assembly import assemble_cylinder, assemble_limit, cylinder_factors
 from .fdcalc import interior_derivative_error
 from .linalg import cg_jacobi, gmres_jacobi, smallest_ritz_estimate
 from .multiindex import encode, enumerate_upto, in_N1
@@ -40,7 +40,7 @@ from .problem import (
     to_config_text,
     validate_hypotheses,
 )
-from .splines import DiscreteField, SplineBasis1D, TensorBasis
+from .splines import DiscreteField, TensorBasis
 
 
 class HypothesisError(RuntimeError):
@@ -110,15 +110,6 @@ def _solve_system(system, tol: float):
     return gmres_jacobi(system.matrix, system.rhs, tol=tol)
 
 
-def _cross_basis(spec: ProblemSpec, resolution: int, degree: int) -> TensorBasis:
-    # mirrors the basis assemble_limit builds, so coefficient vectors transfer
-    factors = [
-        SplineBasis1D(lo, hi, cells_for((lo, hi), resolution), degree, spec.m)
-        for (lo, hi) in spec.omega
-    ]
-    return TensorBasis(factors)
-
-
 def _shrunk(extent, margin: float):
     lo, hi = extent
     w = hi - lo
@@ -150,7 +141,9 @@ def _sweep_worker(args):
     system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
     result = _solve_system(system, tol)
     u_l = DiscreteField(system.basis, result.x)
-    u_inf = DiscreteField(_cross_basis(spec, resolution, degree), u_inf_coeffs)
+    u_inf = DiscreteField(
+        TensorBasis(cylinder_factors(spec, None, resolution, degree)), u_inf_coeffs
+    )
 
     m, n, p = spec.m, spec.n, spec.p
     err_L2 = error_Hm(u_l, u_inf, ell0, 0, resolution)
@@ -249,19 +242,7 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
         outcomes = [_sweep_worker(job) for job in jobs]
     records = [rec for rec, _ in outcomes]
     u_l_max = DiscreteField(
-        TensorBasis(
-            [
-                SplineBasis1D(
-                    -plan.ells[-1],
-                    plan.ells[-1],
-                    cells_for((-plan.ells[-1], plan.ells[-1]), plan.resolution),
-                    degree,
-                    spec.m,
-                )
-            ]
-            * spec.p
-            + list(_cross_basis(spec, plan.resolution, degree).factors)
-        ),
+        TensorBasis(cylinder_factors(spec, plan.ells[-1], plan.resolution, degree)),
         outcomes[-1][1],
     )
 

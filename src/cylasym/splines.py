@@ -72,6 +72,19 @@ def _ders_basis_funs(knots, spans, x, p, nders):
     return ders
 
 
+def composite_gauss(extent, cells: int, points_per_cell: int):
+    """Composite Gauss-Legendre nodes and weights over the uniform cells of
+    extent, flattened cell-major."""
+    lo, hi = extent
+    nodes, weights = leggauss(points_per_cell)
+    edges = np.linspace(lo, hi, cells + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * ((hi - lo) / cells)
+    pts = (mid[:, None] + half * nodes[None, :]).ravel()
+    wts = np.broadcast_to(half * weights[None, :], (cells, points_per_cell)).ravel()
+    return pts, wts
+
+
 class SplineBasis1D:
     """Clamped uniform splines on (lo, hi), first/last bc_order functions dropped."""
 
@@ -143,15 +156,6 @@ class SplineBasis1D:
         out[rows[valid], cols[valid]] = ders[:, der, :][valid]
         return out
 
-    def quadrature(self, points_per_cell: int):
-        """Composite Gauss-Legendre nodes and weights over all cells, flattened."""
-        nodes, weights = leggauss(points_per_cell)
-        edges = np.linspace(self.lo, self.hi, self.cells + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * self.h
-        pts = (mid[:, None] + half * nodes[None, :]).ravel()
-        wts = np.broadcast_to(half * weights[None, :], (self.cells, points_per_cell)).ravel()
-        return pts, wts
 
 
 def build_basis(extent, cells: int, degree: int, bc_order: int) -> SplineBasis1D:

@@ -2,27 +2,33 @@
 
 The hand-derived hat-function system and the Kronecker-sum identity pin down
 constant-coefficient assembly; a brute-force dense quadrature loop (written
-here, sharing no code with the einsum engine) covers variable coefficients
-and the fourth-order case.
+here, sharing no code with the einsum engine) covers variable coefficients,
+coefficients that read the axial variable, and the fourth-order case.  On
+3-D boxes the Kronecker assembly is checked against the einsum kernel run on
+all three axes.
 """
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cylasym.assembly import (
     AssemblyError,
+    _galerkin,
     assemble_cylinder,
     assemble_limit,
-    export_triplets,
+    cylinder_factors,
 )
 from cylasym.linalg import dense_solve
 from cylasym.problem import ProblemSpec, ScalarField, analytic_limit, builtin_problem
-from cylasym.splines import DiscreteField, SplineBasis1D
+from cylasym.splines import DiscreteField, composite_gauss
+
+
+def _gauss(basis, ppc=None):
+    return composite_gauss((basis.lo, basis.hi), basis.cells, ppc or basis.degree + 1)
 
 
 def _dense_1d(basis, der, ppc=None):
-    pts, wts = basis.quadrature(ppc or basis.degree + 1)
+    pts, wts = _gauss(basis, ppc)
     B = basis.basis_matrix(pts, der=der)
     return B, wts
 
@@ -30,7 +36,7 @@ def _dense_1d(basis, der, ppc=None):
 def _matrix_1d(basis, der_row, der_col, weight_fn=None):
     Brow, wts = _dense_1d(basis, der_row)
     Bcol, _ = _dense_1d(basis, der_col)
-    pts, _ = basis.quadrature(basis.degree + 1)
+    pts, _ = _gauss(basis)
     w = wts * (weight_fn(pts) if weight_fn else 1.0)
     return (Brow * w[:, None]).T @ Bcol
 
@@ -82,8 +88,8 @@ def test_matrix_spd_and_symmetric():
 
 def _brute_force_2d(system, spec):
     ax, cx = system.basis.factors
-    p1, w1 = ax.quadrature(ax.degree + 1)
-    p2, w2 = cx.quadrature(cx.degree + 1)
+    p1, w1 = _gauss(ax)
+    p2, w2 = _gauss(cx)
     X1, X2 = np.meshgrid(p1, p2, indexing="ij")
     w = np.outer(w1, w2).ravel()
     ndofs = system.ndofs
@@ -118,24 +124,116 @@ def test_variable_coefficient_matches_brute_force():
     assert np.abs(system.rhs - want_rhs).max() <= 1e-13 * max(1.0, np.abs(want_rhs).max())
 
 
-def test_axial_coefficient_matches_brute_force():
-    # a coefficient that actually depends on the axial variable
-    spec = ProblemSpec(
+def test_biharmonic_cylinder_matches_brute_force():
+    # the mixed (2,0)/(0,2) pairs put off-diagonal blocks on the axial factor
+    spec = builtin_problem("biharmonic_strip")
+    system = assemble_cylinder(spec, ell=1.0, resolution=5, degree=3)
+    want_A, want_rhs = _brute_force_2d(system, spec)
+    A = system.matrix
+    assert (A != A.T).nnz == 0
+    assert np.abs(A.toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
+    assert np.abs(system.rhs - want_rhs).max() <= 1e-13
+
+
+def _mixed_axial_spec():
+    # one pair reads the axial variable, the others do not; the (1,0)/(0,0)
+    # pairs give the Kronecker part off-diagonal axial blocks
+    texts = {
+        ((1, 0), (1, 0)): "2 + sin(x1)",
+        ((0, 1), (0, 1)): "1 + x2^2 / 2",
+        ((0, 0), (0, 0)): "1 + x2",
+        ((1, 0), (0, 0)): "x2",
+        ((0, 0), (1, 0)): "x2",
+    }
+    return ProblemSpec(
         m=1,
         n=2,
         p=1,
         omega=((0.0, 1.0),),
-        coefficients={
-            ((1, 0), (1, 0)): ScalarField.parse("2 + sin(x1)", 2),
-            ((0, 1), (0, 1)): ScalarField.parse("1 + x2^2 / 2", 2),
-        },
+        coefficients={key: ScalarField.parse(t, 2) for key, t in texts.items()},
         forcing=ScalarField.parse("1", 2),
     )
+
+
+def test_axial_coefficient_matches_brute_force():
+    spec = _mixed_axial_spec()
     system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
-    assert not system.symmetric or True  # symmetry flag immaterial here
+    A = system.matrix
+    assert system.symmetric
+    assert (A != A.T).nnz == 0
     want_A, want_rhs = _brute_force_2d(system, spec)
-    assert np.abs(system.matrix.toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
+    assert np.abs(A.toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
     assert np.abs(system.rhs - want_rhs).max() <= 1e-13
+
+
+def _box_spec(p):
+    # x3 is cross-sectional for p = 1 and p = 2; the (1,0,0)/(0,1,0) pairs
+    # are axial-cross for p = 1 and axial-axial for p = 2, and unequal, and
+    # (1,0,0)/(0,0,0) has no partner, so the problem is not symmetric
+    texts = {
+        ((1, 0, 0), (1, 0, 0)): "1 + x3^2",
+        ((0, 1, 0), (0, 1, 0)): "2 + x3",
+        ((0, 0, 1), (0, 0, 1)): "1",
+        ((1, 0, 0), (0, 1, 0)): "0.25",
+        ((0, 1, 0), (1, 0, 0)): "0.5",
+        ((0, 0, 0), (0, 0, 0)): "x3",
+        ((1, 0, 0), (0, 0, 0)): "x3 / 2",
+    }
+    return ProblemSpec(
+        m=1,
+        n=3,
+        p=p,
+        omega=((0.0, 1.0),) * (3 - p),
+        coefficients={key: ScalarField.parse(t, 3) for key, t in texts.items()},
+        forcing=ScalarField.parse("1", 3),
+    )
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_kronecker_assembly_matches_nd_kernel(p):
+    spec = _box_spec(p)
+    system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    terms = [(a, b, spec.coefficients[(a, b)]) for a, b in sorted(spec.coefficients)]
+    want = _galerkin(cylinder_factors(spec, 1.0, 3, 2), terms)
+    got = system.matrix
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+
+
+class _Recorder:
+    """A coefficient that records the point-grid shape of every evaluation."""
+
+    def __init__(self, text, n):
+        self._field = ScalarField.parse(text, n)
+        self.expr = self._field.expr
+        self.shapes = []
+
+    def reads_axial(self, p):
+        return self._field.reads_axial(p)
+
+    def __call__(self, coords):
+        self.shapes.append(np.broadcast(*coords).shape)
+        return self._field(coords)
+
+
+def test_axis_independent_pairs_skip_the_full_grid():
+    texts = {
+        ((1, 0), (1, 0)): "2 + sin(x1)",
+        ((0, 1), (0, 1)): "1 + x2^2 / 2",
+        ((0, 0), (0, 0)): "1",
+    }
+    coefs = {key: _Recorder(t, 2) for key, t in texts.items()}
+    spec = ProblemSpec(
+        m=1, n=2, p=1, omega=((0.0, 1.0),), coefficients=coefs,
+        forcing=ScalarField.parse("1", 2),
+    )
+    system = assemble_cylinder(spec, ell=2.0, resolution=4, degree=2)
+    full = tuple(f.cells * (f.degree + 1) for f in system.basis.factors)
+    cross = full[1:]
+    assert coefs[((1, 0), (1, 0))].shapes == [full]
+    assert coefs[((0, 1), (0, 1))].shapes == [cross]
+    assert coefs[((0, 0), (0, 0))].shapes == [cross]
 
 
 def test_biharmonic_limit_matches_brute_force():
@@ -193,20 +291,6 @@ def test_assembly_deterministic():
     assert np.array_equal(s1.matrix.data, s2.matrix.data)
     assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
     assert np.array_equal(s1.rhs, s2.rhs)
-
-
-def test_export_triplets_roundtrip(tmp_path):
-    system = assemble_limit(builtin_problem("poisson_strip"), resolution=4, degree=1)
-    path = tmp_path / "mat.txt"
-    export_triplets(system.matrix, path)
-    rows, cols, vals = [], [], []
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    back = sp.coo_matrix((vals, (rows, cols)), shape=system.matrix.shape)
-    assert np.array_equal(back.toarray(), system.matrix.toarray())
 
 
 def test_limit_requires_cross_pairs():

@@ -270,6 +270,33 @@ def test_cli_hypothesis_failure_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "singular,stage,at",
+    [
+        ("a_0_1_0_1", "assemble_limit", "l = inf"),
+        ("a_1_0_1_0", "assemble_cylinder", "l = 2"),
+    ],
+)
+def test_cli_assembly_failure_exits_one(tmp_path, capsys, singular, stage, at):
+    # 13 cells put a Gauss node on x2 = 0.5, where the coefficient is infinite
+    coefs = {"a_1_0_1_0": "1", "a_0_1_0_1": "1"}
+    coefs[singular] = "1 + 1 / (x2 - 0.5)^2"
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(
+        "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+        + "".join(f"{k} = {v}\n" for k, v in coefs.items())
+        + "\n[forcing]\nf = 1\n"
+    )
+    assert cli.main(["validate", "--problem", str(cfg)]) == 0
+    code = cli.main(
+        ["sweep", "--problem", str(cfg), "--l", "2,4", "--cells-per-unit", "13"]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert stage in err and str(cfg) in err and at in err
+    assert "non-finite" in err
+
+
 def test_cli_workers_env_override(tmp_path, monkeypatch, capsys):
     base = [
         "sweep",
