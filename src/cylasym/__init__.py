@@ -28,7 +28,7 @@ from .fdcalc import (
     summation_by_parts_defect,
 )
 from .harness import SweepPlan, run_refinement, run_sweep
-from .linalg import SolveResult, cg_jacobi, gmres_jacobi, solve
+from .linalg import SolveResult, cg_jacobi, gmres_jacobi
 from .problem import (
     ProblemSpec,
     builtin_names,
@@ -73,7 +73,6 @@ __all__ = [
     "parse_problem_config",
     "run_refinement",
     "run_sweep",
-    "solve",
     "summation_by_parts_defect",
     "validate_hypotheses",
 ]

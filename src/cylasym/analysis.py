@@ -53,23 +53,6 @@ class ExtensionEvaluator:
         return np.broadcast_to(vals.reshape((1,) * self.p + vals.shape), shape)
 
 
-class AnalyticProfileExtension:
-    """Extension of an analytic 1D cross-section profile fn(t, order)."""
-
-    def __init__(self, fn, p: int):
-        self._fn = fn
-        self.p = int(p)
-
-    def __call__(self, axes, alpha):
-        shape = tuple(len(a) for a in axes)
-        if len(axes) != self.p + 1:
-            raise ValueError("analytic extension supports one cross-sectional axis")
-        if any(alpha[k] > 0 for k in range(self.p)):
-            return np.zeros(shape)
-        vals = np.asarray(self._fn(np.asarray(axes[-1], dtype=np.float64), alpha[-1]))
-        return np.broadcast_to(vals.reshape((1,) * self.p + (-1,)), shape)
-
-
 class DifferenceEvaluator:
     def __init__(self, left, right):
         self._left = left
@@ -82,11 +65,8 @@ class DifferenceEvaluator:
 # ---------------------------------------------------------------------------
 # quadrature and norms
 
-def norm_Hm(evaluator, box, m: int, resolution: int, points_per_cell: int = 3) -> float:
-    """sqrt of sum over |alpha| <= m of the Gauss-quadrature integral of
-    (D^alpha u)^2 over the box."""
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+def _gauss_grid(box, resolution: int, points_per_cell: int):
+    """Per-axis composite Gauss nodes over the box and their tensor weights."""
     axes = []
     W = np.ones(())
     for lo, hi in box:
@@ -96,6 +76,15 @@ def norm_Hm(evaluator, box, m: int, resolution: int, points_per_cell: int = 3) -
         pts, wts = composite_gauss((lo, hi), cells, points_per_cell)
         axes.append(pts)
         W = np.multiply.outer(W, wts)
+    return axes, W
+
+
+def norm_Hm(evaluator, box, m: int, resolution: int, points_per_cell: int = 3) -> float:
+    """sqrt of sum over |alpha| <= m of the Gauss-quadrature integral of
+    (D^alpha u)^2 over the box."""
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    axes, W = _gauss_grid(box, resolution, points_per_cell)
     total = 0.0
     for alpha in enumerate_upto(len(box), m):
         vals = np.asarray(evaluator(axes, alpha), dtype=np.float64)
@@ -181,29 +170,27 @@ class CutoffRho:
 
 
 class CutoffEvaluator:
-    """rho(X1 / ell1) over the full coordinate grid (constant in the cross
-    variables, scaled by ell1 per axial derivative)."""
+    """Product over the axes of rho((x_k - c_k) / w_k), with one window
+    (c_k, w_k) or None per axis; an axis with None contributes the factor 1.
+    Each derivative on a windowed axis carries a factor 1 / w_k."""
 
-    def __init__(self, rho: CutoffRho, ell1: float, p: int, naxes: int):
-        if ell1 <= 0:
-            raise ValueError(f"cutoff scale must be positive, got {ell1}")
+    def __init__(self, rho: CutoffRho, windows):
         self._rho = rho
-        self._ell1 = float(ell1)
-        self.p = int(p)
-        self._naxes = int(naxes)
+        self._windows = list(windows)
+        for win in self._windows:
+            if win is not None and not win[1] > 0:
+                raise ValueError(f"cutoff width must be positive, got {win[1]}")
 
     def __call__(self, axes, alpha):
-        shape = tuple(len(a) for a in axes)
-        if any(alpha[k] > 0 for k in range(self.p, self._naxes)):
-            return np.zeros(shape)
         out = np.ones(())
-        for k in range(self._naxes):
-            if k < self.p:
-                vals = self._rho.profile(
-                    np.asarray(axes[k], dtype=np.float64) / self._ell1, alpha[k]
-                ) / self._ell1 ** alpha[k]
+        for x, a, win in zip(axes, alpha, self._windows):
+            if win is None:
+                if a > 0:
+                    return np.zeros(tuple(len(ax) for ax in axes))
+                vals = np.ones(len(x))
             else:
-                vals = np.ones(len(axes[k]))
+                c, w = win
+                vals = self._rho.profile((np.asarray(x, dtype=np.float64) - c) / w, a) / w**a
             out = np.multiply.outer(out, vals)
         return out
 
@@ -229,20 +216,6 @@ class ProductEvaluator:
         return out
 
 
-def cutoff_rho(m: int, ell1: float, points, alpha=None):
-    """Convenience wrapper: D^alpha of rho(X1/ell1) at axial points (Q, p)."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    p = points.shape[1]
-    alpha = tuple(alpha) if alpha is not None else (0,) * p
-    rho = CutoffRho(m)
-    out = np.ones(points.shape[0])
-    for k in range(p):
-        out = out * rho.profile(points[:, k] / ell1, alpha[k]) / ell1 ** alpha[k]
-    return out
-
-
 def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int) -> float:
     """H^m norm of (u_l - extension of u_inf) * rho(X1/ell1) over Omega_ell1."""
     p = _split_p(u_l, u_inf)
@@ -251,7 +224,7 @@ def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int) -> float:
         raise ValueError(f"scale {ell1} exceeds the axial half-length {domain[0][1]}")
     n = u_l.basis.naxes
     w = DifferenceEvaluator(FieldEvaluator(u_l), ExtensionEvaluator(u_inf, p))
-    rho = CutoffEvaluator(CutoffRho(m), ell1, p, n)
+    rho = CutoffEvaluator(CutoffRho(m), [(0.0, ell1)] * p + [None] * (n - p))
     box = [(-float(ell1), float(ell1))] * p + list(domain[p:])
     return norm_Hm(ProductEvaluator(w, rho), box, m, resolution)
 
@@ -272,44 +245,27 @@ def galerkin_interior_residual(
     cross-section.
     """
     p = _split_p(u_l, u_inf)
-    n = u_l.basis.naxes
     m = spec.m
     rho = CutoffRho(m)
     reach = int(np.floor(ell - margin - 1.0 + _EPS))
     if reach < 0:
         raise ValueError(f"no room for unit bumps inside ell={ell} with margin {margin}")
     axial_centers = range(-reach, reach + 1)
-    cross = u_l.basis.domain[p:]
-    centers_cross = [0.5 * (lo + hi) for lo, hi in cross]
-    widths_cross = [0.5 * (hi - lo) for lo, hi in cross]
+    cross_windows = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in u_l.basis.domain[p:]]
     degree = max(f.degree for f in u_l.basis.factors)
     ppc = (degree + 2 * m + 3) // 2 + 1
     w = DifferenceEvaluator(FieldEvaluator(u_l), ExtensionEvaluator(u_inf, p))
 
     worst = 0.0
     for axial in itertools.product(axial_centers, repeat=p):
-        centers = [float(c) for c in axial] + centers_cross
-        widths = [1.0] * p + widths_cross
-        axes = []
-        W = np.ones(())
-        for k in range(n):
-            lo, hi = centers[k] - widths[k], centers[k] + widths[k]
-            cells = max(1, round((hi - lo) * resolution))
-            pts, wts = composite_gauss((lo, hi), cells, ppc)
-            axes.append(pts)
-            W = np.multiply.outer(W, wts)
+        windows = [(float(c), 1.0) for c in axial] + cross_windows
+        axes, W = _gauss_grid([(c - h, c + h) for c, h in windows], resolution, ppc)
+        phi = CutoffEvaluator(rho, windows)
         grids = np.meshgrid(*axes, indexing="ij")
         total = 0.0
         for (alpha, beta), coef in sorted(spec.coefficients.items()):
             a_vals = np.broadcast_to(coef(tuple(grids)), grids[0].shape)
-            w_vals = w(axes, alpha)
-            phi = np.ones(())
-            for k in range(n):
-                vals = rho.profile(
-                    (axes[k] - centers[k]) / widths[k], beta[k]
-                ) / widths[k] ** beta[k]
-                phi = np.multiply.outer(phi, vals)
-            total += float(np.sum(W * a_vals * w_vals * phi))
+            total += float(np.sum(W * a_vals * w(axes, alpha) * phi(axes, beta)))
         worst = max(worst, abs(total))
     return worst
 

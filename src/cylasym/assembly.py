@@ -272,8 +272,8 @@ def _where(spec: ProblemSpec, stage: str, ell) -> str:
     return f"{stage} for problem {spec.name or 'unnamed'} {at}"
 
 
-def _check_finite(spec, stage, ell, A, rhs):
-    for what, values in (("matrix", A.data), ("rhs", rhs)):
+def _check_finite(spec, stage, ell, **arrays):
+    for what, values in arrays.items():
         if not np.all(np.isfinite(values)):
             raise AssemblyError(
                 f"{_where(spec, stage, ell)}: assembled {what} contains non-finite entries"
@@ -311,6 +311,10 @@ def assemble_cylinder(
         for (a, b), terms in by_axial_part.items()
     ]
     if blocks:
+        # an infinite entry times a stored zero would make NaNs (and a numpy
+        # warning) inside the Kronecker sum, so check the blocks first
+        for _, C in blocks:
+            _check_finite(spec, "assemble_cylinder", ell, matrix=C.data)
         A = _kron_sum(blocks)
     if n_d_terms:
         # same pattern as the Kronecker part, so the values add entry by entry
@@ -322,7 +326,7 @@ def assemble_cylinder(
     if symmetric:
         _symmetrize(A)
     rhs = _load(factors, spec.forcing)
-    _check_finite(spec, "assemble_cylinder", ell, A, rhs)
+    _check_finite(spec, "assemble_cylinder", ell, matrix=A.data, rhs=rhs)
     return AssembledSystem(A, rhs, TensorBasis(factors), spec, symmetric, ell=float(ell))
 
 
@@ -344,5 +348,5 @@ def assemble_limit(
     if symmetric:
         _symmetrize(A)
     rhs = _load(factors, spec.forcing, pinned=spec.p)
-    _check_finite(spec, "assemble_limit", None, A, rhs)
+    _check_finite(spec, "assemble_limit", None, matrix=A.data, rhs=rhs)
     return AssembledSystem(A, rhs, TensorBasis(factors), spec, symmetric, ell=None)

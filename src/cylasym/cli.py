@@ -97,16 +97,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _workers_override(cli_value: int) -> int:
-    env = os.environ.get("CYLASYM_WORKERS")
-    if env is None:
-        return cli_value
-    try:
-        return int(env)
-    except ValueError:
-        raise _UsageError(f"CYLASYM_WORKERS must be an integer, got {env!r}")
-
-
 def _cmd_sweep(args) -> int:
     spec = _resolve_problem(args.problem)
     plan = SweepPlan(
@@ -117,7 +107,7 @@ def _cmd_sweep(args) -> int:
         resolution=args.cells_per_unit,
         degree=_degree(args.degree),
         interior_margin=args.interior_margin,
-        workers=_workers_override(args.workers),
+        workers=args.workers,
         out_csv=args.out_csv,
         out_json=args.out_json,
     )

@@ -9,12 +9,12 @@ and the lattice estimator for interior higher-order differences of a
 cylinder solution against the extended cross-section solution.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import enumerate_upto, in_N1, multi_binom, order
+from .analysis import DifferenceEvaluator, ExtensionEvaluator, FieldEvaluator
+from .multiindex import enumerate_upto, in_N1, multi_binom, order, sub_indices
 
 _TOL = 1e-12
 
@@ -57,17 +57,6 @@ class GridSample:
 
     def axis_coords(self, k: int) -> np.ndarray:
         return self.origin[k] + self.spacing[k] * np.arange(self.values.shape[k])
-
-    def to_csv(self, path) -> None:
-        """Debug dump: header x1,...,xn,value then one lattice point per row."""
-        axes = [self.axis_coords(k) for k in range(self.n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{k + 1}" for k in range(self.n)] + ["value"])
-            flat = [g.ravel() for g in grids] + [self.values.ravel()]
-            for row in zip(*flat):
-                writer.writerow([repr(float(v)) for v in row])
 
 
 def sample_function(fn, box, spacing) -> GridSample:
@@ -175,7 +164,7 @@ def leibniz_defect(f: GridSample, g: GridSample, alpha) -> float:
     ).values
     out_shape = lhs.shape
     rhs = np.zeros(out_shape)
-    for beta in _sub_multi_indices(alpha):
+    for beta in sub_indices(alpha):
         gamma = tuple(a - b for a, b in zip(alpha, beta))
         df = delta_alpha(f, beta).values
         dg = delta_alpha(g, gamma).values
@@ -184,21 +173,6 @@ def leibniz_defect(f: GridSample, g: GridSample, alpha) -> float:
         sl_g = tuple(slice(0, s) for s in out_shape)
         rhs += multi_binom(alpha, beta) * df[sl_f] * dg[sl_g]
     return float(np.abs(lhs - rhs).max())
-
-
-def _sub_multi_indices(alpha):
-    ranges = [range(a + 1) for a in alpha]
-    out = []
-
-    def rec(prefix, rest):
-        if not rest:
-            out.append(tuple(prefix))
-            return
-        for v in rest[0]:
-            rec(prefix + [v], rest[1:])
-
-    rec([], ranges)
-    return out
 
 
 def mean_value_check(f, dalpha_f, x, alpha, h, samples_per_axis: int = 33):
@@ -279,16 +253,9 @@ def interior_derivative_error(u_l, u_inf, alpha, region, h: float, m: int | None
         weights = np.multiply.outer(weights, w)
     origin = tuple(r[0] for r in region)
     spacing = (float(h),) * n
+    diff = DifferenceEvaluator(FieldEvaluator(u_l), ExtensionEvaluator(u_inf, p))
     total = 0.0
     for beta in enumerate_upto(n, m):
-        w_l = u_l.eval_grid(axes, beta)
-        if any(beta[k] > 0 for k in range(p)):
-            w_vals = w_l  # extension is constant in the axial variables
-        else:
-            cross = u_inf.eval_grid(axes[p:], beta[p:])
-            w_vals = w_l - np.broadcast_to(
-                cross.reshape((1,) * p + cross.shape), w_l.shape
-            )
-        d = delta_alpha(GridSample(origin, spacing, w_vals), alpha)
+        d = delta_alpha(GridSample(origin, spacing, diff(axes, beta)), alpha)
         total += float(np.sum(weights * d.values**2))
     return float(np.sqrt(total * h**n))

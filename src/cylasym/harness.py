@@ -16,7 +16,6 @@ import numpy as np
 from .analysis import (
     ConvergenceReport,
     DifferenceEvaluator,
-    AnalyticProfileExtension,
     ErrorRecord,
     FieldEvaluator,
     error_Hm,
@@ -43,6 +42,10 @@ from .problem import (
 from .splines import DiscreteField, TensorBasis
 
 
+# relative residual every solve must reach
+SOLVER_TOL = 1e-12
+
+
 class HypothesisError(RuntimeError):
     """The problem fails a structural hypothesis; solving would be meaningless."""
 
@@ -57,7 +60,6 @@ class SweepPlan:
     degree: int | None = None  # None picks m+1
     interior_margin: float = 0.25
     workers: int = 1
-    solver_tol: float = 1e-12
     out_csv: str | None = None
     out_json: str | None = None
 
@@ -100,14 +102,14 @@ class SweepPlan:
             "degree": self.effective_degree,
             "interior_margin": self.interior_margin,
             "workers": self.workers,
-            "solver_tol": self.solver_tol,
+            "solver_tol": SOLVER_TOL,
         }
 
 
-def _solve_system(system, tol: float):
+def _solve_system(system):
     if system.symmetric:
-        return cg_jacobi(system.matrix, system.rhs, tol=tol)
-    return gmres_jacobi(system.matrix, system.rhs, tol=tol)
+        return cg_jacobi(system.matrix, system.rhs, tol=SOLVER_TOL)
+    return gmres_jacobi(system.matrix, system.rhs, tol=SOLVER_TOL)
 
 
 def _shrunk(extent, margin: float):
@@ -132,14 +134,13 @@ def _sweep_worker(args):
         resolution,
         degree,
         margin,
-        tol,
         u_inf_coeffs,
         norm_u_inf,
     ) = args
     spec = parse_problem_config(text, name)
     t0 = time.perf_counter()
     system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
-    result = _solve_system(system, tol)
+    result = _solve_system(system)
     u_l = DiscreteField(system.basis, result.x)
     u_inf = DiscreteField(
         TensorBasis(cylinder_factors(spec, None, resolution, degree)), u_inf_coeffs
@@ -205,7 +206,7 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
 
     t0 = time.perf_counter()
     limit_system = assemble_limit(spec, resolution=plan.resolution, degree=degree)
-    limit_result = _solve_system(limit_system, plan.solver_tol)
+    limit_result = _solve_system(limit_system)
     u_inf = DiscreteField(limit_system.basis, limit_result.x)
     timings["limit_solve_s"] = time.perf_counter() - t0
 
@@ -229,7 +230,6 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
             plan.resolution,
             degree,
             plan.interior_margin,
-            plan.solver_tol,
             limit_result.x,
             norm_u_inf,
         )
@@ -329,16 +329,16 @@ def run_refinement(
     errs = []
     for res in resolutions:
         limit_system = assemble_limit(spec, resolution=res, degree=degree)
-        limit_result = _solve_system(limit_system, 1e-12)
+        limit_result = _solve_system(limit_system)
         u_inf_h = DiscreteField(limit_system.basis, limit_result.x)
         diff = DifferenceEvaluator(
-            FieldEvaluator(u_inf_h), AnalyticProfileExtension(exact, p=0)
+            FieldEvaluator(u_inf_h), lambda axes, alpha: exact(axes[0], alpha[0])
         )
         err = norm_Hm(diff, list(spec.omega), m, res, points_per_cell=degree + 1)
         errs.append(err)
 
         system = assemble_cylinder(spec, ell=ell, resolution=res, degree=degree)
-        result = _solve_system(system, 1e-12)
+        result = _solve_system(system)
         u_l_h = DiscreteField(system.basis, result.x)
         cyl = error_Hm(u_l_h, u_inf_h, ell0, m, res)
 

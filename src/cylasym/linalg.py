@@ -4,14 +4,12 @@ Symmetric positive definite systems go through Jacobi-preconditioned
 conjugate gradients; nonsymmetric ones through restarted GMRES with right
 Jacobi preconditioning.  Both verify the true residual before reporting
 success, and both are plain numpy loops so repeated runs produce identical
-iterates.  A dense fallback exists for small systems and for tests.
+iterates.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-DENSE_LIMIT = 2000
 
 
 class SolverError(RuntimeError):
@@ -166,21 +164,6 @@ def gmres_jacobi(
         f"GMRES did not reach tol={tol:g} in {max_iter} iterations",
         _true_residual(A, b, x, bnorm),
     )
-
-
-def solve(A, b, symmetric: bool, tol: float = 1e-10, max_iter: int | None = None) -> SolveResult:
-    if symmetric:
-        return cg_jacobi(A, b, tol=tol, max_iter=max_iter)
-    return gmres_jacobi(A, b, tol=tol, max_iter=max_iter)
-
-
-def dense_solve(A, b) -> np.ndarray:
-    """Direct solve for small systems; refuses past DENSE_LIMIT unknowns."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.size > DENSE_LIMIT:
-        raise ValueError(f"dense fallback limited to {DENSE_LIMIT} unknowns, got {b.size}")
-    M = A.toarray() if hasattr(A, "toarray") else np.asarray(A, dtype=np.float64)
-    return np.linalg.solve(M, b)
 
 
 def smallest_ritz_estimate(A, iterations: int = 20, inner_tol: float = 1e-12) -> float:

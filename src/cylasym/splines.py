@@ -116,10 +116,6 @@ class SplineBasis1D:
     def dim(self) -> int:
         return self.cells + self.degree - 2 * self.bc_order
 
-    @property
-    def dim_unconstrained(self) -> int:
-        return self.cells + self.degree
-
     def cell_of(self, x):
         """Cell index per point; rejects points outside the closed extent."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))

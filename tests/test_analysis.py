@@ -17,7 +17,6 @@ from cylasym.analysis import (
     ExtensionEvaluator,
     FieldEvaluator,
     ProductEvaluator,
-    cutoff_rho,
     error_Hm,
     fit_rate,
     galerkin_interior_residual,
@@ -215,15 +214,19 @@ def test_cutoff_first_derivative_hand_value():
     assert abs(rho.derivative_bound(1) - 3.0) <= 1e-14
 
 
-def test_cutoff_wrapper_applies_chain_rule():
-    vals = cutoff_rho(1, 2.0, [[1.5]], alpha=(1,))
-    assert abs(float(vals[0]) + 1.5) <= 1e-14
-    plain = cutoff_rho(1, 2.0, [[1.5]])
-    assert abs(float(plain[0]) - 0.5) <= 1e-15
+def test_cutoff_evaluator_applies_chain_rule():
+    # rho((x - c) / w) at (x - c) / w = 3/4: value 1/2, derivative -3 / w
+    ev = CutoffEvaluator(CutoffRho(1), [(0.0, 2.0)])
+    assert abs(float(ev([np.array([1.5])], (1,))[0]) + 1.5) <= 1e-14
+    assert abs(float(ev([np.array([1.5])], (0,))[0]) - 0.5) <= 1e-15
+    shifted = CutoffEvaluator(CutoffRho(1), [(1.0, 0.5)])
+    assert abs(float(shifted([np.array([1.375])], (1,))[0]) + 6.0) <= 1e-13
+    with pytest.raises(ValueError, match="width must be positive"):
+        CutoffEvaluator(CutoffRho(1), [(0.0, 0.0)])
 
 
 def test_cutoff_evaluator_cross_derivatives_vanish():
-    ev = CutoffEvaluator(CutoffRho(1), ell1=2.0, p=1, naxes=2)
+    ev = CutoffEvaluator(CutoffRho(1), [(0.0, 2.0), None])
     axes = [np.linspace(-2.0, 2.0, 9), np.linspace(0.0, 1.0, 5)]
     assert np.array_equal(ev(axes, (0, 1)), np.zeros((9, 5)))
     vals = ev(axes, (0, 0))

@@ -18,7 +18,6 @@ from cylasym.assembly import (
     assemble_limit,
     cylinder_factors,
 )
-from cylasym.linalg import dense_solve
 from cylasym.problem import ProblemSpec, ScalarField, analytic_limit, builtin_problem
 from cylasym.splines import DiscreteField, composite_gauss
 
@@ -49,7 +48,7 @@ def test_hat_limit_system_frozen():
     want = np.array([[8.0, -4.0, 0.0], [-4.0, 8.0, -4.0], [0.0, -4.0, 8.0]])
     assert np.allclose(A, want, atol=1e-12)
     assert np.allclose(system.rhs, 0.25, atol=1e-15)
-    x = dense_solve(system.matrix, system.rhs)
+    x = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.allclose(x, [3.0 / 32.0, 4.0 / 32.0, 3.0 / 32.0], atol=1e-14)
 
 
@@ -253,7 +252,7 @@ def test_limit_solution_converges_to_analytic(name, degree):
     errs = []
     for res in (8, 16):
         system = assemble_limit(spec, resolution=res, degree=degree)
-        u = DiscreteField(system.basis, dense_solve(system.matrix, system.rhs))
+        u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
         errs.append(np.abs(u.eval_points(ts[:, None], (0,)) - exact(ts, 0)).max())
     assert errs[0] > 1e-12
     assert errs[1] <= errs[0] / 3.5
@@ -266,7 +265,7 @@ def test_limit_solution_exact_when_space_contains_it(name, degree):
     spec = builtin_problem(name)
     exact = analytic_limit(name)
     system = assemble_limit(spec, resolution=8, degree=degree)
-    u = DiscreteField(system.basis, dense_solve(system.matrix, system.rhs))
+    u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
     ts = np.linspace(0.0, 1.0, 33)
     assert np.abs(u.eval_points(ts[:, None], (0,)) - exact(ts, 0)).max() <= 1e-13
 
@@ -274,7 +273,7 @@ def test_limit_solution_exact_when_space_contains_it(name, degree):
 def test_solution_conforms_at_boundary():
     spec = builtin_problem("biharmonic_strip")
     system = assemble_cylinder(spec, ell=1.0, resolution=6, degree=3)
-    u = DiscreteField(system.basis, dense_solve(system.matrix, system.rhs))
+    u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
     ts = np.linspace(0.0, 1.0, 9)
     edge = np.stack([np.full(9, 1.0), ts], axis=1)  # axial boundary
     for alpha in [(0, 0), (0, 1)]:

@@ -317,19 +317,13 @@ def test_interior_error_region_guards():
         )
 
 
-def test_sample_function_and_csv(tmp_path):
+def test_sample_function_lattice():
     s = sample_function(
         lambda c: c[0] + 10.0 * c[1], ((0.0, 1.0), (0.0, 0.5)), (0.25, 0.25)
     )
     assert s.values.shape == (5, 3)
     assert s.box == ((0.0, 1.0), (0.0, 0.5))
-    path = tmp_path / "dump.csv"
-    s.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,value"
-    assert len(lines) == 1 + 15
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0 and float(first[2]) == 0.0
+    assert s.values[0, 0] == 0.0 and s.values[4, 2] == 6.0
 
 
 def test_gridsample_validation():

@@ -277,6 +277,7 @@ def test_cli_hypothesis_failure_exits_two(tmp_path, capsys):
         ("a_1_0_1_0", "assemble_cylinder", "l = 2"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_assembly_failure_exits_one(tmp_path, capsys, singular, stage, at):
     # 13 cells put a Gauss node on x2 = 0.5, where the coefficient is infinite
     coefs = {"a_1_0_1_0": "1", "a_0_1_0_1": "1"}
@@ -295,24 +296,3 @@ def test_cli_assembly_failure_exits_one(tmp_path, capsys, singular, stage, at):
     assert code == 1
     assert stage in err and str(cfg) in err and at in err
     assert "non-finite" in err
-
-
-def test_cli_workers_env_override(tmp_path, monkeypatch, capsys):
-    base = [
-        "sweep",
-        "--problem",
-        "poisson_strip",
-        "--l",
-        "2,4,8",
-        "--cells-per-unit",
-        "4",
-    ]
-    plain = tmp_path / "a.csv"
-    assert cli.main(base + ["--out-csv", str(plain)]) == 0
-    monkeypatch.setenv("CYLASYM_WORKERS", "2")
-    overridden = tmp_path / "b.csv"
-    assert cli.main(base + ["--workers", "1", "--out-csv", str(overridden)]) == 0
-    monkeypatch.setenv("CYLASYM_WORKERS", "banana")
-    assert cli.main(base) == 1
-    capsys.readouterr()
-    assert plain.read_bytes() == overridden.read_bytes()

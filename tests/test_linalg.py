@@ -8,10 +8,8 @@ from cylasym.linalg import (
     BreakdownError,
     NonConvergenceError,
     cg_jacobi,
-    dense_solve,
     gmres_jacobi,
     smallest_ritz_estimate,
-    solve,
 )
 
 
@@ -44,8 +42,8 @@ def test_cg_matches_dense(n, seed):
     A = _spd_matrix(n, seed)
     rng = np.random.default_rng(seed + 100)
     b = rng.standard_normal(n)
-    res = solve(A, b, symmetric=True, tol=1e-11)
-    assert np.allclose(res.x, dense_solve(A, b), atol=1e-8)
+    res = cg_jacobi(A, b, tol=1e-11)
+    assert np.allclose(res.x, np.linalg.solve(A.toarray(), b), atol=1e-8)
     assert res.residual <= 1e-11
 
 
@@ -54,8 +52,8 @@ def test_gmres_matches_dense(n, seed):
     A = _nonsym_matrix(n, seed)
     rng = np.random.default_rng(seed + 100)
     b = rng.standard_normal(n)
-    res = solve(A, b, symmetric=False, tol=1e-11)
-    assert np.allclose(res.x, dense_solve(A, b), atol=1e-8)
+    res = gmres_jacobi(A, b, tol=1e-11)
+    assert np.allclose(res.x, np.linalg.solve(A.toarray(), b), atol=1e-8)
     assert res.residual <= 1e-11
     assert res.method == "gmres"
 
@@ -114,13 +112,6 @@ def test_nonconvergence_reports_residual():
     with pytest.raises(NonConvergenceError) as err:
         cg_jacobi(A, b, tol=1e-14, max_iter=3)
     assert 0.0 < err.value.residual
-
-
-def test_dense_guard():
-    n = 2001
-    A = sp.eye(n, format="csr")
-    with pytest.raises(ValueError, match="dense fallback"):
-        dense_solve(A, np.ones(n))
 
 
 def test_ritz_identity_and_diagonal():
