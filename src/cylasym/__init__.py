@@ -37,7 +37,7 @@ from .problem import (
     parse_problem_config,
     validate_hypotheses,
 )
-from .splines import DiscreteField, SplineBasis1D, TensorBasis, build_basis
+from .splines import DiscreteField, SplineBasis1D, TensorBasis
 
 __all__ = [
     "__version__",
@@ -53,7 +53,6 @@ __all__ = [
     "TensorBasis",
     "assemble_cylinder",
     "assemble_limit",
-    "build_basis",
     "builtin_names",
     "builtin_problem",
     "cg_jacobi",

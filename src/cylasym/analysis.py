@@ -2,40 +2,38 @@
 
 Everything here works through one small evaluator protocol: a callable
 (axes, alpha) -> grid of D^alpha values on the tensor grid spanned by the
-per-axis point arrays.  Discrete fields, constant axial extensions of
-cross-section fields, differences, cutoff products, and analytic solutions
-all become interchangeable under the quadrature.
+per-axis point arrays.  A discrete field's bound eval_grid is one; constant
+axial extensions of cross-section fields, differences, cutoff products, and
+analytic solutions all become interchangeable with it under the quadrature.
 """
 
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from .expr import format_number
 from .multiindex import enumerate_upto, multi_binom, sub, sub_indices
 from .splines import composite_gauss
 
 _EPS = 1e-12
 
-CSV_HEADER = (
-    "ell,dofs,err_L2,err_Hm,err_H2m_interior,norm_ul_Hm_full,"
-    "lemma19_ratio,solver_residual,wall_time_s"
+# errors below this sit at the discretization/solver floor, not on the decay
+FLOOR = 1e-12
+
+# the ErrorRecord fields the CSV report carries, in column order
+CSV_FIELDS = (
+    "ell", "dofs", "err_L2", "err_Hm", "err_H2m_interior", "norm_ul_Hm_full",
+    "lemma19_ratio", "solver_residual", "wall_time_s",
 )
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 # ---------------------------------------------------------------------------
 # evaluators
-
-class FieldEvaluator:
-    def __init__(self, field):
-        self._field = field
-
-    def __call__(self, axes, alpha):
-        return self._field.eval_grid(list(axes), tuple(alpha))
-
 
 class ExtensionEvaluator:
     """Constant axial extension of a cross-section field: axial derivatives
@@ -108,7 +106,7 @@ def error_Hm(u_l, u_inf, ell0: float, m: int, resolution: int) -> float:
         if ell0 > hi + _EPS or -ell0 < lo - _EPS:
             raise ValueError(f"inner half-length {ell0} exceeds the domain {domain[:p]}")
     box = [(-float(ell0), float(ell0))] * p + list(domain[p:])
-    w = DifferenceEvaluator(FieldEvaluator(u_l), ExtensionEvaluator(u_inf, p))
+    w = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
     return norm_Hm(w, box, m, resolution)
 
 
@@ -223,7 +221,7 @@ def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int) -> float:
     if ell1 > domain[0][1] + _EPS:
         raise ValueError(f"scale {ell1} exceeds the axial half-length {domain[0][1]}")
     n = u_l.basis.naxes
-    w = DifferenceEvaluator(FieldEvaluator(u_l), ExtensionEvaluator(u_inf, p))
+    w = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
     rho = CutoffEvaluator(CutoffRho(m), [(0.0, ell1)] * p + [None] * (n - p))
     box = [(-float(ell1), float(ell1))] * p + list(domain[p:])
     return norm_Hm(ProductEvaluator(w, rho), box, m, resolution)
@@ -254,7 +252,7 @@ def galerkin_interior_residual(
     cross_windows = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in u_l.basis.domain[p:]]
     degree = max(f.degree for f in u_l.basis.factors)
     ppc = (degree + 2 * m + 3) // 2 + 1
-    w = DifferenceEvaluator(FieldEvaluator(u_l), ExtensionEvaluator(u_inf, p))
+    w = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
 
     worst = 0.0
     for axial in itertools.product(axial_centers, repeat=p):
@@ -280,12 +278,12 @@ class RateFit:
     floor_detected: bool
 
 
-def fit_rate(points, ratio_threshold: float = 0.9, abs_floor: float = 1e-12) -> RateFit:
+def fit_rate(points) -> RateFit:
     """Least-squares slope of log(err) against log(ell), floor points excluded.
 
     A point lands on the floor when it fails to improve on its predecessor by
-    the ratio threshold (computed on raw consecutive pairs) or when its error
-    sits below abs_floor.  Fewer than 3 surviving points is an error.
+    10% (computed on raw consecutive pairs) or when its error sits below
+    FLOOR.  Fewer than 3 surviving points is an error.
     """
     ells = np.array([float(e) for e, _ in points])
     errs = np.array([float(v) for _, v in points])
@@ -297,9 +295,9 @@ def fit_rate(points, ratio_threshold: float = 0.9, abs_floor: float = 1e-12) -> 
         raise ValueError("ell values must be strictly increasing")
     included = np.ones(len(points), dtype=bool)
     for i in range(len(points) - 1):
-        if errs[i + 1] / errs[i] > ratio_threshold:
+        if errs[i + 1] / errs[i] > 0.9:
             included[i + 1] = False
-    included &= errs >= abs_floor
+    included &= errs >= FLOOR
     if included.sum() < 3:
         raise ValueError(
             f"fewer than 3 usable points after floor exclusion "
@@ -366,11 +364,13 @@ class ConvergenceReport:
             raise ValueError("records must be strictly increasing in ell")
 
 
-def _fmt_float(v: float) -> str:
-    v = float(v)
-    if v.is_integer() and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+def _csv_cell(record: ErrorRecord, name: str) -> str:
+    if name == "wall_time_s":
+        return "0.0"
+    value = getattr(record, name)
+    if name in ("ell", "dofs"):
+        return format_number(value)
+    return repr(float(value))
 
 
 def write_report_csv(report: ConvergenceReport, path) -> None:
@@ -378,21 +378,7 @@ def write_report_csv(report: ConvergenceReport, path) -> None:
     reruns stay byte-identical; real timings live in the JSON report."""
     lines = [CSV_HEADER]
     for r in report.records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt_float(r.ell),
-                    str(int(r.dofs)),
-                    repr(float(r.err_L2)),
-                    repr(float(r.err_Hm)),
-                    repr(float(r.err_H2m_interior)),
-                    repr(float(r.norm_ul_Hm_full)),
-                    repr(float(r.lemma19_ratio)),
-                    repr(float(r.solver_residual)),
-                    "0.0",
-                ]
-            )
-        )
+        lines.append(",".join(_csv_cell(r, name) for name in CSV_FIELDS))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -403,37 +389,12 @@ def report_to_dict(report: ConvergenceReport) -> dict:
     hyp = report.hypothesis
     hyp_dict = None
     if hyp is not None:
-        hyp_dict = {
-            "passed": hyp.passed,
-            "lambda_hat": hyp.lambda_hat,
-            "ellipticity_ok": hyp.ellipticity_ok,
-            "x1_independent": dict(hyp.x1_independent),
-            "sup_norms": dict(hyp.sup_norms),
-            "sample_count": hyp.sample_count,
-            "seed": hyp.seed,
-            "warnings": list(hyp.warnings),
-        }
+        hyp_dict = dict(asdict(hyp), passed=hyp.passed)
     return {
         "version": __version__,
         "problem": {"name": report.problem_name, "config_sha256": report.problem_hash},
         "plan": dict(report.plan),
-        "records": [
-            {
-                "ell": r.ell,
-                "dofs": r.dofs,
-                "err_L2": r.err_L2,
-                "err_Hm": r.err_Hm,
-                "err_H2m_interior": r.err_H2m_interior,
-                "norm_ul_Hm_full": r.norm_ul_Hm_full,
-                "lemma19_ratio": r.lemma19_ratio,
-                "solver_residual": r.solver_residual,
-                "solver_iterations": r.solver_iterations,
-                "wall_time_s": r.wall_time_s,
-                "interior_alpha": dict(r.interior_alpha),
-                "n1_full_alpha": dict(r.n1_full_alpha),
-            }
-            for r in report.records
-        ],
+        "records": [asdict(r) for r in report.records],
         "fitted_rate_Hm": report.fitted_rate_Hm,
         "fitted_rate_H2m": report.fitted_rate_H2m,
         "floor_detected": report.floor_detected,
@@ -462,7 +423,7 @@ def write_refinement_csv(rows, path) -> None:
         for row in rows:
             writer.writerow(
                 [
-                    _fmt_float(row["resolution"]),
+                    format_number(row["resolution"]),
                     repr(float(row["h"])),
                     str(int(row["dofs_limit"])),
                     repr(float(row["err_Hm_limit"])),

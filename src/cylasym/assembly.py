@@ -114,8 +114,7 @@ def _index_tensors(factors):
     R = np.zeros((1,) * (2 * n), dtype=np.int64)
     V = np.ones((1,) * (2 * n), dtype=bool)
     for k, f in enumerate(factors):
-        idx = np.arange(f.cells)[:, None] + np.arange(f.degree + 1)[None, :] - f.bc_order
-        ok = (idx >= 0) & (idx < f.dim)
+        idx, ok = f.window(np.arange(f.cells))
         shape = [1] * (2 * n)
         shape[k] = f.cells
         shape[n + k] = f.degree + 1

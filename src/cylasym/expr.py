@@ -18,6 +18,7 @@ and the tree is folded with numpy arithmetic, so a single evaluate() call
 prices an expression on a whole sample batch.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -158,7 +159,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, lex, off = self.advance()
         if kind == "num":
-            return Num(float(lex))
+            value = float(lex)
+            if not math.isfinite(value):
+                raise ExpressionError(f"number {lex!r} overflows a double", off)
+            return Num(value)
         if kind == "ident":
             return self.name(lex, off)
         if kind == "op" and lex == "(":
@@ -212,13 +216,19 @@ def _wrap(e: Expr, min_level: int) -> str:
     return s if _level(e) >= min_level else f"({s})"
 
 
+def format_number(v) -> str:
+    """Integer-valued numbers below 1e16 in magnitude print as integers,
+    everything else as the repr of its float."""
+    v = float(v)
+    if v.is_integer() and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
 def to_string(e: Expr) -> str:
     """Render with minimal parentheses; parse_expression(to_string(e)) == e."""
     if isinstance(e, Num):
-        v = e.value
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
+        return format_number(e.value)
     if isinstance(e, Var):
         return f"x{e.index}"
     if isinstance(e, Neg):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DifferenceEvaluator, ExtensionEvaluator, FieldEvaluator
+from .analysis import DifferenceEvaluator, ExtensionEvaluator
 from .multiindex import enumerate_upto, in_N1, multi_binom, order, sub_indices
 
 _TOL = 1e-12
@@ -253,7 +253,7 @@ def interior_derivative_error(u_l, u_inf, alpha, region, h: float, m: int | None
         weights = np.multiply.outer(weights, w)
     origin = tuple(r[0] for r in region)
     spacing = (float(h),) * n
-    diff = DifferenceEvaluator(FieldEvaluator(u_l), ExtensionEvaluator(u_inf, p))
+    diff = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
     total = 0.0
     for beta in enumerate_upto(n, m):
         d = delta_alpha(GridSample(origin, spacing, diff(axes, beta)), alpha)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    FLOOR,
     ConvergenceReport,
     DifferenceEvaluator,
     ErrorRecord,
-    FieldEvaluator,
     error_Hm,
     fit_rate,
     lemma19_check,
@@ -149,7 +149,7 @@ def _sweep_worker(args):
     m, n, p = spec.m, spec.n, spec.p
     err_L2 = error_Hm(u_l, u_inf, ell0, 0, resolution)
     err_Hm_val = error_Hm(u_l, u_inf, ell0, m, resolution)
-    norm_full = norm_Hm(FieldEvaluator(u_l), u_l.basis.domain, m, resolution)
+    norm_full = norm_Hm(u_l.eval_grid, u_l.basis.domain, m, resolution)
     ratio = norm_full / (ell ** (p / 2.0) * norm_u_inf) if norm_u_inf > 0.0 else 0.0
 
     h_lat = 1.0 / (2.0 * resolution)
@@ -217,9 +217,7 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
             "discrete coercivity is suspect"
         )
 
-    norm_u_inf = norm_Hm(
-        FieldEvaluator(u_inf), list(spec.omega), spec.m, plan.resolution
-    )
+    norm_u_inf = norm_Hm(u_inf.eval_grid, list(spec.omega), spec.m, plan.resolution)
     text = to_config_text(spec)
     jobs = [
         (
@@ -251,7 +249,7 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
         [(r.ell, r.err_H2m_interior) for r in records], warnings, "err_H2m_interior"
     )
     floor = any(f is not None and f.floor_detected for f in (fit_hm, fit_int))
-    if all(r.err_Hm < 1e-12 for r in records):
+    if all(r.err_Hm < FLOOR for r in records):
         floor = True
         warnings.append("every record sits at the discretization floor")
 
@@ -332,7 +330,7 @@ def run_refinement(
         limit_result = _solve_system(limit_system)
         u_inf_h = DiscreteField(limit_system.basis, limit_result.x)
         diff = DifferenceEvaluator(
-            FieldEvaluator(u_inf_h), lambda axes, alpha: exact(axes[0], alpha[0])
+            u_inf_h.eval_grid, lambda axes, alpha: exact(axes[0], alpha[0])
         )
         err = norm_Hm(diff, list(spec.omega), m, res, points_per_cell=degree + 1)
         errs.append(err)
@@ -343,7 +341,7 @@ def run_refinement(
         cyl = error_Hm(u_l_h, u_inf_h, ell0, m, res)
 
         order = None
-        if len(errs) > 1 and errs[-1] > 1e-12 and errs[-2] > 1e-12:
+        if len(errs) > 1 and errs[-1] > FLOOR and errs[-2] > FLOOR:
             order = float(
                 np.log(errs[-2] / errs[-1]) / np.log(resolutions[len(errs) - 1] / resolutions[len(errs) - 2])
             )

@@ -141,23 +141,21 @@ class SplineBasis1D:
         ders = _ders_basis_funs(self.knots, spans, xc, self.degree, nders)
         return ders, cells
 
+    def window(self, first):
+        """(cols, valid) for the degree + 1 unconstrained functions first[q] + r:
+        their constrained indices, and which of them the constraint keeps."""
+        cols = first[:, None] + np.arange(self.degree + 1)[None, :] - self.bc_order
+        return cols, (cols >= 0) & (cols < self.dim)
+
     def basis_matrix(self, x, der: int = 0):
         """Dense (len(x), dim) matrix of the constrained basis derivative der."""
         ders, first = self.local_ders(x, der)
+        cols, valid = self.window(first)
         Q = ders.shape[0]
         out = np.zeros((Q, self.dim))
-        cols = first[:, None] + np.arange(self.degree + 1)[None, :] - self.bc_order
-        valid = (cols >= 0) & (cols < self.dim)
         rows = np.broadcast_to(np.arange(Q)[:, None], cols.shape)
         out[rows[valid], cols[valid]] = ders[:, der, :][valid]
         return out
-
-
-
-def build_basis(extent, cells: int, degree: int, bc_order: int) -> SplineBasis1D:
-    """Spec'd constructor: clamped splines on extent with Dirichlet order bc_order."""
-    lo, hi = extent
-    return SplineBasis1D(lo, hi, cells, degree, bc_order)
 
 
 class TensorBasis:
@@ -199,9 +197,7 @@ class TensorBasis:
 class DiscreteField:
     """Coefficients over a TensorBasis, evaluable with derivatives.
 
-    The coefficient tensor is stored over the constrained basis; a zero-padded
-    copy indexed like the unconstrained basis makes pointwise evaluation a
-    plain window gather.
+    The coefficient tensor is stored over the constrained basis.
     """
 
     def __init__(self, basis: TensorBasis, coeffs):
@@ -215,9 +211,6 @@ class DiscreteField:
                 )
         self.basis = basis
         self.coeffs = coeffs
-        self._padded = np.pad(
-            coeffs, [(f.bc_order, f.bc_order) for f in basis.factors]
-        )
 
     def eval_grid(self, axes, alpha):
         """Values of D^alpha on the tensor grid axes[0] x ... x axes[-1]."""
@@ -242,15 +235,17 @@ class DiscreteField:
         windows = []
         for k, f in enumerate(self.basis.factors):
             ders, first = f.local_ders(points[:, k], alpha[k])
-            local.append(ders[:, alpha[k], :])
-            windows.append(first[:, None] + np.arange(f.degree + 1)[None, :])
-        # gather (Q, d1+1, ..., dn+1) coefficient windows from the padded tensor
+            cols, valid = f.window(first)
+            # a function the constraint drops contributes nothing
+            local.append(np.where(valid, ders[:, alpha[k], :], 0.0))
+            windows.append(np.where(valid, cols, 0))
+        # gather (Q, d1+1, ..., dn+1) coefficient windows
         idx = []
         for k in range(nf):
             shape = [Q] + [1] * nf
             shape[k + 1] = windows[k].shape[1]
             idx.append(windows[k].reshape(shape))
-        gathered = self._padded[tuple(idx)]
+        gathered = self.coeffs[tuple(idx)]
         for k in range(nf):
             shape = [Q] + [1] * nf
             shape[k + 1] = local[k].shape[1]

@@ -15,7 +15,6 @@ from cylasym.analysis import (
     DifferenceEvaluator,
     ErrorRecord,
     ExtensionEvaluator,
-    FieldEvaluator,
     ProductEvaluator,
     error_Hm,
     fit_rate,
@@ -27,7 +26,7 @@ from cylasym.analysis import (
     write_report_json,
     write_refinement_csv,
 )
-from cylasym.problem import builtin_problem
+from cylasym.problem import HypothesisReport, builtin_problem
 
 
 class _Analytic:
@@ -452,6 +451,102 @@ def test_json_writer_roundtrips_structure(tmp_path):
     assert data["localized_energy"][1] == {"ell1": 2.0, "value": 0.25}
     assert data["hypothesis_report"] is None
     assert data["timings"]["total_s"] == 1.25
+
+
+def _golden_report():
+    records = [
+        ErrorRecord(
+            ell=2.0, dofs=1024, err_L2=1.0 / 3.0, err_Hm=0.7, err_H2m_interior=1e-3,
+            norm_ul_Hm_full=0.125, lemma19_ratio=1.2923, solver_residual=3.5e-13,
+            wall_time_s=1.75, solver_iterations=41,
+            interior_alpha={"0_0": 2.5e-4, "1_0": 1e-3}, n1_full_alpha={"0_1": 6.0e-5},
+        ),
+        ErrorRecord(
+            ell=4.5, dofs=2048, err_L2=2.0e-7, err_Hm=1.5e-6, err_H2m_interior=0.0,
+            norm_ul_Hm_full=0.25, lemma19_ratio=1.35, solver_residual=0.0,
+            wall_time_s=0.5,
+        ),
+    ]
+    hyp = HypothesisReport(
+        x1_independent={"a_0_1_0_1": True, "f": False}, lambda_hat=0.75,
+        ellipticity_ok=True, sup_norms={"a_0_1_0_1": 1.5, "f": 2.0}, sample_count=64,
+        seed=3, warnings=["lambda_hat 0.75 is well below the declared hint 2"],
+    )
+    return ConvergenceReport(
+        problem_name="golden", problem_hash="abc123", plan={"ells": [2.0, 4.5]},
+        records=records, fitted_rate_Hm=3.25, fitted_rate_H2m=None, floor_detected=True,
+        hypothesis=hyp, localized_table=[(2.0, 0.5)], rate_masks={"err_Hm": (True, False)},
+        warnings=["w"], timings={"total_s": 2.0},
+    )
+
+
+# written by the hand-listed writers the record schema replaced
+GOLDEN_CSV = (
+    "ell,dofs,err_L2,err_Hm,err_H2m_interior,norm_ul_Hm_full,lemma19_ratio,"
+    "solver_residual,wall_time_s\n"
+    "2,1024,0.3333333333333333,0.7,0.001,0.125,1.2923,3.5e-13,0.0\n"
+    "4.5,2048,2e-07,1.5e-06,0.0,0.25,1.35,0.0,0.0\n"
+)
+
+GOLDEN_RECORD = """\
+    {
+      "dofs": 1024,
+      "ell": 2.0,
+      "err_H2m_interior": 0.001,
+      "err_Hm": 0.7,
+      "err_L2": 0.3333333333333333,
+      "interior_alpha": {
+        "0_0": 0.00025,
+        "1_0": 0.001
+      },
+      "lemma19_ratio": 1.2923,
+      "n1_full_alpha": {
+        "0_1": 6e-05
+      },
+      "norm_ul_Hm_full": 0.125,
+      "solver_iterations": 41,
+      "solver_residual": 3.5e-13,
+      "wall_time_s": 1.75
+    },
+"""
+
+GOLDEN_HYPOTHESIS = """\
+  "hypothesis_report": {
+    "ellipticity_ok": true,
+    "lambda_hat": 0.75,
+    "passed": false,
+    "sample_count": 64,
+    "seed": 3,
+    "sup_norms": {
+      "a_0_1_0_1": 1.5,
+      "f": 2.0
+    },
+    "warnings": [
+      "lambda_hat 0.75 is well below the declared hint 2"
+    ],
+    "x1_independent": {
+      "a_0_1_0_1": true,
+      "f": false
+    }
+  },
+"""
+
+
+def test_report_writers_match_golden_bytes(tmp_path):
+    report = _golden_report()
+    write_report_csv(report, tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text() == GOLDEN_CSV
+    write_report_json(report, tmp_path / "r.json")
+    text = (tmp_path / "r.json").read_text()
+    assert GOLDEN_RECORD in text
+    assert GOLDEN_HYPOTHESIS in text
+    data = json.loads(text)
+    assert data["records"][1] == {
+        "dofs": 2048, "ell": 4.5, "err_H2m_interior": 0.0, "err_Hm": 1.5e-06,
+        "err_L2": 2e-07, "interior_alpha": {}, "lemma19_ratio": 1.35,
+        "n1_full_alpha": {}, "norm_ul_Hm_full": 0.25, "solver_iterations": 0,
+        "solver_residual": 0.0, "wall_time_s": 0.5,
+    }
 
 
 def test_refinement_csv_layout(tmp_path):

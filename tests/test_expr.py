@@ -11,6 +11,7 @@ from cylasym.expr import (
     Num,
     Var,
     evaluate,
+    format_number,
     free_variables,
     parse_expression,
     to_string,
@@ -102,3 +103,23 @@ def test_unbound_variable_rejected():
 def test_division_by_zero_is_not_a_parse_error():
     tree = parse_expression("1 / x1")
     assert np.isinf(evaluate(tree, (0.0,)))
+
+
+@pytest.mark.parametrize("text,offset", [("1e999", 0), ("1 + exp(-1e999)", 9), ("x1 * 2e308", 5)])
+def test_overflowing_literal_is_a_parse_error(text, offset):
+    with pytest.raises(ExpressionError, match="overflows") as exc:
+        parse_expression(text)
+    assert exc.value.offset == offset
+
+
+def test_underflowing_literal_parses_to_zero():
+    assert parse_expression("1e-999") == Num(0.0)
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [(2.0, "2"), (-0.0, "0"), (3, "3"), (0.5, "0.5"), (1e16, "1e+16"),
+     (np.float64(0.25), "0.25"), (float("inf"), "inf"), (float("nan"), "nan")],
+)
+def test_format_number(value, text):
+    assert format_number(value) == text

@@ -7,7 +7,6 @@ from cylasym import cli
 from cylasym.analysis import (
     DifferenceEvaluator,
     ExtensionEvaluator,
-    FieldEvaluator,
     norm_Hm,
     write_report_csv,
 )
@@ -168,7 +167,7 @@ def test_interior_estimate_at_alpha_zero_matches_quadrature_norm(poisson_report)
 
     region = interior_region(POISSON, ell0=1.0, margin=0.25)
     est = interior_derivative_error(u_l, u_inf, (0, 0), region, h=1.0 / 16.0, m=1)
-    diff = DifferenceEvaluator(FieldEvaluator(u_l), ExtensionEvaluator(u_inf, p=1))
+    diff = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p=1))
     ref = norm_Hm(diff, region, m=1, resolution=8)
     assert ref > 0.0
     assert abs(est - ref) <= 0.02 * ref
@@ -296,3 +295,29 @@ def test_cli_assembly_failure_exits_one(tmp_path, capsys, singular, stage, at):
     assert code == 1
     assert stage in err and str(cfg) in err and at in err
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "problem_line,forcing,needle",
+    [
+        ("lambda_hint = inf", "1", "lambda_hint"),
+        ("lambda_hint = nan", "1", "lambda_hint"),
+        ("lambda_hint = 1", "1 + exp(-1e999)", "offset 9"),
+    ],
+)
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_cli_non_finite_config_numbers_exit_one(
+    tmp_path, capsys, problem_line, forcing, needle, command
+):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(
+        f"[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n{problem_line}\n\n"
+        f"[coef]\na_1_0_1_0 = 1\na_0_1_0_1 = 1\n\n[forcing]\nf = {forcing}\n"
+    )
+    argv = [command, "--problem", str(cfg)]
+    if command == "sweep":
+        argv += ["--l", "2,4", "--cells-per-unit", "4"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and needle in captured.err
+    assert "Traceback" not in captured.err + captured.out

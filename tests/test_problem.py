@@ -147,6 +147,33 @@ def test_x1_dependent_cross_coefficient_fails():
     assert not report.passed
 
 
+@pytest.mark.parametrize("text", ["1 + 1e-15 * x1", "1 + x1 - x1"])
+def test_cross_coefficient_that_reads_x1_fails(text):
+    # the test is whether the expression reads x1, not whether samples move:
+    # assembly routes such a coefficient through the n-D kernel as axial
+    base = builtin_problem("poisson_strip")
+    coeffs = dict(base.coefficients)
+    coeffs[((0, 1), (0, 1))] = ScalarField.parse(text, 2)
+    spec = ProblemSpec(
+        m=1, n=2, p=1, omega=((0.0, 1.0),), coefficients=coeffs, forcing=base.forcing
+    )
+    assert spec.coefficients[((0, 1), (0, 1))].reads_axial(spec.p)
+    report = validate_hypotheses(spec)
+    assert report.x1_independent["a_0_1_0_1"] is False
+    assert report.x1_independent["f"] is True
+    assert not report.passed
+
+
+def test_forcing_that_reads_x1_only_on_paper_fails():
+    base = builtin_problem("poisson_strip")
+    spec = ProblemSpec(
+        m=1, n=2, p=1, omega=((0.0, 1.0),),
+        coefficients=dict(base.coefficients),
+        forcing=ScalarField.parse("1 + x1 - x1", 2),
+    )
+    assert validate_hypotheses(spec).x1_independent["f"] is False
+
+
 def test_x1_dependent_forcing_fails():
     base = builtin_problem("poisson_strip")
     spec = ProblemSpec(
@@ -195,6 +222,17 @@ def test_non_finite_field_raises():
     )
     with pytest.raises(ProblemConfigError):
         validate_hypotheses(spec)
+
+
+@pytest.mark.parametrize("hint", [float("inf"), float("nan"), 0.0, -1.0])
+def test_lambda_hint_must_be_finite_and_positive(hint):
+    base = builtin_problem("poisson_strip")
+    with pytest.raises(ProblemConfigError, match="lambda_hint"):
+        ProblemSpec(
+            m=1, n=2, p=1, omega=((0.0, 1.0),),
+            coefficients=dict(base.coefficients), forcing=base.forcing,
+            lambda_hint=hint,
+        )
 
 
 def test_validation_is_deterministic():
@@ -304,3 +342,4 @@ def test_config_duplicate_key_rejected():
 
 def test_encode_matches_config_key_convention():
     assert "a_" + mi.encode((1, 0) + (1, 0)) == "a_1_0_1_0"
+

@@ -9,7 +9,6 @@ from cylasym.splines import (
     DiscreteField,
     SplineBasis1D,
     TensorBasis,
-    build_basis,
     composite_gauss,
 )
 
@@ -50,8 +49,26 @@ def test_dimension_formula():
     assert SplineBasis1D(0.0, 1.0, cells=8, degree=2, bc_order=1).dim == 8
     assert SplineBasis1D(0.0, 1.0, cells=8, degree=3, bc_order=2).dim == 7
     assert SplineBasis1D(0.0, 1.0, cells=5, degree=2, bc_order=0).dim == 7
-    b = build_basis((-2.0, 2.0), cells=16, degree=3, bc_order=1)
+    b = SplineBasis1D(-2.0, 2.0, cells=16, degree=3, bc_order=1)
     assert b.dim == 16 + 3 - 2
+
+
+@pytest.mark.parametrize("degree,bc", [(1, 1), (2, 0), (2, 1), (3, 2)])
+def test_window_holds_every_constrained_function(degree, bc):
+    basis = SplineBasis1D(0.0, 1.0, cells=7, degree=degree, bc_order=bc)
+    cols, valid = basis.window(np.arange(basis.cells))
+    assert cols.shape == valid.shape == (basis.cells, degree + 1)
+    assert np.all((cols[valid] >= 0) & (cols[valid] < basis.dim))
+    assert not np.any((cols[~valid] >= 0) & (cols[~valid] < basis.dim))
+    assert set(cols[valid]) == set(range(basis.dim))
+    # dropped functions are the first and last bc on each end cell
+    assert valid[0].sum() == degree + 1 - bc and valid[-1].sum() == degree + 1 - bc
+    # the nonzeros of basis_matrix lie in the kept window of each point's cell
+    x = np.linspace(0.0, 1.0, 50)
+    B = basis.basis_matrix(x)
+    point_cols, point_valid = basis.window(basis.cell_of(x))
+    for q in range(x.size):
+        assert set(np.flatnonzero(B[q])) <= set(point_cols[q][point_valid[q]])
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
