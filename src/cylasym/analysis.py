@@ -17,7 +17,7 @@ from numpy.polynomial import Polynomial
 
 from .expr import format_number
 from .multiindex import enumerate_upto, multi_binom, sub, sub_indices
-from .splines import composite_gauss
+from .splines import cells_for, composite_gauss
 
 _EPS = 1e-12
 
@@ -70,8 +70,7 @@ def _gauss_grid(box, resolution: int, points_per_cell: int):
     for lo, hi in box:
         if not lo < hi:
             raise ValueError(f"empty box extent ({lo}, {hi})")
-        cells = max(1, round((hi - lo) * resolution))
-        pts, wts = composite_gauss((lo, hi), cells, points_per_cell)
+        pts, wts = composite_gauss((lo, hi), cells_for((lo, hi), resolution), points_per_cell)
         axes.append(pts)
         W = np.multiply.outer(W, wts)
     return axes, W

@@ -1,30 +1,33 @@
 """Galerkin assembly on the cylinder and on the cross-section.
 
-One einsum kernel assembles a Galerkin matrix on a tensor product of 1-D
-spline factors: per-axis local basis derivative tables are contracted
-cell-by-cell against quadrature weights and coefficient values, one einsum
-per coefficient pair, and scattered into a sparse matrix whose pattern holds
-every pair of basis functions that share a cell, zeros included.
+Every matrix is built in one band layout.  On a tensor product of 1-D spline
+factors of degrees d_k, two basis functions share a cell exactly when their
+indices differ by at most d_k on every axis, so a matrix is an array of shape
+(dim_1..dim_n, w_1..w_n), w_k = 2 d_k + 1, whose entry [i_1..i_n, s_1..s_n]
+couples row (i_k) with column (i_k + s_k - d_k).  _to_csr drops the slots
+whose column falls outside the space and keeps every other one, zeros too.
+
+One einsum kernel builds the band on a tensor product of factors: per-axis
+local basis derivative tables are contracted cell-by-cell against quadrature
+weights and coefficient values, one einsum per coefficient pair, and each
+local test function's element values are added into the rows that
+SplineBasis1D.window assigns it.  The load vector is scattered the same way.
 
 The cylinder matrix is a sum of Kronecker products.  A pair (alpha, beta)
 whose coefficient reads none of the axial variables x1..xp -- decided
 exactly from the expression's free variables by ScalarField.reads_axial --
-contributes
-
-    kron(A_axial[alpha_ax, beta_ax], A_cross[alpha', beta'; a])
-
+contributes kron(A_axial[alpha_ax, beta_ax], A_cross[alpha', beta'; a]),
 where A_axial is the kernel on the p axial factors with unit coefficient and
 A_cross is the kernel on the cross-section factors with the coefficient a,
-the block assemble_limit builds.  Pairs that share an axial part share one
-kron.  Every pair whose coefficient reads x1..xp, which the hypotheses allow
-when alpha has an axial component, goes through the same kernel on all n
-factors.  Both parts live on the same pattern, so they add entry by entry,
-and symmetric problems store (A + A^T) / 2.  Against assembling every pair
-on the n-D grid the entries differ only by rounding, because the products
-are summed in another order, so reported values move at roundoff level.
+the block assemble_limit builds; in band layout that is the broadcast
+product of the two bands.  Pairs that share an axial part share one product.
+Every pair whose coefficient reads x1..xp, which the hypotheses allow when
+alpha has an axial component, goes through the kernel on all n factors and
+is added slot by slot.  Symmetric problems store (A + A^T) / 2.
 
-Every evaluation and sum runs in a fixed order, so assembling the same
-problem twice gives bitwise-identical matrices.
+Every evaluation and sum runs in a fixed order, each entry summing its cells
+in ascending order, so assembling the same problem twice gives
+bitwise-identical matrices.
 
 The cross-section (limit) problem keeps only coefficient pairs whose
 multi-indices have no axial components; axial coordinates are pinned to zero
@@ -32,13 +35,15 @@ when evaluating coefficients and forcing there, which is exactly the
 axis-independence the hypothesis validator enforces.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .problem import ProblemSpec
-from .splines import SplineBasis1D, TensorBasis, composite_gauss
+from .splines import SplineBasis1D, TensorBasis, cells_for, composite_gauss
 
 _CELL_LETTERS = "abc"
 _QUAD_LETTERS = "uvw"
@@ -62,11 +67,6 @@ class AssembledSystem:
     @property
     def ndofs(self) -> int:
         return self.basis.ndofs
-
-
-def cells_for(extent, resolution: int) -> int:
-    lo, hi = extent
-    return max(1, round((hi - lo) * resolution))
 
 
 def cylinder_factors(spec: ProblemSpec, ell, resolution: int, degree: int | None = None):
@@ -106,21 +106,23 @@ def _local_tables(factors, nders):
     return tables
 
 
-def _index_tensors(factors):
-    """Flat constrained row index and validity per (cell, local function)."""
-    dims = [f.dim for f in factors]
-    n = len(factors)
-    strides = [int(np.prod(dims[k + 1 :])) for k in range(n)]
-    R = np.zeros((1,) * (2 * n), dtype=np.int64)
-    V = np.ones((1,) * (2 * n), dtype=bool)
-    for k, f in enumerate(factors):
-        idx, ok = f.window(np.arange(f.cells))
-        shape = [1] * (2 * n)
-        shape[k] = f.cells
-        shape[n + k] = f.degree + 1
-        R = R + np.where(ok, idx, 0).reshape(shape) * strides[k]
-        V = V & ok.reshape(shape)
-    return R, V
+def _local_blocks(factors):
+    """(cells, r, rows) per tuple r of local function numbers: the cells on
+    which the constraint keeps local function r_k, and the rows it is there.
+    r runs from degree down to 0, so rows receive cells in ascending order.
+    SplineBasis1D's minimum of 2m + 1 cells keeps every r_k on some cell; a
+    tuple with an r_k kept on none would add nothing and is skipped."""
+    windows = [f.window(np.arange(f.cells)) for f in factors]
+    for r in itertools.product(*(range(f.degree, -1, -1) for f in factors)):
+        cells, rows = [], []
+        for (cols, valid), rk in zip(windows, r):
+            kept = np.flatnonzero(valid[:, rk])
+            if not kept.size:
+                break
+            cells.append(slice(kept[0], kept[-1] + 1))
+            rows.append(slice(cols[kept[0], rk], cols[kept[-1], rk] + 1))
+        else:
+            yield tuple(cells), r, tuple(rows)
 
 
 def _quadrature_grid(tables, pinned):
@@ -139,9 +141,13 @@ def _quadrature_grid(tables, pinned):
     return W, coords, tuple(len(a) for a in axes)
 
 
+def _band_shape(factors):
+    return tuple(f.dim for f in factors) + tuple(2 * f.degree + 1 for f in factors)
+
+
 def _galerkin(factors, terms, pinned: int = 0):
-    """The einsum kernel: CSR matrix of the sum over terms (alpha, beta, coef)
-    of the integral of coef D^alpha u D^beta v on the tensor space of factors.
+    """The einsum kernel: band of the sum over terms (alpha, beta, coef) of
+    the integral of coef D^alpha u D^beta v on the tensor space of factors.
 
     alpha and beta index the factors; coef receives `pinned` leading zero
     coordinates before the factors' own.  Rows carry the test function v.
@@ -153,22 +159,12 @@ def _galerkin(factors, terms, pinned: int = 0):
     tables = _local_tables(factors, nders)
     W, coords, grid_shape = _quadrature_grid(tables, pinned)
 
-    R, V = _index_tensors(factors)
-    loc_shape = tuple(f.degree + 1 for f in factors)
-    cells_shape = tuple(f.cells for f in factors)
-    rows_view = R.reshape(cells_shape + loc_shape + (1,) * n)
-    cols_view = R.reshape(cells_shape + (1,) * n + loc_shape)
-    vrows = V.reshape(cells_shape + loc_shape + (1,) * n)
-    vcols = V.reshape(cells_shape + (1,) * n + loc_shape)
-    pair_mask = (vrows & vcols).ravel()
-    full_shape = cells_shape + loc_shape + loc_shape
-    rows_flat = np.broadcast_to(rows_view, full_shape).ravel()[pair_mask]
-    cols_flat = np.broadcast_to(cols_view, full_shape).ravel()[pair_mask]
-
     cw_sub = "".join(c + q for c, q in zip(_CELL_LETTERS[:n], _QUAD_LETTERS[:n]))
     out_sub = _CELL_LETTERS[:n] + _ROW_LETTERS[:n] + _COL_LETTERS[:n]
 
-    data = np.zeros(rows_flat.size)
+    # (cells..., test functions..., trial functions...), summed into each new
+    # einsum result so that no second full-size buffer is held
+    elements = 0.0
     for alpha, beta, coef in terms:
         vals = np.broadcast_to(coef(coords), grid_shape)
         CW = W * vals.reshape(W.shape)
@@ -184,13 +180,39 @@ def _galerkin(factors, terms, pinned: int = 0):
         ops.append(CW)
         subs.append(cw_sub)
         E = np.einsum(",".join(subs) + "->" + out_sub, *ops, optimize=True)
-        data += E.ravel()[pair_mask]
+        E += elements
+        elements = E
 
-    ndofs = int(np.prod([f.dim for f in factors]))
-    A = sp.coo_matrix((data, (rows_flat, cols_flat)), shape=(ndofs, ndofs)).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+    # -0.0 + x is x bit for bit, so every entry is the plain sum of its cells
+    band = np.full(_band_shape(factors), -0.0)
+    for cells, r, rows in _local_blocks(factors):
+        # trial function t of the cell sits in slot t - r + degree of row r
+        slots = tuple(slice(f.degree - rk, 2 * f.degree + 1 - rk) for f, rk in zip(factors, r))
+        band[rows + slots] += elements[cells + r]
+    return band
+
+
+def _to_csr(band):
+    """CSR matrix of a band, columns ascending in every row; slots whose
+    column falls outside the space are dropped."""
+    n = band.ndim // 2
+    keep = np.ones((1,) * (2 * n), dtype=bool)
+    offset = np.zeros((), dtype=np.int32)  # column minus row, per slot tuple
+    row_nnz = np.ones((), dtype=np.int64)
+    for k, (dim, width) in enumerate(zip(band.shape[:n], band.shape[n:])):
+        shift = np.arange(width, dtype=np.int32) - width // 2
+        col = np.add.outer(np.arange(dim, dtype=np.int32), shift)
+        inside = (col >= 0) & (col < dim)
+        shape = [1] * (2 * n)
+        shape[k], shape[n + k] = dim, width
+        keep = keep & inside.reshape(shape)
+        offset = np.add.outer(offset * dim, shift)
+        row_nnz = np.multiply.outer(row_nnz, inside.sum(axis=1))
+    cols = np.add.outer(np.arange(row_nnz.size, dtype=np.int32), offset.ravel())
+    indptr = np.concatenate([[0], np.cumsum(row_nnz.ravel())])
+    return sp.csr_matrix(
+        (band[keep], cols.reshape(band.shape)[keep], indptr), shape=(row_nnz.size,) * 2
+    )
 
 
 def _load(factors, forcing, pinned: int = 0):
@@ -198,56 +220,17 @@ def _load(factors, forcing, pinned: int = 0):
     n = len(factors)
     tables = _local_tables(factors, 0)
     W, coords, grid_shape = _quadrature_grid(tables, pinned)
-    f_vals = np.broadcast_to(forcing(coords), grid_shape)
-    FW = W * f_vals.reshape(W.shape)
-    ops = []
-    subs = []
-    for k in range(n):
-        ops.append(tables[k][2][:, :, 0, :])
-        subs.append(_CELL_LETTERS[k] + _QUAD_LETTERS[k] + _ROW_LETTERS[k])
-    ops.append(FW)
-    subs.append("".join(c + q for c, q in zip(_CELL_LETTERS[:n], _QUAD_LETTERS[:n])))
+    FW = W * np.broadcast_to(forcing(coords), grid_shape).reshape(W.shape)
+    # one operand per axis (cell, point, test function), then the weights
+    subs = [c + q + r for c, q, r in zip(_CELL_LETTERS, _QUAD_LETTERS, _ROW_LETTERS[:n])]
+    subs.append("".join(s[:2] for s in subs))
+    ops = [B[:, :, 0, :] for _, _, B in tables] + [FW]
     Fv = np.einsum(",".join(subs) + "->" + _CELL_LETTERS[:n] + _ROW_LETTERS[:n], *ops,
                    optimize=True)
-    R, V = _index_tensors(factors)
-    rhs = np.zeros(int(np.prod([f.dim for f in factors])))
-    vflat = V.ravel()
-    np.add.at(rhs, R.ravel()[vflat], Fv.ravel()[vflat])
-    return rhs
-
-
-def _padded_rows(M):
-    """CSR rows padded to the longest one: (data, cols, valid), each (rows, width)."""
-    lengths = np.diff(M.indptr)
-    width = int(lengths.max())
-    valid = np.arange(width)[None, :] < lengths[:, None]
-    pos = np.minimum(M.indptr[:-1, None] + np.arange(width)[None, :], M.nnz - 1)
-    return np.where(valid, M.data[pos], 0.0), np.where(valid, M.indices[pos], 0), valid
-
-
-def _kron_sum(blocks):
-    """CSR matrix of sum over (A, C) of kron(A, C), where every A shares one
-    sparsity pattern and every C another; stored zeros are kept.
-
-    Row (i, r) of a Kronecker product holds A[i, j] C[r, c] for j in row i of
-    A and c in row r of C, j-major; with rows padded to equal length that is
-    the C-order ravel of an (i, r, j-slot, c-slot) array, less the padding.
-    """
-    A0, C0 = blocks[0]
-    _, a_cols, a_valid = _padded_rows(A0)
-    _, c_cols, c_valid = _padded_rows(C0)
-    keep = (a_valid[:, None, :, None] & c_valid[None, :, None, :]).ravel()
-    acc = np.zeros(keep.size)
-    for A, C in blocks:
-        a = _padded_rows(A)[0][:, None, :, None]
-        c = _padded_rows(C)[0][None, :, None, :]
-        acc += (a * c).ravel()
-    nc = C0.shape[0]
-    indices = (a_cols[:, None, :, None] * nc + c_cols[None, :, None, :]).ravel()[keep]
-    row_nnz = np.outer(np.diff(A0.indptr), np.diff(C0.indptr)).ravel()
-    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
-    n = A0.shape[0] * nc
-    return sp.csr_matrix((acc[keep], indices, indptr), shape=(n, n))
+    rhs = np.zeros(tuple(f.dim for f in factors))
+    for cells, r, rows in _local_blocks(factors):
+        rhs[rows] += Fv[cells + r]
+    return rhs.ravel()
 
 
 def _symmetrize(M):
@@ -283,17 +266,8 @@ def _unit(coords):
     return np.ones(())
 
 
-def assemble_cylinder(
-    spec: ProblemSpec, ell: float, resolution: int, degree: int | None = None
-) -> AssembledSystem:
-    """Full problem on (-ell, ell)^p x omega with Dirichlet order m."""
-    if ell <= 0:
-        raise AssemblyError(
-            f"{_where(spec, 'assemble_cylinder', ell)}: half-length must be positive"
-        )
-    factors = cylinder_factors(spec, ell, resolution, degree)
+def _cylinder_band(spec: ProblemSpec, factors, ell):
     p = spec.p
-    axial, cross = factors[:p], factors[p:]
     by_axial_part = {}
     n_d_terms = []
     for alpha, beta in sorted(spec.coefficients):
@@ -304,29 +278,40 @@ def assemble_cylinder(
             by_axial_part.setdefault((alpha[:p], beta[:p]), []).append(
                 (alpha[p:], beta[p:], coef)
             )
-    symmetric = spec.symmetric
-    blocks = [
-        (_galerkin(axial, [(a, b, _unit)]), _galerkin(cross, terms, pinned=p))
-        for (a, b), terms in by_axial_part.items()
-    ]
-    if blocks:
-        # an infinite entry times a stored zero would make NaNs (and a numpy
-        # warning) inside the Kronecker sum, so check the blocks first
-        for _, C in blocks:
-            _check_finite(spec, "assemble_cylinder", ell, matrix=C.data)
-        A = _kron_sum(blocks)
+    band = np.zeros(_band_shape(factors))
+    for (a, b), terms in by_axial_part.items():
+        C = _galerkin(factors[p:], terms, pinned=p)
+        # an infinite entry times a zero would make NaNs (and a numpy
+        # warning) in the product, so check the block first
+        _check_finite(spec, "assemble_cylinder", ell, matrix=C)
+        C = C.reshape(math.prod(C.shape[: C.ndim // 2]), -1)
+        A = _galerkin(factors[:p], [(a, b, _unit)])
+        A = A.reshape(math.prod(A.shape[:p]), -1)
+        # the band as (axial rows, cross rows, axial slots, cross slots); one
+        # axial slot at a time keeps the product's temporary small
+        grouped = band.reshape(A.shape[0], C.shape[0], A.shape[1], C.shape[1])
+        for s in range(A.shape[1]):
+            grouped[:, :, s] += A[:, s, None, None] * C
     if n_d_terms:
-        # same pattern as the Kronecker part, so the values add entry by entry
-        N = _galerkin(factors, n_d_terms)
-        if blocks:
-            A.data += N.data
-        else:
-            A = N
-    if symmetric:
+        band += _galerkin(factors, n_d_terms)
+    return band
+
+
+def assemble_cylinder(
+    spec: ProblemSpec, ell: float, resolution: int, degree: int | None = None
+) -> AssembledSystem:
+    """Full problem on (-ell, ell)^p x omega with Dirichlet order m."""
+    if not (math.isfinite(ell) and ell > 0):
+        raise AssemblyError(
+            f"{_where(spec, 'assemble_cylinder', ell)}: half-length must be finite and positive"
+        )
+    factors = cylinder_factors(spec, ell, resolution, degree)
+    A = _to_csr(_cylinder_band(spec, factors, ell))
+    if spec.symmetric:
         _symmetrize(A)
     rhs = _load(factors, spec.forcing)
     _check_finite(spec, "assemble_cylinder", ell, matrix=A.data, rhs=rhs)
-    return AssembledSystem(A, rhs, TensorBasis(factors), spec, symmetric, ell=float(ell))
+    return AssembledSystem(A, rhs, TensorBasis(factors), spec, spec.symmetric, ell=float(ell))
 
 
 def assemble_limit(
@@ -342,10 +327,9 @@ def assemble_limit(
         raise AssemblyError(
             f"{_where(spec, 'assemble_limit', None)}: limit problem has no coefficient pairs"
         )
-    A = _galerkin(factors, terms, pinned=spec.p)
-    symmetric = spec.symmetric
-    if symmetric:
+    A = _to_csr(_galerkin(factors, terms, pinned=spec.p))
+    if spec.symmetric:
         _symmetrize(A)
     rhs = _load(factors, spec.forcing, pinned=spec.p)
     _check_finite(spec, "assemble_limit", None, matrix=A.data, rhs=rhs)
-    return AssembledSystem(A, rhs, TensorBasis(factors), spec, symmetric, ell=None)
+    return AssembledSystem(A, rhs, TensorBasis(factors), spec, spec.symmetric, ell=None)

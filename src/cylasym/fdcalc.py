@@ -55,9 +55,6 @@ class GridSample:
             for o, h, s in zip(self.origin, self.spacing, self.values.shape)
         )
 
-    def axis_coords(self, k: int) -> np.ndarray:
-        return self.origin[k] + self.spacing[k] * np.arange(self.values.shape[k])
-
 
 def sample_function(fn, box, spacing) -> GridSample:
     """Sample fn(coord arrays) on the lattice covering box with the given spacing."""

@@ -68,6 +68,9 @@ class SweepPlan:
         object.__setattr__(self, "ells", ells)
         if len(ells) < 1:
             raise ValueError("need at least one ell value")
+        for e in ells + (self.ell0,):
+            if not np.isfinite(e):
+                raise ValueError(f"ell and ell0 values must be finite, got {e}")
         if any(b <= a for a, b in zip(ells, ells[1:])):
             raise ValueError("ell values must be strictly increasing")
         if self.ell0 <= 0:

@@ -72,6 +72,12 @@ def _ders_basis_funs(knots, spans, x, p, nders):
     return ders
 
 
+def cells_for(extent, resolution: int) -> int:
+    """Number of uniform cells over extent at resolution cells per unit length."""
+    lo, hi = extent
+    return max(1, round((hi - lo) * resolution))
+
+
 def composite_gauss(extent, cells: int, points_per_cell: int):
     """Composite Gauss-Legendre nodes and weights over the uniform cells of
     extent, flattened cell-major."""

@@ -1,19 +1,23 @@
 """Assembly oracles.
 
 The hand-derived hat-function system and the Kronecker-sum identity pin down
-constant-coefficient assembly; a brute-force dense quadrature loop (written
-here, sharing no code with the einsum engine) covers variable coefficients,
-coefficients that read the axial variable, and the fourth-order case.  On
-3-D boxes the Kronecker assembly is checked against the einsum kernel run on
-all three axes.
+constant-coefficient assembly; a brute-force dense quadrature loop on any
+number of axes (written here, sharing no code with the einsum engine or the
+band layout) covers variable coefficients, coefficients that read the axial
+variables, the fourth-order case and 3-D boxes.  On 3-D boxes the Kronecker
+assembly is also checked against the einsum kernel run on all three axes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cylasym.assembly import (
     AssemblyError,
     _galerkin,
+    _to_csr,
     assemble_cylinder,
     assemble_limit,
     cylinder_factors,
@@ -85,39 +89,47 @@ def test_matrix_spd_and_symmetric():
     assert eigs.min() > 0
 
 
-def _brute_force_2d(system, spec):
-    ax, cx = system.basis.factors
-    p1, w1 = _gauss(ax)
-    p2, w2 = _gauss(cx)
-    X1, X2 = np.meshgrid(p1, p2, indexing="ij")
-    w = np.outer(w1, w2).ravel()
+def _kron_rows(tables):
+    """Rows of the tensor product of per-axis (points, dim) tables, one row
+    per point of the tensor grid in C order."""
+    out = np.ones((1, 1))
+    for B in tables:
+        out = np.einsum("pi,qj->pqij", out, B).reshape(out.shape[0] * B.shape[0], -1)
+    return out
+
+
+def _brute_force(system, spec):
+    factors = system.basis.factors
+    rules = [_gauss(f) for f in factors]
+    X = np.meshgrid(*(pts for pts, _ in rules), indexing="ij")
+    w = _kron_rows([wts[:, None] for _, wts in rules]).ravel()
     ndofs = system.ndofs
     A = np.zeros((ndofs, ndofs))
     for (alpha, beta), coef in spec.coefficients.items():
-        a_vals = np.broadcast_to(coef((X1, X2)), X1.shape).ravel()
-        Bcol = np.einsum(
-            "pi,qj->pqij",
-            ax.basis_matrix(p1, alpha[0]),
-            cx.basis_matrix(p2, alpha[1]),
-        ).reshape(X1.size, ndofs)
-        Brow = np.einsum(
-            "pi,qj->pqij",
-            ax.basis_matrix(p1, beta[0]),
-            cx.basis_matrix(p2, beta[1]),
-        ).reshape(X1.size, ndofs)
+        a_vals = np.broadcast_to(coef(tuple(X)), X[0].shape).ravel()
+        Bcol = _kron_rows([f.basis_matrix(pt, a) for f, (pt, _), a in zip(factors, rules, alpha)])
+        Brow = _kron_rows([f.basis_matrix(pt, b) for f, (pt, _), b in zip(factors, rules, beta)])
         A += (Brow * (w * a_vals)[:, None]).T @ Bcol
-    f_vals = np.broadcast_to(spec.forcing((X1, X2)), X1.shape).ravel()
-    B0 = np.einsum(
-        "pi,qj->pqij", ax.basis_matrix(p1, 0), cx.basis_matrix(p2, 0)
-    ).reshape(X1.size, ndofs)
+    f_vals = np.broadcast_to(spec.forcing(tuple(X)), X[0].shape).ravel()
+    B0 = _kron_rows([f.basis_matrix(pts, 0) for f, (pts, _) in zip(factors, rules)])
     rhs = B0.T @ (w * f_vals)
     return A, rhs
+
+
+def _shared_cell_pattern(factors):
+    """Which pairs of basis functions share a cell: B-splines are positive
+    inside their support, so two share a cell iff their values overlap."""
+    shared = np.ones((1, 1), dtype=bool)
+    for f in factors:
+        B = np.abs(f.basis_matrix(_gauss(f)[0]))
+        shared = np.kron(shared, B.T @ B > 0)
+    return shared
 
 
 def test_variable_coefficient_matches_brute_force():
     spec = builtin_problem("varcoef_strip")
     system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
-    want_A, want_rhs = _brute_force_2d(system, spec)
+    want_A, want_rhs = _brute_force(system, spec)
     scale = np.abs(want_A).max()
     assert np.abs(system.matrix.toarray() - want_A).max() <= 1e-12 * scale
     assert np.abs(system.rhs - want_rhs).max() <= 1e-13 * max(1.0, np.abs(want_rhs).max())
@@ -127,7 +139,7 @@ def test_biharmonic_cylinder_matches_brute_force():
     # the mixed (2,0)/(0,2) pairs put off-diagonal blocks on the axial factor
     spec = builtin_problem("biharmonic_strip")
     system = assemble_cylinder(spec, ell=1.0, resolution=5, degree=3)
-    want_A, want_rhs = _brute_force_2d(system, spec)
+    want_A, want_rhs = _brute_force(system, spec)
     A = system.matrix
     assert (A != A.T).nnz == 0
     assert np.abs(A.toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
@@ -160,17 +172,18 @@ def test_axial_coefficient_matches_brute_force():
     A = system.matrix
     assert system.symmetric
     assert (A != A.T).nnz == 0
-    want_A, want_rhs = _brute_force_2d(system, spec)
+    want_A, want_rhs = _brute_force(system, spec)
     assert np.abs(A.toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
     assert np.abs(system.rhs - want_rhs).max() <= 1e-13
 
 
-def _box_spec(p):
+def _box_spec(p, axial_text=None):
     # x3 is cross-sectional for p = 1 and p = 2; the (1,0,0)/(0,1,0) pairs
     # are axial-cross for p = 1 and axial-axial for p = 2, and unequal, and
-    # (1,0,0)/(0,0,0) has no partner, so the problem is not symmetric
+    # (1,0,0)/(0,0,0) has no partner, so the problem is not symmetric;
+    # axial_text replaces the first coefficient, e.g. by one that reads x1
     texts = {
-        ((1, 0, 0), (1, 0, 0)): "1 + x3^2",
+        ((1, 0, 0), (1, 0, 0)): axial_text or "1 + x3^2",
         ((0, 1, 0), (0, 1, 0)): "2 + x3",
         ((0, 0, 1), (0, 0, 1)): "1",
         ((1, 0, 0), (0, 1, 0)): "0.25",
@@ -193,11 +206,70 @@ def test_kronecker_assembly_matches_nd_kernel(p):
     spec = _box_spec(p)
     system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
     terms = [(a, b, spec.coefficients[(a, b)]) for a, b in sorted(spec.coefficients)]
-    want = _galerkin(cylinder_factors(spec, 1.0, 3, 2), terms)
+    want = _to_csr(_galerkin(cylinder_factors(spec, 1.0, 3, 2), terms))
     got = system.matrix
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+
+
+@pytest.mark.parametrize("axial_text", [None, "2 + sin(x1)"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_box_assembly_matches_brute_force(p, axial_text):
+    # with axial_text one pair reads x1 and goes through the n-D kernel
+    spec = _box_spec(p, axial_text)
+    system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    A = system.matrix
+    pattern = sp.csr_matrix(_shared_cell_pattern(system.basis.factors))
+    assert A.indices.dtype == np.int32
+    assert np.array_equal(A.indptr, pattern.indptr)
+    assert np.array_equal(A.indices, pattern.indices)
+    want_A, want_rhs = _brute_force(system, spec)
+    assert np.abs(A.toarray() - want_A).max() <= 1e-13 * np.abs(want_A).max()
+    assert np.abs(system.rhs - want_rhs).max() <= 1e-13 * np.abs(want_rhs).max()
+
+
+@pytest.mark.parametrize(
+    "name,resolution,degree",
+    [
+        ("poisson_strip", 3, 1),
+        ("poisson_strip", 3, 2),
+        ("varcoef_strip", 3, 3),
+        ("biharmonic_strip", 5, 3),
+        ("biharmonic_strip", 5, 4),
+    ],
+)
+def test_fewest_cells_match_brute_force(name, resolution, degree):
+    # 2m + 1 cells on every factor, the fewest SplineBasis1D accepts: the
+    # first and last local functions are kept on m + 1 cells only
+    spec = builtin_problem(name)
+    system = assemble_cylinder(spec, ell=0.5, resolution=resolution, degree=degree)
+    assert {f.cells for f in system.basis.factors} == {2 * spec.m + 1}
+    want_A, want_rhs = _brute_force(system, spec)
+    assert np.abs(system.matrix.toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
+    assert np.abs(system.rhs - want_rhs).max() <= 1e-13 * np.abs(want_rhs).max()
+
+def test_axial_coefficient_assembly_memory():
+    # the Laplacian on (-2, 2) x (0, 1)^2 with one coefficient that reads x1:
+    # the n-D kernel's peak stays a small multiple of the matrix it returns
+    texts = {
+        ((1, 0, 0), (1, 0, 0)): "2 + sin(x1)",
+        ((0, 1, 0), (0, 1, 0)): "1",
+        ((0, 0, 1), (0, 0, 1)): "1",
+    }
+    spec = ProblemSpec(
+        m=1, n=3, p=1, omega=((0.0, 1.0),) * 2,
+        coefficients={key: ScalarField.parse(t, 3) for key, t in texts.items()},
+        forcing=ScalarField.parse("1", 3),
+    )
+    tracemalloc.start()
+    try:
+        system = assemble_cylinder(spec, ell=2.0, resolution=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    A = system.matrix
+    assert peak <= 20 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 class _Recorder:

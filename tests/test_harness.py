@@ -253,6 +253,15 @@ def test_cli_config_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_cli_refine_too_few_cells_exits_one(capsys):
+    # omega = (0, 1) at 1 cell per unit is below the 2m + 1 = 3 cells a
+    # Dirichlet factor needs
+    argv = ["refine", "--problem", "poisson_strip", "--cells", "1,2,4"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least 3 cells for bc_order=1, got 1\n"
+    assert "Traceback" not in captured.out
+
 def test_cli_hypothesis_failure_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(
@@ -276,7 +285,6 @@ def test_cli_hypothesis_failure_exits_two(tmp_path, capsys):
         ("a_1_0_1_0", "assemble_cylinder", "l = 2"),
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_assembly_failure_exits_one(tmp_path, capsys, singular, stage, at):
     # 13 cells put a Gauss node on x2 = 0.5, where the coefficient is infinite
     coefs = {"a_1_0_1_0": "1", "a_0_1_0_1": "1"}
@@ -320,4 +328,24 @@ def test_cli_non_finite_config_numbers_exit_one(
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and needle in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["sweep", "--l", "2,4,inf"], "got inf"),
+        (["sweep", "--l", "2,nan"], "got nan"),
+        (["sweep", "--l0", "nan"], "got nan"),
+        (["refine", "--l", "inf", "--cells", "4,5,6"], "at l = inf"),
+        (["refine", "--l", "nan", "--cells", "4,5,6"], "at l = nan"),
+    ],
+)
+def test_cli_non_finite_half_lengths_exit_one(capsys, argv, needle):
+    if argv[0] == "sweep":
+        argv = argv + ["--cells-per-unit", "4"]
+    assert cli.main(argv + ["--problem", "poisson_strip"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and needle in captured.err
+    assert captured.err.count("error:") == 1
     assert "Traceback" not in captured.err + captured.out
