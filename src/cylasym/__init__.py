@@ -28,7 +28,7 @@ from .fdcalc import (
     summation_by_parts_defect,
 )
 from .harness import SweepPlan, run_refinement, run_sweep
-from .linalg import SolveResult, cg_jacobi, gmres_jacobi
+from .linalg import SolveResult, cg_jacobi, cholesky_solve, gmres_jacobi
 from .problem import (
     ProblemSpec,
     builtin_names,
@@ -56,6 +56,7 @@ __all__ = [
     "builtin_names",
     "builtin_problem",
     "cg_jacobi",
+    "cholesky_solve",
     "delta_alpha",
     "delta_k",
     "error_Hm",

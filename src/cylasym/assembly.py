@@ -4,8 +4,8 @@ Every matrix is built in one band layout.  On a tensor product of 1-D spline
 factors of degrees d_k, two basis functions share a cell exactly when their
 indices differ by at most d_k on every axis, so a matrix is an array of shape
 (dim_1..dim_n, w_1..w_n), w_k = 2 d_k + 1, whose entry [i_1..i_n, s_1..s_n]
-couples row (i_k) with column (i_k + s_k - d_k).  _to_csr drops the slots
-whose column falls outside the space and keeps every other one, zeros too.
+couples row (i_k) with column (i_k + s_k - d_k).  The slots whose column
+falls outside the space hold no matrix entry; every reader skips them.
 
 One einsum kernel builds the band on a tensor product of factors: per-axis
 local basis derivative tables are contracted cell-by-cell against quadrature
@@ -22,8 +22,22 @@ A_cross is the kernel on the cross-section factors with the coefficient a,
 the block assemble_limit builds; in band layout that is the broadcast
 product of the two bands.  Pairs that share an axial part share one product.
 Every pair whose coefficient reads x1..xp, which the hypotheses allow when
-alpha has an axial component, goes through the kernel on all n factors and
-is added slot by slot.  Symmetric problems store (A + A^T) / 2.
+alpha has an axial component, goes through the kernel on all n factors.
+
+An AssembledSystem keeps those pieces, not the sum: the (axial band,
+cross-section band) pair of every axial part, and the n-D band when some
+pair needs it (the cross-section system keeps only its n-D band, the kernel
+on its own factors).  Slot tuple s of the band, in every row, is summed from
+them when it is read, in the order a full band would sum it: zero, then each
+Kronecker part, then the n-D band.  A symmetric problem's matrix is
+(A + A^T) / 2, each entry the mean of its slot and its mirror slot, and
+lower_band writes the slots on and below the diagonal straight into LAPACK
+lower band storage, a Fortran-ordered (kd + 1, N) array with
+kd = sum_k d_k stride_k (stride_k the flat-index step of axis k), summing
+|A|_inf on the way; symmetric_matvec multiplies by the same entries.  No
+full-size band and no CSR matrix is built for a symmetric solve.  The CSR
+matrix is built the first time AssembledSystem.matrix is read: the
+nonsymmetric solve and the tests read it.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -38,6 +52,7 @@ axis-independence the hypothesis validator enforces.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,16 +72,106 @@ class AssemblyError(RuntimeError):
 
 @dataclass
 class AssembledSystem:
-    matrix: sp.csr_matrix
+    """A Galerkin system kept as the pieces its band is the sum of.
+
+    kron_parts holds one (axial band, cross-section band) pair per axial
+    part, each band reshaped to (rows, slots); nd_band is the kernel's band
+    on all factors, or None when no pair needs it.
+    """
+
     rhs: np.ndarray
     basis: TensorBasis
     spec: ProblemSpec
     symmetric: bool
     ell: float | None = None
+    kron_parts: tuple = ()
+    nd_band: np.ndarray | None = None
 
     @property
     def ndofs(self) -> int:
         return self.basis.ndofs
+
+    @cached_property
+    def matrix(self):
+        """The CSR matrix, (A + A^T) / 2 for a symmetric problem."""
+        A = _to_csr(self._full_band())
+        if self.symmetric:
+            _symmetrize(A)
+        return A
+
+    def _full_band(self):
+        factors = self.basis.factors
+        band = np.empty(_band_shape(factors))
+        for s in itertools.product(*(range(2 * f.degree + 1) for f in factors)):
+            band[(slice(None),) * len(s) + s] = self._slot(s)
+        return band
+
+    def _slot(self, s):
+        """Slot tuple s of the band in every row, of shape (dim_1..dim_n)."""
+        nd = None if self.nd_band is None else self.nd_band[(slice(None),) * len(s) + s]
+        if not self.kron_parts:
+            return nd
+        p = self.spec.p
+        widths = [2 * f.degree + 1 for f in self.basis.factors]
+        axial = np.ravel_multi_index(s[:p], widths[:p])
+        cross = np.ravel_multi_index(s[p:], widths[p:])
+        out = np.zeros(tuple(f.dim for f in self.basis.factors))
+        grouped = out.reshape(self.kron_parts[0][0].shape[0], -1)
+        for A, C in self.kron_parts:
+            grouped += np.multiply.outer(A[:, axial], C[:, cross])
+        if nd is not None:
+            out += nd
+        return out
+
+    def _lower_entries(self):
+        """(q, rows, cols, values) per slot tuple on or below the diagonal:
+        values holds (A + A^T) / 2 at the rows in `rows` (slices per axis)
+        and the columns in `cols`, with flat row minus flat column q >= 0."""
+        if not self.symmetric:
+            raise ValueError("the lower band describes a symmetric system only")
+        factors = self.basis.factors
+        dims = [f.dim for f in factors]
+        strides = [math.prod(dims[k + 1 :]) for k in range(len(dims))]
+        for s in itertools.product(*(range(2 * f.degree + 1) for f in factors)):
+            shift = [sk - f.degree for sk, f in zip(s, factors)]  # column minus row
+            q = -sum(e * stride for e, stride in zip(shift, strides))
+            if q < 0:
+                continue  # above the diagonal: the mirror slot tuple holds it
+            rows = tuple(slice(max(0, -e), dim - max(0, e)) for e, dim in zip(shift, dims))
+            cols = tuple(slice(max(0, e), dim - max(0, -e)) for e, dim in zip(shift, dims))
+            here = self._slot(s)
+            if q:
+                # slot 2d - s of row j couples it back to column i
+                mirror = self._slot(tuple(2 * f.degree - sk for sk, f in zip(s, factors)))
+            else:
+                mirror = here
+            yield q, rows, cols, (here[rows] + mirror[cols]) * 0.5
+
+    def lower_band(self):
+        """(ab, |A|_inf) of (A + A^T) / 2: ab is LAPACK lower band storage,
+        Fortran-ordered, with A[j + q, j] at ab[q, j]."""
+        dims = tuple(f.dim for f in self.basis.factors)
+        kd = sum(f.degree * math.prod(dims[k + 1 :]) for k, f in enumerate(self.basis.factors))
+        ab = np.zeros((kd + 1, self.ndofs), order="F")
+        row_abs = np.zeros(dims)
+        for q, rows, cols, values in self._lower_entries():
+            ab[q].reshape(dims)[cols] = values  # a view: ab[q] has one stride
+            magnitude = np.abs(values)
+            row_abs[rows] += magnitude
+            if q:
+                row_abs[cols] += magnitude
+        return ab, float(row_abs.max())
+
+    def symmetric_matvec(self, x):
+        """(A + A^T) / 2 times x, from the entries lower_band stores."""
+        dims = tuple(f.dim for f in self.basis.factors)
+        X = np.reshape(x, dims)
+        y = np.zeros(dims)
+        for q, rows, cols, values in self._lower_entries():
+            y[rows] += values * X[cols]
+            if q:
+                y[cols] += values * X[rows]
+        return y.ravel()
 
 
 def cylinder_factors(spec: ProblemSpec, ell, resolution: int, degree: int | None = None):
@@ -255,8 +360,10 @@ def _where(spec: ProblemSpec, stage: str, ell) -> str:
 
 
 def _check_finite(spec, stage, ell, **arrays):
+    """Raise AssemblyError naming the first array (None: absent) that holds
+    a non-finite entry."""
     for what, values in arrays.items():
-        if not np.all(np.isfinite(values)):
+        if values is not None and not np.all(np.isfinite(values)):
             raise AssemblyError(
                 f"{_where(spec, stage, ell)}: assembled {what} contains non-finite entries"
             )
@@ -266,7 +373,16 @@ def _unit(coords):
     return np.ones(())
 
 
-def _cylinder_band(spec: ProblemSpec, factors, ell):
+def check_half_length(spec: ProblemSpec, ell) -> None:
+    """Raise AssemblyError unless ell is a finite, positive half-length."""
+    if not (math.isfinite(ell) and ell > 0):
+        raise AssemblyError(
+            f"{_where(spec, 'assemble_cylinder', ell)}: half-length must be finite and positive"
+        )
+
+
+def _cylinder_parts(spec: ProblemSpec, factors, ell):
+    """The Kronecker parts and the n-D band of the cylinder system."""
     p = spec.p
     by_axial_part = {}
     n_d_terms = []
@@ -278,40 +394,35 @@ def _cylinder_band(spec: ProblemSpec, factors, ell):
             by_axial_part.setdefault((alpha[:p], beta[:p]), []).append(
                 (alpha[p:], beta[p:], coef)
             )
-    band = np.zeros(_band_shape(factors))
+    parts = []
     for (a, b), terms in by_axial_part.items():
         C = _galerkin(factors[p:], terms, pinned=p)
         # an infinite entry times a zero would make NaNs (and a numpy
         # warning) in the product, so check the block first
         _check_finite(spec, "assemble_cylinder", ell, matrix=C)
-        C = C.reshape(math.prod(C.shape[: C.ndim // 2]), -1)
         A = _galerkin(factors[:p], [(a, b, _unit)])
-        A = A.reshape(math.prod(A.shape[:p]), -1)
-        # the band as (axial rows, cross rows, axial slots, cross slots); one
-        # axial slot at a time keeps the product's temporary small
-        grouped = band.reshape(A.shape[0], C.shape[0], A.shape[1], C.shape[1])
-        for s in range(A.shape[1]):
-            grouped[:, :, s] += A[:, s, None, None] * C
-    if n_d_terms:
-        band += _galerkin(factors, n_d_terms)
-    return band
+        parts.append(
+            (
+                A.reshape(math.prod(A.shape[:p]), -1),
+                C.reshape(math.prod(C.shape[: C.ndim // 2]), -1),
+            )
+        )
+    nd_band = _galerkin(factors, n_d_terms) if n_d_terms else None
+    return tuple(parts), nd_band
 
 
 def assemble_cylinder(
     spec: ProblemSpec, ell: float, resolution: int, degree: int | None = None
 ) -> AssembledSystem:
     """Full problem on (-ell, ell)^p x omega with Dirichlet order m."""
-    if not (math.isfinite(ell) and ell > 0):
-        raise AssemblyError(
-            f"{_where(spec, 'assemble_cylinder', ell)}: half-length must be finite and positive"
-        )
+    check_half_length(spec, ell)
     factors = cylinder_factors(spec, ell, resolution, degree)
-    A = _to_csr(_cylinder_band(spec, factors, ell))
-    if spec.symmetric:
-        _symmetrize(A)
+    parts, nd_band = _cylinder_parts(spec, factors, ell)
     rhs = _load(factors, spec.forcing)
-    _check_finite(spec, "assemble_cylinder", ell, matrix=A.data, rhs=rhs)
-    return AssembledSystem(A, rhs, TensorBasis(factors), spec, spec.symmetric, ell=float(ell))
+    _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=rhs)
+    return AssembledSystem(
+        rhs, TensorBasis(factors), spec, spec.symmetric, float(ell), parts, nd_band
+    )
 
 
 def assemble_limit(
@@ -327,9 +438,7 @@ def assemble_limit(
         raise AssemblyError(
             f"{_where(spec, 'assemble_limit', None)}: limit problem has no coefficient pairs"
         )
-    A = _to_csr(_galerkin(factors, terms, pinned=spec.p))
-    if spec.symmetric:
-        _symmetrize(A)
+    band = _galerkin(factors, terms, pinned=spec.p)
     rhs = _load(factors, spec.forcing, pinned=spec.p)
-    _check_finite(spec, "assemble_limit", None, matrix=A.data, rhs=rhs)
-    return AssembledSystem(A, rhs, TensorBasis(factors), spec, spec.symmetric, ell=None)
+    _check_finite(spec, "assemble_limit", None, matrix=band, rhs=rhs)
+    return AssembledSystem(rhs, TensorBasis(factors), spec, spec.symmetric, None, (), band)

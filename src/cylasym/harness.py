@@ -2,9 +2,19 @@
 measure convergence to the cross-section limit, and emit reports.
 
 The limit problem is solved once in the parent; per-ell jobs are independent
-and run either inline or on a process pool.  Workers receive the problem as
-canonical config text (cheap to pickle, bit-identical to re-parse), so serial
-and parallel runs produce the same floating-point results.
+and run either inline or on a process pool, the largest ell first: on the
+pool that is the longest-first schedule, and inline it allocates the largest
+Cholesky factor before the smaller jobs have grown the heap.  Records and
+reports still follow the plan's order, and when jobs fail the error raised
+is that of the smallest failing ell, as a run in plan order would raise.
+Workers receive the problem as canonical config text (cheap to pickle,
+bit-identical to re-parse), so serial and parallel runs produce the same
+floating-point results.
+
+Every symmetric system is solved by banded Cholesky (linalg.cholesky_solve)
+on the lower band storage assembly writes from its Kronecker parts; a
+nonsymmetric one by GMRES on its CSR matrix.  Solver failures name the
+problem, ell and stage.
 """
 
 import time
@@ -27,9 +37,23 @@ from .analysis import (
     write_report_json,
     write_refinement_csv,
 )
-from .assembly import assemble_cylinder, assemble_limit, cylinder_factors
+from .assembly import (
+    _where,
+    assemble_cylinder,
+    assemble_limit,
+    check_half_length,
+    cylinder_factors,
+)
 from .fdcalc import interior_derivative_error
-from .linalg import cg_jacobi, gmres_jacobi, smallest_ritz_estimate
+# bench/instrument.py patches all three Krylov names on this module
+from .linalg import (  # noqa: F401
+    BACKWARD_ERROR_TOL,
+    SolverError,
+    cg_jacobi,
+    cholesky_solve,
+    gmres_jacobi,
+    smallest_ritz_estimate,
+)
 from .multiindex import encode, enumerate_upto, in_N1
 from .problem import (
     ProblemConfigError,
@@ -40,10 +64,6 @@ from .problem import (
     validate_hypotheses,
 )
 from .splines import DiscreteField, TensorBasis
-
-
-# relative residual every solve must reach
-SOLVER_TOL = 1e-12
 
 
 class HypothesisError(RuntimeError):
@@ -105,14 +125,20 @@ class SweepPlan:
             "degree": self.effective_degree,
             "interior_margin": self.interior_margin,
             "workers": self.workers,
-            "solver_tol": SOLVER_TOL,
+            "backward_error_tol": BACKWARD_ERROR_TOL,
         }
 
 
 def _solve_system(system):
+    where = _where(system.spec, "solve", system.ell)
     if system.symmetric:
-        return cg_jacobi(system.matrix, system.rhs, tol=SOLVER_TOL)
-    return gmres_jacobi(system.matrix, system.rhs, tol=SOLVER_TOL)
+        ab, a_norm = system.lower_band()
+        return cholesky_solve(ab, system.rhs, a_norm, system.symmetric_matvec, where)
+    try:
+        # relative residual gate; no builtin problem is nonsymmetric
+        return gmres_jacobi(system.matrix, system.rhs, tol=1e-12)
+    except SolverError as exc:
+        raise SolverError(f"{where}: {exc}") from exc
 
 
 def _shrunk(extent, margin: float):
@@ -188,6 +214,28 @@ def _sweep_worker(args):
     return record, result.x
 
 
+def _run_jobs(jobs, workers: int):
+    """Outcomes of the sweep jobs in plan order; the largest ell runs first.
+
+    Every job runs even when one fails, and the error of the first failed
+    job in plan order is raised, with the pool and without it alike.
+    """
+    largest_first = range(len(jobs) - 1, -1, -1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            futures = {k: pool.submit(_sweep_worker, jobs[k]) for k in largest_first}
+            return [futures[k].result() for k in range(len(jobs))]
+    outcomes, failures = {}, {}
+    for k in largest_first:
+        try:
+            outcomes[k] = _sweep_worker(jobs[k])
+        except Exception as exc:
+            failures[k] = exc
+    if failures:
+        raise failures[min(failures)]
+    return [outcomes[k] for k in range(len(jobs))]
+
+
 def _try_fit(points, warnings, label):
     try:
         return fit_rate(points)
@@ -213,13 +261,6 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     u_inf = DiscreteField(limit_system.basis, limit_result.x)
     timings["limit_solve_s"] = time.perf_counter() - t0
 
-    ritz = smallest_ritz_estimate(limit_system.matrix)
-    if not ritz > 0.0:
-        warnings.append(
-            f"smallest Ritz estimate of the limit matrix is {ritz:.3e}; "
-            "discrete coercivity is suspect"
-        )
-
     norm_u_inf = norm_Hm(u_inf.eval_grid, list(spec.omega), spec.m, plan.resolution)
     text = to_config_text(spec)
     jobs = [
@@ -236,11 +277,7 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
         )
         for ell in plan.ells
     ]
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=min(plan.workers, len(jobs))) as pool:
-            outcomes = list(pool.map(_sweep_worker, jobs))
-    else:
-        outcomes = [_sweep_worker(job) for job in jobs]
+    outcomes = _run_jobs(jobs, plan.workers)
     records = [rec for rec, _ in outcomes]
     u_l_max = DiscreteField(
         TensorBasis(cylinder_factors(spec, plan.ells[-1], plan.resolution, degree)),
@@ -312,6 +349,7 @@ def run_refinement(
     column stalls at the ell-dependent level, which calibrates the floor
     heuristic used by the rate fitter.
     """
+    check_half_length(spec, ell)
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
         raise ValueError(f"need at least 3 resolutions, got {len(resolutions)}")

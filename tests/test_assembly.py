@@ -6,9 +6,15 @@ number of axes (written here, sharing no code with the einsum engine or the
 band layout) covers variable coefficients, coefficients that read the axial
 variables, the fourth-order case and 3-D boxes.  On 3-D boxes the Kronecker
 assembly is also checked against the einsum kernel run on all three axes.
+The LAPACK lower band storage and the matrix-vector product that the direct
+solve reads are checked against the CSR matrix.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +386,78 @@ def test_limit_requires_cross_pairs():
 def test_degree_below_m_rejected():
     with pytest.raises(AssemblyError, match="cannot conform"):
         assemble_cylinder(builtin_problem("biharmonic_strip"), ell=1.0, resolution=6, degree=1)
+
+
+def _laplace_box(p, first="1"):
+    # the benchmark's box: the Laplacian on (-l, l)^p x (0, 1)^(3 - p); first
+    # replaces the x1 coefficient, e.g. by one that reads x1
+    texts = {((1, 0, 0), (1, 0, 0)): first, ((0, 1, 0), (0, 1, 0)): "1",
+             ((0, 0, 1), (0, 0, 1)): "1"}
+    return ProblemSpec(
+        m=1, n=3, p=p, omega=((0.0, 1.0),) * (3 - p),
+        coefficients={key: ScalarField.parse(t, 3) for key, t in texts.items()},
+        forcing=ScalarField.parse("sin(3.141592653589793 * x3)", 3),
+    )
+
+
+_SYMMETRIC_CASES = {
+    "poisson": (builtin_problem("poisson_strip"), 3.0, 6),
+    "biharmonic": (builtin_problem("biharmonic_strip"), 2.0, 8),
+    "varcoef": (builtin_problem("varcoef_strip"), 2.0, 6),
+    "box3d_p1": (_laplace_box(1), 1.0, 4),
+    "box3d_p2": (_laplace_box(2), 1.0, 4),
+    "box3d_sin_x1": (_laplace_box(1, "2 + sin(x1)"), 1.0, 4),
+    "strip_sin_x1": (_mixed_axial_spec(), 2.0, 5),
+}
+
+
+@pytest.fixture(params=[(name, where) for name in _SYMMETRIC_CASES for where in ("cyl", "lim")],
+                ids=lambda param: "-".join(param))
+def symmetric_system(request):
+    name, where = request.param
+    spec, ell, resolution = _SYMMETRIC_CASES[name]
+    if where == "cyl":
+        return assemble_cylinder(spec, ell=ell, resolution=resolution)
+    return assemble_limit(spec, resolution=resolution)
+
+
+def test_lower_band_is_the_lower_diagonals_of_the_matrix(symmetric_system):
+    system = symmetric_system
+    assert system.symmetric
+    ab, a_norm = system.lower_band()
+    A = system.matrix
+    n = system.ndofs
+    assert ab.flags.f_contiguous and ab.shape[1] == n
+    strides = np.cumprod([1] + [f.dim for f in system.basis.factors][:0:-1])[::-1]
+    assert ab.shape[0] == 1 + sum(f.degree * k for f, k in zip(system.basis.factors, strides))
+    for q in range(ab.shape[0]):
+        # bit for bit, signed zeros included
+        assert ab[q, : n - q].tobytes() == A.diagonal(-q).tobytes()
+        assert not ab[q, n - q :].any()
+    want = abs(A).sum(axis=1).max()
+    assert abs(a_norm - want) <= 1e-15 * want
+
+
+def test_symmetric_matvec_matches_the_matrix(symmetric_system):
+    system = symmetric_system
+    x = np.random.default_rng(7).standard_normal(system.ndofs)
+    _, a_norm = system.lower_band()
+    got = system.symmetric_matvec(x)
+    assert np.abs(got - system.matrix @ x).max() <= 1e-15 * a_norm * np.abs(x).max()
+
+
+def test_lower_band_refuses_a_nonsymmetric_system():
+    system = assemble_cylinder(_box_spec(1), ell=1.0, resolution=3, degree=2)
+    assert not system.symmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        system.lower_band()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the package loads scipy.sparse; scipy.linalg as well would add to
+    # every run's set-up time, so the first direct solve imports it
+    code = "import sys, cylasym; print('scipy.linalg' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"

@@ -1,9 +1,13 @@
 """Sweep orchestration, refinement study, and CLI behavior."""
 
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cylasym import cli
+from cylasym import assembly, cli, harness, linalg
 from cylasym.analysis import (
     DifferenceEvaluator,
     ExtensionEvaluator,
@@ -20,6 +24,8 @@ from cylasym.harness import (
 )
 from cylasym.problem import (
     ProblemConfigError,
+    ProblemSpec,
+    ScalarField,
     builtin_problem,
     parse_problem_config,
 )
@@ -173,6 +179,55 @@ def test_interior_estimate_at_alpha_zero_matches_quadrature_norm(poisson_report)
     assert abs(est - ref) <= 0.02 * ref
 
 
+def test_sweep_needs_no_csr_and_no_krylov_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep path called a CSR or Krylov function")
+
+    monkeypatch.setattr(assembly, "_to_csr", refuse)
+    for name in ("cg_jacobi", "gmres_jacobi", "smallest_ritz_estimate"):
+        monkeypatch.setattr(harness, name, refuse)
+        monkeypatch.setattr(linalg, name, refuse)
+    rep = run_sweep(SweepPlan(spec=POISSON, ells=(2.0, 4.0), resolution=4))
+    assert all(r.solver_iterations == 0 for r in rep.records)
+    assert rep.plan["backward_error_tol"] == 1e-14 and "solver_tol" not in rep.plan
+
+
+def test_sweep_runs_the_largest_ell_first_and_reports_in_plan_order(monkeypatch):
+    ran = []
+    worker = harness._sweep_worker
+
+    def recording(job):
+        ran.append(job[2])
+        return worker(job)
+
+    monkeypatch.setattr(harness, "_sweep_worker", recording)
+    rep = run_sweep(SweepPlan(spec=POISSON, ells=(2.0, 3.0, 4.0), resolution=4))
+    assert ran == [4.0, 3.0, 2.0]
+    assert [r.ell for r in rep.records] == [2.0, 3.0, 4.0]
+
+
+def test_direct_solve_memory_is_the_lapack_band():
+    # the Laplacian box at 12 cells per unit, l = 4: assembly and solve peak
+    # near the factor itself, so no full-size band or CSR matrix is alive
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    spec = ProblemSpec(
+        m=1, n=3, p=1, omega=((0.0, 1.0),) * 2,
+        coefficients={(a, a): ScalarField.parse("1", 3) for a in axes},
+        forcing=ScalarField.parse("sin(3.141592653589793 * x2) * sin(3.141592653589793 * x3)", 3),
+    )
+    tracemalloc.start()
+    try:
+        system = assembly.assemble_cylinder(spec, ell=4.0, resolution=12)
+        result = harness._solve_system(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dims = [f.dim for f in system.basis.factors]
+    kd = 2 * dims[1] * dims[2] + 2 * dims[2] + 2
+    assert result.backward_error <= 1e-14
+    assert peak <= 1.2 * (kd + 1) * system.ndofs * 8
+
+
 # ------------------------------------------------------------------ refinement
 
 
@@ -202,6 +257,17 @@ def test_refinement_input_validation():
         run_refinement(POISSON, ell=2.0, resolutions=[8, 16])
     with pytest.raises(ValueError, match="strictly increasing"):
         run_refinement(POISSON, ell=2.0, resolutions=[8, 8, 16])
+
+
+@pytest.mark.parametrize("ell", [math.inf, math.nan, 0.0, -1.0])
+def test_refinement_checks_the_half_length_before_any_work(monkeypatch, ell):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before checking l")
+
+    monkeypatch.setattr(harness, "assemble_limit", refuse)
+    monkeypatch.setattr(harness, "assemble_cylinder", refuse)
+    with pytest.raises(assembly.AssemblyError, match=f"at l = {ell:g}: half-length must be finite"):
+        run_refinement(POISSON, ell=ell, resolutions=[4, 5, 6])
 
 
 # ------------------------------------------------------------------ CLI
@@ -349,3 +415,63 @@ def test_cli_non_finite_half_lengths_exit_one(capsys, argv, needle):
     assert captured.err.startswith("error: ") and needle in captured.err
     assert captured.err.count("error:") == 1
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("ell", ["inf", "nan", "0"])
+def test_cli_refine_bad_half_length_exits_one_before_assembly(monkeypatch, capsys, ell):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before checking l")
+
+    monkeypatch.setattr(harness, "assemble_limit", refuse)
+    argv = ["refine", "--problem", "poisson_strip", "--l", ell, "--cells", "4,5,6"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: assemble_cylinder for problem poisson_strip at l = {ell}: "
+        "half-length must be finite and positive\n"
+    )
+
+
+def test_cli_biharmonic_sweep_at_40_cells_per_unit_exits_zero(tmp_path, capsys):
+    # a relres gate of 1e-12 rejected these backward-stable solutions (exit 3)
+    out = tmp_path / "bih.json"
+    argv = ["sweep", "--problem", "biharmonic_strip", "--l", "2,4,8",
+            "--cells-per-unit", "40", "--out-json", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["plan"]["backward_error_tol"] == 1e-14
+    assert [r["solver_iterations"] for r in report["records"]] == [0, 0, 0]
+
+
+def test_cli_indefinite_problem_exits_three_naming_the_stage(tmp_path, capsys):
+    # -u'' - 100 u on (0, 1) is indefinite (pi^2 < 100): Cholesky of the
+    # cross-section matrix fails, which proves the matrix is not SPD
+    cfg = tmp_path / "indefinite.cfg"
+    cfg.write_text(
+        "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\na_1_0_1_0 = 1\n"
+        "a_0_1_0_1 = 1\na_0_0_0_0 = -100\n\n[forcing]\nf = 1\n"
+    )
+    argv = ["sweep", "--problem", str(cfg), "--l", "2,4", "--cells-per-unit", "4"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver failure: solve for problem {cfg} on the cross-section")
+    assert "not positive definite" in err and err.count("\n") == 1
+
+
+def test_cli_failed_jobs_name_the_smallest_ell_with_and_without_pool(tmp_path, capsys):
+    # the coefficient is infinite at a Gauss node for every l, and the
+    # largest l runs first; the error still names l = 2, as in plan order
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(
+        "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+        "a_1_0_1_0 = 1 + 1 / (x2 - 0.5)^2\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n"
+    )
+    errs = []
+    for workers in ("1", "2"):
+        argv = ["sweep", "--problem", str(cfg), "--l", "2,4,8", "--cells-per-unit", "13",
+                "--workers", workers]
+        assert cli.main(argv) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "assemble_cylinder" in errs[0] and "at l = 2:" in errs[0]
