@@ -193,11 +193,25 @@ class CutoffEvaluator:
 
 
 class ProductEvaluator:
-    """Leibniz product of two evaluators: D^alpha(fg) expanded exactly."""
+    """Leibniz product of two evaluators: D^alpha(fg) expanded exactly.
+
+    norm_Hm asks for every alpha on one grid, and a beta recurs under every
+    alpha above it, so the left factor's D^beta values are kept for the last
+    grid seen: each is evaluated once per norm.
+    """
 
     def __init__(self, left, right):
         self._left = left
         self._right = right
+        self._grid = None
+        self._left_values = {}
+
+    def _left_at(self, axes, beta):
+        if axes is not self._grid:
+            self._grid, self._left_values = axes, {}
+        if beta not in self._left_values:
+            self._left_values[beta] = self._left(axes, beta)
+        return self._left_values[beta]
 
     def __call__(self, axes, alpha):
         alpha = tuple(alpha)
@@ -207,7 +221,7 @@ class ProductEvaluator:
             gamma = sub(alpha, beta)
             out += (
                 multi_binom(alpha, beta)
-                * self._left(axes, beta)
+                * self._left_at(axes, beta)
                 * self._right(axes, gamma)
             )
         return out
@@ -399,7 +413,8 @@ def report_to_dict(report: ConvergenceReport) -> dict:
         "floor_detected": report.floor_detected,
         "rate_masks": {k: list(v) for k, v in report.rate_masks.items()},
         "localized_energy": [
-            {"ell1": e, "value": v} for e, v in report.localized_table
+            {"ell1": e, "value": v, "below_floor": bool(v < FLOOR)}
+            for e, v in report.localized_table
         ],
         "hypothesis_report": hyp_dict,
         "warnings": list(report.warnings),

@@ -8,7 +8,13 @@ subspace of H^m_0 on the box (degree d >= m gives C^{d-1} >= C^{m-1}
 smoothness across cells, and d >= m makes the constraint count meaningful).
 
 Basis values and derivatives come from the de Boor triangular recursion
-(the derivative variant), vectorized over evaluation points.
+(the derivative variant), vectorized over evaluation points.  Each factor
+caches, per point array, one read-only table of the degree + 1 local basis
+values and derivatives of every point (dropped functions zeroed) and their
+constrained column indices.  Fields are evaluated cell by cell from those
+tables: a value gathers the coefficients of its point's window and sums
+them in a fixed order, so it depends on its own point only, and no dense
+(points x dim) basis matrix is ever built.
 """
 
 import numpy as np
@@ -91,6 +97,26 @@ def composite_gauss(extent, cells: int, points_per_cell: int):
     return pts, wts
 
 
+def _window_sum(lines, weights, cols):
+    """sum over r, in ascending order, of weights[q, r] * lines[cols[q, r]].
+
+    Row q of the result depends on row q of weights and cols only.  lines is
+    gathered as a contiguous copy, so each gather moves whole rows.
+    """
+    lines = np.ascontiguousarray(lines)
+    column = (-1,) + (1,) * (lines.ndim - 1)
+    acc = None
+    for r in range(cols.shape[1]):
+        term = lines[cols[:, r]]
+        term *= weights[:, r].reshape(column)
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+        del term  # freed before the next gather allocates its successor
+    return acc
+
+
 class SplineBasis1D:
     """Clamped uniform splines on (lo, hi), first/last bc_order functions dropped."""
 
@@ -117,6 +143,7 @@ class SplineBasis1D:
             [np.full(degree, self.lo), breakpoints, np.full(degree, self.hi)]
         )
         self.h = (self.hi - self.lo) / self.cells
+        self._tables = {}
 
     @property
     def dim(self) -> int:
@@ -153,15 +180,26 @@ class SplineBasis1D:
         cols = first[:, None] + np.arange(self.degree + 1)[None, :] - self.bc_order
         return cols, (cols >= 0) & (cols < self.dim)
 
-    def basis_matrix(self, x, der: int = 0):
-        """Dense (len(x), dim) matrix of the constrained basis derivative der."""
-        ders, first = self.local_ders(x, der)
-        cols, valid = self.window(first)
-        Q = ders.shape[0]
-        out = np.zeros((Q, self.dim))
-        rows = np.broadcast_to(np.arange(Q)[:, None], cols.shape)
-        out[rows[valid], cols[valid]] = ders[:, der, :][valid]
-        return out
+    def local_table(self, x):
+        """(vals, cols) for the points x, cached per point array (its bytes).
+
+        vals[q, k, r] is the k-th derivative, k <= degree, of unconstrained
+        function first[q] + r at x[q], zero where the constraint drops it;
+        cols[q, r] is its constrained index, clamped into range.  Derivative
+        k of the recursion does not depend on how many are computed, so one
+        table serves every order bit for bit.  Both arrays are read-only.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        key = x.tobytes()
+        table = self._tables.get(key)
+        if table is None:
+            ders, first = self.local_ders(x, self.degree)
+            cols, valid = self.window(first)
+            vals = np.where(valid[:, None, :], ders, 0.0)
+            cols = np.clip(cols, 0, self.dim - 1)
+            vals.flags.writeable = cols.flags.writeable = False
+            table = self._tables[key] = (vals, cols)
+        return table
 
 
 class TensorBasis:
@@ -223,9 +261,10 @@ class DiscreteField:
         self.basis.check_alpha(alpha)
         out = self.coeffs
         for k, (f, ax) in enumerate(zip(self.basis.factors, axes)):
-            B = f.basis_matrix(np.asarray(ax, dtype=np.float64), alpha[k])
-            out = np.moveaxis(np.tensordot(B, out, axes=(1, k)), 0, k)
-        return out
+            vals, cols = f.local_table(ax)
+            lead = _window_sum(np.moveaxis(out, k, 0), vals[:, alpha[k], :], cols)
+            out = np.moveaxis(lead, 0, k)
+        return np.ascontiguousarray(out)
 
     def eval_points(self, points, alpha):
         """Values of D^alpha at scattered points of shape (Q, n)."""
@@ -237,23 +276,16 @@ class DiscreteField:
         if points.shape[1] != nf:
             raise ValueError(f"points have {points.shape[1]} coordinates, basis has {nf}")
         Q = points.shape[0]
-        local = []
-        windows = []
-        for k, f in enumerate(self.basis.factors):
-            ders, first = f.local_ders(points[:, k], alpha[k])
-            cols, valid = f.window(first)
-            # a function the constraint drops contributes nothing
-            local.append(np.where(valid, ders[:, alpha[k], :], 0.0))
-            windows.append(np.where(valid, cols, 0))
-        # gather (Q, d1+1, ..., dn+1) coefficient windows
         idx = []
-        for k in range(nf):
+        local = []
+        for k, f in enumerate(self.basis.factors):
+            vals, cols = f.local_table(points[:, k])
             shape = [Q] + [1] * nf
-            shape[k + 1] = windows[k].shape[1]
-            idx.append(windows[k].reshape(shape))
+            shape[k + 1] = f.degree + 1
+            idx.append(cols.reshape(shape))
+            local.append(vals[:, alpha[k], :].reshape(shape))
+        # gather (Q, d1+1, ..., dn+1) coefficient windows
         gathered = self.coeffs[tuple(idx)]
         for k in range(nf):
-            shape = [Q] + [1] * nf
-            shape[k + 1] = local[k].shape[1]
-            gathered = gathered * local[k].reshape(shape)
+            gathered = gathered * local[k]
         return gathered.reshape(Q, -1).sum(axis=1)

@@ -9,6 +9,7 @@ import pytest
 
 from cylasym.analysis import (
     CSV_HEADER,
+    FLOOR,
     ConvergenceReport,
     CutoffEvaluator,
     CutoffRho,
@@ -25,7 +26,9 @@ from cylasym.analysis import (
     write_report_csv,
     write_report_json,
     write_refinement_csv,
+    _gauss_grid,
 )
+from cylasym.multiindex import enumerate_upto, multi_binom, sub, sub_indices
 from cylasym.problem import HypothesisReport, builtin_problem
 
 
@@ -242,6 +245,35 @@ def test_product_evaluator_matches_leibniz_by_hand():
     assert np.allclose(got, 20.0 * t**3, atol=1e-12)
 
 
+def test_product_evaluator_evaluates_each_left_derivative_once_per_grid():
+    calls = []
+    wave = _Analytic(lambda g, a: np.sin(g[0] + 2.0 * g[1]) * (1.0 + sum(a)))
+
+    def left(axes, alpha):
+        calls.append(tuple(alpha))
+        return wave(axes, alpha)
+
+    right = CutoffEvaluator(CutoffRho(2), [(0.0, 2.0), None])
+    prod = ProductEvaluator(left, right)
+    axes, _ = _gauss_grid([(-2.0, 2.0), (0.0, 1.0)], 4, 3)
+    alphas = enumerate_upto(2, 2)
+    got = [prod(axes, alpha) for alpha in alphas]
+    # 15 (alpha, beta <= alpha) pairs, 6 distinct betas
+    assert sorted(calls) == sorted(alphas)
+    for alpha, vals in zip(alphas, got):
+        want = np.zeros_like(vals)
+        for beta in sub_indices(alpha):
+            want += (
+                multi_binom(alpha, beta) * wave(axes, beta) * right(axes, sub(alpha, beta))
+            )
+        assert np.array_equal(vals, want), alpha
+    # a new grid is evaluated afresh, even with equal points
+    prod([ax.copy() for ax in axes], (1, 0))
+    assert len(calls) == len(alphas) + 2
+    assert norm_Hm(prod, [(-2.0, 2.0), (0.0, 1.0)], 2, 4) > 0.0
+    assert len(calls) == 2 * len(alphas) + 2
+
+
 # ------------------------------------------------------------------ localized energy
 
 
@@ -448,9 +480,23 @@ def test_json_writer_roundtrips_structure(tmp_path):
     assert data["fitted_rate_Hm"] == 3.1
     assert [r["ell"] for r in data["records"]] == [2.0, 4.0]
     assert data["records"][0]["wall_time_s"] == 0.0
-    assert data["localized_energy"][1] == {"ell1": 2.0, "value": 0.25}
+    assert data["localized_energy"][1] == {"ell1": 2.0, "value": 0.25, "below_floor": False}
     assert data["hypothesis_report"] is None
     assert data["timings"]["total_s"] == 1.25
+
+
+def test_json_marks_localized_energy_below_the_floor(tmp_path):
+    report = _report()
+    write_report_csv(report, tmp_path / "before.csv")
+    report.localized_table = [(1.0, 0.5 * FLOOR), (2.0, FLOOR), (4.0, 3e-9), (8.0, 0.0)]
+    path = tmp_path / "r.json"
+    write_report_json(report, path)
+    table = json.loads(path.read_text())["localized_energy"]
+    assert [e["below_floor"] for e in table] == [True, False, False, True]
+    assert [e["value"] for e in table] == [v for _, v in report.localized_table]
+    # the CSV carries the records only
+    write_report_csv(report, tmp_path / "after.csv")
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
 
 def _golden_report():

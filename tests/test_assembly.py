@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from dense_oracle import dense_basis_matrix
 
 from cylasym.assembly import (
     AssemblyError,
@@ -38,7 +39,7 @@ def _gauss(basis, ppc=None):
 
 def _dense_1d(basis, der, ppc=None):
     pts, wts = _gauss(basis, ppc)
-    B = basis.basis_matrix(pts, der=der)
+    B = dense_basis_matrix(basis, pts, der=der)
     return B, wts
 
 
@@ -113,11 +114,15 @@ def _brute_force(system, spec):
     A = np.zeros((ndofs, ndofs))
     for (alpha, beta), coef in spec.coefficients.items():
         a_vals = np.broadcast_to(coef(tuple(X)), X[0].shape).ravel()
-        Bcol = _kron_rows([f.basis_matrix(pt, a) for f, (pt, _), a in zip(factors, rules, alpha)])
-        Brow = _kron_rows([f.basis_matrix(pt, b) for f, (pt, _), b in zip(factors, rules, beta)])
+        Bcol = _kron_rows(
+            [dense_basis_matrix(f, pt, a) for f, (pt, _), a in zip(factors, rules, alpha)]
+        )
+        Brow = _kron_rows(
+            [dense_basis_matrix(f, pt, b) for f, (pt, _), b in zip(factors, rules, beta)]
+        )
         A += (Brow * (w * a_vals)[:, None]).T @ Bcol
     f_vals = np.broadcast_to(spec.forcing(tuple(X)), X[0].shape).ravel()
-    B0 = _kron_rows([f.basis_matrix(pts, 0) for f, (pts, _) in zip(factors, rules)])
+    B0 = _kron_rows([dense_basis_matrix(f, pts, 0) for f, (pts, _) in zip(factors, rules)])
     rhs = B0.T @ (w * f_vals)
     return A, rhs
 
@@ -127,7 +132,7 @@ def _shared_cell_pattern(factors):
     inside their support, so two share a cell iff their values overlap."""
     shared = np.ones((1, 1), dtype=bool)
     for f in factors:
-        B = np.abs(f.basis_matrix(_gauss(f)[0]))
+        B = np.abs(dense_basis_matrix(f, _gauss(f)[0]))
         shared = np.kron(shared, B.T @ B > 0)
     return shared
 

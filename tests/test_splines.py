@@ -1,10 +1,19 @@
 """Spline basis oracles: partition of unity, boundary constraints, polynomial
-reproduction (values and derivatives), and the two field evaluation paths
-agreeing with each other."""
+reproduction (values and derivatives), the two field evaluation paths
+agreeing with each other, and the cell-local evaluation against the dense
+basis matrix: values, locality, table cache and memory."""
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from dense_oracle import dense_basis_matrix
 
+import cylasym.splines as splines
+from cylasym.analysis import _gauss_grid
+from cylasym.assembly import cylinder_factors
+from cylasym.problem import builtin_problem
 from cylasym.splines import (
     DiscreteField,
     SplineBasis1D,
@@ -27,11 +36,11 @@ def _poly_eval(coeffs, x, der=0):
 def test_partition_of_unity(degree):
     basis = SplineBasis1D(0.0, 2.0, cells=7, degree=degree, bc_order=0)
     x = np.linspace(0.0, 2.0, 113)
-    B = basis.basis_matrix(x, der=0)
+    B = dense_basis_matrix(basis, x, der=0)
     assert np.allclose(B.sum(axis=1), 1.0, atol=1e-13)
     assert np.all(B >= -1e-14)
     for der in range(1, degree + 1):
-        D = basis.basis_matrix(x, der=der)
+        D = dense_basis_matrix(basis, x, der=der)
         scale = max(1.0, np.abs(D).max())
         assert np.abs(D.sum(axis=1)).max() <= 1e-12 * scale
 
@@ -41,7 +50,7 @@ def test_endpoint_constraints(degree, bc):
     basis = SplineBasis1D(-1.0, 3.0, cells=9, degree=degree, bc_order=bc)
     ends = np.array([-1.0, 3.0])
     for der in range(bc):
-        B = basis.basis_matrix(ends, der=der)
+        B = dense_basis_matrix(basis, ends, der=der)
         assert np.abs(B).max() <= 1e-13 * max(1.0, basis.h ** (-der))
 
 
@@ -63,9 +72,9 @@ def test_window_holds_every_constrained_function(degree, bc):
     assert set(cols[valid]) == set(range(basis.dim))
     # dropped functions are the first and last bc on each end cell
     assert valid[0].sum() == degree + 1 - bc and valid[-1].sum() == degree + 1 - bc
-    # the nonzeros of basis_matrix lie in the kept window of each point's cell
+    # the nonzeros of the dense basis matrix lie in the kept window of each point's cell
     x = np.linspace(0.0, 1.0, 50)
-    B = basis.basis_matrix(x)
+    B = dense_basis_matrix(basis, x)
     point_cols, point_valid = basis.window(basis.cell_of(x))
     for q in range(x.size):
         assert set(np.flatnonzero(B[q])) <= set(point_cols[q][point_valid[q]])
@@ -78,11 +87,11 @@ def test_polynomial_reproduction_with_derivatives(degree):
     rng = np.random.default_rng(7)
     poly = rng.uniform(-2.0, 2.0, size=degree + 1)
     xs = np.linspace(0.5, 2.5, 4 * basis.dim + 1)
-    B = basis.basis_matrix(xs, der=0)
+    B = dense_basis_matrix(basis, xs, der=0)
     coeffs, *_ = np.linalg.lstsq(B, _poly_eval(poly, xs), rcond=None)
     xt = np.linspace(0.5, 2.5, 57)
     for der in range(degree + 1):
-        got = basis.basis_matrix(xt, der=der) @ coeffs
+        got = dense_basis_matrix(basis, xt, der=der) @ coeffs
         want = _poly_eval(poly, xt, der=der)
         scale = max(1.0, np.abs(want).max())
         assert np.abs(got - want).max() <= 1e-10 * scale
@@ -92,12 +101,12 @@ def test_constrained_space_contains_bubble():
     # x(1-x) vanishes to order 1 at both ends, so it lies in the bc_order=1 space.
     basis = SplineBasis1D(0.0, 1.0, cells=8, degree=2, bc_order=1)
     xs = np.linspace(0.0, 1.0, 65)
-    B = basis.basis_matrix(xs)
+    B = dense_basis_matrix(basis, xs)
     coeffs, res, *_ = np.linalg.lstsq(B, xs * (1.0 - xs), rcond=None)
     xt = np.linspace(0.0, 1.0, 41)
-    got = basis.basis_matrix(xt) @ coeffs
+    got = dense_basis_matrix(basis, xt) @ coeffs
     assert np.abs(got - xt * (1.0 - xt)).max() <= 1e-12
-    dgot = basis.basis_matrix(xt, der=1) @ coeffs
+    dgot = dense_basis_matrix(basis, xt, der=1) @ coeffs
     assert np.abs(dgot - (1.0 - 2.0 * xt)).max() <= 1e-11
 
 
@@ -105,7 +114,7 @@ def test_hat_basis_nodal():
     # degree 1, no constraint: hats are nodal at the breakpoints
     basis = SplineBasis1D(0.0, 4.0, cells=4, degree=1, bc_order=0)
     nodes = np.linspace(0.0, 4.0, 5)
-    B = basis.basis_matrix(nodes)
+    B = dense_basis_matrix(basis, nodes)
     assert np.allclose(B, np.eye(5), atol=1e-14)
 
 
@@ -122,9 +131,9 @@ def test_quadrature_exactness():
 def test_domain_and_order_errors():
     basis = SplineBasis1D(0.0, 1.0, cells=8, degree=2, bc_order=1)
     with pytest.raises(ValueError, match="outside domain"):
-        basis.basis_matrix(np.array([1.5]))
+        dense_basis_matrix(basis, np.array([1.5]))
     with pytest.raises(ValueError, match="exceeds degree"):
-        basis.basis_matrix(np.array([0.5]), der=3)
+        dense_basis_matrix(basis, np.array([0.5]), der=3)
     with pytest.raises(ValueError):
         SplineBasis1D(0.0, 1.0, cells=2, degree=2, bc_order=1)
     with pytest.raises(ValueError):
@@ -136,7 +145,7 @@ def test_domain_and_order_errors():
 def test_endpoint_evaluation_is_clamped():
     basis = SplineBasis1D(0.0, 1.0, cells=4, degree=2, bc_order=0)
     # both endpoints evaluate (no domain error) and hit a single basis function
-    B = basis.basis_matrix(np.array([0.0, 1.0]))
+    B = dense_basis_matrix(basis, np.array([0.0, 1.0]))
     assert abs(B[0, 0] - 1.0) <= 1e-14 and abs(B[0, 1:]).max() <= 1e-14
     assert abs(B[1, -1] - 1.0) <= 1e-14 and abs(B[1, :-1]).max() <= 1e-14
 
@@ -180,11 +189,11 @@ def test_field_grid_matches_polynomial():
     by = SplineBasis1D(0.0, 1.0, cells=6, degree=3, bc_order=0)
     basis = TensorBasis([bx, by])
     xs = np.linspace(0.0, 1.0, 31)
-    Bx = bx.basis_matrix(xs)
+    Bx = dense_basis_matrix(bx, xs)
     px = np.array([0.5, -1.0, 0.0, 2.0])  # 0.5 - x + 2 x^3
     py = np.array([1.0, 0.0, 3.0, -1.0])  # 1 + 3 y^2 - y^3
     cx, *_ = np.linalg.lstsq(Bx, _poly_eval(px, xs), rcond=None)
-    cy, *_ = np.linalg.lstsq(by.basis_matrix(xs), _poly_eval(py, xs), rcond=None)
+    cy, *_ = np.linalg.lstsq(dense_basis_matrix(by, xs), _poly_eval(py, xs), rcond=None)
     field = DiscreteField(basis, np.outer(cx, cy))
     gx = np.linspace(0.0, 1.0, 11)
     gy = np.linspace(0.0, 1.0, 9)
@@ -201,3 +210,131 @@ def test_field_shape_validation():
     field = DiscreteField(basis, np.zeros(basis.ndofs))
     with pytest.raises(ValueError, match="wrong length"):
         field.eval_grid([np.array([0.5])], (0, 0))
+
+
+# ------------------------------------------------------------ cell-local evaluation
+
+_FIELDS = {
+    1: [(-2.0, 2.0, 8, 3, 2)],
+    2: [(-2.0, 2.0, 8, 3, 2), (0.0, 1.0, 5, 2, 1)],
+    3: [(-1.0, 1.0, 4, 2, 1), (0.0, 1.0, 3, 3, 0), (0.0, 2.0, 5, 2, 1)],
+}
+
+
+def _oracle_grid(field, axes, alpha):
+    """D^alpha on the grid by dense matrix products, one axis at a time."""
+    out = field.coeffs
+    for k, (f, ax) in enumerate(zip(field.basis.factors, axes)):
+        B = dense_basis_matrix(f, ax, alpha[k])
+        out = np.moveaxis(np.tensordot(B, out, axes=(1, k)), 0, k)
+    return out
+
+
+def _test_axes(field, rng):
+    # every breakpoint, both ends among them, plus points inside cells
+    return [
+        np.sort(np.concatenate([np.linspace(f.lo, f.hi, f.cells + 1), rng.uniform(f.lo, f.hi, 7)]))
+        for f in field.basis.factors
+    ]
+
+
+@pytest.mark.parametrize("naxes", sorted(_FIELDS))
+def test_eval_grid_matches_dense_oracle(naxes):
+    field, rng = _random_field(11 + naxes, _FIELDS[naxes])
+    axes = _test_axes(field, rng)
+    factors = field.basis.factors
+    for alpha in itertools.product(*(range(f.degree + 1) for f in factors)):
+        want = _oracle_grid(field, axes, alpha)
+        # roundoff scales with the coefficients times each axis's row sum of
+        # |D^alpha_k B|, which is 1 for values (partition of unity)
+        rows = [
+            np.abs(dense_basis_matrix(f, ax, a)).sum(axis=1).max()
+            for f, ax, a in zip(factors, axes, alpha)
+        ]
+        scale = np.abs(field.coeffs).max() * np.prod(rows)
+        got = field.eval_grid(axes, alpha)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * scale, alpha
+
+
+@pytest.mark.parametrize("naxes", sorted(_FIELDS))
+def test_eval_grid_values_depend_on_their_own_point_only(naxes):
+    field, rng = _random_field(23 + naxes, _FIELDS[naxes])
+    axes = _test_axes(field, rng)
+    picks = [np.sort(rng.choice(len(ax), size=len(ax) // 3, replace=False)) for ax in axes]
+    sub_axes = [ax[pick] for ax, pick in zip(axes, picks)]
+    for alpha in itertools.product(*(range(f.degree + 1) for f in field.basis.factors)):
+        full = field.eval_grid(axes, alpha)
+        assert np.array_equal(field.eval_grid(sub_axes, alpha), full[np.ix_(*picks)]), alpha
+
+
+def _counting_recursion(monkeypatch):
+    calls = []
+    recursion = splines._ders_basis_funs
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return recursion(*args)
+
+    monkeypatch.setattr(splines, "_ders_basis_funs", counted)
+    return calls
+
+
+def test_tables_are_computed_once_per_point_array(monkeypatch):
+    field, rng = _random_field(31, _FIELDS[2])
+    axes = _test_axes(field, rng)
+    calls = _counting_recursion(monkeypatch)
+    first = field.eval_grid(axes, (1, 2))
+    assert len(calls) == 2
+    # another derivative order, and equal points in a fresh array, hit the cache
+    field.eval_grid([ax.copy() for ax in axes], (0, 0))
+    assert np.array_equal(field.eval_grid(axes, (1, 2)), first)
+    assert len(calls) == 2
+    # scattered points build one table per coordinate column, then reuse it
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    for _ in range(2):
+        scattered = field.eval_points(pts, (1, 2))
+        assert np.allclose(scattered, first.ravel(), rtol=1e-13, atol=1e-13)
+    assert len(calls) == 4
+
+
+def test_tables_are_read_only():
+    basis = SplineBasis1D(0.0, 1.0, cells=6, degree=3, bc_order=2)
+    vals, cols = basis.local_table(np.linspace(0.0, 1.0, 13))
+    assert vals.shape == (13, 4, 4) and cols.shape == (13, 4)
+    for array in (vals, cols):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    # the dropped functions are zeroed and their columns clamped into range
+    assert np.all(vals[0, :, :2] == 0.0) and np.all(vals[-1, :, 2:] == 0.0)
+    assert cols.min() == 0 and cols.max() == basis.dim - 1
+
+
+def test_points_outside_the_domain_raise_on_every_call(monkeypatch):
+    field, _ = _random_field(37, _FIELDS[1])
+    calls = _counting_recursion(monkeypatch)
+    outside = [np.array([0.0, 2.5])]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside domain"):
+            field.eval_grid(outside, (0,))
+    assert calls == []
+    field.eval_grid([np.array([0.0, 2.0])], (0,))
+    assert calls == [2]
+
+
+def test_eval_grid_peak_memory_is_a_few_outputs():
+    # the l = 16, 32 cells/unit biharmonic field over its full Gauss grid, the
+    # largest grid a biharmonic sweep evaluates; a dense (points, dim) basis
+    # matrix per axis peaks at 11x the output here
+    spec = builtin_problem("biharmonic_strip")
+    basis = TensorBasis(cylinder_factors(spec, 16.0, 32, None))
+    field = DiscreteField(basis, np.random.default_rng(5).standard_normal(basis.dims))
+    axes, _ = _gauss_grid(basis.domain, 32, 3)
+    tracemalloc.start()
+    try:
+        vals = field.eval_grid(axes, (1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (3072, 96)
+    assert peak <= 4 * vals.nbytes
