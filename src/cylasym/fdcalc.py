@@ -6,7 +6,9 @@ ascending axis order, which fixes the floating-point evaluation order.  On
 top of these sit the two discrete identities (summation by parts and the
 shifted Leibniz rule) as defect calculators, a mean-value containment check,
 and the lattice estimator for interior higher-order differences of a
-cylinder solution against the extended cross-section solution.
+cylinder solution against the extended cross-section solution.  The
+estimator takes a whole set of alphas for one region: it evaluates each
+D^beta once, on one lattice, and every alpha differences a leading slice.
 """
 
 from dataclasses import dataclass
@@ -56,12 +58,14 @@ class GridSample:
         )
 
 
+def _lattice_count(lo, hi, h) -> int:
+    """Points of the lattice lo + h * i that lie in [lo, hi], up to rounding."""
+    return int(np.floor((hi - lo) / h + _TOL)) + 1
+
+
 def sample_function(fn, box, spacing) -> GridSample:
     """Sample fn(coord arrays) on the lattice covering box with the given spacing."""
-    axes = []
-    for (lo, hi), h in zip(box, spacing):
-        count = int(np.floor((hi - lo) / h + _TOL)) + 1
-        axes.append(lo + h * np.arange(count))
+    axes = [lo + h * np.arange(_lattice_count(lo, hi, h)) for (lo, hi), h in zip(box, spacing)]
     grids = np.meshgrid(*axes, indexing="ij")
     values = np.broadcast_to(fn(tuple(grids)), grids[0].shape)
     return GridSample(tuple(b[0] for b in box), tuple(spacing), np.array(values))
@@ -197,52 +201,56 @@ def mean_value_check(f, dalpha_f, x, alpha, h, samples_per_axis: int = 33):
     return value, (float(dvals.min()), float(dvals.max()))
 
 
-def interior_derivative_error(u_l, u_inf, alpha, region, h: float, m: int | None = None) -> float:
-    """Lattice H^m-aggregated forward-difference estimator.
+def interior_derivative_error(u_l, u_inf, alphas, region, h: float, m: int | None = None) -> dict:
+    """Lattice H^m-aggregated forward-difference estimators, {alpha: value}.
 
-    Computes sqrt(sum over |beta| <= m of the trapezoid-lattice integral of
-    (delta_h^alpha D^beta (u_l - extension of u_inf))^2) over the region.
-    u_inf lives on the cross-section; its extension is constant in the axial
-    variables, so axial derivatives of the extension vanish.  The sampling
-    lattice is inflated by alpha_k extra layers on the upper side of axis k
-    (what the forward differences consume) and must stay inside the domain
-    of u_l; when alpha has cross-sectional components the region must be
-    strictly interior in the cross-sectional axes.
+    For each alpha, in the order given: sqrt(sum over |beta| <= m of the
+    trapezoid-lattice integral of (delta_h^alpha D^beta (u_l - extension of
+    u_inf))^2) over the region.  u_inf lives on the cross-section; its
+    extension is constant in the axial variables, so axial derivatives of the
+    extension vanish.  The forward differences of alpha consume alpha_k extra
+    layers on the upper side of axis k; that inflated lattice must stay
+    inside the domain of u_l, and when alpha has cross-sectional components
+    the region must be strictly interior in the cross-sectional axes.  Each
+    D^beta is evaluated once, on the lattice inflated by the largest alpha_k,
+    and each alpha differences its leading points: a value depends on its own
+    point only, so an estimate equals the one from [alpha] alone.
     """
     n = u_l.basis.naxes
     p = n - u_inf.basis.naxes
     if p < 1:
         raise LatticeError("cross-section field must have fewer axes than the full field")
-    alpha = tuple(alpha)
-    if len(alpha) != n:
-        raise LatticeError(f"multi-index {alpha} does not match {n} axes")
     if m is None:
         m = u_l.basis.factors[0].bc_order
-    if order(alpha) > m:
-        raise LatticeError(f"|alpha| = {order(alpha)} exceeds m = {m}")
     if h <= 0:
         raise LatticeError(f"spacing must be positive, got {h}")
+    alphas = [tuple(alpha) for alpha in alphas]
     domain = u_l.basis.domain
-    axes = []
     counts = []
-    strict_needed = not in_N1(alpha, p)
-    for k, ((lo, hi), (dlo, dhi)) in enumerate(zip(region, domain)):
+    for k, (lo, hi) in enumerate(region):
         if not lo < hi:
             raise LatticeError(f"empty region on axis {k}")
-        count = int(np.floor((hi - lo) / h + _TOL)) + 1
-        top = lo + h * (count - 1 + alpha[k])
-        scale = max(1.0, abs(dlo), abs(dhi))
-        if lo < dlo - _TOL * scale or top > dhi + _TOL * scale:
-            raise LatticeError(
-                f"region inflated by {alpha[k]} layers leaves the domain on axis {k}"
-            )
-        if strict_needed and k >= p:
-            if lo <= dlo + _TOL * scale or top >= dhi - _TOL * scale:
+        counts.append(_lattice_count(lo, hi, h))
+    for alpha in alphas:
+        if len(alpha) != n:
+            raise LatticeError(f"multi-index {alpha} does not match {n} axes")
+        if order(alpha) > m:
+            raise LatticeError(f"|alpha| = {order(alpha)} exceeds m = {m}")
+        strict_needed = not in_N1(alpha, p)
+        for k, ((lo, _), (dlo, dhi), count) in enumerate(zip(region, domain, counts)):
+            top = lo + h * (count - 1 + alpha[k])
+            scale = max(1.0, abs(dlo), abs(dhi))
+            if lo < dlo - _TOL * scale or top > dhi + _TOL * scale:
                 raise LatticeError(
-                    "cross-sectional derivatives need a strictly interior region"
+                    f"region inflated by {alpha[k]} layers leaves the domain on axis {k}"
                 )
-        axes.append(lo + h * np.arange(count + alpha[k]))
-        counts.append(count)
+            if strict_needed and k >= p:
+                if lo <= dlo + _TOL * scale or top >= dhi - _TOL * scale:
+                    raise LatticeError(
+                        "cross-sectional derivatives need a strictly interior region"
+                    )
+    inflate = [max(col) for col in zip((0,) * n, *alphas)]
+    axes = [lo + h * np.arange(c + a) for (lo, _), c, a in zip(region, counts, inflate)]
     weights = np.ones(())
     for count in counts:
         w = np.ones(count)
@@ -251,8 +259,11 @@ def interior_derivative_error(u_l, u_inf, alpha, region, h: float, m: int | None
     origin = tuple(r[0] for r in region)
     spacing = (float(h),) * n
     diff = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
-    total = 0.0
+    totals = dict.fromkeys(alphas, 0.0)
     for beta in enumerate_upto(n, m):
-        d = delta_alpha(GridSample(origin, spacing, diff(axes, beta)), alpha)
-        total += float(np.sum(weights * d.values**2))
-    return float(np.sqrt(total * h**n))
+        values = diff(axes, beta)
+        for alpha in totals:
+            lattice = values[tuple(slice(0, c + a) for c, a in zip(counts, alpha))]
+            d = delta_alpha(GridSample(origin, spacing, lattice), alpha)
+            totals[alpha] += float(np.sum(weights * d.values**2))
+    return {alpha: float(np.sqrt(total * h**n)) for alpha, total in totals.items()}

@@ -184,18 +184,14 @@ def _sweep_worker(args):
     h_lat = 1.0 / (2.0 * resolution)
     strict = interior_region(spec, ell0, margin)
     full = [(-ell0, ell0)] * p + list(spec.omega)
-    interior_alpha = {}
+    alphas = enumerate_upto(n, m)
+    interior = interior_derivative_error(u_l, u_inf, alphas, strict, h_lat, m=m)
+    n1_full = interior_derivative_error(
+        u_l, u_inf, [a for a in alphas if in_N1(a, p)], full, h_lat, m=m
+    )
     total_sq = 0.0
-    for alpha in enumerate_upto(n, m):
-        est = interior_derivative_error(u_l, u_inf, alpha, strict, h_lat, m=m)
-        interior_alpha[encode(alpha)] = est
+    for est in interior.values():
         total_sq += est * est
-    n1_full_alpha = {}
-    for alpha in enumerate_upto(n, m):
-        if in_N1(alpha, p):
-            n1_full_alpha[encode(alpha)] = interior_derivative_error(
-                u_l, u_inf, alpha, full, h_lat, m=m
-            )
     wall = time.perf_counter() - t0
     record = ErrorRecord(
         ell=float(ell),
@@ -208,8 +204,8 @@ def _sweep_worker(args):
         solver_residual=result.residual,
         wall_time_s=wall,
         solver_iterations=result.iterations,
-        interior_alpha=interior_alpha,
-        n1_full_alpha=n1_full_alpha,
+        interior_alpha={encode(a): est for a, est in interior.items()},
+        n1_full_alpha={encode(a): est for a, est in n1_full.items()},
     )
     return record, result.x
 

@@ -265,27 +265,3 @@ class DiscreteField:
             lead = _window_sum(np.moveaxis(out, k, 0), vals[:, alpha[k], :], cols)
             out = np.moveaxis(lead, 0, k)
         return np.ascontiguousarray(out)
-
-    def eval_points(self, points, alpha):
-        """Values of D^alpha at scattered points of shape (Q, n)."""
-        self.basis.check_alpha(alpha)
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points[:, None]
-        nf = self.basis.naxes
-        if points.shape[1] != nf:
-            raise ValueError(f"points have {points.shape[1]} coordinates, basis has {nf}")
-        Q = points.shape[0]
-        idx = []
-        local = []
-        for k, f in enumerate(self.basis.factors):
-            vals, cols = f.local_table(points[:, k])
-            shape = [Q] + [1] * nf
-            shape[k + 1] = f.degree + 1
-            idx.append(cols.reshape(shape))
-            local.append(vals[:, alpha[k], :].reshape(shape))
-        # gather (Q, d1+1, ..., dn+1) coefficient windows
-        gathered = self.coeffs[tuple(idx)]
-        for k in range(nf):
-            gathered = gathered * local[k]
-        return gathered.reshape(Q, -1).sum(axis=1)

@@ -14,8 +14,7 @@ from cylasym.analysis import galerkin_interior_residual, write_report_csv
 from cylasym.assembly import assemble_cylinder, assemble_limit
 from cylasym.expr import ExpressionError, evaluate, parse_expression, to_string
 from cylasym.fdcalc import GridSample, leibniz_defect, summation_by_parts_defect
-from cylasym.harness import SweepPlan, run_refinement, run_sweep
-from cylasym.linalg import cg_jacobi
+from cylasym.harness import SweepPlan, _solve_system, run_refinement, run_sweep
 from cylasym.problem import builtin_problem
 from cylasym.splines import DiscreteField
 
@@ -110,9 +109,9 @@ def test_A4_interior_residual_halves_under_refinement():
     vals = {}
     for res in (8, 16):
         sys_c = assemble_cylinder(POISSON, ell=4.0, resolution=res, degree=2)
-        u_l = DiscreteField(sys_c.basis, cg_jacobi(sys_c.matrix, sys_c.rhs, tol=1e-12).x)
+        u_l = DiscreteField(sys_c.basis, _solve_system(sys_c).x)
         sys_o = assemble_limit(POISSON, resolution=res, degree=2)
-        u_inf = DiscreteField(sys_o.basis, cg_jacobi(sys_o.matrix, sys_o.rhs, tol=1e-12).x)
+        u_inf = DiscreteField(sys_o.basis, _solve_system(sys_o).x)
         vals[res] = galerkin_interior_residual(u_l, u_inf, POISSON, ell=4.0, resolution=res)
     ok = vals[8] >= 2.0 * vals[16]
     assert _line(

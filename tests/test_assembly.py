@@ -336,7 +336,7 @@ def test_limit_solution_converges_to_analytic(name, degree):
     for res in (8, 16):
         system = assemble_limit(spec, resolution=res, degree=degree)
         u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
-        errs.append(np.abs(u.eval_points(ts[:, None], (0,)) - exact(ts, 0)).max())
+        errs.append(np.abs(u.eval_grid([ts], (0,)) - exact(ts, 0)).max())
     assert errs[0] > 1e-12
     assert errs[1] <= errs[0] / 3.5
 
@@ -350,7 +350,7 @@ def test_limit_solution_exact_when_space_contains_it(name, degree):
     system = assemble_limit(spec, resolution=8, degree=degree)
     u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
     ts = np.linspace(0.0, 1.0, 33)
-    assert np.abs(u.eval_points(ts[:, None], (0,)) - exact(ts, 0)).max() <= 1e-13
+    assert np.abs(u.eval_grid([ts], (0,)) - exact(ts, 0)).max() <= 1e-13
 
 
 def test_solution_conforms_at_boundary():
@@ -358,12 +358,11 @@ def test_solution_conforms_at_boundary():
     system = assemble_cylinder(spec, ell=1.0, resolution=6, degree=3)
     u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
     ts = np.linspace(0.0, 1.0, 9)
-    edge = np.stack([np.full(9, 1.0), ts], axis=1)  # axial boundary
-    for alpha in [(0, 0), (0, 1)]:
-        assert np.abs(u.eval_points(edge, alpha)).max() <= 1e-12
-    side = np.stack([np.linspace(-1.0, 1.0, 9), np.zeros(9)], axis=1)
+    for alpha in [(0, 0), (0, 1)]:  # axial boundary
+        assert np.abs(u.eval_grid([[1.0], ts], alpha)).max() <= 1e-12
+    xs = np.linspace(-1.0, 1.0, 9)
     for alpha in [(0, 0), (1, 0)]:
-        assert np.abs(u.eval_points(side, alpha)).max() <= 1e-12
+        assert np.abs(u.eval_grid([xs, [0.0]], alpha)).max() <= 1e-12
 
 
 def test_assembly_deterministic():

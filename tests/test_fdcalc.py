@@ -19,6 +19,7 @@ from cylasym.fdcalc import (
     sample_function,
     summation_by_parts_defect,
 )
+from cylasym.multiindex import enumerate_upto
 from cylasym.splines import DiscreteField, SplineBasis1D, TensorBasis
 
 
@@ -273,48 +274,97 @@ def _cross_field(seed=0):
     return DiscreteField(basis, rng.standard_normal(basis.dims))
 
 
+def _estimate(u_l, u_inf, alpha, region, h, m):
+    (value,) = interior_derivative_error(u_l, u_inf, [alpha], region, h, m=m).values()
+    return value
+
+
 def test_interior_error_zero_for_exact_extension():
     u_inf = _cross_field()
     u_l = _Extension(u_inf, (-2.0, 2.0), p=1)
     region = ((-0.5, 0.5), (0.25, 0.75))
-    for alpha in [(0, 0), (1, 0), (0, 1)]:
-        err = interior_derivative_error(u_l, u_inf, alpha, region, h=1.0 / 16, m=1)
-        assert err == 0.0
+    alphas = [(0, 0), (1, 0), (0, 1)]
+    errs = interior_derivative_error(u_l, u_inf, alphas, region, h=1.0 / 16, m=1)
+    assert list(errs) == alphas
+    assert all(err == 0.0 for err in errs.values())
 
 
 def test_interior_error_positive_for_perturbed_field():
     u_inf = _cross_field()
     u_l = _Extension(_cross_field(seed=9), (-2.0, 2.0), p=1)
-    err = interior_derivative_error(
-        u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1
-    )
+    err = _estimate(u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1)
     assert err > 0.01
 
 
 def test_interior_error_region_guards():
     u_inf = _cross_field()
     u_l = _Extension(u_inf, (-2.0, 2.0), p=1)
+    strict = ((-0.5, 0.5), (0.25, 0.75))
     with pytest.raises(LatticeError, match="strictly interior"):
-        interior_derivative_error(
-            u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.0, 0.75)), h=1.0 / 16, m=1
-        )
+        _estimate(u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.0, 0.75)), h=1.0 / 16, m=1)
     with pytest.raises(LatticeError, match="leaves the domain"):
-        interior_derivative_error(
-            u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.25, 1.0)), h=1.0 / 16, m=1
-        )
+        _estimate(u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.25, 1.0)), h=1.0 / 16, m=1)
     # alpha in N1 may touch the cross boundary
-    err = interior_derivative_error(
-        u_l, u_inf, (1, 0), ((-0.5, 0.5), (0.0, 1.0)), h=1.0 / 16, m=1
-    )
+    err = _estimate(u_l, u_inf, (1, 0), ((-0.5, 0.5), (0.0, 1.0)), h=1.0 / 16, m=1)
     assert err == 0.0
     with pytest.raises(LatticeError, match="leaves the domain"):
+        _estimate(u_l, u_inf, (1, 0), ((-2.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1)
+    with pytest.raises(LatticeError, match="exceeds m"):
+        _estimate(u_l, u_inf, (1, 1), strict, h=1.0 / 16, m=1)
+    with pytest.raises(LatticeError, match="does not match"):
+        _estimate(u_l, u_inf, (1,), strict, h=1.0 / 16, m=1)
+    # in a set, every alpha is checked with its own inflation
+    with pytest.raises(LatticeError, match="strictly interior"):
         interior_derivative_error(
-            u_l, u_inf, (1, 0), ((-2.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1
+            u_l, u_inf, [(1, 0), (0, 1)], ((-0.5, 0.5), (0.0, 0.75)), h=1.0 / 16, m=1
+        )
+    with pytest.raises(LatticeError, match="leaves the domain"):
+        interior_derivative_error(
+            u_l, u_inf, [(0, 0), (1, 0)], ((-0.5, 2.0), (0.25, 0.75)), h=1.0 / 16, m=1
         )
     with pytest.raises(LatticeError, match="exceeds m"):
-        interior_derivative_error(
-            u_l, u_inf, (1, 1), ((-0.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1
-        )
+        interior_derivative_error(u_l, u_inf, [(0, 0), (2, 0)], strict, h=1.0 / 16, m=1)
+
+
+def _cylinder_pair(seed=3):
+    rng = np.random.default_rng(seed)
+    cross = TensorBasis([SplineBasis1D(0.0, 1.0, 8, 3, 2)])
+    full = TensorBasis([SplineBasis1D(-2.0, 2.0, 16, 3, 2), SplineBasis1D(0.0, 1.0, 8, 3, 2)])
+    u_l = DiscreteField(full, rng.standard_normal(full.dims))
+    return u_l, DiscreteField(cross, rng.standard_normal(cross.dims))
+
+
+@pytest.mark.parametrize(
+    "region,keep",
+    [
+        (((-0.5, 0.5), (0.25, 0.75)), lambda alpha: True),
+        (((-1.0, 1.0), (0.0, 1.0)), lambda alpha: alpha[1] == 0),
+    ],
+)
+def test_interior_error_set_matches_each_alpha_alone(region, keep):
+    u_l, u_inf = _cylinder_pair()
+    alphas = [a for a in enumerate_upto(2, 2) if keep(a)]
+    together = interior_derivative_error(u_l, u_inf, alphas[::-1], region, 1.0 / 16, m=2)
+    assert list(together) == alphas[::-1]
+    for alpha in alphas:
+        alone = _estimate(u_l, u_inf, alpha, region, 1.0 / 16, m=2)
+        assert alone > 0.0 and together[alpha] == alone
+
+
+def test_interior_error_evaluates_each_derivative_once(monkeypatch):
+    u_l, u_inf = _cylinder_pair()
+    calls = []
+    plain = DiscreteField.eval_grid
+
+    def counted(self, axes, alpha):
+        if self is u_l:
+            calls.append(tuple(alpha))
+        return plain(self, axes, alpha)
+
+    monkeypatch.setattr(DiscreteField, "eval_grid", counted)
+    betas = enumerate_upto(2, 2)
+    interior_derivative_error(u_l, u_inf, betas, ((-0.5, 0.5), (0.25, 0.75)), 1.0 / 16, m=2)
+    assert calls == betas
 
 
 def test_sample_function_lattice():

@@ -92,6 +92,29 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
     assert all(v >= 0.0 for v in rec.interior_alpha.values())
 
 
+def test_sweep_interior_tables_hold_their_values():
+    # reprs from the per-alpha estimator that evaluated every D^beta afresh
+    # for each alpha; the one-lattice-per-region estimator keeps every bit
+    plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
+    records = run_sweep(plan).records
+    assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
+        (
+            "{'0_0': 4.646638683300199e-05, '0_1': 0.0002253285549731359, "
+            "'1_0': 0.00023244104608631294, '0_2': 0.0018229449955428103, "
+            "'1_1': 0.0007724739341888797, '2_0': 0.0021641968173921316}",
+            "{'0_0': 0.0006463618950815925, '1_0': 0.004082053622871963, "
+            "'2_0': 0.02443412018465316}",
+        ),
+        (
+            "{'0_0': 1.8792150714799052e-08, '0_1': 8.232017686982932e-08, "
+            "'1_0': 8.233974726877282e-08, '0_2': 6.093924715231586e-07, "
+            "'1_1': 4.0071555287109256e-07, '2_0': 3.5979045364944395e-07}",
+            "{'0_0': 1.429243452963186e-07, '1_0': 5.297804488458837e-07, "
+            "'2_0': 3.752427943343737e-06}",
+        ),
+    ]
+
+
 def test_sweep_localized_energy_decays_dyadically(poisson_report):
     table = poisson_report.localized_table
     assert [e for e, _ in table] == [4.0, 2.0, 1.0]
@@ -163,16 +186,16 @@ def test_interior_estimate_at_alpha_zero_matches_quadrature_norm(poisson_report)
     # H^m error the Gauss quadrature computes; they agree to a couple percent
     plan = SweepPlan(spec=POISSON, ells=(2.0,), ell0=1.0, resolution=8)
     from cylasym.assembly import assemble_cylinder, assemble_limit
-    from cylasym.linalg import cg_jacobi
     from cylasym.splines import DiscreteField
 
     sys_c = assemble_cylinder(POISSON, ell=2.0, resolution=8, degree=2)
-    u_l = DiscreteField(sys_c.basis, cg_jacobi(sys_c.matrix, sys_c.rhs, tol=1e-12).x)
+    u_l = DiscreteField(sys_c.basis, harness._solve_system(sys_c).x)
     sys_o = assemble_limit(POISSON, resolution=8, degree=2)
-    u_inf = DiscreteField(sys_o.basis, cg_jacobi(sys_o.matrix, sys_o.rhs, tol=1e-12).x)
+    u_inf = DiscreteField(sys_o.basis, harness._solve_system(sys_o).x)
 
     region = interior_region(POISSON, ell0=1.0, margin=0.25)
-    est = interior_derivative_error(u_l, u_inf, (0, 0), region, h=1.0 / 16.0, m=1)
+    errs = interior_derivative_error(u_l, u_inf, [(0, 0)], region, h=1.0 / 16.0, m=1)
+    est = errs[(0, 0)]
     diff = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p=1))
     ref = norm_Hm(diff, region, m=1, resolution=8)
     assert ref > 0.0
@@ -296,6 +319,29 @@ def test_cli_sweep_writes_outputs(tmp_path, capsys):
     assert "fitted rate (H^m):" in out
     assert csv_path.exists() and json_path.exists()
     assert csv_path.read_text().splitlines()[0].startswith("ell,dofs,err_L2")
+
+
+def test_cli_nonsymmetric_sweep_decays_on_any_worker_count(tmp_path, capsys):
+    # poisson_strip plus a first-order cross-sectional term: its skew part
+    # integrates to zero under Dirichlet conditions, so it stays coercive
+    cfg = tmp_path / "skew.cfg"
+    cfg.write_text(
+        "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+        "a_0_1_0_0 = 1\na_0_1_0_1 = 1\na_1_0_1_0 = 1\n\n[forcing]\nf = 1\n"
+    )
+    csvs = []
+    for workers in (1, 2):
+        csv_path, json_path = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
+        argv = ["sweep", "--problem", str(cfg), "--l", "2,4,8", "--cells-per-unit", "6"]
+        argv += ["--workers", str(workers), "--out-csv", str(csv_path)]
+        assert cli.main(argv + ["--out-json", str(json_path)]) == 0
+        records = json.loads(json_path.read_text())["records"]
+        assert all(r["solver_iterations"] > 0 for r in records)  # the GMRES path
+        errs = [r["err_Hm"] for r in records]
+        assert errs[0] > 1e-3 and all(b < 1e-2 * a for a, b in zip(errs, errs[1:]))
+        csvs.append(csv_path.read_bytes())
+    assert csvs[0] == csvs[1]
+    capsys.readouterr()
 
 
 def test_cli_validate_ok(capsys):

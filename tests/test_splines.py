@@ -160,29 +160,6 @@ def _random_field(seed, dims_spec):
     return DiscreteField(basis, rng.standard_normal(basis.dims)), rng
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_eval_paths_agree_2d(seed):
-    field, rng = _random_field(seed, [(-2.0, 2.0, 8, 2, 1), (0.0, 1.0, 5, 3, 1)])
-    ax0 = np.linspace(-2.0, 2.0, 9)
-    ax1 = np.linspace(0.0, 1.0, 7)
-    pts = np.array([(a, b) for a in ax0 for b in ax1])
-    for alpha in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 3)]:
-        grid = field.eval_grid([ax0, ax1], alpha)
-        scattered = field.eval_points(pts, alpha)
-        assert np.allclose(grid.ravel(), scattered, atol=1e-12, rtol=1e-12)
-
-
-def test_eval_paths_agree_3d():
-    field, _ = _random_field(
-        5, [(-1.0, 1.0, 5, 2, 1), (0.0, 1.0, 4, 2, 1), (0.0, 2.0, 4, 2, 1)]
-    )
-    ax = [np.linspace(-1.0, 1.0, 4), np.linspace(0.0, 1.0, 3), np.linspace(0.0, 2.0, 5)]
-    pts = np.array([(a, b, c) for a in ax[0] for b in ax[1] for c in ax[2]])
-    for alpha in [(0, 0, 0), (1, 0, 1), (0, 2, 0)]:
-        grid = field.eval_grid(ax, alpha)
-        assert np.allclose(grid.ravel(), field.eval_points(pts, alpha), atol=1e-12)
-
-
 def test_field_grid_matches_polynomial():
     # interpolate a separable polynomial, check mixed derivatives on a grid
     bx = SplineBasis1D(0.0, 1.0, cells=6, degree=3, bc_order=0)
@@ -290,12 +267,6 @@ def test_tables_are_computed_once_per_point_array(monkeypatch):
     field.eval_grid([ax.copy() for ax in axes], (0, 0))
     assert np.array_equal(field.eval_grid(axes, (1, 2)), first)
     assert len(calls) == 2
-    # scattered points build one table per coordinate column, then reuse it
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    for _ in range(2):
-        scattered = field.eval_points(pts, (1, 2))
-        assert np.allclose(scattered, first.ravel(), rtol=1e-13, atol=1e-13)
-    assert len(calls) == 4
 
 
 def test_tables_are_read_only():
