@@ -28,7 +28,14 @@ from .fdcalc import (
     summation_by_parts_defect,
 )
 from .harness import SweepPlan, run_refinement, run_sweep
-from .linalg import SolveResult, cg_jacobi, cholesky_solve, gmres_jacobi
+from .linalg import (
+    SolveResult,
+    cg_jacobi,
+    cholesky_solve,
+    gmres_jacobi,
+    kronecker_solve,
+    lu_solve,
+)
 from .problem import (
     ProblemSpec,
     builtin_names,
@@ -64,10 +71,12 @@ __all__ = [
     "galerkin_interior_residual",
     "gmres_jacobi",
     "interior_derivative_error",
+    "kronecker_solve",
     "leibniz_defect",
     "lemma19_check",
     "load_problem",
     "localized_energy",
+    "lu_solve",
     "mean_value_check",
     "norm_Hm",
     "parse_problem_config",

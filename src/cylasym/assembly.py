@@ -25,19 +25,27 @@ Every pair whose coefficient reads x1..xp, which the hypotheses allow when
 alpha has an axial component, goes through the kernel on all n factors.
 
 An AssembledSystem keeps those pieces, not the sum: the (axial band,
-cross-section band) pair of every axial part, and the n-D band when some
-pair needs it (the cross-section system keeps only its n-D band, the kernel
-on its own factors).  Slot tuple s of the band, in every row, is summed from
-them when it is read, in the order a full band would sum it: zero, then each
-Kronecker part, then the n-D band.  A symmetric problem's matrix is
-(A + A^T) / 2, each entry the mean of its slot and its mirror slot, and
-lower_band writes the slots on and below the diagonal straight into LAPACK
-lower band storage, a Fortran-ordered (kd + 1, N) array with
-kd = sum_k d_k stride_k (stride_k the flat-index step of axis k), summing
-|A|_inf on the way; symmetric_matvec multiplies by the same entries.  No
-full-size band and no CSR matrix is built for a symmetric solve.  The CSR
-matrix is built the first time AssembledSystem.matrix is read: the
-nonsymmetric solve and the tests read it.
+cross-section band) pair of every axial part, with its axial indices, and
+the n-D band when some pair needs it (the cross-section system keeps only
+its n-D band, the kernel on its own factors).  Slot tuple s of the band, in
+every row, is summed from them when it is read, in the order a full band
+would sum it: zero, then each Kronecker part, then the n-D band.  A
+symmetric problem's matrix is (A + A^T) / 2, each entry the mean of its slot
+and its mirror slot.  One slot walk (_band_entries) hands out those entries;
+from it, lower_band writes the slots on and below the diagonal straight into
+LAPACK lower band storage, a Fortran-ordered (kd + 1, N) array with
+kd = sum_k d_k stride_k (stride_k the flat-index step of axis k), and
+general_band writes every slot into LAPACK general band storage,
+(2 kd + 1, N); both sum the exact |A|_inf on the way, as inf_norm does
+without writing a band.  matvec multiplies by the matrix from the pieces,
+sum_j A_j X C_j^T plus the n-D band applied slot by slot, and by its
+transpose for a symmetric problem.  A symmetric system of
+exactly two Kronecker parts, each with equal axial indices, and no n-D band
+(two_part) also hands over its pencil: the lower bands of the two axial
+blocks and the dense cross-section blocks, written by the same walk.  No
+full-size band and no CSR matrix is built for a solve.  The CSR matrix is
+built the first time AssembledSystem.matrix is read: the tests and the
+benchmark's trace mode read it.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -75,8 +83,9 @@ class AssembledSystem:
     """A Galerkin system kept as the pieces its band is the sum of.
 
     kron_parts holds one (axial band, cross-section band) pair per axial
-    part, each band reshaped to (rows, slots); nd_band is the kernel's band
-    on all factors, or None when no pair needs it.
+    part, each band reshaped to (rows, slots), and axial_keys the
+    (alpha_axial, beta_axial) of each part; nd_band is the kernel's band on
+    all factors, or None when no pair needs it.
     """
 
     rhs: np.ndarray
@@ -86,10 +95,19 @@ class AssembledSystem:
     ell: float | None = None
     kron_parts: tuple = ()
     nd_band: np.ndarray | None = None
+    axial_keys: tuple = ()
 
     @property
     def ndofs(self) -> int:
         return self.basis.ndofs
+
+    @property
+    def _dims(self):
+        return tuple(f.dim for f in self.basis.factors)
+
+    @property
+    def _degrees(self):
+        return tuple(f.degree for f in self.basis.factors)
 
     @cached_property
     def matrix(self):
@@ -100,22 +118,22 @@ class AssembledSystem:
         return A
 
     def _full_band(self):
-        factors = self.basis.factors
-        band = np.empty(_band_shape(factors))
-        for s in itertools.product(*(range(2 * f.degree + 1) for f in factors)):
+        band = np.empty(_band_shape(self.basis.factors))
+        for s in _slot_tuples(self._degrees):
             band[(slice(None),) * len(s) + s] = self._slot(s)
         return band
 
     def _slot(self, s):
-        """Slot tuple s of the band in every row, of shape (dim_1..dim_n)."""
+        """Slot tuple s of the band in every row, of shape (dim_1..dim_n):
+        zero, plus each Kronecker part, plus the n-D band."""
         nd = None if self.nd_band is None else self.nd_band[(slice(None),) * len(s) + s]
         if not self.kron_parts:
             return nd
         p = self.spec.p
-        widths = [2 * f.degree + 1 for f in self.basis.factors]
+        widths = [2 * d + 1 for d in self._degrees]
         axial = np.ravel_multi_index(s[:p], widths[:p])
         cross = np.ravel_multi_index(s[p:], widths[p:])
-        out = np.zeros(tuple(f.dim for f in self.basis.factors))
+        out = np.zeros(self._dims)
         grouped = out.reshape(self.kron_parts[0][0].shape[0], -1)
         for A, C in self.kron_parts:
             grouped += np.multiply.outer(A[:, axial], C[:, cross])
@@ -123,55 +141,204 @@ class AssembledSystem:
             out += nd
         return out
 
-    def _lower_entries(self):
-        """(q, rows, cols, values) per slot tuple on or below the diagonal:
-        values holds (A + A^T) / 2 at the rows in `rows` (slices per axis)
-        and the columns in `cols`, with flat row minus flat column q >= 0."""
-        if not self.symmetric:
-            raise ValueError("the lower band describes a symmetric system only")
-        factors = self.basis.factors
-        dims = [f.dim for f in factors]
-        strides = [math.prod(dims[k + 1 :]) for k in range(len(dims))]
-        for s in itertools.product(*(range(2 * f.degree + 1) for f in factors)):
-            shift = [sk - f.degree for sk, f in zip(s, factors)]  # column minus row
-            q = -sum(e * stride for e, stride in zip(shift, strides))
-            if q < 0:
-                continue  # above the diagonal: the mirror slot tuple holds it
-            rows = tuple(slice(max(0, -e), dim - max(0, e)) for e, dim in zip(shift, dims))
-            cols = tuple(slice(max(0, e), dim - max(0, -e)) for e, dim in zip(shift, dims))
-            here = self._slot(s)
-            if q:
-                # slot 2d - s of row j couples it back to column i
-                mirror = self._slot(tuple(2 * f.degree - sk for sk, f in zip(s, factors)))
-            else:
-                mirror = here
-            yield q, rows, cols, (here[rows] + mirror[cols]) * 0.5
+    def _entries(self, lower: bool):
+        return _band_entries(self._slot, self._dims, self._degrees, self.symmetric, lower)
 
     def lower_band(self):
         """(ab, |A|_inf) of (A + A^T) / 2: ab is LAPACK lower band storage,
         Fortran-ordered, with A[j + q, j] at ab[q, j]."""
-        dims = tuple(f.dim for f in self.basis.factors)
-        kd = sum(f.degree * math.prod(dims[k + 1 :]) for k, f in enumerate(self.basis.factors))
-        ab = np.zeros((kd + 1, self.ndofs), order="F")
-        row_abs = np.zeros(dims)
-        for q, rows, cols, values in self._lower_entries():
-            ab[q].reshape(dims)[cols] = values  # a view: ab[q] has one stride
-            magnitude = np.abs(values)
-            row_abs[rows] += magnitude
-            if q:
-                row_abs[cols] += magnitude
-        return ab, float(row_abs.max())
+        if not self.symmetric:
+            raise ValueError("the lower band describes a symmetric system only")
+        row_abs = np.zeros(self._dims)
+        entries = _summed(self._entries(lower=True), row_abs, True)
+        return _write_lower(entries, self._dims, self._degrees), float(row_abs.max())
 
-    def symmetric_matvec(self, x):
-        """(A + A^T) / 2 times x, from the entries lower_band stores."""
-        dims = tuple(f.dim for f in self.basis.factors)
-        X = np.reshape(x, dims)
-        y = np.zeros(dims)
-        for q, rows, cols, values in self._lower_entries():
-            y[rows] += values * X[cols]
-            if q:
-                y[cols] += values * X[rows]
+    def general_band(self):
+        """(ab, |A|_inf) of the matrix: ab is LAPACK general band storage,
+        Fortran-ordered, with A[i, j] at ab[kd + i - j, j]."""
+        row_abs = np.zeros(self._dims)
+        entries = _summed(self._entries(lower=False), row_abs, False)
+        return _write_general(entries, self._dims, self._degrees), float(row_abs.max())
+
+    def inf_norm(self) -> float:
+        """|A|_inf of the matrix, as lower_band and general_band sum it."""
+        row_abs = np.zeros(self._dims)
+        for _ in _summed(self._entries(lower=self.symmetric), row_abs, self.symmetric):
+            pass
+        return float(row_abs.max())
+
+    def matvec(self, x):
+        """The matrix times x from the pieces: sum_j A_j X C_j^T plus the n-D
+        band, with X the (axial, cross-section) view of x; (A + A^T) x / 2
+        for a symmetric problem."""
+        X = np.reshape(x, self._dims)
+        y = self._apply(X, transpose=False)
+        if self.symmetric:
+            y = (y + self._apply(X, transpose=True)) * 0.5
         return y.ravel()
+
+    def _apply(self, X, transpose: bool):
+        Y = np.zeros(X.shape)
+        if self.kron_parts:
+            # cross-section axes first: a cross-section slot then moves whole
+            # contiguous axial rows
+            p, n = self.spec.p, X.ndim
+            Xc = np.moveaxis(X, range(p), range(n - p, n)).copy()
+            Yc = np.zeros(Xc.shape)
+            for A, C in self._part_bands():
+                Yc += _band_apply(A, _band_apply(C, Xc, 0, transpose), n - p, transpose)
+            Y += np.moveaxis(Yc, range(n - p, n), range(p))
+        if self.nd_band is not None:
+            Y += _band_apply(self.nd_band, X, 0, transpose)
+        return Y
+
+    def _part_bands(self):
+        """(axial band, cross-section band) of each Kronecker part, each in
+        its own factors' band layout."""
+        p = self.spec.p
+        dims, widths = self._dims, [2 * d + 1 for d in self._degrees]
+        for A, C in self.kron_parts:
+            yield (A.reshape(dims[:p] + tuple(widths[:p])),
+                   C.reshape(dims[p:] + tuple(widths[p:])))
+
+    @property
+    def two_part(self) -> bool:
+        """True for a symmetric system that is exactly two Kronecker parts,
+        each with equal axial indices, and no n-D band: kronecker_pencil
+        describes it."""
+        return (
+            self.symmetric
+            and self.nd_band is None
+            and len(self.kron_parts) == 2
+            and all(a == b for a, b in self.axial_keys)
+        )
+
+    def kronecker_pencil(self):
+        """((A_top, A_other), (C_top, C_other)) of a two-part system.
+
+        The top part is the one of highest axial order; its cross-section
+        block carries the coefficient of the highest axial derivatives, so
+        ellipticity makes it positive definite.  A_* is the LAPACK lower band
+        of the axial block's symmetric part, written as lower_band writes the
+        whole system's; C_* is the dense symmetric part of the cross-section
+        block.
+        """
+        if not self.two_part:
+            raise ValueError("the Kronecker pencil describes a two-part system only")
+        parts = list(self._part_bands())
+        orders = [sum(a) + sum(b) for a, b in self.axial_keys]
+        if orders[1] > orders[0]:
+            parts.reverse()
+        axial = tuple(_lower_of_band(A) for A, _ in parts)
+        cross = tuple(_dense(_lower_of_band(C)) for _, C in parts)
+        return axial, cross
+
+
+def _slot_tuples(degrees):
+    return itertools.product(*(range(2 * d + 1) for d in degrees))
+
+
+def _band_entries(slot, dims, degrees, symmetric: bool, lower: bool):
+    """(c, rows, cols, values) per slot tuple s of a band on factors of
+    dimensions dims and degrees, slot(s) giving slot tuple s in every row.
+
+    c is the flat column minus the flat row, rows the rows (slices per axis)
+    whose column lies in the space, cols those columns, and values the
+    entries there: for a symmetric matrix, those of (A + A^T) / 2, each the
+    mean of its slot and its mirror slot.  lower keeps c <= 0 only.
+    """
+    strides = [math.prod(dims[k + 1 :]) for k in range(len(dims))]
+    for s in _slot_tuples(degrees):
+        shift = [sk - d for sk, d in zip(s, degrees)]  # column minus row
+        c = sum(e * stride for e, stride in zip(shift, strides))
+        if lower and c > 0:
+            continue  # above the diagonal: the mirror slot tuple holds it
+        rows = tuple(slice(max(0, -e), dim - max(0, e)) for e, dim in zip(shift, dims))
+        cols = tuple(slice(max(0, e), dim - max(0, -e)) for e, dim in zip(shift, dims))
+        here = slot(s)
+        values = here[rows]
+        if symmetric:
+            # slot 2d - s of row j couples it back to column i
+            back = tuple(2 * d - sk for sk, d in zip(s, degrees))
+            mirror = here if back == s else slot(back)
+            values = (values + mirror[cols]) * 0.5
+        yield c, rows, cols, values
+
+
+def _summed(entries, row_abs, mirrored: bool):
+    """The entries, passed through after adding each magnitude to row_abs
+    in its row and, when mirrored (the lower entries of a symmetric matrix),
+    in its mirror's row: exactly |A|_inf, every entry summed from the pieces
+    before its magnitude is taken."""
+    for c, rows, cols, values in entries:
+        magnitude = np.abs(values)
+        row_abs[rows] += magnitude
+        if mirrored and c:
+            row_abs[cols] += magnitude  # the mirror entry, in row j
+        yield c, rows, cols, values
+
+
+def _slot_of(band):
+    """slot(s) of a band in band layout, for _band_entries."""
+    return lambda s: band[(slice(None),) * len(s) + s]
+
+
+def _half_bandwidth(dims, degrees) -> int:
+    return sum(d * math.prod(dims[k + 1 :]) for k, d in enumerate(degrees))
+
+
+def _write_lower(entries, dims, degrees):
+    """LAPACK lower band storage of the entries on and below the diagonal:
+    a Fortran-ordered (kd + 1, N) array with A[j + q, j] at ab[q, j]."""
+    ab = np.zeros((_half_bandwidth(dims, degrees) + 1, math.prod(dims)), order="F")
+    for c, rows, cols, values in entries:
+        ab[-c].reshape(dims)[cols] = values  # a view: ab[q] has one stride
+    return ab
+
+
+def _write_general(entries, dims, degrees):
+    """LAPACK general band storage: a Fortran-ordered (2 kd + 1, N) array
+    with A[i, j] at ab[kd + i - j, j]."""
+    kd = _half_bandwidth(dims, degrees)
+    ab = np.zeros((2 * kd + 1, math.prod(dims)), order="F")
+    for c, rows, cols, values in entries:
+        ab[kd - c].reshape(dims)[cols] = values
+    return ab
+
+
+def _lower_of_band(band):
+    """Lower band storage of (B + B^T) / 2 for a band B in band layout."""
+    k = band.ndim // 2
+    dims, degrees = band.shape[:k], [w // 2 for w in band.shape[k:]]
+    return _write_lower(_band_entries(_slot_of(band), dims, degrees, True, True), dims, degrees)
+
+
+def _dense(ab):
+    """The dense symmetric matrix of a lower band storage."""
+    n = ab.shape[1]
+    D = np.zeros((n, n))
+    for q in range(ab.shape[0]):
+        j = np.arange(n - q)
+        D[j + q, j] = D[j, j + q] = ab[q, : n - q]
+    return D
+
+
+def _band_apply(band, X, lead: int, transpose: bool):
+    """The band's matrix, or its transpose, applied to the axes of X from
+    `lead` on that the band's factors span; later axes are carried along."""
+    k = band.ndim // 2
+    degrees = [w // 2 for w in band.shape[k:]]
+    Y = np.zeros(X.shape)
+    pre = (slice(None),) * lead
+    carry = (np.newaxis,) * (X.ndim - lead - k)
+    for _, rows, cols, values in _band_entries(_slot_of(band), band.shape[:k], degrees,
+                                               False, False):
+        values = values[(Ellipsis,) + carry]
+        if transpose:
+            Y[pre + cols] += values * X[pre + rows]
+        else:
+            Y[pre + rows] += values * X[pre + cols]
+    return Y
 
 
 def cylinder_factors(spec: ProblemSpec, ell, resolution: int, degree: int | None = None):
@@ -382,7 +549,8 @@ def check_half_length(spec: ProblemSpec, ell) -> None:
 
 
 def _cylinder_parts(spec: ProblemSpec, factors, ell):
-    """The Kronecker parts and the n-D band of the cylinder system."""
+    """The Kronecker parts, their axial keys and the n-D band of the
+    cylinder system."""
     p = spec.p
     by_axial_part = {}
     n_d_terms = []
@@ -408,7 +576,7 @@ def _cylinder_parts(spec: ProblemSpec, factors, ell):
             )
         )
     nd_band = _galerkin(factors, n_d_terms) if n_d_terms else None
-    return tuple(parts), nd_band
+    return tuple(parts), tuple(by_axial_part), nd_band
 
 
 def assemble_cylinder(
@@ -417,11 +585,11 @@ def assemble_cylinder(
     """Full problem on (-ell, ell)^p x omega with Dirichlet order m."""
     check_half_length(spec, ell)
     factors = cylinder_factors(spec, ell, resolution, degree)
-    parts, nd_band = _cylinder_parts(spec, factors, ell)
+    parts, keys, nd_band = _cylinder_parts(spec, factors, ell)
     rhs = _load(factors, spec.forcing)
     _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=rhs)
     return AssembledSystem(
-        rhs, TensorBasis(factors), spec, spec.symmetric, float(ell), parts, nd_band
+        rhs, TensorBasis(factors), spec, spec.symmetric, float(ell), parts, nd_band, keys
     )
 
 

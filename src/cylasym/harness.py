@@ -11,9 +11,13 @@ Workers receive the problem as canonical config text (cheap to pickle,
 bit-identical to re-parse), so serial and parallel runs produce the same
 floating-point results.
 
-Every symmetric system is solved by banded Cholesky (linalg.cholesky_solve)
-on the lower band storage assembly writes from its Kronecker parts; a
-nonsymmetric one by GMRES on its CSR matrix.  Solver failures name the
+_solve_system picks the solve from the system's structure: a symmetric
+system of two Kronecker parts (AssembledSystem.two_part) by fast
+diagonalization of its cross-section pencil (linalg.kronecker_solve), any
+other symmetric system by banded Cholesky (linalg.cholesky_solve), and a
+nonsymmetric one by banded LU (linalg.lu_solve).  Assembly writes each
+one's operands from its pieces, and the residual and |A|_inf of the
+backward-error gate come from the same pieces.  Solver failures name the
 problem, ell and stage.
 """
 
@@ -48,10 +52,11 @@ from .fdcalc import interior_derivative_error
 # bench/instrument.py patches all three Krylov names on this module
 from .linalg import (  # noqa: F401
     BACKWARD_ERROR_TOL,
-    SolverError,
     cg_jacobi,
     cholesky_solve,
     gmres_jacobi,
+    kronecker_solve,
+    lu_solve,
     smallest_ritz_estimate,
 )
 from .multiindex import encode, enumerate_upto, in_N1
@@ -131,14 +136,15 @@ class SweepPlan:
 
 def _solve_system(system):
     where = _where(system.spec, "solve", system.ell)
+    if system.two_part:
+        axial, cross = system.kronecker_pencil()
+        return kronecker_solve(axial, cross, system.rhs, system.inf_norm(), system.matvec,
+                               where)
     if system.symmetric:
         ab, a_norm = system.lower_band()
-        return cholesky_solve(ab, system.rhs, a_norm, system.symmetric_matvec, where)
-    try:
-        # relative residual gate; no builtin problem is nonsymmetric
-        return gmres_jacobi(system.matrix, system.rhs, tol=1e-12)
-    except SolverError as exc:
-        raise SolverError(f"{where}: {exc}") from exc
+        return cholesky_solve(ab, system.rhs, a_norm, system.matvec, where)
+    ab, a_norm = system.general_band()
+    return lu_solve(ab, system.rhs, a_norm, system.matvec, where)
 
 
 def _shrunk(extent, margin: float):

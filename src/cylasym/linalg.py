@@ -1,21 +1,36 @@
 """Solvers for the assembled systems.
 
-A symmetric system is solved directly: cholesky_solve factors its LAPACK
-lower band storage in place (scipy.linalg.cholesky_banded) and solves with
-the factor (cho_solve_banded).  It accepts the answer when the normwise
-backward error |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf) is at most
-BACKWARD_ERROR_TOL, the accuracy a backward-stable solve attains; a relative
-residual bound does not fit fourth-order problems, whose condition numbers
-leave backward-stable answers with relative residuals well above 1e-12.  A failed factorization
-proves the matrix is not positive definite.  scipy.linalg is imported by
-the first solve, not with the package: the package already loads
-scipy.sparse, and loading both would lengthen every start-up.
+Every system of a sweep is solved directly, by one of three banded solves:
 
-Nonsymmetric systems go through restarted GMRES with right Jacobi
-preconditioning on the CSR matrix, which verifies the true residual before
-reporting success.  cg_jacobi and smallest_ritz_estimate no longer serve a
-sweep.  All of them are plain numpy loops, so repeated runs produce
-identical iterates.
+- kronecker_solve, for a symmetric system A_top (x) C_top + A_other (x)
+  C_other (the Poisson and variable-coefficient strips, the Laplacian box):
+  fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  The
+  cross-section pencil eigh(C_other, C_top) turns it into one banded
+  Cholesky of A_top + lam_k A_other per cross-section mode k, between two
+  dense transforms; one step of iterative refinement follows.  With N_ax
+  axial and N_c cross-section unknowns and degree d it costs
+  O(N_c^3 + N_ax N_c^2 + N_ax N_c d^2), against O(N_ax N_c^3 d^2) for a
+  Cholesky of the whole band, whose half-bandwidth is about d N_c.
+- cholesky_solve, for every other symmetric system (more Kronecker parts, as
+  the biharmonic strip has, an n-D band, the cross-section system): it
+  factors LAPACK lower band storage in place (scipy.linalg.cholesky_banded)
+  and solves with the factor (cho_solve_banded).
+- lu_solve, for a nonsymmetric system: LU with partial pivoting on LAPACK
+  general band storage (scipy.linalg.solve_banded).
+
+Each accepts the answer when the normwise backward error
+|b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf), with the residual and |A|_inf
+computed from another copy of A, is at most BACKWARD_ERROR_TOL, the accuracy
+a backward-stable solve attains; a relative residual bound does not fit
+fourth-order problems, whose condition numbers leave backward-stable answers
+with relative residuals well above 1e-12.  A failed factorization proves a
+block or a mode is not positive definite, or the matrix singular.
+scipy.linalg is imported by the first solve, not with the package: the
+package already loads scipy.sparse, and loading both would lengthen every
+start-up.
+
+cg_jacobi, gmres_jacobi and smallest_ritz_estimate no longer serve a sweep.
+They are plain numpy loops, so repeated runs produce identical iterates.
 """
 
 from dataclasses import dataclass
@@ -46,13 +61,27 @@ class SolveResult:
     residual: float  # true relative residual |b - Ax| / |b|
     iterations: int
     method: str
-    backward_error: float | None = None  # computed by cholesky_solve only
+    backward_error: float | None = None  # computed by the direct solves
 
 
 def backward_error(r, a_norm: float, x, b) -> float:
     """|r|_inf / (|A|_inf |x|_inf + |b|_inf) for the residual r = b - Ax."""
     denom = a_norm * float(np.abs(x).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
     return float(np.abs(r).max(initial=0.0)) / denom if denom > 0.0 else 0.0
+
+
+def _accept(x, b, a_norm: float, matvec, where: str, method: str) -> SolveResult:
+    """The SolveResult of x when its backward error, from the residual
+    b - matvec(x), is at most BACKWARD_ERROR_TOL; SolverError otherwise."""
+    r = b - matvec(x)
+    bnorm = float(np.linalg.norm(b))
+    residual = float(np.linalg.norm(r)) / bnorm if bnorm > 0.0 else 0.0
+    berr = backward_error(r, a_norm, x, b)
+    if not berr <= BACKWARD_ERROR_TOL:
+        raise SolverError(
+            f"{where}: backward error {berr:.3e} exceeds {BACKWARD_ERROR_TOL:g}"
+        )
+    return SolveResult(x, residual, 0, method, berr)
 
 
 def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve") -> SolveResult:
@@ -71,15 +100,69 @@ def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve") -> SolveR
     except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
         raise SolverError(f"{where}: matrix is not positive definite ({exc})") from None
     x = cho_solve_banded((factor, True), b, check_finite=False)
-    r = b - matvec(x)
-    bnorm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(r)) / bnorm if bnorm > 0.0 else 0.0
-    berr = backward_error(r, a_norm, x, b)
-    if not berr <= BACKWARD_ERROR_TOL:
+    return _accept(x, b, a_norm, matvec, where, "cholesky_banded")
+
+
+def kronecker_solve(axial, cross, b, a_norm: float, matvec, where: str = "solve") -> SolveResult:
+    """Solve (A_top (x) C_top + A_other (x) C_other) x = b by fast
+    diagonalization of the cross-section pencil.
+
+    axial is (A_top, A_other), the symmetric axial blocks in LAPACK lower
+    band storage of one shape (kd + 1, N_ax); cross is (C_top, C_other), the
+    dense symmetric cross-section blocks, C_top positive definite.  With
+    C_other V = C_top V diag(lam) and V^T C_top V = I, the (N_ax, N_c) view X
+    of x solves (A_top + lam_k A_other) y_k = (B V)_k, one banded Cholesky
+    per mode k, and X = Y V^T.  One step of iterative refinement follows.
+    a_norm and matvec are as for cholesky_solve.
+    """
+    from scipy.linalg import eigh
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    b = np.asarray(b, dtype=np.float64)
+    (a_top, a_other), (c_top, c_other) = axial, cross
+    try:
+        lam, V = eigh(c_other, c_top, check_finite=False)
+    except np.linalg.LinAlgError as exc:
         raise SolverError(
-            f"{where}: backward error {berr:.3e} exceeds {BACKWARD_ERROR_TOL:g}"
-        )
-    return SolveResult(x, residual, 0, "cholesky_banded", berr)
+            f"{where}: cross-section block of the highest axial part is not "
+            f"positive definite ({exc})"
+        ) from None
+    factors = []
+    for k, lam_k in enumerate(lam):
+        factor, info = dpbtrf(a_top + lam_k * a_other, lower=1, overwrite_ab=1)
+        if info:
+            raise SolverError(
+                f"{where}: axial matrix of cross-section mode {k} "
+                f"(eigenvalue {lam_k:.6g}) is not positive definite"
+            )
+        factors.append(factor)
+
+    def solve(r):
+        Y = V.T @ r.reshape(a_top.shape[1], -1).T  # row k: mode k of every axial row
+        for k, factor in enumerate(factors):
+            Y[k] = dpbtrs(factor, Y[k], lower=1)[0]
+        return (V @ Y).T.ravel()
+
+    x = solve(b)
+    x += solve(b - matvec(x))
+    return _accept(x, b, a_norm, matvec, where, "fast_diagonalization")
+
+
+def lu_solve(ab, b, a_norm: float, matvec, where: str = "solve") -> SolveResult:
+    """Solve Ax = b for a general banded A by LU with partial pivoting.
+
+    ab is A's LAPACK general band storage, (2 kd + 1, N) with A[i, j] at
+    ab[kd + i - j, j]; a_norm and matvec are as for cholesky_solve.
+    """
+    from scipy.linalg import solve_banded
+
+    b = np.asarray(b, dtype=np.float64)
+    kd = ab.shape[0] // 2
+    try:
+        x = solve_banded((kd, kd), ab, b, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{where}: matrix is singular ({exc})") from None
+    return _accept(x, b, a_norm, matvec, where, "lu_banded")
 
 
 def _jacobi_weights(A) -> np.ndarray:

@@ -23,6 +23,7 @@ from dense_oracle import dense_basis_matrix
 
 from cylasym.assembly import (
     AssemblyError,
+    _dense,
     _galerkin,
     _to_csr,
     assemble_cylinder,
@@ -440,14 +441,63 @@ def test_lower_band_is_the_lower_diagonals_of_the_matrix(symmetric_system):
         assert not ab[q, n - q :].any()
     want = abs(A).sum(axis=1).max()
     assert abs(a_norm - want) <= 1e-15 * want
+    assert system.inf_norm() == a_norm
 
 
 def test_symmetric_matvec_matches_the_matrix(symmetric_system):
     system = symmetric_system
     x = np.random.default_rng(7).standard_normal(system.ndofs)
     _, a_norm = system.lower_band()
-    got = system.symmetric_matvec(x)
+    got = system.matvec(x)
     assert np.abs(got - system.matrix @ x).max() <= 1e-15 * a_norm * np.abs(x).max()
+
+
+@pytest.mark.parametrize("p,axial_text,where", [
+    (1, None, "cyl"), (1, None, "lim"), (2, None, "cyl"), (1, "2 + sin(x1)", "cyl"),
+])
+def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
+    # matvec, |A|_inf and the general band read the pieces, not the CSR
+    spec = _box_spec(p, axial_text)
+    if where == "cyl":
+        system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    else:
+        system = assemble_limit(spec, resolution=3, degree=2)
+    assert not system.symmetric
+    A = system.matrix.toarray()
+    x = np.random.default_rng(8).standard_normal(system.ndofs)
+    ab, a_norm = system.general_band()
+    want = np.abs(A).sum(axis=1).max()
+    assert abs(a_norm - want) <= 1e-15 * want
+    assert system.inf_norm() == a_norm
+    assert np.abs(system.matvec(x) - A @ x).max() <= 1e-15 * want * np.abs(x).max()
+    kd = ab.shape[0] // 2
+    assert ab.flags.f_contiguous and ab.shape[1] == system.ndofs
+    for c in range(-kd, kd + 1):  # column minus row
+        n = system.ndofs - abs(c)
+        assert ab[kd - c, max(c, 0) : max(c, 0) + n].tobytes() == np.diagonal(A, c).tobytes()
+
+
+def test_kronecker_pencil_rebuilds_the_two_part_matrix():
+    system = assemble_cylinder(builtin_problem("varcoef_strip"), ell=2.0, resolution=6)
+    assert system.two_part
+    (a_top, a_other), (c_top, c_other) = system.kronecker_pencil()
+    dense = [_dense(a) for a in (a_top, a_other)]
+    # the top part is the one with the axial derivatives: its axial block is
+    # the 1-D stiffness, whose rows sum to zero away from the boundary
+    assert abs(dense[0][5].sum()) <= 1e-12 * np.abs(dense[0][5]).max()
+    want = system.matrix.toarray()
+    got = np.kron(dense[0], c_top) + np.kron(dense[1], c_other)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.all(np.linalg.eigvalsh(c_top) > 0.0)
+
+
+@pytest.mark.parametrize("name", ["biharmonic", "box3d_p2", "box3d_sin_x1", "strip_sin_x1"])
+def test_other_systems_are_not_two_part(name):
+    spec, ell, resolution = _SYMMETRIC_CASES[name]
+    assert not assemble_cylinder(spec, ell=ell, resolution=resolution).two_part
+    assert not assemble_limit(spec, resolution=resolution).two_part
+    with pytest.raises(ValueError, match="two-part"):
+        assemble_limit(spec, resolution=resolution).kronecker_pencil()
 
 
 def test_lower_band_refuses_a_nonsymmetric_system():

@@ -202,6 +202,14 @@ def test_interior_estimate_at_alpha_zero_matches_quadrature_norm(poisson_report)
     assert abs(est - ref) <= 0.02 * ref
 
 
+# poisson_strip plus a first-order cross-sectional term: its skew part
+# integrates to zero under Dirichlet conditions, so it stays coercive
+SKEW_CONFIG = (
+    "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+    "a_0_1_0_0 = 1\na_0_1_0_1 = 1\na_1_0_1_0 = 1\n\n[forcing]\nf = 1\n"
+)
+
+
 def test_sweep_needs_no_csr_and_no_krylov_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep path called a CSR or Krylov function")
@@ -210,9 +218,81 @@ def test_sweep_needs_no_csr_and_no_krylov_solver(monkeypatch):
     for name in ("cg_jacobi", "gmres_jacobi", "smallest_ritz_estimate"):
         monkeypatch.setattr(harness, name, refuse)
         monkeypatch.setattr(linalg, name, refuse)
-    rep = run_sweep(SweepPlan(spec=POISSON, ells=(2.0, 4.0), resolution=4))
-    assert all(r.solver_iterations == 0 for r in rep.records)
-    assert rep.plan["backward_error_tol"] == 1e-14 and "solver_tol" not in rep.plan
+    for spec in (POISSON, parse_problem_config(SKEW_CONFIG, "skew")):
+        rep = run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=4))
+        assert all(r.solver_iterations == 0 for r in rep.records)
+        assert rep.plan["backward_error_tol"] == 1e-14 and "solver_tol" not in rep.plan
+
+
+def _laplace_box(coef="1"):
+    # the Laplacian on (-l, l) x (0, 1)^2; coef multiplies d/dx1
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return ProblemSpec(
+        m=1, n=3, p=1, omega=((0.0, 1.0),) * 2,
+        coefficients={(a, a): ScalarField.parse(coef if a == axes[0] else "1", 3)
+                      for a in axes},
+        forcing=ScalarField.parse(
+            "sin(3.141592653589793 * x2) * sin(3.141592653589793 * x3)", 3),
+        name="box3d",
+    )
+
+
+@pytest.mark.parametrize("name,spec,ell,resolutions", [
+    ("poisson", POISSON, 4.0, (8, 16, 32)),
+    ("varcoef", builtin_problem("varcoef_strip"), 4.0, (8, 16, 32)),
+    ("box3d", _laplace_box(), 2.0, (4, 8)),
+], ids=["poisson", "varcoef", "box3d"])
+def test_two_part_solve_matches_cholesky(name, spec, ell, resolutions):
+    for resolution in resolutions:
+        system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution)
+        fast = harness._solve_system(system)
+        assert fast.method == "fast_diagonalization"
+        ab, a_norm = system.lower_band()
+        chol = linalg.cholesky_solve(ab, system.rhs, a_norm, system.matvec)
+        gap = np.abs(fast.x - chol.x).max() / np.abs(chol.x).max()
+        assert gap <= 1e-12, (resolution, gap)
+        assert fast.backward_error <= 1e-15
+
+
+_DISPATCH = {
+    "poisson-cyl": (POISSON, "cyl", "fast_diagonalization"),
+    "varcoef-cyl": (builtin_problem("varcoef_strip"), "cyl", "fast_diagonalization"),
+    "box3d-cyl": (_laplace_box(), "cyl", "fast_diagonalization"),
+    "biharmonic-cyl": (builtin_problem("biharmonic_strip"), "cyl", "cholesky_banded"),
+    "poisson-lim": (POISSON, "lim", "cholesky_banded"),
+    "box3d-lim": (_laplace_box(), "lim", "cholesky_banded"),
+    "box3d_sin_x1-cyl": (_laplace_box("2 + sin(x1)"), "cyl", "cholesky_banded"),
+    "skew-cyl": (parse_problem_config(SKEW_CONFIG, "skew"), "cyl", "lu_banded"),
+    "skew-lim": (parse_problem_config(SKEW_CONFIG, "skew"), "lim", "lu_banded"),
+}
+
+
+@pytest.mark.parametrize("spec,where,method", _DISPATCH.values(), ids=_DISPATCH.keys())
+def test_the_system_structure_picks_the_solve(spec, where, method):
+    if where == "cyl":
+        system = assembly.assemble_cylinder(spec, ell=2.0, resolution=5)
+    else:
+        system = assembly.assemble_limit(spec, resolution=5)
+    result = harness._solve_system(system)
+    assert result.method == method
+    assert result.iterations == 0 and result.backward_error <= 1e-14
+
+
+def test_an_indefinite_top_block_names_the_problem_and_l():
+    # a_{e1 e1} = x2 - 1/2 changes sign on the cross-section, so the block
+    # that weights the axial stiffness is indefinite; the spec fails the
+    # ellipticity check, which a sweep runs first, so assemble directly
+    spec = ProblemSpec(
+        m=1, n=2, p=1, omega=((0.0, 1.0),),
+        coefficients={((1, 0), (1, 0)): ScalarField.parse("x2 - 0.5", 2),
+                      ((0, 1), (0, 1)): ScalarField.parse("1", 2)},
+        forcing=ScalarField.parse("1", 2), name="signed",
+    )
+    system = assembly.assemble_cylinder(spec, ell=2.0, resolution=4)
+    assert system.two_part
+    with pytest.raises(linalg.SolverError, match="^solve for problem signed at l = 2: "
+                       "cross-section block of the highest axial part is not positive definite"):
+        harness._solve_system(system)
 
 
 def test_sweep_runs_the_largest_ell_first_and_reports_in_plan_order(monkeypatch):
@@ -230,23 +310,38 @@ def test_sweep_runs_the_largest_ell_first_and_reports_in_plan_order(monkeypatch)
 
 
 def test_direct_solve_memory_is_the_lapack_band():
-    # the Laplacian box at 12 cells per unit, l = 4: assembly and solve peak
-    # near the factor itself, so no full-size band or CSR matrix is alive
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    spec = ProblemSpec(
-        m=1, n=3, p=1, omega=((0.0, 1.0),) * 2,
-        coefficients={(a, a): ScalarField.parse("1", 3) for a in axes},
-        forcing=ScalarField.parse("sin(3.141592653589793 * x2) * sin(3.141592653589793 * x3)", 3),
-    )
+    # the Laplacian box at 12 cells per unit, l = 4, is a two-part system:
+    # its solve holds one axial factor per cross-section mode and the dense
+    # cross-section blocks, not the 33 MiB LAPACK band of a Cholesky solve
     tracemalloc.start()
     try:
-        system = assembly.assemble_cylinder(spec, ell=4.0, resolution=12)
+        system = assembly.assemble_cylinder(_laplace_box(), ell=4.0, resolution=12)
+        tracemalloc.reset_peak()
         result = harness._solve_system(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     dims = [f.dim for f in system.basis.factors]
     kd = 2 * dims[1] * dims[2] + 2 * dims[2] + 2
+    assert result.method == "fast_diagonalization"
+    assert result.backward_error <= 1e-14
+    assert peak <= 4 * 2**20  # 2.1 MiB measured
+    assert peak <= 0.15 * (kd + 1) * system.ndofs * 8
+
+
+def test_cholesky_solve_memory_is_the_lapack_band():
+    # the biharmonic strip takes banded Cholesky: assembly and solve peak
+    # near the factor itself, so no full-size band or CSR matrix is alive
+    spec = builtin_problem("biharmonic_strip")
+    tracemalloc.start()
+    try:
+        system = assembly.assemble_cylinder(spec, ell=4.0, resolution=32)
+        result = harness._solve_system(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kd = 3 * system.basis.factors[1].dim + 3
+    assert result.method == "cholesky_banded"
     assert result.backward_error <= 1e-14
     assert peak <= 1.2 * (kd + 1) * system.ndofs * 8
 
@@ -322,13 +417,8 @@ def test_cli_sweep_writes_outputs(tmp_path, capsys):
 
 
 def test_cli_nonsymmetric_sweep_decays_on_any_worker_count(tmp_path, capsys):
-    # poisson_strip plus a first-order cross-sectional term: its skew part
-    # integrates to zero under Dirichlet conditions, so it stays coercive
     cfg = tmp_path / "skew.cfg"
-    cfg.write_text(
-        "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
-        "a_0_1_0_0 = 1\na_0_1_0_1 = 1\na_1_0_1_0 = 1\n\n[forcing]\nf = 1\n"
-    )
+    cfg.write_text(SKEW_CONFIG)
     csvs = []
     for workers in (1, 2):
         csv_path, json_path = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
@@ -336,7 +426,7 @@ def test_cli_nonsymmetric_sweep_decays_on_any_worker_count(tmp_path, capsys):
         argv += ["--workers", str(workers), "--out-csv", str(csv_path)]
         assert cli.main(argv + ["--out-json", str(json_path)]) == 0
         records = json.loads(json_path.read_text())["records"]
-        assert all(r["solver_iterations"] > 0 for r in records)  # the GMRES path
+        assert all(r["solver_iterations"] == 0 for r in records)  # banded LU
         errs = [r["err_Hm"] for r in records]
         assert errs[0] > 1e-3 and all(b < 1e-2 * a for a, b in zip(errs, errs[1:]))
         csvs.append(csv_path.read_bytes())

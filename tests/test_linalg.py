@@ -14,6 +14,8 @@ from cylasym.linalg import (
     cg_jacobi,
     cholesky_solve,
     gmres_jacobi,
+    kronecker_solve,
+    lu_solve,
     smallest_ritz_estimate,
 )
 from cylasym.problem import builtin_problem
@@ -220,7 +222,124 @@ def test_backward_error_biharmonic_long_cylinder():
     # relres is 1.3e-12 here, above the 1e-12 that a relres gate once asked for
     system = assemble_cylinder(builtin_problem("biharmonic_strip"), ell=16.0, resolution=32)
     ab, a_norm = system.lower_band()
-    res = cholesky_solve(ab, system.rhs, a_norm, system.symmetric_matvec)
+    res = cholesky_solve(ab, system.rhs, a_norm, system.matvec)
     assert res.backward_error <= 1e-14
     r = system.rhs - system.matrix @ res.x
     assert backward_error(r, a_norm, res.x, system.rhs) <= 1e-14
+
+
+# ------------------------------------------------------------------ Kronecker
+
+
+def _kron_pencil(n_ax=12, kd=2, n_c=5, seed=0, c_other=None):
+    rng = np.random.default_rng(seed)
+    a_top, a_other = _spd_banded(n_ax, kd, seed), _spd_banded(n_ax, kd, seed + 1)
+    M = rng.standard_normal((n_c, n_c))
+    c_top = M @ M.T + n_c * np.eye(n_c)
+    if c_other is None:
+        M = rng.standard_normal((n_c, n_c))
+        c_other = M @ M.T
+    A = np.kron(a_top, c_top) + np.kron(a_other, c_other)
+    pencil = ((_lower_storage(a_top, kd), _lower_storage(a_other, kd)), (c_top, c_other))
+    return A, pencil
+
+
+def _kron_dense(A, pencil, b, where="solve"):
+    return kronecker_solve(*pencil, b, float(np.abs(A).sum(axis=1).max()), lambda x: A @ x,
+                           where)
+
+
+@pytest.mark.parametrize("n_ax,kd,n_c,seed", [(12, 2, 5, 0), (30, 4, 9, 1), (7, 6, 1, 2)])
+def test_kronecker_matches_dense(n_ax, kd, n_c, seed):
+    A, pencil = _kron_pencil(n_ax, kd, n_c, seed)
+    b = np.random.default_rng(seed + 100).standard_normal(A.shape[0])
+    res = _kron_dense(A, pencil, b)
+    assert res.method == "fast_diagonalization" and res.iterations == 0
+    assert np.allclose(res.x, np.linalg.solve(A, b), atol=1e-12)
+    r = b - A @ res.x
+    assert res.backward_error == backward_error(r, np.abs(A).sum(axis=1).max(), res.x, b)
+    assert res.backward_error <= 1e-15
+
+
+def test_kronecker_deterministic():
+    A, pencil = _kron_pencil(seed=3)
+    b = np.linspace(-1.0, 1.0, A.shape[0])
+    assert np.array_equal(_kron_dense(A, pencil, b).x, _kron_dense(A, pencil, b).x)
+
+
+def test_kronecker_zero_rhs():
+    A, pencil = _kron_pencil(seed=4)
+    res = _kron_dense(A, pencil, np.zeros(A.shape[0]))
+    assert np.array_equal(res.x, np.zeros(A.shape[0]))
+    assert res.residual == 0.0 and res.backward_error == 0.0
+
+
+def test_kronecker_rejects_an_indefinite_top_block():
+    A, ((a_top, a_other), (c_top, c_other)) = _kron_pencil(seed=5)
+    c_top[0, 0] = -1.0
+    with pytest.raises(SolverError, match="^solve at l = 3: cross-section block of the "
+                       "highest axial part is not positive definite"):
+        _kron_dense(A, ((a_top, a_other), (c_top, c_other)), np.ones(A.shape[0]),
+                    "solve at l = 3")
+
+
+def test_kronecker_rejects_an_indefinite_mode():
+    # lam = -10 for every mode: A_top - 10 A_other is indefinite
+    A, pencil = _kron_pencil(seed=6, c_other=None)
+    (a_top, a_other), (c_top, _) = pencil
+    pencil = ((a_top, a_other), (c_top, -10.0 * c_top))
+    with pytest.raises(SolverError, match="^solve: axial matrix of cross-section mode 0 "
+                       "\\(eigenvalue -10\\) is not positive definite"):
+        _kron_dense(A, pencil, np.ones(A.shape[0]))
+
+
+def test_kronecker_rejects_a_large_backward_error():
+    # the residual comes from a matrix 1e-3 away: the refinement step, which
+    # reads that residual, leaves an error near 1e-6
+    A, pencil = _kron_pencil(seed=7)
+    with pytest.raises(SolverError, match="backward error .* exceeds 1e-14"):
+        kronecker_solve(*pencil, np.ones(A.shape[0]), float(np.abs(A).sum(axis=1).max()),
+                        lambda x: (A * (1 + 1e-3)) @ x, "solve")
+
+
+# ------------------------------------------------------------------ banded LU
+
+
+def _general_storage(A, kd):
+    """LAPACK general band storage of a dense matrix, Fortran-ordered."""
+    n = A.shape[0]
+    ab = np.zeros((2 * kd + 1, n), order="F")
+    for c in range(-kd, kd + 1):  # column minus row
+        ab[kd - c, max(c, 0) : n + min(c, 0)] = np.diagonal(A, c)
+    return ab
+
+
+def _lu_dense(A, b, kd, where="solve"):
+    return lu_solve(_general_storage(A, kd), b, float(np.abs(A).sum(axis=1).max()),
+                    lambda x: A @ x, where)
+
+
+@pytest.mark.parametrize("n,kd,seed", [(30, 3, 0), (80, 9, 1), (40, 39, 2)])
+def test_lu_matches_dense(n, kd, seed):
+    rng = np.random.default_rng(seed)
+    A = np.triu(np.tril(rng.standard_normal((n, n)), kd), -kd)
+    b = rng.standard_normal(n)
+    res = _lu_dense(A, b, kd)
+    assert res.method == "lu_banded" and res.iterations == 0
+    assert np.allclose(res.x, np.linalg.solve(A, b), atol=1e-10)
+    r = b - A @ res.x
+    assert res.backward_error == backward_error(r, np.abs(A).sum(axis=1).max(), res.x, b)
+    assert res.backward_error <= BACKWARD_ERROR_TOL
+
+
+def test_lu_zero_rhs():
+    A = np.array([[2.0, 1.0, 0.0], [-1.0, 3.0, 1.0], [0.0, -1.0, 2.0]])
+    res = _lu_dense(A, np.zeros(3), 1)
+    assert np.array_equal(res.x, np.zeros(3))
+    assert res.residual == 0.0 and res.backward_error == 0.0
+
+
+def test_lu_rejects_a_singular_matrix():
+    A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(SolverError, match="^solve at l = 2: matrix is singular"):
+        _lu_dense(A, np.ones(3), 1, "solve at l = 2")
