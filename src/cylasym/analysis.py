@@ -1,23 +1,41 @@
 """Norms, decay diagnostics, rate fitting, and report serialization.
 
-Everything here works through one small evaluator protocol: a callable
-(axes, alpha) -> grid of D^alpha values on the tensor grid spanned by the
-per-axis point arrays.  A discrete field's bound eval_grid is one; constant
-axial extensions of cross-section fields, differences, cutoff products, and
-analytic solutions all become interchangeable with it under the quadrature.
+Every norm is a composite Gauss rule (3 points per cell by default) on the
+tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
+
+- a spline field's norms are Kronecker quadratic forms of its coefficients.
+  With tensor weights, sum_q W_q (D^alpha u)^2 = X : (G_1^(alpha_1) x .. x
+  G_n^(alpha_n)) X, where G_k^(a) is the banded 1-D Gram matrix of the a-th
+  derivatives of the axis-k basis functions on the same Gauss points
+  (splines.gram_band), applied along its axis in assembly's band layout.
+  The difference u_l - ext(u_inf) has the exact coefficients
+  pad(C_l) - 1 x U_inf on the unconstrained axial functions, which sum to
+  1, times the cross-section basis the two fields share; the plateau cutoff
+  of the localized energy is folded into the axial Grams by Leibniz.  Each
+  alpha's part is clamped at zero, since a form can round below zero where
+  a grid sum of squares cannot; err_L2 is the alpha = 0 part of err_Hm.
+- any other function is an evaluator: a callable (axes, alpha) -> grid of
+  D^alpha values on the tensor grid spanned by the per-axis point arrays,
+  summed as W * values**2.  A discrete field's bound eval_grid is one;
+  constant axial extensions of cross-section fields, differences, cutoff
+  products, and analytic solutions all become interchangeable with it.  The
+  interior estimates, the interior residual and the refinement study's
+  analytic reference use these.
 """
 
 import csv
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from .assembly import _band_apply
 from .expr import format_number
-from .multiindex import enumerate_upto, multi_binom, sub, sub_indices
-from .splines import cells_for, composite_gauss
+from .multiindex import enumerate_upto
+from .splines import DiscreteField, cells_for, composite_gauss, gram_band
 
 _EPS = 1e-12
 
@@ -63,28 +81,105 @@ class DifferenceEvaluator:
 # ---------------------------------------------------------------------------
 # quadrature and norms
 
+def _gauss_axis(extent, resolution: int, points_per_cell: int):
+    """Composite Gauss nodes and weights over one box extent."""
+    lo, hi = extent
+    if not lo < hi:
+        raise ValueError(f"empty box extent ({lo}, {hi})")
+    return composite_gauss((lo, hi), cells_for((lo, hi), resolution), points_per_cell)
+
+
 def _gauss_grid(box, resolution: int, points_per_cell: int):
     """Per-axis composite Gauss nodes over the box and their tensor weights."""
     axes = []
     W = np.ones(())
-    for lo, hi in box:
-        if not lo < hi:
-            raise ValueError(f"empty box extent ({lo}, {hi})")
-        pts, wts = composite_gauss((lo, hi), cells_for((lo, hi), resolution), points_per_cell)
+    for extent in box:
+        pts, wts = _gauss_axis(extent, resolution, points_per_cell)
         axes.append(pts)
         W = np.multiply.outer(W, wts)
     return axes, W
 
 
-def norm_Hm(evaluator, box, m: int, resolution: int, points_per_cell: int = 3) -> float:
+def _axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int,
+                constrained: bool, cutoff=None):
+    """(rows, [G^(0), .., G^(m)]): Gram bands of one factor's functions on
+    the composite Gauss rule of extent, over the slice `rows` of functions
+    nonzero there.
+
+    G^(a)[i, j] sums w_q phi_i^(a)(x_q) phi_j^(a)(x_q), phi the constrained
+    basis (from the cached local table) or, unconstrained, all degree + 1
+    functions per cell, which sum to 1.  A cutoff (rho, width) multiplies
+    each function by rho(x / width): by Leibniz, phi^(a) is then the sum
+    over b <= a of C(a, b) B^(b) rho^(a - b) / width^(a - b).
+    """
+    if m > factor.degree:
+        raise ValueError(f"derivative order {m} exceeds degree {factor.degree}")
+    pts, wts = _gauss_axis(extent, resolution, points_per_cell)
+    if constrained:
+        vals, cols = factor.local_table(pts)
+    else:
+        vals, first = factor.local_ders(pts, factor.degree)
+        cols = first[:, None] + np.arange(factor.degree + 1)
+    lo = int(cols.min())
+    cols = cols - lo
+    phis = [vals[:, a, :] for a in range(m + 1)]
+    if cutoff is not None:
+        rho, width = cutoff
+        prof = [rho.profile(pts / width, k)[:, None] / width**k for k in range(m + 1)]
+        phis = [
+            sum(math.comb(a, b) * phis[b] * prof[a - b] for b in range(a + 1))
+            for a in range(m + 1)
+        ]
+    size = int(cols.max()) + 1
+    return slice(lo, lo + size), [gram_band(phi, cols, wts, size) for phi in phis]
+
+
+def _kron_parts(X, factors, box, m: int, resolution: int, points_per_cell: int = 3,
+                axial: int = 0, cutoff=None):
+    """Per |alpha| <= m, in enumerate_upto order, the Gauss-rule integral of
+    (D^alpha u)^2 over the box for u with coefficients X on the factors:
+    max(0, X : (G_1^(alpha_1) x .. x G_n^(alpha_n)) X), each band applied
+    along its axis.
+
+    The first `axial` factors carry the unconstrained functions and the
+    cutoff, if any.  The quadratic form equals the grid sum in exact
+    arithmetic but can round below zero where the grid sum of squares
+    cannot, hence the clamp.
+    """
+    rows, grams = [], []
+    for k, (f, extent) in enumerate(zip(factors, box)):
+        r, g = _axis_grams(f, extent, m, resolution, points_per_cell, k >= axial,
+                           cutoff if k < axial else None)
+        rows.append(r)
+        grams.append(g)
+    X = X[tuple(rows)]
+    parts = []
+    for alpha in enumerate_upto(len(box), m):
+        Y = X
+        for k, a in enumerate(alpha):
+            Y = _band_apply(grams[k][a], Y, k, False)
+        parts.append(max(0.0, float(np.sum(X * Y))))
+    return parts
+
+
+def norm_Hm(u, box, m: int, resolution: int, points_per_cell: int = 3) -> float:
     """sqrt of sum over |alpha| <= m of the Gauss-quadrature integral of
-    (D^alpha u)^2 over the box."""
+    (D^alpha u)^2 over the box.
+
+    u is a DiscreteField, whose norm is its Kronecker quadratic form, or an
+    evaluator, whose D^alpha values are summed on the tensor Gauss grid.
+    """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    if isinstance(u, DiscreteField):
+        if len(box) != u.basis.naxes:
+            raise ValueError(f"box has {len(box)} axes, the field {u.basis.naxes}")
+        parts = _kron_parts(u.coeffs, u.basis.factors, box, m, resolution, points_per_cell)
+        return float(np.sqrt(sum(parts)))
     axes, W = _gauss_grid(box, resolution, points_per_cell)
     total = 0.0
     for alpha in enumerate_upto(len(box), m):
-        vals = np.asarray(evaluator(axes, alpha), dtype=np.float64)
+        vals = np.asarray(u(axes, alpha), dtype=np.float64)
         total += float(np.sum(W * vals**2))
     return float(np.sqrt(total))
 
@@ -96,17 +191,33 @@ def _split_p(u_l, u_inf) -> int:
     return p
 
 
+def _layout(factor):
+    return (factor.lo, factor.hi, factor.cells, factor.degree, factor.bc_order)
+
+
+def _difference(u_l, u_inf):
+    """(p, X): X holds the coefficients of u_l - ext(u_inf) on the
+    unconstrained axial functions times the constrained cross-section basis,
+    pad(C_l) - 1 x U_inf, exact because the unconstrained axial functions
+    sum to 1 and both fields share their cross-section factors."""
+    p = _split_p(u_l, u_inf)
+    factors = u_l.basis.factors
+    if [_layout(f) for f in factors[p:]] != [_layout(f) for f in u_inf.basis.factors]:
+        raise ValueError("u_l and u_inf must share their cross-section spline factors")
+    pad = [(f.bc_order, f.bc_order) for f in factors[:p]] + [(0, 0)] * (len(factors) - p)
+    return p, np.pad(u_l.coeffs, pad) - u_inf.coeffs
+
+
 def error_Hm(u_l, u_inf, ell0: float, m: int, resolution: int) -> float:
     """H^m distance between u_l and the extension of u_inf on the inner
     cylinder (-ell0, ell0)^p x omega."""
-    p = _split_p(u_l, u_inf)
+    p, X = _difference(u_l, u_inf)
     domain = u_l.basis.domain
     for lo, hi in domain[:p]:
         if ell0 > hi + _EPS or -ell0 < lo - _EPS:
             raise ValueError(f"inner half-length {ell0} exceeds the domain {domain[:p]}")
     box = [(-float(ell0), float(ell0))] * p + list(domain[p:])
-    w = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
-    return norm_Hm(w, box, m, resolution)
+    return float(np.sqrt(sum(_kron_parts(X, u_l.basis.factors, box, m, resolution, axial=p))))
 
 
 def lemma19_check(records) -> tuple[float, bool]:
@@ -192,52 +303,16 @@ class CutoffEvaluator:
         return out
 
 
-class ProductEvaluator:
-    """Leibniz product of two evaluators: D^alpha(fg) expanded exactly.
-
-    norm_Hm asks for every alpha on one grid, and a beta recurs under every
-    alpha above it, so the left factor's D^beta values are kept for the last
-    grid seen: each is evaluated once per norm.
-    """
-
-    def __init__(self, left, right):
-        self._left = left
-        self._right = right
-        self._grid = None
-        self._left_values = {}
-
-    def _left_at(self, axes, beta):
-        if axes is not self._grid:
-            self._grid, self._left_values = axes, {}
-        if beta not in self._left_values:
-            self._left_values[beta] = self._left(axes, beta)
-        return self._left_values[beta]
-
-    def __call__(self, axes, alpha):
-        alpha = tuple(alpha)
-        shape = tuple(len(a) for a in axes)
-        out = np.zeros(shape)
-        for beta in sub_indices(alpha):
-            gamma = sub(alpha, beta)
-            out += (
-                multi_binom(alpha, beta)
-                * self._left_at(axes, beta)
-                * self._right(axes, gamma)
-            )
-        return out
-
-
 def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int) -> float:
     """H^m norm of (u_l - extension of u_inf) * rho(X1/ell1) over Omega_ell1."""
-    p = _split_p(u_l, u_inf)
+    p, X = _difference(u_l, u_inf)
     domain = u_l.basis.domain
     if ell1 > domain[0][1] + _EPS:
         raise ValueError(f"scale {ell1} exceeds the axial half-length {domain[0][1]}")
-    n = u_l.basis.naxes
-    w = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
-    rho = CutoffEvaluator(CutoffRho(m), [(0.0, ell1)] * p + [None] * (n - p))
     box = [(-float(ell1), float(ell1))] * p + list(domain[p:])
-    return norm_Hm(ProductEvaluator(w, rho), box, m, resolution)
+    parts = _kron_parts(X, u_l.basis.factors, box, m, resolution, axial=p,
+                        cutoff=(CutoffRho(m), float(ell1)))
+    return float(np.sqrt(sum(parts)))
 
 
 # ---------------------------------------------------------------------------

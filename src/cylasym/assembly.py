@@ -11,7 +11,7 @@ One einsum kernel builds the band on a tensor product of factors: per-axis
 local basis derivative tables are contracted cell-by-cell against quadrature
 weights and coefficient values, one einsum per coefficient pair, and each
 local test function's element values are added into the rows that
-SplineBasis1D.window assigns it.  The load vector is scattered the same way.
+SplineBasis1D.window assigns it.  A load vector is scattered the same way.
 
 The cylinder matrix is a sum of Kronecker products.  A pair (alpha, beta)
 whose coefficient reads none of the axial variables x1..xp -- decided
@@ -23,6 +23,9 @@ the block assemble_limit builds; in band layout that is the broadcast
 product of the two bands.  Pairs that share an axial part share one product.
 Every pair whose coefficient reads x1..xp, which the hypotheses allow when
 alpha has an axial component, goes through the kernel on all n factors.
+The forcing may not read x1..xp, so the load vector is kron(axial load of
+the unit forcing, cross-section load), the latter the one assemble_limit
+builds; a forcing that reads them is refused.
 
 An AssembledSystem keeps those pieces, not the sum: the (axial band,
 cross-section band) pair of every axial part, with its axial indices, and
@@ -584,10 +587,18 @@ def assemble_cylinder(
 ) -> AssembledSystem:
     """Full problem on (-ell, ell)^p x omega with Dirichlet order m."""
     check_half_length(spec, ell)
+    p = spec.p
+    if spec.forcing.reads_axial(p):
+        axial = "x1" if p == 1 else f"x1..x{p}"
+        raise AssemblyError(
+            f"{_where(spec, 'assemble_cylinder', ell)}: the forcing reads {axial}; "
+            "the load vector needs an axis-independent forcing"
+        )
     factors = cylinder_factors(spec, ell, resolution, degree)
     parts, keys, nd_band = _cylinder_parts(spec, factors, ell)
-    rhs = _load(factors, spec.forcing)
-    _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=rhs)
+    cross = _load(factors[p:], spec.forcing, pinned=p)
+    _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=cross)
+    rhs = np.multiply.outer(_load(factors[:p], _unit), cross).ravel()
     return AssembledSystem(
         rhs, TensorBasis(factors), spec, spec.symmetric, float(ell), parts, nd_band, keys
     )

@@ -184,7 +184,7 @@ def _sweep_worker(args):
     m, n, p = spec.m, spec.n, spec.p
     err_L2 = error_Hm(u_l, u_inf, ell0, 0, resolution)
     err_Hm_val = error_Hm(u_l, u_inf, ell0, m, resolution)
-    norm_full = norm_Hm(u_l.eval_grid, u_l.basis.domain, m, resolution)
+    norm_full = norm_Hm(u_l, u_l.basis.domain, m, resolution)
     ratio = norm_full / (ell ** (p / 2.0) * norm_u_inf) if norm_u_inf > 0.0 else 0.0
 
     h_lat = 1.0 / (2.0 * resolution)
@@ -263,7 +263,7 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     u_inf = DiscreteField(limit_system.basis, limit_result.x)
     timings["limit_solve_s"] = time.perf_counter() - t0
 
-    norm_u_inf = norm_Hm(u_inf.eval_grid, list(spec.omega), spec.m, plan.resolution)
+    norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution)
     text = to_config_text(spec)
     jobs = [
         (

@@ -14,8 +14,14 @@ values and derivatives of every point (dropped functions zeroed) and their
 constrained column indices.  Fields are evaluated cell by cell from those
 tables: a value gathers the coefficients of its point's window and sums
 them in a fixed order, so it depends on its own point only, and no dense
-(points x dim) basis matrix is ever built.
+(points x dim) basis matrix is ever built.  The same local values give the
+banded 1-D Gram matrices of weighted sums over points (gram_band), from
+which analysis integrates the norms of spline fields without evaluating
+them.  composite_gauss scales one memoized, read-only Gauss-Legendre rule
+per point count.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -84,11 +90,20 @@ def cells_for(extent, resolution: int) -> int:
     return max(1, round((hi - lo) * resolution))
 
 
+@lru_cache(maxsize=None)
+def _legendre(points_per_cell: int):
+    """Gauss-Legendre nodes and weights on (-1, 1), read-only: one eigensolve
+    per rule, shared by every composite rule that uses it."""
+    nodes, weights = leggauss(points_per_cell)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def composite_gauss(extent, cells: int, points_per_cell: int):
     """Composite Gauss-Legendre nodes and weights over the uniform cells of
     extent, flattened cell-major."""
     lo, hi = extent
-    nodes, weights = leggauss(points_per_cell)
+    nodes, weights = _legendre(points_per_cell)
     edges = np.linspace(lo, hi, cells + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * ((hi - lo) / cells)
@@ -115,6 +130,26 @@ def _window_sum(lines, weights, cols):
             acc += term
         del term  # freed before the next gather allocates its successor
     return acc
+
+
+def gram_band(vals, cols, weights, size: int):
+    """Band of the Gram matrix G[i, j] = sum_q weights[q] phi_i(x_q) phi_j(x_q)
+    of functions phi_0 .. phi_{size - 1}, from their local values.
+
+    vals[q, r] is the value at x_q of function cols[q, r], for the d + 1
+    functions that can be nonzero there (r = 0..d, d = vals.shape[1] - 1),
+    whose indices differ by at most d; a function whose value is zero may
+    carry any index in that range.  The band has assembly's layout: shape
+    (size, 2 d + 1), entry [i, s] pairing function i with function
+    i + s - d.  Each product is weights[q] * (phi_i phi_j), so the band is
+    symmetric bit for bit, and each entry sums its points in ascending order.
+    """
+    width = 2 * vals.shape[1] - 1
+    products = weights[:, None, None] * (vals[:, :, None] * vals[:, None, :])
+    slots = cols[:, None, :] - cols[:, :, None] + (width // 2)
+    index = cols[:, :, None] * width + slots
+    band = np.bincount(index.ravel(), weights=products.ravel(), minlength=size * width)
+    return band.reshape(size, width)
 
 
 class SplineBasis1D:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from dense_oracle import ProductEvaluator, dense_basis_matrix
 
 from cylasym.analysis import (
     CSV_HEADER,
@@ -16,7 +17,6 @@ from cylasym.analysis import (
     DifferenceEvaluator,
     ErrorRecord,
     ExtensionEvaluator,
-    ProductEvaluator,
     error_Hm,
     fit_rate,
     galerkin_interior_residual,
@@ -26,10 +26,19 @@ from cylasym.analysis import (
     write_report_csv,
     write_report_json,
     write_refinement_csv,
+    _difference,
     _gauss_grid,
+    _kron_parts,
 )
 from cylasym.multiindex import enumerate_upto, multi_binom, sub, sub_indices
 from cylasym.problem import HypothesisReport, builtin_problem
+from cylasym.splines import (
+    DiscreteField,
+    SplineBasis1D,
+    TensorBasis,
+    cells_for,
+    composite_gauss,
+)
 
 
 class _Analytic:
@@ -76,6 +85,33 @@ def _bubble(grids, alpha):
     return np.zeros_like(t)
 
 
+def _fit(factor, fn):
+    """Coefficients of fn (a function of one coordinate in the factor's
+    space) by least squares at the factor's Gauss points: exact up to
+    roundoff."""
+    pts, _ = composite_gauss((factor.lo, factor.hi), factor.cells, factor.degree + 1)
+    return np.linalg.lstsq(dense_basis_matrix(factor, pts), fn(pts), rcond=None)[0]
+
+
+def _spline_pair(ell, axial_terms, cross_fn, resolution=4, cross_bc=0):
+    """(u_l, u_inf) on (-ell, ell) x (0, 1) and (0, 1), degree 2, the axial
+    factor unconstrained: u_l is the sum of the outer products of the
+    axial_terms pairs (axial fn, cross fn), u_inf is cross_fn."""
+    axial = SplineBasis1D(-ell, ell, cells_for((-ell, ell), resolution), 2, 0)
+    cross = SplineBasis1D(0.0, 1.0, resolution, 2, cross_bc)
+    coeffs = sum(np.multiply.outer(_fit(axial, f), _fit(cross, g)) for f, g in axial_terms)
+    return (DiscreteField(TensorBasis([axial, cross]), coeffs),
+            DiscreteField(TensorBasis([cross]), _fit(cross, cross_fn)))
+
+
+def _bubble1(t):
+    return t * (1.0 - t) / 2.0
+
+
+def _one(x):
+    return np.ones_like(x)
+
+
 # ------------------------------------------------------------------ norms
 
 
@@ -107,23 +143,13 @@ def test_norm_rejects_bad_inputs():
 
 
 def test_error_Hm_vanishes_for_exact_extension():
-    u_l = _FakeField([(-2.0, 2.0), (0.0, 1.0)], _bubble)
-    u_inf = _FakeField([(0.0, 1.0)], _bubble)
+    u_l, u_inf = _spline_pair(2.0, [(_one, _bubble1)], _bubble1, cross_bc=1)
     assert error_Hm(u_l, u_inf, ell0=1.0, m=1, resolution=8) <= 1e-14
 
 
 def test_error_Hm_linear_defect_hand_value():
     # u_l - ext(u_inf) = x1: L2^2 over (-1,1)x(0,1) is 2/3, H1 adds 2
-    def with_drift(grids, alpha):
-        base = _bubble(grids, alpha)
-        if alpha == (0, 0):
-            return base + grids[0]
-        if alpha == (1, 0):
-            return base + 1.0
-        return base
-
-    u_l = _FakeField([(-2.0, 2.0), (0.0, 1.0)], with_drift)
-    u_inf = _FakeField([(0.0, 1.0)], _bubble)
+    u_l, u_inf = _spline_pair(2.0, [(_one, _bubble1), (lambda x: x, _one)], _bubble1)
     e0 = error_Hm(u_l, u_inf, ell0=1.0, m=0, resolution=4)
     e1 = error_Hm(u_l, u_inf, ell0=1.0, m=1, resolution=4)
     assert abs(e0 - math.sqrt(2.0 / 3.0)) <= 1e-14
@@ -131,8 +157,7 @@ def test_error_Hm_linear_defect_hand_value():
 
 
 def test_error_Hm_rejects_inner_box_outside_domain():
-    u_l = _FakeField([(-2.0, 2.0), (0.0, 1.0)], _bubble)
-    u_inf = _FakeField([(0.0, 1.0)], _bubble)
+    u_l, u_inf = _spline_pair(2.0, [(_one, _bubble1)], _bubble1)
     with pytest.raises(ValueError, match="exceeds the domain"):
         error_Hm(u_l, u_inf, ell0=3.0, m=1, resolution=4)
 
@@ -278,22 +303,13 @@ def test_product_evaluator_evaluates_each_left_derivative_once_per_grid():
 
 
 def test_localized_energy_vanishes_for_exact_extension():
-    u_l = _FakeField([(-4.0, 4.0), (0.0, 1.0)], _bubble)
-    u_inf = _FakeField([(0.0, 1.0)], _bubble)
+    u_l, u_inf = _spline_pair(4.0, [(_one, _bubble1)], _bubble1, cross_bc=1)
     assert localized_energy(u_l, u_inf, ell1=2.0, m=1, resolution=4) <= 1e-14
 
 
 def test_localized_energy_matches_dense_trapezoid():
     # w = x1 (cross-independent), m = 1: the energy reduces to a 1D integral
-    def drift(grids, alpha):
-        if alpha == (0, 0):
-            return grids[0]
-        if alpha == (1, 0):
-            return np.ones_like(grids[0])
-        return np.zeros_like(grids[0])
-
-    u_l = _FakeField([(-4.0, 4.0), (0.0, 1.0)], drift)
-    u_inf = _FakeField([(0.0, 1.0)], lambda g, a: np.zeros_like(g[-1]))
+    u_l, u_inf = _spline_pair(4.0, [(lambda x: x, _one)], np.zeros_like, resolution=16)
     ell1 = 2.0
     got = localized_energy(u_l, u_inf, ell1=ell1, m=1, resolution=16)
 
@@ -307,10 +323,102 @@ def test_localized_energy_matches_dense_trapezoid():
 
 
 def test_localized_energy_rejects_oversized_scale():
-    u_l = _FakeField([(-2.0, 2.0), (0.0, 1.0)], _bubble)
-    u_inf = _FakeField([(0.0, 1.0)], _bubble)
+    u_l, u_inf = _spline_pair(2.0, [(_one, _bubble1)], _bubble1)
     with pytest.raises(ValueError, match="exceeds the axial half-length"):
         localized_energy(u_l, u_inf, ell1=3.0, m=1, resolution=4)
+
+
+# ------------------------------------------------------------------ Kronecker forms
+
+
+# (m, degree, p, n, ell, resolution): at l = 2.3 and 5 cells/unit the edges
+# of the inner box (-1, 1) and of the cutoff box (-1.15, 1.15) cut cells
+_FORM_CASES = [
+    (1, 2, 1, 2, 2.3, 5),
+    (2, 3, 1, 2, 2.3, 5),
+    (1, 2, 1, 3, 2.0, 4),
+    (1, 2, 2, 3, 2.3, 5),
+]
+
+
+def _random_pair(m, degree, p, n, ell, resolution, seed=0):
+    """(u_l, u_inf) with random coefficients on the constrained spaces of
+    (-ell, ell)^p x (0, 1)^(n - p) and (0, 1)^(n - p)."""
+    rng = np.random.default_rng(seed)
+
+    def factor(lo, hi):
+        return SplineBasis1D(lo, hi, cells_for((lo, hi), resolution), degree, m)
+
+    cross = [factor(0.0, 1.0) for _ in range(n - p)]
+    basis = TensorBasis([factor(-ell, ell) for _ in range(p)] + cross)
+    u_inf = DiscreteField(TensorBasis(cross), rng.standard_normal(TensorBasis(cross).dims))
+    return DiscreteField(basis, rng.standard_normal(basis.dims)), u_inf
+
+
+@pytest.mark.parametrize("m,degree,p,n,ell,resolution", _FORM_CASES)
+def test_kronecker_norms_match_the_grid_oracle(m, degree, p, n, ell, resolution):
+    u_l, u_inf = _random_pair(m, degree, p, n, ell, resolution)
+    omega = list(u_inf.basis.domain)
+    diff = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
+    inner = [(-1.0, 1.0)] * p + omega
+    ell1 = ell / 2.0
+    rho = CutoffEvaluator(CutoffRho(m), [(0.0, ell1)] * p + [None] * (n - p))
+    pairs = [
+        (error_Hm(u_l, u_inf, 1.0, k, resolution), norm_Hm(diff, inner, k, resolution))
+        for k in (0, m)
+    ]
+    pairs.append((
+        localized_energy(u_l, u_inf, ell1, m, resolution),
+        norm_Hm(ProductEvaluator(diff, rho), [(-ell1, ell1)] * p + omega, m, resolution),
+    ))
+    for u, box in ((u_l, u_l.basis.domain), (u_l, inner), (u_inf, omega)):
+        pairs.append((norm_Hm(u, box, m, resolution), norm_Hm(u.eval_grid, box, m, resolution)))
+    pairs.append((
+        norm_Hm(u_l, inner, m, resolution, points_per_cell=4),
+        norm_Hm(u_l.eval_grid, inner, m, resolution, points_per_cell=4),
+    ))
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_kronecker_norm_refuses_bad_boxes_and_orders():
+    u_l, u_inf = _random_pair(1, 2, 1, 2, 2.0, 4)
+    with pytest.raises(ValueError, match="box has 1 axes"):
+        norm_Hm(u_l, [(-1.0, 1.0)], 1, 4)
+    with pytest.raises(ValueError, match="exceeds degree"):
+        norm_Hm(u_l, u_l.basis.domain, 3, 4)
+    with pytest.raises(ValueError, match="outside domain"):
+        norm_Hm(u_inf, [(0.0, 2.0)], 1, 4)
+
+
+def test_difference_needs_shared_cross_section_factors():
+    u_l, _ = _random_pair(1, 2, 1, 2, 2.0, 4)
+    _, finer = _random_pair(1, 2, 1, 2, 2.0, 5)
+    with pytest.raises(ValueError, match="share their cross-section"):
+        error_Hm(u_l, finer, 1.0, 1, 4)
+    with pytest.raises(ValueError, match="share their cross-section"):
+        localized_energy(u_l, finer, 1.0, 1, 4)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_floor_level_difference_has_nonnegative_parts(m):
+    # u_l = ext(u_inf) + v, v a 2^-50 relative, x1-independent defect: the
+    # parts with an axial derivative vanish in exact arithmetic and their
+    # quadratic forms round to either side of zero
+    rng = np.random.default_rng(1)
+    axial = SplineBasis1D(-4.0, 4.0, 32, m + 1, m)
+    cross = SplineBasis1D(0.0, 1.0, 8, m + 1, m)
+    U = rng.standard_normal(cross.dim)
+    V = U * 2.0**-50 * rng.choice([-1.0, 1.0], cross.dim)
+    u_l = DiscreteField(TensorBasis([axial, cross]), np.multiply.outer(np.ones(axial.dim), U + V))
+    u_inf = DiscreteField(TensorBasis([cross]), U)
+    p, X = _difference(u_l, u_inf)
+    parts = _kron_parts(X, u_l.basis.factors, [(-1.0, 1.0), (0.0, 1.0)], m, 4, axial=p)
+    assert all(np.isfinite(parts)) and min(parts) >= 0.0
+    err_L2 = error_Hm(u_l, u_inf, 1.0, 0, 4)
+    err_Hm = error_Hm(u_l, u_inf, 1.0, m, 4)
+    assert np.isfinite(err_Hm) and 0.0 < err_L2 <= err_Hm <= 1e-12
+    assert err_L2 == math.sqrt(parts[0])
 
 
 # ------------------------------------------------------------------ interior residual

@@ -10,6 +10,7 @@ The LAPACK lower band storage and the matrix-vector product that the direct
 solve reads are checked against the CSR matrix.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -386,6 +387,27 @@ def test_limit_requires_cross_pairs():
     )
     with pytest.raises(AssemblyError, match="no coefficient pairs"):
         assemble_limit(spec, resolution=4)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_cylinder_load_is_axial_load_times_limit_load(p):
+    spec = dataclasses.replace(_box_spec(p), forcing=ScalarField.parse("1 + x3^2", 3))
+    system = assemble_cylinder(spec, ell=1.5, resolution=4, degree=2)
+    limit = assemble_limit(spec, resolution=4, degree=2)
+    axial = np.ones(())
+    for f in system.basis.factors[:p]:
+        pts, wts = composite_gauss((f.lo, f.hi), f.cells, 3)
+        axial = np.multiply.outer(axial, dense_basis_matrix(f, pts).T @ wts)
+    want = np.multiply.outer(axial, limit.rhs).ravel()
+    assert np.abs(system.rhs - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p,text,named", [(1, "1 + x1", "x1"), (2, "x2 * x3", "x1..x2")])
+def test_forcing_that_reads_axial_variables_is_refused(p, text, named):
+    spec = dataclasses.replace(_box_spec(p), forcing=ScalarField.parse(text, 3), name="box")
+    with pytest.raises(AssemblyError, match=rf"assemble_cylinder for problem box at l = 1\.5: "
+                                            rf"the forcing reads {named};"):
+        assemble_cylinder(spec, ell=1.5, resolution=4, degree=2)
 
 
 def test_degree_below_m_rejected():

@@ -29,6 +29,7 @@ from cylasym.problem import (
     builtin_problem,
     parse_problem_config,
 )
+from cylasym.splines import DiscreteField
 
 POISSON = builtin_problem("poisson_strip")
 
@@ -93,24 +94,26 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 
 def test_sweep_interior_tables_hold_their_values():
-    # reprs from the per-alpha estimator that evaluated every D^beta afresh
-    # for each alpha; the one-lattice-per-region estimator keeps every bit
+    # reprs of the one-lattice-per-region estimator, which kept every bit of
+    # the per-alpha one; taken again when the cylinder load vector became a
+    # Kronecker product, which moves the solution by rounding (these values
+    # by at most 4.3e-10 relative)
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.646638683300199e-05, '0_1': 0.0002253285549731359, "
-            "'1_0': 0.00023244104608631294, '0_2': 0.0018229449955428103, "
-            "'1_1': 0.0007724739341888797, '2_0': 0.0021641968173921316}",
-            "{'0_0': 0.0006463618950815925, '1_0': 0.004082053622871963, "
-            "'2_0': 0.02443412018465316}",
+            "{'0_0': 4.646638683300434e-05, '0_1': 0.00022532855497316324, "
+            "'1_0': 0.00023244104608632023, '0_2': 0.001822944995543041, "
+            "'1_1': 0.0007724739341889577, '2_0': 0.0021641968173917166}",
+            "{'0_0': 0.0006463618950815897, '1_0': 0.004082053622871974, "
+            "'2_0': 0.02443412018465317}",
         ),
         (
-            "{'0_0': 1.8792150714799052e-08, '0_1': 8.232017686982932e-08, "
-            "'1_0': 8.233974726877282e-08, '0_2': 6.093924715231586e-07, "
-            "'1_1': 4.0071555287109256e-07, '2_0': 3.5979045364944395e-07}",
-            "{'0_0': 1.429243452963186e-07, '1_0': 5.297804488458837e-07, "
-            "'2_0': 3.752427943343737e-06}",
+            "{'0_0': 1.879215071474242e-08, '0_1': 8.232017688205497e-08, "
+            "'1_0': 8.233974726122784e-08, '0_2': 6.093924716705704e-07, "
+            "'1_1': 4.0071555284961805e-07, '2_0': 3.5979045349531064e-07}",
+            "{'0_0': 1.4292434529605996e-07, '1_0': 5.297804488412666e-07, "
+            "'2_0': 3.7524279435087425e-06}",
         ),
     ]
 
@@ -222,6 +225,53 @@ def test_sweep_needs_no_csr_and_no_krylov_solver(monkeypatch):
         rep = run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=4))
         assert all(r.solver_iterations == 0 for r in rep.records)
         assert rep.plan["backward_error_tol"] == 1e-14 and "solver_tol" not in rep.plan
+
+
+def test_sweep_norms_evaluate_no_field_on_a_grid(monkeypatch):
+    # the H^m norms and localized energies are Kronecker forms of the
+    # coefficients; only the interior estimates evaluate fields
+    calls = {"norms": 0, "other": 0}
+    inside = []
+    eval_grid = DiscreteField.eval_grid
+
+    def counted(self, axes, alpha):
+        calls["norms" if inside else "other"] += 1
+        return eval_grid(self, axes, alpha)
+
+    monkeypatch.setattr(DiscreteField, "eval_grid", counted)
+    for name in ("error_Hm", "localized_energy", "norm_Hm"):
+        def flagged(*args, _norm=getattr(harness, name), **kwargs):
+            inside.append(name)
+            try:
+                return _norm(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(harness, name, flagged)
+    run_sweep(SweepPlan(spec=POISSON, ells=(2.0, 4.0), resolution=6))
+    assert calls["norms"] == 0
+    assert calls["other"] > 0
+
+
+BOX_P2_CONFIG = (
+    "[problem]\nm = 1\nn = 3\np = 2\nomega = 0,1\n\n[coef]\n"
+    "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1\n\n"
+    "[forcing]\nf = sin(3.141592653589793 * x3)\n"
+)
+
+
+def test_cli_sweep_with_two_axial_axes_exits_zero(tmp_path, capsys):
+    cfg = tmp_path / "box_p2.cfg"
+    cfg.write_text(BOX_P2_CONFIG)
+    json_path = tmp_path / "out.json"
+    argv = ["sweep", "--problem", str(cfg), "--l", "2,4", "--cells-per-unit", "6",
+            "--out-json", str(json_path)]
+    assert cli.main(argv) == 0
+    report = json.loads(json_path.read_text())
+    errs = [r["err_Hm"] for r in report["records"]]
+    assert 0.0 < errs[1] < 1e-2 * errs[0]
+    assert [e["ell1"] for e in report["localized_energy"]] == [2.0, 1.0]
+    capsys.readouterr()
 
 
 def _laplace_box(coef="1"):

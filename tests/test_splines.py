@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_oracle import dense_basis_matrix
+from numpy.polynomial.legendre import leggauss
 
 import cylasym.splines as splines
 from cylasym.analysis import _gauss_grid
@@ -19,6 +20,7 @@ from cylasym.splines import (
     SplineBasis1D,
     TensorBasis,
     composite_gauss,
+    gram_band,
 )
 
 
@@ -126,6 +128,44 @@ def test_quadrature_exactness():
         for k in range(2 * ppc):
             exact = (2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
             assert abs((wts * pts**k).sum() - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_gauss_rule_is_computed_once_per_point_count():
+    splines._legendre.cache_clear()
+    first = composite_gauss((0.0, 1.0), 4, 3)
+    second = composite_gauss((-2.0, 5.0), 7, 3)
+    info = splines._legendre.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    nodes, weights = splines._legendre(3)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    fresh = leggauss(3)
+    assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+    edges = np.linspace(-2.0, 5.0, 8)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    assert np.array_equal(second[0], (mid[:, None] + 0.5 * (7.0 / 7) * fresh[0]).ravel())
+    assert first[0].flags.writeable  # the composite rule is the caller's own
+
+
+@pytest.mark.parametrize("degree,bc_order", [(2, 0), (2, 1), (3, 2)])
+def test_gram_band_matches_dense_oracle(degree, bc_order):
+    # quadrature cells of another width than the spline's, so points from
+    # one quadrature cell fall into two spline cells
+    f = SplineBasis1D(-1.3, 2.0, 7, degree, bc_order)
+    pts, wts = composite_gauss((-1.0, 1.7), 5, 3)
+    vals, cols = f.local_table(pts)
+    d = degree
+    for a in range(degree + 1):
+        band = gram_band(vals[:, a, :], cols, wts, f.dim)
+        B = dense_basis_matrix(f, pts, a)
+        want = B.T @ (wts[:, None] * B)
+        got = np.zeros_like(want)
+        for i in range(f.dim):
+            for s in range(2 * d + 1):
+                j = i + s - d
+                if 0 <= j < f.dim:
+                    got[i, j] = band[i, s]
+                    assert band[i, s] == band[j, 2 * d - s]  # symmetric bit for bit
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_domain_and_order_errors():
