@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 from .analysis import (
     ConvergenceReport,
     ErrorRecord,
+    difference_field,
     error_Hm,
     fit_rate,
     galerkin_interior_residual,
@@ -66,6 +67,7 @@ __all__ = [
     "cholesky_solve",
     "delta_alpha",
     "delta_k",
+    "difference_field",
     "error_Hm",
     "fit_rate",
     "galerkin_interior_residual",

@@ -1,5 +1,12 @@
 """Norms, decay diagnostics, rate fitting, and report serialization.
 
+The sweep measures u_l - ext(u_inf), ext the constant axial extension.
+difference_field builds it once, as a DiscreteField: the unconstrained
+axial splines, which sum to 1, times the cross-section factors u_inf owns,
+with the exact coefficients pad(C_l) - 1 x U_inf.  Every consumer reads that
+field: the norms below integrate it, and the interior residual here and the
+interior estimates in fdcalc evaluate it.
+
 Every norm is a composite Gauss rule (3 points per cell by default) on the
 tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
 
@@ -8,19 +15,15 @@ tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
   G_n^(alpha_n)) X, where G_k^(a) is the banded 1-D Gram matrix of the a-th
   derivatives of the axis-k basis functions on the same Gauss points
   (splines.gram_band), applied along its axis in assembly's band layout.
-  The difference u_l - ext(u_inf) has the exact coefficients
-  pad(C_l) - 1 x U_inf on the unconstrained axial functions, which sum to
-  1, times the cross-section basis the two fields share; the plateau cutoff
-  of the localized energy is folded into the axial Grams by Leibniz.  Each
-  alpha's part is clamped at zero, since a form can round below zero where
-  a grid sum of squares cannot; err_L2 is the alpha = 0 part of err_Hm.
+  The plateau cutoff of the localized energy is folded into the axial Grams
+  by Leibniz.  Each alpha's part is clamped at zero, since a form can round
+  below zero where a grid sum of squares cannot; err_L2 is the alpha = 0
+  part of err_Hm.
 - any other function is an evaluator: a callable (axes, alpha) -> grid of
   D^alpha values on the tensor grid spanned by the per-axis point arrays,
-  summed as W * values**2.  A discrete field's bound eval_grid is one;
-  constant axial extensions of cross-section fields, differences, cutoff
-  products, and analytic solutions all become interchangeable with it.  The
-  interior estimates, the interior residual and the refinement study's
-  analytic reference use these.
+  summed as W * values**2.  A discrete field's bound eval_grid is one, and
+  so are cutoff products and analytic solutions; the refinement study's
+  analytic reference and the tests' oracles use these.
 """
 
 import csv
@@ -35,7 +38,14 @@ from numpy.polynomial import Polynomial
 from .assembly import _band_apply
 from .expr import format_number
 from .multiindex import enumerate_upto
-from .splines import DiscreteField, cells_for, composite_gauss, gram_band
+from .splines import (
+    DiscreteField,
+    SplineBasis1D,
+    TensorBasis,
+    cells_for,
+    composite_gauss,
+    gram_band,
+)
 
 _EPS = 1e-12
 
@@ -48,34 +58,6 @@ CSV_FIELDS = (
     "lemma19_ratio", "solver_residual", "wall_time_s",
 )
 CSV_HEADER = ",".join(CSV_FIELDS)
-
-
-# ---------------------------------------------------------------------------
-# evaluators
-
-class ExtensionEvaluator:
-    """Constant axial extension of a cross-section field: axial derivatives
-    vanish, cross-sectional derivatives broadcast along the axial axes."""
-
-    def __init__(self, cross_field, p: int):
-        self._cross = cross_field
-        self.p = int(p)
-
-    def __call__(self, axes, alpha):
-        shape = tuple(len(a) for a in axes)
-        if any(alpha[k] > 0 for k in range(self.p)):
-            return np.zeros(shape)
-        vals = self._cross.eval_grid(list(axes[self.p :]), tuple(alpha[self.p :]))
-        return np.broadcast_to(vals.reshape((1,) * self.p + vals.shape), shape)
-
-
-class DifferenceEvaluator:
-    def __init__(self, left, right):
-        self._left = left
-        self._right = right
-
-    def __call__(self, axes, alpha):
-        return self._left(axes, alpha) - self._right(axes, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -101,25 +83,20 @@ def _gauss_grid(box, resolution: int, points_per_cell: int):
 
 
 def _axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int,
-                constrained: bool, cutoff=None):
+                cutoff=None):
     """(rows, [G^(0), .., G^(m)]): Gram bands of one factor's functions on
     the composite Gauss rule of extent, over the slice `rows` of functions
     nonzero there.
 
-    G^(a)[i, j] sums w_q phi_i^(a)(x_q) phi_j^(a)(x_q), phi the constrained
-    basis (from the cached local table) or, unconstrained, all degree + 1
-    functions per cell, which sum to 1.  A cutoff (rho, width) multiplies
+    G^(a)[i, j] sums w_q phi_i^(a)(x_q) phi_j^(a)(x_q), phi the factor's
+    basis (from its cached local table).  A cutoff (rho, width) multiplies
     each function by rho(x / width): by Leibniz, phi^(a) is then the sum
     over b <= a of C(a, b) B^(b) rho^(a - b) / width^(a - b).
     """
     if m > factor.degree:
         raise ValueError(f"derivative order {m} exceeds degree {factor.degree}")
     pts, wts = _gauss_axis(extent, resolution, points_per_cell)
-    if constrained:
-        vals, cols = factor.local_table(pts)
-    else:
-        vals, first = factor.local_ders(pts, factor.degree)
-        cols = first[:, None] + np.arange(factor.degree + 1)
+    vals, cols = factor.local_table(pts)
     lo = int(cols.min())
     cols = cols - lo
     phis = [vals[:, a, :] for a in range(m + 1)]
@@ -134,25 +111,24 @@ def _axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int,
     return slice(lo, lo + size), [gram_band(phi, cols, wts, size) for phi in phis]
 
 
-def _kron_parts(X, factors, box, m: int, resolution: int, points_per_cell: int = 3,
+def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = 3,
                 axial: int = 0, cutoff=None):
     """Per |alpha| <= m, in enumerate_upto order, the Gauss-rule integral of
-    (D^alpha u)^2 over the box for u with coefficients X on the factors:
-    max(0, X : (G_1^(alpha_1) x .. x G_n^(alpha_n)) X), each band applied
-    along its axis.
+    (D^alpha u)^2 over the box for the DiscreteField u:
+    max(0, X : (G_1^(alpha_1) x .. x G_n^(alpha_n)) X), X its coefficients,
+    each band applied along its axis.
 
-    The first `axial` factors carry the unconstrained functions and the
-    cutoff, if any.  The quadratic form equals the grid sum in exact
-    arithmetic but can round below zero where the grid sum of squares
-    cannot, hence the clamp.
+    The cutoff, if any, multiplies the first `axial` factors.  The quadratic
+    form equals the grid sum in exact arithmetic but can round below zero
+    where the grid sum of squares cannot, hence the clamp.
     """
     rows, grams = [], []
-    for k, (f, extent) in enumerate(zip(factors, box)):
-        r, g = _axis_grams(f, extent, m, resolution, points_per_cell, k >= axial,
+    for k, (f, extent) in enumerate(zip(u.basis.factors, box)):
+        r, g = _axis_grams(f, extent, m, resolution, points_per_cell,
                            cutoff if k < axial else None)
         rows.append(r)
         grams.append(g)
-    X = X[tuple(rows)]
+    X = u.coeffs[tuple(rows)]
     parts = []
     for alpha in enumerate_upto(len(box), m):
         Y = X
@@ -174,7 +150,7 @@ def norm_Hm(u, box, m: int, resolution: int, points_per_cell: int = 3) -> float:
     if isinstance(u, DiscreteField):
         if len(box) != u.basis.naxes:
             raise ValueError(f"box has {len(box)} axes, the field {u.basis.naxes}")
-        parts = _kron_parts(u.coeffs, u.basis.factors, box, m, resolution, points_per_cell)
+        parts = _kron_parts(u, box, m, resolution, points_per_cell)
         return float(np.sqrt(sum(parts)))
     axes, W = _gauss_grid(box, resolution, points_per_cell)
     total = 0.0
@@ -184,40 +160,40 @@ def norm_Hm(u, box, m: int, resolution: int, points_per_cell: int = 3) -> float:
     return float(np.sqrt(total))
 
 
-def _split_p(u_l, u_inf) -> int:
-    p = u_l.basis.naxes - u_inf.basis.naxes
-    if p < 1:
-        raise ValueError("cross-section field must have fewer axes than the full field")
-    return p
-
-
 def _layout(factor):
     return (factor.lo, factor.hi, factor.cells, factor.degree, factor.bc_order)
 
 
-def _difference(u_l, u_inf):
-    """(p, X): X holds the coefficients of u_l - ext(u_inf) on the
-    unconstrained axial functions times the constrained cross-section basis,
-    pad(C_l) - 1 x U_inf, exact because the unconstrained axial functions
-    sum to 1 and both fields share their cross-section factors."""
-    p = _split_p(u_l, u_inf)
+def difference_field(u_l, u_inf):
+    """(p, w): w = u_l - ext(u_inf) as a DiscreteField, p its axial axes.
+
+    w lives on the unconstrained axial splines (bc_order 0) times u_inf's own
+    cross-section factors.  Its coefficients pad(C_l) - 1 x U_inf are exact:
+    the unconstrained axial functions sum to 1, and both fields share their
+    cross-section factors.
+    """
+    p = u_l.basis.naxes - u_inf.basis.naxes
+    if p < 1:
+        raise ValueError("cross-section field must have fewer axes than the full field")
     factors = u_l.basis.factors
     if [_layout(f) for f in factors[p:]] != [_layout(f) for f in u_inf.basis.factors]:
         raise ValueError("u_l and u_inf must share their cross-section spline factors")
+    axial = [SplineBasis1D(f.lo, f.hi, f.cells, f.degree, 0) for f in factors[:p]]
     pad = [(f.bc_order, f.bc_order) for f in factors[:p]] + [(0, 0)] * (len(factors) - p)
-    return p, np.pad(u_l.coeffs, pad) - u_inf.coeffs
+    basis = TensorBasis(axial + list(u_inf.basis.factors))
+    return p, DiscreteField(basis, np.pad(u_l.coeffs, pad) - u_inf.coeffs)
 
 
 def error_Hm(u_l, u_inf, ell0: float, m: int, resolution: int) -> float:
     """H^m distance between u_l and the extension of u_inf on the inner
     cylinder (-ell0, ell0)^p x omega."""
-    p, X = _difference(u_l, u_inf)
-    domain = u_l.basis.domain
+    p, w = difference_field(u_l, u_inf)
+    domain = w.basis.domain
     for lo, hi in domain[:p]:
         if ell0 > hi + _EPS or -ell0 < lo - _EPS:
             raise ValueError(f"inner half-length {ell0} exceeds the domain {domain[:p]}")
     box = [(-float(ell0), float(ell0))] * p + list(domain[p:])
-    return float(np.sqrt(sum(_kron_parts(X, u_l.basis.factors, box, m, resolution, axial=p))))
+    return float(np.sqrt(sum(_kron_parts(w, box, m, resolution))))
 
 
 def lemma19_check(records) -> tuple[float, bool]:
@@ -305,13 +281,12 @@ class CutoffEvaluator:
 
 def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int) -> float:
     """H^m norm of (u_l - extension of u_inf) * rho(X1/ell1) over Omega_ell1."""
-    p, X = _difference(u_l, u_inf)
-    domain = u_l.basis.domain
+    p, w = difference_field(u_l, u_inf)
+    domain = w.basis.domain
     if ell1 > domain[0][1] + _EPS:
         raise ValueError(f"scale {ell1} exceeds the axial half-length {domain[0][1]}")
     box = [(-float(ell1), float(ell1))] * p + list(domain[p:])
-    parts = _kron_parts(X, u_l.basis.factors, box, m, resolution, axial=p,
-                        cutoff=(CutoffRho(m), float(ell1)))
+    parts = _kron_parts(w, box, m, resolution, axial=p, cutoff=(CutoffRho(m), float(ell1)))
     return float(np.sqrt(sum(parts)))
 
 
@@ -330,17 +305,16 @@ def galerkin_interior_residual(
     axial points well inside (-ell, ell), times a bump spanning the
     cross-section.
     """
-    p = _split_p(u_l, u_inf)
+    p, w = difference_field(u_l, u_inf)
     m = spec.m
     rho = CutoffRho(m)
     reach = int(np.floor(ell - margin - 1.0 + _EPS))
     if reach < 0:
         raise ValueError(f"no room for unit bumps inside ell={ell} with margin {margin}")
     axial_centers = range(-reach, reach + 1)
-    cross_windows = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in u_l.basis.domain[p:]]
-    degree = max(f.degree for f in u_l.basis.factors)
+    cross_windows = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in w.basis.domain[p:]]
+    degree = max(f.degree for f in w.basis.factors)
     ppc = (degree + 2 * m + 3) // 2 + 1
-    w = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
 
     worst = 0.0
     for axial in itertools.product(axial_centers, repeat=p):
@@ -351,7 +325,7 @@ def galerkin_interior_residual(
         total = 0.0
         for (alpha, beta), coef in sorted(spec.coefficients.items()):
             a_vals = np.broadcast_to(coef(tuple(grids)), grids[0].shape)
-            total += float(np.sum(W * a_vals * w(axes, alpha) * phi(axes, beta)))
+            total += float(np.sum(W * a_vals * w.eval_grid(axes, alpha) * phi(axes, beta)))
         worst = max(worst, abs(total))
     return worst
 
@@ -412,7 +386,8 @@ class ErrorRecord:
     lemma19_ratio: float
     solver_residual: float
     wall_time_s: float
-    solver_iterations: int = 0
+    solver_method: str = ""
+    backward_error: float | None = None
     interior_alpha: dict = field(default_factory=dict)
     n1_full_alpha: dict = field(default_factory=dict)
 

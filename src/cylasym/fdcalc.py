@@ -5,17 +5,17 @@ backward variant with step -h); delta_alpha iterates it axis by axis in
 ascending axis order, which fixes the floating-point evaluation order.  On
 top of these sit the two discrete identities (summation by parts and the
 shifted Leibniz rule) as defect calculators, a mean-value containment check,
-and the lattice estimator for interior higher-order differences of a
-cylinder solution against the extended cross-section solution.  The
-estimator takes a whole set of alphas for one region: it evaluates each
-D^beta once, on one lattice, and every alpha differences a leading slice.
+and the lattice estimator for interior higher-order differences of one
+field: the sweep passes it u_l - ext(u_inf), built once by
+analysis.difference_field.  The estimator takes a whole set of alphas for
+one region: it evaluates each D^beta of the field once, on one lattice, and
+every alpha differences a leading slice.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import DifferenceEvaluator, ExtensionEvaluator
 from .multiindex import enumerate_upto, in_N1, multi_binom, order, sub_indices
 
 _TOL = 1e-12
@@ -201,31 +201,31 @@ def mean_value_check(f, dalpha_f, x, alpha, h, samples_per_axis: int = 33):
     return value, (float(dvals.min()), float(dvals.max()))
 
 
-def interior_derivative_error(u_l, u_inf, alphas, region, h: float, m: int | None = None) -> dict:
+def interior_derivative_error(w, p: int, alphas, region, h: float, m: int | None = None) -> dict:
     """Lattice H^m-aggregated forward-difference estimators, {alpha: value}.
 
     For each alpha, in the order given: sqrt(sum over |beta| <= m of the
-    trapezoid-lattice integral of (delta_h^alpha D^beta (u_l - extension of
-    u_inf))^2) over the region.  u_inf lives on the cross-section; its
-    extension is constant in the axial variables, so axial derivatives of the
-    extension vanish.  The forward differences of alpha consume alpha_k extra
-    layers on the upper side of axis k; that inflated lattice must stay
-    inside the domain of u_l, and when alpha has cross-sectional components
-    the region must be strictly interior in the cross-sectional axes.  Each
-    D^beta is evaluated once, on the lattice inflated by the largest alpha_k,
-    and each alpha differences its leading points: a value depends on its own
-    point only, so an estimate equals the one from [alpha] alone.
+    trapezoid-lattice integral of (delta_h^alpha D^beta w)^2) over the
+    region, w a field on (axial box) x omega whose first p axes are axial:
+    in the sweep, w = u_l - ext(u_inf).  m defaults to the constraint order
+    of w's first cross-section factor.  The forward differences of alpha
+    consume alpha_k extra layers on the upper side of axis k; that inflated
+    lattice must stay inside the domain of w, and when alpha has
+    cross-sectional components the region must be strictly interior in the
+    cross-sectional axes.  Each D^beta is evaluated once, on the lattice
+    inflated by the largest alpha_k, and each alpha differences its leading
+    points: a value depends on its own point only, so an estimate equals the
+    one from [alpha] alone.
     """
-    n = u_l.basis.naxes
-    p = n - u_inf.basis.naxes
-    if p < 1:
-        raise LatticeError("cross-section field must have fewer axes than the full field")
+    n = w.basis.naxes
+    if not 0 < p < n:
+        raise LatticeError(f"need 0 < p < {n} axial axes, got p = {p}")
     if m is None:
-        m = u_l.basis.factors[0].bc_order
+        m = w.basis.factors[p].bc_order
     if h <= 0:
         raise LatticeError(f"spacing must be positive, got {h}")
     alphas = [tuple(alpha) for alpha in alphas]
-    domain = u_l.basis.domain
+    domain = w.basis.domain
     counts = []
     for k, (lo, hi) in enumerate(region):
         if not lo < hi:
@@ -253,15 +253,14 @@ def interior_derivative_error(u_l, u_inf, alphas, region, h: float, m: int | Non
     axes = [lo + h * np.arange(c + a) for (lo, _), c, a in zip(region, counts, inflate)]
     weights = np.ones(())
     for count in counts:
-        w = np.ones(count)
-        w[0] = w[-1] = 0.5
-        weights = np.multiply.outer(weights, w)
+        trapezoid = np.ones(count)
+        trapezoid[0] = trapezoid[-1] = 0.5
+        weights = np.multiply.outer(weights, trapezoid)
     origin = tuple(r[0] for r in region)
     spacing = (float(h),) * n
-    diff = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p))
     totals = dict.fromkeys(alphas, 0.0)
     for beta in enumerate_upto(n, m):
-        values = diff(axes, beta)
+        values = w.eval_grid(axes, beta)
         for alpha in totals:
             lattice = values[tuple(slice(0, c + a) for c, a in zip(counts, alpha))]
             d = delta_alpha(GridSample(origin, spacing, lattice), alpha)

@@ -30,8 +30,8 @@ import numpy as np
 from .analysis import (
     FLOOR,
     ConvergenceReport,
-    DifferenceEvaluator,
     ErrorRecord,
+    difference_field,
     error_Hm,
     fit_rate,
     lemma19_check,
@@ -191,10 +191,10 @@ def _sweep_worker(args):
     strict = interior_region(spec, ell0, margin)
     full = [(-ell0, ell0)] * p + list(spec.omega)
     alphas = enumerate_upto(n, m)
-    interior = interior_derivative_error(u_l, u_inf, alphas, strict, h_lat, m=m)
-    n1_full = interior_derivative_error(
-        u_l, u_inf, [a for a in alphas if in_N1(a, p)], full, h_lat, m=m
-    )
+    _, w = difference_field(u_l, u_inf)
+    interior = interior_derivative_error(w, p, alphas, strict, h_lat, m=m)
+    n1_alphas = [a for a in alphas if in_N1(a, p)]
+    n1_full = interior_derivative_error(w, p, n1_alphas, full, h_lat, m=m)
     total_sq = 0.0
     for est in interior.values():
         total_sq += est * est
@@ -209,7 +209,8 @@ def _sweep_worker(args):
         lemma19_ratio=ratio,
         solver_residual=result.residual,
         wall_time_s=wall,
-        solver_iterations=result.iterations,
+        solver_method=result.method,
+        backward_error=result.backward_error,
         interior_alpha={encode(a): est for a, est in interior.items()},
         n1_full_alpha={encode(a): est for a, est in n1_full.items()},
     )
@@ -372,9 +373,10 @@ def run_refinement(
         limit_system = assemble_limit(spec, resolution=res, degree=degree)
         limit_result = _solve_system(limit_system)
         u_inf_h = DiscreteField(limit_system.basis, limit_result.x)
-        diff = DifferenceEvaluator(
-            u_inf_h.eval_grid, lambda axes, alpha: exact(axes[0], alpha[0])
-        )
+
+        def diff(axes, alpha):
+            return u_inf_h.eval_grid(axes, alpha) - exact(axes[0], alpha[0])
+
         err = norm_Hm(diff, list(spec.omega), m, res, points_per_cell=degree + 1)
         errs.append(err)
 

@@ -1,11 +1,16 @@
-"""Dense views of the package's sparse objects, built only by the tests.
+"""Dense and evaluator views of the package's objects, built only by the tests.
 
 The package evaluates fields cell by cell and never forms a (points x dim)
 basis matrix; the oracles here do, from the same local de Boor values, so a
 test can compare a contraction against a plain matrix product.  Likewise
 the package integrates the H^m norms of spline fields as Kronecker
-quadratic forms; ProductEvaluator gives the grid integrator analysis.norm_Hm
-the Leibniz product of a field and a cutoff, so a test can compare the two.
+quadratic forms, and represents u_l - ext(u_inf) once, as one spline field
+(analysis.difference_field).  The evaluators here build the same functions
+the other way, from values on a grid: ExtensionEvaluator extends a
+cross-section field constantly along the axial axes, DifferenceEvaluator
+subtracts two evaluators, and ProductEvaluator gives the grid integrator
+analysis.norm_Hm the Leibniz product of a field and a cutoff.  A test
+compares the two representations.
 """
 
 import numpy as np
@@ -22,6 +27,33 @@ def dense_basis_matrix(basis, x, der: int = 0):
     rows = np.broadcast_to(np.arange(Q)[:, None], cols.shape)
     out[rows[valid], cols[valid]] = ders[:, der, :][valid]
     return out
+
+
+class ExtensionEvaluator:
+    """Constant axial extension of a cross-section field: axial derivatives
+    vanish, cross-sectional derivatives broadcast along the axial axes."""
+
+    def __init__(self, cross_field, p: int):
+        self._cross = cross_field
+        self.p = int(p)
+
+    def __call__(self, axes, alpha):
+        shape = tuple(len(a) for a in axes)
+        if any(alpha[k] > 0 for k in range(self.p)):
+            return np.zeros(shape)
+        vals = self._cross.eval_grid(list(axes[self.p :]), tuple(alpha[self.p :]))
+        return np.broadcast_to(vals.reshape((1,) * self.p + vals.shape), shape)
+
+
+class DifferenceEvaluator:
+    """Difference of two evaluators, value by value."""
+
+    def __init__(self, left, right):
+        self._left = left
+        self._right = right
+
+    def __call__(self, axes, alpha):
+        return self._left(axes, alpha) - self._right(axes, alpha)
 
 
 class ProductEvaluator:

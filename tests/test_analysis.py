@@ -6,7 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from dense_oracle import ProductEvaluator, dense_basis_matrix
+from dense_oracle import (
+    DifferenceEvaluator,
+    ExtensionEvaluator,
+    ProductEvaluator,
+    dense_basis_matrix,
+)
 
 from cylasym.analysis import (
     CSV_HEADER,
@@ -14,9 +19,8 @@ from cylasym.analysis import (
     ConvergenceReport,
     CutoffEvaluator,
     CutoffRho,
-    DifferenceEvaluator,
     ErrorRecord,
-    ExtensionEvaluator,
+    difference_field,
     error_Hm,
     fit_rate,
     galerkin_interior_residual,
@@ -26,7 +30,6 @@ from cylasym.analysis import (
     write_report_csv,
     write_report_json,
     write_refinement_csv,
-    _difference,
     _gauss_grid,
     _kron_parts,
 )
@@ -412,8 +415,8 @@ def test_floor_level_difference_has_nonnegative_parts(m):
     V = U * 2.0**-50 * rng.choice([-1.0, 1.0], cross.dim)
     u_l = DiscreteField(TensorBasis([axial, cross]), np.multiply.outer(np.ones(axial.dim), U + V))
     u_inf = DiscreteField(TensorBasis([cross]), U)
-    p, X = _difference(u_l, u_inf)
-    parts = _kron_parts(X, u_l.basis.factors, [(-1.0, 1.0), (0.0, 1.0)], m, 4, axial=p)
+    _, w = difference_field(u_l, u_inf)
+    parts = _kron_parts(w, [(-1.0, 1.0), (0.0, 1.0)], m, 4)
     assert all(np.isfinite(parts)) and min(parts) >= 0.0
     err_L2 = error_Hm(u_l, u_inf, 1.0, 0, 4)
     err_Hm = error_Hm(u_l, u_inf, 1.0, m, 4)
@@ -426,36 +429,24 @@ def test_floor_level_difference_has_nonnegative_parts(m):
 
 def test_interior_residual_zero_when_solutions_agree():
     spec = builtin_problem("poisson_strip")
-    u_l = _FakeField([(-4.0, 4.0), (0.0, 1.0)], _bubble)
-    u_inf = _FakeField([(0.0, 1.0)], _bubble)
+    u_l, u_inf = _spline_pair(4.0, [(_one, _bubble1)], _bubble1)
+    # exactly the extension: the difference field's coefficients are zero
+    u_l = DiscreteField(u_l.basis, np.multiply.outer(np.ones(u_l.basis.dims[0]), u_inf.coeffs))
     res = galerkin_interior_residual(u_l, u_inf, spec, ell=4.0, resolution=4)
     assert res == 0.0
 
 
 def test_interior_residual_detects_axial_defect():
-    def with_wiggle(grids, alpha):
-        base = _bubble(grids, alpha)
-        x = grids[0]
-        k = alpha[0]
-        if alpha[1] != 0:
-            return base
-        if k == 0:
-            return base + 0.01 * np.sin(x)
-        if k == 1:
-            return base + 0.01 * np.cos(x)
-        return base
-
     spec = builtin_problem("poisson_strip")
-    u_l = _FakeField([(-4.0, 4.0), (0.0, 1.0)], with_wiggle)
-    u_inf = _FakeField([(0.0, 1.0)], _bubble)
+    wiggle = (lambda x: 0.01 * np.sin(x), _one)
+    u_l, u_inf = _spline_pair(4.0, [(_one, _bubble1), wiggle], _bubble1)
     res = galerkin_interior_residual(u_l, u_inf, spec, ell=4.0, resolution=4)
     assert res > 1e-5
 
 
 def test_interior_residual_needs_room_for_bumps():
     spec = builtin_problem("poisson_strip")
-    u_l = _FakeField([(-1.5, 1.5), (0.0, 1.0)], _bubble)
-    u_inf = _FakeField([(0.0, 1.0)], _bubble)
+    u_l, u_inf = _spline_pair(1.5, [(_one, _bubble1)], _bubble1)
     with pytest.raises(ValueError, match="no room"):
         galerkin_interior_residual(u_l, u_inf, spec, ell=1.5, resolution=4)
 
@@ -612,7 +603,7 @@ def _golden_report():
         ErrorRecord(
             ell=2.0, dofs=1024, err_L2=1.0 / 3.0, err_Hm=0.7, err_H2m_interior=1e-3,
             norm_ul_Hm_full=0.125, lemma19_ratio=1.2923, solver_residual=3.5e-13,
-            wall_time_s=1.75, solver_iterations=41,
+            wall_time_s=1.75, solver_method="cholesky_banded", backward_error=2.5e-16,
             interior_alpha={"0_0": 2.5e-4, "1_0": 1e-3}, n1_full_alpha={"0_1": 6.0e-5},
         ),
         ErrorRecord(
@@ -644,6 +635,7 @@ GOLDEN_CSV = (
 
 GOLDEN_RECORD = """\
     {
+      "backward_error": 2.5e-16,
       "dofs": 1024,
       "ell": 2.0,
       "err_H2m_interior": 0.001,
@@ -658,7 +650,7 @@ GOLDEN_RECORD = """\
         "0_1": 6e-05
       },
       "norm_ul_Hm_full": 0.125,
-      "solver_iterations": 41,
+      "solver_method": "cholesky_banded",
       "solver_residual": 3.5e-13,
       "wall_time_s": 1.75
     },
@@ -696,9 +688,9 @@ def test_report_writers_match_golden_bytes(tmp_path):
     assert GOLDEN_HYPOTHESIS in text
     data = json.loads(text)
     assert data["records"][1] == {
-        "dofs": 2048, "ell": 4.5, "err_H2m_interior": 0.0, "err_Hm": 1.5e-06,
-        "err_L2": 2e-07, "interior_alpha": {}, "lemma19_ratio": 1.35,
-        "n1_full_alpha": {}, "norm_ul_Hm_full": 0.25, "solver_iterations": 0,
+        "backward_error": None, "dofs": 2048, "ell": 4.5, "err_H2m_interior": 0.0,
+        "err_Hm": 1.5e-06, "err_L2": 2e-07, "interior_alpha": {}, "lemma19_ratio": 1.35,
+        "n1_full_alpha": {}, "norm_ul_Hm_full": 0.25, "solver_method": "",
         "solver_residual": 0.0, "wall_time_s": 0.5,
     }
 

@@ -3,11 +3,11 @@ spacings), the two discrete identities on random lattices, mean-value
 containment, and the interior estimator's zero case and guard rails."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cylasym.analysis import difference_field
 from cylasym.fdcalc import (
     GridSample,
     LatticeError,
@@ -243,95 +243,97 @@ def test_mean_value_2d_containment():
     assert abs(value - 2.0) <= 1e-12
 
 
-class _Extension:
-    """Duck-typed cylinder field equal to the constant axial extension of a
-    cross-section field; lets the zero case of the estimator be exact."""
-
-    def __init__(self, cross: DiscreteField, axial_extent, p):
-        self._cross = cross
-        self._p = p
-        factors = tuple(
-            SimpleNamespace(lo=lo, hi=hi, bc_order=cross.basis.factors[0].bc_order)
-            for (lo, hi) in ([axial_extent] * p + list(cross.basis.domain))
-        )
-        self.basis = SimpleNamespace(
-            naxes=p + cross.basis.naxes,
-            factors=factors,
-            domain=tuple((f.lo, f.hi) for f in factors),
-        )
-
-    def eval_grid(self, axes, alpha):
-        shape = tuple(len(a) for a in axes)
-        if any(a > 0 for a in alpha[: self._p]):
-            return np.zeros(shape)
-        vals = self._cross.eval_grid(axes[self._p :], alpha[self._p :])
-        return np.broadcast_to(vals.reshape((1,) * self._p + vals.shape), shape).copy()
-
-
 def _cross_field(seed=0):
     basis = TensorBasis([SplineBasis1D(0.0, 1.0, 8, 2, 1)])
     rng = np.random.default_rng(seed)
     return DiscreteField(basis, rng.standard_normal(basis.dims))
 
 
-def _estimate(u_l, u_inf, alpha, region, h, m):
-    (value,) = interior_derivative_error(u_l, u_inf, [alpha], region, h, m=m).values()
+def _extension(cross: DiscreteField):
+    """The constant axial extension of a cross-section field to (-2, 2),
+    exact on the unconstrained axial splines, which sum to 1."""
+    axial = SplineBasis1D(-2.0, 2.0, 16, 2, 0)
+    coeffs = np.multiply.outer(np.ones(axial.dim), cross.coeffs)
+    return DiscreteField(TensorBasis([axial, *cross.basis.factors]), coeffs)
+
+
+def _estimate(w, alpha, region, h, m):
+    (value,) = interior_derivative_error(w, 1, [alpha], region, h, m=m).values()
     return value
 
 
 def test_interior_error_zero_for_exact_extension():
     u_inf = _cross_field()
-    u_l = _Extension(u_inf, (-2.0, 2.0), p=1)
+    _, w = difference_field(_extension(u_inf), u_inf)
     region = ((-0.5, 0.5), (0.25, 0.75))
     alphas = [(0, 0), (1, 0), (0, 1)]
-    errs = interior_derivative_error(u_l, u_inf, alphas, region, h=1.0 / 16, m=1)
+    errs = interior_derivative_error(w, 1, alphas, region, h=1.0 / 16, m=1)
     assert list(errs) == alphas
     assert all(err == 0.0 for err in errs.values())
 
 
 def test_interior_error_positive_for_perturbed_field():
     u_inf = _cross_field()
-    u_l = _Extension(_cross_field(seed=9), (-2.0, 2.0), p=1)
-    err = _estimate(u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1)
+    _, w = difference_field(_extension(_cross_field(seed=9)), u_inf)
+    err = _estimate(w, (0, 1), ((-0.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1)
     assert err > 0.01
+
+
+def test_interior_error_order_defaults_to_the_cross_section_constraint():
+    # the difference field's axial factor is unconstrained (bc_order 0); the
+    # default m is the cross-section's constraint order, 1, not 0
+    u_inf = _cross_field()
+    _, w = difference_field(_extension(_cross_field(seed=9)), u_inf)
+    assert w.basis.factors[0].bc_order == 0
+    alphas = [(0, 0), (1, 0), (0, 1)]
+    region = ((-0.5, 0.5), (0.25, 0.75))
+    default = interior_derivative_error(w, 1, alphas, region, h=1.0 / 16)
+    assert default == interior_derivative_error(w, 1, alphas, region, h=1.0 / 16, m=1)
+    with pytest.raises(LatticeError, match="exceeds m = 1"):
+        interior_derivative_error(w, 1, [(1, 1)], region, h=1.0 / 16)
 
 
 def test_interior_error_region_guards():
     u_inf = _cross_field()
-    u_l = _Extension(u_inf, (-2.0, 2.0), p=1)
+    _, w = difference_field(_extension(u_inf), u_inf)
     strict = ((-0.5, 0.5), (0.25, 0.75))
     with pytest.raises(LatticeError, match="strictly interior"):
-        _estimate(u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.0, 0.75)), h=1.0 / 16, m=1)
+        _estimate(w, (0, 1), ((-0.5, 0.5), (0.0, 0.75)), h=1.0 / 16, m=1)
     with pytest.raises(LatticeError, match="leaves the domain"):
-        _estimate(u_l, u_inf, (0, 1), ((-0.5, 0.5), (0.25, 1.0)), h=1.0 / 16, m=1)
+        _estimate(w, (0, 1), ((-0.5, 0.5), (0.25, 1.0)), h=1.0 / 16, m=1)
     # alpha in N1 may touch the cross boundary
-    err = _estimate(u_l, u_inf, (1, 0), ((-0.5, 0.5), (0.0, 1.0)), h=1.0 / 16, m=1)
+    err = _estimate(w, (1, 0), ((-0.5, 0.5), (0.0, 1.0)), h=1.0 / 16, m=1)
     assert err == 0.0
     with pytest.raises(LatticeError, match="leaves the domain"):
-        _estimate(u_l, u_inf, (1, 0), ((-2.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1)
+        _estimate(w, (1, 0), ((-2.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1)
     with pytest.raises(LatticeError, match="exceeds m"):
-        _estimate(u_l, u_inf, (1, 1), strict, h=1.0 / 16, m=1)
+        _estimate(w, (1, 1), strict, h=1.0 / 16, m=1)
     with pytest.raises(LatticeError, match="does not match"):
-        _estimate(u_l, u_inf, (1,), strict, h=1.0 / 16, m=1)
+        _estimate(w, (1,), strict, h=1.0 / 16, m=1)
+    for p in (0, 2):
+        with pytest.raises(LatticeError, match="axial axes"):
+            interior_derivative_error(w, p, [(0, 0)], strict, h=1.0 / 16, m=1)
     # in a set, every alpha is checked with its own inflation
     with pytest.raises(LatticeError, match="strictly interior"):
         interior_derivative_error(
-            u_l, u_inf, [(1, 0), (0, 1)], ((-0.5, 0.5), (0.0, 0.75)), h=1.0 / 16, m=1
+            w, 1, [(1, 0), (0, 1)], ((-0.5, 0.5), (0.0, 0.75)), h=1.0 / 16, m=1
         )
     with pytest.raises(LatticeError, match="leaves the domain"):
         interior_derivative_error(
-            u_l, u_inf, [(0, 0), (1, 0)], ((-0.5, 2.0), (0.25, 0.75)), h=1.0 / 16, m=1
+            w, 1, [(0, 0), (1, 0)], ((-0.5, 2.0), (0.25, 0.75)), h=1.0 / 16, m=1
         )
     with pytest.raises(LatticeError, match="exceeds m"):
-        interior_derivative_error(u_l, u_inf, [(0, 0), (2, 0)], strict, h=1.0 / 16, m=1)
+        interior_derivative_error(w, 1, [(0, 0), (2, 0)], strict, h=1.0 / 16, m=1)
 
 
-def _cylinder_pair(seed=3):
+def _cylinder_difference(seed=3):
+    """u_l - ext(u_inf) for random cylinder and cross-section fields."""
     rng = np.random.default_rng(seed)
     cross = TensorBasis([SplineBasis1D(0.0, 1.0, 8, 3, 2)])
     full = TensorBasis([SplineBasis1D(-2.0, 2.0, 16, 3, 2), SplineBasis1D(0.0, 1.0, 8, 3, 2)])
     u_l = DiscreteField(full, rng.standard_normal(full.dims))
-    return u_l, DiscreteField(cross, rng.standard_normal(cross.dims))
+    _, w = difference_field(u_l, DiscreteField(cross, rng.standard_normal(cross.dims)))
+    return w
 
 
 @pytest.mark.parametrize(
@@ -342,28 +344,28 @@ def _cylinder_pair(seed=3):
     ],
 )
 def test_interior_error_set_matches_each_alpha_alone(region, keep):
-    u_l, u_inf = _cylinder_pair()
+    w = _cylinder_difference()
     alphas = [a for a in enumerate_upto(2, 2) if keep(a)]
-    together = interior_derivative_error(u_l, u_inf, alphas[::-1], region, 1.0 / 16, m=2)
+    together = interior_derivative_error(w, 1, alphas[::-1], region, 1.0 / 16, m=2)
     assert list(together) == alphas[::-1]
     for alpha in alphas:
-        alone = _estimate(u_l, u_inf, alpha, region, 1.0 / 16, m=2)
+        alone = _estimate(w, alpha, region, 1.0 / 16, m=2)
         assert alone > 0.0 and together[alpha] == alone
 
 
 def test_interior_error_evaluates_each_derivative_once(monkeypatch):
-    u_l, u_inf = _cylinder_pair()
+    w = _cylinder_difference()
     calls = []
     plain = DiscreteField.eval_grid
 
     def counted(self, axes, alpha):
-        if self is u_l:
-            calls.append(tuple(alpha))
+        assert self is w
+        calls.append(tuple(alpha))
         return plain(self, axes, alpha)
 
     monkeypatch.setattr(DiscreteField, "eval_grid", counted)
     betas = enumerate_upto(2, 2)
-    interior_derivative_error(u_l, u_inf, betas, ((-0.5, 0.5), (0.25, 0.75)), 1.0 / 16, m=2)
+    interior_derivative_error(w, 1, betas, ((-0.5, 0.5), (0.25, 0.75)), 1.0 / 16, m=2)
     assert calls == betas
 
 

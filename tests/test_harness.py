@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from cylasym import assembly, cli, harness, linalg
-from cylasym.analysis import (
-    DifferenceEvaluator,
-    ExtensionEvaluator,
-    norm_Hm,
-    write_report_csv,
-)
+from cylasym.analysis import difference_field, norm_Hm, write_report_csv
 from cylasym.fdcalc import interior_derivative_error
 from cylasym.harness import (
     HypothesisError,
@@ -29,7 +24,7 @@ from cylasym.problem import (
     builtin_problem,
     parse_problem_config,
 )
-from cylasym.splines import DiscreteField
+from cylasym.splines import DiscreteField, _window_sum
 
 POISSON = builtin_problem("poisson_strip")
 
@@ -94,26 +89,27 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 
 def test_sweep_interior_tables_hold_their_values():
-    # reprs of the one-lattice-per-region estimator, which kept every bit of
-    # the per-alpha one; taken again when the cylinder load vector became a
-    # Kronecker product, which moves the solution by rounding (these values
-    # by at most 4.3e-10 relative)
+    # reprs of the estimator on the one difference field u_l - ext(u_inf),
+    # taken when it replaced evaluating u_l and u_inf separately and
+    # subtracting their grids (these values moved by at most 5.5e-10
+    # relative); the one-lattice-per-region estimator kept every bit of the
+    # per-alpha one
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.646638683300434e-05, '0_1': 0.00022532855497316324, "
-            "'1_0': 0.00023244104608632023, '0_2': 0.001822944995543041, "
-            "'1_1': 0.0007724739341889577, '2_0': 0.0021641968173917166}",
-            "{'0_0': 0.0006463618950815897, '1_0': 0.004082053622871974, "
-            "'2_0': 0.02443412018465317}",
+            "{'0_0': 4.6466386833006096e-05, '0_1': 0.00022532855497316547, "
+            "'1_0': 0.00023244104608634243, '0_2': 0.0018229449955422627, "
+            "'1_1': 0.0007724739341890261, '2_0': 0.0021641968173921294}",
+            "{'0_0': 0.0006463618950815894, '1_0': 0.00408205362287197, "
+            "'2_0': 0.02443412018465329}",
         ),
         (
-            "{'0_0': 1.879215071474242e-08, '0_1': 8.232017688205497e-08, "
-            "'1_0': 8.233974726122784e-08, '0_2': 6.093924716705704e-07, "
-            "'1_1': 4.0071555284961805e-07, '2_0': 3.5979045349531064e-07}",
-            "{'0_0': 1.4292434529605996e-07, '1_0': 5.297804488412666e-07, "
-            "'2_0': 3.7524279435087425e-06}",
+            "{'0_0': 1.8792150715999096e-08, '0_1': 8.232017687911898e-08, "
+            "'1_0': 8.233974725829086e-08, '0_2': 6.093924718650076e-07, "
+            "'1_1': 4.0071555288249733e-07, '2_0': 3.5979045329792523e-07}",
+            "{'0_0': 1.4292434529510037e-07, '1_0': 5.29780448836682e-07, "
+            "'2_0': 3.752427943645662e-06}",
         ),
     ]
 
@@ -197,10 +193,10 @@ def test_interior_estimate_at_alpha_zero_matches_quadrature_norm(poisson_report)
     u_inf = DiscreteField(sys_o.basis, harness._solve_system(sys_o).x)
 
     region = interior_region(POISSON, ell0=1.0, margin=0.25)
-    errs = interior_derivative_error(u_l, u_inf, [(0, 0)], region, h=1.0 / 16.0, m=1)
+    _, w = difference_field(u_l, u_inf)
+    errs = interior_derivative_error(w, 1, [(0, 0)], region, h=1.0 / 16.0, m=1)
     est = errs[(0, 0)]
-    diff = DifferenceEvaluator(u_l.eval_grid, ExtensionEvaluator(u_inf, p=1))
-    ref = norm_Hm(diff, region, m=1, resolution=8)
+    ref = norm_Hm(w, region, m=1, resolution=8)
     assert ref > 0.0
     assert abs(est - ref) <= 0.02 * ref
 
@@ -221,21 +217,27 @@ def test_sweep_needs_no_csr_and_no_krylov_solver(monkeypatch):
     for name in ("cg_jacobi", "gmres_jacobi", "smallest_ritz_estimate"):
         monkeypatch.setattr(harness, name, refuse)
         monkeypatch.setattr(linalg, name, refuse)
-    for spec in (POISSON, parse_problem_config(SKEW_CONFIG, "skew")):
+    for spec, method in ((POISSON, "fast_diagonalization"),
+                         (parse_problem_config(SKEW_CONFIG, "skew"), "lu_banded")):
         rep = run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=4))
-        assert all(r.solver_iterations == 0 for r in rep.records)
+        assert all(r.solver_method == method for r in rep.records)
+        assert all(0.0 <= r.backward_error <= 1e-14 for r in rep.records)
         assert rep.plan["backward_error_tol"] == 1e-14 and "solver_tol" not in rep.plan
 
 
 def test_sweep_norms_evaluate_no_field_on_a_grid(monkeypatch):
     # the H^m norms and localized energies are Kronecker forms of the
-    # coefficients; only the interior estimates evaluate fields
+    # coefficients; only the interior estimates evaluate a field, and only
+    # the difference field u_l - ext(u_inf): unconstrained on the axial
+    # axis, never u_l's or u_inf's own basis
     calls = {"norms": 0, "other": 0}
     inside = []
+    evaluated = set()
     eval_grid = DiscreteField.eval_grid
 
     def counted(self, axes, alpha):
         calls["norms" if inside else "other"] += 1
+        evaluated.add(tuple(f.bc_order for f in self.basis.factors))
         return eval_grid(self, axes, alpha)
 
     monkeypatch.setattr(DiscreteField, "eval_grid", counted)
@@ -251,6 +253,33 @@ def test_sweep_norms_evaluate_no_field_on_a_grid(monkeypatch):
     run_sweep(SweepPlan(spec=POISSON, ells=(2.0, 4.0), resolution=6))
     assert calls["norms"] == 0
     assert calls["other"] > 0
+    assert evaluated == {(0, 1)}
+
+
+def _eval_grid_axes_swapped(self, axes, alpha):
+    """DiscreteField.eval_grid with the axes contracted last to first: the
+    same values up to rounding."""
+    self.basis.check_alpha(alpha)
+    out = self.coeffs
+    for k in reversed(range(self.basis.naxes)):
+        vals, cols = self.basis.factors[k].local_table(axes[k])
+        out = np.moveaxis(_window_sum(np.moveaxis(out, k, 0), vals[:, alpha[k], :], cols), 0, k)
+    return np.ascontiguousarray(out)
+
+
+def test_interior_estimate_holds_when_the_axes_are_swapped(monkeypatch):
+    # the estimates divide differences of D^beta values by h^|alpha|, h =
+    # 1/64, which magnifies their rounding; evaluating u_l and ext(u_inf)
+    # apart and subtracting made the l = 8 estimate move by 25% with the
+    # contraction order, the one difference field keeps it to rounding
+    plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(8.0,), resolution=32)
+    (before,) = run_sweep(plan).records
+    monkeypatch.setattr(DiscreteField, "eval_grid", _eval_grid_axes_swapped)
+    (after,) = run_sweep(plan).records
+    pairs = [(before.err_H2m_interior, after.err_H2m_interior)]
+    pairs += [(before.interior_alpha[k], after.interior_alpha[k]) for k in before.interior_alpha]
+    for old, new in pairs:
+        assert old > 0.0 and abs(new - old) <= 1e-12 * old
 
 
 BOX_P2_CONFIG = (
@@ -476,7 +505,7 @@ def test_cli_nonsymmetric_sweep_decays_on_any_worker_count(tmp_path, capsys):
         argv += ["--workers", str(workers), "--out-csv", str(csv_path)]
         assert cli.main(argv + ["--out-json", str(json_path)]) == 0
         records = json.loads(json_path.read_text())["records"]
-        assert all(r["solver_iterations"] == 0 for r in records)  # banded LU
+        assert all(r["solver_method"] == "lu_banded" for r in records)
         errs = [r["err_Hm"] for r in records]
         assert errs[0] > 1e-3 and all(b < 1e-2 * a for a, b in zip(errs, errs[1:]))
         csvs.append(csv_path.read_bytes())
@@ -627,7 +656,9 @@ def test_cli_biharmonic_sweep_at_40_cells_per_unit_exits_zero(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads(out.read_text())
     assert report["plan"]["backward_error_tol"] == 1e-14
-    assert [r["solver_iterations"] for r in report["records"]] == [0, 0, 0]
+    records = report["records"]
+    assert [r["solver_method"] for r in records] == ["cholesky_banded"] * 3
+    assert all(0.0 <= r["backward_error"] <= 1e-14 for r in records)
 
 
 def test_cli_indefinite_problem_exits_three_naming_the_stage(tmp_path, capsys):
