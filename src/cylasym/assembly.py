@@ -28,27 +28,29 @@ the unit forcing, cross-section load), the latter the one assemble_limit
 builds; a forcing that reads them is refused.
 
 An AssembledSystem keeps those pieces, not the sum: the (axial band,
-cross-section band) pair of every axial part, with its axial indices, and
-the n-D band when some pair needs it (the cross-section system keeps only
-its n-D band, the kernel on its own factors).  Slot tuple s of the band, in
-every row, is summed from them when it is read, in the order a full band
-would sum it: zero, then each Kronecker part, then the n-D band.  A
-symmetric problem's matrix is (A + A^T) / 2, each entry the mean of its slot
-and its mirror slot.  One slot walk (_band_entries) hands out those entries;
-from it, lower_band writes the slots on and below the diagonal straight into
-LAPACK lower band storage, a Fortran-ordered (kd + 1, N) array with
-kd = sum_k d_k stride_k (stride_k the flat-index step of axis k), and
-general_band writes every slot into LAPACK general band storage,
-(2 kd + 1, N); both sum the exact |A|_inf on the way, as inf_norm does
-without writing a band.  matvec multiplies by the matrix from the pieces,
-sum_j A_j X C_j^T plus the n-D band applied slot by slot, and by its
-transpose for a symmetric problem.  A symmetric system of
-exactly two Kronecker parts, each with equal axial indices, and no n-D band
-(two_part) also hands over its pencil: the lower bands of the two axial
-blocks and the dense cross-section blocks, written by the same walk.  No
-full-size band and no CSR matrix is built for a solve.  The CSR matrix is
-built the first time AssembledSystem.matrix is read: the tests and the
-benchmark's trace mode read it.
+cross-section band) pair of every axial part, each in its own factors' band
+layout, with its axial indices, and the n-D band when some pair needs it
+(the cross-section system keeps only its n-D band, the kernel on its own
+factors).  Slot tuple s of the band, in every row, is summed from them when
+it is read, in the order a full band would sum it: zero, then each
+Kronecker part (the outer product of its axial band's slots s_1..s_p and
+its cross-section band's slots s_p+1..s_n), then the n-D band.  A symmetric
+problem's matrix is (A + A^T) / 2, each entry the mean of its slot and its
+mirror slot.  One slot walk (_band_entries) hands out those entries, and
+every written form of the system is written from it: lower_band writes the
+entries on and below the diagonal into LAPACK lower band storage, a
+Fortran-ordered (kd + 1, N) array with kd = sum_k d_k stride_k (stride_k
+the flat-index step of axis k); general_band writes every entry into LAPACK
+general band storage, (2 kd + 1, N); both sum the exact |A|_inf on the way,
+as inf_norm does without writing a band.  AssembledSystem.matrix writes the
+CSR matrix, for a symmetric problem the lower entries and their mirrors,
+on every read: the tests and the benchmark's trace mode read it, no solve
+does.  matvec multiplies by the matrix from the pieces, sum_j A_j X C_j^T
+plus the n-D band applied slot by slot, and by its transpose for a
+symmetric problem.  A symmetric system of exactly two Kronecker parts, each
+with equal axial indices, and no n-D band (two_part) also hands over its
+pencil: the lower bands of the two axial blocks and the dense cross-section
+blocks, written by the same walk.  No full-size band is ever built.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -63,7 +65,6 @@ axis-independence the hypothesis validator enforces.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,7 +87,7 @@ class AssembledSystem:
     """A Galerkin system kept as the pieces its band is the sum of.
 
     kron_parts holds one (axial band, cross-section band) pair per axial
-    part, each band reshaped to (rows, slots), and axial_keys the
+    part, each in the band layout of its own factors, and axial_keys the
     (alpha_axial, beta_axial) of each part; nd_band is the kernel's band on
     all factors, or None when no pair needs it.
     """
@@ -112,19 +113,29 @@ class AssembledSystem:
     def _degrees(self):
         return tuple(f.degree for f in self.basis.factors)
 
-    @cached_property
+    @property
     def matrix(self):
-        """The CSR matrix, (A + A^T) / 2 for a symmetric problem."""
-        A = _to_csr(self._full_band())
+        """The CSR matrix, (A + A^T) / 2 for a symmetric problem, written
+        from the entries lower_band and general_band write: the lower ones
+        and their mirrors for a symmetric problem.  Built on every read."""
+        entries = list(self._entries(lower=self.symmetric))
         if self.symmetric:
-            _symmetrize(A)
-        return A
-
-    def _full_band(self):
-        band = np.empty(_band_shape(self.basis.factors))
-        for s in _slot_tuples(self._degrees):
-            band[(slice(None),) * len(s) + s] = self._slot(s)
-        return band
+            entries += [(-c, cols, rows, values) for c, rows, cols, values in entries if c]
+        # columns ascend with c in every row, and no two entries of one c
+        # share a row
+        entries.sort(key=lambda entry: entry[0])
+        count = np.zeros(self._dims, dtype=np.int64)
+        for _, rows, _, _ in entries:
+            count[rows] += 1
+        indptr = np.concatenate([[0], np.cumsum(count.ravel())])
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+        at = indptr[:-1].reshape(self._dims).copy()  # the next free position per row
+        flat = np.arange(self.ndofs, dtype=np.int32).reshape(self._dims)
+        for _, rows, cols, values in entries:
+            here = at[rows]
+            data[here], indices[here] = values, flat[cols]
+            at[rows] += 1
+        return sp.csr_matrix((data, indices, indptr), shape=(self.ndofs,) * 2)
 
     def _slot(self, s):
         """Slot tuple s of the band in every row, of shape (dim_1..dim_n):
@@ -133,13 +144,9 @@ class AssembledSystem:
         if not self.kron_parts:
             return nd
         p = self.spec.p
-        widths = [2 * d + 1 for d in self._degrees]
-        axial = np.ravel_multi_index(s[:p], widths[:p])
-        cross = np.ravel_multi_index(s[p:], widths[p:])
         out = np.zeros(self._dims)
-        grouped = out.reshape(self.kron_parts[0][0].shape[0], -1)
         for A, C in self.kron_parts:
-            grouped += np.multiply.outer(A[:, axial], C[:, cross])
+            out += np.multiply.outer(A[(Ellipsis,) + s[:p]], C[(Ellipsis,) + s[p:]])
         if nd is not None:
             out += nd
         return out
@@ -154,14 +161,15 @@ class AssembledSystem:
             raise ValueError("the lower band describes a symmetric system only")
         row_abs = np.zeros(self._dims)
         entries = _summed(self._entries(lower=True), row_abs, True)
-        return _write_lower(entries, self._dims, self._degrees), float(row_abs.max())
+        return _write_band(entries, self._dims, self._degrees, 0), float(row_abs.max())
 
     def general_band(self):
         """(ab, |A|_inf) of the matrix: ab is LAPACK general band storage,
         Fortran-ordered, with A[i, j] at ab[kd + i - j, j]."""
         row_abs = np.zeros(self._dims)
         entries = _summed(self._entries(lower=False), row_abs, False)
-        return _write_general(entries, self._dims, self._degrees), float(row_abs.max())
+        kd = _half_bandwidth(self._dims, self._degrees)
+        return _write_band(entries, self._dims, self._degrees, kd), float(row_abs.max())
 
     def inf_norm(self) -> float:
         """|A|_inf of the matrix, as lower_band and general_band sum it."""
@@ -188,21 +196,12 @@ class AssembledSystem:
             p, n = self.spec.p, X.ndim
             Xc = np.moveaxis(X, range(p), range(n - p, n)).copy()
             Yc = np.zeros(Xc.shape)
-            for A, C in self._part_bands():
+            for A, C in self.kron_parts:
                 Yc += _band_apply(A, _band_apply(C, Xc, 0, transpose), n - p, transpose)
             Y += np.moveaxis(Yc, range(n - p, n), range(p))
         if self.nd_band is not None:
             Y += _band_apply(self.nd_band, X, 0, transpose)
         return Y
-
-    def _part_bands(self):
-        """(axial band, cross-section band) of each Kronecker part, each in
-        its own factors' band layout."""
-        p = self.spec.p
-        dims, widths = self._dims, [2 * d + 1 for d in self._degrees]
-        for A, C in self.kron_parts:
-            yield (A.reshape(dims[:p] + tuple(widths[:p])),
-                   C.reshape(dims[p:] + tuple(widths[p:])))
 
     @property
     def two_part(self) -> bool:
@@ -228,17 +227,13 @@ class AssembledSystem:
         """
         if not self.two_part:
             raise ValueError("the Kronecker pencil describes a two-part system only")
-        parts = list(self._part_bands())
+        parts = list(self.kron_parts)
         orders = [sum(a) + sum(b) for a, b in self.axial_keys]
         if orders[1] > orders[0]:
             parts.reverse()
         axial = tuple(_lower_of_band(A) for A, _ in parts)
         cross = tuple(_dense(_lower_of_band(C)) for _, C in parts)
         return axial, cross
-
-
-def _slot_tuples(degrees):
-    return itertools.product(*(range(2 * d + 1) for d in degrees))
 
 
 def _band_entries(slot, dims, degrees, symmetric: bool, lower: bool):
@@ -251,7 +246,7 @@ def _band_entries(slot, dims, degrees, symmetric: bool, lower: bool):
     mean of its slot and its mirror slot.  lower keeps c <= 0 only.
     """
     strides = [math.prod(dims[k + 1 :]) for k in range(len(dims))]
-    for s in _slot_tuples(degrees):
+    for s in itertools.product(*(range(2 * d + 1) for d in degrees)):
         shift = [sk - d for sk, d in zip(s, degrees)]  # column minus row
         c = sum(e * stride for e, stride in zip(shift, strides))
         if lower and c > 0:
@@ -290,22 +285,16 @@ def _half_bandwidth(dims, degrees) -> int:
     return sum(d * math.prod(dims[k + 1 :]) for k, d in enumerate(degrees))
 
 
-def _write_lower(entries, dims, degrees):
-    """LAPACK lower band storage of the entries on and below the diagonal:
-    a Fortran-ordered (kd + 1, N) array with A[j + q, j] at ab[q, j]."""
-    ab = np.zeros((_half_bandwidth(dims, degrees) + 1, math.prod(dims)), order="F")
-    for c, rows, cols, values in entries:
-        ab[-c].reshape(dims)[cols] = values  # a view: ab[q] has one stride
-    return ab
-
-
-def _write_general(entries, dims, degrees):
-    """LAPACK general band storage: a Fortran-ordered (2 kd + 1, N) array
-    with A[i, j] at ab[kd + i - j, j]."""
+def _write_band(entries, dims, degrees, upper: int):
+    """LAPACK band storage of the entries with `upper` superdiagonals: a
+    Fortran-ordered (upper + kd + 1, N) array with A[i, j] at
+    ab[upper + i - j, j].  upper = 0 gives lower band storage, A[j + q, j]
+    at ab[q, j], of the entries on and below the diagonal; upper = kd gives
+    general band storage."""
     kd = _half_bandwidth(dims, degrees)
-    ab = np.zeros((2 * kd + 1, math.prod(dims)), order="F")
+    ab = np.zeros((upper + kd + 1, math.prod(dims)), order="F")
     for c, rows, cols, values in entries:
-        ab[kd - c].reshape(dims)[cols] = values
+        ab[upper - c].reshape(dims)[cols] = values  # a view: each row of ab has one stride
     return ab
 
 
@@ -313,7 +302,7 @@ def _lower_of_band(band):
     """Lower band storage of (B + B^T) / 2 for a band B in band layout."""
     k = band.ndim // 2
     dims, degrees = band.shape[:k], [w // 2 for w in band.shape[k:]]
-    return _write_lower(_band_entries(_slot_of(band), dims, degrees, True, True), dims, degrees)
+    return _write_band(_band_entries(_slot_of(band), dims, degrees, True, True), dims, degrees, 0)
 
 
 def _dense(ab):
@@ -416,10 +405,6 @@ def _quadrature_grid(tables, pinned):
     return W, coords, tuple(len(a) for a in axes)
 
 
-def _band_shape(factors):
-    return tuple(f.dim for f in factors) + tuple(2 * f.degree + 1 for f in factors)
-
-
 def _galerkin(factors, terms, pinned: int = 0):
     """The einsum kernel: band of the sum over terms (alpha, beta, coef) of
     the integral of coef D^alpha u D^beta v on the tensor space of factors.
@@ -459,35 +444,12 @@ def _galerkin(factors, terms, pinned: int = 0):
         elements = E
 
     # -0.0 + x is x bit for bit, so every entry is the plain sum of its cells
-    band = np.full(_band_shape(factors), -0.0)
+    band = np.full(tuple(f.dim for f in factors) + tuple(2 * f.degree + 1 for f in factors), -0.0)
     for cells, r, rows in _local_blocks(factors):
         # trial function t of the cell sits in slot t - r + degree of row r
         slots = tuple(slice(f.degree - rk, 2 * f.degree + 1 - rk) for f, rk in zip(factors, r))
         band[rows + slots] += elements[cells + r]
     return band
-
-
-def _to_csr(band):
-    """CSR matrix of a band, columns ascending in every row; slots whose
-    column falls outside the space are dropped."""
-    n = band.ndim // 2
-    keep = np.ones((1,) * (2 * n), dtype=bool)
-    offset = np.zeros((), dtype=np.int32)  # column minus row, per slot tuple
-    row_nnz = np.ones((), dtype=np.int64)
-    for k, (dim, width) in enumerate(zip(band.shape[:n], band.shape[n:])):
-        shift = np.arange(width, dtype=np.int32) - width // 2
-        col = np.add.outer(np.arange(dim, dtype=np.int32), shift)
-        inside = (col >= 0) & (col < dim)
-        shape = [1] * (2 * n)
-        shape[k], shape[n + k] = dim, width
-        keep = keep & inside.reshape(shape)
-        offset = np.add.outer(offset * dim, shift)
-        row_nnz = np.multiply.outer(row_nnz, inside.sum(axis=1))
-    cols = np.add.outer(np.arange(row_nnz.size, dtype=np.int32), offset.ravel())
-    indptr = np.concatenate([[0], np.cumsum(row_nnz.ravel())])
-    return sp.csr_matrix(
-        (band[keep], cols.reshape(band.shape)[keep], indptr), shape=(row_nnz.size,) * 2
-    )
 
 
 def _load(factors, forcing, pinned: int = 0):
@@ -506,12 +468,6 @@ def _load(factors, forcing, pinned: int = 0):
     for cells, r, rows in _local_blocks(factors):
         rhs[rows] += Fv[cells + r]
     return rhs.ravel()
-
-
-def _symmetrize(M):
-    """Replace M by (M + M^T) / 2 in place.  Every assembled pattern is
-    symmetric, so M^T in CSR form stores its entries in the same order."""
-    M.data = (M.data + M.T.tocsr().data) * 0.5
 
 
 def _validate_degree(spec: ProblemSpec, degree: int) -> int:
@@ -571,13 +527,7 @@ def _cylinder_parts(spec: ProblemSpec, factors, ell):
         # an infinite entry times a zero would make NaNs (and a numpy
         # warning) in the product, so check the block first
         _check_finite(spec, "assemble_cylinder", ell, matrix=C)
-        A = _galerkin(factors[:p], [(a, b, _unit)])
-        parts.append(
-            (
-                A.reshape(math.prod(A.shape[:p]), -1),
-                C.reshape(math.prod(C.shape[: C.ndim // 2]), -1),
-            )
-        )
+        parts.append((_galerkin(factors[:p], [(a, b, _unit)]), C))
     nd_band = _galerkin(factors, n_d_terms) if n_d_terms else None
     return tuple(parts), tuple(by_axial_part), nd_band
 

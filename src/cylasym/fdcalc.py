@@ -201,6 +201,35 @@ def mean_value_check(f, dalpha_f, x, alpha, h, samples_per_axis: int = 33):
     return value, (float(dvals.min()), float(dvals.max()))
 
 
+def lattice_counts(region, domain, alphas, h: float, p: int) -> list:
+    """Points per axis of the lattice of spacing h on region; raises
+    LatticeError unless, for every alpha, the lattice inflated by alpha_k
+    layers on the upper side of axis k stays inside domain, strictly inside
+    on the cross-sectional axes (k >= p) when alpha has cross-sectional
+    components.  The sweep plan checks its lattices with it before any work."""
+    counts = []
+    for k, (lo, hi) in enumerate(region):
+        if not lo < hi:
+            raise LatticeError(f"empty region on axis {k}")
+        counts.append(_lattice_count(lo, hi, h))
+    for alpha in alphas:
+        strict_needed = not in_N1(alpha, p)
+        for k, ((lo, _), (dlo, dhi), count) in enumerate(zip(region, domain, counts)):
+            top = lo + h * (count - 1 + alpha[k])
+            scale = max(1.0, abs(dlo), abs(dhi))
+            spans = f"on axis {k} the lattice spans [{lo:g}, {top:g}], domain [{dlo:g}, {dhi:g}]"
+            if lo < dlo - _TOL * scale or top > dhi + _TOL * scale:
+                raise LatticeError(
+                    f"region inflated by {alpha[k]} layers leaves the domain: {spans}"
+                )
+            if strict_needed and k >= p and (lo <= dlo + _TOL * scale
+                                             or top >= dhi - _TOL * scale):
+                raise LatticeError(
+                    f"cross-sectional derivatives need a strictly interior region: {spans}"
+                )
+    return counts
+
+
 def interior_derivative_error(w, p: int, alphas, region, h: float, m: int | None = None) -> dict:
     """Lattice H^m-aggregated forward-difference estimators, {alpha: value}.
 
@@ -225,30 +254,12 @@ def interior_derivative_error(w, p: int, alphas, region, h: float, m: int | None
     if h <= 0:
         raise LatticeError(f"spacing must be positive, got {h}")
     alphas = [tuple(alpha) for alpha in alphas]
-    domain = w.basis.domain
-    counts = []
-    for k, (lo, hi) in enumerate(region):
-        if not lo < hi:
-            raise LatticeError(f"empty region on axis {k}")
-        counts.append(_lattice_count(lo, hi, h))
     for alpha in alphas:
         if len(alpha) != n:
             raise LatticeError(f"multi-index {alpha} does not match {n} axes")
         if order(alpha) > m:
             raise LatticeError(f"|alpha| = {order(alpha)} exceeds m = {m}")
-        strict_needed = not in_N1(alpha, p)
-        for k, ((lo, _), (dlo, dhi), count) in enumerate(zip(region, domain, counts)):
-            top = lo + h * (count - 1 + alpha[k])
-            scale = max(1.0, abs(dlo), abs(dhi))
-            if lo < dlo - _TOL * scale or top > dhi + _TOL * scale:
-                raise LatticeError(
-                    f"region inflated by {alpha[k]} layers leaves the domain on axis {k}"
-                )
-            if strict_needed and k >= p:
-                if lo <= dlo + _TOL * scale or top >= dhi - _TOL * scale:
-                    raise LatticeError(
-                        "cross-sectional derivatives need a strictly interior region"
-                    )
+    counts = lattice_counts(region, w.basis.domain, alphas, h, p)
     inflate = [max(col) for col in zip((0,) * n, *alphas)]
     axes = [lo + h * np.arange(c + a) for (lo, _), c, a in zip(region, counts, inflate)]
     weights = np.ones(())

@@ -42,13 +42,14 @@ from .analysis import (
     write_refinement_csv,
 )
 from .assembly import (
+    _validate_degree,
     _where,
     assemble_cylinder,
     assemble_limit,
     check_half_length,
     cylinder_factors,
 )
-from .fdcalc import interior_derivative_error
+from .fdcalc import LatticeError, interior_derivative_error, lattice_counts
 # bench/instrument.py patches all three Krylov names on this module
 from .linalg import (  # noqa: F401
     BACKWARD_ERROR_TOL,
@@ -68,7 +69,7 @@ from .problem import (
     to_config_text,
     validate_hypotheses,
 )
-from .splines import DiscreteField, TensorBasis
+from .splines import DiscreteField, TensorBasis, cells_for
 
 
 class HypothesisError(RuntimeError):
@@ -104,10 +105,6 @@ class SweepPlan:
             raise ValueError(
                 f"smallest ell ({min(ells)}) must exceed ell0 ({self.ell0})"
             )
-        if self.resolution < 2 * self.spec.m + 1:
-            raise ValueError(
-                f"resolution {self.resolution} below 2m+1 = {2 * self.spec.m + 1}"
-            )
         if not 0.0 < self.interior_margin < 0.5:
             raise ValueError("interior margin must lie strictly between 0 and 0.5")
         if self.workers < 1:
@@ -116,10 +113,34 @@ class SweepPlan:
             raise ValueError(
                 f"degree {self.degree} cannot conform to order m = {self.spec.m}"
             )
+        # every spline factor needs 2m + 1 cells, and the interior lattices
+        # must fit inside the smallest cylinder
+        spec, ell = self.spec, ells[0]
+        name = spec.name or self.source or "unnamed"
+        need = 2 * spec.m + 1
+        for what, (lo, hi) in [("the axial extent at the smallest l", (-ell, ell))] + [
+            (f"the extent of x{spec.p + k + 1}", extent) for k, extent in enumerate(spec.omega)
+        ]:
+            cells = cells_for((lo, hi), self.resolution)
+            if cells < need:
+                raise ValueError(
+                    f"problem {name}: resolution {self.resolution} puts {cells} cells on "
+                    f"({lo:g}, {hi:g}), {what}, below 2m+1 = {need}"
+                )
+        h, lattices = _interior_lattices(spec, self.ell0, self.interior_margin, self.resolution)
+        domain = [(-ell, ell)] * spec.p + list(spec.omega)
+        for region, alphas in lattices:
+            try:
+                lattice_counts(region, domain, alphas, h, spec.p)
+            except LatticeError as exc:
+                raise ValueError(
+                    f"problem {name}: the interior lattice of spacing h = 1/(2 resolution) "
+                    f"= {h:g} does not fit in the smallest cylinder, l = {ell:g}: {exc}"
+                ) from None
 
     @property
     def effective_degree(self) -> int:
-        return self.degree if self.degree is not None else self.spec.m + 1
+        return _validate_degree(self.spec, self.degree)
 
     def to_dict(self) -> dict:
         return {
@@ -160,6 +181,18 @@ def interior_region(spec: ProblemSpec, ell0: float, margin: float):
     return [axial] * spec.p + [_shrunk(ext, margin) for ext in spec.omega]
 
 
+def _interior_lattices(spec: ProblemSpec, ell0: float, margin: float, resolution: int):
+    """(h, [(region, alphas), ...]) of the sweep's two interior estimates at
+    lattice spacing h: every alpha of order at most m on the interior
+    region, and the axial-only alphas (N1) on the whole inner cylinder."""
+    alphas = enumerate_upto(spec.n, spec.m)
+    full = [(-ell0, ell0)] * spec.p + list(spec.omega)
+    return 1.0 / (2.0 * resolution), [
+        (interior_region(spec, ell0, margin), alphas),
+        (full, [a for a in alphas if in_N1(a, spec.p)]),
+    ]
+
+
 def _sweep_worker(args):
     (
         text,
@@ -181,20 +214,17 @@ def _sweep_worker(args):
         TensorBasis(cylinder_factors(spec, None, resolution, degree)), u_inf_coeffs
     )
 
-    m, n, p = spec.m, spec.n, spec.p
+    m, p = spec.m, spec.p
     err_L2 = error_Hm(u_l, u_inf, ell0, 0, resolution)
     err_Hm_val = error_Hm(u_l, u_inf, ell0, m, resolution)
     norm_full = norm_Hm(u_l, u_l.basis.domain, m, resolution)
     ratio = norm_full / (ell ** (p / 2.0) * norm_u_inf) if norm_u_inf > 0.0 else 0.0
 
-    h_lat = 1.0 / (2.0 * resolution)
-    strict = interior_region(spec, ell0, margin)
-    full = [(-ell0, ell0)] * p + list(spec.omega)
-    alphas = enumerate_upto(n, m)
+    h_lat, lattices = _interior_lattices(spec, ell0, margin, resolution)
     _, w = difference_field(u_l, u_inf)
-    interior = interior_derivative_error(w, p, alphas, strict, h_lat, m=m)
-    n1_alphas = [a for a in alphas if in_N1(a, p)]
-    n1_full = interior_derivative_error(w, p, n1_alphas, full, h_lat, m=m)
+    interior, n1_full = (
+        interior_derivative_error(w, p, alphas, region, h_lat, m=m) for region, alphas in lattices
+    )
     total_sq = 0.0
     for est in interior.values():
         total_sq += est * est
@@ -353,6 +383,9 @@ def run_refinement(
     heuristic used by the rate fitter.
     """
     check_half_length(spec, ell)
+    if not ell > ell0:
+        raise ValueError(f"{_where(spec, 'run_refinement', ell)}: half-length must exceed "
+                         f"l0 = {ell0:g}, that of the inner cylinder the error is measured on")
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 3:
         raise ValueError(f"need at least 3 resolutions, got {len(resolutions)}")
@@ -364,8 +397,7 @@ def run_refinement(
             f"no closed-form limit solution for {spec.name!r}; "
             "the refinement study needs one as the reference"
         )
-    if degree is None:
-        degree = spec.m + 1
+    degree = _validate_degree(spec, degree)
     m = spec.m
     rows = []
     errs = []

@@ -11,11 +11,67 @@ cross-section field constantly along the axial axes, DifferenceEvaluator
 subtracts two evaluators, and ProductEvaluator gives the grid integrator
 analysis.norm_Hm the Leibniz product of a field and a cutoff.  A test
 compares the two representations.
+
+The package writes its CSR matrix from the same slot walk
+(assembly._band_entries) that writes its LAPACK bands.  oracle_csr here
+builds it without that walk: the full band summed from the system's pieces,
+then _to_csr, then (A + A^T) / 2 from the CSR transpose.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from cylasym.multiindex import multi_binom, sub, sub_indices
+
+
+def full_band(system):
+    """The band of an AssembledSystem, every slot tuple in every row summed
+    from its pieces in the package's order: zero, each Kronecker part, then
+    the n-D band."""
+    if not system.kron_parts:
+        return system.nd_band.copy()
+    p, n = system.spec.p, system.basis.naxes
+    band = 0.0
+    for A, C in system.kron_parts:
+        # (axial rows, axial slots, cross rows, cross slots) to band layout
+        product = np.multiply.outer(A, C)
+        band = band + np.moveaxis(product, range(p, 2 * p), range(n, n + p))
+    if system.nd_band is not None:
+        band = band + system.nd_band
+    return band
+
+
+def _to_csr(band):
+    """CSR matrix of a band, columns ascending in every row; slots whose
+    column falls outside the space are dropped."""
+    n = band.ndim // 2
+    keep = np.ones((1,) * (2 * n), dtype=bool)
+    offset = np.zeros((), dtype=np.int32)  # column minus row, per slot tuple
+    row_nnz = np.ones((), dtype=np.int64)
+    for k, (dim, width) in enumerate(zip(band.shape[:n], band.shape[n:])):
+        shift = np.arange(width, dtype=np.int32) - width // 2
+        col = np.add.outer(np.arange(dim, dtype=np.int32), shift)
+        inside = (col >= 0) & (col < dim)
+        shape = [1] * (2 * n)
+        shape[k], shape[n + k] = dim, width
+        keep = keep & inside.reshape(shape)
+        offset = np.add.outer(offset * dim, shift)
+        row_nnz = np.multiply.outer(row_nnz, inside.sum(axis=1))
+    cols = np.add.outer(np.arange(row_nnz.size, dtype=np.int32), offset.ravel())
+    indptr = np.concatenate([[0], np.cumsum(row_nnz.ravel())])
+    return sp.csr_matrix(
+        (band[keep], cols.reshape(band.shape)[keep], indptr), shape=(row_nnz.size,) * 2
+    )
+
+
+def oracle_csr(system):
+    """The CSR matrix of an AssembledSystem, (A + A^T) / 2 for a symmetric
+    problem: every assembled pattern is symmetric, so A^T in CSR form
+    stores its entries in the same order as A."""
+    A = _to_csr(full_band(system))
+    if system.symmetric:
+        A.data = (A.data + A.T.tocsr().data) * 0.5
+    return A
 
 
 def dense_basis_matrix(basis, x, der: int = 0):

@@ -7,7 +7,9 @@ band layout) covers variable coefficients, coefficients that read the axial
 variables, the fourth-order case and 3-D boxes.  On 3-D boxes the Kronecker
 assembly is also checked against the einsum kernel run on all three axes.
 The LAPACK lower band storage and the matrix-vector product that the direct
-solve reads are checked against the CSR matrix.
+solve reads are checked against the CSR matrix, and the CSR matrix, written
+from the same slot walk as the bands, against dense_oracle.oracle_csr, which
+builds it from a full band without that walk.
 """
 
 import dataclasses
@@ -20,13 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from dense_oracle import dense_basis_matrix
+from dense_oracle import _to_csr, dense_basis_matrix, oracle_csr
 
 from cylasym.assembly import (
     AssemblyError,
     _dense,
     _galerkin,
-    _to_csr,
     assemble_cylinder,
     assemble_limit,
     cylinder_factors,
@@ -520,6 +521,25 @@ def test_other_systems_are_not_two_part(name):
     assert not assemble_limit(spec, resolution=resolution).two_part
     with pytest.raises(ValueError, match="two-part"):
         assemble_limit(spec, resolution=resolution).kronecker_pencil()
+
+
+@pytest.mark.parametrize("where", ["cyl", "lim"])
+@pytest.mark.parametrize("spec", [_laplace_box(1), _laplace_box(2, "2 + sin(x1)"),
+                                  _box_spec(1), _box_spec(2, "2 + sin(x1)"),
+                                  builtin_problem("biharmonic_strip")],
+                         ids=["sym-p1", "sym-p2-sin_x1", "nonsym-p1", "nonsym-p2-sin_x1",
+                              "biharmonic"])
+def test_matrix_is_the_oracle_csr_bit_for_bit(spec, where):
+    if where == "cyl":
+        system = assemble_cylinder(spec, ell=1.0, resolution=5)
+    else:
+        system = assemble_limit(spec, resolution=5)
+    got, want = system.matrix, oracle_csr(system)
+    assert isinstance(got, sp.csr_matrix) and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert system.matrix is not got  # written on every read, not kept
 
 
 def test_lower_band_refuses_a_nonsymmetric_system():

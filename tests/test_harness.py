@@ -1,5 +1,6 @@
 """Sweep orchestration, refinement study, and CLI behavior."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -51,6 +52,30 @@ def test_plan_rejects_bad_shapes():
         SweepPlan(spec=POISSON, workers=0)
     with pytest.raises(ValueError, match="cannot conform"):
         SweepPlan(spec=builtin_problem("biharmonic_strip"), resolution=8, degree=1)
+
+
+def test_plan_rejects_a_factor_with_fewer_than_2m_plus_1_cells():
+    # 4 cells per unit clears 2m + 1 = 3 per unit length, but not on a
+    # cross-section of width 0.5 or an axial extent of length 0.5
+    narrow = dataclasses.replace(POISSON, omega=((0.0, 0.5),))
+    with pytest.raises(ValueError, match=r"problem poisson_strip: resolution 4 puts 2 cells on "
+                                         r"\(0, 0\.5\), the extent of x2, below 2m\+1 = 3"):
+        SweepPlan(spec=narrow, ells=(2.0, 4.0), resolution=4)
+    with pytest.raises(ValueError, match=r"2 cells on \(-0\.25, 0\.25\), the axial extent at "
+                                         r"the smallest l, below 2m\+1"):
+        SweepPlan(spec=POISSON, ells=(0.25, 0.5), ell0=0.1, resolution=5)
+
+
+def test_plan_rejects_an_interior_lattice_that_leaves_the_cylinder(monkeypatch):
+    # the N1 lattice on (-l0, l0) at h = 1/8, inflated by m = 1 layer, ends
+    # at 1.125; the estimator raises the same error after both solves
+    spec = builtin_problem("varcoef_strip")
+    with pytest.raises(ValueError, match=r"problem varcoef_strip: .* h = 1/\(2 resolution\) = "
+                                         r"0\.125 .* l = 1\.01: .* spans \[-1, 1\.125\], "
+                                         r"domain \[-1\.01, 1\.01\]"):
+        SweepPlan(spec=spec, ells=(1.01, 2.0), resolution=4)
+    rep = run_sweep(SweepPlan(spec=spec, ells=(1.125, 2.0), resolution=4))
+    assert [r.ell for r in rep.records] == [1.125, 2.0]
 
 
 def test_plan_degree_defaults_to_m_plus_one():
@@ -213,7 +238,7 @@ def test_sweep_needs_no_csr_and_no_krylov_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep path called a CSR or Krylov function")
 
-    monkeypatch.setattr(assembly, "_to_csr", refuse)
+    monkeypatch.setattr(assembly.AssembledSystem, "matrix", property(refuse))
     for name in ("cg_jacobi", "gmres_jacobi", "smallest_ritz_estimate"):
         monkeypatch.setattr(harness, name, refuse)
         monkeypatch.setattr(linalg, name, refuse)
@@ -465,6 +490,19 @@ def test_refinement_checks_the_half_length_before_any_work(monkeypatch, ell):
     monkeypatch.setattr(harness, "assemble_cylinder", refuse)
     with pytest.raises(assembly.AssemblyError, match=f"at l = {ell:g}: half-length must be finite"):
         run_refinement(POISSON, ell=ell, resolutions=[4, 5, 6])
+
+
+def test_refinement_checks_l_against_l0_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before checking l against l0")
+
+    monkeypatch.setattr(harness, "assemble_limit", refuse)
+    monkeypatch.setattr(harness, "assemble_cylinder", refuse)
+    with pytest.raises(ValueError, match=r"for problem poisson_strip at l = 0\.5: half-length "
+                                         r"must exceed l0 = 1"):
+        run_refinement(POISSON, ell=0.5, resolutions=[4, 5, 6])
+    with pytest.raises(ValueError, match=r"at l = 2: half-length must exceed l0 = 2"):
+        run_refinement(POISSON, ell=2.0, resolutions=[4, 5, 6], ell0=2.0)
 
 
 # ------------------------------------------------------------------ CLI
