@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .assembly import _band_apply
+from .assembly import band_apply
 from .expr import format_number
 from .multiindex import enumerate_upto
 from .splines import (
@@ -133,7 +133,7 @@ def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = 3,
     for alpha in enumerate_upto(len(box), m):
         Y = X
         for k, a in enumerate(alpha):
-            Y = _band_apply(grams[k][a], Y, k, False)
+            Y = band_apply(grams[k][a], Y, k)
         parts.append(max(0.0, float(np.sum(X * Y))))
     return parts
 

@@ -41,16 +41,26 @@ every written form of the system is written from it: lower_band writes the
 entries on and below the diagonal into LAPACK lower band storage, a
 Fortran-ordered (kd + 1, N) array with kd = sum_k d_k stride_k (stride_k
 the flat-index step of axis k); general_band writes every entry into LAPACK
-general band storage, (2 kd + 1, N); both sum the exact |A|_inf on the way,
-as inf_norm does without writing a band.  AssembledSystem.matrix writes the
-CSR matrix, for a symmetric problem the lower entries and their mirrors,
-on every read: the tests and the benchmark's trace mode read it, no solve
-does.  matvec multiplies by the matrix from the pieces, sum_j A_j X C_j^T
-plus the n-D band applied slot by slot, and by its transpose for a
-symmetric problem.  A symmetric system of exactly two Kronecker parts, each
-with equal axial indices, and no n-D band (two_part) also hands over its
-pencil: the lower bands of the two axial blocks and the dense cross-section
-blocks, written by the same walk.  No full-size band is ever built.
+general band storage, (2 kd + 1, N).  AssembledSystem.matrix writes the CSR
+matrix, for a symmetric problem the lower entries and their mirrors, on
+every read: the tests and the benchmark's trace mode read it, no solve
+does.  A symmetric system of exactly two Kronecker parts, each with equal
+axial indices, and no n-D band (two_part) also hands over its pencil: the
+lower bands of the two axial blocks and the dense cross-section blocks,
+written by the same walk.  No full-size band is ever built.
+
+The residual and the norm of the backward-error check skip the walk.
+matvec multiplies by the matrix from the pieces, sum_j A_j X C_j^T plus the
+n-D band, and by its transpose for a symmetric problem, each band applied
+along its axes by band_apply: one einsum over a sliding window of X (the
+transpose's band is the band-layout transpose of the piece).  inf_norm
+forms the same entries as the walk, but for a system of Kronecker parts
+alone sums each row's magnitudes once per distinct axial coefficient tuple,
+which a uniform axial mesh repeats (_kron_row_sums); a system with an n-D
+band sums the rows of its written band.  lower_band and general_band return
+that |A|_inf with the band.  The slots whose column falls outside the space
+are not zero, and no reader uses them: band_apply and _kron_row_sums zero
+them in their copies of the pieces.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -68,6 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .problem import ProblemSpec
 from .splines import SplineBasis1D, TensorBasis, cells_for, composite_gauss
@@ -76,6 +87,10 @@ _CELL_LETTERS = "abc"
 _QUAD_LETTERS = "uvw"
 _ROW_LETTERS = "ijk"
 _COL_LETTERS = "lmn"
+_AXIS_LETTERS = "abc"  # band_apply: the axes of X
+_SLOT_LETTERS = "stu"  # band_apply: the band's slot axes
+# entries per chunk of _kron_row_sums' (tuples, cross rows, cross slots) arrays
+_CHUNK_ENTRIES = 2**15
 
 
 class AssemblyError(RuntimeError):
@@ -89,7 +104,10 @@ class AssembledSystem:
     kron_parts holds one (axial band, cross-section band) pair per axial
     part, each in the band layout of its own factors, and axial_keys the
     (alpha_axial, beta_axial) of each part; nd_band is the kernel's band on
-    all factors, or None when no pair needs it.
+    all factors, or None when no pair needs it.  The written forms
+    (lower_band, general_band, matrix, kronecker_pencil) come from the slot
+    walk; matvec and inf_norm read the pieces without it.  No reader uses a
+    slot whose column falls outside the space, whatever it holds.
     """
 
     rhs: np.ndarray
@@ -156,27 +174,42 @@ class AssembledSystem:
 
     def lower_band(self):
         """(ab, |A|_inf) of (A + A^T) / 2: ab is LAPACK lower band storage,
-        Fortran-ordered, with A[j + q, j] at ab[q, j]."""
+        Fortran-ordered, with A[j + q, j] at ab[q, j]; |A|_inf is
+        inf_norm's."""
         if not self.symmetric:
             raise ValueError("the lower band describes a symmetric system only")
-        row_abs = np.zeros(self._dims)
-        entries = _summed(self._entries(lower=True), row_abs, True)
-        return _write_band(entries, self._dims, self._degrees, 0), float(row_abs.max())
+        ab = _write_band(self._entries(lower=True), self._dims, self._degrees, 0)
+        return ab, self._band_norm(ab, 0)
 
     def general_band(self):
         """(ab, |A|_inf) of the matrix: ab is LAPACK general band storage,
-        Fortran-ordered, with A[i, j] at ab[kd + i - j, j]."""
-        row_abs = np.zeros(self._dims)
-        entries = _summed(self._entries(lower=False), row_abs, False)
+        Fortran-ordered, with A[i, j] at ab[kd + i - j, j]; |A|_inf is
+        inf_norm's for a nonsymmetric system."""
         kd = _half_bandwidth(self._dims, self._degrees)
-        return _write_band(entries, self._dims, self._degrees, kd), float(row_abs.max())
+        ab = _write_band(self._entries(lower=False), self._dims, self._degrees, kd)
+        return ab, self._band_norm(ab, kd)
 
     def inf_norm(self) -> float:
-        """|A|_inf of the matrix, as lower_band and general_band sum it."""
-        row_abs = np.zeros(self._dims)
-        for _ in _summed(self._entries(lower=self.symmetric), row_abs, self.symmetric):
-            pass
-        return float(row_abs.max())
+        """|A|_inf of the matrix, exactly: the largest sum over a row of the
+        magnitudes of its entries, each entry formed from the pieces as the
+        bands write it, every out-of-space slot skipped.
+
+        A system of Kronecker parts alone sums its rows per distinct axial
+        coefficient tuple (_kron_row_sums), without the slot walk; one with
+        an n-D band sums the rows of the band its solve writes (lower_band
+        for a symmetric system, general_band otherwise), whose entries are
+        the matrix's.
+        """
+        if self.nd_band is None:
+            return float(_kron_row_sums(self.kron_parts, self.spec.p, self.symmetric).max())
+        return (self.lower_band() if self.symmetric else self.general_band())[1]
+
+    def _band_norm(self, ab, upper: int) -> float:
+        """|A|_inf for the band ab just written with `upper` superdiagonals:
+        inf_norm's for a system of Kronecker parts alone, else ab's own."""
+        if self.nd_band is None:
+            return self.inf_norm()
+        return float(_band_row_sums(ab, upper, mirrored=upper == 0 and self.symmetric).max())
 
     def matvec(self, x):
         """The matrix times x from the pieces: sum_j A_j X C_j^T plus the n-D
@@ -190,17 +223,10 @@ class AssembledSystem:
 
     def _apply(self, X, transpose: bool):
         Y = np.zeros(X.shape)
-        if self.kron_parts:
-            # cross-section axes first: a cross-section slot then moves whole
-            # contiguous axial rows
-            p, n = self.spec.p, X.ndim
-            Xc = np.moveaxis(X, range(p), range(n - p, n)).copy()
-            Yc = np.zeros(Xc.shape)
-            for A, C in self.kron_parts:
-                Yc += _band_apply(A, _band_apply(C, Xc, 0, transpose), n - p, transpose)
-            Y += np.moveaxis(Yc, range(n - p, n), range(p))
+        for A, C in self.kron_parts:
+            Y += band_apply(A, band_apply(C, X, self.spec.p, transpose), 0, transpose)
         if self.nd_band is not None:
-            Y += _band_apply(self.nd_band, X, 0, transpose)
+            Y += band_apply(self.nd_band, X, 0, transpose)
         return Y
 
     @property
@@ -236,6 +262,14 @@ class AssembledSystem:
         return axial, cross
 
 
+def _shifted(shift, dims):
+    """(rows, cols): the rows (slices per axis) whose column, row plus
+    shift, lies in the space of dimensions dims, and those columns."""
+    rows = tuple(slice(max(0, -e), dim - max(0, e)) for e, dim in zip(shift, dims))
+    cols = tuple(slice(max(0, e), dim - max(0, -e)) for e, dim in zip(shift, dims))
+    return rows, cols
+
+
 def _band_entries(slot, dims, degrees, symmetric: bool, lower: bool):
     """(c, rows, cols, values) per slot tuple s of a band on factors of
     dimensions dims and degrees, slot(s) giving slot tuple s in every row.
@@ -251,8 +285,7 @@ def _band_entries(slot, dims, degrees, symmetric: bool, lower: bool):
         c = sum(e * stride for e, stride in zip(shift, strides))
         if lower and c > 0:
             continue  # above the diagonal: the mirror slot tuple holds it
-        rows = tuple(slice(max(0, -e), dim - max(0, e)) for e, dim in zip(shift, dims))
-        cols = tuple(slice(max(0, e), dim - max(0, -e)) for e, dim in zip(shift, dims))
+        rows, cols = _shifted(shift, dims)
         here = slot(s)
         values = here[rows]
         if symmetric:
@@ -263,22 +296,147 @@ def _band_entries(slot, dims, degrees, symmetric: bool, lower: bool):
         yield c, rows, cols, values
 
 
-def _summed(entries, row_abs, mirrored: bool):
-    """The entries, passed through after adding each magnitude to row_abs
-    in its row and, when mirrored (the lower entries of a symmetric matrix),
-    in its mirror's row: exactly |A|_inf, every entry summed from the pieces
-    before its magnitude is taken."""
-    for c, rows, cols, values in entries:
-        magnitude = np.abs(values)
-        row_abs[rows] += magnitude
-        if mirrored and c:
-            row_abs[cols] += magnitude  # the mirror entry, in row j
-        yield c, rows, cols, values
-
-
 def _slot_of(band):
     """slot(s) of a band in band layout, for _band_entries."""
     return lambda s: band[(slice(None),) * len(s) + s]
+
+
+def _in_space(shape):
+    """The slots of a band of this shape whose column lies in the space, as
+    a boolean array broadcastable to the shape."""
+    k = len(shape) // 2
+    mask = np.ones((1,) * (2 * k), dtype=bool)
+    for axis, (dim, width) in enumerate(zip(shape[:k], shape[k:])):
+        col = np.arange(dim)[:, None] + np.arange(width) - width // 2
+        where = [1] * (2 * k)
+        where[axis], where[k + axis] = dim, width
+        mask = mask & ((col >= 0) & (col < dim)).reshape(where)
+    return mask
+
+
+def _transposed(band):
+    """The band of the transposed matrix, in the same layout: slot s of row
+    i holds slot 2d - s of row i + s - d, and the out-of-space slots zero.
+
+    With the slots reversed and the rows padded by d zeros at both ends,
+    that entry sits at row i + s, slot s: the diagonal of a sliding window
+    over the rows."""
+    k = band.ndim // 2
+    widths = band.shape[k:]
+    slots = tuple(range(k, 2 * k))
+    padded = np.pad(np.flip(band, slots), [(w // 2, w // 2) for w in widths] + [(0, 0)] * k)
+    windows = sliding_window_view(padded, widths, axis=tuple(range(k)))
+    rows, s_sub = _AXIS_LETTERS[:k], _SLOT_LETTERS[:k]
+    return np.einsum(f"{rows}{s_sub}{s_sub}->{rows}{s_sub}", windows).copy()
+
+
+def band_apply(band, X, lead: int = 0, transpose: bool = False):
+    """The band's matrix, or its transpose, applied to the axes of X from
+    `lead` on that the band's factors span; the other axes are carried along.
+
+    The spanned axes of X are moved first and padded by d zeros at both
+    ends, so that the carried axes run innermost, and X is read through a
+    sliding window of the band's widths: slot s of row i meets X at row
+    i + s - d.  One einsum per chunk of rows of the first spanned axis sums
+    the products, from a copy of the band's chunk whose out-of-space slots
+    are zeroed (or of its transpose's), so whatever those slots hold is
+    never read and no copy of a whole large band is made.
+    """
+    k = band.ndim // 2
+    widths = band.shape[k:]
+    axes = tuple(range(lead, lead + k))
+    front = np.moveaxis(X, axes, range(k))
+    padded = np.pad(front, [(w // 2, w // 2) for w in widths] + [(0, 0)] * (X.ndim - k))
+    windows = sliding_window_view(padded, widths, axis=tuple(range(k)))
+    x_sub, s_sub = _AXIS_LETTERS[: X.ndim], _SLOT_LETTERS[:k]
+    subscripts = f"{x_sub[:k]}{s_sub},{x_sub}{s_sub}->{x_sub}"
+    inside = _in_space(band.shape)
+    n, d = band.shape[0], widths[0] // 2
+    Y = np.empty(front.shape)
+    step = max(1, _CHUNK_ENTRIES // band[0].size)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        if transpose:  # its rows lo..hi read the band's rows lo - d..hi + d
+            start = max(0, lo - d)
+            chunk = _transposed(band[start : hi + d])[lo - start : hi - start]
+        else:
+            chunk = np.where(inside[lo:hi], band[lo:hi], 0.0)
+        np.einsum(subscripts, chunk, windows[lo:hi], out=Y[lo:hi])
+    return np.moveaxis(Y, range(k), axes)
+
+
+def _kron_row_sums(parts, p: int, symmetric: bool):
+    """Row sums of the magnitudes of the entries of a system of Kronecker
+    parts alone, of shape (axial rows, cross-section rows).
+
+    Row (i, r) and slot (e, s) of the band hold S = sum_j A_j[i, e]
+    C_j[r, s], summed in part order, and for a symmetric system the entry
+    (S + S^T) / 2, with S^T formed the same way from the band-layout
+    transposes A_j^T and C_j^T: every entry is the one the bands write, up
+    to the sign of a zero (the bands add the parts to a zero).  It
+    depends on the axial row only through the tuple t(i, e) of the A_j[i, e]
+    (and A_j^T[i, e]), and a uniform axial mesh repeats those tuples bit for
+    bit; so the cross-section sums g(t)[r] = sum_s |entry| are formed once
+    per distinct tuple of an in-space axial slot, found by a lexsort, and
+    row (i, r) adds g(t(i, e))[r] over its in-space axial slots e.
+    Out-of-space cross-section slots are zeroed, so they add exact zeros.
+    """
+    # the pieces of S and, for a symmetric system, of S^T, with their
+    # out-of-space cross-section slots zero
+    sides = [[(A, np.where(_in_space(C.shape), C, 0.0)) for A, C in parts]]
+    if symmetric:
+        sides.append([(_transposed(A), _transposed(C)) for A, C in parts])
+    axial_shape, cross_shape = parts[0][0].shape, parts[0][1].shape
+    n_ax, w_ax = math.prod(axial_shape[:p]), math.prod(axial_shape[p:])
+    n_c = math.prod(cross_shape[: len(cross_shape) // 2])
+    rows, slots = np.nonzero(np.broadcast_to(_in_space(axial_shape), axial_shape)
+                             .reshape(n_ax, w_ax))
+    keys = np.stack([A.reshape(n_ax, w_ax)[rows, slots] for side in sides for A, _ in side],
+                    axis=1)
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    first = np.ones(len(order), dtype=bool)  # the first of each run of equal tuples
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    tuples = ordered[first]
+    # (slots, rows) per cross-section piece: the sum over slots runs down
+    # the middle axis of each chunk, over whole contiguous rows
+    cross = [[np.ascontiguousarray(C.reshape(n_c, -1).T) for _, C in side] for side in sides]
+    sums = np.empty((len(tuples), n_c))
+    chunk = max(1, _CHUNK_ENTRIES // cross[0][0].size)
+    for lo in range(0, len(tuples), chunk):
+        t = tuples[lo : lo + chunk, :, None, None]
+        entries = None
+        for h, side in enumerate(cross):
+            S = t[:, h * len(parts)] * side[0]
+            for j, C in enumerate(side[1:], 1):
+                S += t[:, h * len(parts) + j] * C
+            entries = S if entries is None else entries + S
+        sums[lo : lo + chunk] = np.abs(entries, out=entries).sum(axis=1)
+    if symmetric:
+        sums *= 0.5  # |(S + S^T) / 2| summed: halving is exact, before or after
+    row_abs = np.zeros((n_ax, n_c))
+    for e in range(w_ax):  # rows are distinct within one slot
+        here = slots == e
+        row_abs[rows[here]] += sums[group[here]]
+    return row_abs
+
+
+def _band_row_sums(ab, upper: int, mirrored: bool):
+    """Row sums of the magnitudes of the entries in LAPACK band storage with
+    `upper` superdiagonals (A[i, j] at ab[upper + i - j, j]); mirrored (the
+    lower band of a symmetric matrix) adds each subdiagonal entry to its
+    mirror's row as well."""
+    n = ab.shape[1]
+    row_abs = np.zeros(n)
+    for k in range(ab.shape[0]):
+        c = k - upper  # row minus column
+        magnitude = np.abs(ab[k, max(0, -c) : n - max(0, c)])
+        row_abs[max(0, c) : n + min(0, c)] += magnitude
+        if mirrored and c > 0:
+            row_abs[: n - c] += magnitude  # A[j, j + c], in row j
+    return row_abs
 
 
 def _half_bandwidth(dims, degrees) -> int:
@@ -313,24 +471,6 @@ def _dense(ab):
         j = np.arange(n - q)
         D[j + q, j] = D[j, j + q] = ab[q, : n - q]
     return D
-
-
-def _band_apply(band, X, lead: int, transpose: bool):
-    """The band's matrix, or its transpose, applied to the axes of X from
-    `lead` on that the band's factors span; later axes are carried along."""
-    k = band.ndim // 2
-    degrees = [w // 2 for w in band.shape[k:]]
-    Y = np.zeros(X.shape)
-    pre = (slice(None),) * lead
-    carry = (np.newaxis,) * (X.ndim - lead - k)
-    for _, rows, cols, values in _band_entries(_slot_of(band), band.shape[:k], degrees,
-                                               False, False):
-        values = values[(Ellipsis,) + carry]
-        if transpose:
-            Y[pre + cols] += values * X[pre + rows]
-        else:
-            Y[pre + rows] += values * X[pre + cols]
-    return Y
 
 
 def cylinder_factors(spec: ProblemSpec, ell, resolution: int, degree: int | None = None):

@@ -14,8 +14,10 @@ floating-point results.
 _solve_system picks the solve from the system's structure: a symmetric
 system of two Kronecker parts (AssembledSystem.two_part) by fast
 diagonalization of its cross-section pencil (linalg.kronecker_solve), any
-other symmetric system by banded Cholesky (linalg.cholesky_solve), and a
-nonsymmetric one by banded LU (linalg.lu_solve).  Assembly writes each
+other symmetric system by banded Cholesky (linalg.cholesky_solve: numpy's
+band_cholesky for the small cross-section system, LAPACK for a cylinder
+system), and a nonsymmetric one by banded LU (linalg.lu_solve).  So a sweep
+of a two-part problem never imports scipy.linalg.  Assembly writes each
 one's operands from its pieces, and the residual and |A|_inf of the
 backward-error gate come from the same pieces.  Solver failures name the
 problem, ell and stage.
@@ -117,16 +119,7 @@ class SweepPlan:
         # must fit inside the smallest cylinder
         spec, ell = self.spec, ells[0]
         name = spec.name or self.source or "unnamed"
-        need = 2 * spec.m + 1
-        for what, (lo, hi) in [("the axial extent at the smallest l", (-ell, ell))] + [
-            (f"the extent of x{spec.p + k + 1}", extent) for k, extent in enumerate(spec.omega)
-        ]:
-            cells = cells_for((lo, hi), self.resolution)
-            if cells < need:
-                raise ValueError(
-                    f"problem {name}: resolution {self.resolution} puts {cells} cells on "
-                    f"({lo:g}, {hi:g}), {what}, below 2m+1 = {need}"
-                )
+        _check_cells(spec, name, self.resolution, ell, "the axial extent at the smallest l")
         h, lattices = _interior_lattices(spec, self.ell0, self.interior_margin, self.resolution)
         domain = [(-ell, ell)] * spec.p + list(spec.omega)
         for region, alphas in lattices:
@@ -155,6 +148,23 @@ class SweepPlan:
         }
 
 
+def _check_cells(spec: ProblemSpec, name: str, resolution: int, ell: float, axial: str) -> None:
+    """Raise ValueError, naming the problem, unless every spline factor gets
+    the 2m + 1 cells it needs at this resolution: on the axial extent
+    (-ell, ell), which the message calls `axial`, and on each extent of the
+    cross-section."""
+    need = 2 * spec.m + 1
+    for what, (lo, hi) in [(axial, (-ell, ell))] + [
+        (f"the extent of x{spec.p + k + 1}", extent) for k, extent in enumerate(spec.omega)
+    ]:
+        cells = cells_for((lo, hi), resolution)
+        if cells < need:
+            raise ValueError(
+                f"problem {name}: resolution {resolution} puts {cells} cells on "
+                f"({lo:g}, {hi:g}), {what}, below 2m+1 = {need}"
+            )
+
+
 def _solve_system(system):
     where = _where(system.spec, "solve", system.ell)
     if system.two_part:
@@ -163,7 +173,10 @@ def _solve_system(system):
                                where)
     if system.symmetric:
         ab, a_norm = system.lower_band()
-        return cholesky_solve(ab, system.rhs, a_norm, system.matvec, where)
+        # the cross-section system is small: numpy factors it faster than
+        # scipy.linalg imports
+        return cholesky_solve(ab, system.rhs, a_norm, system.matvec, where,
+                              lapack=system.ell is not None)
     ab, a_norm = system.general_band()
     return lu_solve(ab, system.rhs, a_norm, system.matvec, where)
 
@@ -380,7 +393,8 @@ def run_refinement(
     Separates the h-discretization error from the ell-truncation error: the
     analytic column shrinks with resolution while the cylinder-vs-limit
     column stalls at the ell-dependent level, which calibrates the floor
-    heuristic used by the rate fitter.
+    heuristic used by the rate fitter.  The geometry is checked, as a sweep
+    plan checks it, before any assembly.
     """
     check_half_length(spec, ell)
     if not ell > ell0:
@@ -391,6 +405,8 @@ def run_refinement(
         raise ValueError(f"need at least 3 resolutions, got {len(resolutions)}")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("resolutions must be strictly increasing")
+    for res in resolutions:
+        _check_cells(spec, spec.name or "unnamed", res, ell, f"the axial extent at l = {ell:g}")
     exact = analytic_limit(spec.name)
     if exact is None:
         raise ProblemConfigError(

@@ -5,18 +5,30 @@ Every system of a sweep is solved directly, by one of three banded solves:
 - kronecker_solve, for a symmetric system A_top (x) C_top + A_other (x)
   C_other (the Poisson and variable-coefficient strips, the Laplacian box):
   fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  The
-  cross-section pencil eigh(C_other, C_top) turns it into one banded
-  Cholesky of A_top + lam_k A_other per cross-section mode k, between two
-  dense transforms; one step of iterative refinement follows.  With N_ax
-  axial and N_c cross-section unknowns and degree d it costs
+  cross-section pencil (C_other, C_top), reduced by the Cholesky factor of
+  C_top to a symmetric eigenproblem, turns it into one banded Cholesky of
+  A_top + lam_k A_other per cross-section mode k, between two dense
+  transforms; one step of iterative refinement follows.  With N_ax axial
+  and N_c cross-section unknowns and degree d it costs
   O(N_c^3 + N_ax N_c^2 + N_ax N_c d^2), against O(N_ax N_c^3 d^2) for a
   Cholesky of the whole band, whose half-bandwidth is about d N_c.
 - cholesky_solve, for every other symmetric system (more Kronecker parts, as
   the biharmonic strip has, an n-D band, the cross-section system): it
   factors LAPACK lower band storage in place (scipy.linalg.cholesky_banded)
-  and solves with the factor (cho_solve_banded).
+  and solves with the factor (cho_solve_banded), or, with lapack=False,
+  factors it with band_cholesky.
 - lu_solve, for a nonsymmetric system: LU with partial pivoting on LAPACK
   general band storage (scipy.linalg.solve_banded).
+
+band_cholesky, the numpy kernel, factors a batch of band matrices at once
+in one pass down their rows, each step vectorized over the batch and the
+band offsets, and band_cholesky_solve substitutes the same way.
+kronecker_solve factors all its modes with it, and the sweep sends the
+cross-section system to it as a batch of one (no batch axis): both have
+few enough rows that the Python pass costs less than importing
+scipy.linalg.  A large band, the
+multi-part cylinder system's, has too many rows for a Python pass to match
+LAPACK, so it stays with cholesky_banded.
 
 Each accepts the answer when the normwise backward error
 |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf), with the residual and |A|_inf
@@ -25,9 +37,10 @@ a backward-stable solve attains; a relative residual bound does not fit
 fourth-order problems, whose condition numbers leave backward-stable answers
 with relative residuals well above 1e-12.  A failed factorization proves a
 block or a mode is not positive definite, or the matrix singular.
-scipy.linalg is imported by the first solve, not with the package: the
-package already loads scipy.sparse, and loading both would lengthen every
-start-up.
+scipy.linalg is imported by the first LAPACK solve (cholesky_solve with
+lapack=True, lu_solve), not with the package, so a sweep of a two-part
+symmetric problem never imports it: the package already loads
+scipy.sparse, and loading both would lengthen every start-up.
 
 cg_jacobi, gmres_jacobi and smallest_ritz_estimate no longer serve a sweep.
 They are plain numpy loops, so repeated runs produce identical iterates.
@@ -36,6 +49,7 @@ They are plain numpy loops, so repeated runs produce identical iterates.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # normwise backward error every direct solve must reach
 BACKWARD_ERROR_TOL = 1e-14
@@ -84,17 +98,87 @@ def _accept(x, b, a_norm: float, matvec, where: str, method: str) -> SolveResult
     return SolveResult(x, residual, 0, method, berr)
 
 
-def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve") -> SolveResult:
+def band_cholesky(ab):
+    """Cholesky factors of a batch of symmetric positive definite band
+    matrices, by one pass down their rows.
+
+    ab holds the matrices in LAPACK lower band storage on its first two
+    axes and the batch on the rest, if any: A_b[j + q, j] at ab[q, j, b],
+    shape (kd + 1, N, ...).  It is read, not overwritten; entries past the last
+    row are ignored.  Returns L, the factors in the transposed storage,
+    L_b[j + q, j] at L[j, q, b], of shape (N + kd, kd + 1, ...), whose rows
+    from N on are zero workspace.  Step j scales column j by the square
+    root of its pivot and subtracts the outer product of the scaled column
+    from the kd x kd block after it, for every matrix of the batch at once.
+    A matrix that is not positive definite has a diagonal L[j, 0] that is
+    not positive (zero or NaN) from its first nonpositive pivot j on.
+    """
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    batch = ab.shape[2:]
+    L = np.zeros((n + kd, kd + 1) + batch)
+    L[:n] = np.swapaxes(ab, 0, 1)
+    for q in range(1, kd + 1):
+        L[n - q : n, q] = 0.0  # past the last row
+    # with the rows of L laid end to end, A[i, k] (0 <= i - k <= kd) sits at
+    # k kd + i, so the lower triangle of the block A[j + 1 + r, j + 1 + c]
+    # is window[j][r >= c]: a view with strides 1 in r and kd in c, whose
+    # upper triangle aliases other entries and is never written
+    flat = L.reshape(((n + kd) * (kd + 1),) + batch)
+    step = flat.strides[0]
+    window = as_strided(flat[kd + 1 :], shape=(n, kd, kd) + batch,
+                        strides=((kd + 1) * step, step, kd * step) + flat.strides[1:],
+                        writeable=True)
+    lower = np.tri(kd, dtype=bool).reshape((kd, kd) + (1,) * len(batch))
+    with np.errstate(invalid="ignore", divide="ignore"):  # a failed pivot makes NaNs
+        for j in range(n):
+            col = L[j]
+            np.sqrt(col[:1], out=col[:1])
+            col[1:] /= col[:1]
+            block = window[j]
+            np.subtract(block, col[1:, None] * col[None, 1:], out=block, where=lower)
+    return L
+
+
+def band_cholesky_solve(L, y):
+    """x with A_b x_b = y_b for every matrix of the batch, from the factors
+    L of band_cholesky: y has shape (N, ...), the batch on the later axes.
+    The forward and the backward substitution each make one pass down the
+    rows, every step vectorized over the batch and the band offsets."""
+    kd = L.shape[1] - 1
+    n = L.shape[0] - kd
+    x = np.zeros((n + kd,) + y.shape[1:])  # rows from n on stay zero
+    x[:n] = y
+    for j in range(n):  # L z = y
+        x[j] /= L[j, 0]
+        x[j + 1 : j + kd + 1] -= L[j, 1:] * x[j]
+    for j in range(n - 1, -1, -1):  # L^T x = z
+        x[j] -= (L[j, 1:] * x[j + 1 : j + kd + 1]).sum(axis=0)
+        x[j] /= L[j, 0]
+    return x[:n]
+
+
+def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve",
+                   lapack: bool = True) -> SolveResult:
     """Solve Ax = b for a symmetric positive definite A.
 
-    ab is A's LAPACK lower band storage (A[j + q, j] at ab[q, j]); it is
-    overwritten by the Cholesky factor, in place when Fortran-ordered.
-    a_norm is |A|_inf, and matvec(x) computes Ax from another copy of A, for
-    the residual.  Failures raise SolverError prefixed with `where`.
+    ab is A's LAPACK lower band storage (A[j + q, j] at ab[q, j]).  With
+    lapack, scipy.linalg.cholesky_banded overwrites it by the Cholesky
+    factor, in place when Fortran-ordered; without, band_cholesky factors a
+    copy.  a_norm is |A|_inf, and matvec(x) computes Ax from another copy of
+    A, for the residual.  Failures raise SolverError prefixed with `where`.
     """
+    b = np.asarray(b, dtype=np.float64)
+    if not lapack:
+        L = band_cholesky(ab)
+        failed = ~(L[: b.size, 0] > 0.0)
+        if failed.any():
+            raise SolverError(f"{where}: matrix is not positive definite (the leading "
+                              f"minor of order {np.argmax(failed) + 1} is not)")
+        x = band_cholesky_solve(L, b)
+        return _accept(x, b, a_norm, matvec, where, "cholesky_banded")
+
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
-    b = np.asarray(b, dtype=np.float64)
     try:
         factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
@@ -105,43 +189,45 @@ def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve") -> SolveR
 
 def kronecker_solve(axial, cross, b, a_norm: float, matvec, where: str = "solve") -> SolveResult:
     """Solve (A_top (x) C_top + A_other (x) C_other) x = b by fast
-    diagonalization of the cross-section pencil.
+    diagonalization of the cross-section pencil, in numpy alone.
 
     axial is (A_top, A_other), the symmetric axial blocks in LAPACK lower
     band storage of one shape (kd + 1, N_ax); cross is (C_top, C_other), the
     dense symmetric cross-section blocks, C_top positive definite.  With
-    C_other V = C_top V diag(lam) and V^T C_top V = I, the (N_ax, N_c) view X
-    of x solves (A_top + lam_k A_other) y_k = (B V)_k, one banded Cholesky
-    per mode k, and X = Y V^T.  One step of iterative refinement follows.
-    a_norm and matvec are as for cholesky_solve.
+    C_top = R R^T (numpy.linalg.cholesky) and R^-1 C_other R^-T = W
+    diag(lam) W^T (numpy.linalg.eigh, R^-1 by numpy.linalg.inv), V = R^-T W
+    solves C_other V = C_top V
+    diag(lam) with V^T C_top V = I.  The (N_ax, N_c) view X of x then
+    solves (A_top + lam_k A_other) y_k = (B V)_k for every mode k, and
+    X = Y V^T; band_cholesky factors all N_c axial matrices in one pass.
+    One step of iterative refinement follows.  a_norm and matvec are as for
+    cholesky_solve.
     """
-    from scipy.linalg import eigh
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
-
     b = np.asarray(b, dtype=np.float64)
     (a_top, a_other), (c_top, c_other) = axial, cross
     try:
-        lam, V = eigh(c_other, c_top, check_finite=False)
+        R = np.linalg.cholesky(c_top)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             f"{where}: cross-section block of the highest axial part is not "
             f"positive definite ({exc})"
         ) from None
-    factors = []
-    for k, lam_k in enumerate(lam):
-        factor, info = dpbtrf(a_top + lam_k * a_other, lower=1, overwrite_ab=1)
-        if info:
-            raise SolverError(
-                f"{where}: axial matrix of cross-section mode {k} "
-                f"(eigenvalue {lam_k:.6g}) is not positive definite"
-            )
-        factors.append(factor)
+    R_inv = np.linalg.inv(R)
+    lam, W = np.linalg.eigh(R_inv @ c_other @ R_inv.T)
+    V = R_inv.T @ W
+    n_ax = a_top.shape[1]
+    L = band_cholesky(a_top[:, :, None] + lam * a_other[:, :, None])
+    failed = ~(L[:n_ax, 0] > 0.0).all(axis=0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise SolverError(
+            f"{where}: axial matrix of cross-section mode {k} "
+            f"(eigenvalue {lam[k]:.6g}) is not positive definite"
+        )
 
     def solve(r):
-        Y = V.T @ r.reshape(a_top.shape[1], -1).T  # row k: mode k of every axial row
-        for k, factor in enumerate(factors):
-            Y[k] = dpbtrs(factor, Y[k], lower=1)[0]
-        return (V @ Y).T.ravel()
+        # column k of r V: mode k of every axial row
+        return (band_cholesky_solve(L, r.reshape(n_ax, -1) @ V) @ V.T).ravel()
 
     x = solve(b)
     x += solve(b - matvec(x))

@@ -500,6 +500,63 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
         assert ab[kd - c, max(c, 0) : max(c, 0) + n].tobytes() == np.diagonal(A, c).tobytes()
 
 
+def _nan_outside(system):
+    """A copy of the system whose pieces hold NaN in every slot whose column
+    falls outside the space."""
+    def filled(band):
+        k = band.ndim // 2
+        inside = np.ones(band.shape, dtype=bool)
+        for axis, (dim, width) in enumerate(zip(band.shape[:k], band.shape[k:])):
+            col = np.arange(dim)[:, None] + np.arange(width) - width // 2
+            shape = [1] * band.ndim
+            shape[axis], shape[k + axis] = dim, width
+            inside &= ((col >= 0) & (col < dim)).reshape(shape)
+        assert not inside.all()
+        return np.where(inside, band, np.nan)
+
+    return dataclasses.replace(
+        system,
+        kron_parts=tuple((filled(A), filled(C)) for A, C in system.kron_parts),
+        nd_band=None if system.nd_band is None else filled(system.nd_band),
+    )
+
+
+def _assert_out_of_space_slots_unread(system):
+    nan = _nan_outside(system)
+    readers = ["general_band"] + (["lower_band"] if system.symmetric else [])
+    for name in readers:
+        (ab, a_norm), (nan_ab, nan_norm) = getattr(system, name)(), getattr(nan, name)()
+        assert ab.tobytes() == nan_ab.tobytes() and a_norm == nan_norm, name
+    assert nan.inf_norm() == system.inf_norm()
+    x = np.random.default_rng(9).standard_normal(system.ndofs)
+    assert nan.matvec(x).tobytes() == system.matvec(x).tobytes()
+    got, want = nan.matrix, system.matrix
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    if system.two_part:
+        for got, want in zip(nan.kronecker_pencil(), system.kronecker_pencil()):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_out_of_space_slots_are_never_read(symmetric_system):
+    # those slots are not zero (at 12 cells per unit box3d's cross-section
+    # block holds 0.43 there, at 32 the biharmonic blocks 2.2e5): every
+    # reader must skip them
+    _assert_out_of_space_slots_unread(symmetric_system)
+
+
+@pytest.mark.parametrize("p,axial_text,where", [
+    (1, None, "cyl"), (1, None, "lim"), (2, None, "cyl"), (1, "2 + sin(x1)", "cyl"),
+])
+def test_out_of_space_slots_are_never_read_nonsymmetric(p, axial_text, where):
+    spec = _box_spec(p, axial_text)
+    if where == "cyl":
+        system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    else:
+        system = assemble_limit(spec, resolution=3, degree=2)
+    _assert_out_of_space_slots_unread(system)
+
+
 def test_kronecker_pencil_rebuilds_the_two_part_matrix():
     system = assemble_cylinder(builtin_problem("varcoef_strip"), ell=2.0, resolution=6)
     assert system.two_part

@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +386,37 @@ def test_the_system_structure_picks_the_solve(spec, where, method):
     assert result.iterations == 0 and result.backward_error <= 1e-14
 
 
+_SWEEP_IN_A_CHILD = """
+import sys
+from cylasym.harness import SweepPlan, run_sweep
+from cylasym.problem import ProblemSpec, ScalarField, builtin_problem
+
+def box():
+    one = ScalarField.parse("1", 3)
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return ProblemSpec(m=1, n=3, p=1, omega=((0.0, 1.0), (0.0, 1.0)),
+                       coefficients={(a, a): one for a in axes},
+                       forcing=ScalarField.parse("sin(3.141592653589793 * x3)", 3), name="box3d")
+
+spec = box() if sys.argv[1] == "box3d" else builtin_problem(sys.argv[1])
+run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=int(sys.argv[2])))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("problem,resolution,loads", [
+    ("poisson_strip", 8, False), ("box3d", 4, False), ("biharmonic_strip", 8, True),
+])
+def test_two_part_sweeps_never_import_scipy_linalg(problem, resolution, loads):
+    # a two-part sweep solves its cross-section system and its cylinder
+    # systems in numpy; the multi-part biharmonic system takes LAPACK
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _SWEEP_IN_A_CHILD, problem, str(resolution)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == [str(loads)]
+
+
 def test_an_indefinite_top_block_names_the_problem_and_l():
     # a_{e1 e1} = x2 - 1/2 changes sign on the cross-section, so the block
     # that weights the axial stiffness is indefinite; the spec fails the
@@ -451,6 +486,24 @@ def test_cholesky_solve_memory_is_the_lapack_band():
 
 
 # ------------------------------------------------------------------ refinement
+
+
+@pytest.mark.parametrize("ell,ell0,extent,what", [
+    (2.0, 1.0, r"\(0, 1\)", "the extent of x2"),
+    (0.5, 0.25, r"\(-0\.5, 0\.5\)", r"the axial extent at l = 0\.5"),
+])
+def test_refinement_checks_2m_plus_1_cells_before_any_assembly(monkeypatch, ell, ell0, extent,
+                                                               what):
+    # 2 cells per unit puts 2 cells on a unit extent, below the 2m + 1 = 3
+    # a Dirichlet factor needs; the sweep plan's check refuses it first
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before the geometry check")
+
+    monkeypatch.setattr(harness, "assemble_limit", refuse)
+    monkeypatch.setattr(harness, "assemble_cylinder", refuse)
+    with pytest.raises(ValueError, match=rf"^problem poisson_strip: resolution 2 puts 2 cells "
+                                         rf"on {extent}, {what}, below 2m\+1 = 3$"):
+        run_refinement(POISSON, ell=ell, resolutions=[2, 4, 8], ell0=ell0)
 
 
 def test_refinement_poisson_linear_splines_first_order(tmp_path):
@@ -578,7 +631,8 @@ def test_cli_refine_too_few_cells_exits_one(capsys):
     argv = ["refine", "--problem", "poisson_strip", "--cells", "1,2,4"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: need at least 3 cells for bc_order=1, got 1\n"
+    assert captured.err == ("error: problem poisson_strip: resolution 1 puts 1 cells on (0, 1), "
+                            "the extent of x2, below 2m+1 = 3\n")
     assert "Traceback" not in captured.out
 
 def test_cli_hypothesis_failure_exits_two(tmp_path, capsys):

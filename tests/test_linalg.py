@@ -11,6 +11,8 @@ from cylasym.linalg import (
     NonConvergenceError,
     SolverError,
     backward_error,
+    band_cholesky,
+    band_cholesky_solve,
     cg_jacobi,
     cholesky_solve,
     gmres_jacobi,
@@ -226,6 +228,88 @@ def test_backward_error_biharmonic_long_cylinder():
     assert res.backward_error <= 1e-14
     r = system.rhs - system.matrix @ res.x
     assert backward_error(r, a_norm, res.x, system.rhs) <= 1e-14
+
+
+# ------------------------------------------------------------------ numpy band Cholesky
+
+
+def _band_factor_dense(L, b):
+    """The dense factor of matrix b of the batch from band_cholesky's L."""
+    kd = L.shape[1] - 1
+    n = L.shape[0] - kd
+    return sum(np.diag(L[: n - q, q, b], -q) for q in range(min(kd + 1, n)))
+
+
+def test_band_cholesky_hand_oracle():
+    # A = L L^T with L = [[2, 0, 0], [1, 2, 0], [0, 1, 2]]; every step is
+    # exact in binary, so the factor and the solution are too
+    ab = np.array([[4.0, 5.0, 5.0], [2.0, 2.0, 0.0]])
+    L = band_cholesky(ab)
+    assert L.shape == (4, 2)
+    assert np.array_equal(L, [[2.0, 1.0], [2.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(band_cholesky_solve(L, np.array([2.0, 1.0, 8.0])), [1.0, -1.0, 2.0])
+    # a batch on the trailing axis: 4 A factors as 2 L
+    L2 = band_cholesky(np.stack([ab, 4.0 * ab], axis=-1))
+    assert np.array_equal(L2[..., 0], L) and np.array_equal(L2[..., 1], 2.0 * L)
+
+
+@pytest.mark.parametrize("n,kd,batch,seed", [(30, 3, 4, 0), (50, 7, 3, 1), (9, 0, 2, 2),
+                                             (12, 11, 2, 3), (40, 2, 1, 4)])
+def test_band_cholesky_matches_dense(n, kd, batch, seed):
+    mats = [_spd_banded(n, kd, seed + 10 * b) for b in range(batch)]
+    ab = np.stack([_lower_storage(A, kd) for A in mats], axis=-1)
+    before = ab.copy()
+    L = band_cholesky(ab)
+    assert np.array_equal(ab, before)  # read, not overwritten
+    assert not L[n:].any()
+    y = np.random.default_rng(seed).standard_normal((n, batch))
+    x = band_cholesky_solve(L, y)
+    for b, A in enumerate(mats):
+        want = np.linalg.cholesky(A)
+        assert np.abs(_band_factor_dense(L, b) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(A @ x[:, b] - y[:, b]).max() <= 1e-14 * np.abs(A).sum(axis=1).max() * (
+            np.abs(x[:, b]).max())
+
+
+def test_band_cholesky_marks_the_first_failed_pivot_of_each_matrix():
+    # matrix 1's second leading minor is negative, matrix 0 is positive
+    # definite: only matrix 1's diagonal stops being positive, from row 1 on
+    bad = np.eye(6)
+    bad[0, 1] = bad[1, 0] = 2.0
+    L = band_cholesky(np.stack([_lower_storage(_spd_banded(6, 1, 5), 1),
+                                _lower_storage(bad, 1)], axis=-1))
+    assert np.all(L[:6, 0, 0] > 0.0)
+    assert L[0, 0, 1] == 1.0 and not np.any(L[1:6, 0, 1] > 0.0)
+
+
+def test_band_cholesky_is_deterministic():
+    mats = [_spd_banded(60, 5, seed) for seed in range(3)]
+    ab = np.stack([_lower_storage(A, 5) for A in mats], axis=-1)
+    y = np.linspace(-1.0, 1.0, 180).reshape(60, 3)
+    first = band_cholesky_solve(band_cholesky(ab), y)
+    assert first.tobytes() == band_cholesky_solve(band_cholesky(ab), y).tobytes()
+
+
+@pytest.mark.parametrize("n,kd,seed", [(30, 3, 0), (80, 9, 1), (80, 79, 2)])
+def test_numpy_cholesky_solve_matches_lapack(n, kd, seed):
+    A = _spd_banded(n, kd, seed)
+    b = np.random.default_rng(seed + 100).standard_normal(n)
+    ab = _lower_storage(A, kd)
+    res = cholesky_solve(ab, b, float(np.abs(A).sum(axis=1).max()), lambda x: A @ x,
+                         lapack=False)
+    assert np.array_equal(ab, _lower_storage(A, kd))  # a copy is factored
+    assert res.method == "cholesky_banded" and res.backward_error <= BACKWARD_ERROR_TOL
+    lapack = _solve_dense(A, b, kd)
+    assert np.abs(res.x - lapack.x).max() <= 1e-12 * np.abs(lapack.x).max()
+
+
+def test_numpy_cholesky_solve_rejects_indefinite():
+    # eigenvalues 3 and -1: the second leading minor is negative
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(SolverError, match="^solve at l = 3: matrix is not positive definite "
+                                          r"\(the leading minor of order 2 is not\)"):
+        cholesky_solve(_lower_storage(A, 1), np.array([1.0, -1.0]), 3.0, lambda x: A @ x,
+                       "solve at l = 3", lapack=False)
 
 
 # ------------------------------------------------------------------ Kronecker
