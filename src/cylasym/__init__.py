@@ -18,7 +18,7 @@ from .analysis import (
     localized_energy,
     norm_Hm,
 )
-from .assembly import AssembledSystem, assemble_cylinder, assemble_limit
+from .assembly import AssembledSystem, CrossSection, assemble_cylinder, assemble_limit
 from .fdcalc import (
     GridSample,
     delta_alpha,
@@ -36,6 +36,7 @@ from .linalg import (
     gmres_jacobi,
     kronecker_solve,
     lu_solve,
+    pencil_eigenbasis,
 )
 from .problem import (
     ProblemSpec,
@@ -51,6 +52,7 @@ __all__ = [
     "__version__",
     "AssembledSystem",
     "ConvergenceReport",
+    "CrossSection",
     "DiscreteField",
     "ErrorRecord",
     "GridSample",
@@ -82,6 +84,7 @@ __all__ = [
     "mean_value_check",
     "norm_Hm",
     "parse_problem_config",
+    "pencil_eigenbasis",
     "run_refinement",
     "run_sweep",
     "summation_by_parts_defect",

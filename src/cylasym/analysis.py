@@ -14,11 +14,13 @@ tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
   With tensor weights, sum_q W_q (D^alpha u)^2 = X : (G_1^(alpha_1) x .. x
   G_n^(alpha_n)) X, where G_k^(a) is the banded 1-D Gram matrix of the a-th
   derivatives of the axis-k basis functions on the same Gauss points
-  (splines.gram_band), applied along its axis in assembly's band layout.
-  The plateau cutoff of the localized energy is folded into the axial Grams
-  by Leibniz.  Each alpha's part is clamped at zero, since a form can round
-  below zero where a grid sum of squares cannot; err_L2 is the alpha = 0
-  part of err_Hm.
+  (splines.axis_grams), applied along its axis in assembly's band layout.
+  The cross-section factors' Grams are the same at every l, so a sweep
+  takes them from its CrossSection (grams=) instead of building them per
+  norm.  The plateau cutoff of the localized energy is folded into the
+  axial Grams by Leibniz.  Each alpha's part is clamped at zero, since a
+  form can round below zero where a grid sum of squares cannot; error_Hm
+  returns err_L2, the alpha = 0 part of its pass, with err_Hm.
 - any other function is an evaluator: a callable (axes, alpha) -> grid of
   D^alpha values on the tensor grid spanned by the per-axis point arrays,
   summed as W * values**2.  A discrete field's bound eval_grid is one, and
@@ -29,7 +31,6 @@ tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
 import csv
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,12 +40,12 @@ from .assembly import band_apply
 from .expr import format_number
 from .multiindex import enumerate_upto
 from .splines import (
+    NORM_POINTS_PER_CELL,
     DiscreteField,
     SplineBasis1D,
     TensorBasis,
-    cells_for,
-    composite_gauss,
-    gram_band,
+    axis_grams,
+    gauss_axis,
 )
 
 _EPS = 1e-12
@@ -63,94 +64,70 @@ CSV_HEADER = ",".join(CSV_FIELDS)
 # ---------------------------------------------------------------------------
 # quadrature and norms
 
-def _gauss_axis(extent, resolution: int, points_per_cell: int):
-    """Composite Gauss nodes and weights over one box extent."""
-    lo, hi = extent
-    if not lo < hi:
-        raise ValueError(f"empty box extent ({lo}, {hi})")
-    return composite_gauss((lo, hi), cells_for((lo, hi), resolution), points_per_cell)
-
-
 def _gauss_grid(box, resolution: int, points_per_cell: int):
     """Per-axis composite Gauss nodes over the box and their tensor weights."""
     axes = []
     W = np.ones(())
     for extent in box:
-        pts, wts = _gauss_axis(extent, resolution, points_per_cell)
+        pts, wts = gauss_axis(extent, resolution, points_per_cell)
         axes.append(pts)
         W = np.multiply.outer(W, wts)
     return axes, W
 
 
-def _axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int,
-                cutoff=None):
-    """(rows, [G^(0), .., G^(m)]): Gram bands of one factor's functions on
-    the composite Gauss rule of extent, over the slice `rows` of functions
-    nonzero there.
-
-    G^(a)[i, j] sums w_q phi_i^(a)(x_q) phi_j^(a)(x_q), phi the factor's
-    basis (from its cached local table).  A cutoff (rho, width) multiplies
-    each function by rho(x / width): by Leibniz, phi^(a) is then the sum
-    over b <= a of C(a, b) B^(b) rho^(a - b) / width^(a - b).
-    """
-    if m > factor.degree:
-        raise ValueError(f"derivative order {m} exceeds degree {factor.degree}")
-    pts, wts = _gauss_axis(extent, resolution, points_per_cell)
-    vals, cols = factor.local_table(pts)
-    lo = int(cols.min())
-    cols = cols - lo
-    phis = [vals[:, a, :] for a in range(m + 1)]
-    if cutoff is not None:
-        rho, width = cutoff
-        prof = [rho.profile(pts / width, k)[:, None] / width**k for k in range(m + 1)]
-        phis = [
-            sum(math.comb(a, b) * phis[b] * prof[a - b] for b in range(a + 1))
-            for a in range(m + 1)
-        ]
-    size = int(cols.max()) + 1
-    return slice(lo, lo + size), [gram_band(phi, cols, wts, size) for phi in phis]
-
-
-def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = 3,
-                axial: int = 0, cutoff=None):
+def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = NORM_POINTS_PER_CELL,
+                axial: int = 0, cutoff=None, grams=None):
     """Per |alpha| <= m, in enumerate_upto order, the Gauss-rule integral of
     (D^alpha u)^2 over the box for the DiscreteField u:
     max(0, X : (G_1^(alpha_1) x .. x G_n^(alpha_n)) X), X its coefficients,
     each band applied along its axis.
 
-    The cutoff, if any, multiplies the first `axial` factors.  The quadratic
-    form equals the grid sum in exact arithmetic but can round below zero
-    where the grid sum of squares cannot, hence the clamp.
+    The cutoff, if any, multiplies the first `axial` factors.  grams, if
+    given, holds the (rows, bands) of splines.axis_grams for the trailing
+    factors, on their whole extents and this rule, up to order m or more
+    (a CrossSection's), and those factors' bands are not built again.  The
+    quadratic form equals the grid sum in exact arithmetic but can round
+    below zero where the grid sum of squares cannot, hence the clamp.
     """
-    rows, grams = [], []
-    for k, (f, extent) in enumerate(zip(u.basis.factors, box)):
-        r, g = _axis_grams(f, extent, m, resolution, points_per_cell,
-                           cutoff if k < axial else None)
+    factors = u.basis.factors
+    shared = len(factors) - len(grams or ())
+    rows, bands = [], []
+    for k, (f, extent) in enumerate(zip(factors, box)):
+        if k < shared:
+            r, g = axis_grams(f, extent, m, resolution, points_per_cell,
+                              cutoff if k < axial else None)
+        elif tuple(extent) != (f.lo, f.hi):
+            raise ValueError(f"shared Gram bands cover ({f.lo:g}, {f.hi:g}), not {extent}")
+        else:
+            r, g = grams[k - shared]
         rows.append(r)
-        grams.append(g)
+        bands.append(g)
     X = u.coeffs[tuple(rows)]
     parts = []
     for alpha in enumerate_upto(len(box), m):
         Y = X
         for k, a in enumerate(alpha):
-            Y = band_apply(grams[k][a], Y, k)
+            Y = band_apply(bands[k][a], Y, k)
         parts.append(max(0.0, float(np.sum(X * Y))))
     return parts
 
 
-def norm_Hm(u, box, m: int, resolution: int, points_per_cell: int = 3) -> float:
+def norm_Hm(u, box, m: int, resolution: int, points_per_cell: int = NORM_POINTS_PER_CELL,
+            grams=None) -> float:
     """sqrt of sum over |alpha| <= m of the Gauss-quadrature integral of
     (D^alpha u)^2 over the box.
 
     u is a DiscreteField, whose norm is its Kronecker quadratic form, or an
     evaluator, whose D^alpha values are summed on the tensor Gauss grid.
+    grams are the shared Gram bands of a field's trailing factors, as
+    _kron_parts takes them.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if isinstance(u, DiscreteField):
         if len(box) != u.basis.naxes:
             raise ValueError(f"box has {len(box)} axes, the field {u.basis.naxes}")
-        parts = _kron_parts(u, box, m, resolution, points_per_cell)
+        parts = _kron_parts(u, box, m, resolution, points_per_cell, grams=grams)
         return float(np.sqrt(sum(parts)))
     axes, W = _gauss_grid(box, resolution, points_per_cell)
     total = 0.0
@@ -184,16 +161,22 @@ def difference_field(u_l, u_inf):
     return p, DiscreteField(basis, np.pad(u_l.coeffs, pad) - u_inf.coeffs)
 
 
-def error_Hm(u_l, u_inf, ell0: float, m: int, resolution: int) -> float:
-    """H^m distance between u_l and the extension of u_inf on the inner
-    cylinder (-ell0, ell0)^p x omega."""
-    p, w = difference_field(u_l, u_inf)
+def error_Hm(p: int, w, ell0: float, m: int, resolution: int, grams=None):
+    """(err_L2, err_Hm): the L2 and H^m distances between u_l and the
+    extension of u_inf on the inner cylinder (-ell0, ell0)^p x omega, from
+    their difference (p, w) = difference_field(u_l, u_inf).
+
+    One Kronecker pass gives both: err_L2 is the root of its alpha = 0 part,
+    bit for bit the value of a pass with m = 0.  grams are the shared Gram
+    bands of the cross-section factors, as _kron_parts takes them.
+    """
     domain = w.basis.domain
     for lo, hi in domain[:p]:
         if ell0 > hi + _EPS or -ell0 < lo - _EPS:
             raise ValueError(f"inner half-length {ell0} exceeds the domain {domain[:p]}")
     box = [(-float(ell0), float(ell0))] * p + list(domain[p:])
-    return float(np.sqrt(sum(_kron_parts(w, box, m, resolution))))
+    parts = _kron_parts(w, box, m, resolution, grams=grams)
+    return float(np.sqrt(parts[0])), float(np.sqrt(sum(parts)))
 
 
 def lemma19_check(records) -> tuple[float, bool]:
@@ -279,14 +262,16 @@ class CutoffEvaluator:
         return out
 
 
-def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int) -> float:
-    """H^m norm of (u_l - extension of u_inf) * rho(X1/ell1) over Omega_ell1."""
+def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int, grams=None) -> float:
+    """H^m norm of (u_l - extension of u_inf) * rho(X1/ell1) over Omega_ell1;
+    grams as for norm_Hm."""
     p, w = difference_field(u_l, u_inf)
     domain = w.basis.domain
     if ell1 > domain[0][1] + _EPS:
         raise ValueError(f"scale {ell1} exceeds the axial half-length {domain[0][1]}")
     box = [(-float(ell1), float(ell1))] * p + list(domain[p:])
-    parts = _kron_parts(w, box, m, resolution, axial=p, cutoff=(CutoffRho(m), float(ell1)))
+    parts = _kron_parts(w, box, m, resolution, axial=p, cutoff=(CutoffRho(m), float(ell1)),
+                        grams=grams)
     return float(np.sqrt(sum(parts)))
 
 

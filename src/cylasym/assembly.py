@@ -8,24 +8,32 @@ couples row (i_k) with column (i_k + s_k - d_k).  The slots whose column
 falls outside the space hold no matrix entry; every reader skips them.
 
 One einsum kernel builds the band on a tensor product of factors: per-axis
-local basis derivative tables are contracted cell-by-cell against quadrature
-weights and coefficient values, one einsum per coefficient pair, and each
-local test function's element values are added into the rows that
-SplineBasis1D.window assigns it.  A load vector is scattered the same way.
+local basis derivative tables (each factor's cached local_table of its
+Gauss points, so every system on a factor reads one table) are contracted
+cell-by-cell against quadrature weights and coefficient values, one einsum
+per coefficient pair, and each local test function's element values are
+added into the rows that SplineBasis1D.window assigns it.  A load vector is
+scattered the same way.
 
 The cylinder matrix is a sum of Kronecker products.  A pair (alpha, beta)
 whose coefficient reads none of the axial variables x1..xp -- decided
 exactly from the expression's free variables by ScalarField.reads_axial --
 contributes kron(A_axial[alpha_ax, beta_ax], A_cross[alpha', beta'; a]),
 where A_axial is the kernel on the p axial factors with unit coefficient and
-A_cross is the kernel on the cross-section factors with the coefficient a,
-the block assemble_limit builds; in band layout that is the broadcast
-product of the two bands.  Pairs that share an axial part share one product.
-Every pair whose coefficient reads x1..xp, which the hypotheses allow when
-alpha has an axial component, goes through the kernel on all n factors.
-The forcing may not read x1..xp, so the load vector is kron(axial load of
-the unit forcing, cross-section load), the latter the one assemble_limit
-builds; a forcing that reads them is refused.
+A_cross is the kernel on the cross-section factors with the coefficient a;
+in band layout that is the broadcast product of the two bands.  Pairs that
+share an axial part share one product.  Every pair whose coefficient reads
+x1..xp, which the hypotheses allow when alpha has an axial component, goes
+through the kernel on all n factors.  The forcing may not read x1..xp, so
+the load vector is kron(axial load of the unit forcing, cross-section
+load); a forcing that reads them is refused.
+
+None of the cross-section pieces depends on l, so a CrossSection builds
+them once for a sweep: the cross-section factors, the A_cross block of
+every axial part, the cross-section load, the norms' Gram bands and, for a
+two-part system, the pencil's eigenbasis.  assemble_limit's system is the
+block of the zero axial part with the cross-section load, and
+assemble_cylinder assembles only the axial pieces at each l.
 
 An AssembledSystem keeps those pieces, not the sum: the (axial band,
 cross-section band) pair of every axial part, each in its own factors' band
@@ -58,9 +66,10 @@ forms the same entries as the walk, but for a system of Kronecker parts
 alone sums each row's magnitudes once per distinct axial coefficient tuple,
 which a uniform axial mesh repeats (_kron_row_sums); a system with an n-D
 band sums the rows of its written band.  lower_band and general_band return
-that |A|_inf with the band.  The slots whose column falls outside the space
-are not zero, and no reader uses them: band_apply and _kron_row_sums zero
-them in their copies of the pieces.
+that |A|_inf with the band.  The kernel leaves the slots whose column falls
+outside the space zero, since the tables zero the functions the constraint
+drops, but no reader relies on that: band_apply and _kron_row_sums zero
+them in their copies of the pieces, and the others never read them.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -80,8 +89,16 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .linalg import pencil_eigenbasis
 from .problem import ProblemSpec
-from .splines import SplineBasis1D, TensorBasis, cells_for, composite_gauss
+from .splines import (
+    NORM_POINTS_PER_CELL,
+    SplineBasis1D,
+    TensorBasis,
+    axis_grams,
+    cells_for,
+    composite_gauss,
+)
 
 _CELL_LETTERS = "abc"
 _QUAD_LETTERS = "uvw"
@@ -104,10 +121,12 @@ class AssembledSystem:
     kron_parts holds one (axial band, cross-section band) pair per axial
     part, each in the band layout of its own factors, and axial_keys the
     (alpha_axial, beta_axial) of each part; nd_band is the kernel's band on
-    all factors, or None when no pair needs it.  The written forms
-    (lower_band, general_band, matrix, kronecker_pencil) come from the slot
-    walk; matvec and inf_norm read the pieces without it.  No reader uses a
-    slot whose column falls outside the space, whatever it holds.
+    all factors, or None when no pair needs it.  The cross-section bands
+    are those of section, the CrossSection the system was assembled from.
+    The written forms (lower_band, general_band, matrix, kronecker_pencil)
+    come from the slot walk; matvec and inf_norm read the pieces without it.
+    No reader uses a slot whose column falls outside the space, whatever it
+    holds.
     """
 
     rhs: np.ndarray
@@ -118,6 +137,7 @@ class AssembledSystem:
     kron_parts: tuple = ()
     nd_band: np.ndarray | None = None
     axial_keys: tuple = ()
+    section: "CrossSection | None" = None
 
     @property
     def ndofs(self) -> int:
@@ -178,16 +198,13 @@ class AssembledSystem:
         inf_norm's."""
         if not self.symmetric:
             raise ValueError("the lower band describes a symmetric system only")
-        ab = _write_band(self._entries(lower=True), self._dims, self._degrees, 0)
-        return ab, self._band_norm(ab, 0)
+        return self._written_band(lower=True, upper=0)
 
     def general_band(self):
         """(ab, |A|_inf) of the matrix: ab is LAPACK general band storage,
         Fortran-ordered, with A[i, j] at ab[kd + i - j, j]; |A|_inf is
         inf_norm's for a nonsymmetric system."""
-        kd = _half_bandwidth(self._dims, self._degrees)
-        ab = _write_band(self._entries(lower=False), self._dims, self._degrees, kd)
-        return ab, self._band_norm(ab, kd)
+        return self._written_band(lower=False, upper=_half_bandwidth(self._dims, self._degrees))
 
     def inf_norm(self) -> float:
         """|A|_inf of the matrix, exactly: the largest sum over a row of the
@@ -204,12 +221,16 @@ class AssembledSystem:
             return float(_kron_row_sums(self.kron_parts, self.spec.p, self.symmetric).max())
         return (self.lower_band() if self.symmetric else self.general_band())[1]
 
-    def _band_norm(self, ab, upper: int) -> float:
-        """|A|_inf for the band ab just written with `upper` superdiagonals:
-        inf_norm's for a system of Kronecker parts alone, else ab's own."""
-        if self.nd_band is None:
-            return self.inf_norm()
-        return float(_band_row_sums(ab, upper, mirrored=upper == 0 and self.symmetric).max())
+    def _written_band(self, lower: bool, upper: int):
+        """(ab, |A|_inf): the band written with `upper` superdiagonals, and
+        inf_norm's |A|_inf for a system of Kronecker parts alone, formed
+        before the band so that their temporaries and the band are never
+        alive together, else ab's own row sums."""
+        a_norm = self.inf_norm() if self.nd_band is None else None
+        ab = _write_band(self._entries(lower), self._dims, self._degrees, upper)
+        if a_norm is None:
+            a_norm = float(_band_row_sums(ab, upper, mirrored=upper == 0 and self.symmetric).max())
+        return ab, a_norm
 
     def matvec(self, x):
         """The matrix times x from the pieces: sum_j A_j X C_j^T plus the n-D
@@ -231,35 +252,42 @@ class AssembledSystem:
 
     @property
     def two_part(self) -> bool:
-        """True for a symmetric system that is exactly two Kronecker parts,
-        each with equal axial indices, and no n-D band: kronecker_pencil
-        describes it."""
-        return (
-            self.symmetric
-            and self.nd_band is None
-            and len(self.kron_parts) == 2
-            and all(a == b for a, b in self.axial_keys)
-        )
+        """True for a cylinder system of a two-part section
+        (CrossSection.two_part): kronecker_pencil describes it."""
+        return bool(self.kron_parts) and self.section.two_part
+
+    def axial_pencil(self):
+        """(A_top, A_other) of a two-part system: the LAPACK lower band of
+        each axial block's symmetric part, written as lower_band writes the
+        whole system's, top part first (see kronecker_pencil)."""
+        if not self.two_part:
+            raise ValueError("the Kronecker pencil describes a two-part system only")
+        return tuple(_lower_of_band(A) for A, _ in _top_first(self.kron_parts, self.axial_keys))
 
     def kronecker_pencil(self):
         """((A_top, A_other), (C_top, C_other)) of a two-part system.
 
         The top part is the one of highest axial order; its cross-section
         block carries the coefficient of the highest axial derivatives, so
-        ellipticity makes it positive definite.  A_* is the LAPACK lower band
-        of the axial block's symmetric part, written as lower_band writes the
-        whole system's; C_* is the dense symmetric part of the cross-section
-        block.
+        ellipticity makes it positive definite.  A_* is axial_pencil's; C_*
+        is the dense symmetric part of the cross-section block, as
+        CrossSection.eigenbasis reduces it.
         """
-        if not self.two_part:
-            raise ValueError("the Kronecker pencil describes a two-part system only")
-        parts = list(self.kron_parts)
-        orders = [sum(a) + sum(b) for a, b in self.axial_keys]
-        if orders[1] > orders[0]:
-            parts.reverse()
-        axial = tuple(_lower_of_band(A) for A, _ in parts)
-        cross = tuple(_dense(_lower_of_band(C)) for _, C in parts)
-        return axial, cross
+        return self.axial_pencil(), _cross_pencil([C for _, C in self.kron_parts],
+                                                  self.axial_keys)
+
+
+def _top_first(pieces, axial_keys):
+    """The two pieces of a two-part system, the one whose axial key has the
+    higher order first."""
+    orders = [sum(a) + sum(b) for a, b in axial_keys]
+    return tuple(reversed(pieces)) if orders[1] > orders[0] else tuple(pieces)
+
+
+def _cross_pencil(blocks, axial_keys):
+    """(C_top, C_other): the dense symmetric part of each cross-section
+    block of a two-part system, top part first."""
+    return tuple(_dense(_lower_of_band(C)) for C in _top_first(blocks, axial_keys))
 
 
 def _shifted(shift, dims):
@@ -490,22 +518,25 @@ def cylinder_factors(spec: ProblemSpec, ell, resolution: int, degree: int | None
     )
 
 
-def _local_tables(factors, nders):
+def _local_tables(factors):
     """Per-axis quadrature and local basis values.
 
     Returns (pts, wts, B) per axis with B of shape
-    (cells, points_per_cell, nders + 1, degree + 1); quadrature points are
-    cell-major, so row c of B holds the functions active on cell c.
+    (cells, points_per_cell, degree + 1, degree + 1): B[c, q, k, r] is the
+    k-th derivative of local function r of cell c at its point q, zero where
+    the constraint drops the function.  B is the factor's cached local_table
+    of the composite Gauss points, so every system assembled on one factor
+    reads one table; quadrature points are cell-major, so row c of B holds
+    the functions active on cell c.
     """
     points_per_cell = max(f.degree for f in factors) + 1
     tables = []
     for f in factors:
         pts, wts = composite_gauss((f.lo, f.hi), f.cells, points_per_cell)
-        ders, first = f.local_ders(pts, nders)
-        expect = np.repeat(np.arange(f.cells), points_per_cell)
-        if not np.array_equal(first, expect):
+        if not np.array_equal(f.cell_of(pts), np.repeat(np.arange(f.cells), points_per_cell)):
             raise AssemblyError("quadrature points not aligned with cells")
-        B = ders.reshape(f.cells, points_per_cell, nders + 1, f.degree + 1)
+        vals, _ = f.local_table(pts)
+        B = vals.reshape(f.cells, points_per_cell, f.degree + 1, f.degree + 1)
         tables.append((pts, wts.reshape(f.cells, points_per_cell), B))
     return tables
 
@@ -555,8 +586,7 @@ def _galerkin(factors, terms, pinned: int = 0):
     n = len(factors)
     if n > len(_CELL_LETTERS):
         raise AssemblyError("assembly supports at most 3 tensor axes")
-    nders = max(max(alpha + beta) for alpha, beta, _ in terms)
-    tables = _local_tables(factors, nders)
+    tables = _local_tables(factors)
     W, coords, grid_shape = _quadrature_grid(tables, pinned)
 
     cw_sub = "".join(c + q for c, q in zip(_CELL_LETTERS[:n], _QUAD_LETTERS[:n]))
@@ -595,7 +625,7 @@ def _galerkin(factors, terms, pinned: int = 0):
 def _load(factors, forcing, pinned: int = 0):
     """Load vector: the forcing integrated against every basis function."""
     n = len(factors)
-    tables = _local_tables(factors, 0)
+    tables = _local_tables(factors)
     W, coords, grid_shape = _quadrature_grid(tables, pinned)
     FW = W * np.broadcast_to(forcing(coords), grid_shape).reshape(W.shape)
     # one operand per axis (cell, point, test function), then the weights
@@ -647,35 +677,111 @@ def check_half_length(spec: ProblemSpec, ell) -> None:
         )
 
 
-def _cylinder_parts(spec: ProblemSpec, factors, ell):
-    """The Kronecker parts, their axial keys and the n-D band of the
-    cylinder system."""
-    p = spec.p
-    by_axial_part = {}
-    n_d_terms = []
-    for alpha, beta in sorted(spec.coefficients):
-        coef = spec.coefficients[(alpha, beta)]
-        if coef.reads_axial(p):
-            n_d_terms.append((alpha, beta, coef))
-        else:
-            by_axial_part.setdefault((alpha[:p], beta[:p]), []).append(
-                (alpha[p:], beta[p:], coef)
-            )
-    parts = []
-    for (a, b), terms in by_axial_part.items():
-        C = _galerkin(factors[p:], terms, pinned=p)
-        # an infinite entry times a zero would make NaNs (and a numpy
-        # warning) in the product, so check the block first
-        _check_finite(spec, "assemble_cylinder", ell, matrix=C)
-        parts.append((_galerkin(factors[:p], [(a, b, _unit)]), C))
-    nd_band = _galerkin(factors, n_d_terms) if n_d_terms else None
-    return tuple(parts), tuple(by_axial_part), nd_band
+class CrossSection:
+    """The half of a sweep that does not depend on l, built once.
+
+    A sweep compares every u_l with one u_inf on omega, so what it computes
+    on omega is the same at every l, and the limit system and the cylinder
+    system at every l share it:
+
+    - factors: the cross-section spline factors, those of u_inf, each
+      caching the de Boor tables every field and system on it reads;
+    - keys and blocks: the axial key (alpha_axial, beta_axial) of each
+      Kronecker part and its cross-section band, the kernel on the factors
+      with the part's coefficients and the axial coordinates pinned at zero
+      (assemble_limit's system is the zero key's block);
+    - nd_terms: the pairs whose coefficient reads x1..xp, which go through
+      the kernel on all n factors at each l;
+    - load: the cross-section load vector;
+    - grams: splines.axis_grams of every factor over its extent on the
+      norms' rule (NORM_POINTS_PER_CELL Gauss points per cell) up to order
+      m, which every norm of a sweep passes to analysis;
+    - eigenbasis(): for a two-part system, (lam, V) of the cross-section
+      pencil, computed on first use and kept.
+
+    It pickles with all of these, so a pool job carries them; nothing is
+    cached at module level.  The blocks and the load are checked for
+    non-finite entries by the assembly that uses them, which names its stage
+    and l.
+    """
+
+    def __init__(self, spec: ProblemSpec, resolution: int, degree: int | None = None):
+        p = spec.p
+        self.spec = spec
+        self.resolution = int(resolution)
+        self.degree = _validate_degree(spec, degree)
+        self.factors = cylinder_factors(spec, None, resolution, self.degree)
+        by_axial_part, self.nd_terms = {}, []
+        for alpha, beta in sorted(spec.coefficients):
+            coef = spec.coefficients[(alpha, beta)]
+            if coef.reads_axial(p):
+                self.nd_terms.append((alpha, beta, coef))
+            else:
+                by_axial_part.setdefault((alpha[:p], beta[:p]), []).append(
+                    (alpha[p:], beta[p:], coef)
+                )
+        self.keys = tuple(by_axial_part)
+        self.blocks = tuple(_galerkin(self.factors, terms, pinned=p)
+                            for terms in by_axial_part.values())
+        self.load = _load(self.factors, spec.forcing, pinned=p)
+        for shared in self.blocks + (self.load,):  # every system reads them
+            shared.flags.writeable = False
+        self.grams = tuple(
+            axis_grams(f, (f.lo, f.hi), spec.m, self.resolution, NORM_POINTS_PER_CELL)
+            for f in self.factors
+        )
+        self._eigenbasis = None
+
+    @property
+    def two_part(self) -> bool:
+        """True when every cylinder system is symmetric, exactly two
+        Kronecker parts, each with equal axial indices, and no n-D band."""
+        return (
+            self.spec.symmetric
+            and not self.nd_terms
+            and len(self.keys) == 2
+            and all(a == b for a, b in self.keys)
+        )
+
+    def eigenbasis(self, where: str = "solve"):
+        """(lam, V) of the pencil (C_other, C_top) of the dense symmetric
+        cross-section blocks, top part first (linalg.pencil_eigenbasis), for
+        a two-part system; failures are prefixed with `where`."""
+        if not self.two_part:
+            raise ValueError("the Kronecker pencil describes a two-part system only")
+        if self._eigenbasis is None:
+            self._eigenbasis = pencil_eigenbasis(*_cross_pencil(self.blocks, self.keys), where)
+        return self._eigenbasis
+
+    def cylinder_basis(self, ell) -> TensorBasis:
+        """The space on (-ell, ell)^p x omega: new axial factors times these
+        cross-section factors."""
+        axial = cylinder_factors(self.spec, ell, self.resolution, self.degree)[: self.spec.p]
+        return TensorBasis(axial + self.factors)
+
+
+def _section_for(spec: ProblemSpec, resolution: int, degree, section):
+    """section, checked to be built for (spec, resolution, degree), or a new
+    CrossSection when it is None."""
+    if section is None:
+        return CrossSection(spec, resolution, degree)
+    if (section.spec is not spec or section.resolution != resolution
+            or section.degree != _validate_degree(spec, degree)):
+        raise ValueError("the cross-section was built for another problem, resolution or degree")
+    return section
 
 
 def assemble_cylinder(
-    spec: ProblemSpec, ell: float, resolution: int, degree: int | None = None
+    spec: ProblemSpec, ell: float, resolution: int, degree: int | None = None,
+    section: CrossSection | None = None,
 ) -> AssembledSystem:
-    """Full problem on (-ell, ell)^p x omega with Dirichlet order m."""
+    """Full problem on (-ell, ell)^p x omega with Dirichlet order m.
+
+    Only the axial pieces are assembled here: each Kronecker part's axial
+    band, the n-D band if a pair needs it, and the axial load.  The
+    cross-section blocks and load come from section, the sweep's
+    CrossSection for (spec, resolution, degree), built here when None.
+    """
     check_half_length(spec, ell)
     p = spec.p
     if spec.forcing.reads_axial(p):
@@ -684,30 +790,48 @@ def assemble_cylinder(
             f"{_where(spec, 'assemble_cylinder', ell)}: the forcing reads {axial}; "
             "the load vector needs an axis-independent forcing"
         )
-    factors = cylinder_factors(spec, ell, resolution, degree)
-    parts, keys, nd_band = _cylinder_parts(spec, factors, ell)
-    cross = _load(factors[p:], spec.forcing, pinned=p)
-    _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=cross)
-    rhs = np.multiply.outer(_load(factors[:p], _unit), cross).ravel()
-    return AssembledSystem(
-        rhs, TensorBasis(factors), spec, spec.symmetric, float(ell), parts, nd_band, keys
-    )
+    section = _section_for(spec, resolution, degree, section)
+    basis = section.cylinder_basis(ell)
+    factors = basis.factors
+    for C in section.blocks:
+        # an infinite entry times a zero would make NaNs (and a numpy
+        # warning) in the product, so check the block first
+        _check_finite(spec, "assemble_cylinder", ell, matrix=C)
+    parts = tuple((_galerkin(factors[:p], [(a, b, _unit)]), C)
+                  for (a, b), C in zip(section.keys, section.blocks))
+    nd_band = _galerkin(factors, section.nd_terms) if section.nd_terms else None
+    _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=section.load)
+    rhs = np.multiply.outer(_load(factors[:p], _unit), section.load).ravel()
+    return AssembledSystem(rhs, basis, spec, spec.symmetric, float(ell), parts, nd_band,
+                           section.keys, section)
 
 
 def assemble_limit(
-    spec: ProblemSpec, resolution: int, degree: int | None = None
+    spec: ProblemSpec, resolution: int, degree: int | None = None,
+    section: CrossSection | None = None,
 ) -> AssembledSystem:
-    """Cross-section problem: pairs with purely cross-sectional indices."""
-    factors = cylinder_factors(spec, None, resolution, degree)
+    """Cross-section problem: pairs with purely cross-sectional indices.
+
+    Its band is the cross-section block of the zero axial part, which the
+    cylinder systems share, and its load the cross-section load; section is
+    as for assemble_cylinder.  A limit pair whose coefficient reads x1..xp,
+    which the hypotheses refuse, has no such block: the kernel builds the
+    band with the axial coordinates pinned at zero.
+    """
+    p = spec.p
     terms = [
-        (alpha[spec.p :], beta[spec.p :], spec.coefficients[(alpha, beta)])
+        (alpha[p:], beta[p:], spec.coefficients[(alpha, beta)])
         for (alpha, beta) in sorted(spec.limit_pairs())
     ]
     if not terms:
         raise AssemblyError(
             f"{_where(spec, 'assemble_limit', None)}: limit problem has no coefficient pairs"
         )
-    band = _galerkin(factors, terms, pinned=spec.p)
-    rhs = _load(factors, spec.forcing, pinned=spec.p)
-    _check_finite(spec, "assemble_limit", None, matrix=band, rhs=rhs)
-    return AssembledSystem(rhs, TensorBasis(factors), spec, spec.symmetric, None, (), band)
+    section = _section_for(spec, resolution, degree, section)
+    if any(coef.reads_axial(p) for _, _, coef in terms):
+        band = _galerkin(section.factors, terms, pinned=p)
+    else:
+        band = section.blocks[section.keys.index(((0,) * p, (0,) * p))]
+    _check_finite(spec, "assemble_limit", None, matrix=band, rhs=section.load)
+    return AssembledSystem(section.load, TensorBasis(section.factors), spec, spec.symmetric,
+                           None, (), band, (), section)

@@ -1,15 +1,20 @@
 """Sweep orchestration: solve the cylinder family over growing half-lengths,
 measure convergence to the cross-section limit, and emit reports.
 
-The limit problem is solved once in the parent; per-ell jobs are independent
-and run either inline or on a process pool, the largest ell first: on the
+run_sweep builds the half of the sweep that does not depend on l once, as
+an assembly.CrossSection: the cross-section factors with their cached de
+Boor tables, the cross-section block of every axial part, the load, the
+norms' Gram bands and, for a two-part system, the pencil's eigenbasis.  The
+limit system is its zero-axial-part block and load, solved once in the
+parent; per-ell jobs assemble only the axial pieces and are independent.
+They run either inline or on a process pool, the largest ell first: on the
 pool that is the longest-first schedule, and inline it allocates the largest
 Cholesky factor before the smaller jobs have grown the heap.  Records and
 reports still follow the plan's order, and when jobs fail the error raised
 is that of the smallest failing ell, as a run in plan order would raise.
-Workers receive the problem as canonical config text (cheap to pickle,
-bit-identical to re-parse), so serial and parallel runs produce the same
-floating-point results.
+A pool job carries the CrossSection and u_inf, pickled; every number is
+computed from the same arrays as inline, so serial and parallel runs
+produce the same floating-point results.
 
 _solve_system picks the solve from the system's structure: a symmetric
 system of two Kronecker parts (AssembledSystem.two_part) by fast
@@ -44,12 +49,12 @@ from .analysis import (
     write_refinement_csv,
 )
 from .assembly import (
+    CrossSection,
     _validate_degree,
     _where,
     assemble_cylinder,
     assemble_limit,
     check_half_length,
-    cylinder_factors,
 )
 from .fdcalc import LatticeError, interior_derivative_error, lattice_counts
 # bench/instrument.py patches all three Krylov names on this module
@@ -63,7 +68,9 @@ from .linalg import (  # noqa: F401
     smallest_ritz_estimate,
 )
 from .multiindex import encode, enumerate_upto, in_N1
-from .problem import (
+# bench/instrument.py also patches parse_problem_config and to_config_text
+# on this module, which no sweep calls any more
+from .problem import (  # noqa: F401
     ProblemConfigError,
     ProblemSpec,
     analytic_limit,
@@ -71,7 +78,7 @@ from .problem import (
     to_config_text,
     validate_hypotheses,
 )
-from .splines import DiscreteField, TensorBasis, cells_for
+from .splines import DiscreteField, cells_for
 
 
 class HypothesisError(RuntimeError):
@@ -149,10 +156,12 @@ class SweepPlan:
 
 
 def _check_cells(spec: ProblemSpec, name: str, resolution: int, ell: float, axial: str) -> None:
-    """Raise ValueError, naming the problem, unless every spline factor gets
-    the 2m + 1 cells it needs at this resolution: on the axial extent
-    (-ell, ell), which the message calls `axial`, and on each extent of the
-    cross-section."""
+    """Raise ValueError, naming the problem, unless the resolution is at
+    least 1 cell per unit length and every spline factor gets the 2m + 1
+    cells it needs at it: on the axial extent (-ell, ell), which the message
+    calls `axial`, and on each extent of the cross-section."""
+    if resolution < 1:
+        raise ValueError(f"problem {name}: resolution {resolution} is below 1 cell per unit length")
     need = 2 * spec.m + 1
     for what, (lo, hi) in [(axial, (-ell, ell))] + [
         (f"the extent of x{spec.p + k + 1}", extent) for k, extent in enumerate(spec.omega)
@@ -168,9 +177,9 @@ def _check_cells(spec: ProblemSpec, name: str, resolution: int, ell: float, axia
 def _solve_system(system):
     where = _where(system.spec, "solve", system.ell)
     if system.two_part:
-        axial, cross = system.kronecker_pencil()
-        return kronecker_solve(axial, cross, system.rhs, system.inf_norm(), system.matvec,
-                               where)
+        # the eigenbasis is the cross-section's, computed once per sweep
+        return kronecker_solve(system.axial_pencil(), system.section.eigenbasis(where),
+                               system.rhs, system.inf_norm(), system.matvec, where)
     if system.symmetric:
         ab, a_norm = system.lower_band()
         # the cross-section system is small: numpy factors it faster than
@@ -207,34 +216,21 @@ def _interior_lattices(spec: ProblemSpec, ell0: float, margin: float, resolution
 
 
 def _sweep_worker(args):
-    (
-        text,
-        name,
-        ell,
-        ell0,
-        resolution,
-        degree,
-        margin,
-        u_inf_coeffs,
-        norm_u_inf,
-    ) = args
-    spec = parse_problem_config(text, name)
+    section, u_inf, ell, ell0, margin, norm_u_inf = args
+    spec, resolution = section.spec, section.resolution
     t0 = time.perf_counter()
-    system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=section.degree,
+                               section=section)
     result = _solve_system(system)
     u_l = DiscreteField(system.basis, result.x)
-    u_inf = DiscreteField(
-        TensorBasis(cylinder_factors(spec, None, resolution, degree)), u_inf_coeffs
-    )
 
     m, p = spec.m, spec.p
-    err_L2 = error_Hm(u_l, u_inf, ell0, 0, resolution)
-    err_Hm_val = error_Hm(u_l, u_inf, ell0, m, resolution)
-    norm_full = norm_Hm(u_l, u_l.basis.domain, m, resolution)
+    _, w = difference_field(u_l, u_inf)
+    err_L2, err_Hm_val = error_Hm(p, w, ell0, m, resolution, section.grams)
+    norm_full = norm_Hm(u_l, u_l.basis.domain, m, resolution, grams=section.grams)
     ratio = norm_full / (ell ** (p / 2.0) * norm_u_inf) if norm_u_inf > 0.0 else 0.0
 
     h_lat, lattices = _interior_lattices(spec, ell0, margin, resolution)
-    _, w = difference_field(u_l, u_inf)
     interior, n1_full = (
         interior_derivative_error(w, p, alphas, region, h_lat, m=m) for region, alphas in lattices
     )
@@ -302,33 +298,28 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     timings = {}
 
     t0 = time.perf_counter()
-    limit_system = assemble_limit(spec, resolution=plan.resolution, degree=degree)
+    section = CrossSection(spec, plan.resolution, degree)
+    limit_system = assemble_limit(spec, resolution=plan.resolution, degree=degree,
+                                  section=section)
     limit_result = _solve_system(limit_system)
     u_inf = DiscreteField(limit_system.basis, limit_result.x)
     timings["limit_solve_s"] = time.perf_counter() - t0
 
-    norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution)
-    text = to_config_text(spec)
+    if section.two_part and all(np.isfinite(C).all() for C in section.blocks):
+        # every job solves with this eigenbasis, so a pool job carries it; a
+        # failure would be every job's, and names the smallest l, as the
+        # first failing job in plan order would.  A non-finite block is left
+        # to the jobs' assembly, which refuses it naming l.
+        section.eigenbasis(_where(spec, "solve", plan.ells[0]))
+    norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution,
+                         grams=section.grams)
     jobs = [
-        (
-            text,
-            spec.name,
-            ell,
-            plan.ell0,
-            plan.resolution,
-            degree,
-            plan.interior_margin,
-            limit_result.x,
-            norm_u_inf,
-        )
+        (section, u_inf, ell, plan.ell0, plan.interior_margin, norm_u_inf)
         for ell in plan.ells
     ]
     outcomes = _run_jobs(jobs, plan.workers)
     records = [rec for rec, _ in outcomes]
-    u_l_max = DiscreteField(
-        TensorBasis(cylinder_factors(spec, plan.ells[-1], plan.resolution, degree)),
-        outcomes[-1][1],
-    )
+    u_l_max = DiscreteField(section.cylinder_basis(plan.ells[-1]), outcomes[-1][1])
 
     fit_hm = _try_fit([(r.ell, r.err_Hm) for r in records], warnings, "err_Hm")
     fit_int = _try_fit(
@@ -350,7 +341,8 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     ell1 = plan.ells[-1] / 2.0
     while ell1 >= plan.ell0 - 1e-12:
         localized.append(
-            (ell1, localized_energy(u_l_max, u_inf, ell1, spec.m, plan.resolution))
+            (ell1, localized_energy(u_l_max, u_inf, ell1, spec.m, plan.resolution,
+                                    section.grams))
         )
         ell1 /= 2.0
 
@@ -418,7 +410,8 @@ def run_refinement(
     rows = []
     errs = []
     for res in resolutions:
-        limit_system = assemble_limit(spec, resolution=res, degree=degree)
+        section = CrossSection(spec, res, degree)
+        limit_system = assemble_limit(spec, resolution=res, degree=degree, section=section)
         limit_result = _solve_system(limit_system)
         u_inf_h = DiscreteField(limit_system.basis, limit_result.x)
 
@@ -428,10 +421,10 @@ def run_refinement(
         err = norm_Hm(diff, list(spec.omega), m, res, points_per_cell=degree + 1)
         errs.append(err)
 
-        system = assemble_cylinder(spec, ell=ell, resolution=res, degree=degree)
+        system = assemble_cylinder(spec, ell=ell, resolution=res, degree=degree, section=section)
         result = _solve_system(system)
         u_l_h = DiscreteField(system.basis, result.x)
-        cyl = error_Hm(u_l_h, u_inf_h, ell0, m, res)
+        _, cyl = error_Hm(*difference_field(u_l_h, u_inf_h), ell0, m, res, section.grams)
 
         order = None
         if len(errs) > 1 and errs[-1] > FLOOR and errs[-2] > FLOOR:

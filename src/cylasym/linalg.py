@@ -8,8 +8,10 @@ Every system of a sweep is solved directly, by one of three banded solves:
   cross-section pencil (C_other, C_top), reduced by the Cholesky factor of
   C_top to a symmetric eigenproblem, turns it into one banded Cholesky of
   A_top + lam_k A_other per cross-section mode k, between two dense
-  transforms; one step of iterative refinement follows.  With N_ax axial
-  and N_c cross-section unknowns and degree d it costs
+  transforms; one step of iterative refinement follows.  The pencil's
+  eigenbasis (pencil_eigenbasis) depends on the cross-section alone, so a
+  sweep computes it once and hands it to the solve at every l.  With N_ax
+  axial and N_c cross-section unknowns and degree d it costs
   O(N_c^3 + N_ax N_c^2 + N_ax N_c d^2), against O(N_ax N_c^3 d^2) for a
   Cholesky of the whole band, whose half-bandwidth is about d N_c.
 - cholesky_solve, for every other symmetric system (more Kronecker parts, as
@@ -187,24 +189,14 @@ def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve",
     return _accept(x, b, a_norm, matvec, where, "cholesky_banded")
 
 
-def kronecker_solve(axial, cross, b, a_norm: float, matvec, where: str = "solve") -> SolveResult:
-    """Solve (A_top (x) C_top + A_other (x) C_other) x = b by fast
-    diagonalization of the cross-section pencil, in numpy alone.
+def pencil_eigenbasis(c_top, c_other, where: str = "solve"):
+    """(lam, V) of the symmetric pencil (C_other, C_top), C_top positive
+    definite: C_other V = C_top V diag(lam) with V^T C_top V = I.
 
-    axial is (A_top, A_other), the symmetric axial blocks in LAPACK lower
-    band storage of one shape (kd + 1, N_ax); cross is (C_top, C_other), the
-    dense symmetric cross-section blocks, C_top positive definite.  With
-    C_top = R R^T (numpy.linalg.cholesky) and R^-1 C_other R^-T = W
-    diag(lam) W^T (numpy.linalg.eigh, R^-1 by numpy.linalg.inv), V = R^-T W
-    solves C_other V = C_top V
-    diag(lam) with V^T C_top V = I.  The (N_ax, N_c) view X of x then
-    solves (A_top + lam_k A_other) y_k = (B V)_k for every mode k, and
-    X = Y V^T; band_cholesky factors all N_c axial matrices in one pass.
-    One step of iterative refinement follows.  a_norm and matvec are as for
-    cholesky_solve.
+    With C_top = R R^T (numpy.linalg.cholesky) and R^-1 C_other R^-T = W
+    diag(lam) W^T (numpy.linalg.eigh, R^-1 by numpy.linalg.inv), V = R^-T W.
+    A failed Cholesky raises SolverError prefixed with `where`.
     """
-    b = np.asarray(b, dtype=np.float64)
-    (a_top, a_other), (c_top, c_other) = axial, cross
     try:
         R = np.linalg.cholesky(c_top)
     except np.linalg.LinAlgError as exc:
@@ -214,7 +206,26 @@ def kronecker_solve(axial, cross, b, a_norm: float, matvec, where: str = "solve"
         ) from None
     R_inv = np.linalg.inv(R)
     lam, W = np.linalg.eigh(R_inv @ c_other @ R_inv.T)
-    V = R_inv.T @ W
+    return lam, R_inv.T @ W
+
+
+def kronecker_solve(axial, eigenbasis, b, a_norm: float, matvec,
+                    where: str = "solve") -> SolveResult:
+    """Solve (A_top (x) C_top + A_other (x) C_other) x = b by fast
+    diagonalization of the cross-section pencil, in numpy alone.
+
+    axial is (A_top, A_other), the symmetric axial blocks in LAPACK lower
+    band storage of one shape (kd + 1, N_ax); eigenbasis is (lam, V) of the
+    cross-section pencil (C_other, C_top), from pencil_eigenbasis, which
+    depends on the cross-section alone, so a sweep computes it once for
+    every l.  The (N_ax, N_c) view X of x then solves
+    (A_top + lam_k A_other) y_k = (B V)_k for every mode k, and X = Y V^T;
+    band_cholesky factors all N_c axial matrices in one pass.  One step of
+    iterative refinement follows.  a_norm and matvec are as for
+    cholesky_solve.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    (a_top, a_other), (lam, V) = axial, eigenbasis
     n_ax = a_top.shape[1]
     L = band_cholesky(a_top[:, :, None] + lam * a_other[:, :, None])
     failed = ~(L[:n_ax, 0] > 0.0).all(axis=0)

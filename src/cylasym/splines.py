@@ -14,13 +14,16 @@ values and derivatives of every point (dropped functions zeroed) and their
 constrained column indices.  Fields are evaluated cell by cell from those
 tables: a value gathers the coefficients of its point's window and sums
 them in a fixed order, so it depends on its own point only, and no dense
-(points x dim) basis matrix is ever built.  The same local values give the
-banded 1-D Gram matrices of weighted sums over points (gram_band), from
-which analysis integrates the norms of spline fields without evaluating
-them.  composite_gauss scales one memoized, read-only Gauss-Legendre rule
-per point count.
+(points x dim) basis matrix is ever built.  The same tables give the
+assembly kernel its local values, so every system and field on a factor
+shares them, and they give the banded 1-D Gram matrices of weighted sums
+over points (gram_band; axis_grams builds them for a factor on a composite
+Gauss rule), from which analysis integrates the norms of spline fields
+without evaluating them.  composite_gauss scales one memoized, read-only
+Gauss-Legendre rule per point count.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -112,6 +115,19 @@ def composite_gauss(extent, cells: int, points_per_cell: int):
     return pts, wts
 
 
+# Gauss points per cell of the composite rule the norms integrate with
+NORM_POINTS_PER_CELL = 3
+
+
+def gauss_axis(extent, resolution: int, points_per_cell: int):
+    """Composite Gauss nodes and weights over one box extent, on the cells
+    the resolution puts there."""
+    lo, hi = extent
+    if not lo < hi:
+        raise ValueError(f"empty box extent ({lo}, {hi})")
+    return composite_gauss((lo, hi), cells_for((lo, hi), resolution), points_per_cell)
+
+
 def _window_sum(lines, weights, cols):
     """sum over r, in ascending order, of weights[q, r] * lines[cols[q, r]].
 
@@ -150,6 +166,35 @@ def gram_band(vals, cols, weights, size: int):
     index = cols[:, :, None] * width + slots
     band = np.bincount(index.ravel(), weights=products.ravel(), minlength=size * width)
     return band.reshape(size, width)
+
+
+def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cutoff=None):
+    """(rows, [G^(0), .., G^(m)]): Gram bands of one factor's functions on
+    the composite Gauss rule of extent, over the slice `rows` of functions
+    nonzero there.
+
+    G^(a)[i, j] sums w_q phi_i^(a)(x_q) phi_j^(a)(x_q), phi the factor's
+    basis (from its cached local table).  A cutoff (rho, width) multiplies
+    each function by rho(x / width): by Leibniz, phi^(a) is then the sum
+    over b <= a of C(a, b) B^(b) rho^(a - b) / width^(a - b).  G^(a) does
+    not depend on m, so the bands of a smaller m are a prefix bit for bit.
+    """
+    if m > factor.degree:
+        raise ValueError(f"derivative order {m} exceeds degree {factor.degree}")
+    pts, wts = gauss_axis(extent, resolution, points_per_cell)
+    vals, cols = factor.local_table(pts)
+    lo = int(cols.min())
+    cols = cols - lo
+    phis = [vals[:, a, :] for a in range(m + 1)]
+    if cutoff is not None:
+        rho, width = cutoff
+        prof = [rho.profile(pts / width, k)[:, None] / width**k for k in range(m + 1)]
+        phis = [
+            sum(math.comb(a, b) * phis[b] * prof[a - b] for b in range(a + 1))
+            for a in range(m + 1)
+        ]
+    size = int(cols.max()) + 1
+    return slice(lo, lo + size), [gram_band(phi, cols, wts, size) for phi in phis]
 
 
 class SplineBasis1D:

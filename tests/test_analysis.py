@@ -147,14 +147,14 @@ def test_norm_rejects_bad_inputs():
 
 def test_error_Hm_vanishes_for_exact_extension():
     u_l, u_inf = _spline_pair(2.0, [(_one, _bubble1)], _bubble1, cross_bc=1)
-    assert error_Hm(u_l, u_inf, ell0=1.0, m=1, resolution=8) <= 1e-14
+    err_L2, err_Hm = error_Hm(*difference_field(u_l, u_inf), ell0=1.0, m=1, resolution=8)
+    assert err_L2 <= err_Hm <= 1e-14
 
 
 def test_error_Hm_linear_defect_hand_value():
     # u_l - ext(u_inf) = x1: L2^2 over (-1,1)x(0,1) is 2/3, H1 adds 2
     u_l, u_inf = _spline_pair(2.0, [(_one, _bubble1), (lambda x: x, _one)], _bubble1)
-    e0 = error_Hm(u_l, u_inf, ell0=1.0, m=0, resolution=4)
-    e1 = error_Hm(u_l, u_inf, ell0=1.0, m=1, resolution=4)
+    e0, e1 = error_Hm(*difference_field(u_l, u_inf), ell0=1.0, m=1, resolution=4)
     assert abs(e0 - math.sqrt(2.0 / 3.0)) <= 1e-14
     assert abs(e1 - math.sqrt(2.0 / 3.0 + 2.0)) <= 1e-14
 
@@ -162,7 +162,7 @@ def test_error_Hm_linear_defect_hand_value():
 def test_error_Hm_rejects_inner_box_outside_domain():
     u_l, u_inf = _spline_pair(2.0, [(_one, _bubble1)], _bubble1)
     with pytest.raises(ValueError, match="exceeds the domain"):
-        error_Hm(u_l, u_inf, ell0=3.0, m=1, resolution=4)
+        error_Hm(*difference_field(u_l, u_inf), ell0=3.0, m=1, resolution=4)
 
 
 def test_extension_norm_ratio_is_sqrt_two():
@@ -366,10 +366,8 @@ def test_kronecker_norms_match_the_grid_oracle(m, degree, p, n, ell, resolution)
     inner = [(-1.0, 1.0)] * p + omega
     ell1 = ell / 2.0
     rho = CutoffEvaluator(CutoffRho(m), [(0.0, ell1)] * p + [None] * (n - p))
-    pairs = [
-        (error_Hm(u_l, u_inf, 1.0, k, resolution), norm_Hm(diff, inner, k, resolution))
-        for k in (0, m)
-    ]
+    errs = error_Hm(*difference_field(u_l, u_inf), 1.0, m, resolution)
+    pairs = [(err, norm_Hm(diff, inner, k, resolution)) for err, k in zip(errs, (0, m))]
     pairs.append((
         localized_energy(u_l, u_inf, ell1, m, resolution),
         norm_Hm(ProductEvaluator(diff, rho), [(-ell1, ell1)] * p + omega, m, resolution),
@@ -398,7 +396,7 @@ def test_difference_needs_shared_cross_section_factors():
     u_l, _ = _random_pair(1, 2, 1, 2, 2.0, 4)
     _, finer = _random_pair(1, 2, 1, 2, 2.0, 5)
     with pytest.raises(ValueError, match="share their cross-section"):
-        error_Hm(u_l, finer, 1.0, 1, 4)
+        difference_field(u_l, finer)
     with pytest.raises(ValueError, match="share their cross-section"):
         localized_energy(u_l, finer, 1.0, 1, 4)
 
@@ -418,8 +416,7 @@ def test_floor_level_difference_has_nonnegative_parts(m):
     _, w = difference_field(u_l, u_inf)
     parts = _kron_parts(w, [(-1.0, 1.0), (0.0, 1.0)], m, 4)
     assert all(np.isfinite(parts)) and min(parts) >= 0.0
-    err_L2 = error_Hm(u_l, u_inf, 1.0, 0, 4)
-    err_Hm = error_Hm(u_l, u_inf, 1.0, m, 4)
+    err_L2, err_Hm = error_Hm(1, w, 1.0, m, 4)
     assert np.isfinite(err_Hm) and 0.0 < err_L2 <= err_Hm <= 1e-12
     assert err_L2 == math.sqrt(parts[0])
 

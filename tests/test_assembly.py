@@ -26,6 +26,7 @@ from dense_oracle import _to_csr, dense_basis_matrix, oracle_csr
 
 from cylasym.assembly import (
     AssemblyError,
+    CrossSection,
     _dense,
     _galerkin,
     assemble_cylinder,
@@ -539,9 +540,9 @@ def _assert_out_of_space_slots_unread(system):
 
 
 def test_out_of_space_slots_are_never_read(symmetric_system):
-    # those slots are not zero (at 12 cells per unit box3d's cross-section
-    # block holds 0.43 there, at 32 the biharmonic blocks 2.2e5): every
-    # reader must skip them
+    # the kernel leaves those slots zero, since the de Boor tables zero the
+    # functions the constraint drops, but every reader must skip them
+    # whatever they hold
     _assert_out_of_space_slots_unread(symmetric_system)
 
 
@@ -578,6 +579,59 @@ def test_other_systems_are_not_two_part(name):
     assert not assemble_limit(spec, resolution=resolution).two_part
     with pytest.raises(ValueError, match="two-part"):
         assemble_limit(spec, resolution=resolution).kronecker_pencil()
+
+
+_ZERO_BLOCK_CASES = {
+    **_SYMMETRIC_CASES,
+    "nonsymmetric_p1": (_box_spec(1), 1.0, 4),
+    "nonsymmetric_p2": (_box_spec(2), 1.0, 4),
+}
+
+
+@pytest.mark.parametrize("spec,ell,resolution", _ZERO_BLOCK_CASES.values(),
+                         ids=_ZERO_BLOCK_CASES.keys())
+def test_the_limit_system_is_the_zero_axial_block_of_the_cylinder(spec, ell, resolution):
+    # assembled apart, the limit band and load equal the cylinder's block of
+    # the zero axial part and its cross-section load byte for byte; from one
+    # CrossSection they are the same arrays
+    zero = ((0,) * spec.p,) * 2
+    limit = assemble_limit(spec, resolution=resolution)
+    cylinder = assemble_cylinder(spec, ell=ell, resolution=resolution)
+    block = cylinder.kron_parts[cylinder.axial_keys.index(zero)][1]
+    assert limit.nd_band.shape == block.shape and limit.nd_band.tobytes() == block.tobytes()
+    assert limit.rhs.tobytes() == cylinder.section.load.tobytes()
+    section = CrossSection(spec, resolution)
+    shared = assemble_cylinder(spec, ell=ell, resolution=resolution, section=section)
+    limit = assemble_limit(spec, resolution=resolution, section=section)
+    assert limit.nd_band is shared.kron_parts[shared.axial_keys.index(zero)][1]
+    assert limit.rhs is section.load and limit.basis.factors == shared.basis.factors[spec.p:]
+
+
+def test_a_limit_pair_that_reads_x1_is_assembled_with_x1_pinned_at_zero():
+    # the hypotheses refuse such a pair and the cylinder assembles it on all
+    # n factors, so the limit band is not a shared block: the kernel builds
+    # it with x1 = 0, where 1 + x1^2 is 1
+    def spec(text):
+        return ProblemSpec(
+            m=1, n=2, p=1, omega=((0.0, 1.0),),
+            coefficients={((1, 0), (1, 0)): ScalarField.parse("1", 2),
+                          ((0, 1), (0, 1)): ScalarField.parse(text, 2)},
+            forcing=ScalarField.parse("1", 2),
+        )
+
+    pinned, one = assemble_limit(spec("1 + x1^2"), resolution=4), assemble_limit(spec("1"), 4)
+    assert pinned.nd_band.tobytes() == one.nd_band.tobytes()
+    assert pinned.section.keys == (((1,), (1,)),)
+
+
+def test_a_cross_section_serves_only_its_problem_resolution_and_degree():
+    spec = builtin_problem("poisson_strip")
+    section = CrossSection(spec, 4)
+    for kwargs in ({"resolution": 5}, {"resolution": 4, "degree": 3}):
+        with pytest.raises(ValueError, match="built for another problem"):
+            assemble_cylinder(spec, ell=2.0, section=section, **kwargs)
+    with pytest.raises(ValueError, match="built for another problem"):
+        assemble_limit(builtin_problem("varcoef_strip"), resolution=4, section=section)
 
 
 @pytest.mark.parametrize("where", ["cyl", "lim"])

@@ -29,7 +29,7 @@ from cylasym.problem import (
     builtin_problem,
     parse_problem_config,
 )
-from cylasym.splines import DiscreteField, _window_sum
+from cylasym.splines import DiscreteField, SplineBasis1D, _window_sum
 
 POISSON = builtin_problem("poisson_strip")
 
@@ -209,6 +209,18 @@ def test_sweep_serial_and_parallel_bytes_match(tmp_path):
     assert paths[0] == paths[2]  # reruns are byte-identical
 
 
+def test_biharmonic_sweep_serial_and_parallel_bytes_match(tmp_path):
+    # a multi-part system: each pool job carries the CrossSection, pickled
+    paths = []
+    for workers in (1, 2):
+        plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0, 8.0),
+                         resolution=8, workers=workers)
+        path = tmp_path / f"run{workers}.csv"
+        write_report_csv(run_sweep(plan), path)
+        paths.append(path.read_bytes())
+    assert paths[0] == paths[1]
+
+
 def test_interior_estimate_at_alpha_zero_matches_quadrature_norm(poisson_report):
     # the lattice estimator at alpha = 0 is a trapezoid version of the same
     # H^m error the Gauss quadrature computes; they agree to a couple percent
@@ -343,6 +355,47 @@ def _laplace_box(coef="1"):
             "sin(3.141592653589793 * x2) * sin(3.141592653589793 * x3)", 3),
         name="box3d",
     )
+
+
+def _cross_section_work(monkeypatch, spec, ells, resolution):
+    """[kernel calls on the cross-section factors, numpy.linalg.eigh calls,
+    de Boor evaluations on the cross-section factors] of a serial sweep."""
+    counts = [0, 0, 0]
+    galerkin, eigh, local_ders = assembly._galerkin, np.linalg.eigh, SplineBasis1D.local_ders
+
+    def counted_galerkin(factors, terms, pinned=0):
+        counts[0] += pinned == spec.p  # the cross-section kernel pins x1..xp
+        return galerkin(factors, terms, pinned)
+
+    def counted_eigh(*args, **kwargs):
+        counts[1] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_local_ders(self, x, nders):
+        counts[2] += (self.lo, self.hi) in spec.omega  # axial extents are (-l, l)
+        return local_ders(self, x, nders)
+
+    monkeypatch.setattr(assembly, "_galerkin", counted_galerkin)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(SplineBasis1D, "local_ders", counted_local_ders)
+    run_sweep(SweepPlan(spec=spec, ells=ells, resolution=resolution))
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("spec,resolution,parts,eighs", [
+    (_laplace_box(), 6, 2, 1),
+    (builtin_problem("biharmonic_strip"), 8, 4, 0),
+], ids=["box3d", "biharmonic"])
+def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, parts, eighs):
+    # one cross-section block per axial part, shared by the limit system and
+    # every l, and one eigendecomposition of the two-part pencil; the de Boor
+    # tables of the cross-section factors are cached on the factors, which
+    # every l shares, so more l values evaluate none again
+    three = _cross_section_work(monkeypatch, spec, (2.0, 4.0, 8.0), resolution)
+    four = _cross_section_work(monkeypatch, spec, (2.0, 3.0, 4.0, 8.0), resolution)
+    assert three[:2] == four[:2] == [parts, eighs]
+    assert three[2] == four[2] > 0
 
 
 @pytest.mark.parametrize("name,spec,ell,resolutions", [
@@ -623,6 +676,29 @@ def test_cli_config_errors_exit_one(capsys):
     assert cli.main(["sweep", "--problem", "poisson_strip", "--l", "two"]) == 1
     assert cli.main(["refine", "--problem", "poisson_strip", "--degree", "x"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["sweep", "--problem", "poisson_strip", "--cells-per-unit", "0"], 0),
+    (["sweep", "--problem", "poisson_strip", "--cells-per-unit", "-3"], -3),
+    (["refine", "--problem", "poisson_strip", "--cells", "0,4,8"], 0),
+], ids=["sweep-0", "sweep-negative", "refine-0"])
+def test_cli_refuses_a_resolution_below_one(capsys, argv, value):
+    # cells_for clamps any extent to at least 1 cell, so without this check
+    # resolution 0 was reported as putting 1 cell on (-2, 2)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: problem poisson_strip: resolution {value} is below 1 cell "
+                            "per unit length\n")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["validate", "--problem", "poisson_strip"]
+    child = subprocess.run([sys.executable, "-m", "cylasym"] + argv, capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src})
+    assert cli.main(argv) == 0
+    assert (child.returncode, child.stdout, child.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_cli_refine_too_few_cells_exits_one(capsys):

@@ -18,6 +18,7 @@ from cylasym.linalg import (
     gmres_jacobi,
     kronecker_solve,
     lu_solve,
+    pencil_eigenbasis,
     smallest_ritz_estimate,
 )
 from cylasym.problem import builtin_problem
@@ -329,8 +330,9 @@ def _kron_pencil(n_ax=12, kd=2, n_c=5, seed=0, c_other=None):
 
 
 def _kron_dense(A, pencil, b, where="solve"):
-    return kronecker_solve(*pencil, b, float(np.abs(A).sum(axis=1).max()), lambda x: A @ x,
-                           where)
+    axial, cross = pencil
+    return kronecker_solve(axial, pencil_eigenbasis(*cross, where), b,
+                           float(np.abs(A).sum(axis=1).max()), lambda x: A @ x, where)
 
 
 @pytest.mark.parametrize("n_ax,kd,n_c,seed", [(12, 2, 5, 0), (30, 4, 9, 1), (7, 6, 1, 2)])
@@ -382,8 +384,9 @@ def test_kronecker_rejects_a_large_backward_error():
     # reads that residual, leaves an error near 1e-6
     A, pencil = _kron_pencil(seed=7)
     with pytest.raises(SolverError, match="backward error .* exceeds 1e-14"):
-        kronecker_solve(*pencil, np.ones(A.shape[0]), float(np.abs(A).sum(axis=1).max()),
-                        lambda x: (A * (1 + 1e-3)) @ x, "solve")
+        kronecker_solve(pencil[0], pencil_eigenbasis(*pencil[1]), np.ones(A.shape[0]),
+                        float(np.abs(A).sum(axis=1).max()), lambda x: (A * (1 + 1e-3)) @ x,
+                        "solve")
 
 
 # ------------------------------------------------------------------ banded LU
