@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .assembly import band_apply
+from .assembly import band_apply, zero_padded
 from .expr import format_number
 from .multiindex import enumerate_upto
 from .splines import (
@@ -80,7 +80,8 @@ def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = NORM_POI
     """Per |alpha| <= m, in enumerate_upto order, the Gauss-rule integral of
     (D^alpha u)^2 over the box for the DiscreteField u:
     max(0, X : (G_1^(alpha_1) x .. x G_n^(alpha_n)) X), X its coefficients,
-    each band applied along its axis.
+    each band applied along its axis, first to last.  The alphas that share
+    a prefix (alpha_1..alpha_k) share its k band applications.
 
     The cutoff, if any, multiplies the first `axial` factors.  grams, if
     given, holds the (rows, bands) of splines.axis_grams for the trailing
@@ -103,11 +104,15 @@ def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = NORM_POI
         rows.append(r)
         bands.append(g)
     X = u.coeffs[tuple(rows)]
+    n = len(box)
+    applied = {(): X}  # per proper prefix of alpha, its bands applied to X
     parts = []
-    for alpha in enumerate_upto(len(box), m):
-        Y = X
-        for k, a in enumerate(alpha):
-            Y = band_apply(bands[k][a], Y, k)
+    for alpha in enumerate_upto(n, m):
+        for k in range(1, n):
+            if alpha[:k] not in applied:
+                applied[alpha[:k]] = band_apply(bands[k - 1][alpha[k - 1]],
+                                                applied[alpha[: k - 1]], k - 1)
+        Y = band_apply(bands[n - 1][alpha[n - 1]], applied[alpha[: n - 1]], n - 1)
         parts.append(max(0.0, float(np.sum(X * Y))))
     return parts
 
@@ -156,9 +161,9 @@ def difference_field(u_l, u_inf):
     if [_layout(f) for f in factors[p:]] != [_layout(f) for f in u_inf.basis.factors]:
         raise ValueError("u_l and u_inf must share their cross-section spline factors")
     axial = [SplineBasis1D(f.lo, f.hi, f.cells, f.degree, 0) for f in factors[:p]]
-    pad = [(f.bc_order, f.bc_order) for f in factors[:p]] + [(0, 0)] * (len(factors) - p)
+    pad = [f.bc_order for f in factors[:p]] + [0] * (len(factors) - p)
     basis = TensorBasis(axial + list(u_inf.basis.factors))
-    return p, DiscreteField(basis, np.pad(u_l.coeffs, pad) - u_inf.coeffs)
+    return p, DiscreteField(basis, zero_padded(u_l.coeffs, pad) - u_inf.coeffs)
 
 
 def error_Hm(p: int, w, ell0: float, m: int, resolution: int, grams=None):

@@ -60,16 +60,23 @@ written by the same walk.  No full-size band is ever built.
 The residual and the norm of the backward-error check skip the walk.
 matvec multiplies by the matrix from the pieces, sum_j A_j X C_j^T plus the
 n-D band, and by its transpose for a symmetric problem, each band applied
-along its axes by band_apply: one einsum over a sliding window of X (the
-transpose's band is the band-layout transpose of the piece).  inf_norm
-forms the same entries as the walk, but for a system of Kronecker parts
-alone sums each row's magnitudes once per distinct axial coefficient tuple,
-which a uniform axial mesh repeats (_kron_row_sums); a system with an n-D
-band sums the rows of its written band.  lower_band and general_band return
-that |A|_inf with the band.  The kernel leaves the slots whose column falls
-outside the space zero, since the tables zero the functions the constraint
-drops, but no reader relies on that: band_apply and _kron_row_sums zero
-them in their copies of the pieces, and the others never read them.
+along its axes by band_apply: one einsum over a sliding window of X.
+inf_norm forms the same entries as the walk, but for a system of Kronecker
+parts alone sums each row's magnitudes once per distinct axial coefficient
+tuple, which a uniform axial mesh repeats (_kron_row_sums); a system with an
+n-D band sums the rows of its written band.  lower_band and general_band
+return that |A|_inf with the band.
+
+The kernel leaves the slots whose column falls outside the space zero,
+since the tables zero the functions the constraint drops, but no reader
+relies on that.  A system prepares its Kronecker pieces once, on first use
+by matvec or _kron_row_sums: a copy of each with those slots zeroed and, for
+a symmetric system, the band-layout transpose of each, whose out-of-space
+slots are zero by construction.  Its n-D band is prepared the same way one
+chunk of rows at a time, at every product, so that no copy of a whole large
+band is kept.  band_apply reads a band as it is: a prepared piece or a Gram
+band of splines.axis_grams, which only ever writes in-space slots.  The
+other readers never read those slots.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -84,6 +91,7 @@ axis-independence the hypothesis validator enforces.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,7 +114,8 @@ _ROW_LETTERS = "ijk"
 _COL_LETTERS = "lmn"
 _AXIS_LETTERS = "abc"  # band_apply: the axes of X
 _SLOT_LETTERS = "stu"  # band_apply: the band's slot axes
-# entries per chunk of _kron_row_sums' (tuples, cross rows, cross slots) arrays
+# entries per chunk of _kron_row_sums' (tuples, cross rows, cross slots)
+# arrays, and per prepared chunk of an n-D band's rows
 _CHUNK_ENTRIES = 2**15
 
 
@@ -124,9 +133,9 @@ class AssembledSystem:
     all factors, or None when no pair needs it.  The cross-section bands
     are those of section, the CrossSection the system was assembled from.
     The written forms (lower_band, general_band, matrix, kronecker_pencil)
-    come from the slot walk; matvec and inf_norm read the pieces without it.
-    No reader uses a slot whose column falls outside the space, whatever it
-    holds.
+    come from the slot walk; matvec and inf_norm read the pieces without it,
+    through the pieces prepared once per system (_prepared).  No reader
+    uses a slot whose column falls outside the space, whatever it holds.
     """
 
     rhs: np.ndarray
@@ -218,7 +227,7 @@ class AssembledSystem:
         the matrix's.
         """
         if self.nd_band is None:
-            return float(_kron_row_sums(self.kron_parts, self.spec.p, self.symmetric).max())
+            return float(_kron_row_sums(self._prepared, self.spec.p).max())
         return (self.lower_band() if self.symmetric else self.general_band())[1]
 
     def _written_band(self, lower: bool, upper: int):
@@ -232,6 +241,17 @@ class AssembledSystem:
             a_norm = float(_band_row_sums(ab, upper, mirrored=upper == 0 and self.symmetric).max())
         return ab, a_norm
 
+    @cached_property
+    def _prepared(self):
+        """The Kronecker pieces as band_apply and _kron_row_sums read them:
+        (A_j, C_j) with the out-of-space slots zeroed, then for a symmetric
+        system (A_j^T, C_j^T), their band-layout transposes.  Formed from
+        kron_parts on first use and kept with the system."""
+        sides = [tuple((_zeroed_outside(A), _zeroed_outside(C)) for A, C in self.kron_parts)]
+        if self.symmetric:
+            sides.append(tuple((_transposed(A), _transposed(C)) for A, C in self.kron_parts))
+        return tuple(sides)
+
     def matvec(self, x):
         """The matrix times x from the pieces: sum_j A_j X C_j^T plus the n-D
         band, with X the (axial, cross-section) view of x; (A + A^T) x / 2
@@ -244,10 +264,10 @@ class AssembledSystem:
 
     def _apply(self, X, transpose: bool):
         Y = np.zeros(X.shape)
-        for A, C in self.kron_parts:
-            Y += band_apply(A, band_apply(C, X, self.spec.p, transpose), 0, transpose)
+        for A, C in self._prepared[transpose]:
+            Y += band_apply(A, band_apply(C, X, self.spec.p))
         if self.nd_band is not None:
-            Y += band_apply(self.nd_band, X, 0, transpose)
+            Y += _nd_apply(self.nd_band, X, transpose)
         return Y
 
     @property
@@ -342,45 +362,82 @@ def _in_space(shape):
     return mask
 
 
+def _zeroed_outside(band):
+    """A copy of the band with the slots whose column falls outside the
+    space zeroed."""
+    return np.where(_in_space(band.shape), band, 0.0)
+
+
+def zero_padded(a, widths):
+    """a with widths[k] zeros at both ends of its axis k, in the memory
+    order numpy.pad gives: Fortran when a is Fortran- and not C-contiguous,
+    else C.  The order decides how later sums over the array run."""
+    padded = np.zeros([n + 2 * w for n, w in zip(a.shape, widths)], a.dtype,
+                      order="F" if a.flags.fnc else "C")
+    padded[tuple(slice(w, w + n) for n, w in zip(a.shape, widths))] = a
+    return padded
+
+
 def _transposed(band):
     """The band of the transposed matrix, in the same layout: slot s of row
     i holds slot 2d - s of row i + s - d, and the out-of-space slots zero.
 
     With the slots reversed and the rows padded by d zeros at both ends,
     that entry sits at row i + s, slot s: the diagonal of a sliding window
-    over the rows."""
+    over the rows.  Only in-space slots of the band are read."""
     k = band.ndim // 2
     widths = band.shape[k:]
-    slots = tuple(range(k, 2 * k))
-    padded = np.pad(np.flip(band, slots), [(w // 2, w // 2) for w in widths] + [(0, 0)] * k)
+    padded = zero_padded(np.flip(band, tuple(range(k, 2 * k))), [w // 2 for w in widths] + [0] * k)
     windows = sliding_window_view(padded, widths, axis=tuple(range(k)))
     rows, s_sub = _AXIS_LETTERS[:k], _SLOT_LETTERS[:k]
     return np.einsum(f"{rows}{s_sub}{s_sub}->{rows}{s_sub}", windows).copy()
 
 
-def band_apply(band, X, lead: int = 0, transpose: bool = False):
-    """The band's matrix, or its transpose, applied to the axes of X from
-    `lead` on that the band's factors span; the other axes are carried along.
+def _windows(front, widths):
+    """front written into a zero buffer with d = w // 2 zeros at both ends
+    of each of its first len(widths) axes, and read through a sliding
+    window of the widths: slot s of row i meets front at row i + s - d."""
+    k = len(widths)
+    padded = zero_padded(front, [w // 2 for w in widths] + [0] * (front.ndim - k))
+    return sliding_window_view(padded, widths, axis=tuple(range(k)))
 
-    The spanned axes of X are moved first and padded by d zeros at both
-    ends, so that the carried axes run innermost, and X is read through a
-    sliding window of the band's widths: slot s of row i meets X at row
-    i + s - d.  One einsum per chunk of rows of the first spanned axis sums
-    the products, from a copy of the band's chunk whose out-of-space slots
-    are zeroed (or of its transpose's), so whatever those slots hold is
-    never read and no copy of a whole large band is made.
+
+def _subscripts(k: int, ndim: int) -> str:
+    """einsum subscripts of a k-axis band (or a chunk of its rows) against
+    the windows of an ndim-axis array, its spanned axes first."""
+    x_sub, s_sub = _AXIS_LETTERS[:ndim], _SLOT_LETTERS[:k]
+    return f"{x_sub[:k]}{s_sub},{x_sub}{s_sub}->{x_sub}"
+
+
+def band_apply(band, X, lead: int = 0):
+    """The band's matrix applied to the axes of X from `lead` on that the
+    band's factors span; the other axes are carried along.
+
+    The band is read as it is, so its out-of-space slots must hold zeros: a
+    system's prepared pieces (AssembledSystem._prepared) and the Gram bands
+    of splines.axis_grams do.  The spanned axes of X are moved first, so
+    that the carried axes run innermost, and X is read through _windows:
+    one einsum sums the products.
     """
     k = band.ndim // 2
-    widths = band.shape[k:]
-    axes = tuple(range(lead, lead + k))
-    front = np.moveaxis(X, axes, range(k))
-    padded = np.pad(front, [(w // 2, w // 2) for w in widths] + [(0, 0)] * (X.ndim - k))
-    windows = sliding_window_view(padded, widths, axis=tuple(range(k)))
-    x_sub, s_sub = _AXIS_LETTERS[: X.ndim], _SLOT_LETTERS[:k]
-    subscripts = f"{x_sub[:k]}{s_sub},{x_sub}{s_sub}->{x_sub}"
-    inside = _in_space(band.shape)
-    n, d = band.shape[0], widths[0] // 2
+    order = (*range(lead, lead + k), *range(lead), *range(lead + k, X.ndim))
+    front = X.transpose(order)
     Y = np.empty(front.shape)
+    np.einsum(_subscripts(k, X.ndim), band, _windows(front, band.shape[k:]), out=Y)
+    return Y.transpose(np.argsort(order))
+
+
+def _nd_apply(band, X, transpose: bool):
+    """band_apply of an n-D band, or of its transpose, over all axes of X,
+    from the band prepared one chunk of rows of its first axis at a time: a
+    copy of the chunk with its out-of-space slots zeroed, or of its
+    transpose's, so that whatever those slots hold is never read and no
+    copy of a whole large band is made."""
+    k = band.ndim // 2
+    windows, subscripts = _windows(X, band.shape[k:]), _subscripts(k, k)
+    inside = _in_space(band.shape)
+    n, d = band.shape[0], band.shape[k] // 2
+    Y = np.empty(X.shape)
     step = max(1, _CHUNK_ENTRIES // band[0].size)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
@@ -390,30 +447,27 @@ def band_apply(band, X, lead: int = 0, transpose: bool = False):
         else:
             chunk = np.where(inside[lo:hi], band[lo:hi], 0.0)
         np.einsum(subscripts, chunk, windows[lo:hi], out=Y[lo:hi])
-    return np.moveaxis(Y, range(k), axes)
+    return Y
 
 
-def _kron_row_sums(parts, p: int, symmetric: bool):
+def _kron_row_sums(sides, p: int):
     """Row sums of the magnitudes of the entries of a system of Kronecker
-    parts alone, of shape (axial rows, cross-section rows).
+    parts alone, of shape (axial rows, cross-section rows), from its
+    prepared pieces (AssembledSystem._prepared).
 
     Row (i, r) and slot (e, s) of the band hold S = sum_j A_j[i, e]
-    C_j[r, s], summed in part order, and for a symmetric system the entry
-    (S + S^T) / 2, with S^T formed the same way from the band-layout
-    transposes A_j^T and C_j^T: every entry is the one the bands write, up
-    to the sign of a zero (the bands add the parts to a zero).  It
+    C_j[r, s], summed in part order, and for a symmetric system (two sides)
+    the entry (S + S^T) / 2, with S^T formed the same way from the
+    band-layout transposes A_j^T and C_j^T: every entry is the one the bands
+    write, up to the sign of a zero (the bands add the parts to a zero).  It
     depends on the axial row only through the tuple t(i, e) of the A_j[i, e]
     (and A_j^T[i, e]), and a uniform axial mesh repeats those tuples bit for
     bit; so the cross-section sums g(t)[r] = sum_s |entry| are formed once
     per distinct tuple of an in-space axial slot, found by a lexsort, and
     row (i, r) adds g(t(i, e))[r] over its in-space axial slots e.
-    Out-of-space cross-section slots are zeroed, so they add exact zeros.
+    Out-of-space cross-section slots are zero, so they add exact zeros.
     """
-    # the pieces of S and, for a symmetric system, of S^T, with their
-    # out-of-space cross-section slots zero
-    sides = [[(A, np.where(_in_space(C.shape), C, 0.0)) for A, C in parts]]
-    if symmetric:
-        sides.append([(_transposed(A), _transposed(C)) for A, C in parts])
+    parts = sides[0]
     axial_shape, cross_shape = parts[0][0].shape, parts[0][1].shape
     n_ax, w_ax = math.prod(axial_shape[:p]), math.prod(axial_shape[p:])
     n_c = math.prod(cross_shape[: len(cross_shape) // 2])
@@ -442,7 +496,7 @@ def _kron_row_sums(parts, p: int, symmetric: bool):
                 S += t[:, h * len(parts) + j] * C
             entries = S if entries is None else entries + S
         sums[lo : lo + chunk] = np.abs(entries, out=entries).sum(axis=1)
-    if symmetric:
+    if len(sides) == 2:
         sums *= 0.5  # |(S + S^T) / 2| summed: halving is exact, before or after
     row_abs = np.zeros((n_ax, n_c))
     for e in range(w_ax):  # rows are distinct within one slot

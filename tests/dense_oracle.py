@@ -16,12 +16,20 @@ The package writes its CSR matrix from the same slot walk
 (assembly._band_entries) that writes its LAPACK bands.  oracle_csr here
 builds it without that walk: the full band summed from the system's pieces,
 then _to_csr, then (A + A^T) / 2 from the CSR transpose.
+
+The package prepares each band once (its out-of-space slots zeroed, its
+band-layout transpose formed) and assembly.band_apply reads it as it is.
+band_apply_per_call here does that preparation on every call, from the raw
+band, and pads X with numpy.pad; kron_parts_per_alpha applies every band of
+every alpha, where the package shares the applications of a common prefix.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
-from cylasym.multiindex import multi_binom, sub, sub_indices
+from cylasym.multiindex import enumerate_upto, multi_binom, sub, sub_indices
+from cylasym.splines import NORM_POINTS_PER_CELL, axis_grams
 
 
 def full_band(system):
@@ -145,3 +153,77 @@ class ProductEvaluator:
                 * self._right(axes, gamma)
             )
         return out
+
+
+# ------------------------------------------------------------------ band kernel
+
+_AXES, _SLOTS = "abc", "stu"
+
+
+def _in_space(shape):
+    """The slots of a band of this shape whose column lies in the space."""
+    k = len(shape) // 2
+    mask = np.ones((1,) * (2 * k), dtype=bool)
+    for axis, (dim, width) in enumerate(zip(shape[:k], shape[k:])):
+        col = np.arange(dim)[:, None] + np.arange(width) - width // 2
+        where = [1] * (2 * k)
+        where[axis], where[k + axis] = dim, width
+        mask = mask & ((col >= 0) & (col < dim)).reshape(where)
+    return mask
+
+
+def transposed_band(band):
+    """The band of the transposed matrix, in the same layout, the
+    out-of-space slots zero: slot s of row i holds slot 2d - s of row
+    i + s - d, read off the diagonal of a sliding window over the padded
+    rows of the slot-reversed band."""
+    k = band.ndim // 2
+    widths = band.shape[k:]
+    slots = tuple(range(k, 2 * k))
+    padded = np.pad(np.flip(band, slots), [(w // 2, w // 2) for w in widths] + [(0, 0)] * k)
+    windows = sliding_window_view(padded, widths, axis=tuple(range(k)))
+    rows, s_sub = _AXES[:k], _SLOTS[:k]
+    return np.einsum(f"{rows}{s_sub}{s_sub}->{rows}{s_sub}", windows).copy()
+
+
+def band_apply_per_call(band, X, lead: int = 0, transpose: bool = False):
+    """The raw band's matrix, or its transpose, applied to the axes of X
+    from `lead` on, preparing the band on every call: a masked copy of each
+    chunk of rows, or of its transpose's, against X padded by numpy.pad."""
+    k = band.ndim // 2
+    widths = band.shape[k:]
+    axes = tuple(range(lead, lead + k))
+    front = np.moveaxis(X, axes, range(k))
+    padded = np.pad(front, [(w // 2, w // 2) for w in widths] + [(0, 0)] * (X.ndim - k))
+    windows = sliding_window_view(padded, widths, axis=tuple(range(k)))
+    x_sub, s_sub = _AXES[: X.ndim], _SLOTS[:k]
+    subscripts = f"{x_sub[:k]}{s_sub},{x_sub}{s_sub}->{x_sub}"
+    inside = _in_space(band.shape)
+    n, d = band.shape[0], widths[0] // 2
+    Y = np.empty(front.shape)
+    step = max(1, 2**15 // band[0].size)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        if transpose:  # its rows lo..hi read the band's rows lo - d..hi + d
+            start = max(0, lo - d)
+            chunk = transposed_band(band[start : hi + d])[lo - start : hi - start]
+        else:
+            chunk = np.where(inside[lo:hi], band[lo:hi], 0.0)
+        np.einsum(subscripts, chunk, windows[lo:hi], out=Y[lo:hi])
+    return np.moveaxis(Y, range(k), axes)
+
+
+def kron_parts_per_alpha(u, box, m: int, resolution: int,
+                         points_per_cell: int = NORM_POINTS_PER_CELL):
+    """analysis._kron_parts without a cutoff or shared Grams, every band of
+    every alpha applied one alpha at a time by band_apply_per_call."""
+    rows, bands = zip(*(axis_grams(f, extent, m, resolution, points_per_cell)
+                        for f, extent in zip(u.basis.factors, box)))
+    X = u.coeffs[rows]
+    parts = []
+    for alpha in enumerate_upto(len(box), m):
+        Y = X
+        for k, a in enumerate(alpha):
+            Y = band_apply_per_call(bands[k][a], Y, k)
+        parts.append(max(0.0, float(np.sum(X * Y))))
+    return parts

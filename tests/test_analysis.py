@@ -11,8 +11,10 @@ from dense_oracle import (
     ExtensionEvaluator,
     ProductEvaluator,
     dense_basis_matrix,
+    kron_parts_per_alpha,
 )
 
+from cylasym import analysis
 from cylasym.analysis import (
     CSV_HEADER,
     FLOOR,
@@ -390,6 +392,21 @@ def test_kronecker_norm_refuses_bad_boxes_and_orders():
         norm_Hm(u_l, u_l.basis.domain, 3, 4)
     with pytest.raises(ValueError, match="outside domain"):
         norm_Hm(u_inf, [(0.0, 2.0)], 1, 4)
+
+
+@pytest.mark.parametrize("m,degree,n", [(1, 2, 3), (2, 3, 2)])
+def test_kron_parts_share_the_bands_of_a_common_prefix(monkeypatch, m, degree, n):
+    # the alphas that share a prefix (alpha_1..alpha_k) share its k band
+    # applications: 9 of them here, where one alpha at a time makes 12
+    u_l, _ = _random_pair(m, degree, 1, n, 2.3, 5)
+    box = [(-1.0, 1.0)] + list(u_l.basis.domain[1:])
+    calls = []
+    band_apply = analysis.band_apply
+    monkeypatch.setattr(analysis, "band_apply",
+                        lambda *args: calls.append(args) or band_apply(*args))
+    parts = _kron_parts(u_l, box, m, 5)
+    assert len(calls) == 9 and len(parts) == len(enumerate_upto(n, m))
+    assert parts == kron_parts_per_alpha(u_l, box, m, 5)
 
 
 def test_difference_needs_shared_cross_section_factors():

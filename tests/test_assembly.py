@@ -22,15 +22,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from dense_oracle import _to_csr, dense_basis_matrix, oracle_csr
+from dense_oracle import (
+    _to_csr,
+    band_apply_per_call,
+    dense_basis_matrix,
+    oracle_csr,
+    transposed_band,
+)
 
 from cylasym.assembly import (
     AssemblyError,
     CrossSection,
     _dense,
     _galerkin,
+    _transposed,
+    _zeroed_outside,
     assemble_cylinder,
     assemble_limit,
+    band_apply,
     cylinder_factors,
 )
 from cylasym.problem import ProblemSpec, ScalarField, analytic_limit, builtin_problem
@@ -524,13 +533,17 @@ def _nan_outside(system):
 
 def _assert_out_of_space_slots_unread(system):
     nan = _nan_outside(system)
+    # the first product prepares the NaN copy's pieces; the second product
+    # and inf_norm read the prepared pieces it keeps
+    x = np.random.default_rng(9).standard_normal(system.ndofs)
+    want = system.matvec(x).tobytes()
+    for _ in range(2):
+        assert nan.matvec(x).tobytes() == want
+    assert nan.inf_norm() == system.inf_norm()
     readers = ["general_band"] + (["lower_band"] if system.symmetric else [])
     for name in readers:
         (ab, a_norm), (nan_ab, nan_norm) = getattr(system, name)(), getattr(nan, name)()
         assert ab.tobytes() == nan_ab.tobytes() and a_norm == nan_norm, name
-    assert nan.inf_norm() == system.inf_norm()
-    x = np.random.default_rng(9).standard_normal(system.ndofs)
-    assert nan.matvec(x).tobytes() == system.matvec(x).tobytes()
     got, want = nan.matrix, system.matrix
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -556,6 +569,45 @@ def test_out_of_space_slots_are_never_read_nonsymmetric(p, axial_text, where):
     else:
         system = assemble_limit(spec, resolution=3, degree=2)
     _assert_out_of_space_slots_unread(system)
+
+
+def _raw_band(rng, dims, widths):
+    """A random band whose out-of-space slots hold NaN."""
+    band = rng.standard_normal(tuple(dims) + tuple(widths))
+    for axis, (dim, width) in enumerate(zip(dims, widths)):
+        col = np.arange(dim)[:, None] + np.arange(width) - width // 2
+        shape = [1] * band.ndim
+        shape[axis], shape[len(dims) + axis] = dim, width
+        band = np.where(((col >= 0) & (col < dim)).reshape(shape), band, np.nan)
+    return band
+
+
+@pytest.mark.parametrize("dims,widths,lead", [
+    ((9,), (3,), 0), ((9,), (5,), 1), ((9,), (7,), 2), ((6, 7), (3, 5), 0), ((6, 7), (5, 3), 1),
+])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_band_apply_matches_the_per_call_kernel(dims, widths, lead, order, transpose):
+    # band_apply reads a prepared band as it is, and pads X into a zero
+    # buffer of numpy.pad's memory order; the reference prepares the raw
+    # band on every call and pads with numpy.pad.  A Fortran-ordered X
+    # (and a C-ordered one with its spanned axes last) pads into a Fortran
+    # buffer, whose sums run in another order than a C buffer's
+    rng = np.random.default_rng(len(dims) * 10 + lead)
+    band = _raw_band(rng, dims, widths)
+    shape = [4, 5, 3][: lead] + list(dims) + [3, 4][: 3 - lead - len(dims)]
+    X = np.asarray(rng.standard_normal(shape), order=order)
+    prepared = _transposed(band) if transpose else _zeroed_outside(band)
+    got = band_apply(prepared, X, lead)
+    want = band_apply_per_call(band, X, lead, transpose)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("dims,widths", [((9,), (5,)), ((6, 7), (3, 5)), ((5, 4, 6), (3, 5, 3))])
+def test_transposed_matches_the_reference(dims, widths):
+    band = _raw_band(np.random.default_rng(3), dims, widths)
+    assert _transposed(band).tobytes() == transposed_band(band).tobytes()
 
 
 def test_kronecker_pencil_rebuilds_the_two_part_matrix():

@@ -398,6 +398,48 @@ def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, pa
     assert three[2] == four[2] > 0
 
 
+def test_a_system_prepares_each_piece_once(monkeypatch):
+    # every product and |A|_inf of a system read its pieces as prepared on
+    # first use, so a band-layout transpose is formed at most once per piece
+    # however many products the solve and its check take; and every band
+    # and field is padded into a zero buffer, never by numpy.pad
+    reader, systems, products, transposes, pads = [None], {}, {}, {}, []
+    matvec, inf_norm = assembly.AssembledSystem.matvec, assembly.AssembledSystem.inf_norm
+    transposed, pad = assembly._transposed, np.pad
+
+    def reading(method):
+        def read(self, *args):
+            systems[id(self)] = self
+            outer, reader[0] = reader[0], id(self)
+            try:
+                return method(self, *args)
+            finally:
+                reader[0] = outer
+        return read
+
+    def counted_matvec(self, x):
+        products[id(self)] = products.get(id(self), 0) + 1
+        return reading(matvec)(self, x)
+
+    def counted_transposed(band):
+        transposes[reader[0]] = transposes.get(reader[0], 0) + 1
+        return transposed(band)
+
+    monkeypatch.setattr(assembly.AssembledSystem, "matvec", counted_matvec)
+    monkeypatch.setattr(assembly.AssembledSystem, "inf_norm", reading(inf_norm))
+    monkeypatch.setattr(assembly, "_transposed", counted_transposed)
+    monkeypatch.setattr(np, "pad", lambda *args, **kw: pads.append(args) or pad(*args, **kw))
+    run_sweep(SweepPlan(spec=_laplace_box(), ells=(2.0, 4.0, 8.0), resolution=12))
+    monkeypatch.undo()
+    assert None not in transposes  # only products and |A|_inf transpose
+    cylinders = [key for key, system in systems.items() if system.kron_parts]
+    assert len(cylinders) == 3 and all(products[key] >= 2 for key in cylinders)
+    for key, system in systems.items():
+        pieces = 2 * len(system.kron_parts) + (system.nd_band is not None)
+        assert transposes.get(key, 0) <= pieces
+    assert pads == []
+
+
 @pytest.mark.parametrize("name,spec,ell,resolutions", [
     ("poisson", POISSON, 4.0, (8, 16, 32)),
     ("varcoef", builtin_problem("varcoef_strip"), 4.0, (8, 16, 32)),
@@ -523,7 +565,11 @@ def test_direct_solve_memory_is_the_lapack_band():
 
 def test_cholesky_solve_memory_is_the_lapack_band():
     # the biharmonic strip takes banded Cholesky: assembly and solve peak
-    # near the factor itself, so no full-size band or CSR matrix is alive
+    # near the factor itself, so no full-size band or CSR matrix is alive;
+    # scipy.linalg, which the solve imports, is imported before the trace
+    # so that its module objects are not counted when the test runs alone
+    import scipy.linalg  # noqa: F401
+
     spec = builtin_problem("biharmonic_strip")
     tracemalloc.start()
     try:

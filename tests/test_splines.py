@@ -12,13 +12,14 @@ from dense_oracle import dense_basis_matrix
 from numpy.polynomial.legendre import leggauss
 
 import cylasym.splines as splines
-from cylasym.analysis import _gauss_grid
+from cylasym.analysis import CutoffRho, _gauss_grid
 from cylasym.assembly import cylinder_factors
 from cylasym.problem import builtin_problem
 from cylasym.splines import (
     DiscreteField,
     SplineBasis1D,
     TensorBasis,
+    axis_grams,
     composite_gauss,
     gram_band,
 )
@@ -166,6 +167,27 @@ def test_gram_band_matches_dense_oracle(degree, bc_order):
                     got[i, j] = band[i, s]
                     assert band[i, s] == band[j, 2 * d - s]  # symmetric bit for bit
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("degree,bc_order", [
+    (d, b) for d in (1, 2, 3) for b in (0, 1, 2) if b <= d
+])
+@pytest.mark.parametrize("cutoff", [False, True], ids=["plain", "cutoff"])
+@pytest.mark.parametrize("extent", [(-2.0, 2.0), (-1.0, 1.0)], ids=["whole", "inner"])
+def test_axis_grams_leave_out_of_space_slots_zero(degree, bc_order, cutoff, extent):
+    # assembly.band_apply reads a Gram band as it is, so every slot whose
+    # column falls outside the band's rows must hold exactly 0.0
+    f = SplineBasis1D(-2.0, 2.0, 8, degree, bc_order)
+    m = degree
+    rows, bands = axis_grams(f, extent, m, 2, 3, (CutoffRho(m), 1.0) if cutoff else None)
+    assert len(bands) == m + 1
+    for band in bands:
+        size, width = band.shape
+        assert size == rows.stop - rows.start
+        col = np.arange(size)[:, None] + np.arange(width) - width // 2
+        outside = (col < 0) | (col >= size)
+        assert outside.any() and np.all(band[outside] == 0.0)
+        assert not np.signbit(band[outside]).any()
 
 
 def test_domain_and_order_errors():
