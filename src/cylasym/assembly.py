@@ -57,6 +57,18 @@ axial indices, and no n-D band (two_part) also hands over its pencil: the
 lower bands of the two axial blocks and the dense cross-section blocks,
 written by the same walk.  No full-size band is ever built.
 
+A cylinder system of an even section (CrossSection.even: no n-D band, and
+every axial key of even order on every axial axis) commutes with each
+reflection x_k -> -x_k.  AssembledSystem.folded gives the system on the
+even subspace, P^T A P y = P^T b with P the even extension along each axial
+axis in turn: each Kronecker part's axial band is folded in band layout
+(_folded_band), summing the four terms A(i, k) + A(i, m(k)) + A(m(i), k) +
+A(m(i), m(k)) with m(i) = N_ax - 1 - i and the centre of an odd N_ax
+counted once, from in-space slots only; its cross-section band is shared
+and its half bandwidth unchanged.  A system takes its dims and degrees from
+its pieces, so the folded one needs no spline basis; unfold gives x = P y.
+assemble_cylinder returns the full system, and the solve folds it.
+
 The residual and the norm of the backward-error check skip the walk.
 matvec multiplies by the matrix from the pieces, sum_j A_j X C_j^T plus the
 n-D band, and by its transpose for a symmetric problem, each band applied
@@ -90,7 +102,7 @@ axis-independence the hypothesis validator enforces.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -150,15 +162,21 @@ class AssembledSystem:
 
     @property
     def ndofs(self) -> int:
-        return self.basis.ndofs
+        return math.prod(self._dims)
 
     @property
     def _dims(self):
-        return tuple(f.dim for f in self.basis.factors)
+        """The dimension of every factor, read off the pieces' rows."""
+        if self.kron_parts:
+            A, C = self.kron_parts[0]
+            return A.shape[: A.ndim // 2] + C.shape[: C.ndim // 2]
+        return self.nd_band.shape[: self.nd_band.ndim // 2]
 
     @property
     def _degrees(self):
-        return tuple(f.degree for f in self.basis.factors)
+        """The degree of every factor, read off the pieces' slot widths."""
+        bands = self.kron_parts[0] if self.kron_parts else (self.nd_band,)
+        return tuple(w // 2 for band in bands for w in band.shape[band.ndim // 2 :])
 
     @property
     def matrix(self):
@@ -201,19 +219,20 @@ class AssembledSystem:
     def _entries(self, lower: bool):
         return _band_entries(self._slot, self._dims, self._degrees, self.symmetric, lower)
 
-    def lower_band(self):
+    def lower_band(self, norm: bool = True):
         """(ab, |A|_inf) of (A + A^T) / 2: ab is LAPACK lower band storage,
         Fortran-ordered, with A[j + q, j] at ab[q, j]; |A|_inf is
-        inf_norm's."""
+        inf_norm's, or None without norm."""
         if not self.symmetric:
             raise ValueError("the lower band describes a symmetric system only")
-        return self._written_band(lower=True, upper=0)
+        return self._written_band(lower=True, upper=0, norm=norm)
 
-    def general_band(self):
+    def general_band(self, norm: bool = True):
         """(ab, |A|_inf) of the matrix: ab is LAPACK general band storage,
         Fortran-ordered, with A[i, j] at ab[kd + i - j, j]; |A|_inf is
-        inf_norm's for a nonsymmetric system."""
-        return self._written_band(lower=False, upper=_half_bandwidth(self._dims, self._degrees))
+        inf_norm's for a nonsymmetric system, or None without norm."""
+        return self._written_band(lower=False, upper=_half_bandwidth(self._dims, self._degrees),
+                                  norm=norm)
 
     def inf_norm(self) -> float:
         """|A|_inf of the matrix, exactly: the largest sum over a row of the
@@ -230,11 +249,13 @@ class AssembledSystem:
             return float(_kron_row_sums(self._prepared, self.spec.p).max())
         return (self.lower_band() if self.symmetric else self.general_band())[1]
 
-    def _written_band(self, lower: bool, upper: int):
+    def _written_band(self, lower: bool, upper: int, norm: bool):
         """(ab, |A|_inf): the band written with `upper` superdiagonals, and
-        inf_norm's |A|_inf for a system of Kronecker parts alone, formed
-        before the band so that their temporaries and the band are never
-        alive together, else ab's own row sums."""
+        with norm inf_norm's |A|_inf for a system of Kronecker parts alone,
+        formed before the band so that their temporaries and the band are
+        never alive together, else ab's own row sums."""
+        if not norm:
+            return _write_band(self._entries(lower), self._dims, self._degrees, upper), None
         a_norm = self.inf_norm() if self.nd_band is None else None
         ab = _write_band(self._entries(lower), self._dims, self._degrees, upper)
         if a_norm is None:
@@ -295,6 +316,86 @@ class AssembledSystem:
         """
         return self.axial_pencil(), _cross_pencil([C for _, C in self.kron_parts],
                                                   self.axial_keys)
+
+    def folded(self):
+        """The system P^T A P y = P^T b on the even subspace of every axial
+        axis, or None unless it is a cylinder system of an even section
+        (CrossSection.even).
+
+        P is the even extension along each axial axis in turn
+        (_folded_band): each Kronecker part's axial band is folded, its
+        cross-section band shared, and the load folded alike.  The folded
+        system has no basis; its dims and degrees come from its pieces.
+        Then x = unfold(y) solves A x = b, since A commutes with every
+        reflection x_k -> -x_k and b is even.
+        """
+        if not (self.kron_parts and self.section.even):
+            return None
+        parts, rhs = self.kron_parts, self.rhs.reshape(self._dims)
+        for axis in range(self.spec.p):
+            parts = tuple((_folded_band(A, axis), C) for A, C in parts)
+            rhs = _folded_rows(rhs, axis)
+        return replace(self, rhs=rhs.ravel(), basis=None, kron_parts=parts)
+
+    def unfold(self, y):
+        """x = P y: the even vector of this system's space whose half, that
+        of folded(), is y; bitwise even on every axial axis."""
+        p, dims = self.spec.p, self._dims
+        Y = np.reshape(y, tuple((n + 1) // 2 for n in dims[:p]) + dims[p:])
+        for axis in range(p):
+            Y = _unfolded_rows(Y, axis, dims[axis])
+        return Y.ravel()
+
+
+def _folded_band(band, axis: int):
+    """The band of P^T A P for the band of A, P the even extension along
+    its factor `axis` of N functions: the first ceil(N / 2) functions i of
+    the folded factor stand for i and its mirror m(i) = N - 1 - i together,
+    the centre function of an odd N for itself alone.
+
+    Entry (i, k) sums A(i, k) + A(i, m(k)) + A(m(i), k) + A(m(i), m(k)) in
+    that order, each term present when its column lies in A's band and a
+    mirror that is the function itself counted once; so no reader relies on
+    A being bitwise mirror-symmetric.  Along `axis` only in-space slots of
+    A are read, and a slot whose column falls outside the folded factor
+    holds zero; the slots of the other axes are carried as they are.  The
+    half bandwidth stays d: m(k) is within d of i only near the centre,
+    where k is too.
+    """
+    k = band.ndim // 2
+    B = np.moveaxis(band, (axis, k + axis), (0, 1))
+    n, w = B.shape[:2]
+    d, half = w // 2, (n + 1) // 2
+    i = np.arange(half)[:, None]
+    col = i + np.arange(w) - d
+    mi, mcol = n - 1 - i, n - 1 - col
+    inside = (col >= 0) & (col < half)
+    folded = np.zeros((half, w) + B.shape[2:])
+    for rows, cols, here in ((i, col, inside), (i, mcol, inside & (mcol != col)),
+                             (mi, col, inside & (mi != i)),
+                             (mi, mcol, inside & (mi != i) & (mcol != col))):
+        slot = cols - rows + d
+        here = here & (slot >= 0) & (slot < w)
+        term = B[np.broadcast_to(rows, slot.shape), np.clip(slot, 0, w - 1)]
+        folded += np.where(here.reshape(here.shape + (1,) * (B.ndim - 2)), term, 0.0)
+    return np.ascontiguousarray(np.moveaxis(folded, (0, 1), (axis, k + axis)))
+
+
+def _folded_rows(X, axis: int):
+    """P^T X along `axis` of N rows: row i < N // 2 is X[i] + X[m(i)], and
+    the centre row of an odd N is X's own."""
+    X = np.moveaxis(X, axis, 0)
+    n = X.shape[0]
+    Y = X[: (n + 1) // 2].copy()
+    Y[: n // 2] += X[::-1][: n // 2]
+    return np.moveaxis(Y, 0, axis)
+
+
+def _unfolded_rows(Y, axis: int, n: int):
+    """P Y along `axis`: the N = n rows whose row i and row m(i) are both
+    Y[i]."""
+    Y = np.moveaxis(Y, axis, 0)
+    return np.moveaxis(np.concatenate([Y, Y[: n // 2][::-1]]), 0, axis)
 
 
 def _top_first(pieces, axial_keys):
@@ -795,6 +896,17 @@ class CrossSection:
             and not self.nd_terms
             and len(self.keys) == 2
             and all(a == b for a, b in self.keys)
+        )
+
+    @property
+    def even(self) -> bool:
+        """True when every cylinder system commutes with each reflection
+        x_k -> -x_k of an axial axis: no pair reads x1..xp (no nd_terms),
+        and every axial key has alpha_k + beta_k even on every axial axis k.
+        The forcing may not read x1..xp and (-l, l) is symmetric, so then
+        u_l is even in every x_k and AssembledSystem.folded solves for it."""
+        return not self.nd_terms and all(
+            (a + b) % 2 == 0 for alpha, beta in self.keys for a, b in zip(alpha, beta)
         )
 
     def eigenbasis(self, where: str = "solve"):

@@ -37,7 +37,9 @@ Each accepts the answer when the normwise backward error
 computed from another copy of A, is at most BACKWARD_ERROR_TOL, the accuracy
 a backward-stable solve attains; a relative residual bound does not fit
 fourth-order problems, whose condition numbers leave backward-stable answers
-with relative residuals well above 1e-12.  A failed factorization proves a
+with relative residuals well above 1e-12.  A caller that solves a folded
+system passes gate instead, which applies that check once, to the unfolded
+answer and the full system.  A failed factorization proves a
 block or a mode is not positive definite, or the matrix singular.
 scipy.linalg is imported by the first LAPACK solve (cholesky_solve with
 lapack=True, lu_solve), not with the package, so a sweep of a two-part
@@ -86,9 +88,14 @@ def backward_error(r, a_norm: float, x, b) -> float:
     return float(np.abs(r).max(initial=0.0)) / denom if denom > 0.0 else 0.0
 
 
-def _accept(x, b, a_norm: float, matvec, where: str, method: str) -> SolveResult:
+def _accept(x, b, a_norm: float, matvec, where: str, method: str, gate=None) -> SolveResult:
     """The SolveResult of x when its backward error, from the residual
-    b - matvec(x), is at most BACKWARD_ERROR_TOL; SolverError otherwise."""
+    b - matvec(x), is at most BACKWARD_ERROR_TOL; SolverError otherwise.
+    gate(x, method), when given, decides instead: a folded solve passes the
+    full system's check of its unfolded x, and b, a_norm and matvec go
+    unread."""
+    if gate is not None:
+        return gate(x, method)
     r = b - matvec(x)
     bnorm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(r)) / bnorm if bnorm > 0.0 else 0.0
@@ -160,14 +167,15 @@ def band_cholesky_solve(L, y):
 
 
 def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve",
-                   lapack: bool = True) -> SolveResult:
+                   lapack: bool = True, gate=None) -> SolveResult:
     """Solve Ax = b for a symmetric positive definite A.
 
     ab is A's LAPACK lower band storage (A[j + q, j] at ab[q, j]).  With
     lapack, scipy.linalg.cholesky_banded overwrites it by the Cholesky
     factor, in place when Fortran-ordered; without, band_cholesky factors a
     copy.  a_norm is |A|_inf, and matvec(x) computes Ax from another copy of
-    A, for the residual.  Failures raise SolverError prefixed with `where`.
+    A, for the residual; gate, when given, replaces the check they make
+    (see _accept).  Failures raise SolverError prefixed with `where`.
     """
     b = np.asarray(b, dtype=np.float64)
     if not lapack:
@@ -177,7 +185,7 @@ def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve",
             raise SolverError(f"{where}: matrix is not positive definite (the leading "
                               f"minor of order {np.argmax(failed) + 1} is not)")
         x = band_cholesky_solve(L, b)
-        return _accept(x, b, a_norm, matvec, where, "cholesky_banded")
+        return _accept(x, b, a_norm, matvec, where, "cholesky_banded", gate)
 
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
@@ -186,7 +194,7 @@ def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve",
     except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
         raise SolverError(f"{where}: matrix is not positive definite ({exc})") from None
     x = cho_solve_banded((factor, True), b, check_finite=False)
-    return _accept(x, b, a_norm, matvec, where, "cholesky_banded")
+    return _accept(x, b, a_norm, matvec, where, "cholesky_banded", gate)
 
 
 def pencil_eigenbasis(c_top, c_other, where: str = "solve"):
@@ -210,7 +218,7 @@ def pencil_eigenbasis(c_top, c_other, where: str = "solve"):
 
 
 def kronecker_solve(axial, eigenbasis, b, a_norm: float, matvec,
-                    where: str = "solve") -> SolveResult:
+                    where: str = "solve", gate=None) -> SolveResult:
     """Solve (A_top (x) C_top + A_other (x) C_other) x = b by fast
     diagonalization of the cross-section pencil, in numpy alone.
 
@@ -221,8 +229,8 @@ def kronecker_solve(axial, eigenbasis, b, a_norm: float, matvec,
     every l.  The (N_ax, N_c) view X of x then solves
     (A_top + lam_k A_other) y_k = (B V)_k for every mode k, and X = Y V^T;
     band_cholesky factors all N_c axial matrices in one pass.  One step of
-    iterative refinement follows.  a_norm and matvec are as for
-    cholesky_solve.
+    iterative refinement follows, with matvec's residual.  a_norm, matvec
+    and gate are as for cholesky_solve.
     """
     b = np.asarray(b, dtype=np.float64)
     (a_top, a_other), (lam, V) = axial, eigenbasis
@@ -242,14 +250,14 @@ def kronecker_solve(axial, eigenbasis, b, a_norm: float, matvec,
 
     x = solve(b)
     x += solve(b - matvec(x))
-    return _accept(x, b, a_norm, matvec, where, "fast_diagonalization")
+    return _accept(x, b, a_norm, matvec, where, "fast_diagonalization", gate)
 
 
-def lu_solve(ab, b, a_norm: float, matvec, where: str = "solve") -> SolveResult:
+def lu_solve(ab, b, a_norm: float, matvec, where: str = "solve", gate=None) -> SolveResult:
     """Solve Ax = b for a general banded A by LU with partial pivoting.
 
     ab is A's LAPACK general band storage, (2 kd + 1, N) with A[i, j] at
-    ab[kd + i - j, j]; a_norm and matvec are as for cholesky_solve.
+    ab[kd + i - j, j]; a_norm, matvec and gate are as for cholesky_solve.
     """
     from scipy.linalg import solve_banded
 
@@ -259,7 +267,7 @@ def lu_solve(ab, b, a_norm: float, matvec, where: str = "solve") -> SolveResult:
         x = solve_banded((kd, kd), ab, b, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"{where}: matrix is singular ({exc})") from None
-    return _accept(x, b, a_norm, matvec, where, "lu_banded")
+    return _accept(x, b, a_norm, matvec, where, "lu_banded", gate)
 
 
 def _jacobi_weights(A) -> np.ndarray:

@@ -22,12 +22,23 @@ band-layout transpose formed) and assembly.band_apply reads it as it is.
 band_apply_per_call here does that preparation on every call, from the raw
 band, and pads X with numpy.pad; kron_parts_per_alpha applies every band of
 every alpha, where the package shares the applications of a common prefix.
+
+The package solves a system that commutes with the axial reflections on
+its even half (AssembledSystem.folded), folding the axial bands in band
+layout.  even_extension here is the dense P of that fold, so a test can
+form P^T A P by matrix products; full_path_solve solves the whole system by
+the structure's own solve, as the package did before the fold, and
+inverse_inf_norm gives |A^-1|_inf for a forward-error bound.
 """
+
+import dataclasses
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
+from cylasym import linalg
+from cylasym.assembly import _where
 from cylasym.multiindex import enumerate_upto, multi_binom, sub, sub_indices
 from cylasym.splines import NORM_POINTS_PER_CELL, axis_grams
 
@@ -38,7 +49,8 @@ def full_band(system):
     the n-D band."""
     if not system.kron_parts:
         return system.nd_band.copy()
-    p, n = system.spec.p, system.basis.naxes
+    p = system.spec.p
+    n = p + system.kron_parts[0][1].ndim // 2
     band = 0.0
     for A, C in system.kron_parts:
         # (axial rows, axial slots, cross rows, cross slots) to band layout
@@ -227,3 +239,57 @@ def kron_parts_per_alpha(u, box, m: int, resolution: int,
             Y = band_apply_per_call(bands[k][a], Y, k)
         parts.append(max(0.0, float(np.sum(X * Y))))
     return parts
+
+
+def even_extension(n: int):
+    """The dense (n, ceil(n / 2)) matrix P whose column i is e_i + e_{n-1-i},
+    or e_i alone for the centre i of an odd n: P y is the even vector of
+    half y."""
+    P = np.zeros((n, (n + 1) // 2))
+    for i in range(P.shape[1]):
+        P[i, i] = P[n - 1 - i, i] = 1.0
+    return P
+
+
+def full_path_solve(system, gate=None):
+    """The solve of a whole system chosen by its structure, with no fold:
+    fast diagonalization for a two-part system, banded Cholesky for another
+    symmetric one, banded LU otherwise, each gated by its own check unless
+    gate (linalg._accept's) replaces it."""
+    where = _where(system.spec, "solve", system.ell)
+    if system.two_part:
+        return linalg.kronecker_solve(system.axial_pencil(), system.section.eigenbasis(where),
+                                      system.rhs, system.inf_norm(), system.matvec, where,
+                                      gate)
+    if system.symmetric:
+        ab, a_norm = system.lower_band()
+        return linalg.cholesky_solve(ab, system.rhs, a_norm, system.matvec, where,
+                                     lapack=system.ell is not None, gate=gate)
+    ab, a_norm = system.general_band()
+    return linalg.lu_solve(ab, system.rhs, a_norm, system.matvec, where, gate)
+
+
+def inverse_inf_norm(system, dense_below: int = 3000) -> float:
+    """|A^-1|_inf of a system: exact from the dense inverse below
+    dense_below unknowns, else, for a symmetric system, whose inf-norm and
+    1-norm agree, scipy's onenormest of x -> A^-1 x: by fast
+    diagonalization, unchecked, for a two-part system, else by one banded
+    Cholesky factor.  onenormest estimates from below, usually exactly."""
+    n = system.ndofs
+    if n < dense_below:
+        return float(np.abs(np.linalg.inv(system.matrix.toarray())).sum(axis=1).max())
+    assert system.symmetric
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    if system.two_part:
+        def solve(v):
+            return full_path_solve(dataclasses.replace(system, rhs=np.ravel(v)),
+                                   gate=lambda x, method: x)
+    else:
+        factor = cholesky_banded(system.lower_band()[0], lower=True)
+
+        def solve(v):
+            return cho_solve_banded((factor, True), np.ravel(v))
+
+    return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=solve)))

@@ -26,6 +26,7 @@ from dense_oracle import (
     _to_csr,
     band_apply_per_call,
     dense_basis_matrix,
+    even_extension,
     oracle_csr,
     transposed_band,
 )
@@ -34,7 +35,9 @@ from cylasym.assembly import (
     AssemblyError,
     CrossSection,
     _dense,
+    _folded_band,
     _galerkin,
+    _in_space,
     _transposed,
     _zeroed_outside,
     assemble_cylinder,
@@ -722,3 +725,105 @@ def test_import_leaves_scipy_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.split() == ["True", "False"]
+
+
+# ------------------------------------------------------------------ the even fold
+
+
+def _plus(spec, texts):
+    """spec with the coefficients of texts, {(alpha, beta): text}, added."""
+    added = {key: ScalarField.parse(text, spec.n) for key, text in texts.items()}
+    return dataclasses.replace(spec, coefficients={**spec.coefficients, **added})
+
+
+_POISSON = builtin_problem("poisson_strip")
+_EVEN_CASES = {
+    "poisson": (_POISSON, True),
+    "varcoef": (builtin_problem("varcoef_strip"), True),
+    "biharmonic": (builtin_problem("biharmonic_strip"), True),
+    "box3d_p1": (_laplace_box(1), True),
+    "box3d_p2": (_laplace_box(2), True),
+    # nonsymmetric, but its axial key is (0, 0)
+    "poisson_a_0_1_0_0": (_plus(_POISSON, {((0, 1), (0, 0)): "1"}), True),
+    # symmetric, with the odd axial keys (1, 0) and (0, 1)
+    "poisson_mixed": (_plus(_POISSON, {((1, 0), (0, 1)): "0.5", ((0, 1), (1, 0)): "0.5"}),
+                      False),
+    "box3d_sin_x1": (_laplace_box(1, "2 + sin(x1)"), False),
+    "nonsymmetric_p1": (_box_spec(1), False),
+    "nonsymmetric_p2": (_box_spec(2), False),
+}
+
+
+@pytest.mark.parametrize("spec,even", _EVEN_CASES.values(), ids=_EVEN_CASES.keys())
+def test_the_even_predicate_reads_the_axial_keys(spec, even):
+    # even: no pair reads x1..xp and every axial key has alpha_k + beta_k
+    # even on every axial axis k; only a cylinder system of such a section
+    # folds, never a cross-section system
+    section = CrossSection(spec, 6)
+    assert section.even is even
+    cylinder = assemble_cylinder(spec, ell=1.0, resolution=6, section=section)
+    assert (cylinder.folded() is not None) is even
+    assert assemble_limit(spec, resolution=6, section=section).folded() is None
+
+
+def _even_extension_of(system):
+    """The dense P of the system's fold: the even extension along every
+    axial axis, the identity on the cross-section."""
+    p, dims = system.spec.p, [f.dim for f in system.basis.factors]
+    P = np.ones((1, 1))
+    for k, dim in enumerate(dims):
+        P = np.kron(P, even_extension(dim) if k < p else np.eye(dim))
+    return P
+
+
+_FOLD_CASES = {
+    **{name: (*_SYMMETRIC_CASES[name], None)
+       for name in ("poisson", "varcoef", "biharmonic", "box3d_p1", "box3d_p2")},
+    "poisson_a_0_1_0_0": (_EVEN_CASES["poisson_a_0_1_0_0"][0], 2.0, 5, None),
+    # the fewest axial functions a factor allows: 2m + 1 cells, degree m
+    "poisson_fewest": (_POISSON, 0.5, 3, 1),
+    "biharmonic_fewest": (builtin_problem("biharmonic_strip"), 0.5, 5, 2),
+}
+
+
+@pytest.mark.parametrize("spec,ell,resolution,degree", _FOLD_CASES.values(),
+                         ids=_FOLD_CASES.keys())
+def test_the_folded_system_is_p_transpose_a_p(spec, ell, resolution, degree):
+    system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    folded = system.folded()
+    P = _even_extension_of(system)
+    A = system.matrix.toarray()
+    got = folded.matrix.toarray()
+    assert got.shape == (P.shape[1],) * 2 and folded.ndofs == P.shape[1]
+    assert np.abs(got - P.T @ A @ P).max() <= 2e-15 * np.abs(A).max()
+    # p = 2 folds one axis after the other, so its sums of four run in
+    # another order than P^T's
+    assert np.allclose(folded.rhs, P.T @ system.rhs, rtol=1e-15, atol=0.0)
+    y = np.random.default_rng(4).standard_normal(P.shape[1])
+    assert np.array_equal(system.unfold(y), P @ y)
+    x = np.random.default_rng(5).standard_normal(P.shape[1])
+    assert np.abs(folded.matvec(x) - got @ x).max() <= 1e-15 * np.abs(got).max() * np.abs(x).max()
+    # its written band has the full system's bandwidth over half the rows
+    # per axial axis
+    band = folded.lower_band()[0] if system.symmetric else folded.general_band()[0]
+    full = system.lower_band()[0] if system.symmetric else system.general_band()[0]
+    assert band.shape[1] == P.shape[1] and band.shape[0] <= full.shape[0]
+    _assert_out_of_space_slots_unread(folded)
+
+
+@pytest.mark.parametrize("dims,widths,axis", [
+    ((9,), (5,), 0), ((8,), (3,), 0), ((2,), (3,), 0), ((3,), (7,), 0), ((4,), (9,), 0),
+    ((6, 7), (3, 5), 0), ((6, 7), (5, 3), 1), ((5, 4), (5, 5), 0),
+])
+def test_the_band_fold_needs_no_mirror_symmetry(dims, widths, axis):
+    # a random band, not mirror-symmetric, with NaN in its out-of-space
+    # slots: the fold sums the four terms of P^T A P from in-space slots
+    band = _raw_band(np.random.default_rng(6), dims, widths)
+    folded = _folded_band(band, axis)
+    P = np.ones((1, 1))
+    for k, dim in enumerate(dims):
+        P = np.kron(P, even_extension(dim) if k == axis else np.eye(dim))
+    A = _to_csr(band).toarray()
+    got = _to_csr(folded).toarray()
+    assert np.abs(got - P.T @ A @ P).max() <= 1e-15 * np.abs(A).max()
+    assert not np.isnan(folded[_in_space(folded.shape)]).any()

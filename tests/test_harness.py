@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracle import full_path_solve, inverse_inf_norm
 
 from cylasym import assembly, cli, harness, linalg
 from cylasym.analysis import difference_field, norm_Hm, write_report_csv
@@ -119,26 +120,28 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 def test_sweep_interior_tables_hold_their_values():
     # reprs of the estimator on the one difference field u_l - ext(u_inf),
-    # taken when it replaced evaluating u_l and u_inf separately and
-    # subtracting their grids (these values moved by at most 5.5e-10
-    # relative); the one-lattice-per-region estimator kept every bit of the
+    # taken when the cylinder systems were first solved on their even half
+    # (AssembledSystem.folded): the fold moved them from the full solve's by
+    # up to 7.3e-13 relative at l = 2 and 7.6e-10 at l = 4, where the
+    # differences are 2500 times smaller and the solve's roundoff weighs
+    # more; the one-lattice-per-region estimator kept every bit of the
     # per-alpha one
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.6466386833006096e-05, '0_1': 0.00022532855497316547, "
-            "'1_0': 0.00023244104608634243, '0_2': 0.0018229449955422627, "
-            "'1_1': 0.0007724739341890261, '2_0': 0.0021641968173921294}",
-            "{'0_0': 0.0006463618950815894, '1_0': 0.00408205362287197, "
-            "'2_0': 0.02443412018465329}",
+            "{'0_0': 4.6466386832989115e-05, '0_1': 0.00022532855497300145, "
+            "'1_0': 0.00023244104608642147, '0_2': 0.001822944995541135, "
+            "'1_1': 0.0007724739341892034, '2_0': 0.0021641968173931533}",
+            "{'0_0': 0.0006463618950815918, '1_0': 0.004082053622871979, "
+            "'2_0': 0.024434120184653192}",
         ),
         (
-            "{'0_0': 1.8792150715999096e-08, '0_1': 8.232017687911898e-08, "
-            "'1_0': 8.233974725829086e-08, '0_2': 6.093924718650076e-07, "
-            "'1_1': 4.0071555288249733e-07, '2_0': 3.5979045329792523e-07}",
-            "{'0_0': 1.4292434529510037e-07, '1_0': 5.29780448836682e-07, "
-            "'2_0': 3.752427943645662e-06}",
+            "{'0_0': 1.8792150714215103e-08, '0_1': 8.232017685587601e-08, "
+            "'1_0': 8.233974729646823e-08, '0_2': 6.093924714061471e-07, "
+            "'1_1': 4.007155528970758e-07, '2_0': 3.5979045352359815e-07}",
+            "{'0_0': 1.4292434532142118e-07, '1_0': 5.297804488875751e-07, "
+            "'2_0': 3.752427943627559e-06}",
         ),
     ]
 
@@ -401,15 +404,18 @@ def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, pa
 def test_a_system_prepares_each_piece_once(monkeypatch):
     # every product and |A|_inf of a system read its pieces as prepared on
     # first use, so a band-layout transpose is formed at most once per piece
-    # however many products the solve and its check take; and every band
-    # and field is padded into a zero buffer, never by numpy.pad
-    reader, systems, products, transposes, pads = [None], {}, {}, {}, []
+    # however many products and norms the solve and its check take; and
+    # every band and field is padded into a zero buffer, never by numpy.pad.
+    # Each l solves its even half (AssembledSystem.folded, no basis) by one
+    # refinement product, and the gate reads the full system twice.
+    reader, systems, reads, transposes, pads = [None], {}, {}, {}, []
     matvec, inf_norm = assembly.AssembledSystem.matvec, assembly.AssembledSystem.inf_norm
     transposed, pad = assembly._transposed, np.pad
 
     def reading(method):
         def read(self, *args):
             systems[id(self)] = self
+            reads[id(self)] = reads.get(id(self), 0) + 1
             outer, reader[0] = reader[0], id(self)
             try:
                 return method(self, *args)
@@ -417,15 +423,11 @@ def test_a_system_prepares_each_piece_once(monkeypatch):
                 reader[0] = outer
         return read
 
-    def counted_matvec(self, x):
-        products[id(self)] = products.get(id(self), 0) + 1
-        return reading(matvec)(self, x)
-
     def counted_transposed(band):
         transposes[reader[0]] = transposes.get(reader[0], 0) + 1
         return transposed(band)
 
-    monkeypatch.setattr(assembly.AssembledSystem, "matvec", counted_matvec)
+    monkeypatch.setattr(assembly.AssembledSystem, "matvec", reading(matvec))
     monkeypatch.setattr(assembly.AssembledSystem, "inf_norm", reading(inf_norm))
     monkeypatch.setattr(assembly, "_transposed", counted_transposed)
     monkeypatch.setattr(np, "pad", lambda *args, **kw: pads.append(args) or pad(*args, **kw))
@@ -433,7 +435,9 @@ def test_a_system_prepares_each_piece_once(monkeypatch):
     monkeypatch.undo()
     assert None not in transposes  # only products and |A|_inf transpose
     cylinders = [key for key, system in systems.items() if system.kron_parts]
-    assert len(cylinders) == 3 and all(products[key] >= 2 for key in cylinders)
+    halves = [key for key in cylinders if systems[key].basis is None]
+    assert len(cylinders) == 6 and len(halves) == 3
+    assert all(reads[key] >= (1 if key in halves else 2) for key in cylinders)
     for key, system in systems.items():
         pieces = 2 * len(system.kron_parts) + (system.nd_band is not None)
         assert transposes.get(key, 0) <= pieces
@@ -582,6 +586,97 @@ def test_cholesky_solve_memory_is_the_lapack_band():
     assert result.method == "cholesky_banded"
     assert result.backward_error <= 1e-14
     assert peak <= 1.2 * (kd + 1) * system.ndofs * 8
+
+
+def _plus(spec, texts):
+    """spec with the coefficients of texts, {(alpha, beta): text}, added."""
+    added = {key: ScalarField.parse(text, spec.n) for key, text in texts.items()}
+    return dataclasses.replace(spec, coefficients={**spec.coefficients, **added})
+
+
+_FOLDED = {
+    # (spec, ell, resolution, degree, axial functions)
+    "biharmonic_odd": (builtin_problem("biharmonic_strip"), 16.0, 32, None, 1023),
+    "box3d_even": (_laplace_box(), 8.0, 12, None, 192),
+    "poisson_fewest": (POISSON, 0.5, 3, 1, 2),
+    "biharmonic_fewest": (builtin_problem("biharmonic_strip"), 0.5, 5, 2, 3),
+    "varcoef": (builtin_problem("varcoef_strip"), 4.0, 8, None, 64),
+    "skew": (parse_problem_config(SKEW_CONFIG, "skew"), 2.0, 5, None, 20),
+    "box_p2": (parse_problem_config(BOX_P2_CONFIG, "box_p2"), 2.0, 4, None, 16),
+}
+
+
+@pytest.mark.parametrize("spec,ell,resolution,degree,n_ax", _FOLDED.values(),
+                         ids=_FOLDED.keys())
+def test_a_folded_solve_is_even_and_checked_on_the_full_system(spec, ell, resolution, degree,
+                                                               n_ax):
+    system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    assert system.folded() is not None and system.basis.factors[0].dim == n_ax
+    result = harness._solve_system(system)
+    x, b = result.x, system.rhs
+    X = x.reshape([f.dim for f in system.basis.factors])
+    for axis in range(spec.p):
+        assert X.tobytes() == np.flip(X, axis).tobytes()
+    # the gate's numbers are the full system's
+    r, a_norm = b - system.matvec(x), system.inf_norm()
+    assert result.backward_error == linalg.backward_error(r, a_norm, x, b) <= 1e-14
+    assert result.residual == np.linalg.norm(r) / np.linalg.norm(b)
+    # both solves pass the gate, so they are exact for right-hand sides
+    # within BACKWARD_ERROR_TOL (|A| |x| + |b|) of b, and differ by at most
+    # |A^-1| times the sum of those residual bounds; onenormest may
+    # underestimate |A^-1| by a small factor, which 10 covers
+    full = full_path_solve(system)
+    assert full.method == result.method
+    bound = 10.0 * inverse_inf_norm(system) * linalg.BACKWARD_ERROR_TOL * (
+        a_norm * (np.abs(x).max() + np.abs(full.x).max()) + 2.0 * np.abs(b).max())
+    assert np.abs(x - full.x).max() <= bound
+
+
+_UNFOLDED = {
+    # (spec, where, method)
+    "poisson_odd_keys": (_plus(POISSON, {((1, 0), (0, 1)): "0.5", ((0, 1), (1, 0)): "0.5"}),
+                         "cyl", "cholesky_banded"),
+    "box3d_sin_x1": (_laplace_box("2 + sin(x1)"), "cyl", "cholesky_banded"),
+    "nonsymmetric_odd_key": (_plus(POISSON, {((1, 0), (0, 0)): "1"}), "cyl", "lu_banded"),
+    "biharmonic-lim": (builtin_problem("biharmonic_strip"), "lim", "cholesky_banded"),
+    "box3d-lim": (_laplace_box(), "lim", "cholesky_banded"),
+    "skew-lim": (parse_problem_config(SKEW_CONFIG, "skew"), "lim", "lu_banded"),
+}
+
+
+@pytest.mark.parametrize("spec,where,method", _UNFOLDED.values(), ids=_UNFOLDED.keys())
+def test_a_system_that_does_not_fold_is_solved_whole_bit_for_bit(spec, where, method):
+    def assembled():
+        if where == "cyl":
+            return assembly.assemble_cylinder(spec, ell=2.0, resolution=6)
+        return assembly.assemble_limit(spec, resolution=6)
+
+    system = assembled()
+    assert system.folded() is None
+    result, full = harness._solve_system(system), full_path_solve(assembled())
+    assert result.method == full.method == method
+    assert result.x.tobytes() == full.x.tobytes()
+    assert (result.residual, result.backward_error) == (full.residual, full.backward_error)
+
+
+def test_a_folded_cholesky_solve_peaks_below_the_full_band():
+    # the biharmonic strip at 16 cells per unit, l = 8, folds: its solve
+    # writes and factors the band of half the axial functions, so its
+    # traced peak (0.76 of the full band measured) stays below the LAPACK
+    # band of the whole system; scipy.linalg is imported first, as above
+    import scipy.linalg  # noqa: F401
+
+    system = assembly.assemble_cylinder(builtin_problem("biharmonic_strip"), ell=8.0,
+                                        resolution=16)
+    tracemalloc.start()
+    try:
+        result = harness._solve_system(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kd = 3 * system.basis.factors[1].dim + 3
+    assert result.method == "cholesky_banded" and result.backward_error <= 1e-14
+    assert peak < (kd + 1) * system.ndofs * 8
 
 
 # ------------------------------------------------------------------ refinement
