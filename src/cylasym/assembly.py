@@ -37,25 +37,25 @@ assemble_cylinder assembles only the axial pieces at each l.
 
 An AssembledSystem keeps those pieces, not the sum: the (axial band,
 cross-section band) pair of every axial part, each in its own factors' band
-layout, with its axial indices, and the n-D band when some pair needs it
-(the cross-section system keeps only its n-D band, the kernel on its own
-factors).  Slot tuple s of the band, in every row, is summed from them when
-it is read, in the order a full band would sum it: zero, then each
-Kronecker part (the outer product of its axial band's slots s_1..s_p and
-its cross-section band's slots s_p+1..s_n), then the n-D band.  A symmetric
-problem's matrix is (A + A^T) / 2, each entry the mean of its slot and its
-mirror slot.  One slot walk (_band_entries) hands out those entries, and
-every written form of the system is written from it: lower_band writes the
-entries on and below the diagonal into LAPACK lower band storage, a
-Fortran-ordered (kd + 1, N) array with kd = sum_k d_k stride_k (stride_k
-the flat-index step of axis k); general_band writes every entry into LAPACK
-general band storage, (2 kd + 1, N).  AssembledSystem.matrix writes the CSR
-matrix, for a symmetric problem the lower entries and their mirrors, on
-every read: the tests and the benchmark's trace mode read it, no solve
-does.  A symmetric system of exactly two Kronecker parts, each with equal
-axial indices, and no n-D band (two_part) also hands over its pencil: the
-lower bands of the two axial blocks and the dense cross-section blocks,
-written by the same walk.  No full-size band is ever built.
+layout, and the n-D band when some pair needs it (the cross-section system
+keeps only its n-D band, the kernel on its own factors); its symmetry and
+axial keys are read off the problem and the CrossSection.  Slot tuple s of
+the band, in every row, is summed from them when it is read, in the order a
+full band would sum it: zero, then each Kronecker part (the outer product
+of its axial band's slots s_1..s_p and its cross-section band's slots
+s_p+1..s_n), then the n-D band.  A symmetric problem's matrix is
+(A + A^T) / 2, each entry the mean of its slot and its mirror slot.  One
+slot walk (_band_entries) hands out those entries, and every written form
+of the system is written from it: lower_band writes the entries on and
+below the diagonal into LAPACK lower band storage, a Fortran-ordered
+(kd + 1, N) array with kd = sum_k d_k stride_k (stride_k the flat-index
+step of axis k); general_band writes every entry into LAPACK general band
+storage, (2 kd + 1, N).  AssembledSystem.matrix writes the CSR matrix, for a symmetric
+problem the lower entries and their mirrors, on every read: the tests and
+the benchmark's trace mode read it, no solve does.  A symmetric system of
+exactly two Kronecker parts, each with equal axial indices, and no n-D band
+(two_part) also hands over its axial pencil: the lower bands of the two
+axial blocks, written by the same walk.  No full-size band is ever built.
 
 A cylinder system of an even section (CrossSection.even: no n-D band, and
 every axial key of even order on every axial axis) commutes with each
@@ -69,15 +69,15 @@ and its half bandwidth unchanged.  A system takes its dims and degrees from
 its pieces, so the folded one needs no spline basis; unfold gives x = P y.
 assemble_cylinder returns the full system, and the solve folds it.
 
-The residual and the norm of the backward-error check skip the walk.
-matvec multiplies by the matrix from the pieces, sum_j A_j X C_j^T plus the
-n-D band, and by its transpose for a symmetric problem, each band applied
-along its axes by band_apply: one einsum over a sliding window of X.
+The residual of the backward-error check skips the walk, and so does its
+norm for a system of Kronecker parts alone.  matvec multiplies by the
+matrix from the pieces, sum_j A_j X C_j^T plus the n-D band, and by its
+transpose for a symmetric problem, each band applied along its axes by
+band_apply: one einsum over a sliding window of X.
 inf_norm forms the same entries as the walk, but for a system of Kronecker
 parts alone sums each row's magnitudes once per distinct axial coefficient
 tuple, which a uniform axial mesh repeats (_kron_row_sums); a system with an
-n-D band sums the rows of its written band.  lower_band and general_band
-return that |A|_inf with the band.
+n-D band sums the magnitudes of the walk's entries row by row.
 
 The kernel leaves the slots whose column falls outside the space zero,
 since the tables zero the functions the constraint drops, but no reader
@@ -140,25 +140,32 @@ class AssembledSystem:
     """A Galerkin system kept as the pieces its band is the sum of.
 
     kron_parts holds one (axial band, cross-section band) pair per axial
-    part, each in the band layout of its own factors, and axial_keys the
-    (alpha_axial, beta_axial) of each part; nd_band is the kernel's band on
-    all factors, or None when no pair needs it.  The cross-section bands
-    are those of section, the CrossSection the system was assembled from.
-    The written forms (lower_band, general_band, matrix, kronecker_pencil)
-    come from the slot walk; matvec and inf_norm read the pieces without it,
-    through the pieces prepared once per system (_prepared).  No reader
-    uses a slot whose column falls outside the space, whatever it holds.
+    key, each in the band layout of its own factors; nd_band is the
+    kernel's band on all factors, or None when no pair needs it.  The
+    cross-section bands are those of section, the CrossSection the system
+    was assembled from.  The written forms (lower_band, general_band,
+    matrix, axial_pencil) come from the slot walk; matvec and inf_norm read
+    the pieces without it, through the pieces prepared once per system
+    (_prepared).  No reader uses a slot whose column falls outside the
+    space, whatever it holds.
     """
 
     rhs: np.ndarray
     basis: TensorBasis
     spec: ProblemSpec
-    symmetric: bool
     ell: float | None = None
     kron_parts: tuple = ()
     nd_band: np.ndarray | None = None
-    axial_keys: tuple = ()
     section: "CrossSection | None" = None
+
+    @property
+    def symmetric(self) -> bool:
+        return self.spec.symmetric
+
+    @property
+    def axial_keys(self) -> tuple:
+        """The (alpha_axial, beta_axial) of each Kronecker part."""
+        return self.section.keys if self.ell is not None else ()
 
     @property
     def ndofs(self) -> int:
@@ -219,20 +226,18 @@ class AssembledSystem:
     def _entries(self, lower: bool):
         return _band_entries(self._slot, self._dims, self._degrees, self.symmetric, lower)
 
-    def lower_band(self, norm: bool = True):
-        """(ab, |A|_inf) of (A + A^T) / 2: ab is LAPACK lower band storage,
-        Fortran-ordered, with A[j + q, j] at ab[q, j]; |A|_inf is
-        inf_norm's, or None without norm."""
+    def lower_band(self):
+        """LAPACK lower band storage of (A + A^T) / 2, Fortran-ordered, with
+        A[j + q, j] at ab[q, j]."""
         if not self.symmetric:
             raise ValueError("the lower band describes a symmetric system only")
-        return self._written_band(lower=True, upper=0, norm=norm)
+        return _write_band(self._entries(lower=True), self._dims, self._degrees, 0)
 
-    def general_band(self, norm: bool = True):
-        """(ab, |A|_inf) of the matrix: ab is LAPACK general band storage,
-        Fortran-ordered, with A[i, j] at ab[kd + i - j, j]; |A|_inf is
-        inf_norm's for a nonsymmetric system, or None without norm."""
-        return self._written_band(lower=False, upper=_half_bandwidth(self._dims, self._degrees),
-                                  norm=norm)
+    def general_band(self):
+        """LAPACK general band storage of the matrix, Fortran-ordered, with
+        A[i, j] at ab[kd + i - j, j]."""
+        return _write_band(self._entries(lower=False), self._dims, self._degrees,
+                           _half_bandwidth(self._dims, self._degrees))
 
     def inf_norm(self) -> float:
         """|A|_inf of the matrix, exactly: the largest sum over a row of the
@@ -240,27 +245,15 @@ class AssembledSystem:
         bands write it, every out-of-space slot skipped.
 
         A system of Kronecker parts alone sums its rows per distinct axial
-        coefficient tuple (_kron_row_sums), without the slot walk; one with
-        an n-D band sums the rows of the band its solve writes (lower_band
-        for a symmetric system, general_band otherwise), whose entries are
-        the matrix's.
+        coefficient tuple (_kron_row_sums); one with an n-D band sums the
+        magnitudes of the slot walk's entries, those general_band writes.
         """
         if self.nd_band is None:
             return float(_kron_row_sums(self._prepared, self.spec.p).max())
-        return (self.lower_band() if self.symmetric else self.general_band())[1]
-
-    def _written_band(self, lower: bool, upper: int, norm: bool):
-        """(ab, |A|_inf): the band written with `upper` superdiagonals, and
-        with norm inf_norm's |A|_inf for a system of Kronecker parts alone,
-        formed before the band so that their temporaries and the band are
-        never alive together, else ab's own row sums."""
-        if not norm:
-            return _write_band(self._entries(lower), self._dims, self._degrees, upper), None
-        a_norm = self.inf_norm() if self.nd_band is None else None
-        ab = _write_band(self._entries(lower), self._dims, self._degrees, upper)
-        if a_norm is None:
-            a_norm = float(_band_row_sums(ab, upper, mirrored=upper == 0 and self.symmetric).max())
-        return ab, a_norm
+        row_abs = np.zeros(self._dims)
+        for _, rows, _, values in self._entries(lower=False):
+            row_abs[rows] += np.abs(values)
+        return float(row_abs.max())
 
     @cached_property
     def _prepared(self):
@@ -294,28 +287,18 @@ class AssembledSystem:
     @property
     def two_part(self) -> bool:
         """True for a cylinder system of a two-part section
-        (CrossSection.two_part): kronecker_pencil describes it."""
+        (CrossSection.two_part): axial_pencil describes it."""
         return bool(self.kron_parts) and self.section.two_part
 
     def axial_pencil(self):
         """(A_top, A_other) of a two-part system: the LAPACK lower band of
         each axial block's symmetric part, written as lower_band writes the
-        whole system's, top part first (see kronecker_pencil)."""
+        whole system's, top part first: the one of highest axial order,
+        whose cross-section block ellipticity makes positive definite.
+        """
         if not self.two_part:
             raise ValueError("the Kronecker pencil describes a two-part system only")
         return tuple(_lower_of_band(A) for A, _ in _top_first(self.kron_parts, self.axial_keys))
-
-    def kronecker_pencil(self):
-        """((A_top, A_other), (C_top, C_other)) of a two-part system.
-
-        The top part is the one of highest axial order; its cross-section
-        block carries the coefficient of the highest axial derivatives, so
-        ellipticity makes it positive definite.  A_* is axial_pencil's; C_*
-        is the dense symmetric part of the cross-section block, as
-        CrossSection.eigenbasis reduces it.
-        """
-        return self.axial_pencil(), _cross_pencil([C for _, C in self.kron_parts],
-                                                  self.axial_keys)
 
     def folded(self):
         """The system P^T A P y = P^T b on the even subspace of every axial
@@ -603,22 +586,6 @@ def _kron_row_sums(sides, p: int):
     for e in range(w_ax):  # rows are distinct within one slot
         here = slots == e
         row_abs[rows[here]] += sums[group[here]]
-    return row_abs
-
-
-def _band_row_sums(ab, upper: int, mirrored: bool):
-    """Row sums of the magnitudes of the entries in LAPACK band storage with
-    `upper` superdiagonals (A[i, j] at ab[upper + i - j, j]); mirrored (the
-    lower band of a symmetric matrix) adds each subdiagonal entry to its
-    mirror's row as well."""
-    n = ab.shape[1]
-    row_abs = np.zeros(n)
-    for k in range(ab.shape[0]):
-        c = k - upper  # row minus column
-        magnitude = np.abs(ab[k, max(0, -c) : n - max(0, c)])
-        row_abs[max(0, c) : n + min(0, c)] += magnitude
-        if mirrored and c > 0:
-            row_abs[: n - c] += magnitude  # A[j, j + c], in row j
     return row_abs
 
 
@@ -968,8 +935,7 @@ def assemble_cylinder(
     nd_band = _galerkin(factors, section.nd_terms) if section.nd_terms else None
     _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=section.load)
     rhs = np.multiply.outer(_load(factors[:p], _unit), section.load).ravel()
-    return AssembledSystem(rhs, basis, spec, spec.symmetric, float(ell), parts, nd_band,
-                           section.keys, section)
+    return AssembledSystem(rhs, basis, spec, float(ell), parts, nd_band, section)
 
 
 def assemble_limit(
@@ -999,5 +965,5 @@ def assemble_limit(
     else:
         band = section.blocks[section.keys.index(((0,) * p, (0,) * p))]
     _check_finite(spec, "assemble_limit", None, matrix=band, rhs=section.load)
-    return AssembledSystem(section.load, TensorBasis(section.factors), spec, spec.symmetric,
-                           None, (), band, (), section)
+    return AssembledSystem(section.load, TensorBasis(section.factors), spec, None, (), band,
+                           section)

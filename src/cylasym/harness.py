@@ -16,30 +16,27 @@ A pool job carries the CrossSection and u_inf, pickled; every number is
 computed from the same arrays as inline, so serial and parallel runs
 produce the same floating-point results.
 
-_solve_system first folds a cylinder system whose section is even
+_solve_system is the one place a system is solved and accepted.  It takes
+the system's |A|_inf, then folds a cylinder system whose section is even
 (CrossSection.even: no coefficient reads x1..xp, and every axial key has
 alpha_k + beta_k even on every axial axis k).  Such a system commutes with
 every reflection x_k -> -x_k and its load is even, so u_l is even:
 AssembledSystem.folded gives P^T A P y = P^T b on the first ceil(N_ax / 2)
 axial functions of each axial axis, with the half bandwidth unchanged, so
 a Cholesky band of half the rows (12.3 MB for 24.6 MB at the biharmonic
-strip's 32 cells/unit, l = 16).  The folded system is solved as its
-structure picks, below, and x = P y unfolded; the backward-error gate runs
-once, on x, with the full system's residual and |A|_inf, so the record's
-backward_error, solver_residual and dofs describe the full system.  A
-system with an n-D band or an odd axial key, and the cross-section system,
-is solved whole.
-
-The solve follows the system's structure: a symmetric system of two
-Kronecker parts (AssembledSystem.two_part) by fast
-diagonalization of its cross-section pencil (linalg.kronecker_solve), any
-other symmetric system by banded Cholesky (linalg.cholesky_solve: numpy's
-band_cholesky for the small cross-section system, LAPACK for a cylinder
-system), and a nonsymmetric one by banded LU (linalg.lu_solve).  So a sweep
-of a two-part problem never imports scipy.linalg.  Assembly writes each
-one's operands from its pieces, and the residual and |A|_inf of the
-backward-error gate come from the same pieces.  Solver failures name the
-problem, ell and stage.
+strip's 32 cells/unit, l = 16).  A system with an n-D band or an odd axial
+key, and the cross-section system, is solved whole.  The kernel follows
+the system's structure (_direct_solve): a symmetric system of two
+Kronecker parts (AssembledSystem.two_part) by fast diagonalization of its
+cross-section pencil (linalg.kronecker_solve), any other symmetric system
+by banded Cholesky (linalg.cholesky_solve: numpy's band_cholesky for the
+small cross-section system, LAPACK for a cylinder system), and a
+nonsymmetric one by banded LU (linalg.lu_solve), so a sweep of a two-part
+problem never imports scipy.linalg.  Then x = P y is unfolded and the
+backward-error check (linalg._accept) runs once, with the full system's
+right-hand side, residual and |A|_inf, so the record's backward_error,
+solver_residual and dofs describe the full system.  Solver failures name
+the problem, ell and stage.
 """
 
 import time
@@ -190,38 +187,32 @@ def _check_cells(spec: ProblemSpec, name: str, resolution: int, ell: float, axia
 
 
 def _solve_system(system):
-    """The SolveResult of the system, solved on its even half when it folds
-    (AssembledSystem.folded) and gated once, on the unfolded x, with the
-    full system's residual and |A|_inf."""
+    """The SolveResult of the system: solved on its even half when it folds
+    (AssembledSystem.folded), unfolded, and accepted by the backward-error
+    check on the full system's right-hand side, residual and |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
+    a_norm = system.inf_norm()
     folded = system.folded()
     if folded is None:
-        return _direct_solve(system, where)
-    a_norm = system.inf_norm()
-
-    def gate(y, method):
-        return _accept(system.unfold(y), system.rhs, a_norm, system.matvec, where, method)
-
-    return _direct_solve(folded, where, gate)
+        x, method = _direct_solve(system, where)
+    else:
+        y, method = _direct_solve(folded, where)
+        x = system.unfold(y)
+    return _accept(x, system.rhs, a_norm, system.matvec, where, method)
 
 
-def _direct_solve(system, where, gate=None):
-    """The system's solve by its structure; gate, when given, replaces the
-    solve's own check, so the system's |A|_inf is not formed."""
-    norm = gate is None
+def _direct_solve(system, where):
+    """(x, method): the kernel the system's structure picks, and its x."""
     if system.two_part:
         # the eigenbasis is the cross-section's, computed once per sweep
         return kronecker_solve(system.axial_pencil(), system.section.eigenbasis(where),
-                               system.rhs, system.inf_norm() if norm else None,
-                               system.matvec, where, gate)
+                               system.rhs, system.matvec, where), "fast_diagonalization"
     if system.symmetric:
-        ab, a_norm = system.lower_band(norm)
         # the cross-section system is small: numpy factors it faster than
         # scipy.linalg imports
-        return cholesky_solve(ab, system.rhs, a_norm, system.matvec, where,
-                              lapack=system.ell is not None, gate=gate)
-    ab, a_norm = system.general_band(norm)
-    return lu_solve(ab, system.rhs, a_norm, system.matvec, where, gate)
+        return cholesky_solve(system.lower_band(), system.rhs, where,
+                              lapack=system.ell is not None), "cholesky_banded"
+    return lu_solve(system.general_band(), system.rhs, where), "lu_banded"
 
 
 def _shrunk(extent, margin: float):

@@ -32,15 +32,16 @@ scipy.linalg.  A large band, the
 multi-part cylinder system's, has too many rows for a Python pass to match
 LAPACK, so it stays with cholesky_banded.
 
-Each accepts the answer when the normwise backward error
+Each is a kernel: it returns x, and raises SolverError only when a
+factorization fails, which proves a block or a mode is not positive
+definite, or the matrix singular.  Acceptance is one step, _accept, which
+the harness runs once per system, on the full system's x: the answer
+stands when the normwise backward error
 |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf), with the residual and |A|_inf
 computed from another copy of A, is at most BACKWARD_ERROR_TOL, the accuracy
 a backward-stable solve attains; a relative residual bound does not fit
 fourth-order problems, whose condition numbers leave backward-stable answers
-with relative residuals well above 1e-12.  A caller that solves a folded
-system passes gate instead, which applies that check once, to the unfolded
-answer and the full system.  A failed factorization proves a
-block or a mode is not positive definite, or the matrix singular.
+with relative residuals well above 1e-12.
 scipy.linalg is imported by the first LAPACK solve (cholesky_solve with
 lapack=True, lu_solve), not with the package, so a sweep of a two-part
 symmetric problem never imports it: the package already loads
@@ -79,7 +80,7 @@ class SolveResult:
     residual: float  # true relative residual |b - Ax| / |b|
     iterations: int
     method: str
-    backward_error: float | None = None  # computed by the direct solves
+    backward_error: float | None = None  # computed by _accept
 
 
 def backward_error(r, a_norm: float, x, b) -> float:
@@ -88,14 +89,10 @@ def backward_error(r, a_norm: float, x, b) -> float:
     return float(np.abs(r).max(initial=0.0)) / denom if denom > 0.0 else 0.0
 
 
-def _accept(x, b, a_norm: float, matvec, where: str, method: str, gate=None) -> SolveResult:
+def _accept(x, b, a_norm: float, matvec, where: str, method: str) -> SolveResult:
     """The SolveResult of x when its backward error, from the residual
-    b - matvec(x), is at most BACKWARD_ERROR_TOL; SolverError otherwise.
-    gate(x, method), when given, decides instead: a folded solve passes the
-    full system's check of its unfolded x, and b, a_norm and matvec go
-    unread."""
-    if gate is not None:
-        return gate(x, method)
+    b - matvec(x) and |A|_inf = a_norm, is at most BACKWARD_ERROR_TOL;
+    SolverError, prefixed with `where`, otherwise."""
     r = b - matvec(x)
     bnorm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(r)) / bnorm if bnorm > 0.0 else 0.0
@@ -166,16 +163,13 @@ def band_cholesky_solve(L, y):
     return x[:n]
 
 
-def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve",
-                   lapack: bool = True, gate=None) -> SolveResult:
-    """Solve Ax = b for a symmetric positive definite A.
+def cholesky_solve(ab, b, where: str = "solve", lapack: bool = True):
+    """x with Ax = b for a symmetric positive definite A.
 
     ab is A's LAPACK lower band storage (A[j + q, j] at ab[q, j]).  With
     lapack, scipy.linalg.cholesky_banded overwrites it by the Cholesky
     factor, in place when Fortran-ordered; without, band_cholesky factors a
-    copy.  a_norm is |A|_inf, and matvec(x) computes Ax from another copy of
-    A, for the residual; gate, when given, replaces the check they make
-    (see _accept).  Failures raise SolverError prefixed with `where`.
+    copy.  A failed factorization raises SolverError prefixed with `where`.
     """
     b = np.asarray(b, dtype=np.float64)
     if not lapack:
@@ -184,8 +178,7 @@ def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve",
         if failed.any():
             raise SolverError(f"{where}: matrix is not positive definite (the leading "
                               f"minor of order {np.argmax(failed) + 1} is not)")
-        x = band_cholesky_solve(L, b)
-        return _accept(x, b, a_norm, matvec, where, "cholesky_banded", gate)
+        return band_cholesky_solve(L, b)
 
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
@@ -193,8 +186,7 @@ def cholesky_solve(ab, b, a_norm: float, matvec, where: str = "solve",
         factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
         raise SolverError(f"{where}: matrix is not positive definite ({exc})") from None
-    x = cho_solve_banded((factor, True), b, check_finite=False)
-    return _accept(x, b, a_norm, matvec, where, "cholesky_banded", gate)
+    return cho_solve_banded((factor, True), b, check_finite=False)
 
 
 def pencil_eigenbasis(c_top, c_other, where: str = "solve"):
@@ -217,9 +209,8 @@ def pencil_eigenbasis(c_top, c_other, where: str = "solve"):
     return lam, R_inv.T @ W
 
 
-def kronecker_solve(axial, eigenbasis, b, a_norm: float, matvec,
-                    where: str = "solve", gate=None) -> SolveResult:
-    """Solve (A_top (x) C_top + A_other (x) C_other) x = b by fast
+def kronecker_solve(axial, eigenbasis, b, matvec, where: str = "solve"):
+    """x with (A_top (x) C_top + A_other (x) C_other) x = b, by fast
     diagonalization of the cross-section pencil, in numpy alone.
 
     axial is (A_top, A_other), the symmetric axial blocks in LAPACK lower
@@ -229,8 +220,8 @@ def kronecker_solve(axial, eigenbasis, b, a_norm: float, matvec,
     every l.  The (N_ax, N_c) view X of x then solves
     (A_top + lam_k A_other) y_k = (B V)_k for every mode k, and X = Y V^T;
     band_cholesky factors all N_c axial matrices in one pass.  One step of
-    iterative refinement follows, with matvec's residual.  a_norm, matvec
-    and gate are as for cholesky_solve.
+    iterative refinement follows, with the residual b - matvec(x).  A mode
+    that fails to factor raises SolverError prefixed with `where`.
     """
     b = np.asarray(b, dtype=np.float64)
     (a_top, a_other), (lam, V) = axial, eigenbasis
@@ -250,24 +241,22 @@ def kronecker_solve(axial, eigenbasis, b, a_norm: float, matvec,
 
     x = solve(b)
     x += solve(b - matvec(x))
-    return _accept(x, b, a_norm, matvec, where, "fast_diagonalization", gate)
+    return x
 
 
-def lu_solve(ab, b, a_norm: float, matvec, where: str = "solve", gate=None) -> SolveResult:
-    """Solve Ax = b for a general banded A by LU with partial pivoting.
+def lu_solve(ab, b, where: str = "solve"):
+    """x with Ax = b for a general banded A, by LU with partial pivoting.
 
     ab is A's LAPACK general band storage, (2 kd + 1, N) with A[i, j] at
-    ab[kd + i - j, j]; a_norm, matvec and gate are as for cholesky_solve.
+    ab[kd + i - j, j], overwritten.  A singular A raises SolverError.
     """
     from scipy.linalg import solve_banded
 
-    b = np.asarray(b, dtype=np.float64)
     kd = ab.shape[0] // 2
     try:
-        x = solve_banded((kd, kd), ab, b, overwrite_ab=True, check_finite=False)
+        return solve_banded((kd, kd), ab, b, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"{where}: matrix is singular ({exc})") from None
-    return _accept(x, b, a_norm, matvec, where, "lu_banded", gate)
 
 
 def _jacobi_weights(A) -> np.ndarray:

@@ -27,18 +27,20 @@ The package solves a system that commutes with the axial reflections on
 its even half (AssembledSystem.folded), folding the axial bands in band
 layout.  even_extension here is the dense P of that fold, so a test can
 form P^T A P by matrix products; full_path_solve solves the whole system by
-the structure's own solve, as the package did before the fold, and
+the structure's own kernel, as the package did before the fold, and
 inverse_inf_norm gives |A^-1|_inf for a forward-error bound.
-"""
 
-import dataclasses
+A two-part system's solve reads its axial pencil, and its CrossSection the
+eigenbasis of the dense cross-section blocks; kronecker_pencil gives both
+halves, dense, so a test can rebuild the matrix from them.
+"""
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cylasym import linalg
-from cylasym.assembly import _where
+from cylasym.assembly import _cross_pencil, _where
 from cylasym.multiindex import enumerate_upto, multi_binom, sub, sub_indices
 from cylasym.splines import NORM_POINTS_PER_CELL, axis_grams
 
@@ -251,29 +253,42 @@ def even_extension(n: int):
     return P
 
 
-def full_path_solve(system, gate=None):
-    """The solve of a whole system chosen by its structure, with no fold:
-    fast diagonalization for a two-part system, banded Cholesky for another
-    symmetric one, banded LU otherwise, each gated by its own check unless
-    gate (linalg._accept's) replaces it."""
-    where = _where(system.spec, "solve", system.ell)
+def kronecker_pencil(system):
+    """((A_top, A_other), (C_top, C_other)) of a two-part system: A_* its
+    axial_pencil, C_* the dense symmetric part of each cross-section block,
+    top part first, as CrossSection.eigenbasis reduces them."""
+    return system.axial_pencil(), _cross_pencil([C for _, C in system.kron_parts],
+                                                system.axial_keys)
+
+
+def _full_path(system, where):
+    """(x, method): the kernel the structure of the whole system picks, with
+    no fold: fast diagonalization for a two-part system, banded Cholesky
+    for another symmetric one, banded LU otherwise."""
     if system.two_part:
-        return linalg.kronecker_solve(system.axial_pencil(), system.section.eigenbasis(where),
-                                      system.rhs, system.inf_norm(), system.matvec, where,
-                                      gate)
+        return (linalg.kronecker_solve(system.axial_pencil(), system.section.eigenbasis(where),
+                                       system.rhs, system.matvec, where),
+                "fast_diagonalization")
     if system.symmetric:
-        ab, a_norm = system.lower_band()
-        return linalg.cholesky_solve(ab, system.rhs, a_norm, system.matvec, where,
-                                     lapack=system.ell is not None, gate=gate)
-    ab, a_norm = system.general_band()
-    return linalg.lu_solve(ab, system.rhs, a_norm, system.matvec, where, gate)
+        return (linalg.cholesky_solve(system.lower_band(), system.rhs, where,
+                                      lapack=system.ell is not None),
+                "cholesky_banded")
+    return linalg.lu_solve(system.general_band(), system.rhs, where), "lu_banded"
+
+
+def full_path_solve(system):
+    """The whole system solved by the kernel its structure picks, with no
+    fold, and accepted by linalg._accept on its own residual and |A|_inf."""
+    where = _where(system.spec, "solve", system.ell)
+    x, method = _full_path(system, where)
+    return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
 
 
 def inverse_inf_norm(system, dense_below: int = 3000) -> float:
     """|A^-1|_inf of a system: exact from the dense inverse below
     dense_below unknowns, else, for a symmetric system, whose inf-norm and
     1-norm agree, scipy's onenormest of x -> A^-1 x: by fast
-    diagonalization, unchecked, for a two-part system, else by one banded
+    diagonalization for a two-part system, else by one banded
     Cholesky factor.  onenormest estimates from below, usually exactly."""
     n = system.ndofs
     if n < dense_below:
@@ -283,11 +298,12 @@ def inverse_inf_norm(system, dense_below: int = 3000) -> float:
     from scipy.sparse.linalg import LinearOperator, onenormest
 
     if system.two_part:
+        axial, eigenbasis = system.axial_pencil(), system.section.eigenbasis()
+
         def solve(v):
-            return full_path_solve(dataclasses.replace(system, rhs=np.ravel(v)),
-                                   gate=lambda x, method: x)
+            return linalg.kronecker_solve(axial, eigenbasis, np.ravel(v), system.matvec)
     else:
-        factor = cholesky_banded(system.lower_band()[0], lower=True)
+        factor = cholesky_banded(system.lower_band(), lower=True)
 
         def solve(v):
             return cho_solve_banded((factor, True), np.ravel(v))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -407,7 +408,8 @@ def test_a_system_prepares_each_piece_once(monkeypatch):
     # however many products and norms the solve and its check take; and
     # every band and field is padded into a zero buffer, never by numpy.pad.
     # Each l solves its even half (AssembledSystem.folded, no basis) by one
-    # refinement product, and the gate reads the full system twice.
+    # refinement product, and the acceptance step reads the full system
+    # twice, for |A|_inf and the residual.
     reader, systems, reads, transposes, pads = [None], {}, {}, {}, []
     matvec, inf_norm = assembly.AssembledSystem.matvec, assembly.AssembledSystem.inf_norm
     transposed, pad = assembly._transposed, np.pad
@@ -454,9 +456,8 @@ def test_two_part_solve_matches_cholesky(name, spec, ell, resolutions):
         system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution)
         fast = harness._solve_system(system)
         assert fast.method == "fast_diagonalization"
-        ab, a_norm = system.lower_band()
-        chol = linalg.cholesky_solve(ab, system.rhs, a_norm, system.matvec)
-        gap = np.abs(fast.x - chol.x).max() / np.abs(chol.x).max()
+        chol = linalg.cholesky_solve(system.lower_band(), system.rhs)
+        gap = np.abs(fast.x - chol).max() / np.abs(chol).max()
         assert gap <= 1e-12, (resolution, gap)
         assert fast.backward_error <= 1e-15
 
@@ -677,6 +678,65 @@ def test_a_folded_cholesky_solve_peaks_below_the_full_band():
     kd = 3 * system.basis.factors[1].dim + 3
     assert result.method == "cholesky_banded" and result.backward_error <= 1e-14
     assert peak < (kd + 1) * system.ndofs * 8
+
+
+_ONE_ACCEPTANCE = {
+    # (spec, where, folds, method)
+    "box3d_two_part": (_laplace_box(), "cyl", True, "fast_diagonalization"),
+    "biharmonic_multi_part": (builtin_problem("biharmonic_strip"), "cyl", True,
+                              "cholesky_banded"),
+    "biharmonic_cross_section": (builtin_problem("biharmonic_strip"), "lim", False,
+                                 "cholesky_banded"),
+    "poisson_odd_key": (_plus(POISSON, {((1, 0), (0, 1)): "0.5", ((0, 1), (1, 0)): "0.5"}),
+                        "cyl", False, "cholesky_banded"),
+    "poisson_sin_x1": (_plus(POISSON, {((1, 0), (1, 0)): "2 + sin(x1)"}), "cyl", False,
+                       "cholesky_banded"),
+    "poisson_nonsymmetric": (_plus(POISSON, {((0, 1), (0, 0)): "1"}), "cyl", True, "lu_banded"),
+}
+
+
+@pytest.mark.parametrize("spec,where,folds,method", _ONE_ACCEPTANCE.values(),
+                         ids=_ONE_ACCEPTANCE.keys())
+def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, where, folds,
+                                                         method):
+    # _solve_system takes |A|_inf of the system it is given, once, and runs
+    # the one acceptance step once, with that system's rhs, matvec and norm,
+    # whether it folds or not; the kernels check nothing themselves
+    if where == "cyl":
+        system = assembly.assemble_cylinder(spec, ell=2.0, resolution=5)
+    else:
+        system = assembly.assemble_limit(spec, resolution=5)
+    assert (system.folded() is not None) is folds
+    accept, inf_norm = harness._accept, assembly.AssembledSystem.inf_norm
+    accepts, norms = [], []
+
+    def counted_accept(x, b, a_norm, matvec, where, method):
+        accepts.append((b, a_norm, matvec))
+        return accept(x, b, a_norm, matvec, where, method)
+
+    def counted_norm(self):
+        norms.append(self)
+        return inf_norm(self)
+
+    monkeypatch.setattr(harness, "_accept", counted_accept)
+    monkeypatch.setattr(assembly.AssembledSystem, "inf_norm", counted_norm)
+    result = harness._solve_system(system)
+    assert result.method == method and result.x.size == system.ndofs
+    assert len(norms) == 1 and norms[0] is system
+    [(b, a_norm, matvec)] = accepts
+    assert b is system.rhs and matvec == system.matvec and a_norm == inf_norm(system)
+
+    # a backward error the check refuses, from a residual 1e-6 off, names
+    # the problem, l and the stage
+    def perturbed(x, b, a_norm, matvec, where, method):
+        return accept(x, b, a_norm, lambda v: matvec(v) * (1 + 1e-6), where, method)
+
+    monkeypatch.setattr(harness, "_accept", perturbed)
+    at = "on the cross-section (l = inf)" if where == "lim" else "at l = 2"
+    with pytest.raises(linalg.SolverError,
+                       match=rf"^solve for problem {spec.name} {re.escape(at)}: "
+                             r"backward error \S+ exceeds 1e-14$"):
+        harness._solve_system(system)
 
 
 # ------------------------------------------------------------------ refinement

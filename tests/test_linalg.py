@@ -1,4 +1,8 @@
-"""Solver checks against dense references, plus determinism and failure modes."""
+"""Solver checks against dense references, plus determinism and failure modes.
+
+The direct solves are kernels that return x; _accept is the one acceptance
+step, and the checks of its numbers run on a kernel's x passed through it.
+"""
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from cylasym.linalg import (
     BreakdownError,
     NonConvergenceError,
     SolverError,
+    _accept,
     backward_error,
     band_cholesky,
     band_cholesky_solve,
@@ -157,9 +162,13 @@ def _spd_banded(n, kd, seed):
     return (M + M.T) / 2 + 2 * (kd + 1) * np.eye(n)
 
 
+def _accepted(A, b, x, method):
+    """_accept's SolveResult of x for the dense A, with its exact |A|_inf."""
+    return _accept(x, b, float(np.abs(A).sum(axis=1).max()), lambda v: A @ v, "solve", method)
+
+
 def _solve_dense(A, b, kd, where="solve"):
-    return cholesky_solve(_lower_storage(A, kd), b, float(np.abs(A).sum(axis=1).max()),
-                          lambda x: A @ x, where)
+    return _accepted(A, b, cholesky_solve(_lower_storage(A, kd), b, where), "cholesky_banded")
 
 
 def test_cholesky_hand_oracle():
@@ -186,7 +195,7 @@ def test_cholesky_matches_dense(n, kd, seed):
 def test_cholesky_factors_in_place():
     A = _spd_banded(40, 4, 3)
     ab = _lower_storage(A, 4)
-    cholesky_solve(ab, np.ones(40), 1.0, lambda x: A @ x)
+    cholesky_solve(ab, np.ones(40))
     L = np.zeros_like(A)
     for q in range(5):
         L += np.diag(ab[q, : 40 - q], -q)
@@ -213,19 +222,21 @@ def test_cholesky_rejects_indefinite():
 
 
 def test_cholesky_rejects_a_large_backward_error():
-    # the residual is computed from a matrix that differs in the 12th digit
+    # the kernel checks nothing; the acceptance step computes its residual
+    # from a matrix that differs in the 12th digit, and refuses x
     A = _spd_banded(20, 2, 5)
-    ab = _lower_storage(A, 2)
-    with pytest.raises(SolverError, match="backward error .* exceeds 1e-14"):
-        cholesky_solve(ab, np.ones(20), float(np.abs(A).sum(axis=1).max()),
-                       lambda x: (A * (1 + 1e-12)) @ x, "solve")
+    x = cholesky_solve(_lower_storage(A, 2), np.ones(20))
+    with pytest.raises(SolverError, match="^solve at l = 3: backward error .* exceeds 1e-14$"):
+        _accept(x, np.ones(20), float(np.abs(A).sum(axis=1).max()),
+                lambda v: (A * (1 + 1e-12)) @ v, "solve at l = 3", "cholesky_banded")
 
 
 def test_backward_error_biharmonic_long_cylinder():
     # relres is 1.3e-12 here, above the 1e-12 that a relres gate once asked for
     system = assemble_cylinder(builtin_problem("biharmonic_strip"), ell=16.0, resolution=32)
-    ab, a_norm = system.lower_band()
-    res = cholesky_solve(ab, system.rhs, a_norm, system.matvec)
+    a_norm = system.inf_norm()
+    x = cholesky_solve(system.lower_band(), system.rhs)
+    res = _accept(x, system.rhs, a_norm, system.matvec, "solve", "cholesky_banded")
     assert res.backward_error <= 1e-14
     r = system.rhs - system.matrix @ res.x
     assert backward_error(r, a_norm, res.x, system.rhs) <= 1e-14
@@ -296,8 +307,7 @@ def test_numpy_cholesky_solve_matches_lapack(n, kd, seed):
     A = _spd_banded(n, kd, seed)
     b = np.random.default_rng(seed + 100).standard_normal(n)
     ab = _lower_storage(A, kd)
-    res = cholesky_solve(ab, b, float(np.abs(A).sum(axis=1).max()), lambda x: A @ x,
-                         lapack=False)
+    res = _accepted(A, b, cholesky_solve(ab, b, lapack=False), "cholesky_banded")
     assert np.array_equal(ab, _lower_storage(A, kd))  # a copy is factored
     assert res.method == "cholesky_banded" and res.backward_error <= BACKWARD_ERROR_TOL
     lapack = _solve_dense(A, b, kd)
@@ -309,8 +319,8 @@ def test_numpy_cholesky_solve_rejects_indefinite():
     A = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(SolverError, match="^solve at l = 3: matrix is not positive definite "
                                           r"\(the leading minor of order 2 is not\)"):
-        cholesky_solve(_lower_storage(A, 1), np.array([1.0, -1.0]), 3.0, lambda x: A @ x,
-                       "solve at l = 3", lapack=False)
+        cholesky_solve(_lower_storage(A, 1), np.array([1.0, -1.0]), "solve at l = 3",
+                       lapack=False)
 
 
 # ------------------------------------------------------------------ Kronecker
@@ -331,8 +341,8 @@ def _kron_pencil(n_ax=12, kd=2, n_c=5, seed=0, c_other=None):
 
 def _kron_dense(A, pencil, b, where="solve"):
     axial, cross = pencil
-    return kronecker_solve(axial, pencil_eigenbasis(*cross, where), b,
-                           float(np.abs(A).sum(axis=1).max()), lambda x: A @ x, where)
+    x = kronecker_solve(axial, pencil_eigenbasis(*cross, where), b, lambda v: A @ v, where)
+    return _accepted(A, b, x, "fast_diagonalization")
 
 
 @pytest.mark.parametrize("n_ax,kd,n_c,seed", [(12, 2, 5, 0), (30, 4, 9, 1), (7, 6, 1, 2)])
@@ -380,13 +390,16 @@ def test_kronecker_rejects_an_indefinite_mode():
 
 
 def test_kronecker_rejects_a_large_backward_error():
-    # the residual comes from a matrix 1e-3 away: the refinement step, which
-    # reads that residual, leaves an error near 1e-6
+    # the refinement residual comes from a matrix 1e-3 away: the refinement
+    # step, which reads it, leaves an error near 1e-6 that the acceptance
+    # step, with the true matrix, refuses
     A, pencil = _kron_pencil(seed=7)
-    with pytest.raises(SolverError, match="backward error .* exceeds 1e-14"):
-        kronecker_solve(pencil[0], pencil_eigenbasis(*pencil[1]), np.ones(A.shape[0]),
-                        float(np.abs(A).sum(axis=1).max()), lambda x: (A * (1 + 1e-3)) @ x,
-                        "solve")
+    b = np.ones(A.shape[0])
+    x = kronecker_solve(pencil[0], pencil_eigenbasis(*pencil[1]), b,
+                        lambda v: (A * (1 + 1e-3)) @ v)
+    with pytest.raises(SolverError, match="^solve: backward error .* exceeds 1e-14$"):
+        _accept(x, b, float(np.abs(A).sum(axis=1).max()), lambda v: A @ v, "solve",
+                "fast_diagonalization")
 
 
 # ------------------------------------------------------------------ banded LU
@@ -402,8 +415,7 @@ def _general_storage(A, kd):
 
 
 def _lu_dense(A, b, kd, where="solve"):
-    return lu_solve(_general_storage(A, kd), b, float(np.abs(A).sum(axis=1).max()),
-                    lambda x: A @ x, where)
+    return _accepted(A, b, lu_solve(_general_storage(A, kd), b, where), "lu_banded")
 
 
 @pytest.mark.parametrize("n,kd,seed", [(30, 3, 0), (80, 9, 1), (40, 39, 2)])
