@@ -50,9 +50,11 @@ of the system is written from it: lower_band writes the entries on and
 below the diagonal into LAPACK lower band storage, a Fortran-ordered
 (kd + 1, N) array with kd = sum_k d_k stride_k (stride_k the flat-index
 step of axis k); general_band writes every entry into LAPACK general band
-storage, (2 kd + 1, N).  AssembledSystem.matrix writes the CSR matrix, for a symmetric
-problem the lower entries and their mirrors, on every read: the tests and
-the benchmark's trace mode read it, no solve does.  A symmetric system of
+storage, (2 kd + 1, N).  AssembledSystem.matrix writes the CSR matrix, for
+a symmetric problem the lower entries and their mirrors, on every read: the
+tests and the benchmark's trace mode read it, no solve does, so it imports
+scipy.sparse itself, on its first read, and the package imports no scipy
+module.  A symmetric system of
 exactly two Kronecker parts, each with equal axial indices, and no n-D band
 (two_part) also hands over its axial pencil: the lower bands of the two
 axial blocks, written by the same walk.  No full-size band is ever built.
@@ -106,7 +108,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import pencil_eigenbasis
@@ -189,7 +190,10 @@ class AssembledSystem:
     def matrix(self):
         """The CSR matrix, (A + A^T) / 2 for a symmetric problem, written
         from the entries lower_band and general_band write: the lower ones
-        and their mirrors for a symmetric problem.  Built on every read."""
+        and their mirrors for a symmetric problem.  Built on every read; the
+        first read imports scipy.sparse, which no solve needs."""
+        import scipy.sparse as sp
+
         entries = list(self._entries(lower=self.symmetric))
         if self.symmetric:
             entries += [(-c, cols, rows, values) for c, rows, cols, values in entries if c]

@@ -32,7 +32,7 @@ cross-section pencil (linalg.kronecker_solve), any other symmetric system
 by banded Cholesky (linalg.cholesky_solve: numpy's band_cholesky for the
 small cross-section system, LAPACK for a cylinder system), and a
 nonsymmetric one by banded LU (linalg.lu_solve), so a sweep of a two-part
-problem never imports scipy.linalg.  Then x = P y is unfolded and the
+problem never binds LAPACK.  Then x = P y is unfolded and the
 backward-error check (linalg._accept) runs once, with the full system's
 right-hand side, residual and |A|_inf, so the record's backward_error,
 solver_residual and dofs describe the full system.  Solver failures name
@@ -209,7 +209,7 @@ def _direct_solve(system, where):
                                system.rhs, system.matvec, where), "fast_diagonalization"
     if system.symmetric:
         # the cross-section system is small: numpy factors it faster than
-        # scipy.linalg imports
+        # the LAPACK routines bind
         return cholesky_solve(system.lower_band(), system.rhs, where,
                               lapack=system.ell is not None), "cholesky_banded"
     return lu_solve(system.general_band(), system.rhs, where), "lu_banded"

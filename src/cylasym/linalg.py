@@ -16,21 +16,19 @@ Every system of a sweep is solved directly, by one of three banded solves:
   Cholesky of the whole band, whose half-bandwidth is about d N_c.
 - cholesky_solve, for every other symmetric system (more Kronecker parts, as
   the biharmonic strip has, an n-D band, the cross-section system): it
-  factors LAPACK lower band storage in place (scipy.linalg.cholesky_banded)
-  and solves with the factor (cho_solve_banded), or, with lapack=False,
-  factors it with band_cholesky.
+  factors LAPACK lower band storage in place (dpbtrf) and solves with the
+  factor (dpbtrs), or, with lapack=False, factors it with band_cholesky.
 - lu_solve, for a nonsymmetric system: LU with partial pivoting on LAPACK
-  general band storage (scipy.linalg.solve_banded).
+  general band storage (dgbsv; dgtsv for a tridiagonal matrix).
 
 band_cholesky, the numpy kernel, factors a batch of band matrices at once
 in one pass down their rows, each step vectorized over the batch and the
 band offsets, and band_cholesky_solve substitutes the same way.
 kronecker_solve factors all its modes with it, and the sweep sends the
 cross-section system to it as a batch of one (no batch axis): both have
-few enough rows that the Python pass costs less than importing
-scipy.linalg.  A large band, the
-multi-part cylinder system's, has too many rows for a Python pass to match
-LAPACK, so it stays with cholesky_banded.
+few enough rows that the Python pass costs less than loading LAPACK.  A
+large band, the multi-part cylinder system's, has too many rows for a
+Python pass to match LAPACK, so it stays with dpbtrf.
 
 Each is a kernel: it returns x, and raises SolverError only when a
 factorization fails, which proves a block or a mode is not positive
@@ -42,16 +40,31 @@ computed from another copy of A, is at most BACKWARD_ERROR_TOL, the accuracy
 a backward-stable solve attains; a relative residual bound does not fit
 fourth-order problems, whose condition numbers leave backward-stable answers
 with relative residuals well above 1e-12.
-scipy.linalg is imported by the first LAPACK solve (cholesky_solve with
-lapack=True, lu_solve), not with the package, so a sweep of a two-part
-symmetric problem never imports it: the package already loads
-scipy.sparse, and loading both would lengthen every start-up.
+The LAPACK routines are scipy's: _lapack binds dpbtrf, dpbtrs, dgbsv and
+dgtsv once per process, at the first LAPACK solve (cholesky_solve with
+lapack=True, lu_solve), from the compiled module scipy.linalg._flapack.
+It loads that one file by its path, found next to the scipy package, and
+never runs the scipy.linalg package's __init__, whose imports (numpy.f2py,
+numpy.testing, numpy.ma through scipy._lib) cost 0.15-0.25 s against 4-10
+ms for the file; so the package imports no scipy module, and a sweep
+loads LAPACK only when a solve needs it.  The name _flapack is
+private to scipy: where no such file is found, _lapack takes the same
+functions from the public scipy.linalg.lapack, which re-exports them.
+cholesky_solve and lu_solve call the routines as cholesky_banded,
+cho_solve_banded and solve_banded do, with the same arguments, so their
+x are bit for bit those of scipy's functions.
 
 cg_jacobi, gmres_jacobi and smallest_ritz_estimate no longer serve a sweep.
 They are plain numpy loops, so repeated runs produce identical iterates.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
+import itertools
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -167,9 +180,10 @@ def cholesky_solve(ab, b, where: str = "solve", lapack: bool = True):
     """x with Ax = b for a symmetric positive definite A.
 
     ab is A's LAPACK lower band storage (A[j + q, j] at ab[q, j]).  With
-    lapack, scipy.linalg.cholesky_banded overwrites it by the Cholesky
-    factor, in place when Fortran-ordered; without, band_cholesky factors a
-    copy.  A failed factorization raises SolverError prefixed with `where`.
+    lapack, dpbtrf overwrites it by the Cholesky factor, in place when
+    Fortran-ordered, and dpbtrs solves with it; without, band_cholesky
+    factors a copy.  A failed factorization raises SolverError prefixed
+    with `where`.
     """
     b = np.asarray(b, dtype=np.float64)
     if not lapack:
@@ -180,13 +194,15 @@ def cholesky_solve(ab, b, where: str = "solve", lapack: bool = True):
                               f"minor of order {np.argmax(failed) + 1} is not)")
         return band_cholesky_solve(L, b)
 
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
-    try:
-        factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg raises numpy's class
-        raise SolverError(f"{where}: matrix is not positive definite ({exc})") from None
-    return cho_solve_banded((factor, True), b, check_finite=False)
+    dpbtrf, dpbtrs, _, _ = _lapack()
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise SolverError(f"{where}: matrix is not positive definite "
+                          f"({info}-th leading minor not positive definite)")
+    _check_arguments(info, "dpbtrf")
+    x, info = dpbtrs(factor, b, lower=1, overwrite_b=0)
+    _check_arguments(info, "dpbtrs")
+    return x
 
 
 def pencil_eigenbasis(c_top, c_other, where: str = "solve"):
@@ -248,15 +264,58 @@ def lu_solve(ab, b, where: str = "solve"):
     """x with Ax = b for a general banded A, by LU with partial pivoting.
 
     ab is A's LAPACK general band storage, (2 kd + 1, N) with A[i, j] at
-    ab[kd + i - j, j], overwritten.  A singular A raises SolverError.
+    ab[kd + i - j, j].  dgtsv solves a tridiagonal A (kd = 1) on ab's rows,
+    overwriting them; any other A is copied into the (3 kd + 1, N) storage
+    dgbsv factors, below kd rows for the fill-in.  A singular A raises
+    SolverError prefixed with `where`.
     """
-    from scipy.linalg import solve_banded
-
+    _, _, dgbsv, dgtsv = _lapack()
     kd = ab.shape[0] // 2
-    try:
-        return solve_banded((kd, kd), ab, b, overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"{where}: matrix is singular ({exc})") from None
+    if kd == 1:
+        *_, x, info = dgtsv(ab[2, :-1], ab[1, :], ab[0, 1:], b, 1, 1, 1, 0)
+    else:
+        lu = np.zeros((3 * kd + 1, ab.shape[1]))
+        lu[kd:] = ab
+        *_, x, info = dgbsv(kd, kd, lu, b, overwrite_ab=1, overwrite_b=0)
+    if info > 0:
+        raise SolverError(f"{where}: matrix is singular (singular matrix)")
+    _check_arguments(info, "dgtsv" if kd == 1 else "dgbsv")
+    return x
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _lapack():
+    """(dpbtrf, dpbtrs, dgbsv, dgtsv) of scipy's LAPACK, bound once per
+    process from the module _FLAPACK: the one in sys.modules if scipy.linalg
+    is loaded, else loaded from its file in scipy's linalg folder, and
+    scipy.linalg.lapack's, the same functions, when no such file exists."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        spec = importlib.util.find_spec("scipy")  # finds scipy, imports nothing
+        folders = spec.submodule_search_locations if spec is not None else ()
+        for folder, suffix in itertools.product(folders,
+                                                importlib.machinery.EXTENSION_SUFFIXES):
+            path = Path(folder) / "linalg" / f"_flapack{suffix}"
+            if path.is_file():
+                loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, str(path))
+                module = loader.create_module(importlib.util.spec_from_loader(_FLAPACK, loader))
+                loader.exec_module(module)
+                # its init entered it in sys.modules; a later import of
+                # scipy.linalg loads it again as the package's attribute
+                sys.modules.pop(_FLAPACK, None)
+                break
+        else:
+            from scipy.linalg import lapack as module
+    return module.dpbtrf, module.dpbtrs, module.dgbsv, module.dgtsv
+
+
+def _check_arguments(info: int, routine: str) -> None:
+    """Raise ValueError when LAPACK's info names an illegal argument."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
 def _jacobi_weights(A) -> np.ndarray:

@@ -488,8 +488,9 @@ def test_the_system_structure_picks_the_solve(spec, where, method):
 
 _SWEEP_IN_A_CHILD = """
 import sys
+from cylasym import linalg
 from cylasym.harness import SweepPlan, run_sweep
-from cylasym.problem import ProblemSpec, ScalarField, builtin_problem
+from cylasym.problem import ProblemSpec, ScalarField, builtin_problem, parse_problem_config
 
 def box():
     one = ScalarField.parse("1", 3)
@@ -498,23 +499,33 @@ def box():
                        coefficients={(a, a): one for a in axes},
                        forcing=ScalarField.parse("sin(3.141592653589793 * x3)", 3), name="box3d")
 
-spec = box() if sys.argv[1] == "box3d" else builtin_problem(sys.argv[1])
+if sys.argv[1] == "box3d":
+    spec = box()
+elif sys.argv[1] == "skew":
+    spec = parse_problem_config(sys.argv[3], "skew")
+else:
+    spec = builtin_problem(sys.argv[1])
 run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=int(sys.argv[2])))
-print("scipy.linalg" in sys.modules)
+print(linalg._lapack.cache_info().currsize == 1,
+      sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 @pytest.mark.parametrize("problem,resolution,loads", [
     ("poisson_strip", 8, False), ("box3d", 4, False), ("biharmonic_strip", 8, True),
+    ("skew", 5, True),
 ])
 def test_two_part_sweeps_never_import_scipy_linalg(problem, resolution, loads):
     # a two-part sweep solves its cross-section system and its cylinder
-    # systems in numpy; the multi-part biharmonic system takes LAPACK
+    # systems in numpy; the multi-part biharmonic system and the
+    # nonsymmetric skew strip bind LAPACK (loads), from its compiled module
+    # alone: no sweep leaves scipy.linalg, scipy.sparse or any other scipy
+    # module in sys.modules
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", _SWEEP_IN_A_CHILD, problem, str(resolution)],
-                         capture_output=True, text=True, check=True,
+    out = subprocess.run([sys.executable, "-c", _SWEEP_IN_A_CHILD, problem, str(resolution),
+                          SKEW_CONFIG], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == [str(loads)]
+    assert out.split() == [str(loads), "[]"]
 
 
 def test_an_indefinite_top_block_names_the_problem_and_l():
@@ -571,9 +582,9 @@ def test_direct_solve_memory_is_the_lapack_band():
 def test_cholesky_solve_memory_is_the_lapack_band():
     # the biharmonic strip takes banded Cholesky: assembly and solve peak
     # near the factor itself, so no full-size band or CSR matrix is alive;
-    # scipy.linalg, which the solve imports, is imported before the trace
-    # so that its module objects are not counted when the test runs alone
-    import scipy.linalg  # noqa: F401
+    # the LAPACK routines are bound before the trace so that their module's
+    # objects are not counted when the test runs alone
+    linalg._lapack()
 
     spec = builtin_problem("biharmonic_strip")
     tracemalloc.start()
@@ -664,8 +675,8 @@ def test_a_folded_cholesky_solve_peaks_below_the_full_band():
     # the biharmonic strip at 16 cells per unit, l = 8, folds: its solve
     # writes and factors the band of half the axial functions, so its
     # traced peak (0.76 of the full band measured) stays below the LAPACK
-    # band of the whole system; scipy.linalg is imported first, as above
-    import scipy.linalg  # noqa: F401
+    # band of the whole system; the LAPACK routines are bound first, as above
+    linalg._lapack()
 
     system = assembly.assemble_cylinder(builtin_problem("biharmonic_strip"), ell=8.0,
                                         resolution=16)

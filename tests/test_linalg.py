@@ -4,10 +4,17 @@ The direct solves are kernels that return x; _accept is the one acceptance
 step, and the checks of its numbers run on a kernel's x passed through it.
 """
 
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cylasym import linalg
 from cylasym.assembly import assemble_cylinder
 from cylasym.linalg import (
     BACKWARD_ERROR_TOL,
@@ -26,7 +33,7 @@ from cylasym.linalg import (
     pencil_eigenbasis,
     smallest_ritz_estimate,
 )
-from cylasym.problem import builtin_problem
+from cylasym.problem import builtin_problem, parse_problem_config
 
 
 def _spd_matrix(n, seed):
@@ -442,3 +449,116 @@ def test_lu_rejects_a_singular_matrix():
     A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 1.0, 1.0]])
     with pytest.raises(SolverError, match="^solve at l = 2: matrix is singular"):
         _lu_dense(A, np.ones(3), 1, "solve at l = 2")
+
+
+# ------------------------------------------------------------------ the LAPACK binder
+
+SKEW_CONFIG = (
+    "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+    "a_0_1_0_0 = 1\na_0_1_0_1 = 1\na_1_0_1_0 = 1\n\n[forcing]\nf = 1\n"
+)
+
+
+def _banded(n, kd, seed):
+    rng = np.random.default_rng(seed)
+    return np.triu(np.tril(rng.standard_normal((n, n)), kd), -kd) + 2 * (kd + 1) * np.eye(n)
+
+
+_LOWER_BANDS = {  # LAPACK lower band storage of symmetric positive definite matrices
+    "kd1": lambda: _lower_storage(_spd_banded(30, 1, 7), 1),
+    "kd2": lambda: _lower_storage(_spd_banded(30, 2, 8), 2),
+    "biharmonic_two_axes": lambda: assemble_cylinder(builtin_problem("biharmonic_strip"),
+                                                     ell=1.0, resolution=5).lower_band(),
+}
+_GENERAL_BANDS = {  # LAPACK general band storage of nonsymmetric matrices
+    "kd1": lambda: _general_storage(_banded(30, 1, 9), 1),
+    "kd2": lambda: _general_storage(_banded(30, 2, 10), 2),
+    "skew_two_axes": lambda: assemble_cylinder(parse_problem_config(SKEW_CONFIG, "skew"),
+                                               ell=1.0, resolution=5).general_band(),
+}
+
+
+@pytest.mark.parametrize("band", _LOWER_BANDS.values(), ids=_LOWER_BANDS.keys())
+def test_bound_cholesky_is_scipys_bit_for_bit(band):
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    ab = band()
+    b = np.random.default_rng(11).standard_normal(ab.shape[1])
+    want = cho_solve_banded((cholesky_banded(ab.copy(order="F"), lower=True), True), b)
+    assert cholesky_solve(ab, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("band", _GENERAL_BANDS.values(), ids=_GENERAL_BANDS.keys())
+def test_bound_lu_is_scipys_bit_for_bit(band):
+    from scipy.linalg import solve_banded
+
+    ab = band()
+    kd = ab.shape[0] // 2
+    b = np.random.default_rng(12).standard_normal(ab.shape[1])
+    want = solve_banded((kd, kd), ab.copy(order="F"), b)
+    assert lu_solve(ab, b).tobytes() == want.tobytes()
+
+
+def test_bound_solves_keep_their_messages():
+    # eigenvalues 3 and -1; a singular tridiagonal (dgtsv) and a singular
+    # pentadiagonal (dgbsv) matrix
+    with pytest.raises(SolverError) as failed:
+        cholesky_solve(_lower_storage(np.array([[1.0, 2.0], [2.0, 1.0]]), 1), np.ones(2),
+                       "solve at l = 3")
+    assert str(failed.value) == ("solve at l = 3: matrix is not positive definite "
+                                 "(2-th leading minor not positive definite)")
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 1.0, 1.0]])
+    for kd in (1, 2):
+        with pytest.raises(SolverError) as failed:
+            lu_solve(_general_storage(singular, kd), np.ones(3), "solve at l = 2")
+        assert str(failed.value) == "solve at l = 2: matrix is singular (singular matrix)"
+
+
+def test_the_binder_falls_back_to_scipy_linalg_lapack(monkeypatch):
+    # with no _flapack file to load, the routines come from the public module
+    import scipy.linalg.lapack as lapack
+
+    lower, general = _LOWER_BANDS["kd2"](), _GENERAL_BANDS["kd2"]()
+    b = np.linspace(-1.0, 1.0, 30)
+    bound = (cholesky_solve(lower.copy(order="F"), b), lu_solve(general.copy(order="F"), b))
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    linalg._lapack.cache_clear()
+    try:
+        assert linalg._lapack() == (lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv, lapack.dgtsv)
+        fallback = (cholesky_solve(lower, b), lu_solve(general, b))
+    finally:
+        linalg._lapack.cache_clear()
+    assert [x.tobytes() for x in fallback] == [x.tobytes() for x in bound]
+
+
+_BIND_THEN_IMPORT = """
+import sys
+import numpy as np
+from cylasym import linalg
+
+rng = np.random.default_rng(0)
+lower = np.asfortranarray(np.vstack([6.0 + rng.random(50), rng.random((2, 50)) - 0.5]))
+general = np.asfortranarray(np.vstack([rng.random((2, 50)) - 0.5, 6.0 + rng.random(50),
+                                       rng.random((2, 50)) - 0.5]))
+b = rng.standard_normal(50)
+bound = (linalg.cholesky_solve(lower.copy(order="F"), b),
+         linalg.lu_solve(general.copy(order="F"), b))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+import scipy.linalg
+
+public = (scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(lower, lower=True), True), b),
+          scipy.linalg.solve_banded((2, 2), general, b))
+print(all(x.tobytes() == y.tobytes() for x, y in zip(bound, public)),
+      scipy.linalg._flapack.dpbtrf is linalg._lapack()[0])
+"""
+
+
+def test_scipy_linalg_imports_after_a_bound_solve():
+    # the binder loads _flapack by its path, and leaves no scipy module in
+    # sys.modules: a later import of scipy.linalg loads the package as usual,
+    # with the same routines and the same answers
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _BIND_THEN_IMPORT], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["[]", "True", "True"]

@@ -2,7 +2,10 @@
 
 Each sweep runs as `python -m cylasym sweep --l 2,4,8 --cells-per-unit 8`
 in a fresh interpreter with one BLAS thread, and its CSV's sha256 must equal
-the digest pinned here.  A change that should leave every value alone keeps
+the digest pinned here.  The skew strip, the Poisson strip plus the
+nonsymmetric a_0_1_0_0 = 1, pins the banded LU path: LAPACK's dgbsv for
+every system, and dgtsv for its tridiagonal cross-section system at
+degree 1.  A change that should leave every value alone keeps
 them; a change that moves values re-pins them and lists old -> new.  The
 digests depend on the numpy and scipy builds that computed them, so the
 test runs only on the versions recorded next to them.
@@ -23,7 +26,14 @@ DIGESTS = {
     "poisson_strip": "3cc98a0aa3a1ef556a4445226cf6860c79dd0dd52fcfc6df890efc98f3582088",
     "biharmonic_strip": "06c64a19206c301eae0dc887b17e69d92207f37c7158f36174ea4524dd83fe32",
     "varcoef_strip": "91d206390b99953f62c0d2e6e9b21c3322587bff887d9eb86763eb873ad361fe",
+    "skew_strip": "a7eb985c660d15517e013a8305a04aba657eaa20ac297446aabd27bfea034c5f",
+    "skew_strip_degree_1": "611e483a727f6dc4816cb2fe6bd810a9d1b1e5d8598c6adca9f7c14ba3cbf245",
 }
+SKEW_CONFIG = (
+    "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+    "a_0_1_0_0 = 1\na_0_1_0_1 = 1\na_1_0_1_0 = 1\n\n[forcing]\nf = 1\n"
+)
+SKEW_ARGS = {"skew_strip": [], "skew_strip_degree_1": ["--degree", "1"]}
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_THREAD = {name: "1" for name in
               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -38,7 +48,12 @@ _versions = {"numpy": np.__version__, "scipy": scipy.__version__}
 @pytest.mark.parametrize("problem", DIGESTS)
 def test_sweep_csv_bytes_are_pinned(tmp_path, problem):
     csv = tmp_path / f"{problem}.csv"
-    subprocess.run([sys.executable, "-m", "cylasym", "sweep", "--problem", problem,
+    args = ["--problem", problem]
+    if problem in SKEW_ARGS:
+        config = tmp_path / "skew_strip.cfg"
+        config.write_text(SKEW_CONFIG)
+        args = ["--problem", str(config), *SKEW_ARGS[problem]]
+    subprocess.run([sys.executable, "-m", "cylasym", "sweep", *args,
                     "--l", "2,4,8", "--cells-per-unit", "8", "--out-csv", str(csv)],
                    capture_output=True, check=True,
                    env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(SRC)})
