@@ -71,15 +71,39 @@ and its half bandwidth unchanged.  A system takes its dims and degrees from
 its pieces, so the folded one needs no spline basis; unfold gives x = P y.
 assemble_cylinder returns the full system, and the solve folds it.
 
+The cross-section is mirror-symmetric too.  A cross-section axis is
+mirrored (CrossSection.mirrored) when no coefficient reads its coordinate
+and every pair has alpha + beta even on it; then every cylinder system
+commutes with its reflection, but the forcing may have either parity.
+When a banded kernel solves the cylinder systems (no n-D band, not
+two-part), the CrossSection replaces each cross-section block by its
+mirror average (_mirror_averaged) along every mirrored axis, since omega's
+uniform knots and quadrature points are mirror-symmetric only up to
+roundoff (the kernel's blocks up to 8e-13 of their largest entry on
+omega = (15.89, 16.89) at 48 cells per unit), so that every system that
+reads the blocks, the limit system too, commutes with the reflections
+bitwise.  It then folds every block once per sweep along each mirrored
+axis, to its even and to its odd half (_folded_band with odd:
+P e_i = e_i - e_m(i), the centre left out), one (parities, blocks) per
+parity tuple (CrossSection.parity_blocks).
+AssembledSystem.parity_blocks pairs a cylinder system's axial bands,
+folded or not, with each tuple's blocks, and folds its load alike
+(_folded_rows): the uncoupled systems P_s^T A P_s y_s = P_s^T b, leaving
+out a block whose folded load is exactly zero, and joined gives
+x = sum_s P_s y_s.  Each block has about half the cross-section functions
+per mirrored axis and so about half the half bandwidth, which cuts a
+banded Cholesky, costing N kd^2, by 8 per block and 4 for the pair.
+
 The residual of the backward-error check skips the walk, and so does its
 norm for a system of Kronecker parts alone.  matvec multiplies by the
 matrix from the pieces, sum_j A_j X C_j^T plus the n-D band, and by its
 transpose for a symmetric problem, each band applied along its axes by
 band_apply: one einsum over a sliding window of X.
-inf_norm forms the same entries as the walk, but for a system of Kronecker
-parts alone sums each row's magnitudes once per distinct axial coefficient
-tuple, which a uniform axial mesh repeats (_kron_row_sums); a system with an
-n-D band sums the magnitudes of the walk's entries row by row.
+inf_norm, for a system of Kronecker parts alone, forms the same entries as
+the walk but sums each row's magnitudes once per distinct axial coefficient
+tuple, which a uniform axial mesh repeats (_kron_row_sums); the solve reads
+the norm of a system with an n-D band off the band it factors
+(linalg.band_inf_norm), so that the walk runs once.
 
 The kernel leaves the slots whose column falls outside the space zero,
 since the tables zero the functions the constraint drops, but no reader
@@ -110,7 +134,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import pencil_eigenbasis
+from .linalg import band_inf_norm, pencil_eigenbasis
 from .problem import ProblemSpec
 from .splines import (
     NORM_POINTS_PER_CELL,
@@ -243,21 +267,25 @@ class AssembledSystem:
         return _write_band(self._entries(lower=False), self._dims, self._degrees,
                            _half_bandwidth(self._dims, self._degrees))
 
+    def band(self):
+        """The band a banded kernel factors: lower_band for a symmetric
+        problem, general_band otherwise."""
+        return self.lower_band() if self.symmetric else self.general_band()
+
     def inf_norm(self) -> float:
         """|A|_inf of the matrix, exactly: the largest sum over a row of the
         magnitudes of its entries, each entry formed from the pieces as the
         bands write it, every out-of-space slot skipped.
 
         A system of Kronecker parts alone sums its rows per distinct axial
-        coefficient tuple (_kron_row_sums); one with an n-D band sums the
-        magnitudes of the slot walk's entries, those general_band writes.
+        coefficient tuple (_kron_row_sums).  The solve reads the norm of a
+        system with an n-D band off the band it factors, so the branch that
+        writes that band here (linalg.band_inf_norm) serves the tests and
+        their dense oracle only.
         """
         if self.nd_band is None:
             return float(_kron_row_sums(self._prepared, self.spec.p).max())
-        row_abs = np.zeros(self._dims)
-        for _, rows, _, values in self._entries(lower=False):
-            row_abs[rows] += np.abs(values)
-        return float(row_abs.max())
+        return band_inf_norm(self.band(), self.symmetric)
 
     @cached_property
     def _prepared(self):
@@ -314,7 +342,8 @@ class AssembledSystem:
         cross-section band shared, and the load folded alike.  The folded
         system has no basis; its dims and degrees come from its pieces.
         Then x = unfold(y) solves A x = b, since A commutes with every
-        reflection x_k -> -x_k and b is even.
+        reflection x_k -> -x_k and b is even.  Its parity_blocks split it
+        further when its section has them.
         """
         if not (self.kron_parts and self.section.even):
             return None
@@ -333,56 +362,121 @@ class AssembledSystem:
             Y = _unfolded_rows(Y, axis, dims[axis])
         return Y.ravel()
 
+    def parity_blocks(self):
+        """(parities, block) per parity block of the section's mirrored
+        cross-section axes (CrossSection.parity_blocks) whose folded load is
+        not exactly zero, or None unless this is a cylinder system, folded
+        or not, of a section that has them.
 
-def _folded_band(band, axis: int):
+        The block is the system P_s^T A P_s y = P_s^T b, P_s the even or odd
+        extension (parities[j] True for odd) along mirrored axis j: its
+        Kronecker parts pair this system's axial bands with the section's
+        folded cross-section bands, and its load is this system's load
+        folded alike (_folded_rows).  A commutes with every mirrored
+        reflection bitwise, so the blocks are uncoupled and
+        x = joined(blocks, ys) solves A x = b; a skipped block's y is zero.
+        """
+        if not (self.kron_parts and self.section.parity_blocks):
+            return None
+        p, out = self.spec.p, []
+        for parities, blocks in self.section.parity_blocks:
+            rhs = self.rhs.reshape(self._dims)
+            for axis, odd in zip(self.section.mirrored, parities):
+                rhs = _folded_rows(rhs, p + axis, odd)
+            if rhs.any():
+                out.append((parities, replace(
+                    self, rhs=rhs.ravel(), basis=None,
+                    kron_parts=tuple((A, C) for (A, _), C in zip(self.kron_parts, blocks)))))
+        return tuple(out)
+
+    def joined(self, blocks, ys):
+        """x = sum_s P_s y_s over the (parities, block) pairs of
+        parity_blocks and their solutions ys, in this system's space."""
+        p, dims, x = self.spec.p, self._dims, None
+        for (parities, block), y in zip(blocks, ys):
+            Y = np.reshape(y, block._dims)
+            for axis, odd in zip(self.section.mirrored, parities):
+                Y = _unfolded_rows(Y, p + axis, dims[p + axis], odd)
+            x = Y if x is None else x + Y
+        return np.zeros(self.ndofs) if x is None else x.ravel()
+
+
+def _folded_band(band, axis: int, odd: bool = False):
     """The band of P^T A P for the band of A, P the even extension along
-    its factor `axis` of N functions: the first ceil(N / 2) functions i of
-    the folded factor stand for i and its mirror m(i) = N - 1 - i together,
-    the centre function of an odd N for itself alone.
+    its factor `axis` of N functions, or with odd the odd one.
 
-    Entry (i, k) sums A(i, k) + A(i, m(k)) + A(m(i), k) + A(m(i), m(k)) in
-    that order, each term present when its column lies in A's band and a
-    mirror that is the function itself counted once; so no reader relies on
-    A being bitwise mirror-symmetric.  Along `axis` only in-space slots of
-    A are read, and a slot whose column falls outside the folded factor
-    holds zero; the slots of the other axes are carried as they are.  The
-    half bandwidth stays d: m(k) is within d of i only near the centre,
-    where k is too.
+    Even: the first ceil(N / 2) functions i of the folded factor stand for
+    e_i + e_m(i), m(i) = N - 1 - i, the centre function of an odd N for
+    itself alone.  Odd: the first floor(N / 2) stand for e_i - e_m(i), and
+    the centre of an odd N, which no odd vector reaches, is left out.
+
+    Entry (i, k) sums A(i, k), A(i, m(k)), A(m(i), k) and A(m(i), m(k)) in
+    that order, the middle two subtracted for odd, each term present when
+    its column lies in A's band and a mirror that is the function itself
+    counted once; so no reader relies on A being bitwise mirror-symmetric.
+    Along `axis` only in-space slots of A are read, and a slot whose column
+    falls outside the folded factor holds zero; the slots of the other axes
+    are carried as they are.  The half bandwidth stays d: m(k) is within d
+    of i only near the centre, where k is too.
     """
     k = band.ndim // 2
     B = np.moveaxis(band, (axis, k + axis), (0, 1))
     n, w = B.shape[:2]
-    d, half = w // 2, (n + 1) // 2
+    d, half = w // 2, n // 2 if odd else (n + 1) // 2
     i = np.arange(half)[:, None]
     col = i + np.arange(w) - d
     mi, mcol = n - 1 - i, n - 1 - col
     inside = (col >= 0) & (col < half)
+    mirrored = np.subtract if odd else np.add
     folded = np.zeros((half, w) + B.shape[2:])
-    for rows, cols, here in ((i, col, inside), (i, mcol, inside & (mcol != col)),
-                             (mi, col, inside & (mi != i)),
-                             (mi, mcol, inside & (mi != i) & (mcol != col))):
+    for rows, cols, here, add in ((i, col, inside, np.add),
+                                  (i, mcol, inside & (mcol != col), mirrored),
+                                  (mi, col, inside & (mi != i), mirrored),
+                                  (mi, mcol, inside & (mi != i) & (mcol != col), np.add)):
         slot = cols - rows + d
         here = here & (slot >= 0) & (slot < w)
         term = B[np.broadcast_to(rows, slot.shape), np.clip(slot, 0, w - 1)]
-        folded += np.where(here.reshape(here.shape + (1,) * (B.ndim - 2)), term, 0.0)
+        add(folded, np.where(here.reshape(here.shape + (1,) * (B.ndim - 2)), term, 0.0),
+            out=folded)
     return np.ascontiguousarray(np.moveaxis(folded, (0, 1), (axis, k + axis)))
 
 
-def _folded_rows(X, axis: int):
-    """P^T X along `axis` of N rows: row i < N // 2 is X[i] + X[m(i)], and
-    the centre row of an odd N is X's own."""
+def _mirror_averaged(band, axes):
+    """The band of (A + M A M) / 2 for the band of A, along each of `axes`
+    in turn, M the reflection i -> m(i) = N - 1 - i of that factor: in band
+    layout, A(m(i), m(k)) is the band flipped along the factor's rows and
+    its slots, and an out-of-space slot meets an out-of-space slot.  Both
+    entries of a mirror pair are the same sum, so the result commutes with
+    every reflection bitwise, and its even and odd folds are uncoupled."""
+    k = band.ndim // 2
+    for axis in axes:
+        band = 0.5 * (band + np.flip(band, (axis, k + axis)))
+    return band
+
+
+def _folded_rows(X, axis: int, odd: bool = False):
+    """P^T X along `axis` of N rows.  Even: row i < N // 2 is X[i] + X[m(i)],
+    and the centre row of an odd N is X's own; odd: row i < N // 2 is
+    X[i] - X[m(i)]."""
     X = np.moveaxis(X, axis, 0)
     n = X.shape[0]
-    Y = X[: (n + 1) // 2].copy()
-    Y[: n // 2] += X[::-1][: n // 2]
+    if odd:
+        Y = X[: n // 2] - X[::-1][: n // 2]
+    else:
+        Y = X[: (n + 1) // 2].copy()
+        Y[: n // 2] += X[::-1][: n // 2]
     return np.moveaxis(Y, 0, axis)
 
 
-def _unfolded_rows(Y, axis: int, n: int):
-    """P Y along `axis`: the N = n rows whose row i and row m(i) are both
-    Y[i]."""
+def _unfolded_rows(Y, axis: int, n: int, odd: bool = False):
+    """P Y along `axis`: the N = n rows whose row m(i) is Y[i], or for odd
+    -Y[i], with row i; for odd the centre row of an odd N is zero."""
     Y = np.moveaxis(Y, axis, 0)
-    return np.moveaxis(np.concatenate([Y, Y[: n // 2][::-1]]), 0, axis)
+    if odd:
+        rows = [Y, np.zeros((n % 2,) + Y.shape[1:]), -Y[::-1]]
+    else:
+        rows = [Y, Y[: n // 2][::-1]]
+    return np.moveaxis(np.concatenate(rows), 0, axis)
 
 
 def _top_first(pieces, axial_keys):
@@ -400,9 +494,11 @@ def _cross_pencil(blocks, axial_keys):
 
 def _shifted(shift, dims):
     """(rows, cols): the rows (slices per axis) whose column, row plus
-    shift, lies in the space of dimensions dims, and those columns."""
-    rows = tuple(slice(max(0, -e), dim - max(0, e)) for e, dim in zip(shift, dims))
-    cols = tuple(slice(max(0, e), dim - max(0, -e)) for e, dim in zip(shift, dims))
+    shift, lies in the space of dimensions dims, and those columns; none
+    where a shift exceeds its dimension, as on a folded factor narrower
+    than its degree."""
+    rows = tuple(slice(max(0, -e), max(0, dim - e)) for e, dim in zip(shift, dims))
+    cols = tuple(slice(max(0, e), max(0, dim + e)) for e, dim in zip(shift, dims))
     return rows, cols
 
 
@@ -823,7 +919,15 @@ class CrossSection:
       norms' rule (NORM_POINTS_PER_CELL Gauss points per cell) up to order
       m, which every norm of a sweep passes to analysis;
     - eigenbasis(): for a two-part system, (lam, V) of the cross-section
-      pencil, computed on first use and kept.
+      pencil, computed on first use and kept;
+    - parity_blocks: when a banded kernel solves the cylinder systems (no
+      n-D band, not two-part) and some cross-section axis is mirrored
+      (mirrored), one (parities, blocks) per parity tuple over the mirrored
+      axes, False for even and True for odd: every block folded along each
+      mirrored axis in band layout (_folded_band), so that no job folds a
+      cross-section piece; else ().  The blocks are then the mirror
+      averages of the kernel's (_mirror_averaged), which every system of
+      the sweep reads.
 
     It pickles with all of these, so a pool job carries them; nothing is
     cached at module level.  The blocks and the load are checked for
@@ -850,8 +954,20 @@ class CrossSection:
         self.blocks = tuple(_galerkin(self.factors, terms, pinned=p)
                             for terms in by_axial_part.values())
         self.load = _load(self.factors, spec.forcing, pinned=p)
-        for shared in self.blocks + (self.load,):  # every system reads them
-            shared.flags.writeable = False
+        axes = self._parity_axes()
+        # omega's knots and Gauss points mirror only up to roundoff; the
+        # mirror averages commute with the reflections bitwise
+        self.blocks = tuple(_mirror_averaged(C, axes) for C in self.blocks)
+        parity_blocks = []
+        for parities in itertools.product((False, True), repeat=len(axes)) if axes else ():
+            blocks = self.blocks
+            for axis, odd in zip(axes, parities):
+                blocks = tuple(_folded_band(C, axis, odd) for C in blocks)
+            parity_blocks.append((parities, blocks))
+        self.parity_blocks = tuple(parity_blocks)
+        for shared in self.blocks + (self.load,) + tuple(
+                C for _, blocks in self.parity_blocks for C in blocks):
+            shared.flags.writeable = False  # every system reads them
         self.grams = tuple(
             axis_grams(f, (f.lo, f.hi), spec.m, self.resolution, NORM_POINTS_PER_CELL)
             for f in self.factors
@@ -879,6 +995,33 @@ class CrossSection:
         return not self.nd_terms and all(
             (a + b) % 2 == 0 for alpha, beta in self.keys for a, b in zip(alpha, beta)
         )
+
+    @property
+    def mirrored(self) -> tuple:
+        """The cross-section axes k (0 for x_{p+1}) whose reflection
+        x_{p+k+1} -> lo_k + hi_k - x_{p+k+1} commutes with every cylinder
+        system: no coefficient reads x_{p+k+1}, and every pair has
+        alpha + beta even on that axis.  The uniform knots of omega's
+        factors are mirror-symmetric up to roundoff, so the reflection maps
+        each basis function i of the axis to m(i) = N - 1 - i, and the
+        blocks commute with it up to roundoff (bitwise once mirror
+        averaged)."""
+        p = self.spec.p
+        return tuple(
+            k for k in range(self.spec.n - p)
+            if all(not coef.reads(p + k + 1) and (alpha[p + k] + beta[p + k]) % 2 == 0
+                   for (alpha, beta), coef in self.spec.coefficients.items())
+        )
+
+    def _parity_axes(self) -> tuple:
+        """The mirrored axes when a banded kernel solves the cylinder
+        systems (no n-D band, not two-part), else ()."""
+        # a non-finite block is left to the assembly that uses it, which
+        # refuses it naming l
+        if self.nd_terms or self.two_part or not all(
+                np.isfinite(a).all() for a in self.blocks + (self.load,)):
+            return ()
+        return self.mirrored
 
     def eigenbasis(self, where: str = "solve"):
         """(lam, V) of the pencil (C_other, C_top) of the dense symmetric

@@ -14,29 +14,39 @@ reports still follow the plan's order, and when jobs fail the error raised
 is that of the smallest failing ell, as a run in plan order would raise.
 A pool job carries the CrossSection and u_inf, pickled; every number is
 computed from the same arrays as inline, so serial and parallel runs
-produce the same floating-point results.
+produce the same floating-point results.  The l_max job also computes the
+localized-energy table of its u_l, so no job sends its solution back.
 
-_solve_system is the one place a system is solved and accepted.  It takes
-the system's |A|_inf, then folds a cylinder system whose section is even
-(CrossSection.even: no coefficient reads x1..xp, and every axial key has
-alpha_k + beta_k even on every axial axis k).  Such a system commutes with
-every reflection x_k -> -x_k and its load is even, so u_l is even:
-AssembledSystem.folded gives P^T A P y = P^T b on the first ceil(N_ax / 2)
-axial functions of each axial axis, with the half bandwidth unchanged, so
-a Cholesky band of half the rows (12.3 MB for 24.6 MB at the biharmonic
-strip's 32 cells/unit, l = 16).  A system with an n-D band or an odd axial
-key, and the cross-section system, is solved whole.  The kernel follows
-the system's structure (_direct_solve): a symmetric system of two
-Kronecker parts (AssembledSystem.two_part) by fast diagonalization of its
-cross-section pencil (linalg.kronecker_solve), any other symmetric system
-by banded Cholesky (linalg.cholesky_solve: numpy's band_cholesky for the
-small cross-section system, LAPACK for a cylinder system), and a
-nonsymmetric one by banded LU (linalg.lu_solve), so a sweep of a two-part
-problem never binds LAPACK.  Then x = P y is unfolded and the
-backward-error check (linalg._accept) runs once, with the full system's
-right-hand side, residual and |A|_inf, so the record's backward_error,
-solver_residual and dofs describe the full system.  Solver failures name
-the problem, ell and stage.
+_solve_system is the one place a system is solved and accepted.  It folds
+a cylinder system whose section is even (CrossSection.even: no coefficient
+reads x1..xp, and every axial key has alpha_k + beta_k even on every axial
+axis k).  Such a system commutes with every reflection x_k -> -x_k and its
+load is even, so u_l is even: AssembledSystem.folded gives
+P^T A P y = P^T b on the first ceil(N_ax / 2) axial functions of each axial
+axis, with the half bandwidth unchanged.  The kernel follows the system's
+structure: a symmetric system of two Kronecker parts
+(AssembledSystem.two_part) by fast diagonalization of its cross-section
+pencil (linalg.kronecker_solve), any other symmetric system by banded
+Cholesky (linalg.cholesky_solve: numpy's band_cholesky for the small
+cross-section system, LAPACK for a cylinder system), and a nonsymmetric
+one by banded LU (linalg.lu_solve), so a sweep of a two-part problem never
+binds LAPACK.  A cylinder system that a banded kernel solves, folded or
+not, is split further when its section has mirrored cross-section axes
+(CrossSection.mirrored): its parity blocks (AssembledSystem.parity_blocks),
+the even and odd halves along each such axis, are solved one after the
+other, each band written, factored and freed before the next, and joined.
+The section's blocks are mirror averaged (CrossSection.parity_blocks), so
+the full system commutes with the reflections bitwise and its blocks drop
+no coupling.  At the biharmonic strip's 32 cells/unit, l = 16, the blocks
+turn one Cholesky band of 12.3 MB (kd = 96; 24.6 MB unfolded) into bands
+of 3.4 and 3.0 MB (kd = 51 and 48).  A system with an n-D band, and the cross-section
+system, is solved whole, and its |A|_inf read off the band its kernel
+factors (linalg.band_inf_norm) before the factorization overwrites it;
+any other system's comes from its pieces (AssembledSystem.inf_norm).
+Then x = P y is unfolded and the backward-error check (linalg._accept)
+runs once, with the full system's right-hand side, residual and |A|_inf,
+so the record's backward_error, solver_residual and dofs describe the
+full system.  Solver failures name the problem, ell and stage.
 """
 
 import time
@@ -72,6 +82,7 @@ from .fdcalc import LatticeError, interior_derivative_error, lattice_counts
 from .linalg import (  # noqa: F401
     BACKWARD_ERROR_TOL,
     _accept,
+    band_inf_norm,
     cg_jacobi,
     cholesky_solve,
     gmres_jacobi,
@@ -188,31 +199,47 @@ def _check_cells(spec: ProblemSpec, name: str, resolution: int, ell: float, axia
 
 def _solve_system(system):
     """The SolveResult of the system: solved on its even half when it folds
-    (AssembledSystem.folded), unfolded, and accepted by the backward-error
-    check on the full system's right-hand side, residual and |A|_inf."""
+    (AssembledSystem.folded), on its parity blocks when its section has
+    them (AssembledSystem.parity_blocks), and accepted by the
+    backward-error check on the full system's right-hand side, residual and
+    |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
-    a_norm = system.inf_norm()
-    folded = system.folded()
-    if folded is None:
-        x, method = _direct_solve(system, where)
-    else:
-        y, method = _direct_solve(folded, where)
-        x = system.unfold(y)
-    return _accept(x, system.rhs, a_norm, system.matvec, where, method)
-
-
-def _direct_solve(system, where):
-    """(x, method): the kernel the system's structure picks, and its x."""
-    if system.two_part:
+    if system.nd_band is not None:
+        # solved whole, and |A|_inf read off the band the kernel factors
+        # before the factorization overwrites it: one slot walk
+        solve, method = _band_kernel(system)
+        band = system.band()
+        a_norm = band_inf_norm(band, system.symmetric)
+        return _accept(solve(band, system.rhs, where), system.rhs, a_norm, system.matvec,
+                       where, method)
+    half = system.folded() or system
+    if half.two_part:
         # the eigenbasis is the cross-section's, computed once per sweep
-        return kronecker_solve(system.axial_pencil(), system.section.eigenbasis(where),
-                               system.rhs, system.matvec, where), "fast_diagonalization"
+        y = kronecker_solve(half.axial_pencil(), half.section.eigenbasis(where), half.rhs,
+                            half.matvec, where)
+        method = "fast_diagonalization"
+    else:
+        solve, method = _band_kernel(half)
+        blocks = half.parity_blocks()
+        if blocks is None:
+            y = solve(half.band(), half.rhs, where)
+        else:  # one block after the other, each band freed before the next
+            y = half.joined(blocks, [solve(block.band(), block.rhs, where)
+                                     for _, block in blocks])
+    x = y if half is system else system.unfold(y)
+    return _accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
+
+
+def _band_kernel(system):
+    """(solve, method): the banded kernel of the system's symmetry, called
+    as solve(band, rhs, where) -> x, and its name."""
     if system.symmetric:
         # the cross-section system is small: numpy factors it faster than
         # the LAPACK routines bind
-        return cholesky_solve(system.lower_band(), system.rhs, where,
-                              lapack=system.ell is not None), "cholesky_banded"
-    return lu_solve(system.general_band(), system.rhs, where), "lu_banded"
+        lapack = system.ell is not None
+        return (lambda band, rhs, where: cholesky_solve(band, rhs, where, lapack=lapack),
+                "cholesky_banded")
+    return lu_solve, "lu_banded"
 
 
 def _shrunk(extent, margin: float):
@@ -241,7 +268,10 @@ def _interior_lattices(spec: ProblemSpec, ell0: float, margin: float, resolution
 
 
 def _sweep_worker(args):
-    section, u_inf, ell, ell0, margin, norm_u_inf = args
+    """(record, localized) of one l: localized is the localized-energy
+    table [(ell1, energy)] of the scales ell1 the job is given, which only
+    the l_max job is, so that no u_l goes back to the parent."""
+    section, u_inf, ell, ell0, margin, norm_u_inf, scales = args
     spec, resolution = section.spec, section.resolution
     t0 = time.perf_counter()
     system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=section.degree,
@@ -278,7 +308,9 @@ def _sweep_worker(args):
         interior_alpha={encode(a): est for a, est in interior.items()},
         n1_full_alpha={encode(a): est for a, est in n1_full.items()},
     )
-    return record, result.x
+    localized = [(ell1, localized_energy(u_l, u_inf, ell1, m, resolution, section.grams))
+                 for ell1 in scales]
+    return record, localized
 
 
 def _run_jobs(jobs, workers: int):
@@ -338,13 +370,21 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
         section.eigenbasis(_where(spec, "solve", plan.ells[0]))
     norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution,
                          grams=section.grams)
+    # the localized energies of u_{l_max} at l_max / 2, l_max / 4, ... down
+    # to ell0, computed by the l_max job
+    scales = []
+    ell1 = plan.ells[-1] / 2.0
+    while ell1 >= plan.ell0 - 1e-12:
+        scales.append(ell1)
+        ell1 /= 2.0
     jobs = [
-        (section, u_inf, ell, plan.ell0, plan.interior_margin, norm_u_inf)
+        (section, u_inf, ell, plan.ell0, plan.interior_margin, norm_u_inf,
+         scales if ell == plan.ells[-1] else [])
         for ell in plan.ells
     ]
     outcomes = _run_jobs(jobs, plan.workers)
     records = [rec for rec, _ in outcomes]
-    u_l_max = DiscreteField(section.cylinder_basis(plan.ells[-1]), outcomes[-1][1])
+    localized = outcomes[-1][1]
 
     fit_hm = _try_fit([(r.ell, r.err_Hm) for r in records], warnings, "err_Hm")
     fit_int = _try_fit(
@@ -361,15 +401,6 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
             f"extension-norm ratio grew to {max_ratio:.3g}, "
             "more than 3x the first record"
         )
-
-    localized = []
-    ell1 = plan.ells[-1] / 2.0
-    while ell1 >= plan.ell0 - 1e-12:
-        localized.append(
-            (ell1, localized_energy(u_l_max, u_inf, ell1, spec.m, plan.resolution,
-                                    section.grams))
-        )
-        ell1 /= 2.0
 
     timings["total_s"] = time.perf_counter() - t_start
     report = ConvergenceReport(

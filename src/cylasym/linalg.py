@@ -18,8 +18,12 @@ Every system of a sweep is solved directly, by one of three banded solves:
   the biharmonic strip has, an n-D band, the cross-section system): it
   factors LAPACK lower band storage in place (dpbtrf) and solves with the
   factor (dpbtrs), or, with lapack=False, factors it with band_cholesky.
+  The harness hands it each parity block of a cylinder system whose
+  cross-section is mirror-symmetric, one after the other, so that each
+  band has about half the rows and half the bandwidth of the whole.
 - lu_solve, for a nonsymmetric system: LU with partial pivoting on LAPACK
-  general band storage (dgbsv; dgtsv for a tridiagonal matrix).
+  general band storage (dgbsv; dgtsv for a tridiagonal matrix), on parity
+  blocks alike.
 
 band_cholesky, the numpy kernel, factors a batch of band matrices at once
 in one pass down their rows, each step vectorized over the batch and the
@@ -36,10 +40,12 @@ definite, or the matrix singular.  Acceptance is one step, _accept, which
 the harness runs once per system, on the full system's x: the answer
 stands when the normwise backward error
 |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf), with the residual and |A|_inf
-computed from another copy of A, is at most BACKWARD_ERROR_TOL, the accuracy
-a backward-stable solve attains; a relative residual bound does not fit
-fourth-order problems, whose condition numbers leave backward-stable answers
-with relative residuals well above 1e-12.
+computed from another copy of A (for a system with an n-D band, |A|_inf
+from the band before it is factored: band_inf_norm), is at most
+BACKWARD_ERROR_TOL, the accuracy a backward-stable solve attains; a
+relative residual bound does not fit fourth-order problems, whose condition
+numbers leave backward-stable answers with relative residuals well above
+1e-12.
 The LAPACK routines are scipy's: _lapack binds dpbtrf, dpbtrs, dgbsv and
 dgtsv once per process, at the first LAPACK solve (cholesky_solve with
 lapack=True, lu_solve), from the compiled module scipy.linalg._flapack.
@@ -100,6 +106,27 @@ def backward_error(r, a_norm: float, x, b) -> float:
     """|r|_inf / (|A|_inf |x|_inf + |b|_inf) for the residual r = b - Ax."""
     denom = a_norm * float(np.abs(x).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
     return float(np.abs(r).max(initial=0.0)) / denom if denom > 0.0 else 0.0
+
+
+def band_inf_norm(ab, symmetric: bool) -> float:
+    """|A|_inf of A from its LAPACK band storage, the largest row sum of
+    the magnitudes: lower band storage of a symmetric A (A[j + q, j] at
+    ab[q, j]), each entry below the diagonal counted in its own row and in
+    its mirror's, or general band storage (A[i, j] at ab[kd + i - j, j]).
+    Read before a factorization overwrites the band."""
+    mag = np.abs(ab)
+    n = ab.shape[1]
+    kd = ab.shape[0] - 1 if symmetric else ab.shape[0] // 2
+    rows = np.zeros(n)
+    for u in range(ab.shape[0]):
+        e = u if symmetric else u - kd  # row minus column of band row u
+        if e >= 0:
+            rows[e:] += mag[u, : n - e]
+        else:
+            rows[: n + e] += mag[u, -e:]
+        if symmetric and u:
+            rows[: n - u] += mag[u, : n - u]  # A[j, j + u] in row j
+    return float(rows.max(initial=0.0))
 
 
 def _accept(x, b, a_norm: float, matvec, where: str, method: str) -> SolveResult:

@@ -21,6 +21,7 @@ import configparser
 import hashlib
 import io
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,10 @@ class ScalarField:
 
     def reads_axial(self, p: int) -> bool:
         return any(k <= p for k in free_variables(self.expr))
+
+    def reads(self, k: int) -> bool:
+        """True when the expression reads x_k (k counted from 1)."""
+        return k in free_variables(self.expr)
 
 
 @dataclass(frozen=True, eq=True)
@@ -396,11 +401,12 @@ class HypothesisReport:
 
 
 def _unit_directions(rng, n, dense=720):
-    """Probe directions on the unit sphere: dense circle for n = 2, else mixed."""
+    """Probe directions on the unit sphere: dense circle for n = 2, else mixed,
+    drawn from rng, a random.Random."""
     if n == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
         return np.column_stack([np.cos(theta), np.sin(theta)])
-    pts = rng.standard_normal((dense, n))
+    pts = np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(dense)])
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     axes = np.eye(n)
     return np.vstack([pts, axes, -axes])
@@ -428,14 +434,15 @@ def validate_hypotheses(spec: ProblemSpec, sample_count: int = 256, seed: int = 
     """
     if sample_count < 2:
         raise ValueError("sample_count must be at least 2")
-    rng = np.random.default_rng(seed)
+    # the stdlib generator, so that validation loads no numpy.random; the
+    # draw order (cross-section, then axial) fixes the seeded samples
+    rng = random.Random(seed)
 
-    # the draw order (cross-section, then axial) fixes the seeded samples
-    cross = [rng.uniform(lo, hi, size=sample_count) for lo, hi in spec.omega]
-    axial = [
-        rng.uniform(-_AXIAL_PROBE_HALFWIDTH, _AXIAL_PROBE_HALFWIDTH, size=sample_count)
-        for _ in range(spec.p)
-    ]
+    def draws(lo, hi):
+        return np.array([rng.uniform(lo, hi) for _ in range(sample_count)])
+
+    cross = [draws(lo, hi) for lo, hi in spec.omega]
+    axial = [draws(-_AXIAL_PROBE_HALFWIDTH, _AXIAL_PROBE_HALFWIDTH) for _ in range(spec.p)]
     coords = tuple(axial + cross)
 
     x1_flags = {"f": not spec.forcing.reads_axial(spec.p)}

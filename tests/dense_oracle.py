@@ -25,10 +25,14 @@ every alpha, where the package shares the applications of a common prefix.
 
 The package solves a system that commutes with the axial reflections on
 its even half (AssembledSystem.folded), folding the axial bands in band
-layout.  even_extension here is the dense P of that fold, so a test can
-form P^T A P by matrix products; full_path_solve solves the whole system by
-the structure's own kernel, as the package did before the fold, and
-inverse_inf_norm gives |A^-1|_inf for a forward-error bound.
+layout, and one whose section has mirrored cross-section axes on its
+parity blocks (AssembledSystem.parity_blocks), folding the cross-section
+bands.  even_extension and odd_extension here are the dense P of one axis's
+fold and parity_extension that of a block, so a test can form P^T A P by
+matrix products; full_path_solve solves the whole system by the
+structure's own kernel, as the package did before either fold,
+fold_path_solve by the axial fold alone, as it did before the parity
+blocks, and inverse_inf_norm gives |A^-1|_inf for a forward-error bound.
 
 A two-part system's solve reads its axial pencil, and its CrossSection the
 eigenbasis of the dense cross-section blocks; kronecker_pencil gives both
@@ -253,6 +257,31 @@ def even_extension(n: int):
     return P
 
 
+def odd_extension(n: int):
+    """The dense (n, floor(n / 2)) matrix P whose column i is
+    e_i - e_{n-1-i}: P y is the odd vector of half y, zero at the centre of
+    an odd n."""
+    P = np.zeros((n, n // 2))
+    for i in range(P.shape[1]):
+        P[i, i], P[n - 1 - i, i] = 1.0, -1.0
+    return P
+
+
+def parity_extension(system, parities):
+    """The dense P of the parity block `parities` of a system (folded or
+    not): the even or odd extension along each of its section's mirrored
+    cross-section axes, the identity on every other axis."""
+    p, dims = system.spec.p, system._dims
+    odd = dict(zip(system.section.mirrored, parities))
+    P = np.ones((1, 1))
+    for k, dim in enumerate(dims):
+        if k - p in odd:
+            P = np.kron(P, odd_extension(dim) if odd[k - p] else even_extension(dim))
+        else:
+            P = np.kron(P, np.eye(dim))
+    return P
+
+
 def kronecker_pencil(system):
     """((A_top, A_other), (C_top, C_other)) of a two-part system: A_* its
     axial_pencil, C_* the dense symmetric part of each cross-section block,
@@ -281,6 +310,21 @@ def full_path_solve(system):
     fold, and accepted by linalg._accept on its own residual and |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
     x, method = _full_path(system, where)
+    return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
+
+
+def fold_path_solve(system):
+    """The system solved on its even half when it folds, and whole
+    otherwise, by the kernel its structure picks, never on parity blocks;
+    unfolded and accepted by linalg._accept on its own residual and
+    |A|_inf."""
+    where = _where(system.spec, "solve", system.ell)
+    folded = system.folded()
+    if folded is None:
+        x, method = _full_path(system, where)
+    else:
+        y, method = _full_path(folded, where)
+        x = system.unfold(y)
     return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
 
 

@@ -13,6 +13,7 @@ builds it from a full band without that walk.
 """
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -28,7 +29,9 @@ from dense_oracle import (
     dense_basis_matrix,
     even_extension,
     kronecker_pencil,
+    odd_extension,
     oracle_csr,
+    parity_extension,
     transposed_band,
 )
 
@@ -46,7 +49,13 @@ from cylasym.assembly import (
     band_apply,
     cylinder_factors,
 )
-from cylasym.problem import ProblemSpec, ScalarField, analytic_limit, builtin_problem
+from cylasym.problem import (
+    ProblemSpec,
+    ScalarField,
+    analytic_limit,
+    builtin_problem,
+    parse_problem_config,
+)
 from cylasym.splines import DiscreteField, composite_gauss
 
 
@@ -824,3 +833,163 @@ def test_the_band_fold_needs_no_mirror_symmetry(dims, widths, axis):
     got = _to_csr(folded).toarray()
     assert np.abs(got - P.T @ A @ P).max() <= 1e-15 * np.abs(A).max()
     assert not np.isnan(folded[_in_space(folded.shape)]).any()
+
+
+# ------------------------------------------------------------------ parity blocks
+
+
+@pytest.mark.parametrize("dims,widths,axis", [
+    ((9,), (5,), 0), ((8,), (3,), 0), ((2,), (3,), 0), ((3,), (7,), 0), ((4,), (9,), 0),
+    ((6, 7), (3, 5), 0), ((6, 7), (5, 3), 1), ((5, 4), (5, 5), 0), ((5, 4), (7, 7), 1),
+])
+def test_the_odd_band_fold_needs_no_mirror_symmetry(dims, widths, axis):
+    # as the even fold: the four terms of P^T A P, the middle two
+    # subtracted, from in-space slots only; the centre of an odd N is left
+    # out, and a folded factor may be narrower than its degree
+    band = _raw_band(np.random.default_rng(7), dims, widths)
+    folded = _folded_band(band, axis, odd=True)
+    P = np.ones((1, 1))
+    for k, dim in enumerate(dims):
+        P = np.kron(P, odd_extension(dim) if k == axis else np.eye(dim))
+    A = _to_csr(band).toarray()
+    got = _to_csr(folded).toarray()
+    assert got.shape == (P.shape[1],) * 2
+    assert np.abs(got - P.T @ A @ P).max() <= 1e-15 * np.abs(A).max()
+    assert not np.isnan(folded[_in_space(folded.shape)]).any()
+
+
+_BIHARMONIC = builtin_problem("biharmonic_strip")
+_BIHARMONIC_3D = parse_problem_config(
+    "[problem]\nm = 2\nn = 3\np = 1\nomega = 0,1;0,2\n\n[coef]\n"
+    "a_2_0_0_2_0_0 = 1\na_0_2_0_0_2_0 = 1\na_0_0_2_0_0_2 = 1\n"
+    "a_2_0_0_0_2_0 = 1\na_0_2_0_2_0_0 = 1\n\n[forcing]\nf = 1 + x2\n", "biharmonic_3d")
+# symmetric, with the odd keys (1, 0) and (0, 1) on x1 and x2: no axial
+# fold, and only x3 mirrored
+_MIXED_3D = parse_problem_config(
+    "[problem]\nm = 1\nn = 3\np = 1\nomega = 0,1;0,1\n\n[coef]\n"
+    "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1\n"
+    "a_1_0_0_0_1_0 = 0.5\na_0_1_0_1_0_0 = 0.5\n\n[forcing]\nf = x2 + x3^2\n", "mixed_3d")
+# nonsymmetric, with the odd axial key (1, 0): LU on parity blocks, no
+# axial fold
+_CONVECTION = _plus(_POISSON, {((1, 0), (0, 0)): "1"})
+_BLOCK_CASES = {
+    # (spec, ell, resolution, degree, mirrored)
+    "biharmonic_odd_nc": (_BIHARMONIC, 2.0, 8, None, (0,)),
+    "biharmonic_even_nc": (_BIHARMONIC, 1.0, 5, None, (0,)),
+    "biharmonic_fewest": (_BIHARMONIC, 0.5, 5, 2, (0,)),
+    # x2 on (0, 1) has an even N_c, x3 on (0, 2) an odd one
+    "biharmonic_3d": (_BIHARMONIC_3D, 1.0, 5, None, (0, 1)),
+    "mixed_3d": (_MIXED_3D, 1.0, 4, None, (1,)),
+    "convection": (_CONVECTION, 2.0, 5, None, (0,)),
+}
+
+
+@pytest.mark.parametrize("spec,ell,resolution,degree,mirrored", _BLOCK_CASES.values(),
+                         ids=_BLOCK_CASES.keys())
+def test_each_parity_block_is_p_transpose_a_p(spec, ell, resolution, degree, mirrored):
+    system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    assert system.section.mirrored == mirrored
+    half = system.folded() or system
+    A, b = half.matrix.toarray(), half.rhs
+    blocks = half.parity_blocks()
+    assert [parities for parities, _ in blocks] == list(
+        itertools.product((False, True), repeat=len(mirrored)))
+    rng = np.random.default_rng(8)
+    ys, want = [], 0.0
+    for parities, block in blocks:
+        P = parity_extension(half, parities)
+        got = block.matrix.toarray()
+        assert got.shape == (P.shape[1],) * 2 and block.ndofs == P.shape[1]
+        assert np.abs(got - P.T @ A @ P).max() <= 4e-15 * np.abs(A).max()
+        assert np.abs(block.rhs - P.T @ b).max() <= 2e-15 * np.abs(b).max()
+        # the section's blocks are mirror averaged, so the blocks are
+        # uncoupled up to the roundoff of the dense products
+        for other, _ in blocks:
+            if other != parities:
+                coupling = P.T @ A @ parity_extension(half, other)
+                assert np.abs(coupling).max() <= 4e-15 * np.abs(A).max()
+        # its band has the full half bandwidth over the folded
+        # cross-section, and its pieces are the section's folded blocks
+        assert block.band().shape[1] == P.shape[1]
+        ys.append(rng.standard_normal(P.shape[1]))
+        want = want + P @ ys[-1]
+    assert np.array_equal(half.joined(blocks, ys), want)
+
+
+def test_the_mirror_predicate_reads_every_pair():
+    # a mirrored axis: no coefficient reads it, and alpha + beta is even on
+    # it for every pair; only a section whose cylinder systems a banded
+    # kernel solves keeps parity blocks, and never for its limit system
+    cases = {
+        "biharmonic": (_BIHARMONIC, (0,), True),
+        "varcoef": (builtin_problem("varcoef_strip"), (), False),
+        "skew": (_plus(_POISSON, {((0, 1), (0, 0)): "1"}), (), False),
+        "poisson_two_part": (_POISSON, (0,), False),
+        "box3d_two_part": (_laplace_box(1), (0, 1), False),
+        "box3d_sin_x1": (_laplace_box(1, "2 + sin(x1)"), (0, 1), False),
+        "mixed_3d": (_MIXED_3D, (1,), True),
+        "convection": (_CONVECTION, (0,), True),
+    }
+    for name, (spec, mirrored, blocks) in cases.items():
+        section = CrossSection(spec, 5)
+        assert section.mirrored == mirrored, name
+        assert bool(section.parity_blocks) is blocks, name
+        cylinder = assemble_cylinder(spec, ell=1.0, resolution=5, section=section)
+        assert (cylinder.parity_blocks() is not None) is blocks, name
+        assert assemble_limit(spec, resolution=5, section=section).parity_blocks() is None
+
+
+def test_a_block_with_a_zero_load_is_left_out():
+    # a load that is exactly odd about the middle of (0, 1) folds to an even
+    # load of exactly zero (b_i + b_m(i) = 0): that block is left out, and
+    # joined gives the odd block's extension alone
+    system = assemble_cylinder(_BIHARMONIC, ell=2.0, resolution=8)
+    B = system.rhs.reshape(system._dims)
+    system = dataclasses.replace(system, rhs=(B - np.flip(B, 1)).ravel())
+    [(parities, block)] = system.parity_blocks()
+    assert parities == (True,)
+    y = np.random.default_rng(3).standard_normal(block.ndofs)
+    X = system.joined([(parities, block)], [y]).reshape(system._dims)
+    assert np.array_equal(X, -np.flip(X, 1))
+
+
+@pytest.mark.parametrize("omega,resolution", [
+    ((0.0, 1.0), 12), ((0.0, 1.0), 32), ((100.0, 101.0), 32), ((1000.0, 1001.0), 32),
+    ((15.89, 16.89), 48), ((-16.67, -15.67), 24),
+])
+def test_the_section_blocks_are_mirror_averaged(omega, resolution):
+    # omega's knots and Gauss points mirror only up to roundoff: on
+    # (15.89, 16.89) at 48 cells/unit the kernel's blocks differ from their
+    # mirrors by 8e-13 of their largest entry.  The section keeps their
+    # mirror averages, equal to their mirrors bitwise and within that
+    # roundoff of the kernel's, and the limit system reads them too
+    spec = dataclasses.replace(_BIHARMONIC, omega=(omega,), name=None)
+    section = CrossSection(spec, resolution)
+    p = spec.p
+    by_axial_part = {}
+    for (alpha, beta), coef in sorted(spec.coefficients.items()):
+        by_axial_part.setdefault((alpha[:p], beta[:p]), []).append((alpha[p:], beta[p:], coef))
+    for C, terms in zip(section.blocks, by_axial_part.values()):
+        kernel = _galerkin(section.factors, terms, pinned=p)
+        assert np.array_equal(C, np.flip(C))
+        assert np.abs(C - kernel).max() <= 1e-12 * np.abs(kernel).max()
+    zero_key = section.keys.index(((0,), (0,)))
+    assert assemble_limit(spec, resolution, section=section).nd_band is section.blocks[zero_key]
+
+
+def test_a_non_finite_block_is_left_to_the_assembly():
+    # 13 cells put a Gauss node on x3 = 1/2, where a_0_0_1_0_0_1 is
+    # infinite; x2 is mirrored, but the section folds nothing (no inf - inf)
+    # and leaves the block to the assembly, which names the stage and l.
+    # The kernel's einsum on two cross-section axes warns of the infinity
+    # itself, which the errstate silences
+    spec = parse_problem_config(
+        "[problem]\nm = 1\nn = 3\np = 1\nomega = 0,1;0,1\n\n[coef]\n"
+        "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1 + 1 / (x3 - 0.5)^2\n"
+        "a_1_0_0_0_0_0 = 1\n\n[forcing]\nf = 1\n", "singular")
+    with np.errstate(invalid="ignore"):
+        section = CrossSection(spec, 13)
+    assert section.mirrored == (0,) and section.parity_blocks == ()
+    with pytest.raises(AssemblyError, match=r"^assemble_cylinder for problem singular at "
+                                            r"l = 1: assembled matrix contains non-finite"):
+        assemble_cylinder(spec, ell=1.0, resolution=13, section=section)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import full_path_solve, inverse_inf_norm
+from dense_oracle import fold_path_solve, full_path_solve, inverse_inf_norm
 
 from cylasym import assembly, cli, harness, linalg
 from cylasym.analysis import difference_field, norm_Hm, write_report_csv
@@ -121,28 +121,29 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 def test_sweep_interior_tables_hold_their_values():
     # reprs of the estimator on the one difference field u_l - ext(u_inf),
-    # taken when the cylinder systems were first solved on their even half
-    # (AssembledSystem.folded): the fold moved them from the full solve's by
-    # up to 7.3e-13 relative at l = 2 and 7.6e-10 at l = 4, where the
-    # differences are 2500 times smaller and the solve's roundoff weighs
-    # more; the one-lattice-per-region estimator kept every bit of the
-    # per-alpha one
+    # taken when the cylinder systems were first solved on their parity
+    # blocks (AssembledSystem.parity_blocks) of their even half, over mirror
+    # averaged cross-section blocks: they moved from the even half's solve
+    # by up to 9.3e-13 relative at l = 2 and 1.0e-9 at l = 4, as the even
+    # fold had moved them from the full solve's by up to 7.3e-13 and
+    # 7.6e-10, where the differences are 2500 times smaller and the solve's
+    # roundoff weighs more
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.6466386832989115e-05, '0_1': 0.00022532855497300145, "
-            "'1_0': 0.00023244104608642147, '0_2': 0.001822944995541135, "
-            "'1_1': 0.0007724739341892034, '2_0': 0.0021641968173931533}",
-            "{'0_0': 0.0006463618950815918, '1_0': 0.004082053622871979, "
-            "'2_0': 0.024434120184653192}",
+            "{'0_0': 4.6466386833021106e-05, '0_1': 0.0002253285549731994, "
+            "'1_0': 0.0002324410460863874, '0_2': 0.0018229449955428363, "
+            "'1_1': 0.0007724739341891333, '2_0': 0.002164196817393421}",
+            "{'0_0': 0.0006463618950815919, '1_0': 0.004082053622871976, "
+            "'2_0': 0.02443412018465349}",
         ),
         (
-            "{'0_0': 1.8792150714215103e-08, '0_1': 8.232017685587601e-08, "
-            "'1_0': 8.233974729646823e-08, '0_2': 6.093924714061471e-07, "
-            "'1_1': 4.007155528970758e-07, '2_0': 3.5979045352359815e-07}",
-            "{'0_0': 1.4292434532142118e-07, '1_0': 5.297804488875751e-07, "
-            "'2_0': 3.752427943627559e-06}",
+            "{'0_0': 1.8792150708848074e-08, '0_1': 8.232017683066348e-08, "
+            "'1_0': 8.233974725231448e-08, '0_2': 6.093924715549425e-07, "
+            "'1_1': 4.007155527630703e-07, '2_0': 3.597904531589595e-07}",
+            "{'0_0': 1.4292434526927254e-07, '1_0': 5.297804487985128e-07, "
+            "'2_0': 3.752427944964277e-06}",
         ),
     ]
 
@@ -507,7 +508,7 @@ else:
     spec = builtin_problem(sys.argv[1])
 run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=int(sys.argv[2])))
 print(linalg._lapack.cache_info().currsize == 1,
-      sorted(m for m in sys.modules if m.startswith("scipy")))
+      sorted(m for m in sys.modules if m.startswith("scipy")), "numpy.random" in sys.modules)
 """
 
 
@@ -520,12 +521,13 @@ def test_two_part_sweeps_never_import_scipy_linalg(problem, resolution, loads):
     # systems in numpy; the multi-part biharmonic system and the
     # nonsymmetric skew strip bind LAPACK (loads), from its compiled module
     # alone: no sweep leaves scipy.linalg, scipy.sparse or any other scipy
-    # module in sys.modules
+    # module in sys.modules, and none loads numpy.random, which the
+    # hypothesis check's stdlib generator replaced
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", _SWEEP_IN_A_CHILD, problem, str(resolution),
                           SKEW_CONFIG], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == [str(loads), "[]"]
+    assert out.split() == [str(loads), "[]", "False"]
 
 
 def test_an_indefinite_top_block_names_the_problem_and_l():
@@ -649,7 +651,10 @@ _UNFOLDED = {
     "poisson_odd_keys": (_plus(POISSON, {((1, 0), (0, 1)): "0.5", ((0, 1), (1, 0)): "0.5"}),
                          "cyl", "cholesky_banded"),
     "box3d_sin_x1": (_laplace_box("2 + sin(x1)"), "cyl", "cholesky_banded"),
-    "nonsymmetric_odd_key": (_plus(POISSON, {((1, 0), (0, 0)): "1"}), "cyl", "lu_banded"),
+    # a_1_0_0_1 alone: nonsymmetric, and odd on x1 and on x2, so it has no
+    # parity blocks either (a_1_0_0_0 = 1, even on x2, now has: see
+    # _BLOCKED)
+    "nonsymmetric_odd_key": (_plus(POISSON, {((1, 0), (0, 1)): "1"}), "cyl", "lu_banded"),
     "biharmonic-lim": (builtin_problem("biharmonic_strip"), "lim", "cholesky_banded"),
     "box3d-lim": (_laplace_box(), "lim", "cholesky_banded"),
     "skew-lim": (parse_problem_config(SKEW_CONFIG, "skew"), "lim", "lu_banded"),
@@ -664,7 +669,7 @@ def test_a_system_that_does_not_fold_is_solved_whole_bit_for_bit(spec, where, me
         return assembly.assemble_limit(spec, resolution=6)
 
     system = assembled()
-    assert system.folded() is None
+    assert system.folded() is None and system.parity_blocks() is None
     result, full = harness._solve_system(system), full_path_solve(assembled())
     assert result.method == full.method == method
     assert result.x.tobytes() == full.x.tobytes()
@@ -692,34 +697,43 @@ def test_a_folded_cholesky_solve_peaks_below_the_full_band():
 
 
 _ONE_ACCEPTANCE = {
-    # (spec, where, folds, method)
-    "box3d_two_part": (_laplace_box(), "cyl", True, "fast_diagonalization"),
-    "biharmonic_multi_part": (builtin_problem("biharmonic_strip"), "cyl", True,
+    # (spec, where, folds, banded solves, method)
+    "box3d_two_part": (_laplace_box(), "cyl", True, 0, "fast_diagonalization"),
+    # its even half's even and odd parity blocks
+    "biharmonic_multi_part": (builtin_problem("biharmonic_strip"), "cyl", True, 2,
                               "cholesky_banded"),
-    "biharmonic_cross_section": (builtin_problem("biharmonic_strip"), "lim", False,
+    "biharmonic_cross_section": (builtin_problem("biharmonic_strip"), "lim", False, 1,
                                  "cholesky_banded"),
     "poisson_odd_key": (_plus(POISSON, {((1, 0), (0, 1)): "0.5", ((0, 1), (1, 0)): "0.5"}),
-                        "cyl", False, "cholesky_banded"),
-    "poisson_sin_x1": (_plus(POISSON, {((1, 0), (1, 0)): "2 + sin(x1)"}), "cyl", False,
+                        "cyl", False, 1, "cholesky_banded"),
+    "poisson_sin_x1": (_plus(POISSON, {((1, 0), (1, 0)): "2 + sin(x1)"}), "cyl", False, 1,
                        "cholesky_banded"),
-    "poisson_nonsymmetric": (_plus(POISSON, {((0, 1), (0, 0)): "1"}), "cyl", True, "lu_banded"),
+    "poisson_nonsymmetric": (_plus(POISSON, {((0, 1), (0, 0)): "1"}), "cyl", True, 1,
+                             "lu_banded"),
+    # the parity blocks of the whole system: the odd key (1, 0) has no fold
+    "poisson_convection": (_plus(POISSON, {((1, 0), (0, 0)): "1"}), "cyl", False, 2,
+                           "lu_banded"),
 }
 
 
-@pytest.mark.parametrize("spec,where,folds,method", _ONE_ACCEPTANCE.values(),
+@pytest.mark.parametrize("spec,where,folds,solves,method", _ONE_ACCEPTANCE.values(),
                          ids=_ONE_ACCEPTANCE.keys())
 def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, where, folds,
-                                                         method):
+                                                         solves, method):
     # _solve_system takes |A|_inf of the system it is given, once, and runs
     # the one acceptance step once, with that system's rhs, matvec and norm,
-    # whether it folds or not; the kernels check nothing themselves
+    # whether it folds or not; the kernels check nothing themselves.  A
+    # system with an n-D band reads its norm off the band its kernel
+    # factors, so it walks its slot tuples once and never calls inf_norm;
+    # every banded solve walks its own system once
     if where == "cyl":
         system = assembly.assemble_cylinder(spec, ell=2.0, resolution=5)
     else:
         system = assembly.assemble_limit(spec, resolution=5)
     assert (system.folded() is not None) is folds
     accept, inf_norm = harness._accept, assembly.AssembledSystem.inf_norm
-    accepts, norms = [], []
+    entries = assembly.AssembledSystem._entries
+    accepts, norms, walks, kernels = [], [], [], []
 
     def counted_accept(x, b, a_norm, matvec, where, method):
         accepts.append((b, a_norm, matvec))
@@ -729,11 +743,28 @@ def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, wher
         norms.append(self)
         return inf_norm(self)
 
+    def counted_walk(self, lower):
+        walks.append(self)
+        return entries(self, lower)
+
+    def counted(kernel):
+        def run(*args, **kwargs):
+            kernels.append(kernel)
+            return kernel(*args, **kwargs)
+        return run
+
     monkeypatch.setattr(harness, "_accept", counted_accept)
     monkeypatch.setattr(assembly.AssembledSystem, "inf_norm", counted_norm)
+    monkeypatch.setattr(assembly.AssembledSystem, "_entries", counted_walk)
+    for name in ("cholesky_solve", "lu_solve"):
+        monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
     result = harness._solve_system(system)
     assert result.method == method and result.x.size == system.ndofs
-    assert len(norms) == 1 and norms[0] is system
+    assert len(kernels) == len(walks) == solves
+    if system.nd_band is None:
+        assert len(norms) == 1 and norms[0] is system
+    else:
+        assert norms == [] and walks == [system]
     [(b, a_norm, matvec)] = accepts
     assert b is system.rhs and matvec == system.matvec and a_norm == inf_norm(system)
 
@@ -748,6 +779,126 @@ def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, wher
                        match=rf"^solve for problem {spec.name} {re.escape(at)}: "
                              r"backward error \S+ exceeds 1e-14$"):
         harness._solve_system(system)
+
+BIHARMONIC_3D_CONFIG = (
+    "[problem]\nm = 2\nn = 3\np = 1\nomega = 0,1;0,2\n\n[coef]\n"
+    "a_2_0_0_2_0_0 = 1\na_0_2_0_0_2_0 = 1\na_0_0_2_0_0_2 = 1\n"
+    "a_2_0_0_0_2_0 = 1\na_0_2_0_2_0_0 = 1\n\n[forcing]\nf = 1 + x2\n"
+)
+_BLOCKED = {
+    # (spec, ell, resolution, degree); N_c = resolution - 1 for the
+    # biharmonic strip at its default degree 3
+    "biharmonic_even_nc": (builtin_problem("biharmonic_strip"), 2.0, 9, None),
+    "biharmonic_fewest": (builtin_problem("biharmonic_strip"), 0.5, 5, 2),
+    # n = 3: x2 on (0, 1) has an even N_c, x3 on (0, 2) an odd one
+    "biharmonic_3d": (parse_problem_config(BIHARMONIC_3D_CONFIG, "biharmonic_3d"), 1.0, 5,
+                      None),
+    # nonsymmetric, and no axial fold: LU on the whole system's blocks
+    "convection": (_plus(POISSON, {((1, 0), (0, 0)): "1"}), 2.0, 5, None),
+}
+
+
+@pytest.mark.parametrize("spec,ell,resolution,degree", _BLOCKED.values(), ids=_BLOCKED.keys())
+def test_a_block_solve_agrees_with_the_full_path_solve(spec, ell, resolution, degree):
+    # the blocks split the system with no coupling dropped (its section's
+    # blocks are mirror averaged); both their solve and the whole system's
+    # pass the gate, so they differ by at most |A^-1| times the sum of
+    # their residual bounds, as for the even fold above
+    system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    assert (system.folded() or system).parity_blocks() is not None
+    result, full = harness._solve_system(system), full_path_solve(system)
+    x, b, a_norm = result.x, system.rhs, system.inf_norm()
+    assert result.method == full.method and result.backward_error <= 1e-14
+    bound = 10.0 * inverse_inf_norm(system) * linalg.BACKWARD_ERROR_TOL * (
+        a_norm * (np.abs(x).max() + np.abs(full.x).max()) + 2.0 * np.abs(b).max())
+    assert np.abs(x - full.x).max() <= bound
+
+
+@pytest.mark.parametrize("omega,resolution", [
+    ((0.0, 1.0), 8), ((0.0, 1.0), 12), ((0.0, 1.0), 24), ((0.0, 1.0), 32), ((0.0, 1.0), 64),
+    ((100.0, 101.0), 32), ((1000.0, 1001.0), 32), ((15.89, 16.89), 48), ((-16.67, -15.67), 24),
+])
+def test_the_block_solve_passes_the_gate_on_the_full_system(omega, resolution):
+    # omega's knots and Gauss points mirror only up to roundoff (the
+    # kernel's blocks up to 4e-15 relative on (0, 1) at 12 and 24 cells per
+    # unit, 8e-13 on (15.89, 16.89) at 48); the section mirror averages its
+    # blocks, so the parity blocks split the full system exactly, and the
+    # unchanged gate on it passes with a margin of at least 10 (the largest
+    # backward error measured at l = 2, 4, 8 and 16 is 6.6e-16, on (0, 1)
+    # at 24 cells per unit and on (-16.67, -15.67))
+    spec = dataclasses.replace(builtin_problem("biharmonic_strip"), omega=(omega,))
+    section = assembly.CrossSection(spec, resolution)
+    for ell in (2.0, 16.0):
+        system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution,
+                                            section=section)
+        # on (100, 101) and (1000, 1001) the load of f = 1 is even bitwise,
+        # so the odd block's is exactly zero and it is left out
+        assert system.folded().parity_blocks()
+        berr = harness._solve_system(system).backward_error
+        margin = linalg.BACKWARD_ERROR_TOL / berr
+        assert margin >= 10.0, f"l = {ell:g}: backward error {berr:.3g}, margin {margin:.3g}"
+
+
+def test_a_block_solve_peaks_below_one_folded_band():
+    # at 32 cells per unit and l = 16 the even half's band is 12.3 MB
+    # (kd = 96); its blocks' are 3.4 and 3.0 MB (kd = 51 and 48), written,
+    # factored and freed one after the other, so the traced peak (4.1 MiB
+    # measured) stays below the even half's band
+    linalg._lapack()
+    system = assembly.assemble_cylinder(builtin_problem("biharmonic_strip"), ell=16.0,
+                                        resolution=32)
+    folded = system.folded()
+    kd = 3 * system.basis.factors[1].dim + 3
+    tracemalloc.start()
+    try:
+        result = harness._solve_system(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == "cholesky_banded" and result.backward_error <= 1e-14
+    assert peak < (kd + 1) * folded.ndofs * 8
+
+
+_BYPASS = {
+    "poisson": POISSON,
+    "varcoef": builtin_problem("varcoef_strip"),
+    "skew": parse_problem_config(SKEW_CONFIG, "skew"),
+    "box3d": _laplace_box(),
+}
+
+
+@pytest.mark.parametrize("where", ["cyl", "lim"])
+@pytest.mark.parametrize("spec", _BYPASS.values(), ids=_BYPASS.keys())
+def test_a_system_without_parity_blocks_takes_the_fold_path_bit_for_bit(spec, where):
+    # two-part systems (poisson, box3d), one whose coefficient reads x2
+    # (varcoef), one odd in x2 (skew) and every cross-section system
+    def assembled():
+        if where == "cyl":
+            return assembly.assemble_cylinder(spec, ell=2.0, resolution=6)
+        return assembly.assemble_limit(spec, resolution=6)
+
+    system = assembled()
+    assert system.parity_blocks() is None
+    assert system.folded() is None or system.folded().parity_blocks() is None
+    result, want = harness._solve_system(system), fold_path_solve(assembled())
+    assert result.method == want.method
+    assert result.x.tobytes() == want.x.tobytes()
+    assert (result.residual, result.backward_error) == (want.residual, want.backward_error)
+
+
+def test_a_zero_forcing_solves_no_block(monkeypatch):
+    # every folded load is exactly zero, so every block is left out
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block with a zero load was solved")
+
+    spec = dataclasses.replace(builtin_problem("biharmonic_strip"),
+                               forcing=ScalarField.parse("0", 2))
+    system = assembly.assemble_cylinder(spec, ell=2.0, resolution=6)
+    assert system.folded().parity_blocks() == ()
+    monkeypatch.setattr(harness, "cholesky_solve", refuse)
+    result = harness._solve_system(system)
+    assert result.method == "cholesky_banded" and result.backward_error == 0.0
+    assert result.x.shape == (system.ndofs,) and not result.x.any()
 
 
 # ------------------------------------------------------------------ refinement
