@@ -34,7 +34,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .assembly import band_apply, zero_padded
 from .expr import format_number
@@ -196,25 +195,40 @@ def lemma19_check(records) -> tuple[float, bool]:
 # ---------------------------------------------------------------------------
 # cutoff and localized energy
 
+def _power(coef, m: int):
+    """Coefficients of the m-th power of a polynomial, by m - 1 convolutions."""
+    coef = np.array(coef)
+    out = coef
+    for _ in range(m - 1):
+        out = np.convolve(out, coef)
+    return out
+
+
 class CutoffRho:
     """C^m piecewise-polynomial plateau bump: 1 on [-1/2, 1/2], polynomial
     bridge of degree 2m+1 down to 0 at |t| = 1, zero outside.
 
     The bridge is the integral of (s(1-s))^m normalized to run from 0 to 1,
     so m derivatives vanish at both joints and max |rho'| stays bounded by a
-    constant depending only on m.
+    constant depending only on m.  Its coefficients are plain arrays, built
+    with the arithmetic of numpy.polynomial.Polynomial (convolution, then
+    term by term integration and differentiation) and evaluated by Horner's
+    rule in np.polyval, so the values are Polynomial's bit for bit.
     """
 
     def __init__(self, m: int):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         self.m = int(m)
-        kernel = Polynomial([0.0, 1.0]) ** m * Polynomial([1.0, -1.0]) ** m
-        s_poly = kernel.integ()
-        s_poly = s_poly / s_poly(1.0)
-        self._bridge = [s_poly]
+        # lowest degree first while building
+        kernel = np.convolve(_power((0.0, 1.0), m), _power((1.0, -1.0), m))
+        s_coef = np.concatenate(([0.0], kernel / np.arange(1, kernel.size + 1)))
+        s_coef = s_coef / np.polyval(s_coef[::-1], 1.0)
+        bridge = [s_coef]
         for _ in range(2 * m + 1):
-            self._bridge.append(self._bridge[-1].deriv())
+            c = bridge[-1]
+            bridge.append(c[1:] * np.arange(1, c.size))
+        self._bridge = [c[::-1] for c in bridge]  # np.polyval's order
 
     def profile(self, t, der: int = 0):
         """der-th derivative of the 1D profile at t (vectorized, even in t)."""
@@ -228,7 +242,7 @@ class CutoffRho:
         bridge = (a > 0.5) & (a < 1.0)
         if np.any(bridge):
             s = 2.0 * a[bridge] - 1.0
-            vals = -self._bridge[der](s) * 2.0**der
+            vals = -np.polyval(self._bridge[der], s) * 2.0**der
             if der % 2 == 1:
                 vals = vals * np.sign(t[bridge])
             if der == 0:

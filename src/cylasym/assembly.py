@@ -12,8 +12,10 @@ local basis derivative tables (each factor's cached local_table of its
 Gauss points, so every system on a factor reads one table) are contracted
 cell-by-cell against quadrature weights and coefficient values, one einsum
 per coefficient pair, and each local test function's element values are
-added into the rows that SplineBasis1D.window assigns it.  A load vector is
-scattered the same way.
+added into the rows that SplineBasis1D.window assigns it.  The kernel does
+this for one slab of cells along the first factor at a time, so it holds
+at most a few MiB of element values besides the band it fills.  A load
+vector is scattered the same way.
 
 The cylinder matrix is a sum of Kronecker products.  A pair (alpha, beta)
 whose coefficient reads none of the axial variables x1..xp -- decided
@@ -149,6 +151,8 @@ _CELL_LETTERS = "abc"
 _QUAD_LETTERS = "uvw"
 _ROW_LETTERS = "ijk"
 _COL_LETTERS = "lmn"
+# bytes of element values the kernel holds per slab of cells (_galerkin)
+_SLAB_BYTES = 4 * 2**20
 _AXIS_LETTERS = "abc"  # band_apply: the axes of X
 _SLOT_LETTERS = "stu"  # band_apply: the band's slot axes
 # entries per chunk of _kron_row_sums' (tuples, cross rows, cross slots)
@@ -804,43 +808,73 @@ def _galerkin(factors, terms, pinned: int = 0):
 
     alpha and beta index the factors; coef receives `pinned` leading zero
     coordinates before the factors' own.  Rows carry the test function v.
+
+    The element values are contracted one slab of cells along the first
+    factor at a time, at most _SLAB_BYTES of them (one cell at least), on
+    one einsum path fixed up front when there are several slabs, and each
+    slab is stamped into the band before the next: slabs ascend, so every
+    entry still sums its cells in ascending order.  Non-finite values are computed without a warning and
+    left to the caller's check (_check_finite).
     """
     n = len(factors)
     if n > len(_CELL_LETTERS):
         raise AssemblyError("assembly supports at most 3 tensor axes")
     tables = _local_tables(factors)
     W, coords, grid_shape = _quadrature_grid(tables, pinned)
-
     cw_sub = "".join(c + q for c, q in zip(_CELL_LETTERS[:n], _QUAD_LETTERS[:n]))
-    out_sub = _CELL_LETTERS[:n] + _ROW_LETTERS[:n] + _COL_LETTERS[:n]
+    # trial function carries alpha, test function carries beta
+    subscripts = ",".join(
+        [_CELL_LETTERS[k] + _QUAD_LETTERS[k] + letters[k]
+         for k in range(n) for letters in (_COL_LETTERS, _ROW_LETTERS)] + [cw_sub]
+    ) + "->" + _CELL_LETTERS[:n] + _ROW_LETTERS[:n] + _COL_LETTERS[:n]
 
-    # (cells..., test functions..., trial functions...), summed into each new
-    # einsum result so that no second full-size buffer is held
-    elements = 0.0
-    for alpha, beta, coef in terms:
-        vals = np.broadcast_to(coef(coords), grid_shape)
-        CW = W * vals.reshape(W.shape)
+    def operands(alpha, beta, CW, cells):
+        """The einsum's operands on the cells of the first factor; CW is
+        the weights times the coefficient on those cells."""
         ops = []
-        subs = []
         for k in range(n):
-            B = tables[k][2]
-            # trial function carries alpha, test function carries beta
-            ops.append(B[:, :, alpha[k], :])
-            subs.append(_CELL_LETTERS[k] + _QUAD_LETTERS[k] + _COL_LETTERS[k])
-            ops.append(B[:, :, beta[k], :])
-            subs.append(_CELL_LETTERS[k] + _QUAD_LETTERS[k] + _ROW_LETTERS[k])
-        ops.append(CW)
-        subs.append(cw_sub)
-        E = np.einsum(",".join(subs) + "->" + out_sub, *ops, optimize=True)
-        E += elements
-        elements = E
+            B = tables[k][2][cells] if k == 0 else tables[k][2]
+            ops += [B[:, :, alpha[k], :], B[:, :, beta[k], :]]
+        return ops + [CW]
 
+    first = factors[0]
+    per_cell = 8 * math.prod(f.cells for f in factors[1:]) * math.prod(
+        (f.degree + 1) ** 2 for f in factors)
+    step = max(1, _SLAB_BYTES // per_cell)
+    blocks = list(_local_blocks(factors))
     # -0.0 + x is x bit for bit, so every entry is the plain sum of its cells
     band = np.full(tuple(f.dim for f in factors) + tuple(2 * f.degree + 1 for f in factors), -0.0)
-    for cells, r, rows in _local_blocks(factors):
-        # trial function t of the cell sits in slot t - r + degree of row r
-        slots = tuple(slice(f.degree - rk, 2 * f.degree + 1 - rk) for f, rk in zip(factors, r))
-        band[rows + slots] += elements[cells + r]
+    with np.errstate(invalid="ignore"):
+        # each coefficient's values on the grid, a broadcast view where it
+        # reads fewer axes than the grid has
+        values = [np.broadcast_to(coef(coords), grid_shape).reshape(W.shape)
+                  for _, _, coef in terms]
+        # one slab is one einsum per term, which finds its own path
+        alpha, beta, _ = terms[0]
+        path = True if step >= first.cells else np.einsum_path(
+            subscripts, *operands(alpha, beta, W, slice(None)), optimize=True)[0]
+        for c0 in range(0, first.cells, step):
+            c1 = min(c0 + step, first.cells)
+            # (cells..., test functions..., trial functions...) of the slab,
+            # summed into each new einsum result so that no second buffer
+            # of its size is held
+            elements = 0.0
+            for (alpha, beta, _), vals in zip(terms, values):
+                CW = W[c0:c1] * vals[c0:c1]
+                E = np.einsum(subscripts, *operands(alpha, beta, CW, slice(c0, c1)),
+                              optimize=path)
+                E += elements
+                elements = E
+            for (cells, *other_cells), r, (rows, *other_rows) in blocks:
+                lo, hi = max(cells.start, c0), min(cells.stop, c1)
+                if lo >= hi:
+                    continue
+                shift = rows.start - cells.start
+                # trial function t of the cell sits in slot t - r + degree of row r
+                slots = tuple(slice(f.degree - rk, 2 * f.degree + 1 - rk)
+                              for f, rk in zip(factors, r))
+                band[(slice(lo + shift, hi + shift), *other_rows, *slots)] += \
+                    elements[(slice(lo - c0, hi - c0), *other_cells, *r)]
     return band
 
 
@@ -929,8 +963,8 @@ class CrossSection:
       averages of the kernel's (_mirror_averaged), which every system of
       the sweep reads.
 
-    It pickles with all of these, so a pool job carries them; nothing is
-    cached at module level.  The blocks and the load are checked for
+    A sweep's forked jobs inherit it with all of these; nothing is cached
+    at module level.  The blocks and the load are checked for
     non-finite entries by the assembly that uses them, which names its stage
     and l.
     """

@@ -1,7 +1,8 @@
 """Command-line front end: sweep, refine, validate.
 
 Exit codes: 0 success, 1 configuration or usage error (an assembly failure
-included), 2 structural hypothesis failure, 3 solver failure.
+included), 2 structural hypothesis failure, 3 solver failure, 4 a sweep
+worker process (--workers > 1) exited without its results.
 """
 
 import argparse
@@ -9,7 +10,7 @@ import os
 import sys
 
 from .assembly import AssemblyError
-from .harness import HypothesisError, SweepPlan, run_refinement, run_sweep
+from .harness import HypothesisError, SweepPlan, WorkerError, run_refinement, run_sweep
 from .linalg import SolverError
 from .problem import (
     ProblemConfigError,
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_HYPOTHESIS = 2
 EXIT_SOLVER = 3
+EXIT_WORKER = 4
 
 
 class _UsageError(Exception):
@@ -189,6 +191,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

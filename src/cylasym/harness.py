@@ -7,15 +7,19 @@ Boor tables, the cross-section block of every axial part, the load, the
 norms' Gram bands and, for a two-part system, the pencil's eigenbasis.  The
 limit system is its zero-axial-part block and load, solved once in the
 parent; per-ell jobs assemble only the axial pieces and are independent.
-They run either inline or on a process pool, the largest ell first: on the
-pool that is the longest-first schedule, and inline it allocates the largest
-Cholesky factor before the smaller jobs have grown the heap.  Records and
-reports still follow the plan's order, and when jobs fail the error raised
-is that of the smallest failing ell, as a run in plan order would raise.
-A pool job carries the CrossSection and u_inf, pickled; every number is
-computed from the same arrays as inline, so serial and parallel runs
-produce the same floating-point results.  The l_max job also computes the
-localized-energy table of its u_l, so no job sends its solution back.
+With workers > 1 they run on forked children (_run_jobs): the jobs are
+split into min(workers, jobs) chains, the largest ell first onto the
+least-loaded chain, and each chain runs in one child forked after the
+CrossSection, u_inf and its norm are built, so the child inherits them
+instead of unpickling them, and sends back only one pickle of its
+outcomes.  One chain runs inline, the largest ell first, which allocates
+the largest Cholesky factor before the smaller jobs have grown the heap.
+Records and reports still follow the plan's order, and when jobs fail the
+error raised is that of the smallest failing ell, as a run in plan order
+would raise.  Every number is computed from the same arrays inline and in a
+child, so serial and parallel runs produce the same floating-point results.
+The l_max job also computes the localized-energy table of its u_l, so no
+job sends its solution back.
 
 _solve_system is the one place a system is solved and accepted.  It folds
 a cylinder system whose section is even (CrossSection.even: no coefficient
@@ -49,8 +53,11 @@ so the record's backward_error, solver_residual and dofs describe the
 full system.  Solver failures name the problem, ell and stage.
 """
 
+import contextlib
+import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +115,10 @@ class HypothesisError(RuntimeError):
     """The problem fails a structural hypothesis; solving would be meaningless."""
 
 
+class WorkerError(RuntimeError):
+    """A forked sweep worker exited without sending its outcomes back."""
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     spec: ProblemSpec
@@ -141,6 +152,8 @@ class SweepPlan:
             raise ValueError("interior margin must lie strictly between 0 and 0.5")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ValueError("more than 1 worker needs os.fork, which this platform lacks")
         if self.degree is not None and self.degree < self.spec.m:
             raise ValueError(
                 f"degree {self.degree} cannot conform to order m = {self.spec.m}"
@@ -313,26 +326,115 @@ def _sweep_worker(args):
     return record, localized
 
 
+def _chains(jobs, workers: int):
+    """The job indices split into min(workers, len(jobs)) chains: the
+    largest ell first, each onto the chain with the least ell so far."""
+    chains = [[] for _ in range(min(workers, len(jobs)))]
+    loads = [0.0] * len(chains)
+    for k in sorted(range(len(jobs)), key=lambda k: -jobs[k][2]):
+        c = loads.index(min(loads))
+        chains[c].append(k)
+        loads[c] += jobs[k][2]
+    return chains
+
+
+def _run_chain(jobs, chain):
+    """{k: (ok, outcome)} of the jobs of the chain, run in its order:
+    _sweep_worker's result, or the exception it raised."""
+    outcomes = {}
+    for k in chain:
+        try:
+            outcomes[k] = (True, _sweep_worker(jobs[k]))
+        except Exception as exc:
+            outcomes[k] = (False, exc)
+    return outcomes
+
+
+def _sendable(ell, outcome):
+    """outcome, or (False, RuntimeError) carrying its repr when it does not
+    survive a pickle round trip."""
+    try:
+        pickle.loads(pickle.dumps(outcome))
+        return outcome
+    except Exception:
+        return False, RuntimeError(f"the outcome of the job at l = {ell:g} cannot be pickled: "
+                                   f"{outcome[1]!r}")
+
+
+def _fork_chain(jobs, chain):
+    """(pid, read end of its pipe) of a child that runs the chain, writes
+    one pickle of its outcomes to the pipe and exits; it never returns."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            outcomes = {k: _sendable(jobs[k][2], v) for k, v in _run_chain(jobs, chain).items()}
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(pickle.dumps(outcomes))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _join_chains(jobs, chains):
+    """{k: (ok, outcome)} of every job, each chain run in a forked child.
+
+    The parent reads each child's pipe to its end and reaps it.  A child
+    that exits without its outcomes raises WorkerError; on any exception,
+    KeyboardInterrupt included, the parent kills and reaps every child it
+    has not reaped yet.
+    """
+    children = []  # (pid, pipe, chain) of the children not reaped yet
+    try:
+        for chain in chains:
+            children.append(_fork_chain(jobs, chain) + (chain,))
+        outcomes = {}
+        while children:
+            pid, pipe, chain = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            try:
+                outcomes.update(pickle.loads(data))
+            except Exception:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                name = jobs[0][0].spec.name or "unnamed"
+                ells = ", ".join(f"{jobs[k][2]:g}" for k in chain)
+                raise WorkerError(f"the sweep worker for problem {name} at l = {ells} exited "
+                                  f"without its results (wait status {status}, {how})") from None
+        return outcomes
+    except BaseException:
+        for pid, pipe, _ in children:
+            pipe.close()
+            with contextlib.suppress(OSError):  # it may have been reaped already
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        raise
+
+
 def _run_jobs(jobs, workers: int):
     """Outcomes of the sweep jobs in plan order; the largest ell runs first.
 
     Every job runs even when one fails, and the error of the first failed
-    job in plan order is raised, with the pool and without it alike.
+    job in plan order is raised, in one process or in several alike.
     """
-    largest_first = range(len(jobs) - 1, -1, -1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            futures = {k: pool.submit(_sweep_worker, jobs[k]) for k in largest_first}
-            return [futures[k].result() for k in range(len(jobs))]
-    outcomes, failures = {}, {}
-    for k in largest_first:
-        try:
-            outcomes[k] = _sweep_worker(jobs[k])
-        except Exception as exc:
-            failures[k] = exc
+    chains = _chains(jobs, workers)
+    outcomes = _run_chain(jobs, chains[0]) if len(chains) == 1 else _join_chains(jobs, chains)
+    failures = [k for k in sorted(outcomes) if not outcomes[k][0]]
     if failures:
-        raise failures[min(failures)]
-    return [outcomes[k] for k in range(len(jobs))]
+        raise outcomes[failures[0]][1]
+    return [outcomes[k][1] for k in range(len(jobs))]
 
 
 def _try_fit(points, warnings, label):
@@ -363,8 +465,8 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     timings["limit_solve_s"] = time.perf_counter() - t0
 
     if section.two_part and all(np.isfinite(C).all() for C in section.blocks):
-        # every job solves with this eigenbasis, so a pool job carries it; a
-        # failure would be every job's, and names the smallest l, as the
+        # every job solves with this eigenbasis, so a forked job inherits it;
+        # a failure would be every job's, and names the smallest l, as the
         # first failing job in plan order would.  A non-finite block is left
         # to the jobs' assembly, which refuses it naming l.
         section.eigenbasis(_where(spec, "solve", plan.ells[0]))

@@ -20,14 +20,15 @@ shares them, and they give the banded 1-D Gram matrices of weighted sums
 over points (gram_band; axis_grams builds them for a factor on a composite
 Gauss rule), from which analysis integrates the norms of spline fields
 without evaluating them.  composite_gauss scales one memoized, read-only
-Gauss-Legendre rule per point count.
+Gauss-Legendre rule per point count, read from a table of the rules of 1 to
+8 points, bit for bit those of numpy.polynomial.legendre.leggauss, so the
+package does not import numpy.polynomial; a larger count calls leggauss.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 _DOMAIN_RTOL = 1e-12
 
@@ -93,11 +94,50 @@ def cells_for(extent, resolution: int) -> int:
     return max(1, round((hi - lo) * resolution))
 
 
+# numpy.polynomial.legendre.leggauss(n) for n = 1..8 as hex floats, bit for
+# bit: (nodes, weights)
+_LEGGAUSS = {
+    1: ("0x0.0p+0",
+        "0x1.0000000000000p+1"),
+    2: ("-0x1.279a74590331cp-1 0x1.279a74590331cp-1",
+        "0x1.0000000000000p+0 0x1.0000000000000p+0"),
+    3: ("-0x1.8c97ef43f7248p-1 0x0.0p+0 0x1.8c97ef43f7248p-1",
+        "0x1.1c71c71c71c73p-1 0x1.c71c71c71c71cp-1 0x1.1c71c71c71c73p-1"),
+    4: ("-0x1.b8e6dbcf63985p-1 -0x1.5c23fd9dd3dfcp-2 0x1.5c23fd9dd3dfcp-2 "
+        "0x1.b8e6dbcf63985p-1",
+        "0x1.64340f7e7b666p-2 0x1.4de5f840c24cdp-1 0x1.4de5f840c24cdp-1 0x1.64340f7e7b666p-2"),
+    5: ("-0x1.cff6ce0533a69p-1 -0x1.13b23fd99b705p-1 0x0.0p+0 0x1.13b23fd99b705p-1 "
+        "0x1.cff6ce0533a69p-1",
+        "0x1.e539ec36e0393p-3 0x1.ea1da25ae4158p-2 0x1.23456789abcddp-1 0x1.ea1da25ae4158p-2 "
+        "0x1.e539ec36e0393p-3"),
+    6: ("-0x1.dd6ca4e80a01dp-1 -0x1.528a09655c95ep-1 -0x1.e8b12d03675c5p-3 "
+        "0x1.e8b12d03675c5p-3 0x1.528a09655c95ep-1 0x1.dd6ca4e80a01dp-1",
+        "0x1.5edf601e2dbf5p-3 0x1.716b7b5794c1ep-2 0x1.df24d499545e8p-2 0x1.df24d499545e8p-2 "
+        "0x1.716b7b5794c1ep-2 0x1.5edf601e2dbf5p-3"),
+    7: ("-0x1.e5f178e7c622ap-1 -0x1.7ba9f9be3a1d6p-1 -0x1.9f95df119fd62p-2 0x0.0p+0 "
+        "0x1.9f95df119fd62p-2 0x1.7ba9f9be3a1d6p-1 0x1.e5f178e7c622ap-1",
+        "0x1.092f69f826d58p-3 0x1.1e6b1713d8648p-2 0x1.86fe74ee32b39p-2 0x1.abfd7e03c2fa4p-2 "
+        "0x1.86fe74ee32b39p-2 0x1.1e6b1713d8648p-2 0x1.092f69f826d58p-3"),
+    8: ("-0x1.ebab1cb0acc66p-1 -0x1.97e4ab249f41ep-1 -0x1.0d129583284b4p-1 "
+        "-0x1.77ac94f3c7344p-3 0x1.77ac94f3c7344p-3 0x1.0d129583284b4p-1 0x1.97e4ab249f41ep-1 "
+        "0x1.ebab1cb0acc66p-1",
+        "0x1.9ea1d04ca03aep-4 0x1.c76fb531d2b94p-3 0x1.413c50a25560ep-2 0x1.736360b19933dp-2 "
+        "0x1.736360b19933dp-2 0x1.413c50a25560ep-2 0x1.c76fb531d2b94p-3 0x1.9ea1d04ca03aep-4"),
+}
+
+
 @lru_cache(maxsize=None)
 def _legendre(points_per_cell: int):
-    """Gauss-Legendre nodes and weights on (-1, 1), read-only: one eigensolve
-    per rule, shared by every composite rule that uses it."""
-    nodes, weights = leggauss(points_per_cell)
+    """Gauss-Legendre nodes and weights on (-1, 1), read-only, shared by
+    every composite rule that uses them: from _LEGGAUSS, or from leggauss
+    for a point count the table does not hold."""
+    if points_per_cell in _LEGGAUSS:
+        nodes, weights = (np.array([float.fromhex(v) for v in text.split()])
+                          for text in _LEGGAUSS[points_per_cell])
+    else:
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(points_per_cell)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

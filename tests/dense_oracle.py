@@ -37,11 +37,16 @@ blocks, and inverse_inf_norm gives |A^-1|_inf for a forward-error bound.
 A two-part system's solve reads its axial pencil, and its CrossSection the
 eigenbasis of the dense cross-section blocks; kronecker_pencil gives both
 halves, dense, so a test can rebuild the matrix from them.
+
+analysis.CutoffRho builds its bridge on plain coefficient arrays and
+evaluates it with np.polyval; polynomial_cutoff_profile here builds the
+same bridge with numpy.polynomial.Polynomial, so a test can compare them.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import Polynomial
 
 from cylasym import linalg
 from cylasym.assembly import _cross_pencil, _where
@@ -65,6 +70,29 @@ def full_band(system):
     if system.nd_band is not None:
         band = band + system.nd_band
     return band
+
+
+def polynomial_cutoff_profile(m: int, t, der: int = 0):
+    """CutoffRho(m).profile(t, der), its bridge a Polynomial: the integral of
+    (s(1-s))^m normalized to 1 at s = 1, and its derivatives."""
+    kernel = Polynomial([0.0, 1.0]) ** m * Polynomial([1.0, -1.0]) ** m
+    s_poly = kernel.integ()
+    bridge = [s_poly / s_poly(1.0)]
+    for _ in range(2 * m + 1):
+        bridge.append(bridge[-1].deriv())
+    t = np.asarray(t, dtype=np.float64)
+    if der >= len(bridge):
+        return np.zeros_like(t)
+    a = np.abs(t)
+    out = np.zeros_like(a)
+    if der == 0:
+        out[a <= 0.5] = 1.0
+    on = (a > 0.5) & (a < 1.0)
+    vals = -bridge[der](2.0 * a[on] - 1.0) * 2.0**der
+    if der % 2 == 1:
+        vals = vals * np.sign(t[on])
+    out[on] = 1.0 + vals if der == 0 else vals
+    return out
 
 
 def _to_csr(band):

@@ -12,6 +12,7 @@ from dense_oracle import (
     ProductEvaluator,
     dense_basis_matrix,
     kron_parts_per_alpha,
+    polynomial_cutoff_profile,
 )
 
 from cylasym import analysis
@@ -223,6 +224,17 @@ def test_cutoff_midpoint_is_half():
         rho = CutoffRho(m)
         assert abs(float(rho.profile(0.75)) - 0.5) <= 1e-14
         assert abs(float(rho.profile(-0.75)) - 0.5) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cutoff_profile_is_the_polynomial_bridge_bit_for_bit(m):
+    # the plateau, both bridges, both joints, outside, and a derivative
+    # order past the bridge's degree
+    t = np.concatenate([np.linspace(-1.25, 1.25, 2001), [-0.5, 0.5, -1.0, 1.0, 0.75 + 1e-13]])
+    rho = CutoffRho(m)
+    for der in range(2 * m + 3):
+        got, want = rho.profile(t, der), polynomial_cutoff_profile(m, t, der)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), der
 
 
 def test_cutoff_bridge_monotone_and_smooth():

@@ -35,6 +35,7 @@ from dense_oracle import (
     transposed_band,
 )
 
+from cylasym import assembly
 from cylasym.assembly import (
     AssemblyError,
     CrossSection,
@@ -309,6 +310,23 @@ def test_axial_coefficient_assembly_memory():
     assert peak <= 20 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
+def test_the_nd_kernel_holds_one_slab_of_elements():
+    # the benchmark's box3d at 12 cells/unit with a_1_0_0_1_0_0 = 2 + sin(x1),
+    # l = 4: the n-D band is 13.2 MiB, and assemble_cylinder peaked at
+    # 24.8 MiB traced with slabs of 4 MiB; holding the whole element array
+    # (cells, 27, 27) and its einsum intermediates, it peaked at 134 MiB
+    spec = _laplace_box(1, "2 + sin(x1)")
+    section = CrossSection(spec, 12)
+    tracemalloc.start()
+    try:
+        system = assemble_cylinder(spec, ell=4.0, resolution=12, section=section)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.nd_band.nbytes > 13 * 2**20
+    assert peak <= 2.5 * system.nd_band.nbytes, peak / 2**20
+
+
 class _Recorder:
     """A coefficient that records the point-grid shape of every evaluation."""
 
@@ -449,6 +467,23 @@ def _laplace_box(p, first="1"):
         coefficients={key: ScalarField.parse(t, 3) for key, t in texts.items()},
         forcing=ScalarField.parse("sin(3.141592653589793 * x3)", 3),
     )
+
+
+@pytest.mark.parametrize("spec,resolution", [
+    (_laplace_box(1, "2 + sin(x1)"), 4),
+    (_box_spec(1, "1 + x1^2 * x3"), 3),
+    (_laplace_box(2, "2 + sin(x1 * x2)"), 3),
+], ids=["box3d_sin_x1", "nonsymmetric", "p2"])
+def test_the_nd_band_is_the_same_on_any_slab_size(monkeypatch, spec, resolution):
+    # slabs of one cell, of a few cells, and one slab: each entry sums its
+    # cells in ascending order whatever the slabs, so the band is bitwise one
+    section = CrossSection(spec, resolution)
+    bands = []
+    for slab_bytes in (1, 2**14, 2**40):
+        monkeypatch.setattr(assembly, "_SLAB_BYTES", slab_bytes)
+        bands.append(assemble_cylinder(spec, ell=1.0, resolution=resolution,
+                                       section=section).nd_band.tobytes())
+    assert bands[0] == bands[1] == bands[2]
 
 
 _SYMMETRIC_CASES = {
@@ -722,15 +757,24 @@ def test_lower_band_refuses_a_nonsymmetric_system():
         system.lower_band()
 
 
-def test_import_loads_no_scipy_module():
+def test_import_loads_no_scipy_module(tmp_path):
     # AssembledSystem.matrix imports scipy.sparse on its first read, and the
     # first LAPACK solve binds its routines; the benchmark's setup_s and
-    # wall_s are split at this line: an import here moves time into setup_s
-    code = "import sys, cylasym; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # wall_s are split at this line: an import here moves time into setup_s.
+    # A sweep forks its workers, so not even its parent loads an executor,
+    # and the Gauss rules and the cutoff's bridge need no numpy.polynomial
+    lean = ("concurrent", "multiprocessing", "numpy.polynomial")
+    sweep = ["sweep", "--problem", "biharmonic_strip", "--l", "2,4", "--cells-per-unit", "8",
+             "--workers", "2"]
+    code = ("import sys, cylasym, cylasym.cli\n"
+            "assert not sys.argv[2:] or cylasym.cli.main(sys.argv[2:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[1].split(',')))))")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["[]"]
+    for argv, refused in (([], ("scipy",) + lean), (sweep, lean)):
+        out = subprocess.run([sys.executable, "-c", code, ",".join(refused)] + argv,
+                             capture_output=True, text=True, cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.splitlines()[-1] == "[]", argv
 
 
 # ------------------------------------------------------------------ the even fold
@@ -981,14 +1025,13 @@ def test_a_non_finite_block_is_left_to_the_assembly():
     # 13 cells put a Gauss node on x3 = 1/2, where a_0_0_1_0_0_1 is
     # infinite; x2 is mirrored, but the section folds nothing (no inf - inf)
     # and leaves the block to the assembly, which names the stage and l.
-    # The kernel's einsum on two cross-section axes warns of the infinity
-    # itself, which the errstate silences
+    # The kernel computes the infinity on two cross-section axes without a
+    # warning, which filterwarnings = error would turn into a failure here
     spec = parse_problem_config(
         "[problem]\nm = 1\nn = 3\np = 1\nomega = 0,1;0,1\n\n[coef]\n"
         "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1 + 1 / (x3 - 0.5)^2\n"
         "a_1_0_0_0_0_0 = 1\n\n[forcing]\nf = 1\n", "singular")
-    with np.errstate(invalid="ignore"):
-        section = CrossSection(spec, 13)
+    section = CrossSection(spec, 13)
     assert section.mirrored == (0,) and section.parity_blocks == ()
     with pytest.raises(AssemblyError, match=r"^assemble_cylinder for problem singular at "
                                             r"l = 1: assembled matrix contains non-finite"):

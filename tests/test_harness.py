@@ -5,8 +5,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -56,6 +58,13 @@ def test_plan_rejects_bad_shapes():
         SweepPlan(spec=POISSON, interior_margin=0.5)
     with pytest.raises(ValueError, match="worker"):
         SweepPlan(spec=POISSON, workers=0)
+
+
+def test_plan_refuses_workers_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    SweepPlan(spec=POISSON, workers=1)  # one worker forks nothing
+    with pytest.raises(ValueError, match="needs os.fork"):
+        SweepPlan(spec=POISSON, workers=2)
     with pytest.raises(ValueError, match="cannot conform"):
         SweepPlan(spec=builtin_problem("biharmonic_strip"), resolution=8, degree=1)
 
@@ -215,7 +224,7 @@ def test_sweep_serial_and_parallel_bytes_match(tmp_path):
 
 
 def test_biharmonic_sweep_serial_and_parallel_bytes_match(tmp_path):
-    # a multi-part system: each pool job carries the CrossSection, pickled
+    # a multi-part system: each forked job inherits the CrossSection
     paths = []
     for workers in (1, 2):
         plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0, 8.0),
@@ -1223,3 +1232,117 @@ def test_cli_failed_jobs_name_the_smallest_ell_with_and_without_pool(tmp_path, c
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
     assert "assemble_cylinder" in errs[0] and "at l = 2:" in errs[0]
+
+
+# ------------------------------------------------------------------ fork-join
+
+_SINGULAR_CONFIG = (
+    "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+    "a_1_0_1_0 = 1 + 1 / (x2 - 0.5)^2\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n"
+)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _patched_worker(monkeypatch, act):
+    """Patch harness._sweep_worker to call act(ell) before each job."""
+    worker = harness._sweep_worker
+
+    def patched(job):
+        act(job[2])
+        return worker(job)
+
+    monkeypatch.setattr(harness, "_sweep_worker", patched)
+
+
+def test_chains_put_the_largest_ell_first_on_the_least_loaded_chain():
+    jobs = [(None, None, ell) for ell in (2.0, 4.0, 8.0, 16.0)]
+    assert harness._chains(jobs, 2) == [[3], [2, 1, 0]]
+    assert harness._chains(jobs, 1) == [[3, 2, 1, 0]]
+    assert harness._chains(jobs, 8) == [[3], [2], [1], [0]]
+
+
+@pytest.mark.parametrize("config,code", [(None, 0), (_SINGULAR_CONFIG, 1)],
+                         ids=["good", "failing"])
+def test_forked_sweeps_leave_no_child_process(tmp_path, capsys, config, code):
+    problem = "poisson_strip"
+    if config is not None:
+        problem = tmp_path / "singular.cfg"
+        problem.write_text(config)
+    argv = ["sweep", "--problem", str(problem), "--l", "2,4,8", "--cells-per-unit", "13",
+            "--workers", "2"]
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    _no_child_left()
+
+
+def test_a_dead_worker_is_named_with_its_ells_and_exits_four(monkeypatch, capsys):
+    # l = 2, 4, 8 on 2 workers: chains [8] and [4, 2]; the second child
+    # exits at l = 4 without sending anything
+    def act(ell):
+        if ell == 4.0:
+            os._exit(3)
+
+    _patched_worker(monkeypatch, act)
+    argv = ["sweep", "--problem", "poisson_strip", "--l", "2,4,8", "--cells-per-unit", "6",
+            "--workers", "2"]
+    assert cli.main(argv) == cli.EXIT_WORKER == 4
+    err = capsys.readouterr().err
+    assert err == ("worker failure: the sweep worker for problem poisson_strip at l = 4, 2 "
+                   "exited without its results (wait status 768, exit code 3)\n")
+    _no_child_left()
+
+
+def test_a_parent_error_kills_and_reaps_every_child(monkeypatch):
+    # the l = 8 child is killed while the other one would sleep for a
+    # minute: the parent raises at once and kills it
+    def act(ell):
+        if ell == 8.0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(60.0)
+
+    _patched_worker(monkeypatch, act)
+    plan = SweepPlan(spec=POISSON, ells=(2.0, 4.0, 8.0), resolution=6, workers=2)
+    t = time.perf_counter()
+    with pytest.raises(harness.WorkerError, match=r"poisson_strip at l = 8 exited without its "
+                                                  r"results \(wait status 9, killed by signal "
+                                                  r"9\)$"):
+        run_sweep(plan)
+    assert time.perf_counter() - t < 30.0
+    _no_child_left()
+
+
+def test_a_keyboard_interrupt_kills_and_reaps_every_child(monkeypatch):
+    # the l = 8 child interrupts the parent, which waits on its pipe, and
+    # both children would sleep for a minute
+    def act(ell):
+        if ell == 8.0:
+            time.sleep(0.2)
+            os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60.0)
+
+    _patched_worker(monkeypatch, act)
+    plan = SweepPlan(spec=POISSON, ells=(2.0, 4.0, 8.0), resolution=6, workers=2)
+    t = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(plan)
+    assert time.perf_counter() - t < 30.0
+    _no_child_left()
+
+
+def test_an_outcome_that_cannot_be_pickled_travels_as_its_repr(monkeypatch):
+    worker = harness._sweep_worker
+
+    def patched(job):
+        record, localized = worker(job)
+        return (record, lambda: localized) if job[2] == 4.0 else (record, localized)
+
+    monkeypatch.setattr(harness, "_sweep_worker", patched)
+    plan = SweepPlan(spec=POISSON, ells=(2.0, 4.0, 8.0), resolution=6, workers=2)
+    with pytest.raises(RuntimeError, match=r"^the outcome of the job at l = 4 cannot be "
+                                           r"pickled: \(ErrorRecord\(ell=4\.0"):
+        run_sweep(plan)
+    _no_child_left()

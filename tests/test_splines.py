@@ -147,6 +147,16 @@ def test_gauss_rule_is_computed_once_per_point_count():
     assert first[0].flags.writeable  # the composite rule is the caller's own
 
 
+def test_the_tabulated_rules_are_leggauss_bit_for_bit():
+    assert sorted(splines._LEGGAUSS) == list(range(1, 9))
+    splines._legendre.cache_clear()
+    for n in list(splines._LEGGAUSS) + [max(splines._LEGGAUSS) + 1]:  # the last one is lazy
+        nodes, weights = splines._legendre(n)
+        x, w = leggauss(n)
+        assert nodes.tobytes() == x.tobytes() and weights.tobytes() == w.tobytes(), n
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+
 @pytest.mark.parametrize("degree,bc_order", [(2, 0), (2, 1), (3, 2)])
 def test_gram_band_matches_dense_oracle(degree, bc_order):
     # quadrature cells of another width than the spline's, so points from
