@@ -61,40 +61,38 @@ exactly two Kronecker parts, each with equal axial indices, and no n-D band
 (two_part) also hands over its axial pencil: the lower bands of the two
 axial blocks, written by the same walk.  No full-size band is ever built.
 
-A cylinder system of an even section (CrossSection.even: no n-D band, and
-every axial key of even order on every axial axis) commutes with each
-reflection x_k -> -x_k.  AssembledSystem.folded gives the system on the
-even subspace, P^T A P y = P^T b with P the even extension along each axial
-axis in turn: each Kronecker part's axial band is folded in band layout
-(_folded_band), summing the four terms A(i, k) + A(i, m(k)) + A(m(i), k) +
-A(m(i), m(k)) with m(i) = N_ax - 1 - i and the centre of an odd N_ax
-counted once, from in-space slots only; its cross-section band is shared
-and its half bandwidth unchanged.  A system takes its dims and degrees from
-its pieces, so the folded one needs no spline basis; unfold gives x = P y.
-assemble_cylinder returns the full system, and the solve folds it.
-
-The cross-section is mirror-symmetric too.  A cross-section axis is
-mirrored (CrossSection.mirrored) when no coefficient reads its coordinate
-and every pair has alpha + beta even on it; then every cylinder system
-commutes with its reflection, but the forcing may have either parity.
-When a banded kernel solves the cylinder systems (no n-D band, not
-two-part), the CrossSection replaces each cross-section block by its
-mirror average (_mirror_averaged) along every mirrored axis, since omega's
-uniform knots and quadrature points are mirror-symmetric only up to
-roundoff (the kernel's blocks up to 8e-13 of their largest entry on
-omega = (15.89, 16.89) at 48 cells per unit), so that every system that
-reads the blocks, the limit system too, commutes with the reflections
-bitwise.  It then folds every block once per sweep along each mirrored
-axis, to its even and to its odd half (_folded_band with odd:
-P e_i = e_i - e_m(i), the centre left out), one (parities, blocks) per
-parity tuple (CrossSection.parity_blocks).
-AssembledSystem.parity_blocks pairs a cylinder system's axial bands,
-folded or not, with each tuple's blocks, and folds its load alike
-(_folded_rows): the uncoupled systems P_s^T A P_s y_s = P_s^T b, leaving
-out a block whose folded load is exactly zero, and joined gives
-x = sum_s P_s y_s.  Each block has about half the cross-section functions
-per mirrored axis and so about half the half bandwidth, which cuts a
-banded Cholesky, costing N kd^2, by 8 per block and 4 for the pair.
+A cylinder system commutes with the reflection of an axis k about the
+middle of its extent when no coefficient reads x_k and every pair has
+alpha_k + beta_k even on it (CrossSection._reflects), and the solve uses
+those symmetries through one fold, AssembledSystem.parity_blocks.  When
+every axial axis reflects (CrossSection.even) the load is even on them too,
+since the forcing may not read x1..xp, so only the even half is solved:
+each Kronecker part's axial band is folded once per system, along each
+axial axis in turn, in band layout (_folded_band), summing the four terms
+A(i, k) + A(i, m(k)) + A(m(i), k) + A(m(i), m(k)) with m(i) = N_ax - 1 - i
+and the centre of an odd N_ax counted once, from in-space slots only, with
+the half bandwidth unchanged.  The forcing may have either parity on the
+cross-section, so there every parity is solved: when a banded kernel
+solves the cylinder systems (no n-D band, not two-part), the reflecting
+cross-section axes (CrossSection.mirrored) are the section's parity axes
+(CrossSection.parity_axes), and each parity tuple over them has one block,
+its cross-section bands the section's folded to its even or odd half along
+each parity axis (_folded_band with odd: P e_i = e_i - e_m(i), the centre
+left out).  Omega's uniform knots and quadrature points are
+mirror-symmetric only up to roundoff (the kernel's blocks up to 8e-13 of
+their largest entry on omega = (15.89, 16.89) at 48 cells per unit), so the
+CrossSection replaces each cross-section block by its mirror average
+(_mirror_averaged) along every parity axis, and every system that reads
+the blocks, the limit system too, commutes with the reflections bitwise.
+The folded cross-section blocks are formed per system, not kept per sweep.
+A block's load is the system's folded alike (_folded_rows): the uncoupled
+systems P_s^T A P_s y_s = P_s^T b, leaving out a block whose folded load is
+exactly zero, and joined gives x = sum_s P_s y_s.  A block takes its dims
+and degrees from its pieces, so it needs no spline basis.  Each block has
+about half the cross-section functions per parity axis and so about half
+the half bandwidth, which cuts a banded Cholesky, costing N kd^2, by 8 per
+block and 4 for the pair.  assemble_cylinder returns the full system, and
+the solve folds it.
 
 The residual of the backward-error check skips the walk, and so does its
 norm for a system of Kronecker parts alone.  matvec multiplies by the
@@ -336,73 +334,63 @@ class AssembledSystem:
             raise ValueError("the Kronecker pencil describes a two-part system only")
         return tuple(_lower_of_band(A) for A, _ in _top_first(self.kron_parts, self.axial_keys))
 
-    def folded(self):
-        """The system P^T A P y = P^T b on the even subspace of every axial
-        axis, or None unless it is a cylinder system of an even section
-        (CrossSection.even).
-
-        P is the even extension along each axial axis in turn
-        (_folded_band): each Kronecker part's axial band is folded, its
-        cross-section band shared, and the load folded alike.  The folded
-        system has no basis; its dims and degrees come from its pieces.
-        Then x = unfold(y) solves A x = b, since A commutes with every
-        reflection x_k -> -x_k and b is even.  Its parity_blocks split it
-        further when its section has them.
-        """
-        if not (self.kron_parts and self.section.even):
-            return None
-        parts, rhs = self.kron_parts, self.rhs.reshape(self._dims)
-        for axis in range(self.spec.p):
-            parts = tuple((_folded_band(A, axis), C) for A, C in parts)
-            rhs = _folded_rows(rhs, axis)
-        return replace(self, rhs=rhs.ravel(), basis=None, kron_parts=parts)
-
-    def unfold(self, y):
-        """x = P y: the even vector of this system's space whose half, that
-        of folded(), is y; bitwise even on every axial axis."""
-        p, dims = self.spec.p, self._dims
-        Y = np.reshape(y, tuple((n + 1) // 2 for n in dims[:p]) + dims[p:])
-        for axis in range(p):
-            Y = _unfolded_rows(Y, axis, dims[axis])
-        return Y.ravel()
-
     def parity_blocks(self):
-        """(parities, block) per parity block of the section's mirrored
-        cross-section axes (CrossSection.parity_blocks) whose folded load is
-        not exactly zero, or None unless this is a cylinder system, folded
-        or not, of a section that has them.
+        """(parities, block) per parity tuple over the section's parity axes
+        (CrossSection.parity_axes) whose folded load is not exactly zero,
+        or None unless this is a cylinder system that folds on some axis:
+        every axial axis of an even section (CrossSection.even), or some
+        parity axis.
 
-        The block is the system P_s^T A P_s y = P_s^T b, P_s the even or odd
-        extension (parities[j] True for odd) along mirrored axis j: its
-        Kronecker parts pair this system's axial bands with the section's
-        folded cross-section bands, and its load is this system's load
-        folded alike (_folded_rows).  A commutes with every mirrored
-        reflection bitwise, so the blocks are uncoupled and
-        x = joined(blocks, ys) solves A x = b; a skipped block's y is zero.
+        The block is the system P_s^T A P_s y = P_s^T b, P_s the even
+        extension along every axial axis of an even section, then the even
+        or odd extension (parities[j] True for odd) along parity axis j.
+        Each Kronecker part's axial band is folded once (_folded_band), and
+        shared by every block; its cross-section band, the section's mirror
+        average, is folded per block, and the load alike (_folded_rows).  A
+        commutes with every such reflection (bitwise on the parity axes,
+        whose blocks are mirror averaged) and b is even on the axial axes,
+        so the blocks are uncoupled and x = joined(blocks, ys) solves
+        A x = b; a skipped block's y is zero.  A block has no basis; its
+        dims and degrees come from its pieces.
         """
-        if not (self.kron_parts and self.section.parity_blocks):
+        p, section = self.spec.p, self.section
+        axial = range(p) if section.even else ()
+        if not (self.kron_parts and (axial or section.parity_axes)):
             return None
-        p, out = self.spec.p, []
-        for parities, blocks in self.section.parity_blocks:
-            rhs = self.rhs.reshape(self._dims)
-            for axis, odd in zip(self.section.mirrored, parities):
-                rhs = _folded_rows(rhs, p + axis, odd)
-            if rhs.any():
-                out.append((parities, replace(
-                    self, rhs=rhs.ravel(), basis=None,
-                    kron_parts=tuple((A, C) for (A, _), C in zip(self.kron_parts, blocks)))))
+        bands, rhs = [A for A, _ in self.kron_parts], self.rhs.reshape(self._dims)
+        for axis in axial:
+            bands = [_folded_band(A, axis) for A in bands]
+            rhs = _folded_rows(rhs, axis)
+        out = []
+        for parities in itertools.product((False, True), repeat=len(section.parity_axes)):
+            blocks, load = section.blocks, rhs
+            for axis, odd in zip(section.parity_axes, parities):
+                load = _folded_rows(load, p + axis, odd)
+            if load.any():
+                for axis, odd in zip(section.parity_axes, parities):
+                    blocks = tuple(_folded_band(C, axis, odd) for C in blocks)
+                out.append((parities, replace(self, rhs=load.ravel(), basis=None,
+                                              kron_parts=tuple(zip(bands, blocks)))))
         return tuple(out)
 
     def joined(self, blocks, ys):
         """x = sum_s P_s y_s over the (parities, block) pairs of
-        parity_blocks and their solutions ys, in this system's space."""
-        p, dims, x = self.spec.p, self._dims, None
+        parity_blocks and their solutions ys, in this system's space: each
+        y unfolded along the parity axes (_unfolded_rows), summed from the
+        first block on, so that x keeps the signs of zero of the blocks'
+        solutions, then the sum unfolded along the axial axes of an even
+        section, bitwise even on them."""
+        p, dims, section, X = self.spec.p, self._dims, self.section, None
         for (parities, block), y in zip(blocks, ys):
             Y = np.reshape(y, block._dims)
-            for axis, odd in zip(self.section.mirrored, parities):
+            for axis, odd in zip(section.parity_axes, parities):
                 Y = _unfolded_rows(Y, p + axis, dims[p + axis], odd)
-            x = Y if x is None else x + Y
-        return np.zeros(self.ndofs) if x is None else x.ravel()
+            X = Y if X is None else X + Y
+        if X is None:
+            return np.zeros(self.ndofs)
+        for axis in range(p) if section.even else ():
+            X = _unfolded_rows(X, axis, dims[axis])
+        return X.ravel()
 
 
 def _folded_band(band, axis: int, odd: bool = False):
@@ -954,14 +942,13 @@ class CrossSection:
       m, which every norm of a sweep passes to analysis;
     - eigenbasis(): for a two-part system, (lam, V) of the cross-section
       pencil, computed on first use and kept;
-    - parity_blocks: when a banded kernel solves the cylinder systems (no
-      n-D band, not two-part) and some cross-section axis is mirrored
-      (mirrored), one (parities, blocks) per parity tuple over the mirrored
-      axes, False for even and True for odd: every block folded along each
-      mirrored axis in band layout (_folded_band), so that no job folds a
-      cross-section piece; else ().  The blocks are then the mirror
-      averages of the kernel's (_mirror_averaged), which every system of
-      the sweep reads.
+    - parity_axes: when a banded kernel solves the cylinder systems (no
+      n-D band, not two-part) and the blocks and the load are finite, the
+      mirrored cross-section axes (mirrored), else ().  The blocks are then
+      the mirror averages of the kernel's along them (_mirror_averaged),
+      which every system of the sweep reads and
+      AssembledSystem.parity_blocks folds per system; no folded block is
+      kept.
 
     A sweep's forked jobs inherit it with all of these; nothing is cached
     at module level.  The blocks and the load are checked for
@@ -988,19 +975,14 @@ class CrossSection:
         self.blocks = tuple(_galerkin(self.factors, terms, pinned=p)
                             for terms in by_axial_part.values())
         self.load = _load(self.factors, spec.forcing, pinned=p)
-        axes = self._parity_axes()
+        # a non-finite block is left to the assembly that uses it, which
+        # refuses it naming l
+        self.parity_axes = () if self.nd_terms or self.two_part or not all(
+            np.isfinite(a).all() for a in self.blocks + (self.load,)) else self.mirrored
         # omega's knots and Gauss points mirror only up to roundoff; the
         # mirror averages commute with the reflections bitwise
-        self.blocks = tuple(_mirror_averaged(C, axes) for C in self.blocks)
-        parity_blocks = []
-        for parities in itertools.product((False, True), repeat=len(axes)) if axes else ():
-            blocks = self.blocks
-            for axis, odd in zip(axes, parities):
-                blocks = tuple(_folded_band(C, axis, odd) for C in blocks)
-            parity_blocks.append((parities, blocks))
-        self.parity_blocks = tuple(parity_blocks)
-        for shared in self.blocks + (self.load,) + tuple(
-                C for _, blocks in self.parity_blocks for C in blocks):
+        self.blocks = tuple(_mirror_averaged(C, self.parity_axes) for C in self.blocks)
+        for shared in self.blocks + (self.load,):
             shared.flags.writeable = False  # every system reads them
         self.grams = tuple(
             axis_grams(f, (f.lo, f.hi), spec.m, self.resolution, NORM_POINTS_PER_CELL)
@@ -1019,43 +1001,31 @@ class CrossSection:
             and all(a == b for a, b in self.keys)
         )
 
+    def _reflects(self, k: int) -> bool:
+        """True when every cylinder system commutes with the reflection of
+        axis k (0 for x1) about the middle of its extent: no coefficient
+        reads x_{k+1}, and every pair has alpha_k + beta_k even."""
+        return all(not coef.reads(k + 1) and (alpha[k] + beta[k]) % 2 == 0
+                   for (alpha, beta), coef in self.spec.coefficients.items())
+
     @property
     def even(self) -> bool:
-        """True when every cylinder system commutes with each reflection
-        x_k -> -x_k of an axial axis: no pair reads x1..xp (no nd_terms),
-        and every axial key has alpha_k + beta_k even on every axial axis k.
-        The forcing may not read x1..xp and (-l, l) is symmetric, so then
-        u_l is even in every x_k and AssembledSystem.folded solves for it."""
-        return not self.nd_terms and all(
-            (a + b) % 2 == 0 for alpha, beta in self.keys for a, b in zip(alpha, beta)
-        )
+        """True when every axial axis reflects (_reflects), which implies
+        no nd_terms.  The forcing may not read x1..xp and (-l, l) is
+        symmetric, so then u_l is even in every x_k and the solve folds its
+        axial bands (AssembledSystem.parity_blocks)."""
+        return all(self._reflects(k) for k in range(self.spec.p))
 
     @property
     def mirrored(self) -> tuple:
-        """The cross-section axes k (0 for x_{p+1}) whose reflection
-        x_{p+k+1} -> lo_k + hi_k - x_{p+k+1} commutes with every cylinder
-        system: no coefficient reads x_{p+k+1}, and every pair has
-        alpha + beta even on that axis.  The uniform knots of omega's
-        factors are mirror-symmetric up to roundoff, so the reflection maps
-        each basis function i of the axis to m(i) = N - 1 - i, and the
-        blocks commute with it up to roundoff (bitwise once mirror
-        averaged)."""
+        """The cross-section axes k (0 for x_{p+1}) that reflect
+        (_reflects).  The uniform knots of omega's factors are
+        mirror-symmetric up to roundoff, so the reflection maps each basis
+        function i of the axis to m(i) = N - 1 - i, and the blocks commute
+        with it up to roundoff (bitwise once mirror averaged); the forcing
+        may have either parity."""
         p = self.spec.p
-        return tuple(
-            k for k in range(self.spec.n - p)
-            if all(not coef.reads(p + k + 1) and (alpha[p + k] + beta[p + k]) % 2 == 0
-                   for (alpha, beta), coef in self.spec.coefficients.items())
-        )
-
-    def _parity_axes(self) -> tuple:
-        """The mirrored axes when a banded kernel solves the cylinder
-        systems (no n-D band, not two-part), else ()."""
-        # a non-finite block is left to the assembly that uses it, which
-        # refuses it naming l
-        if self.nd_terms or self.two_part or not all(
-                np.isfinite(a).all() for a in self.blocks + (self.load,)):
-            return ()
-        return self.mirrored
+        return tuple(k for k in range(self.spec.n - p) if self._reflects(p + k))
 
     def eigenbasis(self, where: str = "solve"):
         """(lam, V) of the pencil (C_other, C_top) of the dense symmetric

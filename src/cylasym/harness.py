@@ -21,36 +21,35 @@ child, so serial and parallel runs produce the same floating-point results.
 The l_max job also computes the localized-energy table of its u_l, so no
 job sends its solution back.
 
-_solve_system is the one place a system is solved and accepted.  It folds
-a cylinder system whose section is even (CrossSection.even: no coefficient
-reads x1..xp, and every axial key has alpha_k + beta_k even on every axial
-axis k).  Such a system commutes with every reflection x_k -> -x_k and its
-load is even, so u_l is even: AssembledSystem.folded gives
-P^T A P y = P^T b on the first ceil(N_ax / 2) axial functions of each axial
-axis, with the half bandwidth unchanged.  The kernel follows the system's
-structure: a symmetric system of two Kronecker parts
+_solve_system is the one place a system is solved and accepted.  A
+cylinder system that commutes with reflections is solved on its parity
+blocks (AssembledSystem.parity_blocks): its even half along every axial
+axis of an even section (CrossSection.even: no coefficient reads an axial
+x_k, and every pair has alpha_k + beta_k even on it, so u_l is even in
+x_k), times each parity along each of the section's parity axes
+(CrossSection.parity_axes), a block whose folded load is exactly zero left
+out.  The kernel is picked once, from the system's structure
+(_kernel): a symmetric system of two Kronecker parts
 (AssembledSystem.two_part) by fast diagonalization of its cross-section
 pencil (linalg.kronecker_solve), any other symmetric system by banded
 Cholesky (linalg.cholesky_solve: numpy's band_cholesky for the small
 cross-section system, LAPACK for a cylinder system), and a nonsymmetric
 one by banded LU (linalg.lu_solve), so a sweep of a two-part problem never
-binds LAPACK.  A cylinder system that a banded kernel solves, folded or
-not, is split further when its section has mirrored cross-section axes
-(CrossSection.mirrored): its parity blocks (AssembledSystem.parity_blocks),
-the even and odd halves along each such axis, are solved one after the
-other, each band written, factored and freed before the next, and joined.
-The section's blocks are mirror averaged (CrossSection.parity_blocks), so
-the full system commutes with the reflections bitwise and its blocks drop
-no coupling.  At the biharmonic strip's 32 cells/unit, l = 16, the blocks
-turn one Cholesky band of 12.3 MB (kd = 96; 24.6 MB unfolded) into bands
-of 3.4 and 3.0 MB (kd = 51 and 48).  A system with an n-D band, and the cross-section
-system, is solved whole, and its |A|_inf read off the band its kernel
-factors (linalg.band_inf_norm) before the factorization overwrites it;
-any other system's comes from its pieces (AssembledSystem.inf_norm).
-Then x = P y is unfolded and the backward-error check (linalg._accept)
-runs once, with the full system's right-hand side, residual and |A|_inf,
-so the record's backward_error, solver_residual and dofs describe the
-full system.  Solver failures name the problem, ell and stage.
+binds LAPACK.  The blocks are solved one after the other, each band
+written, factored and freed before the next, and joined
+(AssembledSystem.joined).  The section's blocks are mirror averaged along
+the parity axes, so the full system commutes with the reflections bitwise
+and its blocks drop no coupling.  At the biharmonic strip's 32 cells/unit,
+l = 16, the blocks turn one Cholesky band of 12.3 MB (kd = 96; 24.6 MB
+unfolded) into bands of 3.4 and 3.0 MB (kd = 51 and 48).  A system with an
+n-D band, and the cross-section system, is solved whole, and its |A|_inf
+read off the band its kernel factors (linalg.band_inf_norm) before the
+factorization overwrites it; any other system's comes from its pieces
+(AssembledSystem.inf_norm).  The backward-error check (linalg._accept)
+runs once, on the joined x, with the full system's right-hand side,
+residual and |A|_inf, so the record's backward_error, solver_residual and
+dofs describe the full system.  Solver failures name the problem, ell and
+stage.
 """
 
 import contextlib
@@ -211,11 +210,10 @@ def _check_cells(spec: ProblemSpec, name: str, resolution: int, ell: float, axia
 
 
 def _solve_system(system):
-    """The SolveResult of the system: solved on its even half when it folds
-    (AssembledSystem.folded), on its parity blocks when its section has
-    them (AssembledSystem.parity_blocks), and accepted by the
-    backward-error check on the full system's right-hand side, residual and
-    |A|_inf."""
+    """The SolveResult of the system: solved on its parity blocks when it
+    folds (AssembledSystem.parity_blocks), by the one kernel its structure
+    picks (_kernel), and accepted by the backward-error check on the full
+    system's right-hand side, residual and |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
     if system.nd_band is not None:
         # solved whole, and |A|_inf read off the band the kernel factors
@@ -225,30 +223,38 @@ def _solve_system(system):
         a_norm = band_inf_norm(band, system.symmetric)
         return _accept(solve(band, system.rhs, where), system.rhs, a_norm, system.matvec,
                        where, method)
-    half = system.folded() or system
-    if half.two_part:
-        # the eigenbasis is the cross-section's, computed once per sweep
-        y = kronecker_solve(half.axial_pencil(), half.section.eigenbasis(where), half.rhs,
-                            half.matvec, where)
-        method = "fast_diagonalization"
-    else:
-        solve, method = _band_kernel(half)
-        blocks = half.parity_blocks()
-        if blocks is None:
-            y = solve(half.band(), half.rhs, where)
-        else:  # one block after the other, each band freed before the next
-            y = half.joined(blocks, [solve(block.band(), block.rhs, where)
-                                     for _, block in blocks])
-    x = y if half is system else system.unfold(y)
+    solve, method = _kernel(system, where)
+    blocks = system.parity_blocks()
+    if blocks is None:
+        x = solve(system)
+    else:  # one block after the other, each band freed before the next
+        x = system.joined(blocks, [solve(block) for _, block in blocks])
     return _accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
+
+
+def _kernel(system, where: str):
+    """(solve, method): the kernel of a Kronecker system's structure,
+    called as solve(block) -> y on the system or any of its parity blocks,
+    and its name."""
+    if system.two_part:
+        # the cross-section's eigenbasis, computed once per sweep and read
+        # before any block is solved, so an indefinite top block raises
+        # even when every block is left out
+        eigenbasis = system.section.eigenbasis(where)
+        return (lambda block: kronecker_solve(block.axial_pencil(), eigenbasis, block.rhs,
+                                              block.matvec, where),
+                "fast_diagonalization")
+    solve, method = _band_kernel(system)
+    return (lambda block: solve(block.band(), block.rhs, where)), method
 
 
 def _band_kernel(system):
     """(solve, method): the banded kernel of the system's symmetry, called
     as solve(band, rhs, where) -> x, and its name."""
     if system.symmetric:
-        # the cross-section system is small: numpy factors it faster than
-        # the LAPACK routines bind
+        # numpy's kernel factors the small cross-section system without
+        # binding LAPACK, which costs 2.37 MiB of RSS per process: a
+        # two-part sweep binds it nowhere
         lapack = system.ell is not None
         return (lambda band, rhs, where: cholesky_solve(band, rhs, where, lapack=lapack),
                 "cholesky_banded")

@@ -23,16 +23,17 @@ band_apply_per_call here does that preparation on every call, from the raw
 band, and pads X with numpy.pad; kron_parts_per_alpha applies every band of
 every alpha, where the package shares the applications of a common prefix.
 
-The package solves a system that commutes with the axial reflections on
-its even half (AssembledSystem.folded), folding the axial bands in band
-layout, and one whose section has mirrored cross-section axes on its
-parity blocks (AssembledSystem.parity_blocks), folding the cross-section
-bands.  even_extension and odd_extension here are the dense P of one axis's
-fold and parity_extension that of a block, so a test can form P^T A P by
-matrix products; full_path_solve solves the whole system by the
-structure's own kernel, as the package did before either fold,
-fold_path_solve by the axial fold alone, as it did before the parity
-blocks, and inverse_inf_norm gives |A^-1|_inf for a forward-error bound.
+The package solves a cylinder system that commutes with reflections on its
+parity blocks (AssembledSystem.parity_blocks): the axial bands folded once
+along every axial axis of an even section, the cross-section bands along
+each parity axis, in band layout.  even_extension and odd_extension here
+are the dense P of one axis's fold and parity_extension that of a block, so
+a test can form P^T A P by matrix products; full_path_solve solves the whole
+system by the structure's own kernel, as the package did before any fold,
+fold_path_solve by the two folds chained, as it did before they became one
+(the whole system folded on its axial axes first, then that half split
+into parity blocks), and inverse_inf_norm gives |A^-1|_inf for a
+forward-error bound.
 
 A two-part system's solve reads its axial pencil, and its CrossSection the
 eigenbasis of the dense cross-section blocks; kronecker_pencil gives both
@@ -43,13 +44,22 @@ evaluates it with np.polyval; polynomial_cutoff_profile here builds the
 same bridge with numpy.polynomial.Polynomial, so a test can compare them.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 
 from cylasym import linalg
-from cylasym.assembly import _cross_pencil, _where
+from cylasym.assembly import (
+    _cross_pencil,
+    _folded_band,
+    _folded_rows,
+    _unfolded_rows,
+    _where,
+)
 from cylasym.multiindex import enumerate_upto, multi_binom, sub, sub_indices
 from cylasym.splines import NORM_POINTS_PER_CELL, axis_grams
 
@@ -296,14 +306,17 @@ def odd_extension(n: int):
 
 
 def parity_extension(system, parities):
-    """The dense P of the parity block `parities` of a system (folded or
-    not): the even or odd extension along each of its section's mirrored
-    cross-section axes, the identity on every other axis."""
-    p, dims = system.spec.p, system._dims
-    odd = dict(zip(system.section.mirrored, parities))
+    """The dense P of the parity block `parities` of a cylinder system: the
+    even extension along every axial axis of an even section, the even or
+    odd extension along each of its section's parity axes, the identity on
+    every other axis."""
+    p, dims, section = system.spec.p, system._dims, system.section
+    odd = dict(zip(section.parity_axes, parities))
     P = np.ones((1, 1))
     for k, dim in enumerate(dims):
-        if k - p in odd:
+        if k < p and section.even:
+            P = np.kron(P, even_extension(dim))
+        elif k - p in odd:
             P = np.kron(P, odd_extension(dim) if odd[k - p] else even_extension(dim))
         else:
             P = np.kron(P, np.eye(dim))
@@ -341,18 +354,62 @@ def full_path_solve(system):
     return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
 
 
+def _method(system):
+    """The name of the kernel the system's structure picks."""
+    if system.two_part:
+        return "fast_diagonalization"
+    return "cholesky_banded" if system.symmetric else "lu_banded"
+
+
 def fold_path_solve(system):
-    """The system solved on its even half when it folds, and whole
-    otherwise, by the kernel its structure picks, never on parity blocks;
-    unfolded and accepted by linalg._accept on its own residual and
-    |A|_inf."""
+    """The system solved by the two folds chained, as the package did
+    before they became one, and accepted by linalg._accept on its own
+    residual and |A|_inf.
+
+    A cylinder system of an even section is folded to its even half first:
+    every Kronecker part's axial band and the load along each axial axis
+    (_folded_band, _folded_rows).  When its section has parity axes, that
+    half (or the whole system) is split into parity blocks, the section's
+    blocks and the half's load folded along each parity axis, a block whose
+    load is exactly zero left out, each block solved whole and its solution
+    unfolded along the parity axes (_unfolded_rows), summed from the first
+    block on.  The half's solution is then unfolded along the axial axes.
+    Any other system is solved whole.
+    """
     where = _where(system.spec, "solve", system.ell)
-    folded = system.folded()
-    if folded is None:
-        x, method = _full_path(system, where)
+    p, section, method = system.spec.p, system.section, _method(system)
+    half, folds = system, bool(system.kron_parts) and section.even
+    if folds:
+        parts, rhs = system.kron_parts, system.rhs.reshape(system._dims)
+        for axis in range(p):
+            parts = tuple((_folded_band(A, axis), C) for A, C in parts)
+            rhs = _folded_rows(rhs, axis)
+        half = replace(system, rhs=rhs.ravel(), basis=None, kron_parts=parts)
+    axes = section.parity_axes if system.kron_parts else ()
+    if not axes:
+        y = _full_path(half, where)[0]
     else:
-        y, method = _full_path(folded, where)
-        x = system.unfold(y)
+        dims, y = half._dims, None
+        for parities in itertools.product((False, True), repeat=len(axes)):
+            blocks, rhs = section.blocks, half.rhs.reshape(dims)
+            for axis, odd in zip(axes, parities):
+                blocks = tuple(_folded_band(C, axis, odd) for C in blocks)
+                rhs = _folded_rows(rhs, p + axis, odd)
+            if not rhs.any():
+                continue
+            block = replace(half, rhs=rhs.ravel(), basis=None, kron_parts=tuple(
+                (A, C) for (A, _), C in zip(half.kron_parts, blocks)))
+            Y = _full_path(block, where)[0].reshape(block._dims)
+            for axis, odd in zip(axes, parities):
+                Y = _unfolded_rows(Y, p + axis, dims[p + axis], odd)
+            y = Y if y is None else y + Y
+        y = np.zeros(half.ndofs) if y is None else y.ravel()
+    x = y
+    if folds:
+        X = y.reshape(tuple((n + 1) // 2 for n in system._dims[:p]) + system._dims[p:])
+        for axis in range(p):
+            X = _unfolded_rows(X, axis, system._dims[axis])
+        x = X.ravel()
     return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
 
 

@@ -806,24 +806,17 @@ _EVEN_CASES = {
 
 @pytest.mark.parametrize("spec,even", _EVEN_CASES.values(), ids=_EVEN_CASES.keys())
 def test_the_even_predicate_reads_the_axial_keys(spec, even):
-    # even: no pair reads x1..xp and every axial key has alpha_k + beta_k
-    # even on every axial axis k; only a cylinder system of such a section
-    # folds, never a cross-section system
+    # even: no coefficient reads x1..xp and every pair has alpha_k + beta_k
+    # even on every axial axis k; only the parity blocks of a cylinder
+    # system of such a section halve its axial factors, and a cross-section
+    # system has no blocks
     section = CrossSection(spec, 6)
     assert section.even is even
     cylinder = assemble_cylinder(spec, ell=1.0, resolution=6, section=section)
-    assert (cylinder.folded() is not None) is even
-    assert assemble_limit(spec, resolution=6, section=section).folded() is None
-
-
-def _even_extension_of(system):
-    """The dense P of the system's fold: the even extension along every
-    axial axis, the identity on the cross-section."""
-    p, dims = system.spec.p, [f.dim for f in system.basis.factors]
-    P = np.ones((1, 1))
-    for k, dim in enumerate(dims):
-        P = np.kron(P, even_extension(dim) if k < p else np.eye(dim))
-    return P
+    blocks, p = cylinder.parity_blocks(), spec.p
+    halved = tuple((n + 1) // 2 for n in cylinder._dims[:p])
+    assert (blocks is not None and all(block._dims[:p] == halved for _, block in blocks)) is even
+    assert assemble_limit(spec, resolution=6, section=section).parity_blocks() is None
 
 
 _FOLD_CASES = {
@@ -839,26 +832,33 @@ _FOLD_CASES = {
 @pytest.mark.parametrize("spec,ell,resolution,degree", _FOLD_CASES.values(),
                          ids=_FOLD_CASES.keys())
 def test_the_folded_system_is_p_transpose_a_p(spec, ell, resolution, degree):
+    # every block of an even section is folded along every axial axis (and
+    # the biharmonic strip's along x2 too): P^T A P with P its extension
     system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
-    folded = system.folded()
-    P = _even_extension_of(system)
-    A = system.matrix.toarray()
-    got = folded.matrix.toarray()
-    assert got.shape == (P.shape[1],) * 2 and folded.ndofs == P.shape[1]
-    assert np.abs(got - P.T @ A @ P).max() <= 2e-15 * np.abs(A).max()
-    # p = 2 folds one axis after the other, so its sums of four run in
-    # another order than P^T's
-    assert np.allclose(folded.rhs, P.T @ system.rhs, rtol=1e-15, atol=0.0)
-    y = np.random.default_rng(4).standard_normal(P.shape[1])
-    assert np.array_equal(system.unfold(y), P @ y)
-    x = np.random.default_rng(5).standard_normal(P.shape[1])
-    assert np.abs(folded.matvec(x) - got @ x).max() <= 1e-15 * np.abs(got).max() * np.abs(x).max()
-    # its written band has the full system's bandwidth over half the rows
-    # per axial axis
-    band = folded.lower_band() if system.symmetric else folded.general_band()
+    A, b = system.matrix.toarray(), system.rhs
     full = system.lower_band() if system.symmetric else system.general_band()
-    assert band.shape[1] == P.shape[1] and band.shape[0] <= full.shape[0]
-    _assert_out_of_space_slots_unread(folded)
+    for parities, block in system.parity_blocks():
+        P = parity_extension(system, parities)
+        got = block.matrix.toarray()
+        assert got.shape == (P.shape[1],) * 2 and block.ndofs == P.shape[1]
+        assert np.abs(got - P.T @ A @ P).max() <= 2e-15 * np.abs(A).max()
+        # p = 2 folds one axis after the other, so its sums of four run in
+        # another order than P^T's; an odd block's load cancels, and is
+        # bounded as in the parity block test below
+        if any(parities):
+            assert np.abs(block.rhs - P.T @ b).max() <= 2e-15 * np.abs(b).max()
+        else:
+            assert np.allclose(block.rhs, P.T @ b, rtol=1e-15, atol=0.0)
+        y = np.random.default_rng(4).standard_normal(P.shape[1])
+        assert np.array_equal(system.joined([(parities, block)], [y]), P @ y)
+        x = np.random.default_rng(5).standard_normal(P.shape[1])
+        assert (np.abs(block.matvec(x) - got @ x).max()
+                <= 1e-15 * np.abs(got).max() * np.abs(x).max())
+        # its written band has at most the full system's bandwidth over
+        # half the rows per folded axis
+        band = block.lower_band() if system.symmetric else block.general_band()
+        assert band.shape[1] == P.shape[1] and band.shape[0] <= full.shape[0]
+        _assert_out_of_space_slots_unread(block)
 
 
 @pytest.mark.parametrize("dims,widths,axis", [
@@ -931,17 +931,17 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("spec,ell,resolution,degree,mirrored", _BLOCK_CASES.values(),
                          ids=_BLOCK_CASES.keys())
 def test_each_parity_block_is_p_transpose_a_p(spec, ell, resolution, degree, mirrored):
+    # P folds every axial axis of an even section, then each parity axis
     system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
-    assert system.section.mirrored == mirrored
-    half = system.folded() or system
-    A, b = half.matrix.toarray(), half.rhs
-    blocks = half.parity_blocks()
+    assert system.section.mirrored == system.section.parity_axes == mirrored
+    A, b = system.matrix.toarray(), system.rhs
+    blocks = system.parity_blocks()
     assert [parities for parities, _ in blocks] == list(
         itertools.product((False, True), repeat=len(mirrored)))
     rng = np.random.default_rng(8)
     ys, want = [], 0.0
     for parities, block in blocks:
-        P = parity_extension(half, parities)
+        P = parity_extension(system, parities)
         got = block.matrix.toarray()
         assert got.shape == (P.shape[1],) * 2 and block.ndofs == P.shape[1]
         assert np.abs(got - P.T @ A @ P).max() <= 4e-15 * np.abs(A).max()
@@ -950,20 +950,20 @@ def test_each_parity_block_is_p_transpose_a_p(spec, ell, resolution, degree, mir
         # uncoupled up to the roundoff of the dense products
         for other, _ in blocks:
             if other != parities:
-                coupling = P.T @ A @ parity_extension(half, other)
+                coupling = P.T @ A @ parity_extension(system, other)
                 assert np.abs(coupling).max() <= 4e-15 * np.abs(A).max()
-        # its band has the full half bandwidth over the folded
-        # cross-section, and its pieces are the section's folded blocks
         assert block.band().shape[1] == P.shape[1]
         ys.append(rng.standard_normal(P.shape[1]))
         want = want + P @ ys[-1]
-    assert np.array_equal(half.joined(blocks, ys), want)
+    assert np.array_equal(system.joined(blocks, ys), want)
 
 
 def test_the_mirror_predicate_reads_every_pair():
     # a mirrored axis: no coefficient reads it, and alpha + beta is even on
     # it for every pair; only a section whose cylinder systems a banded
-    # kernel solves keeps parity blocks, and never for its limit system
+    # kernel solves keeps its mirrored axes as parity axes, and its
+    # cylinder systems' blocks then carry one parity per parity axis; its
+    # limit system has no blocks
     cases = {
         "biharmonic": (_BIHARMONIC, (0,), True),
         "varcoef": (builtin_problem("varcoef_strip"), (), False),
@@ -977,24 +977,29 @@ def test_the_mirror_predicate_reads_every_pair():
     for name, (spec, mirrored, blocks) in cases.items():
         section = CrossSection(spec, 5)
         assert section.mirrored == mirrored, name
-        assert bool(section.parity_blocks) is blocks, name
+        assert section.parity_axes == (mirrored if blocks else ()), name
         cylinder = assemble_cylinder(spec, ell=1.0, resolution=5, section=section)
-        assert (cylinder.parity_blocks() is not None) is blocks, name
+        folds = cylinder.parity_blocks()
+        assert (folds is not None and len(folds[0][0]) > 0) is blocks, name
         assert assemble_limit(spec, resolution=5, section=section).parity_blocks() is None
 
 
 def test_a_block_with_a_zero_load_is_left_out():
     # a load that is exactly odd about the middle of (0, 1) folds to an even
     # load of exactly zero (b_i + b_m(i) = 0): that block is left out, and
-    # joined gives the odd block's extension alone
+    # joined gives the odd block's extension alone, even in x1, bitwise
     system = assemble_cylinder(_BIHARMONIC, ell=2.0, resolution=8)
     B = system.rhs.reshape(system._dims)
     system = dataclasses.replace(system, rhs=(B - np.flip(B, 1)).ravel())
     [(parities, block)] = system.parity_blocks()
     assert parities == (True,)
     y = np.random.default_rng(3).standard_normal(block.ndofs)
+    y[0] = -0.0
     X = system.joined([(parities, block)], [y]).reshape(system._dims)
-    assert np.array_equal(X, -np.flip(X, 1))
+    assert np.array_equal(X, -np.flip(X, 1)) and np.array_equal(X, np.flip(X, 0))
+    # the sum starts from the first block, not from +0.0, which would turn
+    # its -0.0 into +0.0
+    assert X[0, 0] == 0.0 and np.signbit(X[0, 0])
 
 
 @pytest.mark.parametrize("omega,resolution", [
@@ -1023,7 +1028,8 @@ def test_the_section_blocks_are_mirror_averaged(omega, resolution):
 
 def test_a_non_finite_block_is_left_to_the_assembly():
     # 13 cells put a Gauss node on x3 = 1/2, where a_0_0_1_0_0_1 is
-    # infinite; x2 is mirrored, but the section folds nothing (no inf - inf)
+    # infinite; x2 is mirrored, but the section keeps no parity axis and
+    # folds nothing (no inf - inf)
     # and leaves the block to the assembly, which names the stage and l.
     # The kernel computes the infinity on two cross-section axes without a
     # warning, which filterwarnings = error would turn into a failure here
@@ -1032,7 +1038,7 @@ def test_a_non_finite_block_is_left_to_the_assembly():
         "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1 + 1 / (x3 - 0.5)^2\n"
         "a_1_0_0_0_0_0 = 1\n\n[forcing]\nf = 1\n", "singular")
     section = CrossSection(spec, 13)
-    assert section.mirrored == (0,) and section.parity_blocks == ()
+    assert section.mirrored == (0,) and section.parity_axes == ()
     with pytest.raises(AssemblyError, match=r"^assemble_cylinder for problem singular at "
                                             r"l = 1: assembled matrix contains non-finite"):
         assemble_cylinder(spec, ell=1.0, resolution=13, section=section)

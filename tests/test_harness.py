@@ -130,8 +130,8 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 def test_sweep_interior_tables_hold_their_values():
     # reprs of the estimator on the one difference field u_l - ext(u_inf),
-    # taken when the cylinder systems were first solved on their parity
-    # blocks (AssembledSystem.parity_blocks) of their even half, over mirror
+    # taken when the cylinder systems were first solved on the parity
+    # blocks of their even half (AssembledSystem.parity_blocks), over mirror
     # averaged cross-section blocks: they moved from the even half's solve
     # by up to 9.3e-13 relative at l = 2 and 1.0e-9 at l = 4, as the even
     # fold had moved them from the full solve's by up to 7.3e-13 and
@@ -417,9 +417,10 @@ def test_a_system_prepares_each_piece_once(monkeypatch):
     # first use, so a band-layout transpose is formed at most once per piece
     # however many products and norms the solve and its check take; and
     # every band and field is padded into a zero buffer, never by numpy.pad.
-    # Each l solves its even half (AssembledSystem.folded, no basis) by one
-    # refinement product, and the acceptance step reads the full system
-    # twice, for |A|_inf and the residual.
+    # Each l solves its one block, its even half
+    # (AssembledSystem.parity_blocks, no basis), by one refinement product,
+    # and the acceptance step reads the full system twice, for |A|_inf and
+    # the residual.
     reader, systems, reads, transposes, pads = [None], {}, {}, {}, []
     matvec, inf_norm = assembly.AssembledSystem.matvec, assembly.AssembledSystem.inf_norm
     transposed, pad = assembly._transposed, np.pad
@@ -542,18 +543,22 @@ def test_two_part_sweeps_never_import_scipy_linalg(problem, resolution, loads):
 def test_an_indefinite_top_block_names_the_problem_and_l():
     # a_{e1 e1} = x2 - 1/2 changes sign on the cross-section, so the block
     # that weights the axial stiffness is indefinite; the spec fails the
-    # ellipticity check, which a sweep runs first, so assemble directly
-    spec = ProblemSpec(
-        m=1, n=2, p=1, omega=((0.0, 1.0),),
-        coefficients={((1, 0), (1, 0)): ScalarField.parse("x2 - 0.5", 2),
-                      ((0, 1), (0, 1)): ScalarField.parse("1", 2)},
-        forcing=ScalarField.parse("1", 2), name="signed",
-    )
-    system = assembly.assemble_cylinder(spec, ell=2.0, resolution=4)
-    assert system.two_part
-    with pytest.raises(linalg.SolverError, match="^solve for problem signed at l = 2: "
-                       "cross-section block of the highest axial part is not positive definite"):
-        harness._solve_system(system)
+    # ellipticity check, which a sweep runs first, so assemble directly.
+    # The eigenbasis is read before any block is solved, so a zero forcing,
+    # whose every block is left out, raises too
+    for forcing in ("1", "0"):
+        spec = ProblemSpec(
+            m=1, n=2, p=1, omega=((0.0, 1.0),),
+            coefficients={((1, 0), (1, 0)): ScalarField.parse("x2 - 0.5", 2),
+                          ((0, 1), (0, 1)): ScalarField.parse("1", 2)},
+            forcing=ScalarField.parse(forcing, 2), name="signed",
+        )
+        system = assembly.assemble_cylinder(spec, ell=2.0, resolution=4)
+        assert system.two_part
+        with pytest.raises(linalg.SolverError, match="^solve for problem signed at l = 2: "
+                           "cross-section block of the highest axial part is not positive "
+                           "definite"):
+            harness._solve_system(system)
 
 
 def test_sweep_runs_the_largest_ell_first_and_reports_in_plan_order(monkeypatch):
@@ -634,7 +639,8 @@ _FOLDED = {
 def test_a_folded_solve_is_even_and_checked_on_the_full_system(spec, ell, resolution, degree,
                                                                n_ax):
     system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
-    assert system.folded() is not None and system.basis.factors[0].dim == n_ax
+    assert system.section.even and system.parity_blocks()
+    assert system.basis.factors[0].dim == n_ax
     result = harness._solve_system(system)
     x, b = result.x, system.rhs
     X = x.reshape([f.dim for f in system.basis.factors])
@@ -678,7 +684,7 @@ def test_a_system_that_does_not_fold_is_solved_whole_bit_for_bit(spec, where, me
         return assembly.assemble_limit(spec, resolution=6)
 
     system = assembled()
-    assert system.folded() is None and system.parity_blocks() is None
+    assert system.parity_blocks() is None
     result, full = harness._solve_system(system), full_path_solve(assembled())
     assert result.method == full.method == method
     assert result.x.tobytes() == full.x.tobytes()
@@ -739,7 +745,9 @@ def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, wher
         system = assembly.assemble_cylinder(spec, ell=2.0, resolution=5)
     else:
         system = assembly.assemble_limit(spec, resolution=5)
-    assert (system.folded() is not None) is folds
+    blocks = system.parity_blocks()
+    assert (blocks is not None and blocks[0][1].ndofs * 2 <= system.ndofs
+            and system.section.even) is folds
     accept, inf_norm = harness._accept, assembly.AssembledSystem.inf_norm
     entries = assembly.AssembledSystem._entries
     accepts, norms, walks, kernels = [], [], [], []
@@ -814,7 +822,7 @@ def test_a_block_solve_agrees_with_the_full_path_solve(spec, ell, resolution, de
     # pass the gate, so they differ by at most |A^-1| times the sum of
     # their residual bounds, as for the even fold above
     system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
-    assert (system.folded() or system).parity_blocks() is not None
+    assert system.section.parity_axes and system.parity_blocks()
     result, full = harness._solve_system(system), full_path_solve(system)
     x, b, a_norm = result.x, system.rhs, system.inf_norm()
     assert result.method == full.method and result.backward_error <= 1e-14
@@ -842,7 +850,7 @@ def test_the_block_solve_passes_the_gate_on_the_full_system(omega, resolution):
                                             section=section)
         # on (100, 101) and (1000, 1001) the load of f = 1 is even bitwise,
         # so the odd block's is exactly zero and it is left out
-        assert system.folded().parity_blocks()
+        assert system.section.parity_axes and system.parity_blocks()
         berr = harness._solve_system(system).backward_error
         margin = linalg.BACKWARD_ERROR_TOL / berr
         assert margin >= 10.0, f"l = {ell:g}: backward error {berr:.3g}, margin {margin:.3g}"
@@ -856,8 +864,8 @@ def test_a_block_solve_peaks_below_one_folded_band():
     linalg._lapack()
     system = assembly.assemble_cylinder(builtin_problem("biharmonic_strip"), ell=16.0,
                                         resolution=32)
-    folded = system.folded()
-    kd = 3 * system.basis.factors[1].dim + 3
+    n_c = system.basis.factors[1].dim
+    kd, half = 3 * n_c + 3, (system.basis.factors[0].dim + 1) // 2 * n_c
     tracemalloc.start()
     try:
         result = harness._solve_system(system)
@@ -865,7 +873,11 @@ def test_a_block_solve_peaks_below_one_folded_band():
     finally:
         tracemalloc.stop()
     assert result.method == "cholesky_banded" and result.backward_error <= 1e-14
-    assert peak < (kd + 1) * folded.ndofs * 8
+    assert peak < (kd + 1) * half * 8
+
+
+def _zero_forcing(spec):
+    return dataclasses.replace(spec, forcing=ScalarField.parse("0", spec.n))
 
 
 _BYPASS = {
@@ -876,38 +888,75 @@ _BYPASS = {
 }
 
 
-@pytest.mark.parametrize("where", ["cyl", "lim"])
-@pytest.mark.parametrize("spec", _BYPASS.values(), ids=_BYPASS.keys())
-def test_a_system_without_parity_blocks_takes_the_fold_path_bit_for_bit(spec, where):
-    # two-part systems (poisson, box3d), one whose coefficient reads x2
-    # (varcoef), one odd in x2 (skew) and every cross-section system
+def _assert_the_fold_path_bit_for_bit(spec, ell, resolution, where):
+    """x, its residual and its backward error are those of the two folds
+    chained, the even half first, then its parity blocks, joined, then
+    unfolded (dense_oracle.fold_path_solve), bit for bit."""
     def assembled():
         if where == "cyl":
-            return assembly.assemble_cylinder(spec, ell=2.0, resolution=6)
-        return assembly.assemble_limit(spec, resolution=6)
+            return assembly.assemble_cylinder(spec, ell=ell, resolution=resolution)
+        return assembly.assemble_limit(spec, resolution=resolution)
 
-    system = assembled()
-    assert system.parity_blocks() is None
-    assert system.folded() is None or system.folded().parity_blocks() is None
-    result, want = harness._solve_system(system), fold_path_solve(assembled())
+    result, want = harness._solve_system(assembled()), fold_path_solve(assembled())
     assert result.method == want.method
     assert result.x.tobytes() == want.x.tobytes()
     assert (result.residual, result.backward_error) == (want.residual, want.backward_error)
 
 
-def test_a_zero_forcing_solves_no_block(monkeypatch):
-    # every folded load is exactly zero, so every block is left out
+@pytest.mark.parametrize("where", ["cyl", "lim"])
+@pytest.mark.parametrize("spec", _BYPASS.values(), ids=_BYPASS.keys())
+def test_a_system_without_parity_blocks_takes_the_fold_path_bit_for_bit(spec, where):
+    # two-part systems (poisson, box3d), one whose coefficient reads x2
+    # (varcoef), one odd in x2 (skew) and every cross-section system: no
+    # parity axis, so a cylinder system's one block is its even half
+    assert assembly.CrossSection(spec, 6).parity_axes == ()
+    _assert_the_fold_path_bit_for_bit(spec, 2.0, 6, where)
+
+
+_CHAINED = {
+    # (spec, ell, resolution): a fold and parity blocks, or parity blocks
+    # alone, or a fold of both axial axes
+    "biharmonic": (builtin_problem("biharmonic_strip"), 2.0, 6),
+    "biharmonic_3d": (parse_problem_config(BIHARMONIC_3D_CONFIG, "biharmonic_3d"), 1.0, 5),
+    "box_p2": (parse_problem_config(BOX_P2_CONFIG, "box_p2"), 2.0, 4),
+    "convection": (_plus(POISSON, {((1, 0), (0, 0)): "1"}), 2.0, 5),
+    # every block left out, or a zero even half solved
+    "biharmonic_zero": (_zero_forcing(builtin_problem("biharmonic_strip")), 2.0, 6),
+    "poisson_zero": (_zero_forcing(POISSON), 2.0, 6),
+}
+
+
+@pytest.mark.parametrize("where", ["cyl", "lim"])
+@pytest.mark.parametrize("spec,ell,resolution", _CHAINED.values(), ids=_CHAINED.keys())
+def test_a_block_solve_takes_the_fold_path_bit_for_bit(spec, ell, resolution, where):
+    # the one fold (AssembledSystem.parity_blocks, then joined) on the
+    # systems that also have parity axes, fold two axial axes or have a zero
+    # load
+    _assert_the_fold_path_bit_for_bit(spec, ell, resolution, where)
+
+
+_ZERO = {
+    # (spec, refused kernel, method)
+    "biharmonic": (builtin_problem("biharmonic_strip"), "cholesky_solve", "cholesky_banded"),
+    "poisson": (POISSON, "kronecker_solve", "fast_diagonalization"),
+    "box3d": (_laplace_box(), "kronecker_solve", "fast_diagonalization"),
+}
+
+
+@pytest.mark.parametrize("spec,kernel,method", _ZERO.values(), ids=_ZERO.keys())
+def test_a_zero_forcing_solves_no_block(monkeypatch, spec, kernel, method):
+    # every folded load is exactly zero, so every block is left out, the
+    # even half of a two-part system too, and x is +0.0 throughout
     def refuse(*args, **kwargs):
         raise AssertionError("a block with a zero load was solved")
 
-    spec = dataclasses.replace(builtin_problem("biharmonic_strip"),
-                               forcing=ScalarField.parse("0", 2))
-    system = assembly.assemble_cylinder(spec, ell=2.0, resolution=6)
-    assert system.folded().parity_blocks() == ()
-    monkeypatch.setattr(harness, "cholesky_solve", refuse)
+    system = assembly.assemble_cylinder(_zero_forcing(spec), ell=2.0, resolution=6)
+    assert system.parity_blocks() == ()
+    monkeypatch.setattr(harness, kernel, refuse)
     result = harness._solve_system(system)
-    assert result.method == "cholesky_banded" and result.backward_error == 0.0
-    assert result.x.shape == (system.ndofs,) and not result.x.any()
+    assert result.method == method and result.backward_error == 0.0
+    assert result.x.shape == (system.ndofs,) and not np.signbit(result.x).any()
+    assert not result.x.any()
 
 
 # ------------------------------------------------------------------ refinement
