@@ -14,7 +14,9 @@ The structural hypotheses behind the cylinder-to-cross-section convergence
 are checked in validate_hypotheses: the forcing and every coefficient
 a_{alpha beta} with alpha cross-sectional must not read the axial
 coordinates (decided exactly from the expression), and the principal symbol,
-sampled at seeded points, must be positive on the unit sphere.
+sampled at seeded points, must be positive on the unit sphere.  The symbol's
+minimum is taken over one chunk of samples at a time, so the check runs in
+bounded memory whatever the sample count.
 """
 
 import configparser
@@ -38,6 +40,9 @@ from .expr import (
 
 # axial coordinates are probed in this box when sampling for validation
 _AXIAL_PROBE_HALFWIDTH = 16.0
+# the principal symbol is minimized over at most this many bytes of samples
+# x directions at a time (one sample at least)
+_SYMBOL_CHUNK_BYTES = 128 * 2**10
 
 
 class ProblemConfigError(ValueError):
@@ -426,7 +431,9 @@ def validate_hypotheses(spec: ProblemSpec, sample_count: int = 256, seed: int = 
         test assembly uses to split the cylinder matrix;
     (b) the principal symbol sum a_{alpha beta}(x) xi^{alpha+beta} over
         |alpha| = |beta| = m is positive, minimized over sampled x and a
-        dense set of unit directions xi;
+        dense set of unit directions xi, in bounded memory: one chunk of
+        samples (at most _SYMBOL_CHUNK_BYTES of symbol values) at a time,
+        never the whole (samples x directions) array;
     (c) every field stays finite on the samples (violations raise).
 
     Failures of (a) or (b) are reported, not raised, so the caller can map
@@ -459,17 +466,24 @@ def validate_hypotheses(spec: ProblemSpec, sample_count: int = 256, seed: int = 
     _check_finite("f", fvals)
     sup_norms["f"] = float(np.max(np.abs(fvals)))
 
-    # principal symbol on sampled x and unit directions
+    # principal symbol on sampled x and unit directions, summed pair by pair
+    # on one chunk of samples at a time; min is exact, so the chunks' least
+    # minimum is that of the whole (samples x directions) array
     xi = _unit_directions(rng, spec.n)
-    symbol = np.zeros((sample_count, xi.shape[0]))
+    terms = []
     for alpha, beta in spec.principal_pairs():
         vals = np.broadcast_to(
             np.asarray(spec.coefficients[(alpha, beta)](coords)), (sample_count,)
         )
         gamma = mi.add(alpha, beta)
-        xipow = np.prod(xi ** np.asarray(gamma, dtype=np.float64), axis=1)
-        symbol += np.outer(vals, xipow)
-    lambda_hat = float(symbol.min())
+        terms.append((vals, np.prod(xi ** np.asarray(gamma, dtype=np.float64), axis=1)))
+    rows = max(1, _SYMBOL_CHUNK_BYTES // (8 * xi.shape[0]))
+    lambda_hat = math.inf
+    for lo in range(0, sample_count, rows):
+        chunk = np.zeros((min(rows, sample_count - lo), xi.shape[0]))
+        for vals, xipow in terms:
+            chunk += np.outer(vals[lo : lo + rows], xipow)
+        lambda_hat = min(lambda_hat, float(chunk.min()))
     ellipticity_ok = lambda_hat > 0.0
 
     warnings = []

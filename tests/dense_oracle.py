@@ -39,12 +39,18 @@ A two-part system's solve reads its axial pencil, and its CrossSection the
 eigenbasis of the dense cross-section blocks; kronecker_pencil gives both
 halves, dense, so a test can rebuild the matrix from them.
 
+problem.validate_hypotheses minimizes the principal symbol one chunk of
+samples at a time; principal_symbol_min here builds the whole (samples x
+directions) array from the same seeded draws and takes its minimum, as the
+package did before the chunks.
+
 analysis.CutoffRho builds its bridge on plain coefficient arrays and
 evaluates it with np.polyval; polynomial_cutoff_profile here builds the
 same bridge with numpy.polynomial.Polynomial, so a test can compare them.
 """
 
 import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -60,7 +66,8 @@ from cylasym.assembly import (
     _unfolded_rows,
     _where,
 )
-from cylasym.multiindex import enumerate_upto, multi_binom, sub, sub_indices
+from cylasym.multiindex import add, enumerate_upto, multi_binom, sub, sub_indices
+from cylasym.problem import _AXIAL_PROBE_HALFWIDTH, _unit_directions
 from cylasym.splines import NORM_POINTS_PER_CELL, axis_grams
 
 
@@ -80,6 +87,30 @@ def full_band(system):
     if system.nd_band is not None:
         band = band + system.nd_band
     return band
+
+
+def principal_symbol_min(spec, sample_count: int = 256, seed: int = 0) -> float:
+    """The least principal symbol sum a_{alpha beta}(x) xi^{alpha+beta} over
+    validate_hypotheses' seeded samples x and unit directions xi, from the
+    one (samples x directions) array: zero, plus each principal pair's outer
+    product in pair order."""
+    rng = random.Random(seed)
+
+    def draws(lo, hi):
+        return np.array([rng.uniform(lo, hi) for _ in range(sample_count)])
+
+    cross = [draws(lo, hi) for lo, hi in spec.omega]
+    axial = [draws(-_AXIAL_PROBE_HALFWIDTH, _AXIAL_PROBE_HALFWIDTH) for _ in range(spec.p)]
+    coords = tuple(axial + cross)
+    xi = _unit_directions(rng, spec.n)
+    symbol = np.zeros((sample_count, xi.shape[0]))
+    for alpha, beta in spec.principal_pairs():
+        vals = np.broadcast_to(
+            np.asarray(spec.coefficients[(alpha, beta)](coords)), (sample_count,)
+        )
+        xipow = np.prod(xi ** np.asarray(add(alpha, beta), dtype=np.float64), axis=1)
+        symbol += np.outer(vals, xipow)
+    return float(symbol.min())
 
 
 def polynomial_cutoff_profile(m: int, t, der: int = 0):

@@ -616,6 +616,38 @@ def test_cholesky_solve_memory_is_the_lapack_band():
     assert peak <= 1.2 * (kd + 1) * system.ndofs * 8
 
 
+class _Forked(Exception):
+    """Raised in place of the fork, to stop a sweep there."""
+
+
+@pytest.mark.parametrize("spec, resolution, ells", [
+    *((builtin_problem(name), 32, (2.0, 4.0, 8.0, 16.0))
+      for name in ("poisson_strip", "biharmonic_strip", "varcoef_strip")),
+    (_laplace_box(), 12, (2.0, 4.0, 8.0)),
+], ids=["poisson", "biharmonic", "varcoef", "box3d"])
+def test_a_pooled_sweep_forks_below_a_small_traced_peak(monkeypatch, spec, resolution, ells):
+    # everything the parent allocates before it forks its workers: the
+    # hypothesis check, the cross-section, the limit solve and its norm.
+    # The check's whole principal-symbol array set that peak at 3.0 MiB;
+    # folded one chunk of samples at a time it peaks at 0.4 MiB, and box3d's
+    # cross-section at 1.05 MiB
+    at_fork = []
+
+    def fork(jobs, workers):
+        at_fork.append(tracemalloc.get_traced_memory()[1])
+        raise _Forked
+
+    monkeypatch.setattr(harness, "_run_jobs", fork)
+    plan = SweepPlan(spec=spec, ells=ells, resolution=resolution, workers=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Forked):
+            run_sweep(plan)
+    finally:
+        tracemalloc.stop()
+    assert at_fork[0] < 1.5 * 2**20
+
+
 def _plus(spec, texts):
     """spec with the coefficients of texts, {(alpha, beta): text}, added."""
     added = {key: ScalarField.parse(text, spec.n) for key, text in texts.items()}

@@ -1,9 +1,15 @@
 """Problem model: builtins, config round trip, hypothesis validation."""
 
+import math
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
+from dense_oracle import principal_symbol_min
 
 from cylasym import multiindex as mi
+from cylasym import problem
 from cylasym.problem import (
     ProblemConfigError,
     ProblemSpec,
@@ -241,6 +247,73 @@ def test_validation_is_deterministic():
     r2 = validate_hypotheses(spec, sample_count=128, seed=5)
     assert r1.lambda_hat == r2.lambda_hat
     assert r1.sup_norms == r2.sup_norms
+
+
+def _box3d_config(seed):
+    """The Laplacian on (-l, l) x (0, 1)^2, its forcing a seeded sum of
+    cross-sectional sine modes."""
+    rng = random.Random(seed)
+    modes = " + ".join(f"{rng.uniform(0.5, 1.5)!r} * sin({j} * {math.pi!r} * x2)"
+                       f" * sin({k} * {math.pi!r} * x3)" for j, k in ((1, 1), (1, 3), (3, 1)))
+    return ("[problem]\nm = 1\nn = 3\np = 1\nomega = 0,1;0,1\n\n[coef]\n"
+            "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1\n\n"
+            f"[forcing]\nf = {modes}\n")
+
+
+_STRIP_HEAD = "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+_SYMBOL_SPECS = {
+    **{name: builtin_problem(name) for name in builtin_names()},
+    "box3d": parse_problem_config(_box3d_config(3)),
+    # poisson_strip plus a first-order cross-sectional term
+    "skew_strip": parse_problem_config(
+        _STRIP_HEAD + "a_0_1_0_0 = 1\na_0_1_0_1 = 1\na_1_0_1_0 = 1\n\n[forcing]\nf = 1\n"),
+    # 1 + 3 x2 cos(t) sin(t): negative where x2 > 2/3 and t is near 3 pi / 4
+    "indefinite": parse_problem_config(
+        _STRIP_HEAD + "a_0_1_0_1 = 1\na_1_0_0_1 = 3 * x2\na_1_0_1_0 = 1\n\n[forcing]\nf = 1\n"),
+    # three terms of -0.85e308 near t = pi / 4 overflow to -inf
+    "overflowing": parse_problem_config(
+        _STRIP_HEAD + "a_0_1_0_1 = -1.7e308\na_1_0_0_1 = -1.7e308\na_1_0_1_0 = -1.7e308\n\n"
+        "[forcing]\nf = 1\n"),
+}
+# the samples of one chunk at 720 directions, the chunk size of a strip
+_CHUNK_ROWS = problem._SYMBOL_CHUNK_BYTES // (8 * 720)
+
+
+@pytest.mark.parametrize("chunk_bytes", [problem._SYMBOL_CHUNK_BYTES, 1],
+                         ids=["default_chunks", "one_sample_chunks"])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name", _SYMBOL_SPECS)
+def test_lambda_hat_is_the_whole_symbol_arrays_minimum_bitwise(monkeypatch, name, seed,
+                                                               chunk_bytes):
+    # the chunked minimum equals that of the one (samples x directions)
+    # array, bit for bit, at sample counts on and off the chunk boundaries
+    monkeypatch.setattr(problem, "_SYMBOL_CHUNK_BYTES", chunk_bytes)
+    spec = _SYMBOL_SPECS[name]
+    counts = {2, 15, 16, 17, 256, 257, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1}
+    for count in sorted(counts):
+        with np.errstate(over="ignore" if name == "overflowing" else "warn"):
+            report = validate_hypotheses(spec, sample_count=count, seed=seed)
+            expected = principal_symbol_min(spec, count, seed)
+        assert report.lambda_hat.hex() == expected.hex(), count
+    if name == "indefinite":
+        assert report.lambda_hat < 0.0 and not report.ellipticity_ok
+    if name == "overflowing":
+        assert report.lambda_hat == -math.inf
+
+
+@pytest.mark.parametrize("name", ["biharmonic_strip", "box3d"])
+def test_the_symbol_check_holds_one_chunk_of_samples(name):
+    # 256 samples x 720-726 directions would be 1.4 MiB of symbol values and
+    # as much again for each outer product (3.0 MiB traced before the
+    # chunks); a chunk is 128 KiB (0.41-0.42 MiB traced)
+    spec = _SYMBOL_SPECS[name]
+    tracemalloc.start()
+    try:
+        validate_hypotheses(spec, sample_count=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20
 
 
 # ------------------------------------------------------------ config text

@@ -1,8 +1,12 @@
-"""The refactor oracle: a small sweep of each builtin writes pinned CSV bytes.
+"""The refactor oracle: a small sweep of each builtin writes pinned CSV and
+JSON bytes.
 
 Each sweep runs as `python -m cylasym sweep --l 2,4,8 --cells-per-unit 8`
 in a fresh interpreter with one BLAS thread, and its CSV's sha256 must equal
-the digest pinned here.  The skew strip, the Poisson strip plus the
+the digest pinned here.  So must its JSON report's, taken over the report
+with its timings removed: the `timings` map, every record's `wall_time_s`
+and `plan.source`; that pins the hypothesis report and the localized-energy
+table, which the CSV does not carry.  The skew strip, the Poisson strip plus the
 nonsymmetric a_0_1_0_0 = 1, pins the banded LU path: LAPACK's dgbsv for
 every system, and dgtsv for its tridiagonal cross-section system at
 degree 1.  The 3-D box, the Laplacian on (-l, l) x (0, 1)^2 at 4 cells per
@@ -18,6 +22,7 @@ test runs only on the versions recorded next to them.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -37,6 +42,16 @@ DIGESTS = {
     "box3d": "c5526970c84c6c19455030277b91f8a1bcae969c8883f1d005866e71d533c9b9",
     "box_p2": "31d841ba57bbccaebdefe8a1903c6914f111b13c07b8b70c4713e4fe8bfda1ad",
     "poisson_sin_x1": "b7a1c659dc6cc75f209134c2aa7f614dd3bff4d559a068c45dc683ff596e3955",
+}
+JSON_DIGESTS = {
+    "poisson_strip": "aa3abd8ddf1a7acad3327779bbb62a1d589dca1912328bbc2d1d82dc2e322f96",
+    "biharmonic_strip": "b837307614757c63dba550be658eef4db266c38012d03c0dcb0e8d1e95a8223d",
+    "varcoef_strip": "2cf29efcd914a943cca18373184aa7bc1ad6b12be7adcf9c490d61ea65c096c1",
+    "skew_strip": "ae78d04aa9ae8ed08ad816a1ab8032d26ffa30c9c249c5c895fca7f7cebd263b",
+    "skew_strip_degree_1": "fe254c0a7a3713c6fe22ca2e2a757f4a2853c28f4f466dbc70196496fce76f1d",
+    "box3d": "548955b0f57610ce58af04f3a6b92fae4eecce07cd349ec94e84a6a7ed85900e",
+    "box_p2": "fd9fd6599503384d7d845f16575b74c1dbb62b661b5ccc6d1790a299263f858d",
+    "poisson_sin_x1": "9792edd25ff7f413da59c344b7919d39f30f81874fe97cbd2d19fa8099a07b52",
 }
 SKEW_CONFIG = (
     "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
@@ -71,21 +86,33 @@ ONE_THREAD = {name: "1" for name in
 _versions = {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def untimed_json_digest(path):
+    """sha256 of the JSON report at path, its timings removed."""
+    report = json.loads(path.read_text())
+    del report["timings"], report["plan"]["source"]
+    for record in report["records"]:
+        del record["wall_time_s"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.skipif(_versions != PINNED_VERSIONS,
                     reason=f"digests pinned with numpy {PINNED_VERSIONS['numpy']} and scipy "
                            f"{PINNED_VERSIONS['scipy']}, running numpy {_versions['numpy']} "
                            f"and scipy {_versions['scipy']}")
 @pytest.mark.parametrize("problem", DIGESTS)
 def test_sweep_csv_bytes_are_pinned(tmp_path, problem):
-    csv = tmp_path / f"{problem}.csv"
+    # the sweep runs in tmp_path and names its config relatively, so the
+    # report's problem name is the same in every run
+    csv, report = tmp_path / f"{problem}.csv", tmp_path / f"{problem}.json"
     args, cells = ["--problem", problem], 8
     if problem in CONFIGS:
         text, extra, cells = CONFIGS[problem]
-        config = tmp_path / f"{problem}.cfg"
-        config.write_text(text)
-        args = ["--problem", str(config), *extra]
+        (tmp_path / f"{problem}.cfg").write_text(text)
+        args = ["--problem", f"{problem}.cfg", *extra]
     subprocess.run([sys.executable, "-m", "cylasym", "sweep", *args,
-                    "--l", "2,4,8", "--cells-per-unit", str(cells), "--out-csv", str(csv)],
-                   capture_output=True, check=True,
+                    "--l", "2,4,8", "--cells-per-unit", str(cells),
+                    "--out-csv", csv.name, "--out-json", report.name],
+                   capture_output=True, check=True, cwd=tmp_path,
                    env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(SRC)})
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == DIGESTS[problem]
+    assert untimed_json_digest(report) == JSON_DIGESTS[problem]
