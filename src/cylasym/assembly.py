@@ -5,7 +5,14 @@ factors of degrees d_k, two basis functions share a cell exactly when their
 indices differ by at most d_k on every axis, so a matrix is an array of shape
 (dim_1..dim_n, w_1..w_n), w_k = 2 d_k + 1, whose entry [i_1..i_n, s_1..s_n]
 couples row (i_k) with column (i_k + s_k - d_k).  The slots whose column
-falls outside the space hold no matrix entry; every reader skips them.
+falls outside the space hold no matrix entry, and every band the package
+builds holds zero in them: the kernel's, since the tables zero the
+functions the constraint drops, and those the folds, mirror averages,
+transposes and Gram bands (splines.axis_grams) form.  So band_apply,
+matvec and _kron_row_sums read a band as it is; the slot walk and the folds
+read the in-space slots only, since they also place entries and define the
+folded space.  A new producer of bands keeps this invariant, and
+test_every_band_is_zero_outside_its_space pins it for every producer.
 
 One einsum kernel builds the band on a tensor product of factors: per-axis
 local basis derivative tables (each factor's cached local_table of its
@@ -105,16 +112,11 @@ tuple, which a uniform axial mesh repeats (_kron_row_sums); the solve reads
 the norm of a system with an n-D band off the band it factors
 (linalg.band_inf_norm), so that the walk runs once.
 
-The kernel leaves the slots whose column falls outside the space zero,
-since the tables zero the functions the constraint drops, but no reader
-relies on that.  A system prepares its Kronecker pieces once, on first use
-by matvec or _kron_row_sums: a copy of each with those slots zeroed and, for
-a symmetric system, the band-layout transpose of each, whose out-of-space
-slots are zero by construction.  Its n-D band is prepared the same way one
-chunk of rows at a time, at every product, so that no copy of a whole large
-band is kept.  band_apply reads a band as it is: a prepared piece or a Gram
-band of splines.axis_grams, which only ever writes in-space slots.  The
-other readers never read those slots.
+The readers share a system's pieces as they are, so a system marks them
+read-only.  A symmetric system forms the band-layout transpose of each
+Kronecker piece once, on first use by matvec or _kron_row_sums, and keeps
+it; the transpose of its n-D band is formed one chunk of rows at a time, at
+every product, so that no copy of a whole large band is kept.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -154,7 +156,7 @@ _SLAB_BYTES = 4 * 2**20
 _AXIS_LETTERS = "abc"  # band_apply: the axes of X
 _SLOT_LETTERS = "stu"  # band_apply: the band's slot axes
 # entries per chunk of _kron_row_sums' (tuples, cross rows, cross slots)
-# arrays, and per prepared chunk of an n-D band's rows
+# arrays, and per transposed chunk of an n-D band's rows
 _CHUNK_ENTRIES = 2**15
 
 
@@ -172,9 +174,9 @@ class AssembledSystem:
     cross-section bands are those of section, the CrossSection the system
     was assembled from.  The written forms (lower_band, general_band,
     matrix, axial_pencil) come from the slot walk; matvec and inf_norm read
-    the pieces without it, through the pieces prepared once per system
-    (_prepared).  No reader uses a slot whose column falls outside the
-    space, whatever it holds.
+    the pieces without it, as they are, and a symmetric system's
+    band-layout transposes of them (_prepared).  The pieces are read-only,
+    and zero outside the space, as every band is.
     """
 
     rhs: np.ndarray
@@ -184,6 +186,11 @@ class AssembledSystem:
     kron_parts: tuple = ()
     nd_band: np.ndarray | None = None
     section: "CrossSection | None" = None
+
+    def __post_init__(self):
+        for band in (*itertools.chain(*self.kron_parts), self.nd_band):
+            if band is not None:
+                band.flags.writeable = False  # the readers share it as it is
 
     @property
     def symmetric(self) -> bool:
@@ -216,28 +223,22 @@ class AssembledSystem:
     def matrix(self):
         """The CSR matrix, (A + A^T) / 2 for a symmetric problem, written
         from the entries lower_band and general_band write: the lower ones
-        and their mirrors for a symmetric problem.  Built on every read; the
-        first read imports scipy.sparse, which no solve needs."""
+        and their mirrors for a symmetric problem, handed to scipy.sparse as
+        (value, (row, column)) triples.  Built on every read; the first read
+        imports scipy.sparse, which no solve needs."""
         import scipy.sparse as sp
 
         entries = list(self._entries(lower=self.symmetric))
         if self.symmetric:
             entries += [(-c, cols, rows, values) for c, rows, cols, values in entries if c]
-        # columns ascend with c in every row, and no two entries of one c
-        # share a row
+        # columns ascend with c in every row, no two entries of one c share
+        # a row, and the conversion keeps each row's entries in this order
         entries.sort(key=lambda entry: entry[0])
-        count = np.zeros(self._dims, dtype=np.int64)
-        for _, rows, _, _ in entries:
-            count[rows] += 1
-        indptr = np.concatenate([[0], np.cumsum(count.ravel())])
-        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-        at = indptr[:-1].reshape(self._dims).copy()  # the next free position per row
         flat = np.arange(self.ndofs, dtype=np.int32).reshape(self._dims)
-        for _, rows, cols, values in entries:
-            here = at[rows]
-            data[here], indices[here] = values, flat[cols]
-            at[rows] += 1
-        return sp.csr_matrix((data, indices, indptr), shape=(self.ndofs,) * 2)
+        rows = np.concatenate([flat[r].ravel() for _, r, _, _ in entries])
+        cols = np.concatenate([flat[c].ravel() for _, _, c, _ in entries])
+        data = np.concatenate([values.ravel() for *_, values in entries])
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.ndofs,) * 2)
 
     def _slot(self, s):
         """Slot tuple s of the band in every row, of shape (dim_1..dim_n):
@@ -277,7 +278,7 @@ class AssembledSystem:
     def inf_norm(self) -> float:
         """|A|_inf of the matrix, exactly: the largest sum over a row of the
         magnitudes of its entries, each entry formed from the pieces as the
-        bands write it, every out-of-space slot skipped.
+        bands write it; an out-of-space slot adds an exact zero.
 
         A system of Kronecker parts alone sums its rows per distinct axial
         coefficient tuple (_kron_row_sums).  The solve reads the norm of a
@@ -292,13 +293,11 @@ class AssembledSystem:
     @cached_property
     def _prepared(self):
         """The Kronecker pieces as band_apply and _kron_row_sums read them:
-        (A_j, C_j) with the out-of-space slots zeroed, then for a symmetric
-        system (A_j^T, C_j^T), their band-layout transposes.  Formed from
-        kron_parts on first use and kept with the system."""
-        sides = [tuple((_zeroed_outside(A), _zeroed_outside(C)) for A, C in self.kron_parts)]
-        if self.symmetric:
-            sides.append(tuple((_transposed(A), _transposed(C)) for A, C in self.kron_parts))
-        return tuple(sides)
+        kron_parts itself, then for a symmetric system (A_j^T, C_j^T), their
+        band-layout transposes, formed on first use and kept."""
+        if not self.symmetric:
+            return (self.kron_parts,)
+        return self.kron_parts, tuple((_transposed(A), _transposed(C)) for A, C in self.kron_parts)
 
     def matvec(self, x):
         """The matrix times x from the pieces: sum_j A_j X C_j^T plus the n-D
@@ -525,25 +524,6 @@ def _slot_of(band):
     return lambda s: band[(slice(None),) * len(s) + s]
 
 
-def _in_space(shape):
-    """The slots of a band of this shape whose column lies in the space, as
-    a boolean array broadcastable to the shape."""
-    k = len(shape) // 2
-    mask = np.ones((1,) * (2 * k), dtype=bool)
-    for axis, (dim, width) in enumerate(zip(shape[:k], shape[k:])):
-        col = np.arange(dim)[:, None] + np.arange(width) - width // 2
-        where = [1] * (2 * k)
-        where[axis], where[k + axis] = dim, width
-        mask = mask & ((col >= 0) & (col < dim)).reshape(where)
-    return mask
-
-
-def _zeroed_outside(band):
-    """A copy of the band with the slots whose column falls outside the
-    space zeroed."""
-    return np.where(_in_space(band.shape), band, 0.0)
-
-
 def zero_padded(a, widths):
     """a with widths[k] zeros at both ends of its axis k, in the memory
     order numpy.pad gives: Fortran when a is Fortran- and not C-contiguous,
@@ -589,11 +569,9 @@ def band_apply(band, X, lead: int = 0):
     """The band's matrix applied to the axes of X from `lead` on that the
     band's factors span; the other axes are carried along.
 
-    The band is read as it is, so its out-of-space slots must hold zeros: a
-    system's prepared pieces (AssembledSystem._prepared) and the Gram bands
-    of splines.axis_grams do.  The spanned axes of X are moved first, so
-    that the carried axes run innermost, and X is read through _windows:
-    one einsum sums the products.
+    The band is read as it is, zero outside its space as every band is.
+    The spanned axes of X are moved first, so that the carried axes run
+    innermost, and X is read through _windows: one einsum sums the products.
     """
     k = band.ndim // 2
     order = (*range(lead, lead + k), *range(lead), *range(lead + k, X.ndim))
@@ -604,32 +582,29 @@ def band_apply(band, X, lead: int = 0):
 
 
 def _nd_apply(band, X, transpose: bool):
-    """band_apply of an n-D band, or of its transpose, over all axes of X,
-    from the band prepared one chunk of rows of its first axis at a time: a
-    copy of the chunk with its out-of-space slots zeroed, or of its
-    transpose's, so that whatever those slots hold is never read and no
-    copy of a whole large band is made."""
+    """band_apply of an n-D band, or of its transpose, over all axes of X.
+    The transpose is formed one chunk of rows of the band's first axis at a
+    time, so that no copy of a whole large band is made."""
+    if not transpose:
+        return band_apply(band, X)
     k = band.ndim // 2
     windows, subscripts = _windows(X, band.shape[k:]), _subscripts(k, k)
-    inside = _in_space(band.shape)
     n, d = band.shape[0], band.shape[k] // 2
     Y = np.empty(X.shape)
     step = max(1, _CHUNK_ENTRIES // band[0].size)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        if transpose:  # its rows lo..hi read the band's rows lo - d..hi + d
-            start = max(0, lo - d)
-            chunk = _transposed(band[start : hi + d])[lo - start : hi - start]
-        else:
-            chunk = np.where(inside[lo:hi], band[lo:hi], 0.0)
+        # its rows lo..hi read the band's rows lo - d..hi + d
+        start = max(0, lo - d)
+        chunk = _transposed(band[start : hi + d])[lo - start : hi - start]
         np.einsum(subscripts, chunk, windows[lo:hi], out=Y[lo:hi])
     return Y
 
 
 def _kron_row_sums(sides, p: int):
     """Row sums of the magnitudes of the entries of a system of Kronecker
-    parts alone, of shape (axial rows, cross-section rows), from its
-    prepared pieces (AssembledSystem._prepared).
+    parts alone, of shape (axial rows, cross-section rows), from its pieces
+    and a symmetric system's transposes of them (AssembledSystem._prepared).
 
     Row (i, r) and slot (e, s) of the band hold S = sum_j A_j[i, e]
     C_j[r, s], summed in part order, and for a symmetric system (two sides)
@@ -639,18 +614,15 @@ def _kron_row_sums(sides, p: int):
     depends on the axial row only through the tuple t(i, e) of the A_j[i, e]
     (and A_j^T[i, e]), and a uniform axial mesh repeats those tuples bit for
     bit; so the cross-section sums g(t)[r] = sum_s |entry| are formed once
-    per distinct tuple of an in-space axial slot, found by a lexsort, and
-    row (i, r) adds g(t(i, e))[r] over its in-space axial slots e.
-    Out-of-space cross-section slots are zero, so they add exact zeros.
+    per distinct tuple, found by a lexsort, and row (i, r) adds
+    g(t(i, e))[r] over its axial slots e, from slot 0 on.  Out-of-space
+    slots are zero, so they add exact zeros.
     """
     parts = sides[0]
     axial_shape, cross_shape = parts[0][0].shape, parts[0][1].shape
     n_ax, w_ax = math.prod(axial_shape[:p]), math.prod(axial_shape[p:])
     n_c = math.prod(cross_shape[: len(cross_shape) // 2])
-    rows, slots = np.nonzero(np.broadcast_to(_in_space(axial_shape), axial_shape)
-                             .reshape(n_ax, w_ax))
-    keys = np.stack([A.reshape(n_ax, w_ax)[rows, slots] for side in sides for A, _ in side],
-                    axis=1)
+    keys = np.stack([A.reshape(-1) for side in sides for A, _ in side], axis=1)
     order = np.lexsort(keys.T)
     ordered = keys[order]
     first = np.ones(len(order), dtype=bool)  # the first of each run of equal tuples
@@ -674,10 +646,10 @@ def _kron_row_sums(sides, p: int):
         sums[lo : lo + chunk] = np.abs(entries, out=entries).sum(axis=1)
     if len(sides) == 2:
         sums *= 0.5  # |(S + S^T) / 2| summed: halving is exact, before or after
-    row_abs = np.zeros((n_ax, n_c))
-    for e in range(w_ax):  # rows are distinct within one slot
-        here = slots == e
-        row_abs[rows[here]] += sums[group[here]]
+    group = group.reshape(n_ax, w_ax)
+    row_abs = sums[group[:, 0]]
+    for e in range(1, w_ax):
+        row_abs += sums[group[:, e]]
     return row_abs
 
 

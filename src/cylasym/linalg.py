@@ -61,7 +61,10 @@ cho_solve_banded and solve_banded do, with the same arguments, so their
 x are bit for bit those of scipy's functions.
 
 cg_jacobi, gmres_jacobi and smallest_ritz_estimate no longer serve a sweep.
-They are plain numpy loops, so repeated runs produce identical iterates.
+They stay because the benchmark's instrumentation (bench/instrument.py)
+patches them by name in the harness, so deleting them needs a change to the
+benchmark itself (ROADMAP item 1).  They are plain numpy loops, so
+repeated runs produce identical iterates.
 """
 
 import functools

@@ -411,7 +411,7 @@ def _unit_directions(rng, n, dense=720):
     if n == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
         return np.column_stack([np.cos(theta), np.sin(theta)])
-    pts = np.array([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(dense)])
+    pts = np.array([rng.gauss(0.0, 1.0) for _ in range(dense * n)]).reshape(dense, n)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     axes = np.eye(n)
     return np.vstack([pts, axes, -axes])
@@ -436,6 +436,9 @@ def validate_hypotheses(spec: ProblemSpec, sample_count: int = 256, seed: int = 
         never the whole (samples x directions) array;
     (c) every field stays finite on the samples (violations raise).
 
+    Each field is evaluated on the samples once; the principal
+    coefficients' values serve both (b) and (c).
+
     Failures of (a) or (b) are reported, not raised, so the caller can map
     them to a dedicated exit code.
     """
@@ -453,10 +456,10 @@ def validate_hypotheses(spec: ProblemSpec, sample_count: int = 256, seed: int = 
     coords = tuple(axial + cross)
 
     x1_flags = {"f": not spec.forcing.reads_axial(spec.p)}
-    sup_norms = {}
+    sup_norms, values = {}, {}
     for (alpha, beta), fld in sorted(spec.coefficients.items()):
         label = "a_" + mi.encode(alpha + beta)
-        vals = fld(coords)
+        vals = values[(alpha, beta)] = fld(coords)
         _check_finite(label, vals)
         sup_norms[label] = float(np.max(np.abs(vals)))
         if mi.in_N2(alpha, spec.p):
@@ -472,9 +475,7 @@ def validate_hypotheses(spec: ProblemSpec, sample_count: int = 256, seed: int = 
     xi = _unit_directions(rng, spec.n)
     terms = []
     for alpha, beta in spec.principal_pairs():
-        vals = np.broadcast_to(
-            np.asarray(spec.coefficients[(alpha, beta)](coords)), (sample_count,)
-        )
+        vals = np.broadcast_to(values[(alpha, beta)], (sample_count,))
         gamma = mi.add(alpha, beta)
         terms.append((vals, np.prod(xi ** np.asarray(gamma, dtype=np.float64), axis=1)))
     rows = max(1, _SYMBOL_CHUNK_BYTES // (8 * xi.shape[0]))

@@ -17,11 +17,12 @@ The package writes its CSR matrix from the same slot walk
 builds it without that walk: the full band summed from the system's pieces,
 then _to_csr, then (A + A^T) / 2 from the CSR transpose.
 
-The package prepares each band once (its out-of-space slots zeroed, its
-band-layout transpose formed) and assembly.band_apply reads it as it is.
-band_apply_per_call here does that preparation on every call, from the raw
-band, and pads X with numpy.pad; kron_parts_per_alpha applies every band of
-every alpha, where the package shares the applications of a common prefix.
+Every band the package builds is zero outside its space, so
+assembly.band_apply reads it as it is, and a symmetric system forms each
+piece's band-layout transpose once.  band_apply_per_call here masks the
+band, or forms its transpose, on every call, and pads X with numpy.pad;
+kron_parts_per_alpha applies every band of every alpha, where the package
+shares the applications of a common prefix.
 
 The package solves a cylinder system that commutes with reflections on its
 parity blocks (AssembledSystem.parity_blocks): the axial bands folded once
@@ -40,9 +41,10 @@ eigenbasis of the dense cross-section blocks; kronecker_pencil gives both
 halves, dense, so a test can rebuild the matrix from them.
 
 problem.validate_hypotheses minimizes the principal symbol one chunk of
-samples at a time; principal_symbol_min here builds the whole (samples x
-directions) array from the same seeded draws and takes its minimum, as the
-package did before the chunks.
+samples at a time, and draws the n >= 3 directions' normals in one flat
+comprehension; principal_symbol_min here builds the whole (samples x
+directions) array from the same seeded draws, the normals drawn row by row,
+and takes its minimum, as the package did before the chunks.
 
 analysis.CutoffRho builds its bridge on plain coefficient arrays and
 evaluates it with np.polyval; polynomial_cutoff_profile here builds the
@@ -102,7 +104,12 @@ def principal_symbol_min(spec, sample_count: int = 256, seed: int = 0) -> float:
     cross = [draws(lo, hi) for lo, hi in spec.omega]
     axial = [draws(-_AXIAL_PROBE_HALFWIDTH, _AXIAL_PROBE_HALFWIDTH) for _ in range(spec.p)]
     coords = tuple(axial + cross)
-    xi = _unit_directions(rng, spec.n)
+    if spec.n == 2:
+        xi = _unit_directions(rng, 2)
+    else:  # one normal vector per direction, drawn row by row
+        pts = np.array([[rng.gauss(0.0, 1.0) for _ in range(spec.n)] for _ in range(720)])
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        xi = np.vstack([pts, np.eye(spec.n), -np.eye(spec.n)])
     symbol = np.zeros((sample_count, xi.shape[0]))
     for alpha, beta in spec.principal_pairs():
         vals = np.broadcast_to(

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from dense_oracle import (
+    _in_space,
     _to_csr,
     band_apply_per_call,
     dense_basis_matrix,
@@ -42,9 +43,8 @@ from cylasym.assembly import (
     _dense,
     _folded_band,
     _galerkin,
-    _in_space,
+    _mirror_averaged,
     _transposed,
-    _zeroed_outside,
     assemble_cylinder,
     assemble_limit,
     band_apply,
@@ -57,7 +57,8 @@ from cylasym.problem import (
     builtin_problem,
     parse_problem_config,
 )
-from cylasym.splines import DiscreteField, composite_gauss
+from cylasym.analysis import CutoffRho
+from cylasym.splines import DiscreteField, SplineBasis1D, axis_grams, composite_gauss
 
 
 def _gauss(basis, ppc=None):
@@ -327,6 +328,22 @@ def test_the_nd_kernel_holds_one_slab_of_elements():
     assert peak <= 2.5 * system.nd_band.nbytes, peak / 2**20
 
 
+def test_the_nd_product_holds_no_copy_of_the_band():
+    # the same system: a product applies the n-D band as it is and forms its
+    # transpose one chunk of rows at a time, 0.31 of the band's 13.2 MiB
+    # traced; masking a copy of each chunk of the band too took 0.44
+    system = assemble_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=4.0, resolution=12)
+    x = np.random.default_rng(2).standard_normal(system.ndofs)
+    system.matvec(x)  # forms the Kronecker pieces' transposes, kept with the system
+    tracemalloc.start()
+    try:
+        system.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.36 * system.nd_band.nbytes, peak / system.nd_band.nbytes
+
+
 class _Recorder:
     """A coefficient that records the point-grid shape of every evaluation."""
 
@@ -556,75 +573,10 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
         assert ab[kd - c, max(c, 0) : max(c, 0) + n].tobytes() == np.diagonal(A, c).tobytes()
 
 
-def _nan_outside(system):
-    """A copy of the system whose pieces hold NaN in every slot whose column
-    falls outside the space."""
-    def filled(band):
-        k = band.ndim // 2
-        inside = np.ones(band.shape, dtype=bool)
-        for axis, (dim, width) in enumerate(zip(band.shape[:k], band.shape[k:])):
-            col = np.arange(dim)[:, None] + np.arange(width) - width // 2
-            shape = [1] * band.ndim
-            shape[axis], shape[k + axis] = dim, width
-            inside &= ((col >= 0) & (col < dim)).reshape(shape)
-        assert not inside.all()
-        return np.where(inside, band, np.nan)
-
-    return dataclasses.replace(
-        system,
-        kron_parts=tuple((filled(A), filled(C)) for A, C in system.kron_parts),
-        nd_band=None if system.nd_band is None else filled(system.nd_band),
-    )
-
-
-def _assert_out_of_space_slots_unread(system):
-    nan = _nan_outside(system)
-    # the first product prepares the NaN copy's pieces; the second product
-    # and inf_norm read the prepared pieces it keeps
-    x = np.random.default_rng(9).standard_normal(system.ndofs)
-    want = system.matvec(x).tobytes()
-    for _ in range(2):
-        assert nan.matvec(x).tobytes() == want
-    assert nan.inf_norm() == system.inf_norm()
-    readers = ["general_band"] + (["lower_band"] if system.symmetric else [])
-    for name in readers:
-        assert getattr(system, name)().tobytes() == getattr(nan, name)().tobytes(), name
-    got, want = nan.matrix, system.matrix
-    for name in ("data", "indices", "indptr"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    if system.two_part:
-        for got, want in zip(kronecker_pencil(nan), kronecker_pencil(system)):
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-
-def test_out_of_space_slots_are_never_read(symmetric_system):
-    # the kernel leaves those slots zero, since the de Boor tables zero the
-    # functions the constraint drops, but every reader must skip them
-    # whatever they hold
-    _assert_out_of_space_slots_unread(symmetric_system)
-
-
-@pytest.mark.parametrize("p,axial_text,where", [
-    (1, None, "cyl"), (1, None, "lim"), (2, None, "cyl"), (1, "2 + sin(x1)", "cyl"),
-])
-def test_out_of_space_slots_are_never_read_nonsymmetric(p, axial_text, where):
-    spec = _box_spec(p, axial_text)
-    if where == "cyl":
-        system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
-    else:
-        system = assemble_limit(spec, resolution=3, degree=2)
-    _assert_out_of_space_slots_unread(system)
-
-
-def _raw_band(rng, dims, widths):
-    """A random band whose out-of-space slots hold NaN."""
+def _raw_band(rng, dims, widths, outside=np.nan):
+    """A random band whose out-of-space slots hold `outside`."""
     band = rng.standard_normal(tuple(dims) + tuple(widths))
-    for axis, (dim, width) in enumerate(zip(dims, widths)):
-        col = np.arange(dim)[:, None] + np.arange(width) - width // 2
-        shape = [1] * band.ndim
-        shape[axis], shape[len(dims) + axis] = dim, width
-        band = np.where(((col >= 0) & (col < dim)).reshape(shape), band, np.nan)
-    return band
+    return np.where(_in_space(band.shape), band, outside)
 
 
 @pytest.mark.parametrize("dims,widths,lead", [
@@ -633,17 +585,17 @@ def _raw_band(rng, dims, widths):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("transpose", [False, True])
 def test_band_apply_matches_the_per_call_kernel(dims, widths, lead, order, transpose):
-    # band_apply reads a prepared band as it is, and pads X into a zero
-    # buffer of numpy.pad's memory order; the reference prepares the raw
-    # band on every call and pads with numpy.pad.  A Fortran-ordered X
-    # (and a C-ordered one with its spanned axes last) pads into a Fortran
-    # buffer, whose sums run in another order than a C buffer's
+    # band_apply reads a band, zero outside its space, as it is, and pads X
+    # into a zero buffer of numpy.pad's memory order; the reference masks
+    # the band, or forms its transpose, on every call and pads with
+    # numpy.pad.  A Fortran-ordered X (and a C-ordered one with its spanned
+    # axes last) pads into a Fortran buffer, whose sums run in another order
+    # than a C buffer's
     rng = np.random.default_rng(len(dims) * 10 + lead)
-    band = _raw_band(rng, dims, widths)
+    band = _raw_band(rng, dims, widths, 0.0)
     shape = [4, 5, 3][: lead] + list(dims) + [3, 4][: 3 - lead - len(dims)]
     X = np.asarray(rng.standard_normal(shape), order=order)
-    prepared = _transposed(band) if transpose else _zeroed_outside(band)
-    got = band_apply(prepared, X, lead)
+    got = band_apply(_transposed(band) if transpose else band, X, lead)
     want = band_apply_per_call(band, X, lead, transpose)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert np.isfinite(got).all()
@@ -858,7 +810,6 @@ def test_the_folded_system_is_p_transpose_a_p(spec, ell, resolution, degree):
         # half the rows per folded axis
         band = block.lower_band() if system.symmetric else block.general_band()
         assert band.shape[1] == P.shape[1] and band.shape[0] <= full.shape[0]
-        _assert_out_of_space_slots_unread(block)
 
 
 @pytest.mark.parametrize("dims,widths,axis", [
@@ -1042,3 +993,75 @@ def test_a_non_finite_block_is_left_to_the_assembly():
     with pytest.raises(AssemblyError, match=r"^assemble_cylinder for problem singular at "
                                             r"l = 1: assembled matrix contains non-finite"):
         assemble_cylinder(spec, ell=1.0, resolution=13, section=section)
+
+
+# ------------------------------------------------------------------ the band invariant
+
+
+def _axial_bands(spec, degree):
+    system = assemble_cylinder(spec, ell=1.0, resolution=5, degree=degree)
+    return [A for A, _ in system.kron_parts]
+
+
+def _parity_pieces(cases):
+    pieces = []
+    for spec, ell, resolution, degree, *_ in cases:
+        system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+        pieces += [band for _, block in system.parity_blocks()
+                   for band in itertools.chain(*block.kron_parts)]
+    return pieces
+
+
+def _grams(extent, cutoff=None):
+    factor = SplineBasis1D(-2.0, 2.0, 8, 3, 2)
+    return axis_grams(factor, extent, 3, 2, 4, cutoff)[1]
+
+
+# every producer of a band; the folds, mirror averages and transposes act on
+# the kernel's bands
+_BANDS = {
+    "axial_degree_m+1": lambda: (_axial_bands(_BIHARMONIC, 3)
+                                 + _axial_bands(_laplace_box(2), 2)),
+    "axial_degree_m+2": lambda: (_axial_bands(_BIHARMONIC, 4)
+                                 + _axial_bands(_laplace_box(2), 3)),
+    "cross_section_1d": lambda: CrossSection(_BIHARMONIC, 8).blocks,
+    "cross_section_2d": lambda: (CrossSection(_laplace_box(1), 4).blocks
+                                 + CrossSection(_BIHARMONIC_3D, 5).blocks),
+    "nd_box3d_sin_x1": lambda: [
+        assemble_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band],
+    "mirror_averaged": lambda: [_mirror_averaged(C, (0, 1))
+                                for C in CrossSection(_laplace_box(1), 4).blocks],
+    "folded_even": lambda: (
+        [_folded_band(A, axis) for A in _axial_bands(_laplace_box(2), 2) for axis in (0, 1)]
+        + [_folded_band(A, 0) for A in _axial_bands(_BIHARMONIC, 2)]),
+    "folded_odd": lambda: [_folded_band(C, axis, odd=True)
+                           for C in CrossSection(_BIHARMONIC_3D, 5).blocks for axis in (0, 1)],
+    "transposed": lambda: [_transposed(band) for band in (
+        *_axial_bands(_laplace_box(2), 2), *CrossSection(_laplace_box(1), 4).blocks,
+        assemble_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band)],
+    "grams_sub_extent": lambda: _grams((-1.0, 1.0)),
+    "grams_cutoff": lambda: _grams((-2.0, 2.0), (CutoffRho(3), 1.0)),
+    "parity_blocks": lambda: _parity_pieces([*_BLOCK_CASES.values(),
+                                             *_FOLD_CASES.values()]),
+    "limit": lambda: [assemble_limit(spec, resolution=5).nd_band for spec in (
+        _BIHARMONIC, _laplace_box(1), _box_spec(1), _MIXED_3D)],
+}
+
+
+@pytest.mark.parametrize("producer", _BANDS)
+def test_every_band_is_zero_outside_its_space(producer):
+    # the invariant of the band layout: a slot whose column falls outside
+    # the space holds zero, so band_apply, matvec and _kron_row_sums read
+    # every band as it is
+    for band in _BANDS[producer]():
+        outside = ~np.broadcast_to(_in_space(band.shape), band.shape)
+        assert outside.any() and np.all(band[outside] == 0.0)
+
+
+def test_a_systems_pieces_are_read_only():
+    # the readers share them as they are, the limit system the section's
+    system = assemble_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4)
+    blocks = assemble_cylinder(_BIHARMONIC_3D, ell=1.0, resolution=5).parity_blocks()
+    for s in (system, assemble_limit(_BIHARMONIC, resolution=5), *(b for _, b in blocks)):
+        for band in (*itertools.chain(*s.kron_parts), s.nd_band):
+            assert band is None or not band.flags.writeable

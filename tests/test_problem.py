@@ -316,6 +316,21 @@ def test_the_symbol_check_holds_one_chunk_of_samples(name):
     assert peak <= 0.5 * 2**20
 
 
+@pytest.mark.parametrize("name", _SYMBOL_SPECS)
+def test_the_check_evaluates_each_field_once(monkeypatch, name):
+    # the principal coefficients' values from the finiteness and sup-norm
+    # pass serve the symbol too; the lambda_hat tests above pin the values
+    spec, calls = _SYMBOL_SPECS[name], []
+    evaluate = ScalarField.__call__
+    monkeypatch.setattr(ScalarField, "__call__",
+                        lambda self, coords: calls.append(self) or evaluate(self, coords))
+    with np.errstate(over="ignore" if name == "overflowing" else "warn"):
+        validate_hypotheses(spec, sample_count=64)
+    fields = [*spec.coefficients.values(), spec.forcing]
+    assert len(calls) == len(fields)
+    assert all(sum(call is field for call in calls) == 1 for field in fields)
+
+
 # ------------------------------------------------------------ config text
 
 

@@ -14,10 +14,11 @@ unit, pins the fast-diagonalization path of a two-dimensional
 cross-section.  The biharmonic strip pins the parity blocks of a cross-section
 axis.  The p = 2 box, the Laplacian on (-l, l)^2 x (0, 1) at 4 cells per
 unit, pins the fold of two axial axes, and the Poisson strip with
-a_1_0_1_0 = 2 + sin(x1) the solve of an n-D band.  A change that
+a_1_0_1_0 = 2 + sin(x1) the solve of an n-D band.  Two refinement runs,
+`python -m cylasym refine --l 2` of the Poisson strip at degree 1 and of
+the biharmonic strip at degree 3, pin their CSVs too.  A change that
 should leave every value alone keeps them; a change that moves values
-re-pins them and lists old -> new.  The
-digests depend on the numpy and scipy builds that computed them, so the
+re-pins them and lists old -> new.  The digests depend on the numpy and scipy builds that computed them, so the
 test runs only on the versions recorded next to them.
 """
 
@@ -52,6 +53,13 @@ JSON_DIGESTS = {
     "box3d": "548955b0f57610ce58af04f3a6b92fae4eecce07cd349ec94e84a6a7ed85900e",
     "box_p2": "fd9fd6599503384d7d845f16575b74c1dbb62b661b5ccc6d1790a299263f858d",
     "poisson_sin_x1": "9792edd25ff7f413da59c344b7919d39f30f81874fe97cbd2d19fa8099a07b52",
+}
+# the CSV of `cylasym refine --l 2` at each problem's cells and degree
+REFINE_DIGESTS = {
+    ("poisson_strip", "8,16,32,64", "1"):
+        "774ea58ca34017e408d482b7b1a1456be840f86a433a03c75650bbc600e2b574",
+    ("biharmonic_strip", "6,12,24", "3"):
+        "37951cc832ff5e2ec184e313470285c939adc48da07cfd189a3ac521c9904ba6",
 }
 SKEW_CONFIG = (
     "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
@@ -95,10 +103,19 @@ def untimed_json_digest(path):
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.skipif(_versions != PINNED_VERSIONS,
-                    reason=f"digests pinned with numpy {PINNED_VERSIONS['numpy']} and scipy "
-                           f"{PINNED_VERSIONS['scipy']}, running numpy {_versions['numpy']} "
-                           f"and scipy {_versions['scipy']}")
+pinned_versions = pytest.mark.skipif(
+    _versions != PINNED_VERSIONS,
+    reason=f"digests pinned with numpy {PINNED_VERSIONS['numpy']} and scipy "
+           f"{PINNED_VERSIONS['scipy']}, running numpy {_versions['numpy']} "
+           f"and scipy {_versions['scipy']}")
+
+
+def _cylasym(args, cwd):
+    subprocess.run([sys.executable, "-m", "cylasym", *args], capture_output=True, check=True,
+                   cwd=cwd, env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(SRC)})
+
+
+@pinned_versions
 @pytest.mark.parametrize("problem", DIGESTS)
 def test_sweep_csv_bytes_are_pinned(tmp_path, problem):
     # the sweep runs in tmp_path and names its config relatively, so the
@@ -109,10 +126,17 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, problem):
         text, extra, cells = CONFIGS[problem]
         (tmp_path / f"{problem}.cfg").write_text(text)
         args = ["--problem", f"{problem}.cfg", *extra]
-    subprocess.run([sys.executable, "-m", "cylasym", "sweep", *args,
-                    "--l", "2,4,8", "--cells-per-unit", str(cells),
-                    "--out-csv", csv.name, "--out-json", report.name],
-                   capture_output=True, check=True, cwd=tmp_path,
-                   env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(SRC)})
+    _cylasym(["sweep", *args, "--l", "2,4,8", "--cells-per-unit", str(cells),
+              "--out-csv", csv.name, "--out-json", report.name], tmp_path)
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == DIGESTS[problem]
     assert untimed_json_digest(report) == JSON_DIGESTS[problem]
+
+
+@pinned_versions
+@pytest.mark.parametrize("problem,cells,degree", REFINE_DIGESTS, ids=lambda v: v)
+def test_refine_csv_bytes_are_pinned(tmp_path, problem, cells, degree):
+    csv = tmp_path / "refine.csv"
+    _cylasym(["refine", "--problem", problem, "--l", "2", "--cells", cells,
+              "--degree", degree, "--out-csv", csv.name], tmp_path)
+    assert (hashlib.sha256(csv.read_bytes()).hexdigest()
+            == REFINE_DIGESTS[(problem, cells, degree)])
