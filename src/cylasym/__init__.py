@@ -13,27 +13,16 @@ from .analysis import (
     difference_field,
     error_Hm,
     fit_rate,
-    galerkin_interior_residual,
     lemma19_check,
     localized_energy,
     norm_Hm,
 )
 from .assembly import AssembledSystem, CrossSection, assemble_cylinder, assemble_limit
-from .fdcalc import (
-    GridSample,
-    delta_alpha,
-    delta_k,
-    interior_derivative_error,
-    leibniz_defect,
-    mean_value_check,
-    summation_by_parts_defect,
-)
+from .fdcalc import interior_derivative_error
 from .harness import SweepPlan, run_refinement, run_sweep
 from .linalg import (
     SolveResult,
-    cg_jacobi,
     cholesky_solve,
-    gmres_jacobi,
     kronecker_solve,
     lu_solve,
     pencil_eigenbasis,
@@ -55,7 +44,6 @@ __all__ = [
     "CrossSection",
     "DiscreteField",
     "ErrorRecord",
-    "GridSample",
     "ProblemSpec",
     "SolveResult",
     "SplineBasis1D",
@@ -65,28 +53,20 @@ __all__ = [
     "assemble_limit",
     "builtin_names",
     "builtin_problem",
-    "cg_jacobi",
     "cholesky_solve",
-    "delta_alpha",
-    "delta_k",
     "difference_field",
     "error_Hm",
     "fit_rate",
-    "galerkin_interior_residual",
-    "gmres_jacobi",
     "interior_derivative_error",
     "kronecker_solve",
-    "leibniz_defect",
     "lemma19_check",
     "load_problem",
     "localized_energy",
     "lu_solve",
-    "mean_value_check",
     "norm_Hm",
     "parse_problem_config",
     "pencil_eigenbasis",
     "run_refinement",
     "run_sweep",
-    "summation_by_parts_defect",
     "validate_hypotheses",
 ]

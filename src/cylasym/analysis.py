@@ -4,8 +4,8 @@ The sweep measures u_l - ext(u_inf), ext the constant axial extension.
 difference_field builds it once, as a DiscreteField: the unconstrained
 axial splines, which sum to 1, times the cross-section factors u_inf owns,
 with the exact coefficients pad(C_l) - 1 x U_inf.  Every consumer reads that
-field: the norms below integrate it, and the interior residual here and the
-interior estimates in fdcalc evaluate it.
+field: the norms below integrate it, and the interior estimates in fdcalc
+evaluate it.
 
 Every norm is a composite Gauss rule (3 points per cell by default) on the
 tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
@@ -24,12 +24,11 @@ tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
 - any other function is an evaluator: a callable (axes, alpha) -> grid of
   D^alpha values on the tensor grid spanned by the per-axis point arrays,
   summed as W * values**2.  A discrete field's bound eval_grid is one, and
-  so are cutoff products and analytic solutions; the refinement study's
-  analytic reference and the tests' oracles use these.
+  so are analytic solutions; the refinement study's analytic reference and
+  the tests' oracles use these.
 """
 
 import csv
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -250,36 +249,6 @@ class CutoffRho:
             out[bridge] = vals
         return out
 
-    def derivative_bound(self, der: int, samples: int = 4001) -> float:
-        t = np.linspace(-1.0, 1.0, samples)
-        return float(np.abs(self.profile(t, der)).max())
-
-
-class CutoffEvaluator:
-    """Product over the axes of rho((x_k - c_k) / w_k), with one window
-    (c_k, w_k) or None per axis; an axis with None contributes the factor 1.
-    Each derivative on a windowed axis carries a factor 1 / w_k."""
-
-    def __init__(self, rho: CutoffRho, windows):
-        self._rho = rho
-        self._windows = list(windows)
-        for win in self._windows:
-            if win is not None and not win[1] > 0:
-                raise ValueError(f"cutoff width must be positive, got {win[1]}")
-
-    def __call__(self, axes, alpha):
-        out = np.ones(())
-        for x, a, win in zip(axes, alpha, self._windows):
-            if win is None:
-                if a > 0:
-                    return np.zeros(tuple(len(ax) for ax in axes))
-                vals = np.ones(len(x))
-            else:
-                c, w = win
-                vals = self._rho.profile((np.asarray(x, dtype=np.float64) - c) / w, a) / w**a
-            out = np.multiply.outer(out, vals)
-        return out
-
 
 def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int, grams=None) -> float:
     """H^m norm of (u_l - extension of u_inf) * rho(X1/ell1) over Omega_ell1;
@@ -292,46 +261,6 @@ def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int, grams=Non
     parts = _kron_parts(w, box, m, resolution, axial=p, cutoff=(CutoffRho(m), float(ell1)),
                         grams=grams)
     return float(np.sqrt(sum(parts)))
-
-
-# ---------------------------------------------------------------------------
-# interior residual of the two-solution identity
-
-def galerkin_interior_residual(
-    u_l, u_inf, spec, ell: float, resolution: int, margin: float = 1.0
-) -> float:
-    """max over a family of interior C^m bump test functions phi of
-    |sum_pairs integral a_ab D^a(u_l - ext u_inf) D^b phi|.
-
-    The bumps live outside the trial space, so the value measures how far the
-    discrete pair is from satisfying the continuous interior identity; it
-    shrinks with the mesh.  Bump supports are unit boxes centered on integer
-    axial points well inside (-ell, ell), times a bump spanning the
-    cross-section.
-    """
-    p, w = difference_field(u_l, u_inf)
-    m = spec.m
-    rho = CutoffRho(m)
-    reach = int(np.floor(ell - margin - 1.0 + _EPS))
-    if reach < 0:
-        raise ValueError(f"no room for unit bumps inside ell={ell} with margin {margin}")
-    axial_centers = range(-reach, reach + 1)
-    cross_windows = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in w.basis.domain[p:]]
-    degree = max(f.degree for f in w.basis.factors)
-    ppc = (degree + 2 * m + 3) // 2 + 1
-
-    worst = 0.0
-    for axial in itertools.product(axial_centers, repeat=p):
-        windows = [(float(c), 1.0) for c in axial] + cross_windows
-        axes, W = _gauss_grid([(c - h, c + h) for c, h in windows], resolution, ppc)
-        phi = CutoffEvaluator(rho, windows)
-        grids = np.meshgrid(*axes, indexing="ij")
-        total = 0.0
-        for (alpha, beta), coef in sorted(spec.coefficients.items()):
-            a_vals = np.broadcast_to(coef(tuple(grids)), grids[0].shape)
-            total += float(np.sum(W * a_vals * w.eval_grid(axes, alpha) * phi(axes, beta)))
-        worst = max(worst, abs(total))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import band_inf_norm, pencil_eigenbasis
+from .linalg import pencil_eigenbasis
 from .problem import ProblemSpec
 from .splines import (
     NORM_POINTS_PER_CELL,
@@ -276,19 +276,17 @@ class AssembledSystem:
         return self.lower_band() if self.symmetric else self.general_band()
 
     def inf_norm(self) -> float:
-        """|A|_inf of the matrix, exactly: the largest sum over a row of the
-        magnitudes of its entries, each entry formed from the pieces as the
-        bands write it; an out-of-space slot adds an exact zero.
-
-        A system of Kronecker parts alone sums its rows per distinct axial
-        coefficient tuple (_kron_row_sums).  The solve reads the norm of a
-        system with an n-D band off the band it factors, so the branch that
-        writes that band here (linalg.band_inf_norm) serves the tests and
-        their dense oracle only.
+        """|A|_inf of a system of Kronecker parts alone, exactly: the largest
+        sum over a row of the magnitudes of its entries, each entry formed
+        from the pieces as the bands write it, the rows summed per distinct
+        axial coefficient tuple (_kron_row_sums); an out-of-space slot adds
+        an exact zero.  The solve reads the norm of a system with an n-D
+        band off the band it factors (linalg.band_inf_norm), so such a
+        system has no inf_norm.
         """
-        if self.nd_band is None:
-            return float(_kron_row_sums(self._prepared, self.spec.p).max())
-        return band_inf_norm(self.band(), self.symmetric)
+        if self.nd_band is not None:
+            raise ValueError("inf_norm describes a system of Kronecker parts alone")
+        return float(_kron_row_sums(self._prepared, self.spec.p).max())
 
     @cached_property
     def _prepared(self):

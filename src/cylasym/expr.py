@@ -13,6 +13,14 @@ functions are sin, cos and exp, each of arity 1.  Unary minus binds tighter
 than '*' and '/' but looser than '^', so -x1^2 means -(x1^2) and 2^-3 is
 legal.  Parse errors carry the byte offset of the offending token.
 
+An expression nests at most MAX_DEPTH = 200 levels.  No token may lie
+inside more than MAX_DEPTH parentheses, calls, unary minuses and powers,
+and no path from the root of the tree to a leaf may pass more than
+MAX_DEPTH operators; a sum of k terms is a left-deep path of k - 1.  The
+parser refuses a deeper expression at the offset where it gets too deep, so
+the recursive parser, printer and evaluator stay well inside Python's
+recursion limit.
+
 Evaluation is vectorized: variables are bound to numpy arrays (or scalars)
 and the tree is folded with numpy arithmetic, so a single evaluate() call
 prices an expression on a whole sample batch.
@@ -27,6 +35,8 @@ import numpy as np
 FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 _VAR_RE = re.compile(r"x([0-9]+)$")
+
+MAX_DEPTH = 200
 
 # ---------------------------------------------------------------- AST nodes
 
@@ -103,10 +113,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over the grammar, each rule returning its tree and
+    the tree's depth.  Every nesting passes through unary, which counts the
+    open levels; sums and products are joined in one loop, and power and
+    calls inline, so a level costs at most three Python frames."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = -1  # levels open at the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -123,48 +138,73 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         kind, lex, off = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected trailing input {lex!r}", off)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
+    @staticmethod
+    def tree(node: Expr, depth: int, off: int):
+        """(node, depth), refused at offset off when depth exceeds MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression tree deeper than {MAX_DEPTH} operators", off)
+        return node, depth
+
+    def join(self, op: str, left, right, off: int):
+        return self.tree(BinOp(op, left[0], right[0]), 1 + max(left[1], right[1]), off)
+
+    def expr(self):
+        """expr and term: the unary factors of each term, then the terms,
+        joined left to right."""
+        total = None
+        while True:
+            term = self.unary()
+            while self.peek()[:2] in (("op", "*"), ("op", "/")):
+                _, op, off = self.advance()
+                term = self.join(op, term, self.unary(), off)
+            total = term if total is None else self.join(add, total, term, add_off)
+            if self.peek()[:2] not in (("op", "+"), ("op", "-")):
+                return total
+            _, add, add_off = self.advance()
+
+    def unary(self):
+        """unary and power; a level opened by the token before, refused
+        there beyond MAX_DEPTH."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels",
+                                  self.tokens[self.i - 1][2])
+        kind, lex, off = self.peek()
+        if kind == "op" and lex == "-":
+            self.advance()
+            operand, depth = self.unary()
+            node = self.tree(Neg(operand), depth + 1, off)
+        else:
+            node = self.atom()
+            if self.peek()[:2] == ("op", "^"):
+                off = self.advance()[2]
+                node = self.join("^", node, self.unary(), off)
+        self.nesting -= 1
         return node
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Expr:
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self) -> Expr:
+    def atom(self):
         kind, lex, off = self.advance()
         if kind == "num":
             value = float(lex)
             if not math.isfinite(value):
                 raise ExpressionError(f"number {lex!r} overflows a double", off)
-            return Num(value)
+            return Num(value), 0
+        if kind == "ident" and lex in FUNCTIONS:
+            self.expect_op("(")
+            arg, depth = self.expr()
+            kind2, lex2, off2 = self.peek()
+            if kind2 == "op" and lex2 == ",":
+                raise ExpressionError(f"{lex} takes exactly one argument", off2)
+            self.expect_op(")")
+            return self.tree(Call(lex, arg), depth + 1, off)
         if kind == "ident":
-            return self.name(lex, off)
+            return self.variable(lex, off)
         if kind == "op" and lex == "(":
             node = self.expr()
             self.expect_op(")")
@@ -173,24 +213,16 @@ class _Parser:
             raise ExpressionError("unexpected end of input", off)
         raise ExpressionError(f"unexpected token {lex!r}", off)
 
-    def name(self, lex: str, off: int) -> Expr:
+    def variable(self, lex: str, off: int):
         mo = _VAR_RE.match(lex)
-        if mo is not None:
-            index = int(mo.group(1))
-            if index < 1:
-                raise ExpressionError("variable indices start at x1", off)
-            if self.peek()[:2] == ("op", "("):
-                raise ExpressionError(f"variable {lex!r} is not callable", self.peek()[2])
-            return Var(index)
-        if lex in FUNCTIONS:
-            self.expect_op("(")
-            arg = self.expr()
-            kind2, lex2, off2 = self.peek()
-            if kind2 == "op" and lex2 == ",":
-                raise ExpressionError(f"{lex} takes exactly one argument", off2)
-            self.expect_op(")")
-            return Call(lex, arg)
-        raise ExpressionError(f"unknown identifier {lex!r}", off)
+        if mo is None:
+            raise ExpressionError(f"unknown identifier {lex!r}", off)
+        index = int(mo.group(1))
+        if index < 1:
+            raise ExpressionError("variable indices start at x1", off)
+        if self.peek()[:2] == ("op", "("):
+            raise ExpressionError(f"variable {lex!r} is not callable", self.peek()[2])
+        return Var(index), 0
 
 
 def parse_expression(text: str) -> Expr:

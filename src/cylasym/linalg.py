@@ -60,8 +60,8 @@ cholesky_solve and lu_solve call the routines as cholesky_banded,
 cho_solve_banded and solve_banded do, with the same arguments, so their
 x are bit for bit those of scipy's functions.
 
-cg_jacobi, gmres_jacobi and smallest_ritz_estimate no longer serve a sweep.
-They stay because the benchmark's instrumentation (bench/instrument.py)
+cg_jacobi, gmres_jacobi and smallest_ritz_estimate no longer serve a sweep,
+and the package no longer exports them.  They stay because the benchmark's instrumentation (bench/instrument.py)
 patches them by name in the harness, so deleting them needs a change to the
 benchmark itself (ROADMAP item 1).  They are plain numpy loops, so
 repeated runs produce identical iterates.

@@ -8,7 +8,6 @@ axial coordinates and *cross-sectional* when it only differentiates the rest.
 """
 
 from itertools import product
-from math import comb
 
 MultiIndex = tuple[int, ...]
 
@@ -32,22 +31,9 @@ def enumerate_upto(n: int, m: int) -> list[MultiIndex]:
     return out
 
 
-def leq(alpha_prime: MultiIndex, alpha: MultiIndex) -> bool:
-    """Componentwise alpha' <= alpha."""
-    _check_same_length(alpha_prime, alpha)
-    return all(a <= b for a, b in zip(alpha_prime, alpha))
-
-
 def add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     _check_same_length(alpha, beta)
     return tuple(a + b for a, b in zip(alpha, beta))
-
-
-def sub(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    """alpha - beta, requiring beta <= alpha componentwise."""
-    if not leq(beta, alpha):
-        raise ValueError(f"{beta} is not componentwise <= {alpha}")
-    return tuple(a - b for a, b in zip(alpha, beta))
 
 
 def in_N1(alpha: MultiIndex, p: int) -> bool:
@@ -60,27 +46,6 @@ def in_N2(alpha: MultiIndex, p: int) -> bool:
     """True when alpha differentiates cross-sectional coordinates only (first p entries zero)."""
     _check_block(alpha, p)
     return all(a == 0 for a in alpha[:p])
-
-
-def multi_binom(alpha: MultiIndex, alpha_prime: MultiIndex) -> int:
-    """Product of componentwise binomial coefficients C(alpha_i, alpha'_i).
-
-    Defined for alpha' <= alpha componentwise; anything else is rejected
-    rather than returning 0, since callers enumerate sub-indices explicitly.
-    """
-    if not leq(alpha_prime, alpha):
-        raise ValueError(f"{alpha_prime} is not componentwise <= {alpha}")
-    out = 1
-    for a, ap in zip(alpha, alpha_prime):
-        out *= comb(a, ap)
-    return out
-
-
-def sub_indices(alpha: MultiIndex) -> list[MultiIndex]:
-    """All alpha' <= alpha componentwise, graded lexicographic order."""
-    out = list(product(*(range(a + 1) for a in alpha)))
-    out.sort(key=lambda ap: (sum(ap), ap))
-    return out
 
 
 def encode(alpha: MultiIndex) -> str:

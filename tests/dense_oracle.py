@@ -49,6 +49,15 @@ and takes its minimum, as the package did before the chunks.
 analysis.CutoffRho builds its bridge on plain coefficient arrays and
 evaluates it with np.polyval; polynomial_cutoff_profile here builds the
 same bridge with numpy.polynomial.Polynomial, so a test can compare them.
+cutoff_derivative_bound samples a derivative's largest magnitude, and
+CutoffEvaluator is the evaluator of a product of such bumps, one window
+per axis.
+
+The sweep reports interior convergence by lattice differences
+(fdcalc.interior_derivative_error).  galerkin_interior_residual here is the
+other interior measure the acceptance tests read: how far the discrete pair
+is from the continuous interior identity, tested against CutoffEvaluator
+bumps, which lie outside the trial space.
 """
 
 import itertools
@@ -61,6 +70,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 
 from cylasym import linalg
+from cylasym.analysis import _EPS, CutoffRho, _gauss_grid, difference_field
 from cylasym.assembly import (
     _cross_pencil,
     _folded_band,
@@ -68,9 +78,11 @@ from cylasym.assembly import (
     _unfolded_rows,
     _where,
 )
-from cylasym.multiindex import add, enumerate_upto, multi_binom, sub, sub_indices
+from cylasym.multiindex import add, enumerate_upto
 from cylasym.problem import _AXIAL_PROBE_HALFWIDTH, _unit_directions
 from cylasym.splines import NORM_POINTS_PER_CELL, axis_grams
+
+from lattice_identities import multi_binom, sub, sub_indices
 
 
 def full_band(system):
@@ -249,6 +261,75 @@ class ProductEvaluator:
         return out
 
 
+def cutoff_derivative_bound(rho: CutoffRho, der: int, samples: int = 4001) -> float:
+    """max |rho^(der)| over `samples` equispaced points of [-1, 1]."""
+    t = np.linspace(-1.0, 1.0, samples)
+    return float(np.abs(rho.profile(t, der)).max())
+
+
+class CutoffEvaluator:
+    """Product over the axes of rho((x_k - c_k) / w_k), with one window
+    (c_k, w_k) or None per axis; an axis with None contributes the factor 1.
+    Each derivative on a windowed axis carries a factor 1 / w_k."""
+
+    def __init__(self, rho: CutoffRho, windows):
+        self._rho = rho
+        self._windows = list(windows)
+        for win in self._windows:
+            if win is not None and not win[1] > 0:
+                raise ValueError(f"cutoff width must be positive, got {win[1]}")
+
+    def __call__(self, axes, alpha):
+        out = np.ones(())
+        for x, a, win in zip(axes, alpha, self._windows):
+            if win is None:
+                if a > 0:
+                    return np.zeros(tuple(len(ax) for ax in axes))
+                vals = np.ones(len(x))
+            else:
+                c, w = win
+                vals = self._rho.profile((np.asarray(x, dtype=np.float64) - c) / w, a) / w**a
+            out = np.multiply.outer(out, vals)
+        return out
+
+
+def galerkin_interior_residual(
+    u_l, u_inf, spec, ell: float, resolution: int, margin: float = 1.0
+) -> float:
+    """max over a family of interior C^m bump test functions phi of
+    |sum_pairs integral a_ab D^a(u_l - ext u_inf) D^b phi|.
+
+    The bumps live outside the trial space, so the value measures how far the
+    discrete pair is from satisfying the continuous interior identity; it
+    shrinks with the mesh.  Bump supports are unit boxes centered on integer
+    axial points well inside (-ell, ell), times a bump spanning the
+    cross-section.
+    """
+    p, w = difference_field(u_l, u_inf)
+    m = spec.m
+    rho = CutoffRho(m)
+    reach = int(np.floor(ell - margin - 1.0 + _EPS))
+    if reach < 0:
+        raise ValueError(f"no room for unit bumps inside ell={ell} with margin {margin}")
+    axial_centers = range(-reach, reach + 1)
+    cross_windows = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in w.basis.domain[p:]]
+    degree = max(f.degree for f in w.basis.factors)
+    ppc = (degree + 2 * m + 3) // 2 + 1
+
+    worst = 0.0
+    for axial in itertools.product(axial_centers, repeat=p):
+        windows = [(float(c), 1.0) for c in axial] + cross_windows
+        axes, W = _gauss_grid([(c - h, c + h) for c, h in windows], resolution, ppc)
+        phi = CutoffEvaluator(rho, windows)
+        grids = np.meshgrid(*axes, indexing="ij")
+        total = 0.0
+        for (alpha, beta), coef in sorted(spec.coefficients.items()):
+            a_vals = np.broadcast_to(coef(tuple(grids)), grids[0].shape)
+            total += float(np.sum(W * a_vals * w.eval_grid(axes, alpha) * phi(axes, beta)))
+        worst = max(worst, abs(total))
+    return worst
+
+
 # ------------------------------------------------------------------ band kernel
 
 _AXES, _SLOTS = "abc", "stu"
@@ -384,12 +465,21 @@ def _full_path(system, where):
     return linalg.lu_solve(system.general_band(), system.rhs, where), "lu_banded"
 
 
+def system_inf_norm(system) -> float:
+    """|A|_inf of a system as the solve reads it: from the pieces for a
+    system of Kronecker parts alone (AssembledSystem.inf_norm), else off
+    the band its kernel factors (linalg.band_inf_norm)."""
+    if system.nd_band is None:
+        return system.inf_norm()
+    return linalg.band_inf_norm(system.band(), system.symmetric)
+
+
 def full_path_solve(system):
     """The whole system solved by the kernel its structure picks, with no
     fold, and accepted by linalg._accept on its own residual and |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
     x, method = _full_path(system, where)
-    return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
+    return linalg._accept(x, system.rhs, system_inf_norm(system), system.matvec, where, method)
 
 
 def _method(system):
@@ -448,7 +538,7 @@ def fold_path_solve(system):
         for axis in range(p):
             X = _unfolded_rows(X, axis, system._dims[axis])
         x = X.ravel()
-    return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
+    return linalg._accept(x, system.rhs, system_inf_norm(system), system.matvec, where, method)
 
 
 def inverse_inf_norm(system, dense_below: int = 3000) -> float:

@@ -10,15 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from cylasym.analysis import galerkin_interior_residual, write_report_csv
+from cylasym.analysis import write_report_csv
 from cylasym.assembly import assemble_cylinder, assemble_limit
 from cylasym.expr import ExpressionError, evaluate, parse_expression, to_string
-from cylasym.fdcalc import GridSample, leibniz_defect, summation_by_parts_defect
 from cylasym.harness import SweepPlan, _solve_system, run_refinement, run_sweep
 from cylasym.problem import builtin_problem
 from cylasym.splines import DiscreteField
 
+from dense_oracle import galerkin_interior_residual
 from golden_expressions import ERROR_CASES, VALUE_CASES
+from lattice_identities import GridSample, leibniz_defect, summation_by_parts_defect
 
 POISSON = builtin_problem("poisson_strip")
 BIHARMONIC = builtin_problem("biharmonic_strip")

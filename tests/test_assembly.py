@@ -33,6 +33,7 @@ from dense_oracle import (
     odd_extension,
     oracle_csr,
     parity_extension,
+    system_inf_norm,
     transposed_band,
 )
 
@@ -527,7 +528,7 @@ def symmetric_system(request):
 def test_lower_band_is_the_lower_diagonals_of_the_matrix(symmetric_system):
     system = symmetric_system
     assert system.symmetric
-    ab, a_norm = system.lower_band(), system.inf_norm()
+    ab, a_norm = system.lower_band(), system_inf_norm(system)
     A = system.matrix
     n = system.ndofs
     assert ab.flags.f_contiguous and ab.shape[1] == n
@@ -544,7 +545,7 @@ def test_lower_band_is_the_lower_diagonals_of_the_matrix(symmetric_system):
 def test_symmetric_matvec_matches_the_matrix(symmetric_system):
     system = symmetric_system
     x = np.random.default_rng(7).standard_normal(system.ndofs)
-    a_norm = system.inf_norm()
+    a_norm = system_inf_norm(system)
     got = system.matvec(x)
     assert np.abs(got - system.matrix @ x).max() <= 1e-15 * a_norm * np.abs(x).max()
 
@@ -562,7 +563,7 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
     assert not system.symmetric
     A = system.matrix.toarray()
     x = np.random.default_rng(8).standard_normal(system.ndofs)
-    ab, a_norm = system.general_band(), system.inf_norm()
+    ab, a_norm = system.general_band(), system_inf_norm(system)
     want = np.abs(A).sum(axis=1).max()
     assert abs(a_norm - want) <= 1e-15 * want
     assert np.abs(system.matvec(x) - A @ x).max() <= 1e-15 * want * np.abs(x).max()
@@ -571,6 +572,19 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
     for c in range(-kd, kd + 1):  # column minus row
         n = system.ndofs - abs(c)
         assert ab[kd - c, max(c, 0) : max(c, 0) + n].tobytes() == np.diagonal(A, c).tobytes()
+
+
+@pytest.mark.parametrize("where", ["cyl", "lim"])
+def test_a_system_with_an_nd_band_has_no_inf_norm(where):
+    # the solve reads its norm off the band it factors
+    spec = _box_spec(1, "2 + sin(x1)")
+    if where == "cyl":
+        system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    else:
+        system = assemble_limit(spec, resolution=3, degree=2)
+    assert system.nd_band is not None
+    with pytest.raises(ValueError, match="Kronecker parts alone"):
+        system.inf_norm()
 
 
 def _raw_band(rng, dims, widths, outside=np.nan):

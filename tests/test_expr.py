@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cylasym.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     ExpressionError,
@@ -123,3 +124,55 @@ def test_underflowing_literal_parses_to_zero():
 )
 def test_format_number(value, text):
     assert format_number(value) == text
+
+
+def _nested(level):
+    """x1 inside `level` pairs of parentheses, sin calls, unary minuses and
+    powers, one kind per text."""
+    return {
+        "parens": "(" * level + "x1" + ")" * level,
+        "calls": "sin(" * level + "x1" + ")" * level,
+        "minus": "-" * level + "x1",
+        "powers": "^".join(["1"] * level + ["x1"]),
+    }
+
+
+@pytest.mark.parametrize("kind", _nested(0))
+def test_nesting_up_to_the_limit_parses_prints_and_evaluates(kind):
+    tree = parse_expression(_nested(MAX_DEPTH)[kind])
+    assert parse_expression(to_string(tree)) == tree
+    assert free_variables(tree) == {1}
+    assert np.isfinite(evaluate(tree, (np.full(3, 0.5),))).all()
+
+
+@pytest.mark.parametrize("kind,offset", [("parens", MAX_DEPTH), ("calls", 4 * MAX_DEPTH + 3),
+                                         ("minus", MAX_DEPTH), ("powers", 2 * MAX_DEPTH + 1)])
+def test_nesting_beyond_the_limit_is_a_parse_error(kind, offset):
+    # refused at the token that opens level MAX_DEPTH + 1
+    with pytest.raises(ExpressionError, match="nests deeper than") as exc:
+        parse_expression(_nested(MAX_DEPTH + 1)[kind])
+    assert exc.value.offset == offset
+
+
+def test_a_sum_up_to_the_limit_parses_and_a_longer_one_is_refused():
+    # a sum of k terms is a left-deep tree k - 1 operators deep
+    tree = parse_expression(" + ".join(["x1"] * (MAX_DEPTH + 1)))
+    assert parse_expression(to_string(tree)) == tree
+    assert evaluate(tree, (np.ones(2),)).tolist() == [MAX_DEPTH + 1.0] * 2
+    with pytest.raises(ExpressionError, match="tree deeper than") as exc:
+        parse_expression("+".join(["x1"] * (MAX_DEPTH + 2)))
+    assert exc.value.offset == 3 * (MAX_DEPTH + 1) - 1  # the last '+'
+
+
+def test_common_deep_inputs_still_parse():
+    long_sum = parse_expression("+".join(f"x{k % 3 + 1}" for k in range(200)))
+    assert free_variables(long_sum) == {1, 2, 3}
+    assert evaluate(parse_expression("(" * 50 + "2" + ")" * 50), ()) == 2.0
+
+
+@pytest.mark.parametrize("text", [
+    "-" * 5000 + "1", "(" * 3000 + "1" + ")" * 3000, "+".join(["x2"] * 2999 + ["1"]),
+])
+def test_very_deep_inputs_are_refused_without_recursion_error(text):
+    with pytest.raises(ExpressionError, match="deeper than"):
+        parse_expression(text)

@@ -7,20 +7,23 @@ import math
 import numpy as np
 import pytest
 
+from cylasym import harness
 from cylasym.analysis import difference_field
-from cylasym.fdcalc import (
+from cylasym.fdcalc import LatticeError, interior_derivative_error, lattice_counts
+from cylasym.harness import SweepPlan, run_sweep
+from cylasym.multiindex import enumerate_upto
+from cylasym.problem import builtin_problem, parse_problem_config
+from cylasym.splines import DiscreteField, SplineBasis1D, TensorBasis
+
+from lattice_identities import (
     GridSample,
-    LatticeError,
     delta_alpha,
     delta_k,
-    interior_derivative_error,
     leibniz_defect,
     mean_value_check,
     sample_function,
     summation_by_parts_defect,
 )
-from cylasym.multiindex import enumerate_upto
-from cylasym.splines import DiscreteField, SplineBasis1D, TensorBasis
 
 
 def _grid_1d(fn, lo, h, count):
@@ -383,3 +386,57 @@ def test_gridsample_validation():
         GridSample((0.0,), (0.0,), np.zeros(3))
     with pytest.raises(LatticeError, match="axes"):
         GridSample((0.0,), (0.5, 0.5), np.zeros((3, 3)))
+
+
+BOX3D_CONFIG = (
+    "[problem]\nm = 1\nn = 3\np = 1\nomega = 0,1;0,1\n\n[coef]\n"
+    "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1\n\n[forcing]\n"
+    "f = sin(3.141592653589793 * x2) * sin(3.141592653589793 * x3)\n"
+)
+
+
+def _reference_estimate(w, p, alpha, region, h, m):
+    """The estimate of one alpha by its definition: each D^beta sampled on
+    the region's lattice inflated by alpha_k points on axis k, differenced
+    by delta_alpha, and summed with trapezoid weights, beta in
+    enumerate_upto order."""
+    n = w.basis.naxes
+    counts = lattice_counts(region, w.basis.domain, [alpha], h, p)
+    axes = [lo + h * np.arange(c + a) for (lo, _), c, a in zip(region, counts, alpha)]
+    weights = np.ones(())
+    for count in counts:
+        trapezoid = np.ones(count)
+        trapezoid[0] = trapezoid[-1] = 0.5
+        weights = np.multiply.outer(weights, trapezoid)
+    origin = tuple(lo for lo, _ in region)
+    total = 0.0
+    for beta in enumerate_upto(n, m):
+        sample = GridSample(origin, (h,) * n, w.eval_grid(axes, beta))
+        total += float(np.sum(weights * delta_alpha(sample, alpha).values ** 2))
+    return float(np.sqrt(total * h**n))
+
+
+@pytest.mark.parametrize("spec,resolution", [
+    (builtin_problem("biharmonic_strip"), 8),
+    (parse_problem_config(BOX3D_CONFIG, "box3d"), 4),
+], ids=["biharmonic", "box3d"])
+def test_the_sweep_estimates_equal_delta_alpha_bit_for_bit(monkeypatch, spec, resolution):
+    # every alpha set the sweep passes the estimator: |alpha| <= m on the
+    # interior region, and N1 on the inner cylinder, on the sweep's own
+    # difference fields
+    calls = []
+
+    def recorded(w, p, alphas, region, h, m=None):
+        out = interior_derivative_error(w, p, alphas, region, h, m=m)
+        calls.append((w, p, region, h, m, out))
+        return out
+
+    monkeypatch.setattr(harness, "interior_derivative_error", recorded)
+    run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=resolution))
+    monkeypatch.undo()
+    n1 = [a for a in enumerate_upto(spec.n, spec.m) if not any(a[spec.p:])]
+    assert [list(out) for *_, out in calls] == [enumerate_upto(spec.n, spec.m), n1] * 2
+    for w, p, region, h, m, out in calls:
+        for alpha, value in out.items():
+            assert value > 0.0
+            assert value.hex() == _reference_estimate(w, p, alpha, region, h, m).hex(), alpha

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import fold_path_solve, full_path_solve, inverse_inf_norm
+from dense_oracle import fold_path_solve, full_path_solve, inverse_inf_norm, system_inf_norm
 
 from cylasym import assembly, cli, harness, linalg
 from cylasym.analysis import difference_field, norm_Hm, write_report_csv
@@ -815,7 +815,7 @@ def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, wher
     else:
         assert norms == [] and walks == [system]
     [(b, a_norm, matvec)] = accepts
-    assert b is system.rhs and matvec == system.matvec and a_norm == inf_norm(system)
+    assert b is system.rhs and matvec == system.matvec and a_norm == system_inf_norm(system)
 
     # a backward error the check refuses, from a residual 1e-6 off, names
     # the problem, l and the stage
@@ -1129,6 +1129,26 @@ def test_cli_config_errors_exit_one(capsys):
     assert cli.main(["sweep", "--problem", "poisson_strip", "--l", "two"]) == 1
     assert cli.main(["refine", "--problem", "poisson_strip", "--degree", "x"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("a_0_1_0_1", "-" * 5000 + "1",
+     "in [coef] a_0_1_0_1: offset 200: expression nests deeper than 200 levels"),
+    ("f", "(" * 3000 + "1" + ")" * 3000,
+     "in [forcing] f: offset 200: expression nests deeper than 200 levels"),
+    ("f", "+".join(["x2"] * 2999 + ["1"]),
+     "in [forcing] f: offset 602: expression tree deeper than 200 operators"),
+], ids=["minus", "parens", "sum"])
+def test_cli_refuses_a_too_deep_expression_by_its_field(tmp_path, capsys, key, value, message):
+    # the Poisson strip, one of its fields replaced
+    fields = {"a_1_0_1_0": "1", "a_0_1_0_1": "1", "f": "1", key: value}
+    text = ("[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+            f"a_1_0_1_0 = {fields['a_1_0_1_0']}\na_0_1_0_1 = {fields['a_0_1_0_1']}\n\n"
+            f"[forcing]\nf = {fields['f']}\n")
+    path = tmp_path / "deep.cfg"
+    path.write_text(text)
+    assert cli.main(["validate", "--problem", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv,value", [
