@@ -15,12 +15,12 @@ tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
   G_n^(alpha_n)) X, where G_k^(a) is the banded 1-D Gram matrix of the a-th
   derivatives of the axis-k basis functions on the same Gauss points
   (splines.axis_grams), applied along its axis in assembly's band layout.
-  The cross-section factors' Grams are the same at every l, so a sweep
-  takes them from its CrossSection (grams=) instead of building them per
-  norm.  The plateau cutoff of the localized energy is folded into the
-  axial Grams by Leibniz.  Each alpha's part is clamped at zero, since a
-  form can round below zero where a grid sum of squares cannot; error_Hm
-  returns err_L2, the alpha = 0 part of its pass, with err_Hm.
+  A factor caches its cutoff-free Grams, so the cross-section factors u_inf
+  owns, the same at every l, build theirs once per sweep.  The plateau
+  cutoff of the localized energy is folded into the axial Grams by
+  Leibniz.  Each alpha's part is clamped at zero, since a form can round
+  below zero where a grid sum of squares cannot; error_Hm returns err_L2,
+  the alpha = 0 part of its pass, with err_Hm.
 - any other function is an evaluator: a callable (axes, alpha) -> grid of
   D^alpha values on the tensor grid spanned by the per-axis point arrays,
   summed as W * values**2.  A discrete field's bound eval_grid is one, and
@@ -74,34 +74,21 @@ def _gauss_grid(box, resolution: int, points_per_cell: int):
 
 
 def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = NORM_POINTS_PER_CELL,
-                axial: int = 0, cutoff=None, grams=None):
+                axial: int = 0, cutoff=None):
     """Per |alpha| <= m, in enumerate_upto order, the Gauss-rule integral of
     (D^alpha u)^2 over the box for the DiscreteField u:
     max(0, X : (G_1^(alpha_1) x .. x G_n^(alpha_n)) X), X its coefficients,
     each band applied along its axis, first to last.  The alphas that share
     a prefix (alpha_1..alpha_k) share its k band applications.
 
-    The cutoff, if any, multiplies the first `axial` factors.  grams, if
-    given, holds the (rows, bands) of splines.axis_grams for the trailing
-    factors, on their whole extents and this rule, up to order m or more
-    (a CrossSection's), and those factors' bands are not built again.  The
+    The cutoff, if any, multiplies the first `axial` factors.  The
     quadratic form equals the grid sum in exact arithmetic but can round
     below zero where the grid sum of squares cannot, hence the clamp.
     """
-    factors = u.basis.factors
-    shared = len(factors) - len(grams or ())
-    rows, bands = [], []
-    for k, (f, extent) in enumerate(zip(factors, box)):
-        if k < shared:
-            r, g = axis_grams(f, extent, m, resolution, points_per_cell,
-                              cutoff if k < axial else None)
-        elif tuple(extent) != (f.lo, f.hi):
-            raise ValueError(f"shared Gram bands cover ({f.lo:g}, {f.hi:g}), not {extent}")
-        else:
-            r, g = grams[k - shared]
-        rows.append(r)
-        bands.append(g)
-    X = u.coeffs[tuple(rows)]
+    rows, bands = zip(*(axis_grams(f, extent, m, resolution, points_per_cell,
+                                   cutoff if k < axial else None)
+                        for k, (f, extent) in enumerate(zip(u.basis.factors, box))))
+    X = u.coeffs[rows]
     n = len(box)
     applied = {(): X}  # per proper prefix of alpha, its bands applied to X
     parts = []
@@ -115,22 +102,20 @@ def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = NORM_POI
     return parts
 
 
-def norm_Hm(u, box, m: int, resolution: int, points_per_cell: int = NORM_POINTS_PER_CELL,
-            grams=None) -> float:
+def norm_Hm(u, box, m: int, resolution: int,
+            points_per_cell: int = NORM_POINTS_PER_CELL) -> float:
     """sqrt of sum over |alpha| <= m of the Gauss-quadrature integral of
     (D^alpha u)^2 over the box.
 
     u is a DiscreteField, whose norm is its Kronecker quadratic form, or an
     evaluator, whose D^alpha values are summed on the tensor Gauss grid.
-    grams are the shared Gram bands of a field's trailing factors, as
-    _kron_parts takes them.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if isinstance(u, DiscreteField):
         if len(box) != u.basis.naxes:
             raise ValueError(f"box has {len(box)} axes, the field {u.basis.naxes}")
-        parts = _kron_parts(u, box, m, resolution, points_per_cell, grams=grams)
+        parts = _kron_parts(u, box, m, resolution, points_per_cell)
         return float(np.sqrt(sum(parts)))
     axes, W = _gauss_grid(box, resolution, points_per_cell)
     total = 0.0
@@ -164,21 +149,20 @@ def difference_field(u_l, u_inf):
     return p, DiscreteField(basis, zero_padded(u_l.coeffs, pad) - u_inf.coeffs)
 
 
-def error_Hm(p: int, w, ell0: float, m: int, resolution: int, grams=None):
+def error_Hm(p: int, w, ell0: float, m: int, resolution: int):
     """(err_L2, err_Hm): the L2 and H^m distances between u_l and the
     extension of u_inf on the inner cylinder (-ell0, ell0)^p x omega, from
     their difference (p, w) = difference_field(u_l, u_inf).
 
     One Kronecker pass gives both: err_L2 is the root of its alpha = 0 part,
-    bit for bit the value of a pass with m = 0.  grams are the shared Gram
-    bands of the cross-section factors, as _kron_parts takes them.
+    bit for bit the value of a pass with m = 0.
     """
     domain = w.basis.domain
     for lo, hi in domain[:p]:
         if ell0 > hi + _EPS or -ell0 < lo - _EPS:
             raise ValueError(f"inner half-length {ell0} exceeds the domain {domain[:p]}")
     box = [(-float(ell0), float(ell0))] * p + list(domain[p:])
-    parts = _kron_parts(w, box, m, resolution, grams=grams)
+    parts = _kron_parts(w, box, m, resolution)
     return float(np.sqrt(parts[0])), float(np.sqrt(sum(parts)))
 
 
@@ -250,16 +234,14 @@ class CutoffRho:
         return out
 
 
-def localized_energy(u_l, u_inf, ell1: float, m: int, resolution: int, grams=None) -> float:
-    """H^m norm of (u_l - extension of u_inf) * rho(X1/ell1) over Omega_ell1;
-    grams as for norm_Hm."""
-    p, w = difference_field(u_l, u_inf)
+def localized_energy(p: int, w, ell1: float, m: int, resolution: int) -> float:
+    """H^m norm of (u_l - extension of u_inf) * rho(X1/ell1) over Omega_ell1,
+    from their difference (p, w) = difference_field(u_l, u_inf)."""
     domain = w.basis.domain
     if ell1 > domain[0][1] + _EPS:
         raise ValueError(f"scale {ell1} exceeds the axial half-length {domain[0][1]}")
     box = [(-float(ell1), float(ell1))] * p + list(domain[p:])
-    parts = _kron_parts(w, box, m, resolution, axial=p, cutoff=(CutoffRho(m), float(ell1)),
-                        grams=grams)
+    parts = _kron_parts(w, box, m, resolution, axial=p, cutoff=(CutoffRho(m), float(ell1)))
     return float(np.sqrt(sum(parts)))
 
 

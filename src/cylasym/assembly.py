@@ -39,10 +39,11 @@ load); a forcing that reads them is refused.
 
 None of the cross-section pieces depends on l, so a CrossSection builds
 them once for a sweep: the cross-section factors, the A_cross block of
-every axial part, the cross-section load, the norms' Gram bands and, for a
-two-part system, the pencil's eigenbasis.  assemble_limit's system is the
-block of the zero axial part with the cross-section load, and
-assemble_cylinder assembles only the axial pieces at each l.
+every axial part, the cross-section load and, for a two-part system, the
+pencil's eigenbasis.  assemble_cylinder and assemble_limit take the
+CrossSection as their whole description of the problem: assemble_limit's
+system is the block of the zero axial part with the cross-section load,
+and assemble_cylinder assembles only the axial pieces at each l.
 
 An AssembledSystem keeps those pieces, not the sum: the (axial band,
 cross-section band) pair of every axial part, each in its own factors' band
@@ -138,14 +139,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import pencil_eigenbasis
 from .problem import ProblemSpec
-from .splines import (
-    NORM_POINTS_PER_CELL,
-    SplineBasis1D,
-    TensorBasis,
-    axis_grams,
-    cells_for,
-    composite_gauss,
-)
+from .splines import SplineBasis1D, TensorBasis, cells_for, composite_gauss
 
 _CELL_LETTERS = "abc"
 _QUAD_LETTERS = "uvw"
@@ -172,25 +166,28 @@ class AssembledSystem:
     key, each in the band layout of its own factors; nd_band is the
     kernel's band on all factors, or None when no pair needs it.  The
     cross-section bands are those of section, the CrossSection the system
-    was assembled from.  The written forms (lower_band, general_band,
-    matrix, axial_pencil) come from the slot walk; matvec and inf_norm read
-    the pieces without it, as they are, and a symmetric system's
-    band-layout transposes of them (_prepared).  The pieces are read-only,
-    and zero outside the space, as every band is.
+    was assembled from, which also gives its problem (spec).  The written
+    forms (lower_band, general_band, matrix, axial_pencil) come from the
+    slot walk; matvec and inf_norm read the pieces without it, as they are,
+    and a symmetric system's band-layout transposes of them (_prepared).
+    The pieces are read-only, and zero outside the space, as every band is.
     """
 
     rhs: np.ndarray
     basis: TensorBasis
-    spec: ProblemSpec
+    section: "CrossSection"
     ell: float | None = None
     kron_parts: tuple = ()
     nd_band: np.ndarray | None = None
-    section: "CrossSection | None" = None
 
     def __post_init__(self):
         for band in (*itertools.chain(*self.kron_parts), self.nd_band):
             if band is not None:
                 band.flags.writeable = False  # the readers share it as it is
+
+    @property
+    def spec(self) -> ProblemSpec:
+        return self.section.spec
 
     @property
     def symmetric(self) -> bool:
@@ -685,23 +682,6 @@ def _dense(ab):
     return D
 
 
-def cylinder_factors(spec: ProblemSpec, ell, resolution: int, degree: int | None = None):
-    """The 1-D spline factors of the discrete space, axial factors first.
-
-    With ell a half-length these span (-ell, ell)^p x omega; with ell None
-    they span the cross-section omega alone, the space of assemble_limit.
-    degree None picks m + 1.
-    """
-    degree = _validate_degree(spec, degree)
-    extents = list(spec.omega)
-    if ell is not None:
-        extents = [(-float(ell), float(ell))] * spec.p + extents
-    return tuple(
-        SplineBasis1D(lo, hi, cells_for((lo, hi), resolution), degree, spec.m)
-        for lo, hi in extents
-    )
-
-
 def _local_tables(factors):
     """Per-axis quadrature and local basis values.
 
@@ -729,19 +709,16 @@ def _local_blocks(factors):
     """(cells, r, rows) per tuple r of local function numbers: the cells on
     which the constraint keeps local function r_k, and the rows it is there.
     r runs from degree down to 0, so rows receive cells in ascending order.
-    SplineBasis1D's minimum of 2m + 1 cells keeps every r_k on some cell; a
-    tuple with an r_k kept on none would add nothing and is skipped."""
+    SplineBasis1D's minimum of 2 bc_order + 1 cells keeps every local
+    function on some cell."""
     windows = [f.window(np.arange(f.cells)) for f in factors]
     for r in itertools.product(*(range(f.degree, -1, -1) for f in factors)):
         cells, rows = [], []
         for (cols, valid), rk in zip(windows, r):
             kept = np.flatnonzero(valid[:, rk])
-            if not kept.size:
-                break
             cells.append(slice(kept[0], kept[-1] + 1))
             rows.append(slice(cols[kept[0], rk], cols[kept[-1], rk] + 1))
-        else:
-            yield tuple(cells), r, tuple(rows)
+        yield tuple(cells), r, tuple(rows)
 
 
 def _quadrature_grid(tables, pinned):
@@ -899,7 +876,8 @@ class CrossSection:
     system at every l share it:
 
     - factors: the cross-section spline factors, those of u_inf, each
-      caching the de Boor tables every field and system on it reads;
+      caching the de Boor tables every field and system on it reads and
+      the Gram bands (splines.axis_grams) every norm on it reads;
     - keys and blocks: the axial key (alpha_axial, beta_axial) of each
       Kronecker part and its cross-section band, the kernel on the factors
       with the part's coefficients and the axial coordinates pinned at zero
@@ -907,9 +885,6 @@ class CrossSection:
     - nd_terms: the pairs whose coefficient reads x1..xp, which go through
       the kernel on all n factors at each l;
     - load: the cross-section load vector;
-    - grams: splines.axis_grams of every factor over its extent on the
-      norms' rule (NORM_POINTS_PER_CELL Gauss points per cell) up to order
-      m, which every norm of a sweep passes to analysis;
     - eigenbasis(): for a two-part system, (lam, V) of the cross-section
       pencil, computed on first use and kept;
     - parity_axes: when a banded kernel solves the cylinder systems (no
@@ -931,7 +906,7 @@ class CrossSection:
         self.spec = spec
         self.resolution = int(resolution)
         self.degree = _validate_degree(spec, degree)
-        self.factors = cylinder_factors(spec, None, resolution, self.degree)
+        self.factors = tuple(self._factor(lo, hi) for lo, hi in spec.omega)
         by_axial_part, self.nd_terms = {}, []
         for alpha, beta in sorted(spec.coefficients):
             coef = spec.coefficients[(alpha, beta)]
@@ -954,11 +929,13 @@ class CrossSection:
         self.blocks = tuple(_mirror_averaged(C, self.parity_axes) for C in self.blocks)
         for shared in self.blocks + (self.load,):
             shared.flags.writeable = False  # every system reads them
-        self.grams = tuple(
-            axis_grams(f, (f.lo, f.hi), spec.m, self.resolution, NORM_POINTS_PER_CELL)
-            for f in self.factors
-        )
         self._eigenbasis = None
+
+    def _factor(self, lo, hi) -> SplineBasis1D:
+        """The spline factor on (lo, hi) at the section's resolution and
+        degree, constrained to order m."""
+        return SplineBasis1D(lo, hi, cells_for((lo, hi), self.resolution), self.degree,
+                             self.spec.m)
 
     @property
     def two_part(self) -> bool:
@@ -1008,34 +985,22 @@ class CrossSection:
         return self._eigenbasis
 
     def cylinder_basis(self, ell) -> TensorBasis:
-        """The space on (-ell, ell)^p x omega: new axial factors times these
-        cross-section factors."""
-        axial = cylinder_factors(self.spec, ell, self.resolution, self.degree)[: self.spec.p]
-        return TensorBasis(axial + self.factors)
+        """The space on (-ell, ell)^p x omega: p new axial factors times
+        these cross-section factors."""
+        ell = float(ell)
+        return TensorBasis(tuple(self._factor(-ell, ell) for _ in range(self.spec.p))
+                           + self.factors)
 
 
-def _section_for(spec: ProblemSpec, resolution: int, degree, section):
-    """section, checked to be built for (spec, resolution, degree), or a new
-    CrossSection when it is None."""
-    if section is None:
-        return CrossSection(spec, resolution, degree)
-    if (section.spec is not spec or section.resolution != resolution
-            or section.degree != _validate_degree(spec, degree)):
-        raise ValueError("the cross-section was built for another problem, resolution or degree")
-    return section
-
-
-def assemble_cylinder(
-    spec: ProblemSpec, ell: float, resolution: int, degree: int | None = None,
-    section: CrossSection | None = None,
-) -> AssembledSystem:
-    """Full problem on (-ell, ell)^p x omega with Dirichlet order m.
+def assemble_cylinder(section: CrossSection, ell: float) -> AssembledSystem:
+    """Full problem on (-ell, ell)^p x omega with Dirichlet order m, for the
+    problem, resolution and degree of section.
 
     Only the axial pieces are assembled here: each Kronecker part's axial
     band, the n-D band if a pair needs it, and the axial load.  The
-    cross-section blocks and load come from section, the sweep's
-    CrossSection for (spec, resolution, degree), built here when None.
+    cross-section blocks and load come from section.
     """
+    spec = section.spec
     check_half_length(spec, ell)
     p = spec.p
     if spec.forcing.reads_axial(p):
@@ -1044,7 +1009,6 @@ def assemble_cylinder(
             f"{_where(spec, 'assemble_cylinder', ell)}: the forcing reads {axial}; "
             "the load vector needs an axis-independent forcing"
         )
-    section = _section_for(spec, resolution, degree, section)
     basis = section.cylinder_basis(ell)
     factors = basis.factors
     for C in section.blocks:
@@ -1056,21 +1020,20 @@ def assemble_cylinder(
     nd_band = _galerkin(factors, section.nd_terms) if section.nd_terms else None
     _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=section.load)
     rhs = np.multiply.outer(_load(factors[:p], _unit), section.load).ravel()
-    return AssembledSystem(rhs, basis, spec, float(ell), parts, nd_band, section)
+    return AssembledSystem(rhs, basis, section, float(ell), parts, nd_band)
 
 
-def assemble_limit(
-    spec: ProblemSpec, resolution: int, degree: int | None = None,
-    section: CrossSection | None = None,
-) -> AssembledSystem:
-    """Cross-section problem: pairs with purely cross-sectional indices.
+def assemble_limit(section: CrossSection) -> AssembledSystem:
+    """Cross-section problem of section: pairs with purely cross-sectional
+    indices.
 
     Its band is the cross-section block of the zero axial part, which the
-    cylinder systems share, and its load the cross-section load; section is
-    as for assemble_cylinder.  A limit pair whose coefficient reads x1..xp,
-    which the hypotheses refuse, has no such block: the kernel builds the
-    band with the axial coordinates pinned at zero.
+    cylinder systems share, and its load the cross-section load.  A limit
+    pair whose coefficient reads x1..xp, which the hypotheses refuse, has no
+    such block: the kernel builds the band with the axial coordinates pinned
+    at zero.
     """
+    spec = section.spec
     p = spec.p
     terms = [
         (alpha[p:], beta[p:], spec.coefficients[(alpha, beta)])
@@ -1080,11 +1043,9 @@ def assemble_limit(
         raise AssemblyError(
             f"{_where(spec, 'assemble_limit', None)}: limit problem has no coefficient pairs"
         )
-    section = _section_for(spec, resolution, degree, section)
     if any(coef.reads_axial(p) for _, _, coef in terms):
         band = _galerkin(section.factors, terms, pinned=p)
     else:
         band = section.blocks[section.keys.index(((0,) * p, (0,) * p))]
     _check_finite(spec, "assemble_limit", None, matrix=band, rhs=section.load)
-    return AssembledSystem(section.load, TensorBasis(section.factors), spec, None, (), band,
-                           section)
+    return AssembledSystem(section.load, TensorBasis(section.factors), section, None, (), band)

@@ -3,23 +3,25 @@ measure convergence to the cross-section limit, and emit reports.
 
 run_sweep builds the half of the sweep that does not depend on l once, as
 an assembly.CrossSection: the cross-section factors with their cached de
-Boor tables, the cross-section block of every axial part, the load, the
-norms' Gram bands and, for a two-part system, the pencil's eigenbasis.  The
-limit system is its zero-axial-part block and load, solved once in the
-parent; per-ell jobs assemble only the axial pieces and are independent.
+Boor tables, the cross-section block of every axial part, the load and, for
+a two-part system, the pencil's eigenbasis.  The limit system is its
+zero-axial-part block and load, solved once in the parent, and the norm of
+u_inf leaves the factors' Gram bands cached on them for every later norm;
+per-ell jobs assemble only the axial pieces and are independent.
 With workers > 1 they run on forked children (_run_jobs): the jobs are
 split into min(workers, jobs) chains, the largest ell first onto the
 least-loaded chain, and each chain runs in one child forked after the
-CrossSection, u_inf and its norm are built, so the child inherits them
-instead of unpickling them, and sends back only one pickle of its
-outcomes.  One chain runs inline, the largest ell first, which allocates
+CrossSection, u_inf and its norm are built, so the child inherits them,
+with the cached Gram bands, instead of unpickling them, and sends back only
+one pickle of its outcomes.  One chain runs inline, the largest ell first, which allocates
 the largest Cholesky factor before the smaller jobs have grown the heap.
 Records and reports still follow the plan's order, and when jobs fail the
 error raised is that of the smallest failing ell, as a run in plan order
 would raise.  Every number is computed from the same arrays inline and in a
 child, so serial and parallel runs produce the same floating-point results.
-The l_max job also computes the localized-energy table of its u_l, so no
-job sends its solution back.
+The l_max job also computes the localized-energy table of its difference
+field u_l - ext(u_inf), built once per job, so no job sends its solution
+back.
 
 _solve_system is the one place a system is solved and accepted.  A
 cylinder system that commutes with reflections is solved on its parity
@@ -293,15 +295,15 @@ def _sweep_worker(args):
     section, u_inf, ell, ell0, margin, norm_u_inf, scales = args
     spec, resolution = section.spec, section.resolution
     t0 = time.perf_counter()
-    system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=section.degree,
-                               section=section)
+    # bench/instrument.py reads ell as a keyword
+    system = assemble_cylinder(section, ell=ell)
     result = _solve_system(system)
     u_l = DiscreteField(system.basis, result.x)
 
     m, p = spec.m, spec.p
     _, w = difference_field(u_l, u_inf)
-    err_L2, err_Hm_val = error_Hm(p, w, ell0, m, resolution, section.grams)
-    norm_full = norm_Hm(u_l, u_l.basis.domain, m, resolution, grams=section.grams)
+    err_L2, err_Hm_val = error_Hm(p, w, ell0, m, resolution)
+    norm_full = norm_Hm(u_l, u_l.basis.domain, m, resolution)
     ratio = norm_full / (ell ** (p / 2.0) * norm_u_inf) if norm_u_inf > 0.0 else 0.0
 
     h_lat, lattices = _interior_lattices(spec, ell0, margin, resolution)
@@ -327,8 +329,7 @@ def _sweep_worker(args):
         interior_alpha={encode(a): est for a, est in interior.items()},
         n1_full_alpha={encode(a): est for a, est in n1_full.items()},
     )
-    localized = [(ell1, localized_energy(u_l, u_inf, ell1, m, resolution, section.grams))
-                 for ell1 in scales]
+    localized = [(ell1, localized_energy(p, w, ell1, m, resolution)) for ell1 in scales]
     return record, localized
 
 
@@ -464,8 +465,7 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
 
     t0 = time.perf_counter()
     section = CrossSection(spec, plan.resolution, degree)
-    limit_system = assemble_limit(spec, resolution=plan.resolution, degree=degree,
-                                  section=section)
+    limit_system = assemble_limit(section)
     limit_result = _solve_system(limit_system)
     u_inf = DiscreteField(limit_system.basis, limit_result.x)
     timings["limit_solve_s"] = time.perf_counter() - t0
@@ -476,8 +476,8 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
         # first failing job in plan order would.  A non-finite block is left
         # to the jobs' assembly, which refuses it naming l.
         section.eigenbasis(_where(spec, "solve", plan.ells[0]))
-    norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution,
-                         grams=section.grams)
+    # caches the cross-section factors' Gram bands before any job forks
+    norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution)
     # the localized energies of u_{l_max} at l_max / 2, l_max / 4, ... down
     # to ell0, computed by the l_max job
     scales = []
@@ -575,7 +575,7 @@ def run_refinement(
     errs = []
     for res in resolutions:
         section = CrossSection(spec, res, degree)
-        limit_system = assemble_limit(spec, resolution=res, degree=degree, section=section)
+        limit_system = assemble_limit(section)
         limit_result = _solve_system(limit_system)
         u_inf_h = DiscreteField(limit_system.basis, limit_result.x)
 
@@ -585,10 +585,10 @@ def run_refinement(
         err = norm_Hm(diff, list(spec.omega), m, res, points_per_cell=degree + 1)
         errs.append(err)
 
-        system = assemble_cylinder(spec, ell=ell, resolution=res, degree=degree, section=section)
+        system = assemble_cylinder(section, ell=ell)
         result = _solve_system(system)
         u_l_h = DiscreteField(system.basis, result.x)
-        _, cyl = error_Hm(*difference_field(u_l_h, u_inf_h), ell0, m, res, section.grams)
+        _, cyl = error_Hm(*difference_field(u_l_h, u_inf_h), ell0, m, res)
 
         order = None
         if len(errs) > 1 and errs[-1] > FLOOR and errs[-2] > FLOOR:

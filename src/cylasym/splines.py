@@ -18,8 +18,9 @@ them in a fixed order, so it depends on its own point only, and no dense
 assembly kernel its local values, so every system and field on a factor
 shares them, and they give the banded 1-D Gram matrices of weighted sums
 over points (gram_band; axis_grams builds them for a factor on a composite
-Gauss rule), from which analysis integrates the norms of spline fields
-without evaluating them.  composite_gauss scales one memoized, read-only
+Gauss rule, and the factor caches the cutoff-free ones, read-only, as it
+caches its tables), from which analysis integrates the norms of spline
+fields without evaluating them.  composite_gauss scales one memoized, read-only
 Gauss-Legendre rule per point count, read from a table of the rules of 1 to
 8 points, bit for bit those of numpy.polynomial.legendre.leggauss, so the
 package does not import numpy.polynomial; a larger count calls leggauss.
@@ -209,7 +210,7 @@ def gram_band(vals, cols, weights, size: int):
 
 
 def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cutoff=None):
-    """(rows, [G^(0), .., G^(m)]): Gram bands of one factor's functions on
+    """(rows, (G^(0), .., G^(m))): Gram bands of one factor's functions on
     the composite Gauss rule of extent, over the slice `rows` of functions
     nonzero there.
 
@@ -218,9 +219,14 @@ def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cu
     each function by rho(x / width): by Leibniz, phi^(a) is then the sum
     over b <= a of C(a, b) B^(b) rho^(a - b) / width^(a - b).  G^(a) does
     not depend on m, so the bands of a smaller m are a prefix bit for bit.
+    Without a cutoff the factor caches the bands, read-only, per (extent,
+    m, resolution, points_per_cell), as it caches its local tables.
     """
     if m > factor.degree:
         raise ValueError(f"derivative order {m} exceeds degree {factor.degree}")
+    key = ((float(extent[0]), float(extent[1])), m, resolution, points_per_cell)
+    if cutoff is None and key in factor._grams:
+        return factor._grams[key]
     pts, wts = gauss_axis(extent, resolution, points_per_cell)
     vals, cols = factor.local_table(pts)
     lo = int(cols.min())
@@ -234,7 +240,12 @@ def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cu
             for a in range(m + 1)
         ]
     size = int(cols.max()) + 1
-    return slice(lo, lo + size), [gram_band(phi, cols, wts, size) for phi in phis]
+    table = slice(lo, lo + size), tuple(gram_band(phi, cols, wts, size) for phi in phis)
+    if cutoff is None:
+        for band in table[1]:
+            band.flags.writeable = False  # every norm on the factor reads it
+        factor._grams[key] = table
+    return table
 
 
 class SplineBasis1D:
@@ -264,6 +275,7 @@ class SplineBasis1D:
         )
         self.h = (self.hi - self.lo) / self.cells
         self._tables = {}
+        self._grams = {}  # axis_grams' cutoff-free bands
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,9 @@
 """Dense and evaluator views of the package's objects, built only by the tests.
 
+assemble_cylinder and assemble_limit take a CrossSection, which a sweep
+builds once; assembled_cylinder and assembled_limit here build a new one
+for a test that assembles a single system.
+
 The package evaluates fields cell by cell and never forms a (points x dim)
 basis matrix; the oracles here do, from the same local de Boor values, so a
 test can compare a contraction against a plain matrix product.  Likewise
@@ -72,17 +76,31 @@ from numpy.polynomial import Polynomial
 from cylasym import linalg
 from cylasym.analysis import _EPS, CutoffRho, _gauss_grid, difference_field
 from cylasym.assembly import (
+    CrossSection,
     _cross_pencil,
     _folded_band,
     _folded_rows,
     _unfolded_rows,
     _where,
+    assemble_cylinder,
+    assemble_limit,
 )
 from cylasym.multiindex import add, enumerate_upto
 from cylasym.problem import _AXIAL_PROBE_HALFWIDTH, _unit_directions
 from cylasym.splines import NORM_POINTS_PER_CELL, axis_grams
 
 from lattice_identities import multi_binom, sub, sub_indices
+
+
+def assembled_cylinder(spec, ell, resolution: int, degree=None):
+    """assemble_cylinder at ell on a new CrossSection of (spec, resolution,
+    degree), for a test that assembles one system."""
+    return assemble_cylinder(CrossSection(spec, resolution, degree), ell=ell)
+
+
+def assembled_limit(spec, resolution: int, degree=None):
+    """assemble_limit on a new CrossSection of (spec, resolution, degree)."""
+    return assemble_limit(CrossSection(spec, resolution, degree))
 
 
 def full_band(system):
@@ -390,8 +408,8 @@ def band_apply_per_call(band, X, lead: int = 0, transpose: bool = False):
 
 def kron_parts_per_alpha(u, box, m: int, resolution: int,
                          points_per_cell: int = NORM_POINTS_PER_CELL):
-    """analysis._kron_parts without a cutoff or shared Grams, every band of
-    every alpha applied one alpha at a time by band_apply_per_call."""
+    """analysis._kron_parts without a cutoff, every band of every alpha
+    applied one alpha at a time by band_apply_per_call."""
     rows, bands = zip(*(axis_grams(f, extent, m, resolution, points_per_cell)
                         for f, extent in zip(u.basis.factors, box)))
     X = u.coeffs[rows]

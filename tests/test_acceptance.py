@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from cylasym.analysis import write_report_csv
-from cylasym.assembly import assemble_cylinder, assemble_limit
 from cylasym.expr import ExpressionError, evaluate, parse_expression, to_string
 from cylasym.harness import SweepPlan, _solve_system, run_refinement, run_sweep
 from cylasym.problem import builtin_problem
 from cylasym.splines import DiscreteField
 
-from dense_oracle import galerkin_interior_residual
+from dense_oracle import assembled_cylinder, assembled_limit, galerkin_interior_residual
 from golden_expressions import ERROR_CASES, VALUE_CASES
 from lattice_identities import GridSample, leibniz_defect, summation_by_parts_defect
 
@@ -109,9 +108,9 @@ def test_A3_extension_norm_ratio_bounded(a1_run, a2_run):
 def test_A4_interior_residual_halves_under_refinement():
     vals = {}
     for res in (8, 16):
-        sys_c = assemble_cylinder(POISSON, ell=4.0, resolution=res, degree=2)
+        sys_c = assembled_cylinder(POISSON, ell=4.0, resolution=res, degree=2)
         u_l = DiscreteField(sys_c.basis, _solve_system(sys_c).x)
-        sys_o = assemble_limit(POISSON, resolution=res, degree=2)
+        sys_o = assembled_limit(POISSON, resolution=res, degree=2)
         u_inf = DiscreteField(sys_o.basis, _solve_system(sys_o).x)
         vals[res] = galerkin_interior_residual(u_l, u_inf, POISSON, ell=4.0, resolution=res)
     ok = vals[8] >= 2.0 * vals[16]

@@ -323,14 +323,14 @@ def test_product_evaluator_evaluates_each_left_derivative_once_per_grid():
 
 def test_localized_energy_vanishes_for_exact_extension():
     u_l, u_inf = _spline_pair(4.0, [(_one, _bubble1)], _bubble1, cross_bc=1)
-    assert localized_energy(u_l, u_inf, ell1=2.0, m=1, resolution=4) <= 1e-14
+    assert localized_energy(*difference_field(u_l, u_inf), ell1=2.0, m=1, resolution=4) <= 1e-14
 
 
 def test_localized_energy_matches_dense_trapezoid():
     # w = x1 (cross-independent), m = 1: the energy reduces to a 1D integral
     u_l, u_inf = _spline_pair(4.0, [(lambda x: x, _one)], np.zeros_like, resolution=16)
     ell1 = 2.0
-    got = localized_energy(u_l, u_inf, ell1=ell1, m=1, resolution=16)
+    got = localized_energy(*difference_field(u_l, u_inf), ell1=ell1, m=1, resolution=16)
 
     rho = CutoffRho(1)
     x = np.linspace(-ell1, ell1, 400001)
@@ -344,7 +344,7 @@ def test_localized_energy_matches_dense_trapezoid():
 def test_localized_energy_rejects_oversized_scale():
     u_l, u_inf = _spline_pair(2.0, [(_one, _bubble1)], _bubble1)
     with pytest.raises(ValueError, match="exceeds the axial half-length"):
-        localized_energy(u_l, u_inf, ell1=3.0, m=1, resolution=4)
+        localized_energy(*difference_field(u_l, u_inf), ell1=3.0, m=1, resolution=4)
 
 
 # ------------------------------------------------------------------ Kronecker forms
@@ -385,7 +385,7 @@ def test_kronecker_norms_match_the_grid_oracle(m, degree, p, n, ell, resolution)
     errs = error_Hm(*difference_field(u_l, u_inf), 1.0, m, resolution)
     pairs = [(err, norm_Hm(diff, inner, k, resolution)) for err, k in zip(errs, (0, m))]
     pairs.append((
-        localized_energy(u_l, u_inf, ell1, m, resolution),
+        localized_energy(*difference_field(u_l, u_inf), ell1, m, resolution),
         norm_Hm(ProductEvaluator(diff, rho), [(-ell1, ell1)] * p + omega, m, resolution),
     ))
     for u, box in ((u_l, u_l.basis.domain), (u_l, inner), (u_inf, omega)):
@@ -426,10 +426,10 @@ def test_kron_parts_share_the_bands_of_a_common_prefix(monkeypatch, m, degree, n
 def test_difference_needs_shared_cross_section_factors():
     u_l, _ = _random_pair(1, 2, 1, 2, 2.0, 4)
     _, finer = _random_pair(1, 2, 1, 2, 2.0, 5)
-    with pytest.raises(ValueError, match="share their cross-section"):
-        difference_field(u_l, finer)
-    with pytest.raises(ValueError, match="share their cross-section"):
-        localized_energy(u_l, finer, 1.0, 1, 4)
+    _, higher = _random_pair(1, 3, 1, 2, 2.0, 4)
+    for u_inf in (finer, higher):
+        with pytest.raises(ValueError, match="share their cross-section"):
+            difference_field(u_l, u_inf)
 
 
 @pytest.mark.parametrize("m", [1, 2])

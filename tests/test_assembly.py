@@ -26,6 +26,8 @@ import scipy.sparse as sp
 from dense_oracle import (
     _in_space,
     _to_csr,
+    assembled_cylinder,
+    assembled_limit,
     band_apply_per_call,
     dense_basis_matrix,
     even_extension,
@@ -49,7 +51,6 @@ from cylasym.assembly import (
     assemble_cylinder,
     assemble_limit,
     band_apply,
-    cylinder_factors,
 )
 from cylasym.problem import (
     ProblemSpec,
@@ -83,7 +84,7 @@ def _matrix_1d(basis, der_row, der_col, weight_fn=None):
 def test_hat_limit_system_frozen():
     # degree-1 splines, 4 cells on (0,1): stiffness 8 on the diagonal, -4 off,
     # load h = 1/4; nodal values of t(1-t)/2 are reproduced exactly.
-    system = assemble_limit(builtin_problem("poisson_strip"), resolution=4, degree=1)
+    system = assembled_limit(builtin_problem("poisson_strip"), resolution=4, degree=1)
     A = system.matrix.toarray()
     want = np.array([[8.0, -4.0, 0.0], [-4.0, 8.0, -4.0], [0.0, -4.0, 8.0]])
     assert np.allclose(A, want, atol=1e-12)
@@ -95,7 +96,7 @@ def test_hat_limit_system_frozen():
 def test_kronecker_sum_identity():
     # constant-coefficient second order problem factorizes axis by axis
     spec = builtin_problem("poisson_strip")
-    system = assemble_cylinder(spec, ell=1.0, resolution=4, degree=2)
+    system = assembled_cylinder(spec, ell=1.0, resolution=4, degree=2)
     ax, cx = system.basis.factors
     A1 = _matrix_1d(ax, 1, 1)
     M1 = _matrix_1d(ax, 0, 0)
@@ -108,7 +109,7 @@ def test_kronecker_sum_identity():
 
 def test_rhs_factorizes_for_constant_forcing():
     spec = builtin_problem("poisson_strip")
-    system = assemble_cylinder(spec, ell=1.0, resolution=4, degree=2)
+    system = assembled_cylinder(spec, ell=1.0, resolution=4, degree=2)
     ax, cx = system.basis.factors
     B1, w1 = _dense_1d(ax, 0)
     B2, w2 = _dense_1d(cx, 0)
@@ -117,7 +118,7 @@ def test_rhs_factorizes_for_constant_forcing():
 
 
 def test_matrix_spd_and_symmetric():
-    system = assemble_cylinder(builtin_problem("poisson_strip"), ell=1.0, resolution=4)
+    system = assembled_cylinder(builtin_problem("poisson_strip"), ell=1.0, resolution=4)
     A = system.matrix
     assert system.symmetric
     assert (A != A.T).nnz == 0
@@ -168,7 +169,7 @@ def _shared_cell_pattern(factors):
 
 def test_variable_coefficient_matches_brute_force():
     spec = builtin_problem("varcoef_strip")
-    system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
     want_A, want_rhs = _brute_force(system, spec)
     scale = np.abs(want_A).max()
     assert np.abs(system.matrix.toarray() - want_A).max() <= 1e-12 * scale
@@ -178,7 +179,7 @@ def test_variable_coefficient_matches_brute_force():
 def test_biharmonic_cylinder_matches_brute_force():
     # the mixed (2,0)/(0,2) pairs put off-diagonal blocks on the axial factor
     spec = builtin_problem("biharmonic_strip")
-    system = assemble_cylinder(spec, ell=1.0, resolution=5, degree=3)
+    system = assembled_cylinder(spec, ell=1.0, resolution=5, degree=3)
     want_A, want_rhs = _brute_force(system, spec)
     A = system.matrix
     assert (A != A.T).nnz == 0
@@ -208,7 +209,7 @@ def _mixed_axial_spec():
 
 def test_axial_coefficient_matches_brute_force():
     spec = _mixed_axial_spec()
-    system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
     A = system.matrix
     assert system.symmetric
     assert (A != A.T).nnz == 0
@@ -244,9 +245,9 @@ def _box_spec(p, axial_text=None):
 @pytest.mark.parametrize("p", [1, 2])
 def test_kronecker_assembly_matches_nd_kernel(p):
     spec = _box_spec(p)
-    system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
     terms = [(a, b, spec.coefficients[(a, b)]) for a, b in sorted(spec.coefficients)]
-    want = _to_csr(_galerkin(cylinder_factors(spec, 1.0, 3, 2), terms))
+    want = _to_csr(_galerkin(system.basis.factors, terms))
     got = system.matrix
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
@@ -258,7 +259,7 @@ def test_kronecker_assembly_matches_nd_kernel(p):
 def test_box_assembly_matches_brute_force(p, axial_text):
     # with axial_text one pair reads x1 and goes through the n-D kernel
     spec = _box_spec(p, axial_text)
-    system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+    system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
     A = system.matrix
     pattern = sp.csr_matrix(_shared_cell_pattern(system.basis.factors))
     assert A.indices.dtype == np.int32
@@ -283,7 +284,7 @@ def test_fewest_cells_match_brute_force(name, resolution, degree):
     # 2m + 1 cells on every factor, the fewest SplineBasis1D accepts: the
     # first and last local functions are kept on m + 1 cells only
     spec = builtin_problem(name)
-    system = assemble_cylinder(spec, ell=0.5, resolution=resolution, degree=degree)
+    system = assembled_cylinder(spec, ell=0.5, resolution=resolution, degree=degree)
     assert {f.cells for f in system.basis.factors} == {2 * spec.m + 1}
     want_A, want_rhs = _brute_force(system, spec)
     assert np.abs(system.matrix.toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
@@ -304,12 +305,31 @@ def test_axial_coefficient_assembly_memory():
     )
     tracemalloc.start()
     try:
-        system = assemble_cylinder(spec, ell=2.0, resolution=6)
+        system = assembled_cylinder(spec, ell=2.0, resolution=6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     A = system.matrix
     assert peak <= 20 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_local_function_is_kept_on_some_cell_at_the_fewest_cells(m):
+    # the kernel's blocks (_local_blocks) take every local function r to be
+    # kept by the constraint on some cell of its factor; SplineBasis1D's
+    # minimum of 2 bc_order + 1 cells is what keeps it, for every degree and
+    # constraint order
+    for degree in range(m, m + 3):
+        for bc_order in range(degree + 1):
+            cells = 2 * bc_order + 1
+            with pytest.raises(ValueError, match="cells"):
+                SplineBasis1D(0.0, 1.0, cells - 1, degree, bc_order)
+            f = SplineBasis1D(0.0, 1.0, cells, degree, bc_order)
+            _, valid = f.window(np.arange(f.cells))
+            assert valid.any(axis=0).all(), (degree, bc_order)
+            locals_ = range(degree, -1, -1)
+            assert [r for _, r, _ in assembly._local_blocks([f, f])] == \
+                list(itertools.product(locals_, locals_))
 
 
 def test_the_nd_kernel_holds_one_slab_of_elements():
@@ -321,7 +341,7 @@ def test_the_nd_kernel_holds_one_slab_of_elements():
     section = CrossSection(spec, 12)
     tracemalloc.start()
     try:
-        system = assemble_cylinder(spec, ell=4.0, resolution=12, section=section)
+        system = assemble_cylinder(section, ell=4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,7 +353,7 @@ def test_the_nd_product_holds_no_copy_of_the_band():
     # the same system: a product applies the n-D band as it is and forms its
     # transpose one chunk of rows at a time, 0.31 of the band's 13.2 MiB
     # traced; masking a copy of each chunk of the band too took 0.44
-    system = assemble_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=4.0, resolution=12)
+    system = assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=4.0, resolution=12)
     x = np.random.default_rng(2).standard_normal(system.ndofs)
     system.matvec(x)  # forms the Kronecker pieces' transposes, kept with the system
     tracemalloc.start()
@@ -372,7 +392,7 @@ def test_axis_independent_pairs_skip_the_full_grid():
         m=1, n=2, p=1, omega=((0.0, 1.0),), coefficients=coefs,
         forcing=ScalarField.parse("1", 2),
     )
-    system = assemble_cylinder(spec, ell=2.0, resolution=4, degree=2)
+    system = assembled_cylinder(spec, ell=2.0, resolution=4, degree=2)
     full = tuple(f.cells * (f.degree + 1) for f in system.basis.factors)
     cross = full[1:]
     assert coefs[((1, 0), (1, 0))].shapes == [full]
@@ -382,7 +402,7 @@ def test_axis_independent_pairs_skip_the_full_grid():
 
 def test_biharmonic_limit_matches_brute_force():
     spec = builtin_problem("biharmonic_strip")
-    system = assemble_limit(spec, resolution=8, degree=3)
+    system = assembled_limit(spec, resolution=8, degree=3)
     basis = system.basis.factors[0]
     want = _matrix_1d(basis, 2, 2)
     assert np.abs(system.matrix.toarray() - want).max() <= 1e-11 * np.abs(want).max()
@@ -396,7 +416,7 @@ def test_limit_solution_converges_to_analytic(name, degree):
     ts = np.linspace(0.05, 0.95, 19)
     errs = []
     for res in (8, 16):
-        system = assemble_limit(spec, resolution=res, degree=degree)
+        system = assembled_limit(spec, resolution=res, degree=degree)
         u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
         errs.append(np.abs(u.eval_grid([ts], (0,)) - exact(ts, 0)).max())
     assert errs[0] > 1e-12
@@ -409,7 +429,7 @@ def test_limit_solution_exact_when_space_contains_it(name, degree):
     # degree reproduce them and Galerkin returns them to machine precision
     spec = builtin_problem(name)
     exact = analytic_limit(name)
-    system = assemble_limit(spec, resolution=8, degree=degree)
+    system = assembled_limit(spec, resolution=8, degree=degree)
     u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
     ts = np.linspace(0.0, 1.0, 33)
     assert np.abs(u.eval_grid([ts], (0,)) - exact(ts, 0)).max() <= 1e-13
@@ -417,7 +437,7 @@ def test_limit_solution_exact_when_space_contains_it(name, degree):
 
 def test_solution_conforms_at_boundary():
     spec = builtin_problem("biharmonic_strip")
-    system = assemble_cylinder(spec, ell=1.0, resolution=6, degree=3)
+    system = assembled_cylinder(spec, ell=1.0, resolution=6, degree=3)
     u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
     ts = np.linspace(0.0, 1.0, 9)
     for alpha in [(0, 0), (0, 1)]:  # axial boundary
@@ -429,8 +449,8 @@ def test_solution_conforms_at_boundary():
 
 def test_assembly_deterministic():
     spec = builtin_problem("varcoef_strip")
-    s1 = assemble_cylinder(spec, ell=2.0, resolution=4)
-    s2 = assemble_cylinder(spec, ell=2.0, resolution=4)
+    s1 = assembled_cylinder(spec, ell=2.0, resolution=4)
+    s2 = assembled_cylinder(spec, ell=2.0, resolution=4)
     assert np.array_equal(s1.matrix.data, s2.matrix.data)
     assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
     assert np.array_equal(s1.rhs, s2.rhs)
@@ -446,14 +466,14 @@ def test_limit_requires_cross_pairs():
         forcing=ScalarField.parse("1", 2),
     )
     with pytest.raises(AssemblyError, match="no coefficient pairs"):
-        assemble_limit(spec, resolution=4)
+        assembled_limit(spec, resolution=4)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_cylinder_load_is_axial_load_times_limit_load(p):
     spec = dataclasses.replace(_box_spec(p), forcing=ScalarField.parse("1 + x3^2", 3))
-    system = assemble_cylinder(spec, ell=1.5, resolution=4, degree=2)
-    limit = assemble_limit(spec, resolution=4, degree=2)
+    system = assembled_cylinder(spec, ell=1.5, resolution=4, degree=2)
+    limit = assembled_limit(spec, resolution=4, degree=2)
     axial = np.ones(())
     for f in system.basis.factors[:p]:
         pts, wts = composite_gauss((f.lo, f.hi), f.cells, 3)
@@ -467,12 +487,12 @@ def test_forcing_that_reads_axial_variables_is_refused(p, text, named):
     spec = dataclasses.replace(_box_spec(p), forcing=ScalarField.parse(text, 3), name="box")
     with pytest.raises(AssemblyError, match=rf"assemble_cylinder for problem box at l = 1\.5: "
                                             rf"the forcing reads {named};"):
-        assemble_cylinder(spec, ell=1.5, resolution=4, degree=2)
+        assembled_cylinder(spec, ell=1.5, resolution=4, degree=2)
 
 
 def test_degree_below_m_rejected():
     with pytest.raises(AssemblyError, match="cannot conform"):
-        assemble_cylinder(builtin_problem("biharmonic_strip"), ell=1.0, resolution=6, degree=1)
+        assembled_cylinder(builtin_problem("biharmonic_strip"), ell=1.0, resolution=6, degree=1)
 
 
 def _laplace_box(p, first="1"):
@@ -499,8 +519,7 @@ def test_the_nd_band_is_the_same_on_any_slab_size(monkeypatch, spec, resolution)
     bands = []
     for slab_bytes in (1, 2**14, 2**40):
         monkeypatch.setattr(assembly, "_SLAB_BYTES", slab_bytes)
-        bands.append(assemble_cylinder(spec, ell=1.0, resolution=resolution,
-                                       section=section).nd_band.tobytes())
+        bands.append(assemble_cylinder(section, ell=1.0).nd_band.tobytes())
     assert bands[0] == bands[1] == bands[2]
 
 
@@ -521,8 +540,8 @@ def symmetric_system(request):
     name, where = request.param
     spec, ell, resolution = _SYMMETRIC_CASES[name]
     if where == "cyl":
-        return assemble_cylinder(spec, ell=ell, resolution=resolution)
-    return assemble_limit(spec, resolution=resolution)
+        return assembled_cylinder(spec, ell=ell, resolution=resolution)
+    return assembled_limit(spec, resolution=resolution)
 
 
 def test_lower_band_is_the_lower_diagonals_of_the_matrix(symmetric_system):
@@ -557,9 +576,9 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
     # matvec, |A|_inf and the general band read the pieces, not the CSR
     spec = _box_spec(p, axial_text)
     if where == "cyl":
-        system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+        system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
     else:
-        system = assemble_limit(spec, resolution=3, degree=2)
+        system = assembled_limit(spec, resolution=3, degree=2)
     assert not system.symmetric
     A = system.matrix.toarray()
     x = np.random.default_rng(8).standard_normal(system.ndofs)
@@ -579,9 +598,9 @@ def test_a_system_with_an_nd_band_has_no_inf_norm(where):
     # the solve reads its norm off the band it factors
     spec = _box_spec(1, "2 + sin(x1)")
     if where == "cyl":
-        system = assemble_cylinder(spec, ell=1.0, resolution=3, degree=2)
+        system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
     else:
-        system = assemble_limit(spec, resolution=3, degree=2)
+        system = assembled_limit(spec, resolution=3, degree=2)
     assert system.nd_band is not None
     with pytest.raises(ValueError, match="Kronecker parts alone"):
         system.inf_norm()
@@ -622,7 +641,7 @@ def test_transposed_matches_the_reference(dims, widths):
 
 
 def test_kronecker_pencil_rebuilds_the_two_part_matrix():
-    system = assemble_cylinder(builtin_problem("varcoef_strip"), ell=2.0, resolution=6)
+    system = assembled_cylinder(builtin_problem("varcoef_strip"), ell=2.0, resolution=6)
     assert system.two_part
     (a_top, a_other), (c_top, c_other) = kronecker_pencil(system)
     dense = [_dense(a) for a in (a_top, a_other)]
@@ -638,10 +657,10 @@ def test_kronecker_pencil_rebuilds_the_two_part_matrix():
 @pytest.mark.parametrize("name", ["biharmonic", "box3d_p2", "box3d_sin_x1", "strip_sin_x1"])
 def test_other_systems_are_not_two_part(name):
     spec, ell, resolution = _SYMMETRIC_CASES[name]
-    assert not assemble_cylinder(spec, ell=ell, resolution=resolution).two_part
-    assert not assemble_limit(spec, resolution=resolution).two_part
+    assert not assembled_cylinder(spec, ell=ell, resolution=resolution).two_part
+    assert not assembled_limit(spec, resolution=resolution).two_part
     with pytest.raises(ValueError, match="two-part"):
-        assemble_limit(spec, resolution=resolution).axial_pencil()
+        assembled_limit(spec, resolution=resolution).axial_pencil()
 
 
 _ZERO_BLOCK_CASES = {
@@ -658,14 +677,14 @@ def test_the_limit_system_is_the_zero_axial_block_of_the_cylinder(spec, ell, res
     # the zero axial part and its cross-section load byte for byte; from one
     # CrossSection they are the same arrays
     zero = ((0,) * spec.p,) * 2
-    limit = assemble_limit(spec, resolution=resolution)
-    cylinder = assemble_cylinder(spec, ell=ell, resolution=resolution)
+    limit = assembled_limit(spec, resolution=resolution)
+    cylinder = assembled_cylinder(spec, ell=ell, resolution=resolution)
     block = cylinder.kron_parts[cylinder.axial_keys.index(zero)][1]
     assert limit.nd_band.shape == block.shape and limit.nd_band.tobytes() == block.tobytes()
     assert limit.rhs.tobytes() == cylinder.section.load.tobytes()
     section = CrossSection(spec, resolution)
-    shared = assemble_cylinder(spec, ell=ell, resolution=resolution, section=section)
-    limit = assemble_limit(spec, resolution=resolution, section=section)
+    shared = assemble_cylinder(section, ell=ell)
+    limit = assemble_limit(section)
     assert limit.nd_band is shared.kron_parts[shared.axial_keys.index(zero)][1]
     assert limit.rhs is section.load and limit.basis.factors == shared.basis.factors[spec.p:]
 
@@ -682,19 +701,9 @@ def test_a_limit_pair_that_reads_x1_is_assembled_with_x1_pinned_at_zero():
             forcing=ScalarField.parse("1", 2),
         )
 
-    pinned, one = assemble_limit(spec("1 + x1^2"), resolution=4), assemble_limit(spec("1"), 4)
+    pinned, one = assembled_limit(spec("1 + x1^2"), resolution=4), assembled_limit(spec("1"), 4)
     assert pinned.nd_band.tobytes() == one.nd_band.tobytes()
     assert pinned.section.keys == (((1,), (1,)),)
-
-
-def test_a_cross_section_serves_only_its_problem_resolution_and_degree():
-    spec = builtin_problem("poisson_strip")
-    section = CrossSection(spec, 4)
-    for kwargs in ({"resolution": 5}, {"resolution": 4, "degree": 3}):
-        with pytest.raises(ValueError, match="built for another problem"):
-            assemble_cylinder(spec, ell=2.0, section=section, **kwargs)
-    with pytest.raises(ValueError, match="built for another problem"):
-        assemble_limit(builtin_problem("varcoef_strip"), resolution=4, section=section)
 
 
 @pytest.mark.parametrize("where", ["cyl", "lim"])
@@ -705,9 +714,9 @@ def test_a_cross_section_serves_only_its_problem_resolution_and_degree():
                               "biharmonic"])
 def test_matrix_is_the_oracle_csr_bit_for_bit(spec, where):
     if where == "cyl":
-        system = assemble_cylinder(spec, ell=1.0, resolution=5)
+        system = assembled_cylinder(spec, ell=1.0, resolution=5)
     else:
-        system = assemble_limit(spec, resolution=5)
+        system = assembled_limit(spec, resolution=5)
     got, want = system.matrix, oracle_csr(system)
     assert isinstance(got, sp.csr_matrix) and got.shape == want.shape
     for name in ("data", "indices", "indptr"):
@@ -717,7 +726,7 @@ def test_matrix_is_the_oracle_csr_bit_for_bit(spec, where):
 
 
 def test_lower_band_refuses_a_nonsymmetric_system():
-    system = assemble_cylinder(_box_spec(1), ell=1.0, resolution=3, degree=2)
+    system = assembled_cylinder(_box_spec(1), ell=1.0, resolution=3, degree=2)
     assert not system.symmetric
     with pytest.raises(ValueError, match="symmetric"):
         system.lower_band()
@@ -778,11 +787,11 @@ def test_the_even_predicate_reads_the_axial_keys(spec, even):
     # system has no blocks
     section = CrossSection(spec, 6)
     assert section.even is even
-    cylinder = assemble_cylinder(spec, ell=1.0, resolution=6, section=section)
+    cylinder = assemble_cylinder(section, ell=1.0)
     blocks, p = cylinder.parity_blocks(), spec.p
     halved = tuple((n + 1) // 2 for n in cylinder._dims[:p])
     assert (blocks is not None and all(block._dims[:p] == halved for _, block in blocks)) is even
-    assert assemble_limit(spec, resolution=6, section=section).parity_blocks() is None
+    assert assemble_limit(section).parity_blocks() is None
 
 
 _FOLD_CASES = {
@@ -800,7 +809,7 @@ _FOLD_CASES = {
 def test_the_folded_system_is_p_transpose_a_p(spec, ell, resolution, degree):
     # every block of an even section is folded along every axial axis (and
     # the biharmonic strip's along x2 too): P^T A P with P its extension
-    system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
     A, b = system.matrix.toarray(), system.rhs
     full = system.lower_band() if system.symmetric else system.general_band()
     for parities, block in system.parity_blocks():
@@ -897,7 +906,7 @@ _BLOCK_CASES = {
                          ids=_BLOCK_CASES.keys())
 def test_each_parity_block_is_p_transpose_a_p(spec, ell, resolution, degree, mirrored):
     # P folds every axial axis of an even section, then each parity axis
-    system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
     assert system.section.mirrored == system.section.parity_axes == mirrored
     A, b = system.matrix.toarray(), system.rhs
     blocks = system.parity_blocks()
@@ -943,17 +952,17 @@ def test_the_mirror_predicate_reads_every_pair():
         section = CrossSection(spec, 5)
         assert section.mirrored == mirrored, name
         assert section.parity_axes == (mirrored if blocks else ()), name
-        cylinder = assemble_cylinder(spec, ell=1.0, resolution=5, section=section)
+        cylinder = assemble_cylinder(section, ell=1.0)
         folds = cylinder.parity_blocks()
         assert (folds is not None and len(folds[0][0]) > 0) is blocks, name
-        assert assemble_limit(spec, resolution=5, section=section).parity_blocks() is None
+        assert assemble_limit(section).parity_blocks() is None
 
 
 def test_a_block_with_a_zero_load_is_left_out():
     # a load that is exactly odd about the middle of (0, 1) folds to an even
     # load of exactly zero (b_i + b_m(i) = 0): that block is left out, and
     # joined gives the odd block's extension alone, even in x1, bitwise
-    system = assemble_cylinder(_BIHARMONIC, ell=2.0, resolution=8)
+    system = assembled_cylinder(_BIHARMONIC, ell=2.0, resolution=8)
     B = system.rhs.reshape(system._dims)
     system = dataclasses.replace(system, rhs=(B - np.flip(B, 1)).ravel())
     [(parities, block)] = system.parity_blocks()
@@ -988,7 +997,7 @@ def test_the_section_blocks_are_mirror_averaged(omega, resolution):
         assert np.array_equal(C, np.flip(C))
         assert np.abs(C - kernel).max() <= 1e-12 * np.abs(kernel).max()
     zero_key = section.keys.index(((0,), (0,)))
-    assert assemble_limit(spec, resolution, section=section).nd_band is section.blocks[zero_key]
+    assert assemble_limit(section).nd_band is section.blocks[zero_key]
 
 
 def test_a_non_finite_block_is_left_to_the_assembly():
@@ -1006,21 +1015,21 @@ def test_a_non_finite_block_is_left_to_the_assembly():
     assert section.mirrored == (0,) and section.parity_axes == ()
     with pytest.raises(AssemblyError, match=r"^assemble_cylinder for problem singular at "
                                             r"l = 1: assembled matrix contains non-finite"):
-        assemble_cylinder(spec, ell=1.0, resolution=13, section=section)
+        assemble_cylinder(section, ell=1.0)
 
 
 # ------------------------------------------------------------------ the band invariant
 
 
 def _axial_bands(spec, degree):
-    system = assemble_cylinder(spec, ell=1.0, resolution=5, degree=degree)
+    system = assembled_cylinder(spec, ell=1.0, resolution=5, degree=degree)
     return [A for A, _ in system.kron_parts]
 
 
 def _parity_pieces(cases):
     pieces = []
     for spec, ell, resolution, degree, *_ in cases:
-        system = assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+        system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
         pieces += [band for _, block in system.parity_blocks()
                    for band in itertools.chain(*block.kron_parts)]
     return pieces
@@ -1042,7 +1051,7 @@ _BANDS = {
     "cross_section_2d": lambda: (CrossSection(_laplace_box(1), 4).blocks
                                  + CrossSection(_BIHARMONIC_3D, 5).blocks),
     "nd_box3d_sin_x1": lambda: [
-        assemble_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band],
+        assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band],
     "mirror_averaged": lambda: [_mirror_averaged(C, (0, 1))
                                 for C in CrossSection(_laplace_box(1), 4).blocks],
     "folded_even": lambda: (
@@ -1052,12 +1061,12 @@ _BANDS = {
                            for C in CrossSection(_BIHARMONIC_3D, 5).blocks for axis in (0, 1)],
     "transposed": lambda: [_transposed(band) for band in (
         *_axial_bands(_laplace_box(2), 2), *CrossSection(_laplace_box(1), 4).blocks,
-        assemble_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band)],
+        assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band)],
     "grams_sub_extent": lambda: _grams((-1.0, 1.0)),
     "grams_cutoff": lambda: _grams((-2.0, 2.0), (CutoffRho(3), 1.0)),
     "parity_blocks": lambda: _parity_pieces([*_BLOCK_CASES.values(),
                                              *_FOLD_CASES.values()]),
-    "limit": lambda: [assemble_limit(spec, resolution=5).nd_band for spec in (
+    "limit": lambda: [assembled_limit(spec, resolution=5).nd_band for spec in (
         _BIHARMONIC, _laplace_box(1), _box_spec(1), _MIXED_3D)],
 }
 
@@ -1074,8 +1083,8 @@ def test_every_band_is_zero_outside_its_space(producer):
 
 def test_a_systems_pieces_are_read_only():
     # the readers share them as they are, the limit system the section's
-    system = assemble_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4)
-    blocks = assemble_cylinder(_BIHARMONIC_3D, ell=1.0, resolution=5).parity_blocks()
-    for s in (system, assemble_limit(_BIHARMONIC, resolution=5), *(b for _, b in blocks)):
+    system = assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4)
+    blocks = assembled_cylinder(_BIHARMONIC_3D, ell=1.0, resolution=5).parity_blocks()
+    for s in (system, assembled_limit(_BIHARMONIC, resolution=5), *(b for _, b in blocks)):
         for band in (*itertools.chain(*s.kron_parts), s.nd_band):
             assert band is None or not band.flags.writeable

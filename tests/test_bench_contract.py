@@ -12,6 +12,7 @@ import importlib
 from pathlib import Path
 
 from cylasym import cli, harness
+from cylasym.assembly import CrossSection
 from cylasym.problem import builtin_problem
 from cylasym.splines import DiscreteField
 
@@ -46,7 +47,7 @@ def test_bench_instrument_patches_resolve_and_are_restored(monkeypatch):
                    if before[name].get(attr) is not value}
             for name in OWNERS
         }
-        system = harness.assemble_limit(builtin_problem("poisson_strip"), resolution=4)
+        system = harness.assemble_limit(CrossSection(builtin_problem("poisson_strip"), 4))
     assert changed == PATCHED
     after = _snapshot()
     for name in OWNERS:
@@ -56,3 +57,19 @@ def test_bench_instrument_patches_resolve_and_are_restored(monkeypatch):
     A = system.matrix
     assert stats["assembly.nnz"] == A.nnz > 0
     assert stats["assembly.csr_mb"] > 0.0
+
+
+def test_a_traced_sweep_runs_and_names_the_ell_of_every_cylinder(monkeypatch):
+    # the trace reads assemble_cylinder's ell as a keyword (bench/instrument.py
+    # ell_kwarg): a sweep that passed it by position would stop here with a
+    # KeyError, as bench/run.py --trace 1 would
+    monkeypatch.syspath_prepend(str(BENCH))
+    instrument = importlib.import_module("instrument")
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    plan = harness.SweepPlan(spec=builtin_problem("poisson_strip"), ells=(2.0, 4.0), resolution=4)
+    with instrument.instrument(tracer):
+        report = harness.run_sweep(plan)
+    assert [r.ell for r in report.records] == [2.0, 4.0]
+    cylinders = [s for s in tracer.spans if s.name == "assemble_cylinder"]
+    assert sorted(s.attrs["ell"] for s in cylinders) == [2.0, 4.0]

@@ -10,13 +10,21 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import fold_path_solve, full_path_solve, inverse_inf_norm, system_inf_norm
+from dense_oracle import (
+    assembled_cylinder,
+    assembled_limit,
+    fold_path_solve,
+    full_path_solve,
+    inverse_inf_norm,
+    system_inf_norm,
+)
 
-from cylasym import assembly, cli, harness, linalg
+from cylasym import analysis, assembly, cli, harness, linalg
 from cylasym.analysis import difference_field, norm_Hm, write_report_csv
 from cylasym.fdcalc import interior_derivative_error
 from cylasym.harness import (
@@ -239,12 +247,11 @@ def test_interior_estimate_at_alpha_zero_matches_quadrature_norm(poisson_report)
     # the lattice estimator at alpha = 0 is a trapezoid version of the same
     # H^m error the Gauss quadrature computes; they agree to a couple percent
     plan = SweepPlan(spec=POISSON, ells=(2.0,), ell0=1.0, resolution=8)
-    from cylasym.assembly import assemble_cylinder, assemble_limit
     from cylasym.splines import DiscreteField
 
-    sys_c = assemble_cylinder(POISSON, ell=2.0, resolution=8, degree=2)
+    sys_c = assembled_cylinder(POISSON, ell=2.0, resolution=8, degree=2)
     u_l = DiscreteField(sys_c.basis, harness._solve_system(sys_c).x)
-    sys_o = assemble_limit(POISSON, resolution=8, degree=2)
+    sys_o = assembled_limit(POISSON, resolution=8, degree=2)
     u_inf = DiscreteField(sys_o.basis, harness._solve_system(sys_o).x)
 
     region = interior_region(POISSON, ell0=1.0, margin=0.25)
@@ -412,6 +419,48 @@ def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, pa
     assert three[2] == four[2] > 0
 
 
+@pytest.mark.parametrize("spec,resolution", [
+    (_laplace_box(), 6),
+    (builtin_problem("biharmonic_strip"), 8),
+], ids=["box3d", "biharmonic"])
+def test_a_sweep_builds_the_gram_bands_of_each_cross_section_factor_once(monkeypatch, spec,
+                                                                         resolution):
+    # every norm of a sweep reads the cross-section factors' Gram bands from
+    # the factors' cache, which the norm of u_inf fills in the parent before
+    # any job runs: one miss per factor, and the bands read-only
+    sections, reads, misses, before_jobs = [], Counter(), Counter(), []
+    cross_section, run_jobs = harness.CrossSection, harness._run_jobs
+    axis_grams = analysis.axis_grams
+
+    def recorded(*args):
+        sections.append(cross_section(*args))
+        return sections[-1]
+
+    def counted(factor, *args):
+        cached = list(factor._grams.values())
+        reads[id(factor)] += 1
+        table = axis_grams(factor, *args)
+        misses[id(factor)] += not any(table is entry for entry in cached)
+        return table
+
+    def jobs_after_grams(*args):
+        before_jobs.extend(len(f._grams) for f in sections[0].factors)
+        return run_jobs(*args)
+
+    monkeypatch.setattr(harness, "CrossSection", recorded)
+    monkeypatch.setattr(analysis, "axis_grams", counted)
+    monkeypatch.setattr(harness, "_run_jobs", jobs_after_grams)
+    run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0, 8.0), resolution=resolution))
+    factors = sections[0].factors
+    assert len(sections) == 1 and before_jobs == [1] * len(factors)
+    # the norm of u_inf, then per l its error, norm and (at l_max) the
+    # localized energies at l = 4, 2 and 1
+    assert [(reads[id(f)], misses[id(f)]) for f in factors] == [(1 + 3 * 2 + 3, 1)] * len(factors)
+    for f in factors:
+        (_, bands), = f._grams.values()
+        assert len(bands) == spec.m + 1 and not any(g.flags.writeable for g in bands)
+
+
 def test_a_system_prepares_each_piece_once(monkeypatch):
     # every product and |A|_inf of a system read its pieces as prepared on
     # first use, so a band-layout transpose is formed at most once per piece
@@ -464,7 +513,7 @@ def test_a_system_prepares_each_piece_once(monkeypatch):
 ], ids=["poisson", "varcoef", "box3d"])
 def test_two_part_solve_matches_cholesky(name, spec, ell, resolutions):
     for resolution in resolutions:
-        system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution)
+        system = assembled_cylinder(spec, ell=ell, resolution=resolution)
         fast = harness._solve_system(system)
         assert fast.method == "fast_diagonalization"
         chol = linalg.cholesky_solve(system.lower_band(), system.rhs)
@@ -489,9 +538,9 @@ _DISPATCH = {
 @pytest.mark.parametrize("spec,where,method", _DISPATCH.values(), ids=_DISPATCH.keys())
 def test_the_system_structure_picks_the_solve(spec, where, method):
     if where == "cyl":
-        system = assembly.assemble_cylinder(spec, ell=2.0, resolution=5)
+        system = assembled_cylinder(spec, ell=2.0, resolution=5)
     else:
-        system = assembly.assemble_limit(spec, resolution=5)
+        system = assembled_limit(spec, resolution=5)
     result = harness._solve_system(system)
     assert result.method == method
     assert result.iterations == 0 and result.backward_error <= 1e-14
@@ -553,7 +602,7 @@ def test_an_indefinite_top_block_names_the_problem_and_l():
                           ((0, 1), (0, 1)): ScalarField.parse("1", 2)},
             forcing=ScalarField.parse(forcing, 2), name="signed",
         )
-        system = assembly.assemble_cylinder(spec, ell=2.0, resolution=4)
+        system = assembled_cylinder(spec, ell=2.0, resolution=4)
         assert system.two_part
         with pytest.raises(linalg.SolverError, match="^solve for problem signed at l = 2: "
                            "cross-section block of the highest axial part is not positive "
@@ -581,7 +630,7 @@ def test_direct_solve_memory_is_the_lapack_band():
     # cross-section blocks, not the 33 MiB LAPACK band of a Cholesky solve
     tracemalloc.start()
     try:
-        system = assembly.assemble_cylinder(_laplace_box(), ell=4.0, resolution=12)
+        system = assembled_cylinder(_laplace_box(), ell=4.0, resolution=12)
         tracemalloc.reset_peak()
         result = harness._solve_system(system)
         peak = tracemalloc.get_traced_memory()[1]
@@ -605,7 +654,7 @@ def test_cholesky_solve_memory_is_the_lapack_band():
     spec = builtin_problem("biharmonic_strip")
     tracemalloc.start()
     try:
-        system = assembly.assemble_cylinder(spec, ell=4.0, resolution=32)
+        system = assembled_cylinder(spec, ell=4.0, resolution=32)
         result = harness._solve_system(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -670,7 +719,7 @@ _FOLDED = {
                          ids=_FOLDED.keys())
 def test_a_folded_solve_is_even_and_checked_on_the_full_system(spec, ell, resolution, degree,
                                                                n_ax):
-    system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
     assert system.section.even and system.parity_blocks()
     assert system.basis.factors[0].dim == n_ax
     result = harness._solve_system(system)
@@ -712,8 +761,8 @@ _UNFOLDED = {
 def test_a_system_that_does_not_fold_is_solved_whole_bit_for_bit(spec, where, method):
     def assembled():
         if where == "cyl":
-            return assembly.assemble_cylinder(spec, ell=2.0, resolution=6)
-        return assembly.assemble_limit(spec, resolution=6)
+            return assembled_cylinder(spec, ell=2.0, resolution=6)
+        return assembled_limit(spec, resolution=6)
 
     system = assembled()
     assert system.parity_blocks() is None
@@ -730,7 +779,7 @@ def test_a_folded_cholesky_solve_peaks_below_the_full_band():
     # band of the whole system; the LAPACK routines are bound first, as above
     linalg._lapack()
 
-    system = assembly.assemble_cylinder(builtin_problem("biharmonic_strip"), ell=8.0,
+    system = assembled_cylinder(builtin_problem("biharmonic_strip"), ell=8.0,
                                         resolution=16)
     tracemalloc.start()
     try:
@@ -774,9 +823,9 @@ def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, wher
     # factors, so it walks its slot tuples once and never calls inf_norm;
     # every banded solve walks its own system once
     if where == "cyl":
-        system = assembly.assemble_cylinder(spec, ell=2.0, resolution=5)
+        system = assembled_cylinder(spec, ell=2.0, resolution=5)
     else:
-        system = assembly.assemble_limit(spec, resolution=5)
+        system = assembled_limit(spec, resolution=5)
     blocks = system.parity_blocks()
     assert (blocks is not None and blocks[0][1].ndofs * 2 <= system.ndofs
             and system.section.even) is folds
@@ -853,7 +902,7 @@ def test_a_block_solve_agrees_with_the_full_path_solve(spec, ell, resolution, de
     # blocks are mirror averaged); both their solve and the whole system's
     # pass the gate, so they differ by at most |A^-1| times the sum of
     # their residual bounds, as for the even fold above
-    system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
     assert system.section.parity_axes and system.parity_blocks()
     result, full = harness._solve_system(system), full_path_solve(system)
     x, b, a_norm = result.x, system.rhs, system.inf_norm()
@@ -878,8 +927,7 @@ def test_the_block_solve_passes_the_gate_on_the_full_system(omega, resolution):
     spec = dataclasses.replace(builtin_problem("biharmonic_strip"), omega=(omega,))
     section = assembly.CrossSection(spec, resolution)
     for ell in (2.0, 16.0):
-        system = assembly.assemble_cylinder(spec, ell=ell, resolution=resolution,
-                                            section=section)
+        system = assembly.assemble_cylinder(section, ell=ell)
         # on (100, 101) and (1000, 1001) the load of f = 1 is even bitwise,
         # so the odd block's is exactly zero and it is left out
         assert system.section.parity_axes and system.parity_blocks()
@@ -894,7 +942,7 @@ def test_a_block_solve_peaks_below_one_folded_band():
     # factored and freed one after the other, so the traced peak (4.1 MiB
     # measured) stays below the even half's band
     linalg._lapack()
-    system = assembly.assemble_cylinder(builtin_problem("biharmonic_strip"), ell=16.0,
+    system = assembled_cylinder(builtin_problem("biharmonic_strip"), ell=16.0,
                                         resolution=32)
     n_c = system.basis.factors[1].dim
     kd, half = 3 * n_c + 3, (system.basis.factors[0].dim + 1) // 2 * n_c
@@ -926,8 +974,8 @@ def _assert_the_fold_path_bit_for_bit(spec, ell, resolution, where):
     unfolded (dense_oracle.fold_path_solve), bit for bit."""
     def assembled():
         if where == "cyl":
-            return assembly.assemble_cylinder(spec, ell=ell, resolution=resolution)
-        return assembly.assemble_limit(spec, resolution=resolution)
+            return assembled_cylinder(spec, ell=ell, resolution=resolution)
+        return assembled_limit(spec, resolution=resolution)
 
     result, want = harness._solve_system(assembled()), fold_path_solve(assembled())
     assert result.method == want.method
@@ -982,7 +1030,7 @@ def test_a_zero_forcing_solves_no_block(monkeypatch, spec, kernel, method):
     def refuse(*args, **kwargs):
         raise AssertionError("a block with a zero load was solved")
 
-    system = assembly.assemble_cylinder(_zero_forcing(spec), ell=2.0, resolution=6)
+    system = assembled_cylinder(_zero_forcing(spec), ell=2.0, resolution=6)
     assert system.parity_blocks() == ()
     monkeypatch.setattr(harness, kernel, refuse)
     result = harness._solve_system(system)
@@ -1427,10 +1475,16 @@ def test_a_keyboard_interrupt_kills_and_reaps_every_child(monkeypatch):
 
     _patched_worker(monkeypatch, act)
     plan = SweepPlan(spec=POISSON, ells=(2.0, 4.0, 8.0), resolution=6, workers=2)
-    t = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        run_sweep(plan)
-    assert time.perf_counter() - t < 30.0
+    # a shell's background job inherits SIGINT ignored, which would leave
+    # the parent waiting out both children's minute
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        t = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(plan)
+        assert time.perf_counter() - t < 30.0
+    finally:
+        signal.signal(signal.SIGINT, previous)
     _no_child_left()
 
 

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from dense_oracle import assembled_cylinder
 
 from cylasym import linalg
-from cylasym.assembly import assemble_cylinder
 from cylasym.linalg import (
     BACKWARD_ERROR_TOL,
     BreakdownError,
@@ -240,7 +240,7 @@ def test_cholesky_rejects_a_large_backward_error():
 
 def test_backward_error_biharmonic_long_cylinder():
     # relres is 1.3e-12 here, above the 1e-12 that a relres gate once asked for
-    system = assemble_cylinder(builtin_problem("biharmonic_strip"), ell=16.0, resolution=32)
+    system = assembled_cylinder(builtin_problem("biharmonic_strip"), ell=16.0, resolution=32)
     a_norm = system.inf_norm()
     x = cholesky_solve(system.lower_band(), system.rhs)
     res = _accept(x, system.rhs, a_norm, system.matvec, "solve", "cholesky_banded")
@@ -467,13 +467,13 @@ def _banded(n, kd, seed):
 _LOWER_BANDS = {  # LAPACK lower band storage of symmetric positive definite matrices
     "kd1": lambda: _lower_storage(_spd_banded(30, 1, 7), 1),
     "kd2": lambda: _lower_storage(_spd_banded(30, 2, 8), 2),
-    "biharmonic_two_axes": lambda: assemble_cylinder(builtin_problem("biharmonic_strip"),
+    "biharmonic_two_axes": lambda: assembled_cylinder(builtin_problem("biharmonic_strip"),
                                                      ell=1.0, resolution=5).lower_band(),
 }
 _GENERAL_BANDS = {  # LAPACK general band storage of nonsymmetric matrices
     "kd1": lambda: _general_storage(_banded(30, 1, 9), 1),
     "kd2": lambda: _general_storage(_banded(30, 2, 10), 2),
-    "skew_two_axes": lambda: assemble_cylinder(parse_problem_config(SKEW_CONFIG, "skew"),
+    "skew_two_axes": lambda: assembled_cylinder(parse_problem_config(SKEW_CONFIG, "skew"),
                                                ell=1.0, resolution=5).general_band(),
 }
 

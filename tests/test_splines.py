@@ -13,7 +13,7 @@ from numpy.polynomial.legendre import leggauss
 
 import cylasym.splines as splines
 from cylasym.analysis import CutoffRho, _gauss_grid
-from cylasym.assembly import cylinder_factors
+from cylasym.assembly import CrossSection
 from cylasym.problem import builtin_problem
 from cylasym.splines import (
     DiscreteField,
@@ -200,6 +200,25 @@ def test_axis_grams_leave_out_of_space_slots_zero(degree, bc_order, cutoff, exte
         assert not np.signbit(band[outside]).any()
 
 
+def test_a_factor_caches_its_cutoff_free_gram_bands_read_only():
+    # every norm on a factor reads one entry per (extent, m, resolution,
+    # points per cell), bit for bit the bands a new factor builds; a
+    # cutoff's bands are built per call and not kept
+    f = SplineBasis1D(-2.0, 2.0, 8, 3, 2)
+    rows, bands = axis_grams(f, (-1.0, 1.0), 2, 2, 3)
+    again = axis_grams(f, (-1, 1), 2, 2, 3)
+    assert again[0] == rows and all(a is b for a, b in zip(again[1], bands))
+    with pytest.raises(ValueError, match="read-only"):
+        bands[0][0, 0] = 1.0
+    fresh = axis_grams(SplineBasis1D(-2.0, 2.0, 8, 3, 2), (-1.0, 1.0), 2, 2, 3)[1]
+    assert [g.tobytes() for g in fresh] == [g.tobytes() for g in bands]
+    for key in [((-2.0, 2.0), 2, 2, 3), ((-1.0, 1.0), 1, 2, 3), ((-1.0, 1.0), 2, 4, 3),
+                ((-1.0, 1.0), 2, 2, 4)]:
+        assert axis_grams(f, *key) is f._grams[key]
+    cut = axis_grams(f, (-1.0, 1.0), 2, 2, 3, (CutoffRho(2), 1.0))[1]
+    assert all(g.flags.writeable for g in cut) and len(f._grams) == 5
+
+
 def test_domain_and_order_errors():
     basis = SplineBasis1D(0.0, 1.0, cells=8, degree=2, bc_order=1)
     with pytest.raises(ValueError, match="outside domain"):
@@ -370,7 +389,7 @@ def test_eval_grid_peak_memory_is_a_few_outputs():
     # largest grid a biharmonic sweep evaluates; a dense (points, dim) basis
     # matrix per axis peaks at 11x the output here
     spec = builtin_problem("biharmonic_strip")
-    basis = TensorBasis(cylinder_factors(spec, 16.0, 32, None))
+    basis = CrossSection(spec, 32).cylinder_basis(16.0)
     field = DiscreteField(basis, np.random.default_rng(5).standard_normal(basis.dims))
     axes, _ = _gauss_grid(basis.domain, 32, 3)
     tracemalloc.start()
