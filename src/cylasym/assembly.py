@@ -7,11 +7,11 @@ indices differ by at most d_k on every axis, so a matrix is an array of shape
 couples row (i_k) with column (i_k + s_k - d_k).  The slots whose column
 falls outside the space hold no matrix entry, and every band the package
 builds holds zero in them: the kernel's, since the tables zero the
-functions the constraint drops, and those the folds, mirror averages,
-transposes and Gram bands (splines.axis_grams) form.  So band_apply,
-matvec and _kron_row_sums read a band as it is; the slot walk and the folds
-read the in-space slots only, since they also place entries and define the
-folded space.  A new producer of bands keeps this invariant, and
+functions the constraint drops, and those the folds, mirror averages and
+Gram bands (splines.axis_grams) form.  So band_apply, matvec and
+_kron_row_sums read a band as it is; the slot walk and the folds read the
+in-space slots only, since they also place entries and define the folded
+space.  A new producer of bands keeps this invariant, and
 test_every_band_is_zero_outside_its_space pins it for every producer.
 
 One einsum kernel builds the band on a tensor product of factors: per-axis
@@ -53,21 +53,24 @@ axial keys are read off the problem and the CrossSection.  Slot tuple s of
 the band, in every row, is summed from them when it is read, in the order a
 full band would sum it: zero, then each Kronecker part (the outer product
 of its axial band's slots s_1..s_p and its cross-section band's slots
-s_p+1..s_n), then the n-D band.  A symmetric problem's matrix is
-(A + A^T) / 2, each entry the mean of its slot and its mirror slot.  One
-slot walk (_band_entries) hands out those entries, and every written form
-of the system is written from it: lower_band writes the entries on and
-below the diagonal into LAPACK lower band storage, a Fortran-ordered
-(kd + 1, N) array with kd = sum_k d_k stride_k (stride_k the flat-index
-step of axis k); general_band writes every entry into LAPACK general band
-storage, (2 kd + 1, N).  AssembledSystem.matrix writes the CSR matrix, for
-a symmetric problem the lower entries and their mirrors, on every read: the
-tests and the benchmark's trace mode read it, no solve does, so it imports
-scipy.sparse itself, on its first read, and the package imports no scipy
-module.  A symmetric system of
-exactly two Kronecker parts, each with equal axial indices, and no n-D band
-(two_part) also hands over its axial pencil: the lower bands of the two
-axial blocks, written by the same walk.  No full-size band is ever built.
+s_p+1..s_n), then the n-D band.  The system's matrix A is that sum, read
+as it is.  A symmetric problem's A is symmetric up to rounding, since the
+kernel forms and sums the two entries of a mirror pair in different
+orders; no reader symmetrizes it.  A symmetric kernel reads only A's
+lower triangle, and the backward-error check judges its x against A
+itself, the matrix that was assembled.  One slot walk
+(_band_entries) hands out the entries, and every written form of the
+system is written from it: lower_band writes the entries on and below the
+diagonal into LAPACK lower band storage, a Fortran-ordered (kd + 1, N)
+array with kd = sum_k d_k stride_k (stride_k the flat-index step of axis
+k); general_band writes every entry into LAPACK general band storage,
+(2 kd + 1, N).  AssembledSystem.matrix writes the CSR matrix of every entry
+on every read: the tests and the benchmark's trace mode read it, no solve
+does, so it imports scipy.sparse itself, on its first read, and the
+package imports no scipy module.  A symmetric system of exactly two
+Kronecker parts, each with equal axial indices, and no n-D band (two_part)
+also hands over its axial pencil: the lower bands of the two axial blocks,
+written by the same walk.  No full-size band is ever built.
 
 A cylinder system commutes with the reflection of an axis k about the
 middle of its extent when no coefficient reads x_k and every pair has
@@ -104,20 +107,14 @@ the solve folds it.
 
 The residual of the backward-error check skips the walk, and so does its
 norm for a system of Kronecker parts alone.  matvec multiplies by the
-matrix from the pieces, sum_j A_j X C_j^T plus the n-D band, and by its
-transpose for a symmetric problem, each band applied along its axes by
-band_apply: one einsum over a sliding window of X.
-inf_norm, for a system of Kronecker parts alone, forms the same entries as
-the walk but sums each row's magnitudes once per distinct axial coefficient
-tuple, which a uniform axial mesh repeats (_kron_row_sums); the solve reads
-the norm of a system with an n-D band off the band it factors
-(linalg.band_inf_norm), so that the walk runs once.
-
-The readers share a system's pieces as they are, so a system marks them
-read-only.  A symmetric system forms the band-layout transpose of each
-Kronecker piece once, on first use by matvec or _kron_row_sums, and keeps
-it; the transpose of its n-D band is formed one chunk of rows at a time, at
-every product, so that no copy of a whole large band is kept.
+matrix from the pieces, sum_j A_j X C_j^T plus the n-D band, each band
+applied along its axes by band_apply: one einsum over a sliding window of
+X.  inf_norm, for a system of Kronecker parts alone, forms the same entries
+as the walk but sums each row's magnitudes once per distinct axial
+coefficient tuple, which a uniform axial mesh repeats (_kron_row_sums); the
+solve reads the norm of a system with an n-D band off the band it factors
+(linalg.band_inf_norm), so that the walk runs once.  The readers share a
+system's pieces as they are, so a system marks them read-only.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -132,7 +129,6 @@ axis-independence the hypothesis validator enforces.
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -150,7 +146,7 @@ _SLAB_BYTES = 4 * 2**20
 _AXIS_LETTERS = "abc"  # band_apply: the axes of X
 _SLOT_LETTERS = "stu"  # band_apply: the band's slot axes
 # entries per chunk of _kron_row_sums' (tuples, cross rows, cross slots)
-# arrays, and per transposed chunk of an n-D band's rows
+# arrays
 _CHUNK_ENTRIES = 2**15
 
 
@@ -166,11 +162,12 @@ class AssembledSystem:
     key, each in the band layout of its own factors; nd_band is the
     kernel's band on all factors, or None when no pair needs it.  The
     cross-section bands are those of section, the CrossSection the system
-    was assembled from, which also gives its problem (spec).  The written
-    forms (lower_band, general_band, matrix, axial_pencil) come from the
-    slot walk; matvec and inf_norm read the pieces without it, as they are,
-    and a symmetric system's band-layout transposes of them (_prepared).
-    The pieces are read-only, and zero outside the space, as every band is.
+    was assembled from, which also gives its problem (spec).  The matrix
+    is the sum of the pieces, as it is, for a symmetric problem too.  The
+    written forms (lower_band, general_band, matrix, axial_pencil) come
+    from the slot walk; matvec and inf_norm read the pieces without it, as
+    they are.  The pieces are read-only, and zero outside the space, as
+    every band is.
     """
 
     rhs: np.ndarray
@@ -218,19 +215,15 @@ class AssembledSystem:
 
     @property
     def matrix(self):
-        """The CSR matrix, (A + A^T) / 2 for a symmetric problem, written
-        from the entries lower_band and general_band write: the lower ones
-        and their mirrors for a symmetric problem, handed to scipy.sparse as
-        (value, (row, column)) triples.  Built on every read; the first read
-        imports scipy.sparse, which no solve needs."""
+        """The CSR matrix, written from the entries general_band writes and
+        handed to scipy.sparse as (value, (row, column)) triples.  Built on
+        every read; the first read imports scipy.sparse, which no solve
+        needs."""
         import scipy.sparse as sp
 
-        entries = list(self._entries(lower=self.symmetric))
-        if self.symmetric:
-            entries += [(-c, cols, rows, values) for c, rows, cols, values in entries if c]
         # columns ascend with c in every row, no two entries of one c share
         # a row, and the conversion keeps each row's entries in this order
-        entries.sort(key=lambda entry: entry[0])
+        entries = sorted(self._entries(lower=False), key=lambda entry: entry[0])
         flat = np.arange(self.ndofs, dtype=np.int32).reshape(self._dims)
         rows = np.concatenate([flat[r].ravel() for _, r, _, _ in entries])
         cols = np.concatenate([flat[c].ravel() for _, _, c, _ in entries])
@@ -252,11 +245,11 @@ class AssembledSystem:
         return out
 
     def _entries(self, lower: bool):
-        return _band_entries(self._slot, self._dims, self._degrees, self.symmetric, lower)
+        return _band_entries(self._slot, self._dims, self._degrees, lower)
 
     def lower_band(self):
-        """LAPACK lower band storage of (A + A^T) / 2, Fortran-ordered, with
-        A[j + q, j] at ab[q, j]."""
+        """LAPACK lower band storage of A's entries on and below the
+        diagonal, Fortran-ordered, with A[j + q, j] at ab[q, j]."""
         if not self.symmetric:
             raise ValueError("the lower band describes a symmetric system only")
         return _write_band(self._entries(lower=True), self._dims, self._degrees, 0)
@@ -283,34 +276,18 @@ class AssembledSystem:
         """
         if self.nd_band is not None:
             raise ValueError("inf_norm describes a system of Kronecker parts alone")
-        return float(_kron_row_sums(self._prepared, self.spec.p).max())
-
-    @cached_property
-    def _prepared(self):
-        """The Kronecker pieces as band_apply and _kron_row_sums read them:
-        kron_parts itself, then for a symmetric system (A_j^T, C_j^T), their
-        band-layout transposes, formed on first use and kept."""
-        if not self.symmetric:
-            return (self.kron_parts,)
-        return self.kron_parts, tuple((_transposed(A), _transposed(C)) for A, C in self.kron_parts)
+        return float(_kron_row_sums(self.kron_parts, self.spec.p).max())
 
     def matvec(self, x):
         """The matrix times x from the pieces: sum_j A_j X C_j^T plus the n-D
-        band, with X the (axial, cross-section) view of x; (A + A^T) x / 2
-        for a symmetric problem."""
+        band, with X the (axial, cross-section) view of x."""
         X = np.reshape(x, self._dims)
-        y = self._apply(X, transpose=False)
-        if self.symmetric:
-            y = (y + self._apply(X, transpose=True)) * 0.5
-        return y.ravel()
-
-    def _apply(self, X, transpose: bool):
         Y = np.zeros(X.shape)
-        for A, C in self._prepared[transpose]:
+        for A, C in self.kron_parts:
             Y += band_apply(A, band_apply(C, X, self.spec.p))
         if self.nd_band is not None:
-            Y += _nd_apply(self.nd_band, X, transpose)
-        return Y
+            Y += band_apply(self.nd_band, X)
+        return Y.ravel()
 
     @property
     def two_part(self) -> bool:
@@ -320,9 +297,9 @@ class AssembledSystem:
 
     def axial_pencil(self):
         """(A_top, A_other) of a two-part system: the LAPACK lower band of
-        each axial block's symmetric part, written as lower_band writes the
-        whole system's, top part first: the one of highest axial order,
-        whose cross-section block ellipticity makes positive definite.
+        each axial block, written as lower_band writes the whole system's,
+        top part first: the one of highest axial order, whose cross-section
+        block ellipticity makes positive definite.
         """
         if not self.two_part:
             raise ValueError("the Kronecker pencil describes a two-part system only")
@@ -473,8 +450,8 @@ def _top_first(pieces, axial_keys):
 
 
 def _cross_pencil(blocks, axial_keys):
-    """(C_top, C_other): the dense symmetric part of each cross-section
-    block of a two-part system, top part first."""
+    """(C_top, C_other): the dense symmetric matrix of the lower triangle of
+    each cross-section block of a two-part system, top part first."""
     return tuple(_dense(_lower_of_band(C)) for C in _top_first(blocks, axial_keys))
 
 
@@ -488,30 +465,23 @@ def _shifted(shift, dims):
     return rows, cols
 
 
-def _band_entries(slot, dims, degrees, symmetric: bool, lower: bool):
+def _band_entries(slot, dims, degrees, lower: bool):
     """(c, rows, cols, values) per slot tuple s of a band on factors of
     dimensions dims and degrees, slot(s) giving slot tuple s in every row.
 
     c is the flat column minus the flat row, rows the rows (slices per axis)
     whose column lies in the space, cols those columns, and values the
-    entries there: for a symmetric matrix, those of (A + A^T) / 2, each the
-    mean of its slot and its mirror slot.  lower keeps c <= 0 only.
+    entries there.  lower keeps c <= 0 only: the entries on and below the
+    diagonal.
     """
     strides = [math.prod(dims[k + 1 :]) for k in range(len(dims))]
     for s in itertools.product(*(range(2 * d + 1) for d in degrees)):
         shift = [sk - d for sk, d in zip(s, degrees)]  # column minus row
         c = sum(e * stride for e, stride in zip(shift, strides))
         if lower and c > 0:
-            continue  # above the diagonal: the mirror slot tuple holds it
+            continue  # above the diagonal
         rows, cols = _shifted(shift, dims)
-        here = slot(s)
-        values = here[rows]
-        if symmetric:
-            # slot 2d - s of row j couples it back to column i
-            back = tuple(2 * d - sk for sk, d in zip(s, degrees))
-            mirror = here if back == s else slot(back)
-            values = (values + mirror[cols]) * 0.5
-        yield c, rows, cols, values
+        yield c, rows, cols, slot(s)[rows]
 
 
 def _slot_of(band):
@@ -529,95 +499,45 @@ def zero_padded(a, widths):
     return padded
 
 
-def _transposed(band):
-    """The band of the transposed matrix, in the same layout: slot s of row
-    i holds slot 2d - s of row i + s - d, and the out-of-space slots zero.
-
-    With the slots reversed and the rows padded by d zeros at both ends,
-    that entry sits at row i + s, slot s: the diagonal of a sliding window
-    over the rows.  Only in-space slots of the band are read."""
-    k = band.ndim // 2
-    widths = band.shape[k:]
-    padded = zero_padded(np.flip(band, tuple(range(k, 2 * k))), [w // 2 for w in widths] + [0] * k)
-    windows = sliding_window_view(padded, widths, axis=tuple(range(k)))
-    rows, s_sub = _AXIS_LETTERS[:k], _SLOT_LETTERS[:k]
-    return np.einsum(f"{rows}{s_sub}{s_sub}->{rows}{s_sub}", windows).copy()
-
-
-def _windows(front, widths):
-    """front written into a zero buffer with d = w // 2 zeros at both ends
-    of each of its first len(widths) axes, and read through a sliding
-    window of the widths: slot s of row i meets front at row i + s - d."""
-    k = len(widths)
-    padded = zero_padded(front, [w // 2 for w in widths] + [0] * (front.ndim - k))
-    return sliding_window_view(padded, widths, axis=tuple(range(k)))
-
-
-def _subscripts(k: int, ndim: int) -> str:
-    """einsum subscripts of a k-axis band (or a chunk of its rows) against
-    the windows of an ndim-axis array, its spanned axes first."""
-    x_sub, s_sub = _AXIS_LETTERS[:ndim], _SLOT_LETTERS[:k]
-    return f"{x_sub[:k]}{s_sub},{x_sub}{s_sub}->{x_sub}"
-
-
 def band_apply(band, X, lead: int = 0):
     """The band's matrix applied to the axes of X from `lead` on that the
     band's factors span; the other axes are carried along.
 
     The band is read as it is, zero outside its space as every band is.
     The spanned axes of X are moved first, so that the carried axes run
-    innermost, and X is read through _windows: one einsum sums the products.
+    innermost, and written into a zero buffer with d = w // 2 zeros at both
+    ends of each; read through a sliding window of the band's widths, slot
+    s of row i meets X at row i + s - d, and one einsum sums the products.
     """
     k = band.ndim // 2
+    widths = band.shape[k:]
     order = (*range(lead, lead + k), *range(lead), *range(lead + k, X.ndim))
     front = X.transpose(order)
+    padded = zero_padded(front, [w // 2 for w in widths] + [0] * (X.ndim - k))
+    windows = sliding_window_view(padded, widths, axis=tuple(range(k)))
+    x_sub, s_sub = _AXIS_LETTERS[: X.ndim], _SLOT_LETTERS[:k]
     Y = np.empty(front.shape)
-    np.einsum(_subscripts(k, X.ndim), band, _windows(front, band.shape[k:]), out=Y)
+    np.einsum(f"{x_sub[:k]}{s_sub},{x_sub}{s_sub}->{x_sub}", band, windows, out=Y)
     return Y.transpose(np.argsort(order))
 
 
-def _nd_apply(band, X, transpose: bool):
-    """band_apply of an n-D band, or of its transpose, over all axes of X.
-    The transpose is formed one chunk of rows of the band's first axis at a
-    time, so that no copy of a whole large band is made."""
-    if not transpose:
-        return band_apply(band, X)
-    k = band.ndim // 2
-    windows, subscripts = _windows(X, band.shape[k:]), _subscripts(k, k)
-    n, d = band.shape[0], band.shape[k] // 2
-    Y = np.empty(X.shape)
-    step = max(1, _CHUNK_ENTRIES // band[0].size)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        # its rows lo..hi read the band's rows lo - d..hi + d
-        start = max(0, lo - d)
-        chunk = _transposed(band[start : hi + d])[lo - start : hi - start]
-        np.einsum(subscripts, chunk, windows[lo:hi], out=Y[lo:hi])
-    return Y
-
-
-def _kron_row_sums(sides, p: int):
+def _kron_row_sums(parts, p: int):
     """Row sums of the magnitudes of the entries of a system of Kronecker
-    parts alone, of shape (axial rows, cross-section rows), from its pieces
-    and a symmetric system's transposes of them (AssembledSystem._prepared).
+    parts alone, of shape (axial rows, cross-section rows), from its pieces.
 
-    Row (i, r) and slot (e, s) of the band hold S = sum_j A_j[i, e]
-    C_j[r, s], summed in part order, and for a symmetric system (two sides)
-    the entry (S + S^T) / 2, with S^T formed the same way from the
-    band-layout transposes A_j^T and C_j^T: every entry is the one the bands
-    write, up to the sign of a zero (the bands add the parts to a zero).  It
-    depends on the axial row only through the tuple t(i, e) of the A_j[i, e]
-    (and A_j^T[i, e]), and a uniform axial mesh repeats those tuples bit for
-    bit; so the cross-section sums g(t)[r] = sum_s |entry| are formed once
-    per distinct tuple, found by a lexsort, and row (i, r) adds
-    g(t(i, e))[r] over its axial slots e, from slot 0 on.  Out-of-space
-    slots are zero, so they add exact zeros.
+    Row (i, r) and slot (e, s) of the band hold sum_j A_j[i, e] C_j[r, s],
+    summed in part order: every entry is the one the bands write, up to the
+    sign of a zero (the bands add the parts to a zero).  It depends on the
+    axial row only through the tuple t(i, e) of the A_j[i, e], and a uniform
+    axial mesh repeats those tuples bit for bit; so the cross-section sums
+    g(t)[r] = sum_s |entry| are formed once per distinct tuple, found by a
+    lexsort, and row (i, r) adds g(t(i, e))[r] over its axial slots e, from
+    slot 0 on.  Out-of-space slots are zero, so they add exact zeros.
     """
-    parts = sides[0]
     axial_shape, cross_shape = parts[0][0].shape, parts[0][1].shape
     n_ax, w_ax = math.prod(axial_shape[:p]), math.prod(axial_shape[p:])
     n_c = math.prod(cross_shape[: len(cross_shape) // 2])
-    keys = np.stack([A.reshape(-1) for side in sides for A, _ in side], axis=1)
+    keys = np.stack([A.reshape(-1) for A, _ in parts], axis=1)
     order = np.lexsort(keys.T)
     ordered = keys[order]
     first = np.ones(len(order), dtype=bool)  # the first of each run of equal tuples
@@ -627,20 +547,15 @@ def _kron_row_sums(sides, p: int):
     tuples = ordered[first]
     # (slots, rows) per cross-section piece: the sum over slots runs down
     # the middle axis of each chunk, over whole contiguous rows
-    cross = [[np.ascontiguousarray(C.reshape(n_c, -1).T) for _, C in side] for side in sides]
+    cross = [np.ascontiguousarray(C.reshape(n_c, -1).T) for _, C in parts]
     sums = np.empty((len(tuples), n_c))
-    chunk = max(1, _CHUNK_ENTRIES // cross[0][0].size)
+    chunk = max(1, _CHUNK_ENTRIES // cross[0].size)
     for lo in range(0, len(tuples), chunk):
         t = tuples[lo : lo + chunk, :, None, None]
-        entries = None
-        for h, side in enumerate(cross):
-            S = t[:, h * len(parts)] * side[0]
-            for j, C in enumerate(side[1:], 1):
-                S += t[:, h * len(parts) + j] * C
-            entries = S if entries is None else entries + S
+        entries = t[:, 0] * cross[0]
+        for j, C in enumerate(cross[1:], 1):
+            entries += t[:, j] * C
         sums[lo : lo + chunk] = np.abs(entries, out=entries).sum(axis=1)
-    if len(sides) == 2:
-        sums *= 0.5  # |(S + S^T) / 2| summed: halving is exact, before or after
     group = group.reshape(n_ax, w_ax)
     row_abs = sums[group[:, 0]]
     for e in range(1, w_ax):
@@ -666,10 +581,11 @@ def _write_band(entries, dims, degrees, upper: int):
 
 
 def _lower_of_band(band):
-    """Lower band storage of (B + B^T) / 2 for a band B in band layout."""
+    """Lower band storage of B's entries on and below the diagonal, for a
+    band B in band layout."""
     k = band.ndim // 2
     dims, degrees = band.shape[:k], [w // 2 for w in band.shape[k:]]
-    return _write_band(_band_entries(_slot_of(band), dims, degrees, True, True), dims, degrees, 0)
+    return _write_band(_band_entries(_slot_of(band), dims, degrees, True), dims, degrees, 0)
 
 
 def _dense(ab):
@@ -752,8 +668,6 @@ def _galerkin(factors, terms, pinned: int = 0):
     left to the caller's check (_check_finite).
     """
     n = len(factors)
-    if n > len(_CELL_LETTERS):
-        raise AssemblyError("assembly supports at most 3 tensor axes")
     tables = _local_tables(factors)
     W, coords, grid_shape = _quadrature_grid(tables, pinned)
     cw_sub = "".join(c + q for c, q in zip(_CELL_LETTERS[:n], _QUAD_LETTERS[:n]))

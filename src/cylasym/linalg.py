@@ -116,7 +116,10 @@ def band_inf_norm(ab, symmetric: bool) -> float:
     the magnitudes: lower band storage of a symmetric A (A[j + q, j] at
     ab[q, j]), each entry below the diagonal counted in its own row and in
     its mirror's, or general band storage (A[i, j] at ab[kd + i - j, j]).
-    Read before a factorization overwrites the band."""
+    The symmetric case measures the lower triangle the kernel factors,
+    which equals |A|_inf up to the rounding that keeps the assembled A from
+    being exactly symmetric.  Read before a factorization overwrites the
+    band."""
     mag = np.abs(ab)
     n = ab.shape[1]
     kd = ab.shape[0] - 1 if symmetric else ab.shape[0] // 2

@@ -103,6 +103,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ProblemConfigError(f"m must be >= 1, got {self.m}")
+        if self.n > 3:
+            raise ProblemConfigError(f"n = {self.n} exceeds the supported limit n <= 3")
         if self.p < 1 or self.n - self.p < 1:
             raise ProblemConfigError(
                 f"need 1 <= p < n for a cylinder, got p={self.p}, n={self.n}"
@@ -295,7 +297,7 @@ def parse_problem_config(text: str, name: str | None = None) -> ProblemSpec:
         except ValueError:
             raise ProblemConfigError("lambda_hint must be a float") from None
 
-    coefficients = {}
+    coefficients, keys = {}, {}
     for key, value in cp.items("coef"):
         if not key.startswith("a_"):
             raise ProblemConfigError(f"unknown key {key!r} in [coef]")
@@ -307,6 +309,12 @@ def parse_problem_config(text: str, name: str | None = None) -> ProblemSpec:
                 f"coefficient key {key!r} must encode 2n={2 * n} indices"
             ) from None
         alpha, beta = both[:n], both[n:]
+        if (alpha, beta) in keys:
+            raise ProblemConfigError(
+                f"coefficient keys {keys[(alpha, beta)]!r} and {key!r} in [coef] both "
+                f"encode alpha={alpha}, beta={beta}"
+            )
+        keys[(alpha, beta)] = key
         try:
             coefficients[(alpha, beta)] = ScalarField.parse(value, n)
         except ExpressionError as e:

@@ -19,14 +19,14 @@ compares the two representations.
 The package writes its CSR matrix from the same slot walk
 (assembly._band_entries) that writes its LAPACK bands.  oracle_csr here
 builds it without that walk: the full band summed from the system's pieces,
-then _to_csr, then (A + A^T) / 2 from the CSR transpose.
+then _to_csr.  Either is the matrix the kernel assembled, for a symmetric
+problem too, which is symmetric only up to rounding.
 
 Every band the package builds is zero outside its space, so
-assembly.band_apply reads it as it is, and a symmetric system forms each
-piece's band-layout transpose once.  band_apply_per_call here masks the
-band, or forms its transpose, on every call, and pads X with numpy.pad;
-kron_parts_per_alpha applies every band of every alpha, where the package
-shares the applications of a common prefix.
+assembly.band_apply reads it as it is.  band_apply_per_call here masks the
+band, or forms its transpose (transposed_band), on every call, and pads X
+with numpy.pad; kron_parts_per_alpha applies every band of every alpha,
+where the package shares the applications of a common prefix.
 
 The package solves a cylinder system that commutes with reflections on its
 parity blocks (AssembledSystem.parity_blocks): the axial bands folded once
@@ -197,13 +197,8 @@ def _to_csr(band):
 
 
 def oracle_csr(system):
-    """The CSR matrix of an AssembledSystem, (A + A^T) / 2 for a symmetric
-    problem: every assembled pattern is symmetric, so A^T in CSR form
-    stores its entries in the same order as A."""
-    A = _to_csr(full_band(system))
-    if system.symmetric:
-        A.data = (A.data + A.T.tocsr().data) * 0.5
-    return A
+    """The CSR matrix of an AssembledSystem, written from its full band."""
+    return _to_csr(full_band(system))
 
 
 def dense_basis_matrix(basis, x, der: int = 0):
@@ -462,8 +457,9 @@ def parity_extension(system, parities):
 
 def kronecker_pencil(system):
     """((A_top, A_other), (C_top, C_other)) of a two-part system: A_* its
-    axial_pencil, C_* the dense symmetric part of each cross-section block,
-    top part first, as CrossSection.eigenbasis reduces them."""
+    axial_pencil, C_* the dense symmetric matrix of each cross-section
+    block's lower triangle, top part first, as CrossSection.eigenbasis
+    reduces them."""
     return system.axial_pencil(), _cross_pencil([C for _, C in system.kron_parts],
                                                 system.axial_keys)
 

@@ -138,29 +138,28 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 def test_sweep_interior_tables_hold_their_values():
     # reprs of the estimator on the one difference field u_l - ext(u_inf),
-    # taken when the cylinder systems were first solved on the parity
-    # blocks of their even half (AssembledSystem.parity_blocks), over mirror
-    # averaged cross-section blocks: they moved from the even half's solve
-    # by up to 9.3e-13 relative at l = 2 and 1.0e-9 at l = 4, as the even
-    # fold had moved them from the full solve's by up to 7.3e-13 and
-    # 7.6e-10, where the differences are 2500 times smaller and the solve's
-    # roundoff weighs more
+    # taken when the solves first read the matrix the kernel assembles, not
+    # its symmetric part (A + A^T) / 2: they moved by up to 1.9e-13
+    # relative at l = 2 and 5.1e-10 at l = 4, where the differences are
+    # 2500 times smaller and the solve's roundoff weighs more, as the even
+    # fold and the parity blocks had moved them before, by up to 9.3e-13
+    # and 1.0e-9
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.6466386833021106e-05, '0_1': 0.0002253285549731994, "
-            "'1_0': 0.0002324410460863874, '0_2': 0.0018229449955428363, "
-            "'1_1': 0.0007724739341891333, '2_0': 0.002164196817393421}",
-            "{'0_0': 0.0006463618950815919, '1_0': 0.004082053622871976, "
-            "'2_0': 0.02443412018465349}",
+            "{'0_0': 4.646638683302631e-05, '0_1': 0.00022532855497322922, "
+            "'1_0': 0.0002324410460864318, '0_2': 0.0018229449955430071, "
+            "'1_1': 0.0007724739341892132, '2_0': 0.002164196817393156}",
+            "{'0_0': 0.0006463618950815997, '1_0': 0.004082053622872, "
+            "'2_0': 0.024434120184653157}",
         ),
         (
-            "{'0_0': 1.8792150708848074e-08, '0_1': 8.232017683066348e-08, "
-            "'1_0': 8.233974725231448e-08, '0_2': 6.093924715549425e-07, "
-            "'1_1': 4.007155527630703e-07, '2_0': 3.597904531589595e-07}",
-            "{'0_0': 1.4292434526927254e-07, '1_0': 5.297804487985128e-07, "
-            "'2_0': 3.752427944964277e-06}",
+            "{'0_0': 1.8792150710468792e-08, '0_1': 8.232017684710802e-08, "
+            "'1_0': 8.233974726565979e-08, '0_2': 6.093924716489213e-07, "
+            "'1_1': 4.007155527824077e-07, '2_0': 3.5979045334130634e-07}",
+            "{'0_0': 1.4292434528593918e-07, '1_0': 5.297804488184501e-07, "
+            "'2_0': 3.752427943945496e-06}",
         ),
     ]
 
@@ -461,48 +460,33 @@ def test_a_sweep_builds_the_gram_bands_of_each_cross_section_factor_once(monkeyp
         assert len(bands) == spec.m + 1 and not any(g.flags.writeable for g in bands)
 
 
-def test_a_system_prepares_each_piece_once(monkeypatch):
-    # every product and |A|_inf of a system read its pieces as prepared on
-    # first use, so a band-layout transpose is formed at most once per piece
-    # however many products and norms the solve and its check take; and
-    # every band and field is padded into a zero buffer, never by numpy.pad.
-    # Each l solves its one block, its even half
+def test_a_sweep_pads_no_band_or_field_with_numpy_pad(monkeypatch):
+    # every band and field is padded into a zero buffer, never by
+    # numpy.pad, in the products of the solves and their checks as in the
+    # norms.  Each l solves its one block, its even half
     # (AssembledSystem.parity_blocks, no basis), by one refinement product,
     # and the acceptance step reads the full system twice, for |A|_inf and
-    # the residual.
-    reader, systems, reads, transposes, pads = [None], {}, {}, {}, []
+    # the residual
+    systems, reads, pads = {}, Counter(), []
     matvec, inf_norm = assembly.AssembledSystem.matvec, assembly.AssembledSystem.inf_norm
-    transposed, pad = assembly._transposed, np.pad
+    pad = np.pad
 
     def reading(method):
         def read(self, *args):
             systems[id(self)] = self
-            reads[id(self)] = reads.get(id(self), 0) + 1
-            outer, reader[0] = reader[0], id(self)
-            try:
-                return method(self, *args)
-            finally:
-                reader[0] = outer
+            reads[id(self)] += 1
+            return method(self, *args)
         return read
-
-    def counted_transposed(band):
-        transposes[reader[0]] = transposes.get(reader[0], 0) + 1
-        return transposed(band)
 
     monkeypatch.setattr(assembly.AssembledSystem, "matvec", reading(matvec))
     monkeypatch.setattr(assembly.AssembledSystem, "inf_norm", reading(inf_norm))
-    monkeypatch.setattr(assembly, "_transposed", counted_transposed)
     monkeypatch.setattr(np, "pad", lambda *args, **kw: pads.append(args) or pad(*args, **kw))
     run_sweep(SweepPlan(spec=_laplace_box(), ells=(2.0, 4.0, 8.0), resolution=12))
     monkeypatch.undo()
-    assert None not in transposes  # only products and |A|_inf transpose
     cylinders = [key for key, system in systems.items() if system.kron_parts]
     halves = [key for key in cylinders if systems[key].basis is None]
     assert len(cylinders) == 6 and len(halves) == 3
     assert all(reads[key] >= (1 if key in halves else 2) for key in cylinders)
-    for key, system in systems.items():
-        pieces = 2 * len(system.kron_parts) + (system.nd_band is not None)
-        assert transposes.get(key, 0) <= pieces
     assert pads == []
 
 
@@ -1177,6 +1161,28 @@ def test_cli_config_errors_exit_one(capsys):
     assert cli.main(["sweep", "--problem", "poisson_strip", "--l", "two"]) == 1
     assert cli.main(["refine", "--problem", "poisson_strip", "--degree", "x"]) == 1
     capsys.readouterr()
+
+
+def test_cli_refuses_two_spellings_of_one_coefficient(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+                    "a_1_0_1_0 = 1\na_01_0_1_0 = 5\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n")
+    assert cli.main(["validate", "--problem", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: coefficient keys 'a_1_0_1_0' and 'a_01_0_1_0' "
+                                       "in [coef] both encode alpha=(1, 0), beta=(1, 0)\n")
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["sweep", "--l", "2,4", "--cells-per-unit", "4"]],
+                         ids=["validate", "sweep"])
+def test_cli_refuses_four_axes(tmp_path, capsys, argv):
+    # the Laplacian on (-l, l) x (0, 1)^3: validate used to pass it, and
+    # sweep to die in band_apply's einsum with a message of numpy's
+    path = tmp_path / "four.cfg"
+    path.write_text("[problem]\nm = 1\nn = 4\np = 1\nomega = 0,1;0,1;0,1\n\n[coef]\n"
+                    "a_1_0_0_0_1_0_0_0 = 1\na_0_1_0_0_0_1_0_0 = 1\n"
+                    "a_0_0_1_0_0_0_1_0 = 1\na_0_0_0_1_0_0_0_1 = 1\n\n[forcing]\nf = 1\n")
+    assert cli.main([argv[0], "--problem", str(path), *argv[1:]]) == 1
+    assert capsys.readouterr().err == "error: n = 4 exceeds the supported limit n <= 3\n"
 
 
 @pytest.mark.parametrize("key,value,message", [

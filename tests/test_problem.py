@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -104,6 +105,11 @@ def test_constructor_rejects_bad_shapes():
             m=1, n=2, p=1, omega=((0, 1),),
             coefficients={((0, 0), (0, 0)): f1}, forcing=f1,
         )
+    f4 = ScalarField.parse("1", 4)
+    axes = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    with pytest.raises(ProblemConfigError, match=r"^n = 4 exceeds the supported limit n <= 3$"):
+        ProblemSpec(m=1, n=4, p=1, omega=((0, 1),) * 3,
+                    coefficients={(a, a): f4 for a in axes}, forcing=f4)
 
 
 def test_scalar_field_rejects_out_of_range_variable():
@@ -425,6 +431,17 @@ def test_config_bad_expression_reports_key():
 def test_config_duplicate_key_rejected():
     text = POISSON_TEXT.replace("f = 1", "f = 1\nf = 2")
     with pytest.raises(ProblemConfigError):
+        parse_problem_config(text)
+
+
+@pytest.mark.parametrize("spelling", ["a_01_0_1_0", "a_+1_0_1_0"])
+def test_config_refuses_two_spellings_of_one_coefficient(spelling):
+    # both keys decode to alpha = beta = (1, 0); the later one used to
+    # overwrite the earlier silently
+    text = POISSON_TEXT.replace("a_1_0_1_0 = 1", f"a_1_0_1_0 = 1\n{spelling} = 5")
+    with pytest.raises(ProblemConfigError, match=rf"^coefficient keys 'a_1_0_1_0' and "
+                                                 rf"'{re.escape(spelling)}' in \[coef\] both "
+                                                 rf"encode alpha=\(1, 0\), beta=\(1, 0\)$"):
         parse_problem_config(text)
 
 

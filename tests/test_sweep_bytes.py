@@ -35,31 +35,31 @@ import scipy
 
 PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 DIGESTS = {
-    "poisson_strip": "3cc98a0aa3a1ef556a4445226cf6860c79dd0dd52fcfc6df890efc98f3582088",
-    "biharmonic_strip": "8d83dd714d8bc7b570d4edcbe571267f862da16eaf1d407a3100111cfbc375f0",
-    "varcoef_strip": "91d206390b99953f62c0d2e6e9b21c3322587bff887d9eb86763eb873ad361fe",
+    "poisson_strip": "44fdb274a50d9b4709c761f55d6915add5686e06048c53b5b120cb1eaf586d2d",
+    "biharmonic_strip": "43686589b1ec76a482e0e06929777c8ee518a1da3b3751b323b5cc307608b578",
+    "varcoef_strip": "11fde078a528f37bc5940feff33dca3fc23b5a715f4f917a3139eb09da999f97",
     "skew_strip": "a7eb985c660d15517e013a8305a04aba657eaa20ac297446aabd27bfea034c5f",
     "skew_strip_degree_1": "611e483a727f6dc4816cb2fe6bd810a9d1b1e5d8598c6adca9f7c14ba3cbf245",
-    "box3d": "c5526970c84c6c19455030277b91f8a1bcae969c8883f1d005866e71d533c9b9",
+    "box3d": "6022c2475064c8b98b30d50efcb896c2ca8d3a252b63366c1aee7131b2a09eba",
     "box_p2": "31d841ba57bbccaebdefe8a1903c6914f111b13c07b8b70c4713e4fe8bfda1ad",
-    "poisson_sin_x1": "b7a1c659dc6cc75f209134c2aa7f614dd3bff4d559a068c45dc683ff596e3955",
+    "poisson_sin_x1": "b2cc2eef88e5a81b20e74a808e3f52195bc0398224a1fcd837dea244336e8147",
 }
 JSON_DIGESTS = {
-    "poisson_strip": "aa3abd8ddf1a7acad3327779bbb62a1d589dca1912328bbc2d1d82dc2e322f96",
-    "biharmonic_strip": "b837307614757c63dba550be658eef4db266c38012d03c0dcb0e8d1e95a8223d",
-    "varcoef_strip": "2cf29efcd914a943cca18373184aa7bc1ad6b12be7adcf9c490d61ea65c096c1",
+    "poisson_strip": "87da393404728967676dd110ba731acf529070465949c5f55b8c3e59eb29c426",
+    "biharmonic_strip": "674d95f673679aa0be8a3aba39e0386495f9d99055fba153671126e110fd3b48",
+    "varcoef_strip": "7bf800fc84b59d47d75707503c6afa87de19713c8a26a03661be7cf6ef911a79",
     "skew_strip": "ae78d04aa9ae8ed08ad816a1ab8032d26ffa30c9c249c5c895fca7f7cebd263b",
     "skew_strip_degree_1": "fe254c0a7a3713c6fe22ca2e2a757f4a2853c28f4f466dbc70196496fce76f1d",
-    "box3d": "548955b0f57610ce58af04f3a6b92fae4eecce07cd349ec94e84a6a7ed85900e",
+    "box3d": "aba42107589f62b2efcbe7c37c2346957ae2d10d3bd4fd8d40b25ca46bad03ad",
     "box_p2": "fd9fd6599503384d7d845f16575b74c1dbb62b661b5ccc6d1790a299263f858d",
-    "poisson_sin_x1": "9792edd25ff7f413da59c344b7919d39f30f81874fe97cbd2d19fa8099a07b52",
+    "poisson_sin_x1": "061e8f5f9f2dde6c055971f26f868c328c89b8f7615973e21db08aa91009bc6e",
 }
 # the CSV of `cylasym refine --l 2` at each problem's cells and degree
 REFINE_DIGESTS = {
     ("poisson_strip", "8,16,32,64", "1"):
         "774ea58ca34017e408d482b7b1a1456be840f86a433a03c75650bbc600e2b574",
     ("biharmonic_strip", "6,12,24", "3"):
-        "37951cc832ff5e2ec184e313470285c939adc48da07cfd189a3ac521c9904ba6",
+        "906e5fa95a1f8be6adced7c23947a7fd579b19e005801096b8ea04e5d1d3d112",
 }
 SKEW_CONFIG = (
     "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
