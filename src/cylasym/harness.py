@@ -33,25 +33,24 @@ x_k), times each parity along each of the section's parity axes
 out.  The kernel is picked once, from the system's structure
 (_kernel): a symmetric system of two Kronecker parts
 (AssembledSystem.two_part) by fast diagonalization of its cross-section
-pencil (linalg.kronecker_solve), any other symmetric system by banded
-Cholesky (linalg.cholesky_solve: numpy's band_cholesky for the small
-cross-section system, LAPACK for a cylinder system), and a nonsymmetric
-one by banded LU (linalg.lu_solve), so a sweep of a two-part problem never
-binds LAPACK.  The blocks are solved one after the other, each band
-written, factored and freed before the next, and joined
-(AssembledSystem.joined).  The section's blocks are mirror averaged along
-the parity axes, so the full system commutes with the reflections bitwise
-and its blocks drop no coupling.  At the biharmonic strip's 32 cells/unit,
-l = 16, the blocks turn one Cholesky band of 12.3 MB (kd = 96; 24.6 MB
-unfolded) into bands of 3.4 and 3.0 MB (kd = 51 and 48).  A system with an
-n-D band, and the cross-section system, is solved whole, and its |A|_inf
-read off the band its kernel factors (linalg.band_inf_norm) before the
-factorization overwrites it; any other system's comes from its pieces
-(AssembledSystem.inf_norm).  The backward-error check (linalg._accept)
-runs once, on the joined x, with the full system's right-hand side,
-residual and |A|_inf, so the record's backward_error, solver_residual and
-dofs describe the full system.  Solver failures name the problem, ell and
-stage.
+pencil (linalg.kronecker_solve), any other symmetric system, the
+cross-section system included, by banded Cholesky (linalg.cholesky_solve),
+and a nonsymmetric one by banded LU (linalg.lu_solve).  All three call the
+LAPACK of the OpenBLAS numpy has already mapped, so a sweep maps one BLAS.
+The blocks are solved one after the other, each band written, factored and
+freed before the next, and joined (AssembledSystem.joined).  The section's
+blocks are mirror averaged along the parity axes, so the full system
+commutes with the reflections bitwise and its blocks drop no coupling.  At
+the biharmonic strip's 32 cells/unit, l = 16, the blocks turn one Cholesky
+band of 12.3 MB (kd = 96; 24.6 MB unfolded) into bands of 3.4 and 3.0 MB
+(kd = 51 and 48).  A system with an n-D band, and the cross-section system,
+is solved whole, and its |A|_inf read off the band its kernel factors
+(linalg.band_inf_norm) before the factorization overwrites it; any other
+system's comes from its pieces (AssembledSystem.inf_norm).  The
+backward-error check (linalg._accept) runs once, on the joined x, with the
+full system's right-hand side, residual and |A|_inf, so the record's
+backward_error, solver_residual and dofs describe the full system.  Solver
+failures name the problem, ell and stage.
 """
 
 import contextlib
@@ -253,14 +252,7 @@ def _kernel(system, where: str):
 def _band_kernel(system):
     """(solve, method): the banded kernel of the system's symmetry, called
     as solve(band, rhs, where) -> x, and its name."""
-    if system.symmetric:
-        # numpy's kernel factors the small cross-section system without
-        # binding LAPACK, which costs 2.37 MiB of RSS per process: a
-        # two-part sweep binds it nowhere
-        lapack = system.ell is not None
-        return (lambda band, rhs, where: cholesky_solve(band, rhs, where, lapack=lapack),
-                "cholesky_banded")
-    return lu_solve, "lu_banded"
+    return (cholesky_solve, "cholesky_banded") if system.symmetric else (lu_solve, "lu_banded")
 
 
 def _shrunk(extent, margin: float):

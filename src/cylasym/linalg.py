@@ -1,6 +1,8 @@
 """Solvers for the assembled systems.
 
-Every system of a sweep is solved directly, by one of three banded solves:
+Every system of a sweep is solved directly, by one of three banded solves on
+two LAPACK kernels, banded Cholesky (dpbtrf, dpbtrs) and banded LU (dgbsv,
+dgtsv):
 
 - kronecker_solve, for a symmetric system A_top (x) C_top + A_other (x)
   C_other (the Poisson and variable-coefficient strips, the Laplacian box):
@@ -8,31 +10,23 @@ Every system of a sweep is solved directly, by one of three banded solves:
   cross-section pencil (C_other, C_top), reduced by the Cholesky factor of
   C_top to a symmetric eigenproblem, turns it into one banded Cholesky of
   A_top + lam_k A_other per cross-section mode k, between two dense
-  transforms; one step of iterative refinement follows.  The pencil's
-  eigenbasis (pencil_eigenbasis) depends on the cross-section alone, so a
-  sweep computes it once and hands it to the solve at every l.  With N_ax
-  axial and N_c cross-section unknowns and degree d it costs
+  transforms; the modes are stacked into one block-diagonal band, which
+  dpbtrf factors in one call, and one step of iterative refinement follows.
+  The pencil's eigenbasis (pencil_eigenbasis) depends on the cross-section
+  alone, so a sweep computes it once and hands it to the solve at every l.
+  With N_ax axial and N_c cross-section unknowns and degree d it costs
   O(N_c^3 + N_ax N_c^2 + N_ax N_c d^2), against O(N_ax N_c^3 d^2) for a
   Cholesky of the whole band, whose half-bandwidth is about d N_c.
 - cholesky_solve, for every other symmetric system (more Kronecker parts, as
   the biharmonic strip has, an n-D band, the cross-section system): it
   factors LAPACK lower band storage in place (dpbtrf) and solves with the
-  factor (dpbtrs), or, with lapack=False, factors it with band_cholesky.
-  The harness hands it each parity block of a cylinder system whose
-  cross-section is mirror-symmetric, one after the other, so that each
-  band has about half the rows and half the bandwidth of the whole.
+  factor (dpbtrs).  The harness hands it each parity block of a cylinder
+  system whose cross-section is mirror-symmetric, one after the other, so
+  that each band has about half the rows and half the bandwidth of the
+  whole.
 - lu_solve, for a nonsymmetric system: LU with partial pivoting on LAPACK
   general band storage (dgbsv; dgtsv for a tridiagonal matrix), on parity
   blocks alike.
-
-band_cholesky, the numpy kernel, factors a batch of band matrices at once
-in one pass down their rows, each step vectorized over the batch and the
-band offsets, and band_cholesky_solve substitutes the same way.
-kronecker_solve factors all its modes with it, and the sweep sends the
-cross-section system to it as a batch of one (no batch axis): both have
-few enough rows that the Python pass costs less than loading LAPACK.  A
-large band, the multi-part cylinder system's, has too many rows for a
-Python pass to match LAPACK, so it stays with dpbtrf.
 
 Each is a kernel: it returns x, and raises SolverError only when a
 factorization fails, which proves a block or a mode is not positive
@@ -46,37 +40,33 @@ BACKWARD_ERROR_TOL, the accuracy a backward-stable solve attains; a
 relative residual bound does not fit fourth-order problems, whose condition
 numbers leave backward-stable answers with relative residuals well above
 1e-12.
-The LAPACK routines are scipy's: _lapack binds dpbtrf, dpbtrs, dgbsv and
-dgtsv once per process, at the first LAPACK solve (cholesky_solve with
-lapack=True, lu_solve), from the compiled module scipy.linalg._flapack.
-It loads that one file by its path, found next to the scipy package, and
-never runs the scipy.linalg package's __init__, whose imports (numpy.f2py,
-numpy.testing, numpy.ma through scipy._lib) cost 0.15-0.25 s against 4-10
-ms for the file; so the package imports no scipy module, and a sweep
-loads LAPACK only when a solve needs it.  The name _flapack is
-private to scipy: where no such file is found, _lapack takes the same
-functions from the public scipy.linalg.lapack, which re-exports them.
-cholesky_solve and lu_solve call the routines as cholesky_banded,
-cho_solve_banded and solve_banded do, with the same arguments, so their
-x are bit for bit those of scipy's functions.
+
+_lapack binds the four routines once per process, at the first solve, from
+the OpenBLAS that numpy has already mapped (the ILP64 libscipy_openblas64_
+of numpy's wheels, found in /proc/self/maps): ctypes calls its LAPACKE
+_work entry points in column-major layout, with 64-bit integers and no NaN
+scan.  Binding maps no new file and costs about 0.3 ms; scipy's compiled
+LAPACK module would map scipy's own OpenBLAS, a second BLAS of 2.5 MiB of
+RSS in every process, and scipy.linalg's __init__ would also import
+numpy.f2py, numpy.testing and numpy.ma.  So a sweep maps one BLAS and
+imports no scipy module.  The wrappers take and return what scipy's f2py
+routines of the same names do, and where no such library is mapped
+(another OS, or a numpy linked to another LAPACK), _lapack takes those
+routines from the public scipy.linalg.lapack instead.
 
 cg_jacobi, gmres_jacobi and smallest_ritz_estimate no longer serve a sweep,
-and the package no longer exports them.  They stay because the benchmark's instrumentation (bench/instrument.py)
-patches them by name in the harness, so deleting them needs a change to the
-benchmark itself (ROADMAP item 1).  They are plain numpy loops, so
-repeated runs produce identical iterates.
+and the package no longer exports them.  They stay because the benchmark's
+instrumentation (bench/instrument.py) patches them by name in the harness,
+so deleting them needs a change to the benchmark itself (ROADMAP item 1).
+They are plain numpy loops, so repeated runs produce identical iterates.
 """
 
+import contextlib
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
-import itertools
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 # normwise backward error every direct solve must reach
 BACKWARD_ERROR_TOL = 1e-14
@@ -150,83 +140,15 @@ def _accept(x, b, a_norm: float, matvec, where: str, method: str) -> SolveResult
     return SolveResult(x, residual, 0, method, berr)
 
 
-def band_cholesky(ab):
-    """Cholesky factors of a batch of symmetric positive definite band
-    matrices, by one pass down their rows.
-
-    ab holds the matrices in LAPACK lower band storage on its first two
-    axes and the batch on the rest, if any: A_b[j + q, j] at ab[q, j, b],
-    shape (kd + 1, N, ...).  It is read, not overwritten; entries past the last
-    row are ignored.  Returns L, the factors in the transposed storage,
-    L_b[j + q, j] at L[j, q, b], of shape (N + kd, kd + 1, ...), whose rows
-    from N on are zero workspace.  Step j scales column j by the square
-    root of its pivot and subtracts the outer product of the scaled column
-    from the kd x kd block after it, for every matrix of the batch at once.
-    A matrix that is not positive definite has a diagonal L[j, 0] that is
-    not positive (zero or NaN) from its first nonpositive pivot j on.
-    """
-    kd, n = ab.shape[0] - 1, ab.shape[1]
-    batch = ab.shape[2:]
-    L = np.zeros((n + kd, kd + 1) + batch)
-    L[:n] = np.swapaxes(ab, 0, 1)
-    for q in range(1, kd + 1):
-        L[n - q : n, q] = 0.0  # past the last row
-    # with the rows of L laid end to end, A[i, k] (0 <= i - k <= kd) sits at
-    # k kd + i, so the lower triangle of the block A[j + 1 + r, j + 1 + c]
-    # is window[j][r >= c]: a view with strides 1 in r and kd in c, whose
-    # upper triangle aliases other entries and is never written
-    flat = L.reshape(((n + kd) * (kd + 1),) + batch)
-    step = flat.strides[0]
-    window = as_strided(flat[kd + 1 :], shape=(n, kd, kd) + batch,
-                        strides=((kd + 1) * step, step, kd * step) + flat.strides[1:],
-                        writeable=True)
-    lower = np.tri(kd, dtype=bool).reshape((kd, kd) + (1,) * len(batch))
-    with np.errstate(invalid="ignore", divide="ignore"):  # a failed pivot makes NaNs
-        for j in range(n):
-            col = L[j]
-            np.sqrt(col[:1], out=col[:1])
-            col[1:] /= col[:1]
-            block = window[j]
-            np.subtract(block, col[1:, None] * col[None, 1:], out=block, where=lower)
-    return L
-
-
-def band_cholesky_solve(L, y):
-    """x with A_b x_b = y_b for every matrix of the batch, from the factors
-    L of band_cholesky: y has shape (N, ...), the batch on the later axes.
-    The forward and the backward substitution each make one pass down the
-    rows, every step vectorized over the batch and the band offsets."""
-    kd = L.shape[1] - 1
-    n = L.shape[0] - kd
-    x = np.zeros((n + kd,) + y.shape[1:])  # rows from n on stay zero
-    x[:n] = y
-    for j in range(n):  # L z = y
-        x[j] /= L[j, 0]
-        x[j + 1 : j + kd + 1] -= L[j, 1:] * x[j]
-    for j in range(n - 1, -1, -1):  # L^T x = z
-        x[j] -= (L[j, 1:] * x[j + 1 : j + kd + 1]).sum(axis=0)
-        x[j] /= L[j, 0]
-    return x[:n]
-
-
-def cholesky_solve(ab, b, where: str = "solve", lapack: bool = True):
+def cholesky_solve(ab, b, where: str = "solve"):
     """x with Ax = b for a symmetric positive definite A.
 
-    ab is A's LAPACK lower band storage (A[j + q, j] at ab[q, j]).  With
-    lapack, dpbtrf overwrites it by the Cholesky factor, in place when
-    Fortran-ordered, and dpbtrs solves with it; without, band_cholesky
-    factors a copy.  A failed factorization raises SolverError prefixed
-    with `where`.
+    ab is A's LAPACK lower band storage (A[j + q, j] at ab[q, j]).  dpbtrf
+    overwrites it by the Cholesky factor, in place when Fortran-ordered,
+    and dpbtrs solves with it.  A failed factorization raises SolverError
+    prefixed with `where`.
     """
     b = np.asarray(b, dtype=np.float64)
-    if not lapack:
-        L = band_cholesky(ab)
-        failed = ~(L[: b.size, 0] > 0.0)
-        if failed.any():
-            raise SolverError(f"{where}: matrix is not positive definite (the leading "
-                              f"minor of order {np.argmax(failed) + 1} is not)")
-        return band_cholesky_solve(L, b)
-
     dpbtrf, dpbtrs, _, _ = _lapack()
     factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
@@ -260,33 +182,41 @@ def pencil_eigenbasis(c_top, c_other, where: str = "solve"):
 
 def kronecker_solve(axial, eigenbasis, b, matvec, where: str = "solve"):
     """x with (A_top (x) C_top + A_other (x) C_other) x = b, by fast
-    diagonalization of the cross-section pencil, in numpy alone.
+    diagonalization of the cross-section pencil.
 
     axial is (A_top, A_other), the symmetric axial blocks in LAPACK lower
     band storage of one shape (kd + 1, N_ax); eigenbasis is (lam, V) of the
     cross-section pencil (C_other, C_top), from pencil_eigenbasis, which
     depends on the cross-section alone, so a sweep computes it once for
     every l.  The (N_ax, N_c) view X of x then solves
-    (A_top + lam_k A_other) y_k = (B V)_k for every mode k, and X = Y V^T;
-    band_cholesky factors all N_c axial matrices in one pass.  One step of
+    (A_top + lam_k A_other) y_k = (B V)_k for every mode k, and X = Y V^T.
+    The N_c axial matrices are stacked into one block-diagonal band, mode k
+    in rows k N_ax to (k + 1) N_ax - 1, which dpbtrf factors in one call
+    and dpbtrs solves in one call per right-hand side.  One step of
     iterative refinement follows, with the residual b - matvec(x).  A mode
     that fails to factor raises SolverError prefixed with `where`.
     """
     b = np.asarray(b, dtype=np.float64)
     (a_top, a_other), (lam, V) = axial, eigenbasis
-    n_ax = a_top.shape[1]
-    L = band_cholesky(a_top[:, :, None] + lam * a_other[:, :, None])
-    failed = ~(L[:n_ax, 0] > 0.0).all(axis=0)
-    if failed.any():
-        k = int(np.argmax(failed))
-        raise SolverError(
-            f"{where}: axial matrix of cross-section mode {k} "
-            f"(eigenvalue {lam[k]:.6g}) is not positive definite"
-        )
+    kd, n_ax = a_top.shape[0] - 1, a_top.shape[1]
+    dpbtrf, dpbtrs, _, _ = _lapack()
+    # stacked[k, i] is column i of mode k's band, so its transpose is the
+    # stacked band's storage, Fortran-ordered; slots past a mode's last row
+    # would couple it to the next mode
+    stacked = a_top.T + lam[:, None, None] * a_other.T
+    stacked[:, np.add.outer(np.arange(n_ax), np.arange(kd + 1)) >= n_ax] = 0.0
+    factor, info = dpbtrf(stacked.reshape(-1, kd + 1).T, lower=1, overwrite_ab=1)
+    if info > 0:
+        k = (info - 1) // n_ax
+        raise SolverError(f"{where}: axial matrix of cross-section mode {k} "
+                          f"(eigenvalue {lam[k]:.6g}) is not positive definite")
+    _check_arguments(info, "dpbtrf")
 
     def solve(r):
         # column k of r V: mode k of every axial row
-        return (band_cholesky_solve(L, r.reshape(n_ax, -1) @ V) @ V.T).ravel()
+        y, info = dpbtrs(factor, (r.reshape(n_ax, -1) @ V).T.ravel(), lower=1, overwrite_b=1)
+        _check_arguments(info, "dpbtrs")
+        return (y.reshape(-1, n_ax).T @ V.T).ravel()
 
     x = solve(b)
     x += solve(b - matvec(x))
@@ -316,33 +246,104 @@ def lu_solve(ab, b, where: str = "solve"):
     return x
 
 
-_FLAPACK = "scipy.linalg._flapack"
+# the ILP64 OpenBLAS of numpy's wheels; scipy's wheels ship an LP64 one,
+# libscipy_openblas-*, which this prefix does not match
+_OPENBLAS = "libscipy_openblas64_"
+_COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
+
+
+def _openblas():
+    """ctypes.CDLL of the first library in the process's /proc/self/maps
+    whose file name starts with _OPENBLAS, or None where there is none, or
+    no such file to read, or the library does not open.  Opening a library
+    the process has mapped maps nothing new."""
+    with contextlib.suppress(OSError), open("/proc/self/maps") as maps:
+        for line in maps:
+            path = line.split(maxsplit=5)[-1].strip()
+            if path.rpartition("/")[2].startswith(_OPENBLAS):
+                return ctypes.CDLL(path)
+    return None
 
 
 @functools.cache
 def _lapack():
-    """(dpbtrf, dpbtrs, dgbsv, dgtsv) of scipy's LAPACK, bound once per
-    process from the module _FLAPACK: the one in sys.modules if scipy.linalg
-    is loaded, else loaded from its file in scipy's linalg folder, and
-    scipy.linalg.lapack's, the same functions, when no such file exists."""
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        spec = importlib.util.find_spec("scipy")  # finds scipy, imports nothing
-        folders = spec.submodule_search_locations if spec is not None else ()
-        for folder, suffix in itertools.product(folders,
-                                                importlib.machinery.EXTENSION_SUFFIXES):
-            path = Path(folder) / "linalg" / f"_flapack{suffix}"
-            if path.is_file():
-                loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, str(path))
-                module = loader.create_module(importlib.util.spec_from_loader(_FLAPACK, loader))
-                loader.exec_module(module)
-                # its init entered it in sys.modules; a later import of
-                # scipy.linalg loads it again as the package's attribute
-                sys.modules.pop(_FLAPACK, None)
-                break
-        else:
-            from scipy.linalg import lapack as module
-    return module.dpbtrf, module.dpbtrs, module.dgbsv, module.dgtsv
+    """(dpbtrf, dpbtrs, dgbsv, dgtsv), bound once per process: from the
+    OpenBLAS numpy has mapped (_openblas), or, where there is none,
+    scipy.linalg.lapack's."""
+    lib = _openblas()
+    if lib is None:
+        from scipy.linalg import lapack
+
+        return lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv, lapack.dgtsv
+    return _bind(lib)
+
+
+def _bind(lib):
+    """(dpbtrf, dpbtrs, dgbsv, dgtsv) of lib's LAPACKE _work entry points,
+    called in column-major layout with 64-bit integers.  Each takes and
+    returns what scipy.linalg.lapack's routine of its name does: an array
+    it may overwrite is overwritten in place when its overwrite flag is set
+    and it is a Fortran-ordered float64 array, else a copy is, and info is
+    LAPACK's, whose argument numbers do not count LAPACKE's layout."""
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+
+    def entry(name, *argtypes):
+        f = getattr(lib, f"scipy_LAPACKE_{name}_work64_")
+        f.restype, f.argtypes = i64, (ctypes.c_int, *argtypes)
+
+        def call(*args):
+            info = f(_COL_MAJOR, *args)
+            return info + 1 if info < 0 else info
+
+        return call
+
+    pbtrf = entry("dpbtrf", ctypes.c_char, i64, i64, ptr, i64)
+    pbtrs = entry("dpbtrs", ctypes.c_char, i64, i64, i64, ptr, i64, ptr, i64)
+    gbsv = entry("dgbsv", i64, i64, i64, i64, ptr, i64, ptr, ptr, i64)
+    gtsv = entry("dgtsv", i64, i64, ptr, ptr, ptr, ptr, i64)
+
+    def dpbtrf(ab, lower=0, overwrite_ab=0):
+        c = _written(ab, overwrite_ab)
+        return c, pbtrf(b"L" if lower else b"U", c.shape[1], c.shape[0] - 1, c.ctypes.data,
+                        c.shape[0])
+
+    def dpbtrs(c, b, lower=0, overwrite_b=0):
+        c, x = np.asfortranarray(c, np.float64), _written(b, overwrite_b)
+        n = c.shape[1]
+        return x, pbtrs(b"L" if lower else b"U", n, c.shape[0] - 1, _nrhs(x, n), c.ctypes.data,
+                        c.shape[0], x.ctypes.data, max(n, 1))
+
+    def dgbsv(kl, ku, ab, b, overwrite_ab=0, overwrite_b=0):
+        lub, x = _written(ab, overwrite_ab), _written(b, overwrite_b)
+        n = lub.shape[1]
+        piv = np.zeros(n, np.int64)
+        return lub, piv, x, gbsv(n, kl, ku, _nrhs(x, n), lub.ctypes.data, lub.shape[0],
+                                 piv.ctypes.data, x.ctypes.data, max(n, 1))
+
+    def dgtsv(dl, d, du, b, overwrite_dl=0, overwrite_d=0, overwrite_du=0, overwrite_b=0):
+        dl, d, du, x = (_written(a, o) for a, o in ((dl, overwrite_dl), (d, overwrite_d),
+                                                    (du, overwrite_du), (b, overwrite_b)))
+        n = d.shape[0]
+        if not dl.shape == du.shape == (max(n - 1, 0),):
+            raise ValueError(f"dgtsv: {n} diagonal entries need {n - 1} off the diagonal")
+        return dl, d, du, x, gtsv(n, _nrhs(x, n), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
+                                  x.ctypes.data, max(n, 1))
+
+    return dpbtrf, dpbtrs, dgbsv, dgtsv
+
+
+def _written(a, overwrite):
+    """The Fortran-ordered float64 array a routine writes in place of a:
+    a itself when overwrite is set and a is one, else a copy."""
+    return np.asfortranarray(a, np.float64) if overwrite else np.array(a, np.float64, order="F")
+
+
+def _nrhs(x, n: int) -> int:
+    """The number of right-hand sides of x, a vector or one per column, after
+    checking that it has the n rows the routine reads and writes."""
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"right-hand side of shape {x.shape} for a matrix of order {n}")
+    return 1 if x.ndim == 1 else x.shape[1]
 
 
 def _check_arguments(info: int, routine: str) -> None:

@@ -338,8 +338,14 @@ def parse_problem_config(text: str, name: str | None = None) -> ProblemSpec:
 
 
 def load_problem(path) -> ProblemSpec:
+    """The spec of the config file at path; a ProblemConfigError names the
+    file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem_config(fh.read(), name=str(path))
+        text = fh.read()
+    try:
+        return parse_problem_config(text, name=str(path))
+    except ProblemConfigError as exc:
+        raise ProblemConfigError(f"{path}: {exc}") from None
 
 
 def _parse_omega(text, n_cross):

@@ -473,9 +473,7 @@ def _full_path(system, where):
                                        system.rhs, system.matvec, where),
                 "fast_diagonalization")
     if system.symmetric:
-        return (linalg.cholesky_solve(system.lower_band(), system.rhs, where,
-                                      lapack=system.ell is not None),
-                "cholesky_banded")
+        return linalg.cholesky_solve(system.lower_band(), system.rhs, where), "cholesky_banded"
     return linalg.lu_solve(system.general_band(), system.rhs, where), "lu_banded"
 
 

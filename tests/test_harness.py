@@ -138,27 +138,26 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 def test_sweep_interior_tables_hold_their_values():
     # reprs of the estimator on the one difference field u_l - ext(u_inf),
-    # taken when the solves first read the matrix the kernel assembles, not
-    # its symmetric part (A + A^T) / 2: they moved by up to 1.9e-13
-    # relative at l = 2 and 5.1e-10 at l = 4, where the differences are
-    # 2500 times smaller and the solve's roundoff weighs more, as the even
-    # fold and the parity blocks had moved them before, by up to 9.3e-13
-    # and 1.0e-9
+    # taken when LAPACK's dpbtrf took over the cross-section solve from a
+    # numpy band Cholesky: they moved by up to 7.7e-14 relative at l = 2 and
+    # 3.3e-10 at l = 4, where the differences are 2500 times smaller and the
+    # solve's roundoff weighs more, as reading the assembled matrix, not
+    # (A + A^T) / 2, had moved them before, by up to 1.9e-13 and 5.1e-10
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.646638683302631e-05, '0_1': 0.00022532855497322922, "
-            "'1_0': 0.0002324410460864318, '0_2': 0.0018229449955430071, "
-            "'1_1': 0.0007724739341892132, '2_0': 0.002164196817393156}",
-            "{'0_0': 0.0006463618950815997, '1_0': 0.004082053622872, "
+            "{'0_0': 4.646638683302684e-05, '0_1': 0.00022532855497324665, "
+            "'1_0': 0.0002324410460864318, '0_2': 0.0018229449955430995, "
+            "'1_1': 0.000772473934189213, '2_0': 0.002164196817393156}",
+            "{'0_0': 0.0006463618950815993, '1_0': 0.004082053622872, "
             "'2_0': 0.024434120184653157}",
         ),
         (
-            "{'0_0': 1.8792150710468792e-08, '0_1': 8.232017684710802e-08, "
-            "'1_0': 8.233974726565979e-08, '0_2': 6.093924716489213e-07, "
+            "{'0_0': 1.8792150710270166e-08, '0_1': 8.23201768386194e-08, "
+            "'1_0': 8.233974726565979e-08, '0_2': 6.093924714453528e-07, "
             "'1_1': 4.007155527824077e-07, '2_0': 3.5979045334130634e-07}",
-            "{'0_0': 1.4292434528593918e-07, '1_0': 5.297804488184501e-07, "
+            "{'0_0': 1.4292434528607315e-07, '1_0': 5.297804488184501e-07, "
             "'2_0': 3.752427943945496e-06}",
         ),
     ]
@@ -532,7 +531,7 @@ def test_the_system_structure_picks_the_solve(spec, where, method):
 
 _SWEEP_IN_A_CHILD = """
 import sys
-from cylasym import linalg
+from cylasym import harness, linalg
 from cylasym.harness import SweepPlan, run_sweep
 from cylasym.problem import ProblemSpec, ScalarField, builtin_problem, parse_problem_config
 
@@ -543,34 +542,52 @@ def box():
                        coefficients={(a, a): one for a in axes},
                        forcing=ScalarField.parse("sin(3.141592653589793 * x3)", 3), name="box3d")
 
+def state():
+    # whether LAPACK is bound, the mapped files named *openblas*, the scipy
+    # modules loaded and whether numpy.random is
+    with open("/proc/self/maps") as maps:
+        files = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    return (linalg._lapack.cache_info().currsize == 1,
+            len([f for f in files if "openblas" in f.rsplit("/", 1)[-1]]),
+            sorted(m for m in sys.modules if m.startswith("scipy")), "numpy.random" in sys.modules)
+
+worker = harness._sweep_worker
+
+def checked(job):
+    # a failed assertion in a forked worker fails its job, and so the sweep
+    outcome = worker(job)
+    assert state() == (True, 1, [], False), state()
+    return outcome
+
+harness._sweep_worker = checked
 if sys.argv[1] == "box3d":
     spec = box()
 elif sys.argv[1] == "skew":
-    spec = parse_problem_config(sys.argv[3], "skew")
+    spec = parse_problem_config(sys.argv[4], "skew")
 else:
     spec = builtin_problem(sys.argv[1])
-run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=int(sys.argv[2])))
-print(linalg._lapack.cache_info().currsize == 1,
-      sorted(m for m in sys.modules if m.startswith("scipy")), "numpy.random" in sys.modules)
+run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=int(sys.argv[2]),
+                    workers=int(sys.argv[3])))
+print(*state())
 """
 
 
-@pytest.mark.parametrize("problem,resolution,loads", [
-    ("poisson_strip", 8, False), ("box3d", 4, False), ("biharmonic_strip", 8, True),
-    ("skew", 5, True),
+@pytest.mark.skipif(not Path("/proc/self/maps").is_file(),
+                    reason="reads the mapped files from /proc/self/maps, which Linux has")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("problem,resolution", [
+    ("poisson_strip", 8), ("box3d", 4), ("biharmonic_strip", 8), ("skew", 5),
 ])
-def test_two_part_sweeps_never_import_scipy_linalg(problem, resolution, loads):
-    # a two-part sweep solves its cross-section system and its cylinder
-    # systems in numpy; the multi-part biharmonic system and the
-    # nonsymmetric skew strip bind LAPACK (loads), from its compiled module
-    # alone: no sweep leaves scipy.linalg, scipy.sparse or any other scipy
-    # module in sys.modules, and none loads numpy.random, which the
-    # hypothesis check's stdlib generator replaced
+def test_a_sweep_maps_one_blas(problem, resolution, workers):
+    # every sweep binds LAPACK from the OpenBLAS numpy has mapped, in the
+    # parent and in each forked worker: no process maps a second file named
+    # *openblas*, none loads a scipy module, and none loads numpy.random,
+    # which the hypothesis check's stdlib generator replaced
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", _SWEEP_IN_A_CHILD, problem, str(resolution),
-                          SKEW_CONFIG], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == [str(loads), "[]", "False"]
+                          str(workers), SKEW_CONFIG], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["True", "1", "[]", "False"]
 
 
 def test_an_indefinite_top_block_names_the_problem_and_l():
@@ -631,7 +648,7 @@ def test_direct_solve_memory_is_the_lapack_band():
 def test_cholesky_solve_memory_is_the_lapack_band():
     # the biharmonic strip takes banded Cholesky: assembly and solve peak
     # near the factor itself, so no full-size band or CSR matrix is alive;
-    # the LAPACK routines are bound before the trace so that their module's
+    # the LAPACK routines are bound before the trace so that the binding's
     # objects are not counted when the test runs alone
     linalg._lapack()
 
@@ -1168,8 +1185,9 @@ def test_cli_refuses_two_spellings_of_one_coefficient(tmp_path, capsys):
     path.write_text("[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
                     "a_1_0_1_0 = 1\na_01_0_1_0 = 5\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n")
     assert cli.main(["validate", "--problem", str(path)]) == 1
-    assert capsys.readouterr().err == ("error: coefficient keys 'a_1_0_1_0' and 'a_01_0_1_0' "
-                                       "in [coef] both encode alpha=(1, 0), beta=(1, 0)\n")
+    assert capsys.readouterr().err == (f"error: {path}: coefficient keys 'a_1_0_1_0' and "
+                                       "'a_01_0_1_0' in [coef] both encode alpha=(1, 0), "
+                                       "beta=(1, 0)\n")
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["sweep", "--l", "2,4", "--cells-per-unit", "4"]],
@@ -1182,7 +1200,7 @@ def test_cli_refuses_four_axes(tmp_path, capsys, argv):
                     "a_1_0_0_0_1_0_0_0 = 1\na_0_1_0_0_0_1_0_0 = 1\n"
                     "a_0_0_1_0_0_0_1_0 = 1\na_0_0_0_1_0_0_0_1 = 1\n\n[forcing]\nf = 1\n")
     assert cli.main([argv[0], "--problem", str(path), *argv[1:]]) == 1
-    assert capsys.readouterr().err == "error: n = 4 exceeds the supported limit n <= 3\n"
+    assert capsys.readouterr().err == f"error: {path}: n = 4 exceeds the supported limit n <= 3\n"
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -1202,7 +1220,28 @@ def test_cli_refuses_a_too_deep_expression_by_its_field(tmp_path, capsys, key, v
     path = tmp_path / "deep.cfg"
     path.write_text(text)
     assert cli.main(["validate", "--problem", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+_BAD_CONFIGS = {  # a config error of each kind: the spec, the [coef] keys, an expression
+    "four_axes": "[problem]\nm = 1\nn = 4\np = 1\nomega = 0,1;0,1;0,1\n\n[coef]\n"
+                 "a_1_0_0_0_1_0_0_0 = 1\n\n[forcing]\nf = 1\n",
+    "repeated_key": "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+                    "a_1_0_1_0 = 1\na_01_0_1_0 = 5\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n",
+    "bad_expression": "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+                      "a_1_0_1_0 = 1\na_0_1_0_1 = 1\n\n[forcing]\nf = 1 +\n",
+}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["sweep", "--l", "2,4", "--cells-per-unit", "4"]],
+                         ids=["validate", "sweep"])
+@pytest.mark.parametrize("config", _BAD_CONFIGS.values(), ids=_BAD_CONFIGS.keys())
+def test_cli_config_errors_name_the_file(tmp_path, capsys, argv, config):
+    path = tmp_path / "bad.cfg"
+    path.write_text(config)
+    assert cli.main([argv[0], "--problem", str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv,value", [

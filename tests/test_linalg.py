@@ -4,12 +4,6 @@ The direct solves are kernels that return x; _accept is the one acceptance
 step, and the checks of its numbers run on a kernel's x passed through it.
 """
 
-import importlib.machinery
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,8 +17,6 @@ from cylasym.linalg import (
     SolverError,
     _accept,
     backward_error,
-    band_cholesky,
-    band_cholesky_solve,
     cg_jacobi,
     cholesky_solve,
     gmres_jacobi,
@@ -199,6 +191,25 @@ def test_cholesky_matches_dense(n, kd, seed):
     assert res.residual == pytest.approx(np.linalg.norm(r) / np.linalg.norm(b))
 
 
+@pytest.mark.parametrize("n,kd,seed", [(30, 3, 0), (80, 9, 1), (80, 79, 2)])
+def test_numpy_cholesky_solve_matches_lapack(n, kd, seed):
+    # cholesky_solve's routines are bound from the OpenBLAS numpy maps; its x
+    # agrees with scipy.linalg.lapack's dpbtrf and dpbtrs on the same band
+    from scipy.linalg import lapack
+
+    A = _spd_banded(n, kd, seed)
+    b = np.random.default_rng(seed + 100).standard_normal(n)
+    ab = np.ascontiguousarray(_lower_storage(A, kd))
+    res = _accepted(A, b, cholesky_solve(ab, b), "cholesky_banded")
+    assert np.array_equal(ab, _lower_storage(A, kd))  # a C-ordered band is copied, then factored
+    assert res.method == "cholesky_banded" and res.backward_error <= BACKWARD_ERROR_TOL
+    factor, info = lapack.dpbtrf(_lower_storage(A, kd), lower=1)
+    assert info == 0
+    want, info = lapack.dpbtrs(factor, b, lower=1)
+    assert info == 0
+    assert np.abs(res.x - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_cholesky_factors_in_place():
     A = _spd_banded(40, 4, 3)
     ab = _lower_storage(A, 4)
@@ -249,87 +260,6 @@ def test_backward_error_biharmonic_long_cylinder():
     assert backward_error(r, a_norm, res.x, system.rhs) <= 1e-14
 
 
-# ------------------------------------------------------------------ numpy band Cholesky
-
-
-def _band_factor_dense(L, b):
-    """The dense factor of matrix b of the batch from band_cholesky's L."""
-    kd = L.shape[1] - 1
-    n = L.shape[0] - kd
-    return sum(np.diag(L[: n - q, q, b], -q) for q in range(min(kd + 1, n)))
-
-
-def test_band_cholesky_hand_oracle():
-    # A = L L^T with L = [[2, 0, 0], [1, 2, 0], [0, 1, 2]]; every step is
-    # exact in binary, so the factor and the solution are too
-    ab = np.array([[4.0, 5.0, 5.0], [2.0, 2.0, 0.0]])
-    L = band_cholesky(ab)
-    assert L.shape == (4, 2)
-    assert np.array_equal(L, [[2.0, 1.0], [2.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
-    assert np.array_equal(band_cholesky_solve(L, np.array([2.0, 1.0, 8.0])), [1.0, -1.0, 2.0])
-    # a batch on the trailing axis: 4 A factors as 2 L
-    L2 = band_cholesky(np.stack([ab, 4.0 * ab], axis=-1))
-    assert np.array_equal(L2[..., 0], L) and np.array_equal(L2[..., 1], 2.0 * L)
-
-
-@pytest.mark.parametrize("n,kd,batch,seed", [(30, 3, 4, 0), (50, 7, 3, 1), (9, 0, 2, 2),
-                                             (12, 11, 2, 3), (40, 2, 1, 4)])
-def test_band_cholesky_matches_dense(n, kd, batch, seed):
-    mats = [_spd_banded(n, kd, seed + 10 * b) for b in range(batch)]
-    ab = np.stack([_lower_storage(A, kd) for A in mats], axis=-1)
-    before = ab.copy()
-    L = band_cholesky(ab)
-    assert np.array_equal(ab, before)  # read, not overwritten
-    assert not L[n:].any()
-    y = np.random.default_rng(seed).standard_normal((n, batch))
-    x = band_cholesky_solve(L, y)
-    for b, A in enumerate(mats):
-        want = np.linalg.cholesky(A)
-        assert np.abs(_band_factor_dense(L, b) - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.abs(A @ x[:, b] - y[:, b]).max() <= 1e-14 * np.abs(A).sum(axis=1).max() * (
-            np.abs(x[:, b]).max())
-
-
-def test_band_cholesky_marks_the_first_failed_pivot_of_each_matrix():
-    # matrix 1's second leading minor is negative, matrix 0 is positive
-    # definite: only matrix 1's diagonal stops being positive, from row 1 on
-    bad = np.eye(6)
-    bad[0, 1] = bad[1, 0] = 2.0
-    L = band_cholesky(np.stack([_lower_storage(_spd_banded(6, 1, 5), 1),
-                                _lower_storage(bad, 1)], axis=-1))
-    assert np.all(L[:6, 0, 0] > 0.0)
-    assert L[0, 0, 1] == 1.0 and not np.any(L[1:6, 0, 1] > 0.0)
-
-
-def test_band_cholesky_is_deterministic():
-    mats = [_spd_banded(60, 5, seed) for seed in range(3)]
-    ab = np.stack([_lower_storage(A, 5) for A in mats], axis=-1)
-    y = np.linspace(-1.0, 1.0, 180).reshape(60, 3)
-    first = band_cholesky_solve(band_cholesky(ab), y)
-    assert first.tobytes() == band_cholesky_solve(band_cholesky(ab), y).tobytes()
-
-
-@pytest.mark.parametrize("n,kd,seed", [(30, 3, 0), (80, 9, 1), (80, 79, 2)])
-def test_numpy_cholesky_solve_matches_lapack(n, kd, seed):
-    A = _spd_banded(n, kd, seed)
-    b = np.random.default_rng(seed + 100).standard_normal(n)
-    ab = _lower_storage(A, kd)
-    res = _accepted(A, b, cholesky_solve(ab, b, lapack=False), "cholesky_banded")
-    assert np.array_equal(ab, _lower_storage(A, kd))  # a copy is factored
-    assert res.method == "cholesky_banded" and res.backward_error <= BACKWARD_ERROR_TOL
-    lapack = _solve_dense(A, b, kd)
-    assert np.abs(res.x - lapack.x).max() <= 1e-12 * np.abs(lapack.x).max()
-
-
-def test_numpy_cholesky_solve_rejects_indefinite():
-    # eigenvalues 3 and -1: the second leading minor is negative
-    A = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(SolverError, match="^solve at l = 3: matrix is not positive definite "
-                                          r"\(the leading minor of order 2 is not\)"):
-        cholesky_solve(_lower_storage(A, 1), np.array([1.0, -1.0]), "solve at l = 3",
-                       lapack=False)
-
-
 # ------------------------------------------------------------------ Kronecker
 
 
@@ -352,7 +282,9 @@ def _kron_dense(A, pencil, b, where="solve"):
     return _accepted(A, b, x, "fast_diagonalization")
 
 
-@pytest.mark.parametrize("n_ax,kd,n_c,seed", [(12, 2, 5, 0), (30, 4, 9, 1), (7, 6, 1, 2)])
+@pytest.mark.parametrize("n_ax,kd,n_c,seed", [(12, 2, 5, 0), (30, 4, 9, 1), (7, 6, 1, 2),
+                                              (30, 3, 4, 0), (50, 7, 3, 1), (9, 0, 2, 2),
+                                              (12, 11, 2, 3), (40, 2, 1, 4)])
 def test_kronecker_matches_dense(n_ax, kd, n_c, seed):
     A, pencil = _kron_pencil(n_ax, kd, n_c, seed)
     b = np.random.default_rng(seed + 100).standard_normal(A.shape[0])
@@ -394,6 +326,18 @@ def test_kronecker_rejects_an_indefinite_mode():
     with pytest.raises(SolverError, match="^solve: axial matrix of cross-section mode 0 "
                        "\\(eigenvalue -10\\) is not positive definite"):
         _kron_dense(A, pencil, np.ones(A.shape[0]))
+
+
+@pytest.mark.parametrize("k", [0, 2], ids=["first", "middle"])
+def test_kronecker_names_the_indefinite_mode(k):
+    # only mode k's A_top + lam_k A_other, rows k N_ax to (k + 1) N_ax - 1 of
+    # the stacked band, is indefinite: every other mode has lam = 1
+    _, ((a_top, a_other), _) = _kron_pencil(n_ax=12, n_c=5, seed=8)
+    lam = np.ones(5)
+    lam[k] = -10.0
+    with pytest.raises(SolverError, match=f"^solve: axial matrix of cross-section mode {k} "
+                       "\\(eigenvalue -10\\) is not positive definite"):
+        kronecker_solve((a_top, a_other), (lam, np.eye(5)), np.ones(60), lambda v: v)
 
 
 def test_kronecker_rejects_a_large_backward_error():
@@ -514,51 +458,30 @@ def test_bound_solves_keep_their_messages():
         assert str(failed.value) == "solve at l = 2: matrix is singular (singular matrix)"
 
 
-def test_the_binder_falls_back_to_scipy_linalg_lapack(monkeypatch):
-    # with no _flapack file to load, the routines come from the public module
+@pytest.fixture
+def scipy_lapack(monkeypatch):
+    """The binder's lookup finds no library, as where numpy links another
+    LAPACK: the routines come from the public scipy.linalg.lapack."""
+    monkeypatch.setattr(linalg, "_OPENBLAS", "no such library")
+    linalg._lapack.cache_clear()
+    yield
+    linalg._lapack.cache_clear()
+
+
+def test_the_binder_falls_back_to_scipy_linalg_lapack(scipy_lapack):
     import scipy.linalg.lapack as lapack
 
-    lower, general = _LOWER_BANDS["kd2"](), _GENERAL_BANDS["kd2"]()
-    b = np.linspace(-1.0, 1.0, 30)
-    bound = (cholesky_solve(lower.copy(order="F"), b), lu_solve(general.copy(order="F"), b))
-    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-    linalg._lapack.cache_clear()
-    try:
-        assert linalg._lapack() == (lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv, lapack.dgtsv)
-        fallback = (cholesky_solve(lower, b), lu_solve(general, b))
-    finally:
-        linalg._lapack.cache_clear()
-    assert [x.tobytes() for x in fallback] == [x.tobytes() for x in bound]
+    assert linalg._openblas() is None
+    assert linalg._lapack() == (lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv, lapack.dgtsv)
 
 
-_BIND_THEN_IMPORT = """
-import sys
-import numpy as np
-from cylasym import linalg
-
-rng = np.random.default_rng(0)
-lower = np.asfortranarray(np.vstack([6.0 + rng.random(50), rng.random((2, 50)) - 0.5]))
-general = np.asfortranarray(np.vstack([rng.random((2, 50)) - 0.5, 6.0 + rng.random(50),
-                                       rng.random((2, 50)) - 0.5]))
-b = rng.standard_normal(50)
-bound = (linalg.cholesky_solve(lower.copy(order="F"), b),
-         linalg.lu_solve(general.copy(order="F"), b))
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
-import scipy.linalg
-
-public = (scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(lower, lower=True), True), b),
-          scipy.linalg.solve_banded((2, 2), general, b))
-print(all(x.tobytes() == y.tobytes() for x, y in zip(bound, public)),
-      scipy.linalg._flapack.dpbtrf is linalg._lapack()[0])
-"""
-
-
-def test_scipy_linalg_imports_after_a_bound_solve():
-    # the binder loads _flapack by its path, and leaves no scipy module in
-    # sys.modules: a later import of scipy.linalg loads the package as usual,
-    # with the same routines and the same answers
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", _BIND_THEN_IMPORT], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["[]", "True", "True"]
+@pytest.mark.parametrize("config", [None, SKEW_CONFIG], ids=["biharmonic", "skew"])
+def test_the_fallback_solves_pass_the_gate(scipy_lapack, config):
+    spec = builtin_problem("biharmonic_strip") if config is None else parse_problem_config(
+        config, "skew")
+    system = assembled_cylinder(spec, ell=2.0, resolution=8)
+    solve, method = ((cholesky_solve, "cholesky_banded") if system.symmetric
+                     else (lu_solve, "lu_banded"))
+    x = solve(system.band(), system.rhs)
+    res = _accept(x, system.rhs, system.inf_norm(), system.matvec, "solve", method)
+    assert res.backward_error <= BACKWARD_ERROR_TOL

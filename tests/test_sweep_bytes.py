@@ -18,10 +18,13 @@ a_1_0_1_0 = 2 + sin(x1) the solve of an n-D band.  Two refinement runs,
 `python -m cylasym refine --l 2` of the Poisson strip at degree 1 and of
 the biharmonic strip at degree 3, pin their CSVs too.  A change that
 should leave every value alone keeps them; a change that moves values
-re-pins them and lists old -> new.  The digests depend on the numpy and scipy builds that computed them, so the
-test runs only on the versions recorded next to them.
+re-pins them and lists old -> new.  The digests depend on the numpy and
+scipy builds that computed them and on the OpenBLAS build and kernel that
+the solves bind (its scipy_openblas_get_config64_() string), so the test
+runs only on the versions recorded next to them.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -33,33 +36,39 @@ import numpy as np
 import pytest
 import scipy
 
-PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+from cylasym import linalg
+
+PINNED_VERSIONS = {
+    "numpy": "2.4.6", "scipy": "1.17.1",
+    "openblas": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX "
+                "MAX_THREADS=64",
+}
 DIGESTS = {
-    "poisson_strip": "44fdb274a50d9b4709c761f55d6915add5686e06048c53b5b120cb1eaf586d2d",
+    "poisson_strip": "6df6f33b422d852d72c255b04d11832c4075b45ef31e6cb5e709eef20753397b",
     "biharmonic_strip": "43686589b1ec76a482e0e06929777c8ee518a1da3b3751b323b5cc307608b578",
-    "varcoef_strip": "11fde078a528f37bc5940feff33dca3fc23b5a715f4f917a3139eb09da999f97",
+    "varcoef_strip": "2cb0b7ed26642ffecfc2c3c0d97f8f39a4230bb3f665f4a4fe98f57271fd29e6",
     "skew_strip": "a7eb985c660d15517e013a8305a04aba657eaa20ac297446aabd27bfea034c5f",
     "skew_strip_degree_1": "611e483a727f6dc4816cb2fe6bd810a9d1b1e5d8598c6adca9f7c14ba3cbf245",
-    "box3d": "6022c2475064c8b98b30d50efcb896c2ca8d3a252b63366c1aee7131b2a09eba",
-    "box_p2": "31d841ba57bbccaebdefe8a1903c6914f111b13c07b8b70c4713e4fe8bfda1ad",
-    "poisson_sin_x1": "b2cc2eef88e5a81b20e74a808e3f52195bc0398224a1fcd837dea244336e8147",
+    "box3d": "7b8b1597bd17099bc1c1cfc090a46dde01eb5f600b5bcb6768671e65fab4f3fa",
+    "box_p2": "0a1c7f8d67f0d7d01744cdfb093b4dd5dd82ec23e765fdcda7dffb3a16e61b5c",
+    "poisson_sin_x1": "27fe7cbdfe10f8be3904a7db9be4b45a8540d5a8976b58a42fd2f9f7eff37bbe",
 }
 JSON_DIGESTS = {
-    "poisson_strip": "87da393404728967676dd110ba731acf529070465949c5f55b8c3e59eb29c426",
+    "poisson_strip": "fc24a34c9d118a8dbb2c17a0586adcbf922e425e7543980d6335d62de277b339",
     "biharmonic_strip": "674d95f673679aa0be8a3aba39e0386495f9d99055fba153671126e110fd3b48",
-    "varcoef_strip": "7bf800fc84b59d47d75707503c6afa87de19713c8a26a03661be7cf6ef911a79",
+    "varcoef_strip": "29df5b064160d044e1a3ac0a5c04f746766b77275beec0e9cc0cc8ced9071cb1",
     "skew_strip": "ae78d04aa9ae8ed08ad816a1ab8032d26ffa30c9c249c5c895fca7f7cebd263b",
     "skew_strip_degree_1": "fe254c0a7a3713c6fe22ca2e2a757f4a2853c28f4f466dbc70196496fce76f1d",
-    "box3d": "aba42107589f62b2efcbe7c37c2346957ae2d10d3bd4fd8d40b25ca46bad03ad",
-    "box_p2": "fd9fd6599503384d7d845f16575b74c1dbb62b661b5ccc6d1790a299263f858d",
-    "poisson_sin_x1": "061e8f5f9f2dde6c055971f26f868c328c89b8f7615973e21db08aa91009bc6e",
+    "box3d": "34232b5708a4ecd0f7724c51ab271e226a4130865b11713f6a1565ba730f452e",
+    "box_p2": "5f8eb860b74e64b0b2cf7a878ede97b7c0fe7d653ad4d20e35d23d300a8db30f",
+    "poisson_sin_x1": "1003195a6451c07aaf4336e156c0a0a3f6b39fdbfdbc2f9a53e34cac8f55c943",
 }
 # the CSV of `cylasym refine --l 2` at each problem's cells and degree
 REFINE_DIGESTS = {
     ("poisson_strip", "8,16,32,64", "1"):
-        "774ea58ca34017e408d482b7b1a1456be840f86a433a03c75650bbc600e2b574",
+        "9772bc0d59a7cc7b7b160d60d748bcc52f6d4c3a815ab1d99f7ceca620ed3729",
     ("biharmonic_strip", "6,12,24", "3"):
-        "906e5fa95a1f8be6adced7c23947a7fd579b19e005801096b8ea04e5d1d3d112",
+        "c52fadf55998f2bc7178b92a69d453941854005173d808527c57fa49b038be4d",
 }
 SKEW_CONFIG = (
     "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
@@ -91,7 +100,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_THREAD = {name: "1" for name in
               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
-_versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _openblas_config():
+    """The configuration string of the OpenBLAS the solves bind, or None
+    where they bind scipy.linalg.lapack's routines."""
+    lib = linalg._openblas()
+    if lib is None:
+        return None
+    config = lib.scipy_openblas_get_config64_
+    config.restype = ctypes.c_char_p
+    return config().decode()
+
+
+_versions = {"numpy": np.__version__, "scipy": scipy.__version__,
+             "openblas": _openblas_config()}
 
 
 def untimed_json_digest(path):
@@ -105,9 +128,7 @@ def untimed_json_digest(path):
 
 pinned_versions = pytest.mark.skipif(
     _versions != PINNED_VERSIONS,
-    reason=f"digests pinned with numpy {PINNED_VERSIONS['numpy']} and scipy "
-           f"{PINNED_VERSIONS['scipy']}, running numpy {_versions['numpy']} "
-           f"and scipy {_versions['scipy']}")
+    reason=f"digests pinned with {PINNED_VERSIONS}, running {_versions}")
 
 
 def _cylasym(args, cwd):
