@@ -407,8 +407,6 @@ def write_refinement_csv(rows, path) -> None:
                     str(int(row["dofs_limit"])),
                     repr(float(row["err_Hm_limit"])),
                     "" if row["order"] is None else repr(float(row["order"])),
-                    ""
-                    if row.get("err_Hm_cyl_vs_limit") is None
-                    else repr(float(row["err_Hm_cyl_vs_limit"])),
+                    repr(float(row["err_Hm_cyl_vs_limit"])),
                 ]
             )

@@ -105,16 +105,17 @@ the half bandwidth, which cuts a banded Cholesky, costing N kd^2, by 8 per
 block and 4 for the pair.  assemble_cylinder returns the full system, and
 the solve folds it.
 
-The residual of the backward-error check skips the walk, and so does its
-norm for a system of Kronecker parts alone.  matvec multiplies by the
-matrix from the pieces, sum_j A_j X C_j^T plus the n-D band, each band
-applied along its axes by band_apply: one einsum over a sliding window of
-X.  inf_norm, for a system of Kronecker parts alone, forms the same entries
-as the walk but sums each row's magnitudes once per distinct axial
-coefficient tuple, which a uniform axial mesh repeats (_kron_row_sums); the
-solve reads the norm of a system with an n-D band off the band it factors
-(linalg.band_inf_norm), so that the walk runs once.  The readers share a
-system's pieces as they are, so a system marks them read-only.
+The backward-error check reads the matrix from the pieces, for every
+system.  Its residual skips the walk: matvec multiplies by the matrix from
+the pieces, sum_j A_j X C_j^T plus the n-D band, each band applied along
+its axes by band_apply: one einsum over a sliding window of X.  inf_norm,
+for a system of Kronecker parts alone, forms the same entries as the walk
+but sums each row's magnitudes once per distinct axial coefficient tuple,
+which a uniform axial mesh repeats (_kron_row_sums); for a system with an
+n-D band (the cross-section system among them) it sums the magnitudes of
+every slot tuple (_slot), so such a system is walked twice, once by its
+kernel's band and once by its norm.  The readers share a system's pieces
+as they are, so a system marks them read-only.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -123,7 +124,12 @@ bitwise-identical matrices.
 The cross-section (limit) problem keeps only coefficient pairs whose
 multi-indices have no axial components; axial coordinates are pinned to zero
 when evaluating coefficients and forcing there, which is exactly the
-axis-independence the hypothesis validator enforces.
+axis-independence the hypothesis validator enforces.  A limit pair whose
+coefficient reads x1..xp, which the validator refuses, is refused by
+assemble_limit too.  The CrossSection checks its blocks and load for
+non-finite entries once, as the stage `cross-section` (l = inf), so no
+system built from it checks them again; assemble_cylinder checks only the
+n-D band it assembles at each l.
 """
 
 import itertools
@@ -165,9 +171,9 @@ class AssembledSystem:
     was assembled from, which also gives its problem (spec).  The matrix
     is the sum of the pieces, as it is, for a symmetric problem too.  The
     written forms (lower_band, general_band, matrix, axial_pencil) come
-    from the slot walk; matvec and inf_norm read the pieces without it, as
-    they are.  The pieces are read-only, and zero outside the space, as
-    every band is.
+    from the slot walk; matvec, and inf_norm of a system of Kronecker parts
+    alone, read the pieces without it, as they are.  The pieces are
+    read-only, and zero outside the space, as every band is.
     """
 
     rhs: np.ndarray
@@ -189,11 +195,6 @@ class AssembledSystem:
     @property
     def symmetric(self) -> bool:
         return self.spec.symmetric
-
-    @property
-    def axial_keys(self) -> tuple:
-        """The (alpha_axial, beta_axial) of each Kronecker part."""
-        return self.section.keys if self.ell is not None else ()
 
     @property
     def ndofs(self) -> int:
@@ -260,23 +261,20 @@ class AssembledSystem:
         return _write_band(self._entries(lower=False), self._dims, self._degrees,
                            _half_bandwidth(self._dims, self._degrees))
 
-    def band(self):
-        """The band a banded kernel factors: lower_band for a symmetric
-        problem, general_band otherwise."""
-        return self.lower_band() if self.symmetric else self.general_band()
-
     def inf_norm(self) -> float:
-        """|A|_inf of a system of Kronecker parts alone, exactly: the largest
-        sum over a row of the magnitudes of its entries, each entry formed
-        from the pieces as the bands write it, the rows summed per distinct
-        axial coefficient tuple (_kron_row_sums); an out-of-space slot adds
-        an exact zero.  The solve reads the norm of a system with an n-D
-        band off the band it factors (linalg.band_inf_norm), so such a
-        system has no inf_norm.
+        """|A|_inf: the largest sum over a row of the magnitudes of its
+        entries, each entry formed from the pieces as the bands write it.
+        A system of Kronecker parts alone sums its rows per distinct axial
+        coefficient tuple (_kron_row_sums); a system with an n-D band sums
+        |slot(s)| over its slot tuples s.  An out-of-space slot adds an
+        exact zero.
         """
-        if self.nd_band is not None:
-            raise ValueError("inf_norm describes a system of Kronecker parts alone")
-        return float(_kron_row_sums(self.kron_parts, self.spec.p).max())
+        if self.nd_band is None:
+            return float(_kron_row_sums(self.kron_parts, self.spec.p).max())
+        rows = np.zeros(self._dims)
+        for s in itertools.product(*(range(2 * d + 1) for d in self._degrees)):
+            rows += np.abs(self._slot(s))
+        return float(rows.max())
 
     def matvec(self, x):
         """The matrix times x from the pieces: sum_j A_j X C_j^T plus the n-D
@@ -303,7 +301,7 @@ class AssembledSystem:
         """
         if not self.two_part:
             raise ValueError("the Kronecker pencil describes a two-part system only")
-        return tuple(_lower_of_band(A) for A, _ in _top_first(self.kron_parts, self.axial_keys))
+        return tuple(_lower_of_band(A) for A, _ in _top_first(self.kron_parts, self.section.keys))
 
     def parity_blocks(self):
         """(parities, block) per parity tuple over the section's parity axes
@@ -442,17 +440,17 @@ def _unfolded_rows(Y, axis: int, n: int, odd: bool = False):
     return np.moveaxis(np.concatenate(rows), 0, axis)
 
 
-def _top_first(pieces, axial_keys):
+def _top_first(pieces, keys):
     """The two pieces of a two-part system, the one whose axial key has the
     higher order first."""
-    orders = [sum(a) + sum(b) for a, b in axial_keys]
+    orders = [sum(a) + sum(b) for a, b in keys]
     return tuple(reversed(pieces)) if orders[1] > orders[0] else tuple(pieces)
 
 
-def _cross_pencil(blocks, axial_keys):
+def _cross_pencil(blocks, keys):
     """(C_top, C_other): the dense symmetric matrix of the lower triangle of
     each cross-section block of a two-part system, top part first."""
-    return tuple(_dense(_lower_of_band(C)) for C in _top_first(blocks, axial_keys))
+    return tuple(_dense(_lower_of_band(C)) for C in _top_first(blocks, keys))
 
 
 def _shifted(shift, dims):
@@ -728,7 +726,9 @@ def _galerkin(factors, terms, pinned: int = 0):
 
 
 def _load(factors, forcing, pinned: int = 0):
-    """Load vector: the forcing integrated against every basis function."""
+    """Load vector: the forcing integrated against every basis function.
+    Non-finite values are computed without a warning and left to the
+    caller's check (_check_finite), as _galerkin leaves them."""
     n = len(factors)
     tables = _local_tables(factors)
     W, coords, grid_shape = _quadrature_grid(tables, pinned)
@@ -737,8 +737,9 @@ def _load(factors, forcing, pinned: int = 0):
     subs = [c + q + r for c, q, r in zip(_CELL_LETTERS, _QUAD_LETTERS, _ROW_LETTERS[:n])]
     subs.append("".join(s[:2] for s in subs))
     ops = [B[:, :, 0, :] for _, _, B in tables] + [FW]
-    Fv = np.einsum(",".join(subs) + "->" + _CELL_LETTERS[:n] + _ROW_LETTERS[:n], *ops,
-                   optimize=True)
+    with np.errstate(invalid="ignore"):
+        Fv = np.einsum(",".join(subs) + "->" + _CELL_LETTERS[:n] + _ROW_LETTERS[:n], *ops,
+                       optimize=True)
     rhs = np.zeros(tuple(f.dim for f in factors))
     for cells, r, rows in _local_blocks(factors):
         rhs[rows] += Fv[cells + r]
@@ -802,17 +803,17 @@ class CrossSection:
     - eigenbasis(): for a two-part system, (lam, V) of the cross-section
       pencil, computed on first use and kept;
     - parity_axes: when a banded kernel solves the cylinder systems (no
-      n-D band, not two-part) and the blocks and the load are finite, the
-      mirrored cross-section axes (mirrored), else ().  The blocks are then
+      n-D band, not two-part), the mirrored cross-section axes (mirrored),
+      else ().  The blocks are then
       the mirror averages of the kernel's along them (_mirror_averaged),
       which every system of the sweep reads and
       AssembledSystem.parity_blocks folds per system; no folded block is
       kept.
 
     A sweep's forked jobs inherit it with all of these; nothing is cached
-    at module level.  The blocks and the load are checked for
-    non-finite entries by the assembly that uses them, which names its stage
-    and l.
+    at module level.  A block or the load with a non-finite entry raises
+    AssemblyError at the stage `cross-section` (l = inf), before any system
+    is built from them.
     """
 
     def __init__(self, spec: ProblemSpec, resolution: int, degree: int | None = None):
@@ -834,10 +835,10 @@ class CrossSection:
         self.blocks = tuple(_galerkin(self.factors, terms, pinned=p)
                             for terms in by_axial_part.values())
         self.load = _load(self.factors, spec.forcing, pinned=p)
-        # a non-finite block is left to the assembly that uses it, which
-        # refuses it naming l
-        self.parity_axes = () if self.nd_terms or self.two_part or not all(
-            np.isfinite(a).all() for a in self.blocks + (self.load,)) else self.mirrored
+        for C in self.blocks:
+            _check_finite(spec, "cross-section", None, matrix=C)
+        _check_finite(spec, "cross-section", None, rhs=self.load)
+        self.parity_axes = () if self.nd_terms or self.two_part else self.mirrored
         # omega's knots and Gauss points mirror only up to roundoff; the
         # mirror averages commute with the reflections bitwise
         self.blocks = tuple(_mirror_averaged(C, self.parity_axes) for C in self.blocks)
@@ -925,14 +926,10 @@ def assemble_cylinder(section: CrossSection, ell: float) -> AssembledSystem:
         )
     basis = section.cylinder_basis(ell)
     factors = basis.factors
-    for C in section.blocks:
-        # an infinite entry times a zero would make NaNs (and a numpy
-        # warning) in the product, so check the block first
-        _check_finite(spec, "assemble_cylinder", ell, matrix=C)
     parts = tuple((_galerkin(factors[:p], [(a, b, _unit)]), C)
                   for (a, b), C in zip(section.keys, section.blocks))
     nd_band = _galerkin(factors, section.nd_terms) if section.nd_terms else None
-    _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band, rhs=section.load)
+    _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band)
     rhs = np.multiply.outer(_load(factors[:p], _unit), section.load).ravel()
     return AssembledSystem(rhs, basis, section, float(ell), parts, nd_band)
 
@@ -944,22 +941,20 @@ def assemble_limit(section: CrossSection) -> AssembledSystem:
     Its band is the cross-section block of the zero axial part, which the
     cylinder systems share, and its load the cross-section load.  A limit
     pair whose coefficient reads x1..xp, which the hypotheses refuse, has no
-    such block: the kernel builds the band with the axial coordinates pinned
-    at zero.
+    such block, and is refused.
     """
     spec = section.spec
     p = spec.p
-    terms = [
-        (alpha[p:], beta[p:], spec.coefficients[(alpha, beta)])
-        for (alpha, beta) in sorted(spec.limit_pairs())
-    ]
-    if not terms:
+    pairs = sorted(spec.limit_pairs())
+    if not pairs:
         raise AssemblyError(
             f"{_where(spec, 'assemble_limit', None)}: limit problem has no coefficient pairs"
         )
-    if any(coef.reads_axial(p) for _, _, coef in terms):
-        band = _galerkin(section.factors, terms, pinned=p)
-    else:
-        band = section.blocks[section.keys.index(((0,) * p, (0,) * p))]
-    _check_finite(spec, "assemble_limit", None, matrix=band, rhs=section.load)
+    if any(spec.coefficients[pair].reads_axial(p) for pair in pairs):
+        axial = "x1" if p == 1 else f"x1..x{p}"
+        raise AssemblyError(
+            f"{_where(spec, 'assemble_limit', None)}: a limit pair's coefficient reads "
+            f"{axial}; the limit problem needs axis-independent coefficients"
+        )
+    band = section.blocks[section.keys.index(((0,) * p, (0,) * p))]
     return AssembledSystem(section.load, TensorBasis(section.factors), section, None, (), band)

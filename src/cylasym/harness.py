@@ -8,13 +8,14 @@ a two-part system, the pencil's eigenbasis.  The limit system is its
 zero-axial-part block and load, solved once in the parent, and the norm of
 u_inf leaves the factors' Gram bands cached on them for every later norm;
 per-ell jobs assemble only the axial pieces and are independent.
-With workers > 1 they run on forked children (_run_jobs): the jobs are
-split into min(workers, jobs) chains, the largest ell first onto the
-least-loaded chain, and each chain runs in one child forked after the
-CrossSection, u_inf and its norm are built, so the child inherits them,
-with the cached Gram bands, instead of unpickling them, and sends back only
-one pickle of its outcomes.  One chain runs inline, the largest ell first, which allocates
-the largest Cholesky factor before the smaller jobs have grown the heap.
+The jobs are split into min(workers, jobs) chains (_chains), the largest
+ell first onto the least-loaded chain.  A lone chain, as with one worker or
+one job, runs inline, the largest ell first, which allocates the largest
+Cholesky factor before the smaller jobs have grown the heap.  With more
+than one chain, every chain runs in a child of its own (_join_chains),
+forked after the CrossSection, u_inf and its norm are built, so the child
+inherits them, with the cached Gram bands, instead of unpickling them, and
+sends back only one pickle of its outcomes; the parent runs no job.
 Records and reports still follow the plan's order, and when jobs fail the
 error raised is that of the smallest failing ell, as a run in plan order
 would raise.  Every number is computed from the same arrays inline and in a
@@ -23,19 +24,21 @@ The l_max job also computes the localized-energy table of its difference
 field u_l - ext(u_inf), built once per job, so no job sends its solution
 back.
 
-_solve_system is the one place a system is solved and accepted.  A
-cylinder system that commutes with reflections is solved on its parity
-blocks (AssembledSystem.parity_blocks): its even half along every axial
-axis of an even section (CrossSection.even: no coefficient reads an axial
-x_k, and every pair has alpha_k + beta_k even on it, so u_l is even in
-x_k), times each parity along each of the section's parity axes
+_solve_system is the one place a system is solved and accepted, every
+system alike, the limit system included.  A cylinder system that commutes
+with reflections is solved on its parity blocks
+(AssembledSystem.parity_blocks): its even half along every axial axis of an
+even section (CrossSection.even: no coefficient reads an axial x_k, and
+every pair has alpha_k + beta_k even on it, so u_l is even in x_k), times
+each parity along each of the section's parity axes
 (CrossSection.parity_axes), a block whose folded load is exactly zero left
-out.  The kernel is picked once, from the system's structure
+out; any other system, one with an n-D band or the cross-section system,
+is solved whole.  The kernel is picked once, from the system's structure
 (_kernel): a symmetric system of two Kronecker parts
 (AssembledSystem.two_part) by fast diagonalization of its cross-section
-pencil (linalg.kronecker_solve), any other symmetric system, the
-cross-section system included, by banded Cholesky (linalg.cholesky_solve),
-and a nonsymmetric one by banded LU (linalg.lu_solve).  All three call the
+pencil (linalg.kronecker_solve), any other symmetric system by banded
+Cholesky of its lower band (linalg.cholesky_solve), and a nonsymmetric one
+by banded LU of its general band (linalg.lu_solve).  All three call the
 LAPACK of the OpenBLAS numpy has already mapped, so a sweep maps one BLAS.
 The blocks are solved one after the other, each band written, factored and
 freed before the next, and joined (AssembledSystem.joined).  The section's
@@ -43,14 +46,11 @@ blocks are mirror averaged along the parity axes, so the full system
 commutes with the reflections bitwise and its blocks drop no coupling.  At
 the biharmonic strip's 32 cells/unit, l = 16, the blocks turn one Cholesky
 band of 12.3 MB (kd = 96; 24.6 MB unfolded) into bands of 3.4 and 3.0 MB
-(kd = 51 and 48).  A system with an n-D band, and the cross-section system,
-is solved whole, and its |A|_inf read off the band its kernel factors
-(linalg.band_inf_norm) before the factorization overwrites it; any other
-system's comes from its pieces (AssembledSystem.inf_norm).  The
-backward-error check (linalg._accept) runs once, on the joined x, with the
-full system's right-hand side, residual and |A|_inf, so the record's
-backward_error, solver_residual and dofs describe the full system.  Solver
-failures name the problem, ell and stage.
+(kd = 51 and 48).  The backward-error check (linalg._accept) runs once, on
+the joined x, with the full system's right-hand side, residual and |A|_inf,
+all three from its pieces (AssembledSystem.matvec and inf_norm), so the
+record's backward_error, solver_residual and dofs describe the full system.
+Solver failures name the problem, ell and stage.
 """
 
 import contextlib
@@ -89,7 +89,6 @@ from .fdcalc import LatticeError, interior_derivative_error, lattice_counts
 from .linalg import (  # noqa: F401
     BACKWARD_ERROR_TOL,
     _accept,
-    band_inf_norm,
     cg_jacobi,
     cholesky_solve,
     gmres_jacobi,
@@ -216,14 +215,6 @@ def _solve_system(system):
     picks (_kernel), and accepted by the backward-error check on the full
     system's right-hand side, residual and |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
-    if system.nd_band is not None:
-        # solved whole, and |A|_inf read off the band the kernel factors
-        # before the factorization overwrites it: one slot walk
-        solve, method = _band_kernel(system)
-        band = system.band()
-        a_norm = band_inf_norm(band, system.symmetric)
-        return _accept(solve(band, system.rhs, where), system.rhs, a_norm, system.matvec,
-                       where, method)
     solve, method = _kernel(system, where)
     blocks = system.parity_blocks()
     if blocks is None:
@@ -234,9 +225,9 @@ def _solve_system(system):
 
 
 def _kernel(system, where: str):
-    """(solve, method): the kernel of a Kronecker system's structure,
-    called as solve(block) -> y on the system or any of its parity blocks,
-    and its name."""
+    """(solve, method): the kernel of the system's structure, called as
+    solve(block) -> y on the system or any of its parity blocks, and its
+    name."""
     if system.two_part:
         # the cross-section's eigenbasis, computed once per sweep and read
         # before any block is solved, so an indefinite top block raises
@@ -245,14 +236,10 @@ def _kernel(system, where: str):
         return (lambda block: kronecker_solve(block.axial_pencil(), eigenbasis, block.rhs,
                                               block.matvec, where),
                 "fast_diagonalization")
-    solve, method = _band_kernel(system)
-    return (lambda block: solve(block.band(), block.rhs, where)), method
-
-
-def _band_kernel(system):
-    """(solve, method): the banded kernel of the system's symmetry, called
-    as solve(band, rhs, where) -> x, and its name."""
-    return (cholesky_solve, "cholesky_banded") if system.symmetric else (lu_solve, "lu_banded")
+    if system.symmetric:
+        return (lambda block: cholesky_solve(block.lower_band(), block.rhs, where),
+                "cholesky_banded")
+    return (lambda block: lu_solve(block.general_band(), block.rhs, where)), "lu_banded"
 
 
 def _shrunk(extent, margin: float):
@@ -462,11 +449,10 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     u_inf = DiscreteField(limit_system.basis, limit_result.x)
     timings["limit_solve_s"] = time.perf_counter() - t0
 
-    if section.two_part and all(np.isfinite(C).all() for C in section.blocks):
+    if section.two_part:
         # every job solves with this eigenbasis, so a forked job inherits it;
         # a failure would be every job's, and names the smallest l, as the
-        # first failing job in plan order would.  A non-finite block is left
-        # to the jobs' assembly, which refuses it naming l.
+        # first failing job in plan order would
         section.eigenbasis(_where(spec, "solve", plan.ells[0]))
     # caches the cross-section factors' Gram bands before any job forks
     norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution)

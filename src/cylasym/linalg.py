@@ -1,8 +1,7 @@
 """Solvers for the assembled systems.
 
 Every system of a sweep is solved directly, by one of three banded solves on
-two LAPACK kernels, banded Cholesky (dpbtrf, dpbtrs) and banded LU (dgbsv,
-dgtsv):
+two LAPACK kernels, banded Cholesky (dpbtrf, dpbtrs) and banded LU (dgbsv):
 
 - kronecker_solve, for a symmetric system A_top (x) C_top + A_other (x)
   C_other (the Poisson and variable-coefficient strips, the Laplacian box):
@@ -25,8 +24,7 @@ dgtsv):
   that each band has about half the rows and half the bandwidth of the
   whole.
 - lu_solve, for a nonsymmetric system: LU with partial pivoting on LAPACK
-  general band storage (dgbsv; dgtsv for a tridiagonal matrix), on parity
-  blocks alike.
+  general band storage (dgbsv), on parity blocks alike.
 
 Each is a kernel: it returns x, and raises SolverError only when a
 factorization fails, which proves a block or a mode is not positive
@@ -34,14 +32,13 @@ definite, or the matrix singular.  Acceptance is one step, _accept, which
 the harness runs once per system, on the full system's x: the answer
 stands when the normwise backward error
 |b - Ax|_inf / (|A|_inf |x|_inf + |b|_inf), with the residual and |A|_inf
-computed from another copy of A (for a system with an n-D band, |A|_inf
-from the band before it is factored: band_inf_norm), is at most
-BACKWARD_ERROR_TOL, the accuracy a backward-stable solve attains; a
-relative residual bound does not fit fourth-order problems, whose condition
-numbers leave backward-stable answers with relative residuals well above
-1e-12.
+computed from the system's pieces (AssembledSystem.matvec and inf_norm),
+not from the band the kernel factored, is at most BACKWARD_ERROR_TOL, the
+accuracy a backward-stable solve attains; a relative residual bound does
+not fit fourth-order problems, whose condition numbers leave
+backward-stable answers with relative residuals well above 1e-12.
 
-_lapack binds the four routines once per process, at the first solve, from
+_lapack binds the three routines once per process, at the first solve, from
 the OpenBLAS that numpy has already mapped (the ILP64 libscipy_openblas64_
 of numpy's wheels, found in /proc/self/maps): ctypes calls its LAPACKE
 _work entry points in column-major layout, with 64-bit integers and no NaN
@@ -101,30 +98,6 @@ def backward_error(r, a_norm: float, x, b) -> float:
     return float(np.abs(r).max(initial=0.0)) / denom if denom > 0.0 else 0.0
 
 
-def band_inf_norm(ab, symmetric: bool) -> float:
-    """|A|_inf of A from its LAPACK band storage, the largest row sum of
-    the magnitudes: lower band storage of a symmetric A (A[j + q, j] at
-    ab[q, j]), each entry below the diagonal counted in its own row and in
-    its mirror's, or general band storage (A[i, j] at ab[kd + i - j, j]).
-    The symmetric case measures the lower triangle the kernel factors,
-    which equals |A|_inf up to the rounding that keeps the assembled A from
-    being exactly symmetric.  Read before a factorization overwrites the
-    band."""
-    mag = np.abs(ab)
-    n = ab.shape[1]
-    kd = ab.shape[0] - 1 if symmetric else ab.shape[0] // 2
-    rows = np.zeros(n)
-    for u in range(ab.shape[0]):
-        e = u if symmetric else u - kd  # row minus column of band row u
-        if e >= 0:
-            rows[e:] += mag[u, : n - e]
-        else:
-            rows[: n + e] += mag[u, -e:]
-        if symmetric and u:
-            rows[: n - u] += mag[u, : n - u]  # A[j, j + u] in row j
-    return float(rows.max(initial=0.0))
-
-
 def _accept(x, b, a_norm: float, matvec, where: str, method: str) -> SolveResult:
     """The SolveResult of x when its backward error, from the residual
     b - matvec(x) and |A|_inf = a_norm, is at most BACKWARD_ERROR_TOL;
@@ -149,7 +122,7 @@ def cholesky_solve(ab, b, where: str = "solve"):
     prefixed with `where`.
     """
     b = np.asarray(b, dtype=np.float64)
-    dpbtrf, dpbtrs, _, _ = _lapack()
+    dpbtrf, dpbtrs, _ = _lapack()
     factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise SolverError(f"{where}: matrix is not positive definite "
@@ -199,7 +172,7 @@ def kronecker_solve(axial, eigenbasis, b, matvec, where: str = "solve"):
     b = np.asarray(b, dtype=np.float64)
     (a_top, a_other), (lam, V) = axial, eigenbasis
     kd, n_ax = a_top.shape[0] - 1, a_top.shape[1]
-    dpbtrf, dpbtrs, _, _ = _lapack()
+    dpbtrf, dpbtrs, _ = _lapack()
     # stacked[k, i] is column i of mode k's band, so its transpose is the
     # stacked band's storage, Fortran-ordered; slots past a mode's last row
     # would couple it to the next mode
@@ -227,22 +200,18 @@ def lu_solve(ab, b, where: str = "solve"):
     """x with Ax = b for a general banded A, by LU with partial pivoting.
 
     ab is A's LAPACK general band storage, (2 kd + 1, N) with A[i, j] at
-    ab[kd + i - j, j].  dgtsv solves a tridiagonal A (kd = 1) on ab's rows,
-    overwriting them; any other A is copied into the (3 kd + 1, N) storage
-    dgbsv factors, below kd rows for the fill-in.  A singular A raises
-    SolverError prefixed with `where`.
+    ab[kd + i - j, j].  It is copied into the (3 kd + 1, N) storage dgbsv
+    factors, below kd rows for the fill-in.  A singular A raises SolverError
+    prefixed with `where`.
     """
-    _, _, dgbsv, dgtsv = _lapack()
+    _, _, dgbsv = _lapack()
     kd = ab.shape[0] // 2
-    if kd == 1:
-        *_, x, info = dgtsv(ab[2, :-1], ab[1, :], ab[0, 1:], b, 1, 1, 1, 0)
-    else:
-        lu = np.zeros((3 * kd + 1, ab.shape[1]))
-        lu[kd:] = ab
-        *_, x, info = dgbsv(kd, kd, lu, b, overwrite_ab=1, overwrite_b=0)
+    lu = np.zeros((3 * kd + 1, ab.shape[1]))
+    lu[kd:] = ab
+    *_, x, info = dgbsv(kd, kd, lu, b, overwrite_ab=1, overwrite_b=0)
     if info > 0:
         raise SolverError(f"{where}: matrix is singular (singular matrix)")
-    _check_arguments(info, "dgtsv" if kd == 1 else "dgbsv")
+    _check_arguments(info, "dgbsv")
     return x
 
 
@@ -267,19 +236,19 @@ def _openblas():
 
 @functools.cache
 def _lapack():
-    """(dpbtrf, dpbtrs, dgbsv, dgtsv), bound once per process: from the
+    """(dpbtrf, dpbtrs, dgbsv), bound once per process: from the
     OpenBLAS numpy has mapped (_openblas), or, where there is none,
     scipy.linalg.lapack's."""
     lib = _openblas()
     if lib is None:
         from scipy.linalg import lapack
 
-        return lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv, lapack.dgtsv
+        return lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv
     return _bind(lib)
 
 
 def _bind(lib):
-    """(dpbtrf, dpbtrs, dgbsv, dgtsv) of lib's LAPACKE _work entry points,
+    """(dpbtrf, dpbtrs, dgbsv) of lib's LAPACKE _work entry points,
     called in column-major layout with 64-bit integers.  Each takes and
     returns what scipy.linalg.lapack's routine of its name does: an array
     it may overwrite is overwritten in place when its overwrite flag is set
@@ -300,7 +269,6 @@ def _bind(lib):
     pbtrf = entry("dpbtrf", ctypes.c_char, i64, i64, ptr, i64)
     pbtrs = entry("dpbtrs", ctypes.c_char, i64, i64, i64, ptr, i64, ptr, i64)
     gbsv = entry("dgbsv", i64, i64, i64, i64, ptr, i64, ptr, ptr, i64)
-    gtsv = entry("dgtsv", i64, i64, ptr, ptr, ptr, ptr, i64)
 
     def dpbtrf(ab, lower=0, overwrite_ab=0):
         c = _written(ab, overwrite_ab)
@@ -320,16 +288,7 @@ def _bind(lib):
         return lub, piv, x, gbsv(n, kl, ku, _nrhs(x, n), lub.ctypes.data, lub.shape[0],
                                  piv.ctypes.data, x.ctypes.data, max(n, 1))
 
-    def dgtsv(dl, d, du, b, overwrite_dl=0, overwrite_d=0, overwrite_du=0, overwrite_b=0):
-        dl, d, du, x = (_written(a, o) for a, o in ((dl, overwrite_dl), (d, overwrite_d),
-                                                    (du, overwrite_du), (b, overwrite_b)))
-        n = d.shape[0]
-        if not dl.shape == du.shape == (max(n - 1, 0),):
-            raise ValueError(f"dgtsv: {n} diagonal entries need {n - 1} off the diagonal")
-        return dl, d, du, x, gtsv(n, _nrhs(x, n), dl.ctypes.data, d.ctypes.data, du.ctypes.data,
-                                  x.ctypes.data, max(n, 1))
-
-    return dpbtrf, dpbtrs, dgbsv, dgtsv
+    return dpbtrf, dpbtrs, dgbsv
 
 
 def _written(a, overwrite):

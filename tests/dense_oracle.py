@@ -461,7 +461,7 @@ def kronecker_pencil(system):
     block's lower triangle, top part first, as CrossSection.eigenbasis
     reduces them."""
     return system.axial_pencil(), _cross_pencil([C for _, C in system.kron_parts],
-                                                system.axial_keys)
+                                                system.section.keys)
 
 
 def _full_path(system, where):
@@ -477,21 +477,12 @@ def _full_path(system, where):
     return linalg.lu_solve(system.general_band(), system.rhs, where), "lu_banded"
 
 
-def system_inf_norm(system) -> float:
-    """|A|_inf of a system as the solve reads it: from the pieces for a
-    system of Kronecker parts alone (AssembledSystem.inf_norm), else off
-    the band its kernel factors (linalg.band_inf_norm)."""
-    if system.nd_band is None:
-        return system.inf_norm()
-    return linalg.band_inf_norm(system.band(), system.symmetric)
-
-
 def full_path_solve(system):
     """The whole system solved by the kernel its structure picks, with no
     fold, and accepted by linalg._accept on its own residual and |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
     x, method = _full_path(system, where)
-    return linalg._accept(x, system.rhs, system_inf_norm(system), system.matvec, where, method)
+    return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
 
 
 def _method(system):
@@ -550,7 +541,7 @@ def fold_path_solve(system):
         for axis in range(p):
             X = _unfolded_rows(X, axis, system._dims[axis])
         x = X.ravel()
-    return linalg._accept(x, system.rhs, system_inf_norm(system), system.matvec, where, method)
+    return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
 
 
 def inverse_inf_norm(system, dense_below: int = 3000) -> float:

@@ -726,11 +726,12 @@ def test_report_writers_match_golden_bytes(tmp_path):
 def test_refinement_csv_layout(tmp_path):
     rows = [
         {"resolution": 8, "h": 0.125, "dofs_limit": 9, "err_Hm_limit": 1e-2, "order": None, "err_Hm_cyl_vs_limit": 0.5},
-        {"resolution": 16, "h": 0.0625, "dofs_limit": 17, "err_Hm_limit": 2.5e-3, "order": 2.0, "err_Hm_cyl_vs_limit": None},
+        {"resolution": 16, "h": 0.0625, "dofs_limit": 17, "err_Hm_limit": 2.5e-3, "order": 2.0, "err_Hm_cyl_vs_limit": 0.25},
     ]
     path = tmp_path / "refine.csv"
     write_refinement_csv(rows, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "resolution,h,dofs_limit,err_Hm_limit,order,err_Hm_cyl_vs_limit"
     assert lines[1].startswith("8,0.125,9,0.01,")
-    assert lines[2].endswith(",2.0,")
+    assert lines[1].endswith(",0.01,,0.5")
+    assert lines[2].endswith(",2.0,0.25")

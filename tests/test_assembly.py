@@ -35,7 +35,6 @@ from dense_oracle import (
     odd_extension,
     oracle_csr,
     parity_extension,
-    system_inf_norm,
     transposed_band,
 )
 
@@ -550,7 +549,7 @@ def symmetric_system(request):
 def test_lower_band_is_the_lower_diagonals_of_the_matrix(symmetric_system):
     system = symmetric_system
     assert system.symmetric
-    ab, a_norm = system.lower_band(), system_inf_norm(system)
+    ab, a_norm = system.lower_band(), system.inf_norm()
     A = system.matrix
     n = system.ndofs
     assert ab.flags.f_contiguous and ab.shape[1] == n
@@ -567,7 +566,7 @@ def test_lower_band_is_the_lower_diagonals_of_the_matrix(symmetric_system):
 def test_symmetric_matvec_matches_the_matrix(symmetric_system):
     system = symmetric_system
     x = np.random.default_rng(7).standard_normal(system.ndofs)
-    a_norm = system_inf_norm(system)
+    a_norm = system.inf_norm()
     got = system.matvec(x)
     assert np.abs(got - system.matrix @ x).max() <= 1e-15 * a_norm * np.abs(x).max()
 
@@ -605,7 +604,7 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
     assert not system.symmetric
     A = system.matrix.toarray()
     x = np.random.default_rng(8).standard_normal(system.ndofs)
-    ab, a_norm = system.general_band(), system_inf_norm(system)
+    ab, a_norm = system.general_band(), system.inf_norm()
     want = np.abs(A).sum(axis=1).max()
     assert abs(a_norm - want) <= 1e-15 * want
     assert np.abs(system.matvec(x) - A @ x).max() <= 1e-15 * want * np.abs(x).max()
@@ -614,19 +613,6 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
     for c in range(-kd, kd + 1):  # column minus row
         n = system.ndofs - abs(c)
         assert ab[kd - c, max(c, 0) : max(c, 0) + n].tobytes() == np.diagonal(A, c).tobytes()
-
-
-@pytest.mark.parametrize("where", ["cyl", "lim"])
-def test_a_system_with_an_nd_band_has_no_inf_norm(where):
-    # the solve reads its norm off the band it factors
-    spec = _box_spec(1, "2 + sin(x1)")
-    if where == "cyl":
-        system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
-    else:
-        system = assembled_limit(spec, resolution=3, degree=2)
-    assert system.nd_band is not None
-    with pytest.raises(ValueError, match="Kronecker parts alone"):
-        system.inf_norm()
 
 
 def _raw_band(rng, dims, widths, outside=np.nan):
@@ -698,31 +684,32 @@ def test_the_limit_system_is_the_zero_axial_block_of_the_cylinder(spec, ell, res
     zero = ((0,) * spec.p,) * 2
     limit = assembled_limit(spec, resolution=resolution)
     cylinder = assembled_cylinder(spec, ell=ell, resolution=resolution)
-    block = cylinder.kron_parts[cylinder.axial_keys.index(zero)][1]
+    block = cylinder.kron_parts[cylinder.section.keys.index(zero)][1]
     assert limit.nd_band.shape == block.shape and limit.nd_band.tobytes() == block.tobytes()
     assert limit.rhs.tobytes() == cylinder.section.load.tobytes()
     section = CrossSection(spec, resolution)
     shared = assemble_cylinder(section, ell=ell)
     limit = assemble_limit(section)
-    assert limit.nd_band is shared.kron_parts[shared.axial_keys.index(zero)][1]
+    assert limit.nd_band is shared.kron_parts[shared.section.keys.index(zero)][1]
     assert limit.rhs is section.load and limit.basis.factors == shared.basis.factors[spec.p:]
 
 
-def test_a_limit_pair_that_reads_x1_is_assembled_with_x1_pinned_at_zero():
-    # the hypotheses refuse such a pair and the cylinder assembles it on all
-    # n factors, so the limit band is not a shared block: the kernel builds
-    # it with x1 = 0, where 1 + x1^2 is 1
-    def spec(text):
-        return ProblemSpec(
-            m=1, n=2, p=1, omega=((0.0, 1.0),),
-            coefficients={((1, 0), (1, 0)): ScalarField.parse("1", 2),
-                          ((0, 1), (0, 1)): ScalarField.parse(text, 2)},
-            forcing=ScalarField.parse("1", 2),
-        )
-
-    pinned, one = assembled_limit(spec("1 + x1^2"), resolution=4), assembled_limit(spec("1"), 4)
-    assert pinned.nd_band.tobytes() == one.nd_band.tobytes()
-    assert pinned.section.keys == (((1,), (1,)),)
+def test_a_limit_pair_that_reads_x1_is_refused():
+    # the hypotheses refuse such a pair, and the cylinder assembles it on all
+    # n factors, so the section has no block of the zero axial part: the
+    # limit assembly refuses it too, naming the stage
+    spec = ProblemSpec(
+        m=1, n=2, p=1, omega=((0.0, 1.0),),
+        coefficients={((1, 0), (1, 0)): ScalarField.parse("1", 2),
+                      ((0, 1), (0, 1)): ScalarField.parse("1 + x1^2", 2)},
+        forcing=ScalarField.parse("1", 2), name="reads_x1",
+    )
+    section = CrossSection(spec, 4)
+    assert section.keys == (((1,), (1,)),)
+    with pytest.raises(AssemblyError, match=r"^assemble_limit for problem reads_x1 on the "
+                                            r"cross-section \(l = inf\): a limit pair's "
+                                            r"coefficient reads x1;"):
+        assemble_limit(section)
 
 
 @pytest.mark.parametrize("where", ["cyl", "lim"])
@@ -811,6 +798,35 @@ def test_the_even_predicate_reads_the_axial_keys(spec, even):
     halved = tuple((n + 1) // 2 for n in cylinder._dims[:p])
     assert (blocks is not None and all(block._dims[:p] == halved for _, block in blocks)) is even
     assert assemble_limit(section).parity_blocks() is None
+
+
+_SKEW = _plus(_POISSON, {((0, 1), (0, 0)): "1"})
+_INF_NORM_CASES = {
+    # (spec, ell, resolution, degree)
+    "box3d": (_laplace_box(1), 2.0, 4, None),
+    "biharmonic": (builtin_problem("biharmonic_strip"), 2.0, 8, None),
+    "varcoef": (builtin_problem("varcoef_strip"), 2.0, 6, None),
+    "skew": (_SKEW, 2.0, 8, None),
+    "skew_degree_1": (_SKEW, 2.0, 8, 1),
+    "poisson_sin_x1": (_plus(_POISSON, {((1, 0), (1, 0)): "2 + sin(x1)"}), 2.0, 8, None),
+    "box_p2": (_laplace_box(2), 1.0, 4, None),
+    "box3d_sin_x1": (_laplace_box(1, "2 + sin(x1)"), 1.0, 4, None),
+}
+
+
+@pytest.mark.parametrize("where", ["cyl", "lim"])
+@pytest.mark.parametrize("spec,ell,resolution,degree", _INF_NORM_CASES.values(),
+                         ids=_INF_NORM_CASES.keys())
+def test_inf_norm_is_the_largest_row_sum_of_the_matrix(spec, ell, resolution, degree, where):
+    # every system, with an n-D band or without, the limit system among
+    # them, reads |A|_inf off its pieces; the oracle's CSR is written from
+    # the full band, without the slot walk
+    if where == "cyl":
+        system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
+    else:
+        system = assembled_limit(spec, resolution=resolution, degree=degree)
+    want = abs(oracle_csr(system)).sum(axis=1).max()
+    assert abs(system.inf_norm() - want) <= 1e-15 * want
 
 
 _FOLD_CASES = {
@@ -945,7 +961,7 @@ def test_each_parity_block_is_p_transpose_a_p(spec, ell, resolution, degree, mir
             if other != parities:
                 coupling = P.T @ A @ parity_extension(system, other)
                 assert np.abs(coupling).max() <= 4e-15 * np.abs(A).max()
-        assert block.band().shape[1] == P.shape[1]
+        assert block.general_band().shape[1] == P.shape[1]
         ys.append(rng.standard_normal(P.shape[1]))
         want = want + P @ ys[-1]
     assert np.array_equal(system.joined(blocks, ys), want)
@@ -1019,22 +1035,24 @@ def test_the_section_blocks_are_mirror_averaged(omega, resolution):
     assert assemble_limit(section).nd_band is section.blocks[zero_key]
 
 
-def test_a_non_finite_block_is_left_to_the_assembly():
-    # 13 cells put a Gauss node on x3 = 1/2, where a_0_0_1_0_0_1 is
-    # infinite; x2 is mirrored, but the section keeps no parity axis and
-    # folds nothing (no inf - inf)
-    # and leaves the block to the assembly, which names the stage and l.
-    # The kernel computes the infinity on two cross-section axes without a
-    # warning, which filterwarnings = error would turn into a failure here
+@pytest.mark.parametrize("coef,forcing,what", [
+    ("1 + 1 / (x3 - 0.5)^2", "1", "matrix"), ("1", "1 / (x3 - 0.5)", "rhs"),
+], ids=["block", "load"])
+def test_a_non_finite_block_or_load_is_refused_by_the_section(coef, forcing, what):
+    # 13 cells put a Gauss node on x3 = 1/2, where the coefficient or the
+    # forcing is infinite; the section checks its blocks and load once,
+    # before it mirror averages them or any system reads them, and names
+    # its stage.  The kernel computes the infinity on two cross-section
+    # axes without a warning, which filterwarnings = error would turn into
+    # a failure here
     spec = parse_problem_config(
         "[problem]\nm = 1\nn = 3\np = 1\nomega = 0,1;0,1\n\n[coef]\n"
-        "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1 + 1 / (x3 - 0.5)^2\n"
-        "a_1_0_0_0_0_0 = 1\n\n[forcing]\nf = 1\n", "singular")
-    section = CrossSection(spec, 13)
-    assert section.mirrored == (0,) and section.parity_axes == ()
-    with pytest.raises(AssemblyError, match=r"^assemble_cylinder for problem singular at "
-                                            r"l = 1: assembled matrix contains non-finite"):
-        assemble_cylinder(section, ell=1.0)
+        f"a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = {coef}\n"
+        f"a_1_0_0_0_0_0 = 1\n\n[forcing]\nf = {forcing}\n", "singular")
+    with pytest.raises(AssemblyError, match=r"^cross-section for problem singular on the "
+                                            r"cross-section \(l = inf\): assembled "
+                                            rf"{what} contains non-finite"):
+        CrossSection(spec, 13)
 
 
 # ------------------------------------------------------------------ the band invariant

@@ -21,7 +21,6 @@ from dense_oracle import (
     fold_path_solve,
     full_path_solve,
     inverse_inf_norm,
-    system_inf_norm,
 )
 
 from cylasym import analysis, assembly, cli, harness, linalg
@@ -819,10 +818,9 @@ def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, wher
                                                          solves, method):
     # _solve_system takes |A|_inf of the system it is given, once, and runs
     # the one acceptance step once, with that system's rhs, matvec and norm,
-    # whether it folds or not; the kernels check nothing themselves.  A
-    # system with an n-D band reads its norm off the band its kernel
-    # factors, so it walks its slot tuples once and never calls inf_norm;
-    # every banded solve walks its own system once
+    # whether it folds or not; the kernels check nothing themselves.  Every
+    # system, one with an n-D band included, reads its norm off its pieces
+    # (inf_norm); every banded solve walks its own system once
     if where == "cyl":
         system = assembled_cylinder(spec, ell=2.0, resolution=5)
     else:
@@ -860,12 +858,9 @@ def test_every_solve_is_accepted_once_on_the_full_system(monkeypatch, spec, wher
     result = harness._solve_system(system)
     assert result.method == method and result.x.size == system.ndofs
     assert len(kernels) == len(walks) == solves
-    if system.nd_band is None:
-        assert len(norms) == 1 and norms[0] is system
-    else:
-        assert norms == [] and walks == [system]
+    assert len(norms) == 1 and norms[0] is system
     [(b, a_norm, matvec)] = accepts
-    assert b is system.rhs and matvec == system.matvec and a_norm == system_inf_norm(system)
+    assert b is system.rhs and matvec == system.matvec and a_norm == system.inf_norm()
 
     # a backward error the check refuses, from a residual 1e-6 off, names
     # the problem, l and the stage
@@ -1294,16 +1289,22 @@ def test_cli_hypothesis_failure_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "singular,stage,at",
+    "singular,text,stage,at",
     [
-        ("a_0_1_0_1", "assemble_limit", "l = inf"),
-        ("a_1_0_1_0", "assemble_cylinder", "l = 2"),
+        # a cross-section block, of the limit's axial key or another, fails
+        # once, when the section is built
+        ("a_0_1_0_1", "1 + 1 / (x2 - 0.5)^2", "cross-section", "l = inf"),
+        ("a_1_0_1_0", "1 + 1 / (x2 - 0.5)^2", "cross-section", "l = inf"),
+        # a coefficient that reads x1 goes into the n-D band, assembled at
+        # every l
+        ("a_1_0_1_0", "(1 + 0 * x1) / (x2 - 0.5)^2", "assemble_cylinder", "l = 2"),
     ],
+    ids=["limit_block", "axial_block", "nd_band"],
 )
-def test_cli_assembly_failure_exits_one(tmp_path, capsys, singular, stage, at):
+def test_cli_assembly_failure_exits_one(tmp_path, capsys, singular, text, stage, at):
     # 13 cells put a Gauss node on x2 = 0.5, where the coefficient is infinite
     coefs = {"a_1_0_1_0": "1", "a_0_1_0_1": "1"}
-    coefs[singular] = "1 + 1 / (x2 - 0.5)^2"
+    coefs[singular] = text
     cfg = tmp_path / "singular.cfg"
     cfg.write_text(
         "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
@@ -1316,7 +1317,7 @@ def test_cli_assembly_failure_exits_one(tmp_path, capsys, singular, stage, at):
     )
     err = capsys.readouterr().err
     assert code == 1
-    assert stage in err and str(cfg) in err and at in err
+    assert f"{stage} for problem {cfg} " in err and at in err
     assert "non-finite" in err
 
 
@@ -1410,14 +1411,19 @@ def test_cli_indefinite_problem_exits_three_naming_the_stage(tmp_path, capsys):
     assert "not positive definite" in err and err.count("\n") == 1
 
 
+# a sweep whose every job fails at 13 cells/unit, in its n-D band
+_SINGULAR_CONFIG = (
+    "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+    "a_1_0_1_0 = (1 + 0 * x1) / (x2 - 0.5)^2\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n"
+)
+
+
 def test_cli_failed_jobs_name_the_smallest_ell_with_and_without_pool(tmp_path, capsys):
-    # the coefficient is infinite at a Gauss node for every l, and the
-    # largest l runs first; the error still names l = 2, as in plan order
+    # the coefficient reads x1, so the n-D band is assembled at every l, and
+    # is infinite at a Gauss node at every l; the largest l runs first, and
+    # the error still names l = 2, as in plan order
     cfg = tmp_path / "singular.cfg"
-    cfg.write_text(
-        "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
-        "a_1_0_1_0 = 1 + 1 / (x2 - 0.5)^2\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n"
-    )
+    cfg.write_text(_SINGULAR_CONFIG)
     errs = []
     for workers in ("1", "2"):
         argv = ["sweep", "--problem", str(cfg), "--l", "2,4,8", "--cells-per-unit", "13",
@@ -1429,12 +1435,6 @@ def test_cli_failed_jobs_name_the_smallest_ell_with_and_without_pool(tmp_path, c
 
 
 # ------------------------------------------------------------------ fork-join
-
-_SINGULAR_CONFIG = (
-    "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
-    "a_1_0_1_0 = 1 + 1 / (x2 - 0.5)^2\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n"
-)
-
 
 def _no_child_left():
     with pytest.raises(ChildProcessError):

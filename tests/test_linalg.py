@@ -434,18 +434,22 @@ def test_bound_cholesky_is_scipys_bit_for_bit(band):
 
 @pytest.mark.parametrize("band", _GENERAL_BANDS.values(), ids=_GENERAL_BANDS.keys())
 def test_bound_lu_is_scipys_bit_for_bit(band):
-    from scipy.linalg import solve_banded
+    # scipy's dgbsv on the same storage, tridiagonal matrices included
+    # (scipy's solve_banded would take dgtsv for those)
+    from scipy.linalg.lapack import dgbsv
 
     ab = band()
     kd = ab.shape[0] // 2
     b = np.random.default_rng(12).standard_normal(ab.shape[1])
-    want = solve_banded((kd, kd), ab.copy(order="F"), b)
-    assert lu_solve(ab, b).tobytes() == want.tobytes()
+    lu = np.zeros((3 * kd + 1, ab.shape[1]), order="F")
+    lu[kd:] = ab
+    *_, want, info = dgbsv(kd, kd, lu, b)
+    assert info == 0 and lu_solve(ab, b).tobytes() == want.tobytes()
 
 
 def test_bound_solves_keep_their_messages():
-    # eigenvalues 3 and -1; a singular tridiagonal (dgtsv) and a singular
-    # pentadiagonal (dgbsv) matrix
+    # eigenvalues 3 and -1; a singular matrix in tridiagonal and in
+    # pentadiagonal storage
     with pytest.raises(SolverError) as failed:
         cholesky_solve(_lower_storage(np.array([[1.0, 2.0], [2.0, 1.0]]), 1), np.ones(2),
                        "solve at l = 3")
@@ -472,7 +476,7 @@ def test_the_binder_falls_back_to_scipy_linalg_lapack(scipy_lapack):
     import scipy.linalg.lapack as lapack
 
     assert linalg._openblas() is None
-    assert linalg._lapack() == (lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv, lapack.dgtsv)
+    assert linalg._lapack() == (lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv)
 
 
 @pytest.mark.parametrize("config", [None, SKEW_CONFIG], ids=["biharmonic", "skew"])
@@ -480,8 +484,7 @@ def test_the_fallback_solves_pass_the_gate(scipy_lapack, config):
     spec = builtin_problem("biharmonic_strip") if config is None else parse_problem_config(
         config, "skew")
     system = assembled_cylinder(spec, ell=2.0, resolution=8)
-    solve, method = ((cholesky_solve, "cholesky_banded") if system.symmetric
-                     else (lu_solve, "lu_banded"))
-    x = solve(system.band(), system.rhs)
+    x, method = ((cholesky_solve(system.lower_band(), system.rhs), "cholesky_banded")
+                 if system.symmetric else (lu_solve(system.general_band(), system.rhs), "lu_banded"))
     res = _accept(x, system.rhs, system.inf_norm(), system.matvec, "solve", method)
     assert res.backward_error <= BACKWARD_ERROR_TOL

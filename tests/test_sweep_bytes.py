@@ -8,8 +8,8 @@ with its timings removed: the `timings` map, every record's `wall_time_s`
 and `plan.source`; that pins the hypothesis report and the localized-energy
 table, which the CSV does not carry.  The skew strip, the Poisson strip plus the
 nonsymmetric a_0_1_0_0 = 1, pins the banded LU path: LAPACK's dgbsv for
-every system, and dgtsv for its tridiagonal cross-section system at
-degree 1.  The 3-D box, the Laplacian on (-l, l) x (0, 1)^2 at 4 cells per
+every system, its tridiagonal cross-section system at degree 1 included.
+The 3-D box, the Laplacian on (-l, l) x (0, 1)^2 at 4 cells per
 unit, pins the fast-diagonalization path of a two-dimensional
 cross-section.  The biharmonic strip pins the parity blocks of a cross-section
 axis.  The p = 2 box, the Laplacian on (-l, l)^2 x (0, 1) at 4 cells per
@@ -48,7 +48,7 @@ DIGESTS = {
     "biharmonic_strip": "43686589b1ec76a482e0e06929777c8ee518a1da3b3751b323b5cc307608b578",
     "varcoef_strip": "2cb0b7ed26642ffecfc2c3c0d97f8f39a4230bb3f665f4a4fe98f57271fd29e6",
     "skew_strip": "a7eb985c660d15517e013a8305a04aba657eaa20ac297446aabd27bfea034c5f",
-    "skew_strip_degree_1": "611e483a727f6dc4816cb2fe6bd810a9d1b1e5d8598c6adca9f7c14ba3cbf245",
+    "skew_strip_degree_1": "c1d9f5ebcc8fa29977b3f1c0f5863fafa662fc2c639aa23ad612f18c10c22762",
     "box3d": "7b8b1597bd17099bc1c1cfc090a46dde01eb5f600b5bcb6768671e65fab4f3fa",
     "box_p2": "0a1c7f8d67f0d7d01744cdfb093b4dd5dd82ec23e765fdcda7dffb3a16e61b5c",
     "poisson_sin_x1": "27fe7cbdfe10f8be3904a7db9be4b45a8540d5a8976b58a42fd2f9f7eff37bbe",
@@ -58,10 +58,10 @@ JSON_DIGESTS = {
     "biharmonic_strip": "674d95f673679aa0be8a3aba39e0386495f9d99055fba153671126e110fd3b48",
     "varcoef_strip": "29df5b064160d044e1a3ac0a5c04f746766b77275beec0e9cc0cc8ced9071cb1",
     "skew_strip": "ae78d04aa9ae8ed08ad816a1ab8032d26ffa30c9c249c5c895fca7f7cebd263b",
-    "skew_strip_degree_1": "fe254c0a7a3713c6fe22ca2e2a757f4a2853c28f4f466dbc70196496fce76f1d",
+    "skew_strip_degree_1": "efa6e7dcefd4a43ddcf363145eea5f062da8c62c2d6387c5b5e703f8da45d02b",
     "box3d": "34232b5708a4ecd0f7724c51ab271e226a4130865b11713f6a1565ba730f452e",
     "box_p2": "5f8eb860b74e64b0b2cf7a878ede97b7c0fe7d653ad4d20e35d23d300a8db30f",
-    "poisson_sin_x1": "1003195a6451c07aaf4336e156c0a0a3f6b39fdbfdbc2f9a53e34cac8f55c943",
+    "poisson_sin_x1": "a2006e6e547b7d31d99ae705a61cd61b23b928041b8ce6ae275beb0da4005ba3",
 }
 # the CSV of `cylasym refine --l 2` at each problem's cells and degree
 REFINE_DIGESTS = {
