@@ -7,8 +7,9 @@ indices differ by at most d_k on every axis, so a matrix is an array of shape
 couples row (i_k) with column (i_k + s_k - d_k).  The slots whose column
 falls outside the space hold no matrix entry, and every band the package
 builds holds zero in them: the kernel's, since the tables zero the
-functions the constraint drops, and those the folds, mirror averages and
-Gram bands (splines.axis_grams) form.  So band_apply, matvec and
+functions the constraint drops, and those the folds, mirror averages,
+axial placements (_placed, _transposed) and Gram bands
+(splines.axis_grams) form.  So band_apply, matvec and
 _kron_row_sums read a band as it is; the slot walk and the folds read the
 in-space slots only, since they also place entries and define the folded
 space.  A new producer of bands keeps this invariant, and
@@ -28,7 +29,7 @@ The cylinder matrix is a sum of Kronecker products.  A pair (alpha, beta)
 whose coefficient reads none of the axial variables x1..xp -- decided
 exactly from the expression's free variables by ScalarField.reads_axial --
 contributes kron(A_axial[alpha_ax, beta_ax], A_cross[alpha', beta'; a]),
-where A_axial is the kernel on the p axial factors with unit coefficient and
+where A_axial is the band of the p axial factors with unit coefficient and
 A_cross is the kernel on the cross-section factors with the coefficient a;
 in band layout that is the broadcast product of the two bands.  Pairs that
 share an axial part share one product.  Every pair whose coefficient reads
@@ -40,10 +41,24 @@ load); a forcing that reads them is refused.
 None of the cross-section pieces depends on l, so a CrossSection builds
 them once for a sweep: the cross-section factors, the A_cross block of
 every axial part, the cross-section load and, for a two-part system, the
-pencil's eigenbasis.  assemble_cylinder and assemble_limit take the
-CrossSection as their whole description of the problem: assemble_limit's
-system is the block of the zero axial part with the cross-section load,
-and assemble_cylinder assembles only the axial pieces at each l.
+pencil's eigenbasis.  Nor does the axial stencil: the axial factors are
+uniform, and with a unit coefficient the band of the 1-D pair (a, b) on
+cells of width h is h^(1 - a - b) times its band on unit cells, whose rows
+are those of one interior row except for the leading rows, which the
+repeated knots at the lower end shape, and their mirror images.  So the
+CrossSection runs the kernel once per 1-D axial pair on 3 d + 1 unit cells
+(CrossSection.stencil), whose centre row is an interior one, and the load
+likewise, before any job, and every axial factor places its band from that
+(_placed): the leading rows, then the interior row, then the mirror of the
+first half with the sign (-1)^(a + b).  The bands and the load equal their
+signed mirrors bitwise.  A factor of fewer than 3 d + 1 cells, whose rows
+near one end also see the other end's knots, places from a stencil of its
+own cell count, on the same path.  For p = 2 every axial band and the
+axial load are the outer products of the 1-D ones.  assemble_cylinder and
+assemble_limit take the CrossSection as their whole description of the
+problem: assemble_limit's system is the block of the zero axial part with
+the cross-section load, and assemble_cylinder builds only the n-D band, if
+a pair needs it, by the kernel at each l; it places the axial pieces.
 
 An AssembledSystem keeps those pieces, not the sum: the (axial band,
 cross-section band) pair of every axial part, each in its own factors' band
@@ -95,10 +110,14 @@ their largest entry on omega = (15.89, 16.89) at 48 cells per unit), so the
 CrossSection replaces each cross-section block by its mirror average
 (_mirror_averaged) along every parity axis, and every system that reads
 the blocks, the limit system too, commutes with the reflections bitwise.
-The folded cross-section blocks are formed per system, not kept per sweep.
+A forcing that does not read the coordinate of a parity axis is even in
+it, so the CrossSection mirror averages its load along that axis too; the
+odd fold of that load is then exactly zero, not rounding noise.  The
+folded cross-section blocks are formed per system, not kept per sweep.
 A block's load is the system's folded alike (_folded_rows): the uncoupled
 systems P_s^T A P_s y_s = P_s^T b, leaving out a block whose folded load is
-exactly zero, and joined gives x = sum_s P_s y_s.  A block takes its dims
+exactly zero (the odd blocks of an even forcing), and joined gives
+x = sum_s P_s y_s.  A block takes its dims
 and degrees from its pieces, so it needs no spline basis.  Each block has
 about half the cross-section functions per parity axis and so about half
 the half bandwidth, which cuts a banded Cholesky, costing N kd^2, by 8 per
@@ -413,6 +432,37 @@ def _mirror_averaged(band, axes):
     for axis in axes:
         band = 0.5 * (band + np.flip(band, (axis, k + axis)))
     return band
+
+
+def _placed(ref, n: int, sign: float = 1.0):
+    """The band (or, for a 1-D ref, the load) of an axial factor of n
+    functions on uniform cells, from the reference ref of such a factor
+    (CrossSection.stencil).
+
+    Row i < ceil(n / 2) is ref's row min(i, c), c = (len(ref) - 1) // 2:
+    the reference's leading rows, then its centre row, which is an interior
+    row on a reference of 3 d + 1 cells and otherwise one of a reference of
+    n functions.  Row m(i) = n - 1 - i is row i mirrored, its slots
+    reversed and times sign, (-1)^(a + b) for the key (a, b); the centre
+    row of an odd n is its own mirror average.  So the result equals its
+    signed mirror bitwise.
+    """
+    half = (n + 1) // 2
+    lead = ref[np.minimum(np.arange(half), (len(ref) - 1) // 2)]
+    out = np.concatenate([lead, sign * np.flip(lead[: n // 2])])
+    if n % 2:
+        centre = out[half - 1 : half]
+        centre[...] = 0.5 * (centre + sign * np.flip(centre))
+    return out
+
+
+def _transposed(band):
+    """The band of A^T for the band of a 1-D A: slot s of row i holds
+    A(i + s - d, i), and zero where that row falls outside the space."""
+    n, w = band.shape
+    rows = np.arange(n)[:, None] + np.arange(w) - w // 2
+    inside = (rows >= 0) & (rows < n)
+    return np.where(inside, band[np.clip(rows, 0, n - 1), np.arange(w)[::-1]], 0.0)
 
 
 def _folded_rows(X, axis: int, odd: bool = False):
@@ -799,7 +849,13 @@ class CrossSection:
       (assemble_limit's system is the zero key's block);
     - nd_terms: the pairs whose coefficient reads x1..xp, which go through
       the kernel on all n factors at each l;
-    - load: the cross-section load vector;
+    - load: the cross-section load vector, mirror averaged along every
+      parity axis whose coordinate the forcing does not read, so that its
+      odd folds are exactly zero;
+    - stencil(cells): the kernel's 1-D axial band of each axial pair and
+      the axial load on 3 d + 1 unit cells (fewer for a shorter factor),
+      built before any job forks, which axial(factor) places and scales
+      for the axial factor of every l;
     - eigenbasis(): for a two-part system, (lam, V) of the cross-section
       pencil, computed on first use and kept;
     - parity_axes: when a banded kernel solves the cylinder systems (no
@@ -842,9 +898,71 @@ class CrossSection:
         # omega's knots and Gauss points mirror only up to roundoff; the
         # mirror averages commute with the reflections bitwise
         self.blocks = tuple(_mirror_averaged(C, self.parity_axes) for C in self.blocks)
+        load = self.load.reshape(tuple(f.dim for f in self.factors))
+        for k in self.parity_axes:
+            if not spec.forcing.reads(p + k + 1):
+                # the forcing is even in x_k, so its load is too, and the
+                # load's mirror average has an odd fold of exactly zero
+                load = 0.5 * (load + np.flip(load, k))
+        self.load = load.ravel()
         for shared in self.blocks + (self.load,):
             shared.flags.writeable = False  # every system reads them
         self._eigenbasis = None
+        self._stencils = {}
+        self.stencil(3 * self.degree + 1)  # every long factor's, before any job forks
+
+    def stencil(self, cells: int):
+        """(bands, load) that an axial factor of `cells` uniform cells is
+        placed from (axial): the kernel's on min(cells, 3 d + 1) unit
+        cells, built on first use and kept.  bands maps each 1-D axial pair
+        (a, b) of the keys to its band with unit coefficient, and load is
+        the unit forcing's load, each mirror symmetric (_placed).  On
+        3 d + 1 cells the centre row, that of function 2 d before the
+        constraint, couples functions d..3 d, which are all uniform
+        B-splines the constraint keeps, for every m <= d: an interior row.
+        So every factor of that many cells or more reads one stencil; a
+        shorter one, whose rows near one end also see the other end's
+        knots, reads one of its own cell count.
+        """
+        cells = min(cells, 3 * self.degree + 1)
+        if cells not in self._stencils:
+            factor = SplineBasis1D(0.0, cells, cells, self.degree, self.spec.m)
+            pairs = sorted({(a[k], b[k]) for a, b in self.keys for k in range(self.spec.p)})
+            bands = {(a, b): _placed(_galerkin((factor,), [((a,), (b,), _unit)]), factor.dim,
+                                     (-1.0) ** (a + b)) for a, b in pairs}
+            load = _placed(_load((factor,), _unit), factor.dim)
+            for ref in (*bands.values(), load):
+                ref.flags.writeable = False  # every cylinder system reads it
+            self._stencils[cells] = bands, load
+        return self._stencils[cells]
+
+    def axial(self, factor):
+        """(bands, load) of a cylinder whose p axial factors are `factor`:
+        each key's axial band and the unit forcing's axial load, placed
+        from the stencil (_placed) and scaled to the factor's cell width h,
+        the band of the pair (a, b) by h^(1 - a - b) and the load by h; for
+        p = 2 the outer products of the 1-D ones."""
+        refs, ref_load = self.stencil(factor.cells)
+        h, n = factor.h, factor.dim
+        placed = {(a, b): _placed(ref, n, (-1.0) ** (a + b)) * h ** (1 - a - b)
+                  for (a, b), ref in refs.items()}
+        # the kernel's band of (b, a) is that of (a, b) transposed, bitwise;
+        # rows placed from different reference rows keep that only up to
+        # rounding, and the average with the transpose keeps it bitwise
+        placed = {(a, b): 0.5 * (band + _transposed(placed[b, a])) if (b, a) in placed else band
+                  for (a, b), band in placed.items()}
+        bands = []
+        for alpha, beta in self.keys:
+            band = placed[alpha[0], beta[0]]
+            for a, b in zip(alpha[1:], beta[1:]):
+                # (rows, slots, row, slot) -> (rows, row, slots, slot)
+                band = np.multiply.outer(band, placed[a, b])
+                band = np.ascontiguousarray(np.moveaxis(band, -2, band.ndim // 2 - 1))
+            bands.append(band)
+        load = line = _placed(ref_load, n) * h
+        for _ in range(1, self.spec.p):
+            load = np.multiply.outer(load, line)
+        return bands, load
 
     def _factor(self, lo, hi) -> SplineBasis1D:
         """The spline factor on (lo, hi) at the section's resolution and
@@ -911,9 +1029,10 @@ def assemble_cylinder(section: CrossSection, ell: float) -> AssembledSystem:
     """Full problem on (-ell, ell)^p x omega with Dirichlet order m, for the
     problem, resolution and degree of section.
 
-    Only the axial pieces are assembled here: each Kronecker part's axial
-    band, the n-D band if a pair needs it, and the axial load.  The
-    cross-section blocks and load come from section.
+    Only the axial pieces are built here: each Kronecker part's axial
+    band and the axial load, placed from the section's stencil
+    (CrossSection.axial), and the n-D band, by the kernel, if a pair needs
+    it.  The cross-section blocks and load come from section.
     """
     spec = section.spec
     check_half_length(spec, ell)
@@ -926,12 +1045,12 @@ def assemble_cylinder(section: CrossSection, ell: float) -> AssembledSystem:
         )
     basis = section.cylinder_basis(ell)
     factors = basis.factors
-    parts = tuple((_galerkin(factors[:p], [(a, b, _unit)]), C)
-                  for (a, b), C in zip(section.keys, section.blocks))
+    bands, load = section.axial(factors[0])
     nd_band = _galerkin(factors, section.nd_terms) if section.nd_terms else None
     _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band)
-    rhs = np.multiply.outer(_load(factors[:p], _unit), section.load).ravel()
-    return AssembledSystem(rhs, basis, section, float(ell), parts, nd_band)
+    rhs = np.multiply.outer(load, section.load).ravel()
+    return AssembledSystem(rhs, basis, section, float(ell), tuple(zip(bands, section.blocks)),
+                           nd_band)
 
 
 def assemble_limit(section: CrossSection) -> AssembledSystem:

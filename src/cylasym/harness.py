@@ -32,7 +32,8 @@ even section (CrossSection.even: no coefficient reads an axial x_k, and
 every pair has alpha_k + beta_k even on it, so u_l is even in x_k), times
 each parity along each of the section's parity axes
 (CrossSection.parity_axes), a block whose folded load is exactly zero left
-out; any other system, one with an n-D band or the cross-section system,
+out (the odd blocks along an axis whose coordinate the forcing does not
+read, since the section mirror averages its load there); any other system, one with an n-D band or the cross-section system,
 is solved whole.  The kernel is picked once, from the system's structure
 (_kernel): a symmetric system of two Kronecker parts
 (AssembledSystem.two_part) by fast diagonalization of its cross-section
@@ -45,8 +46,10 @@ freed before the next, and joined (AssembledSystem.joined).  The section's
 blocks are mirror averaged along the parity axes, so the full system
 commutes with the reflections bitwise and its blocks drop no coupling.  At
 the biharmonic strip's 32 cells/unit, l = 16, the blocks turn one Cholesky
-band of 12.3 MB (kd = 96; 24.6 MB unfolded) into bands of 3.4 and 3.0 MB
-(kd = 51 and 48).  The backward-error check (linalg._accept) runs once, on
+band of 12.3 MB (kd = 96; 24.6 MB unfolded) into the even block's band of
+3.4 MB (kd = 51); f = 1 does not read x2, so the odd block, a band of
+3.0 MB (kd = 48) for a forcing that reads x2, is left out.  The
+backward-error check (linalg._accept) runs once, on
 the joined x, with the full system's right-hand side, residual and |A|_inf,
 all three from its pieces (AssembledSystem.matvec and inf_norm), so the
 record's backward_error, solver_residual and dofs describe the full system.

@@ -44,8 +44,11 @@ from cylasym.assembly import (
     CrossSection,
     _dense,
     _folded_band,
+    _folded_rows,
     _galerkin,
+    _load,
     _mirror_averaged,
+    _unit,
     assemble_cylinder,
     assemble_limit,
     band_apply,
@@ -912,10 +915,21 @@ def test_the_odd_band_fold_needs_no_mirror_symmetry(dims, widths, axis):
 
 
 _BIHARMONIC = builtin_problem("biharmonic_strip")
+
+
+def _forced(spec, text):
+    """spec with the forcing text."""
+    return dataclasses.replace(spec, forcing=ScalarField.parse(text, spec.n))
+
+
+# f = 1 + x2 reads x2, so its load keeps an odd part along it, and the
+# biharmonic strip's cylinder systems keep both parity blocks
+_BIHARMONIC_X2 = _forced(_BIHARMONIC, "1 + x2")
 _BIHARMONIC_3D = parse_problem_config(
     "[problem]\nm = 2\nn = 3\np = 1\nomega = 0,1;0,2\n\n[coef]\n"
     "a_2_0_0_2_0_0 = 1\na_0_2_0_0_2_0 = 1\na_0_0_2_0_0_2 = 1\n"
-    "a_2_0_0_0_2_0 = 1\na_0_2_0_2_0_0 = 1\n\n[forcing]\nf = 1 + x2\n", "biharmonic_3d")
+    "a_2_0_0_0_2_0 = 1\na_0_2_0_2_0_0 = 1\n\n[forcing]\nf = 1 + x2 + x3\n",
+    "biharmonic_3d")
 # symmetric, with the odd keys (1, 0) and (0, 1) on x1 and x2: no axial
 # fold, and only x3 mirrored
 _MIXED_3D = parse_problem_config(
@@ -924,12 +938,13 @@ _MIXED_3D = parse_problem_config(
     "a_1_0_0_0_1_0 = 0.5\na_0_1_0_1_0_0 = 0.5\n\n[forcing]\nf = x2 + x3^2\n", "mixed_3d")
 # nonsymmetric, with the odd axial key (1, 0): LU on parity blocks, no
 # axial fold
-_CONVECTION = _plus(_POISSON, {((1, 0), (0, 0)): "1"})
+_CONVECTION = _forced(_plus(_POISSON, {((1, 0), (0, 0)): "1"}), "1 + x2")
 _BLOCK_CASES = {
-    # (spec, ell, resolution, degree, mirrored)
-    "biharmonic_odd_nc": (_BIHARMONIC, 2.0, 8, None, (0,)),
-    "biharmonic_even_nc": (_BIHARMONIC, 1.0, 5, None, (0,)),
-    "biharmonic_fewest": (_BIHARMONIC, 0.5, 5, 2, (0,)),
+    # (spec, ell, resolution, degree, mirrored), each forcing with an odd
+    # part along every mirrored axis
+    "biharmonic_odd_nc": (_BIHARMONIC_X2, 2.0, 8, None, (0,)),
+    "biharmonic_even_nc": (_BIHARMONIC_X2, 1.0, 5, None, (0,)),
+    "biharmonic_fewest": (_BIHARMONIC_X2, 0.5, 5, 2, (0,)),
     # x2 on (0, 1) has an even N_c, x3 on (0, 2) an odd one
     "biharmonic_3d": (_BIHARMONIC_3D, 1.0, 5, None, (0, 1)),
     "mixed_3d": (_MIXED_3D, 1.0, 4, None, (1,)),
@@ -996,8 +1011,9 @@ def test_the_mirror_predicate_reads_every_pair():
 def test_a_block_with_a_zero_load_is_left_out():
     # a load that is exactly odd about the middle of (0, 1) folds to an even
     # load of exactly zero (b_i + b_m(i) = 0): that block is left out, and
-    # joined gives the odd block's extension alone, even in x1, bitwise
-    system = assembled_cylinder(_BIHARMONIC, ell=2.0, resolution=8)
+    # joined gives the odd block's extension alone, even in x1, bitwise.
+    # f = 1 + x2 keeps an odd part, so B - flip(B) is not zero
+    system = assembled_cylinder(_BIHARMONIC_X2, ell=2.0, resolution=8)
     B = system.rhs.reshape(system._dims)
     system = dataclasses.replace(system, rhs=(B - np.flip(B, 1)).ravel())
     [(parities, block)] = system.parity_blocks()
@@ -1009,6 +1025,20 @@ def test_a_block_with_a_zero_load_is_left_out():
     # the sum starts from the first block, not from +0.0, which would turn
     # its -0.0 into +0.0
     assert X[0, 0] == 0.0 and np.signbit(X[0, 0])
+
+
+@pytest.mark.parametrize("forcing,blocks", [("1", 1), ("0.6344", 1), ("1 + x2", 2)])
+def test_the_block_count_follows_the_forcing(forcing, blocks):
+    # a forcing that does not read x2 is even in it: the section mirror
+    # averages its load along x2, so the odd block's folded load is exactly
+    # zero, before the axial fold and after it, and the block is left out;
+    # a forcing that reads x2 keeps both blocks
+    system = assembled_cylinder(_forced(_BIHARMONIC, forcing), ell=2.0, resolution=8)
+    B = system.rhs.reshape(system._dims)
+    assert [parities for parities, _ in system.parity_blocks()] == [(False,), (True,)][:blocks]
+    for load in (B, _folded_rows(B, 0)):
+        odd = _folded_rows(load, 1, odd=True)
+        assert bool(np.all(odd == 0.0)) is (blocks == 1)
 
 
 @pytest.mark.parametrize("omega,resolution", [
@@ -1055,6 +1085,90 @@ def test_a_non_finite_block_or_load_is_refused_by_the_section(coef, forcing, wha
         CrossSection(spec, 13)
 
 
+# ------------------------------------------------------------------ the axial stencil
+
+
+_STENCIL_CASES = {
+    # (spec, resolution, degree, ells): the 1-D axial pairs (0, 0), (0, 2),
+    # (2, 0), (2, 2); the transposed odd pair (1, 0), (0, 1); the odd key
+    # (1, 0) alone; and the two-axis bands of the p = 2 box
+    **{f"biharmonic_{r}": (_BIHARMONIC, r, None, (2.0, 4.0)) for r in (12, 24, 48)},
+    **{f"mixed_3d_{r}": (_MIXED_3D, r, None, (2.0,)) for r in (12, 24, 48)},
+    **{f"convection_{r}": (_CONVECTION, r, None, (2.0,)) for r in (12, 24, 48)},
+    **{f"box_p2_{r}": (_laplace_box(2), r, None, (2.0,)) for r in (12, 24)},
+    # degree m = 1: the constraint drops a column of every row that a
+    # stencil of 3 d cells would take for its interior row
+    "convection_degree_1": (_CONVECTION, 12, 1, (2.0,)),
+    # factors of fewer than 3 d + 1 cells, whose rows near one end also see
+    # the other end's knots: 5, 7 and 9 cells at d = 3; 10 and 12 at d = 4;
+    # 3 and 6 cells at d = 2 on both axes of the p = 2 box
+    "biharmonic_short": (_BIHARMONIC, 5, None, (0.5, 0.7, 0.9)),
+    "biharmonic_degree_4_short": (_BIHARMONIC, 5, 4, (1.0, 1.2)),
+    "box_p2_short": (_laplace_box(2), 3, None, (0.5, 1.0)),
+}
+
+
+def _axial_pieces(spec, resolution, degree, ells):
+    """(section, ell, factor, bands, load) per ell: the section's axial
+    pieces on the axial factor of the cylinder of half-length ell."""
+    section = CrossSection(spec, resolution, degree)
+    for ell in ells:
+        factor = section.cylinder_basis(ell).factors[0]
+        yield (section, ell, factor, *section.axial(factor))
+
+
+@pytest.mark.parametrize("case", _STENCIL_CASES)
+def test_every_axial_band_and_load_equals_its_signed_mirror(case):
+    # placed from the stencil, every axial band commutes with the
+    # reflection of each axial axis k bitwise, up to the sign
+    # (-1)^(alpha_k + beta_k), and the axial load is even; so are the
+    # pieces of the system assemble_cylinder builds
+    for section, ell, factor, bands, load in _axial_pieces(*_STENCIL_CASES[case]):
+        p = section.spec.p
+        for (alpha, beta), band in zip(section.keys, bands):
+            for k in range(p):
+                sign = (-1.0) ** (alpha[k] + beta[k])
+                assert np.array_equal(band, sign * np.flip(band, (k, p + k))), (ell, alpha, beta)
+        for k in range(p):
+            assert np.array_equal(load, np.flip(load, k))
+        system = assemble_cylinder(section, ell)
+        assert all(np.array_equal(A, band) for (A, _), band in zip(system.kron_parts, bands))
+        assert np.array_equal(system.rhs, np.multiply.outer(load, section.load).ravel())
+
+
+@pytest.mark.parametrize("case", _STENCIL_CASES)
+def test_every_axial_band_and_load_is_the_kernels(case):
+    # the kernel on (-l, l) places its knots and Gauss points with the
+    # rounding of numbers up to l, so it drifts from the stencil's unit
+    # cells as l * resolution grows (4e-14 of the largest entry at l = 2 and
+    # 48 cells/unit, 3e-13 at l = 16); where the transposed pair is a key
+    # too, (a, b) is (b, a) transposed bitwise, as the kernel's is
+    for section, ell, factor, bands, load in _axial_pieces(*_STENCIL_CASES[case]):
+        factors = (factor,) * section.spec.p
+        for (alpha, beta), band in zip(section.keys, bands):
+            kernel = _galerkin(factors, [(alpha, beta, _unit)])
+            assert band.shape == kernel.shape
+            assert np.abs(band - kernel).max() <= 1e-13 * np.abs(kernel).max(), (ell, alpha, beta)
+            if (beta, alpha) in section.keys and section.spec.p == 1:
+                other = bands[section.keys.index((beta, alpha))]
+                assert np.array_equal(transposed_band(band), other)
+        kernel = _load(factors, _unit).reshape(load.shape)
+        assert np.abs(load - kernel).max() <= 1e-13 * np.abs(kernel).max()
+
+
+def test_the_leading_rows_are_the_same_at_every_l():
+    # every cylinder of a sweep places its axial bands from one stencil at
+    # one cell width, so the first half of the rows of A_l is bitwise that
+    # of A_lmax
+    pieces = list(_axial_pieces(_BIHARMONIC, 12, None, (2.0, 4.0, 8.0, 16.0)))
+    *_, (_, _, _, top, top_load) = pieces
+    for _, ell, factor, bands, load in pieces:
+        half = factor.dim // 2
+        for band, widest in zip(bands, top):
+            assert np.array_equal(band[:half], widest[:half]), ell
+        assert np.array_equal(load[:half], top_load[:half])
+
+
 # ------------------------------------------------------------------ the band invariant
 
 
@@ -1087,6 +1201,11 @@ _BANDS = {
     "cross_section_1d": lambda: CrossSection(_BIHARMONIC, 8).blocks,
     "cross_section_2d": lambda: (CrossSection(_laplace_box(1), 4).blocks
                                  + CrossSection(_BIHARMONIC_3D, 5).blocks),
+    "axial_stencil": lambda: [
+        band for case in ("biharmonic_short", "biharmonic_degree_4_short", "box_p2_short",
+                          "mixed_3d_12")
+        for section, _, factor, bands, _ in _axial_pieces(*_STENCIL_CASES[case])
+        for band in (*bands, *section.stencil(factor.cells)[0].values())],
     "nd_box3d_sin_x1": lambda: [
         assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band],
     "mirror_averaged": lambda: [_mirror_averaged(C, (0, 1))

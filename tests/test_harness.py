@@ -137,27 +137,28 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 def test_sweep_interior_tables_hold_their_values():
     # reprs of the estimator on the one difference field u_l - ext(u_inf),
-    # taken when LAPACK's dpbtrf took over the cross-section solve from a
-    # numpy band Cholesky: they moved by up to 7.7e-14 relative at l = 2 and
-    # 3.3e-10 at l = 4, where the differences are 2500 times smaller and the
-    # solve's roundoff weighs more, as reading the assembled matrix, not
-    # (A + A^T) / 2, had moved them before, by up to 1.9e-13 and 5.1e-10
+    # taken when the axial bands came to be placed from a per-sweep stencil,
+    # mirror symmetric bitwise: they moved by up to 4.5e-13 relative at
+    # l = 2 and 5.6e-10 at l = 4, where the differences are 2500 times
+    # smaller and the roundoff of the matrix weighs more, as LAPACK's dpbtrf
+    # (up to 7.7e-14 and 3.3e-10) and reading the assembled matrix, not
+    # (A + A^T) / 2 (up to 1.9e-13 and 5.1e-10), had moved them before
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.646638683302684e-05, '0_1': 0.00022532855497324665, "
-            "'1_0': 0.0002324410460864318, '0_2': 0.0018229449955430995, "
-            "'1_1': 0.000772473934189213, '2_0': 0.002164196817393156}",
-            "{'0_0': 0.0006463618950815993, '1_0': 0.004082053622872, "
-            "'2_0': 0.024434120184653157}",
+            "{'0_0': 4.646638683303461e-05, '0_1': 0.000225328554973306, "
+            "'1_0': 0.00023244104608632714, '0_2': 0.0018229449955435091, "
+            "'1_1': 0.000772473934188958, '2_0': 0.0021641968173926555}",
+            "{'0_0': 0.0006463618950815988, '1_0': 0.004082053622872008, "
+            "'2_0': 0.0244341201846532}",
         ),
         (
-            "{'0_0': 1.8792150710270166e-08, '0_1': 8.23201768386194e-08, "
-            "'1_0': 8.233974726565979e-08, '0_2': 6.093924714453528e-07, "
-            "'1_1': 4.007155527824077e-07, '2_0': 3.5979045334130634e-07}",
-            "{'0_0': 1.4292434528607315e-07, '1_0': 5.297804488184501e-07, "
-            "'2_0': 3.752427943945496e-06}",
+            "{'0_0': 1.8792150699813448e-08, '0_1': 8.232017679494659e-08, "
+            "'1_0': 8.233974725470484e-08, '0_2': 6.093924713392622e-07, "
+            "'1_1': 4.0071555263576653e-07, '2_0': 3.597904534952696e-07}",
+            "{'0_0': 1.4292434524650427e-07, '1_0': 5.297804487769455e-07, "
+            "'2_0': 3.7524279444945707e-06}",
         ),
     ]
 
@@ -167,6 +168,26 @@ def test_sweep_localized_energy_decays_dyadically(poisson_report):
     assert [e for e, _ in table] == [4.0, 2.0, 1.0]
     vals = [v for _, v in table]
     assert vals[0] > vals[1] > vals[2] >= 0.0
+
+
+def test_no_kernel_runs_per_l(monkeypatch):
+    # the section runs the kernel once per cross-section block and once
+    # per 1-D axial pair of its stencil, before any job; the cylinders
+    # place their axial bands and loads from that stencil, so a sweep of
+    # four half-lengths runs the kernel as often as one of two
+    galerkin, calls = assembly._galerkin, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return galerkin(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_galerkin", counted)
+    counts = []
+    for ells in ((2.0, 4.0), (2.0, 4.0, 8.0, 16.0)):
+        calls.clear()
+        run_sweep(SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=ells, resolution=8))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_sweep_rejects_hypothesis_violations():
@@ -795,8 +816,9 @@ def test_a_folded_cholesky_solve_peaks_below_the_full_band():
 _ONE_ACCEPTANCE = {
     # (spec, where, folds, banded solves, method)
     "box3d_two_part": (_laplace_box(), "cyl", True, 0, "fast_diagonalization"),
-    # its even half's even and odd parity blocks
-    "biharmonic_multi_part": (builtin_problem("biharmonic_strip"), "cyl", True, 2,
+    # its even half's even parity block: f = 1 is even in x2, so the
+    # section's load is mirror averaged and the odd block's load is zero
+    "biharmonic_multi_part": (builtin_problem("biharmonic_strip"), "cyl", True, 1,
                               "cholesky_banded"),
     "biharmonic_cross_section": (builtin_problem("biharmonic_strip"), "lim", False, 1,
                                  "cholesky_banded"),
@@ -806,8 +828,9 @@ _ONE_ACCEPTANCE = {
                        "cholesky_banded"),
     "poisson_nonsymmetric": (_plus(POISSON, {((0, 1), (0, 0)): "1"}), "cyl", True, 1,
                              "lu_banded"),
-    # the parity blocks of the whole system: the odd key (1, 0) has no fold
-    "poisson_convection": (_plus(POISSON, {((1, 0), (0, 0)): "1"}), "cyl", False, 2,
+    # the even parity block of the whole system: the odd key (1, 0) has no
+    # fold, and f = 1 leaves the odd block's load zero
+    "poisson_convection": (_plus(POISSON, {((1, 0), (0, 0)): "1"}), "cyl", False, 1,
                            "lu_banded"),
 }
 

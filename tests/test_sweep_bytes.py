@@ -11,9 +11,12 @@ nonsymmetric a_0_1_0_0 = 1, pins the banded LU path: LAPACK's dgbsv for
 every system, its tridiagonal cross-section system at degree 1 included.
 The 3-D box, the Laplacian on (-l, l) x (0, 1)^2 at 4 cells per
 unit, pins the fast-diagonalization path of a two-dimensional
-cross-section.  The biharmonic strip pins the parity blocks of a cross-section
-axis.  The p = 2 box, the Laplacian on (-l, l)^2 x (0, 1) at 4 cells per
-unit, pins the fold of two axial axes, and the Poisson strip with
+cross-section.  The biharmonic strip, whose forcing f = 1 is even in x2,
+pins the solve of the even parity block alone (the section mirror averages
+its load, so the odd block's is exactly zero and left out); the biharmonic
+strip with f = 1 + x2, which reads x2, pins both parity blocks of a
+cross-section axis.  The p = 2 box, the Laplacian on (-l, l)^2 x (0, 1) at
+4 cells per unit, pins the fold of two axial axes, and the Poisson strip with
 a_1_0_1_0 = 2 + sin(x1) the solve of an n-D band.  Two refinement runs,
 `python -m cylasym refine --l 2` of the Poisson strip at degree 1 and of
 the biharmonic strip at degree 3, pin their CSVs too.  A change that
@@ -44,31 +47,33 @@ PINNED_VERSIONS = {
                 "MAX_THREADS=64",
 }
 DIGESTS = {
-    "poisson_strip": "6df6f33b422d852d72c255b04d11832c4075b45ef31e6cb5e709eef20753397b",
-    "biharmonic_strip": "43686589b1ec76a482e0e06929777c8ee518a1da3b3751b323b5cc307608b578",
-    "varcoef_strip": "2cb0b7ed26642ffecfc2c3c0d97f8f39a4230bb3f665f4a4fe98f57271fd29e6",
-    "skew_strip": "a7eb985c660d15517e013a8305a04aba657eaa20ac297446aabd27bfea034c5f",
-    "skew_strip_degree_1": "c1d9f5ebcc8fa29977b3f1c0f5863fafa662fc2c639aa23ad612f18c10c22762",
-    "box3d": "7b8b1597bd17099bc1c1cfc090a46dde01eb5f600b5bcb6768671e65fab4f3fa",
-    "box_p2": "0a1c7f8d67f0d7d01744cdfb093b4dd5dd82ec23e765fdcda7dffb3a16e61b5c",
-    "poisson_sin_x1": "27fe7cbdfe10f8be3904a7db9be4b45a8540d5a8976b58a42fd2f9f7eff37bbe",
+    "poisson_strip": "c8332474cd4de2907683dd914df30cca04886c6f47853d86cb7cd1ab51366eff",
+    "biharmonic_strip": "8149a643be399bde99967841d79162e71acd4fcb2e6dcc6f7a59e1de3aa0f082",
+    "varcoef_strip": "cd47bd757eee12bcc0396daf7b09082bf8d33f679b118976e20f3b45694821a2",
+    "skew_strip": "98f4bbe5387e173e2ab44a760cf3a95e902fe6ea9b6353e57fca097c3377c4b1",
+    "skew_strip_degree_1": "ec6e23f8aa765d6fd983606dcd27534301d5f0c5647c1cfe2ce6a63b9b4608fd",
+    "box3d": "3369f16799fb33dc9c9a0dbc6ab7dff326a3b566bf17b9c15a3efd83d1f0d2d0",
+    "box_p2": "8dd8c33ea7e202efd926c1bd6ac53298bd53f31c7222e32e8cfa5d9adae5852a",
+    "poisson_sin_x1": "489684b6562aba250c6526ea518e878fc4d1af0b49345f76ad71b93f87b9096a",
+    "biharmonic_x2": "011a729ecfac4711ab696ab7ffab4a09e8d705653e0e7244ae564f953f414831",
 }
 JSON_DIGESTS = {
-    "poisson_strip": "fc24a34c9d118a8dbb2c17a0586adcbf922e425e7543980d6335d62de277b339",
-    "biharmonic_strip": "674d95f673679aa0be8a3aba39e0386495f9d99055fba153671126e110fd3b48",
-    "varcoef_strip": "29df5b064160d044e1a3ac0a5c04f746766b77275beec0e9cc0cc8ced9071cb1",
-    "skew_strip": "ae78d04aa9ae8ed08ad816a1ab8032d26ffa30c9c249c5c895fca7f7cebd263b",
-    "skew_strip_degree_1": "efa6e7dcefd4a43ddcf363145eea5f062da8c62c2d6387c5b5e703f8da45d02b",
-    "box3d": "34232b5708a4ecd0f7724c51ab271e226a4130865b11713f6a1565ba730f452e",
-    "box_p2": "5f8eb860b74e64b0b2cf7a878ede97b7c0fe7d653ad4d20e35d23d300a8db30f",
-    "poisson_sin_x1": "a2006e6e547b7d31d99ae705a61cd61b23b928041b8ce6ae275beb0da4005ba3",
+    "poisson_strip": "b5fcadfba5003faea780350f29390885eeeea0dfb0846f44d47cb9099fd7d5c9",
+    "biharmonic_strip": "7994d6101cb67623401674d7377bc82c33c5ab7f3c90a665ec5a7399e815c324",
+    "varcoef_strip": "9ddf1dcf47db4290b46ae18cd644abd10dd0285c9fde900fef0276861ffc3c2e",
+    "skew_strip": "4eb2d8faa68caebad28c6710a3cf5b5ce61db67c44f4a746bc8536ed6f5f41b4",
+    "skew_strip_degree_1": "a35b03f8f102087e6795219f8df0cd938e5dbf08c48c14738cb520eadda93c9c",
+    "box3d": "bd303394c5f52ee0b45c2c57e9bb8a7b4c223263af21724dc7b1ac5b90c6221e",
+    "box_p2": "687ffceeebb162a00ef20cc2e1848202a203b8b828471188947cd5fc886e1cea",
+    "poisson_sin_x1": "cb29cba4920499fd29e7b62d3efd6912723e3d5ea717b8b790fe7fa5ef9bc736",
+    "biharmonic_x2": "9382b56935a2f8898cd38077635008f74a9d932139d0798cf41dd6a4aab80110",
 }
 # the CSV of `cylasym refine --l 2` at each problem's cells and degree
 REFINE_DIGESTS = {
     ("poisson_strip", "8,16,32,64", "1"):
-        "9772bc0d59a7cc7b7b160d60d748bcc52f6d4c3a815ab1d99f7ceca620ed3729",
+        "e3731b8335f669d386a8c08755ef3b5b03fc2faae38d8092ef9263c70205b484",
     ("biharmonic_strip", "6,12,24", "3"):
-        "c52fadf55998f2bc7178b92a69d453941854005173d808527c57fa49b038be4d",
+        "7523afa3175972dc84240c5faabefb8ca403e0627dfb08554df407a8ebc03430",
 }
 SKEW_CONFIG = (
     "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
@@ -84,6 +89,10 @@ BOX_P2_CONFIG = (
     "a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = 1\n\n[forcing]\n"
     "f = sin(3.141592653589793 * x3)\n"
 )
+BIHARMONIC_X2_CONFIG = (
+    "[problem]\nm = 2\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
+    "a_0_2_0_2 = 1\na_0_2_2_0 = 1\na_2_0_0_2 = 1\na_2_0_2_0 = 1\n\n[forcing]\nf = 1 + x2\n"
+)
 SIN_X1_CONFIG = (
     "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
     "a_1_0_1_0 = 2 + sin(x1)\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n"
@@ -95,6 +104,7 @@ CONFIGS = {
     "box3d": (BOX_CONFIG, [], 4),
     "box_p2": (BOX_P2_CONFIG, [], 4),
     "poisson_sin_x1": (SIN_X1_CONFIG, [], 8),
+    "biharmonic_x2": (BIHARMONIC_X2_CONFIG, [], 8),
 }
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_THREAD = {name: "1" for name in
