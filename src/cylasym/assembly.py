@@ -7,9 +7,9 @@ indices differ by at most d_k on every axis, so a matrix is an array of shape
 couples row (i_k) with column (i_k + s_k - d_k).  The slots whose column
 falls outside the space hold no matrix entry, and every band the package
 builds holds zero in them: the kernel's, since the tables zero the
-functions the constraint drops, and those the folds, mirror averages,
-axial placements (_placed, _transposed) and Gram bands
-(splines.axis_grams) form.  So band_apply, matvec and
+functions the constraint drops, and those the folds, placements (_placed,
+_transposed), outer products (_outer) and Gram bands (splines.axis_grams)
+form.  So band_apply, matvec and
 _kron_row_sums read a band as it is; the slot walk and the folds read the
 in-space slots only, since they also place entries and define the folded
 space.  A new producer of bands keeps this invariant, and
@@ -30,8 +30,8 @@ whose coefficient reads none of the axial variables x1..xp -- decided
 exactly from the expression's free variables by ScalarField.reads_axial --
 contributes kron(A_axial[alpha_ax, beta_ax], A_cross[alpha', beta'; a]),
 where A_axial is the band of the p axial factors with unit coefficient and
-A_cross is the kernel on the cross-section factors with the coefficient a;
-in band layout that is the broadcast product of the two bands.  Pairs that
+A_cross the band on the cross-section factors with the coefficient a; in
+band layout that is the broadcast product of the two bands.  Pairs that
 share an axial part share one product.  Every pair whose coefficient reads
 x1..xp, which the hypotheses allow when alpha has an axial component, goes
 through the kernel on all n factors.  The forcing may not read x1..xp, so
@@ -41,20 +41,30 @@ load); a forcing that reads them is refused.
 None of the cross-section pieces depends on l, so a CrossSection builds
 them once for a sweep: the cross-section factors, the A_cross block of
 every axial part, the cross-section load and, for a two-part system, the
-pencil's eigenbasis.  Nor does the axial stencil: the axial factors are
-uniform, and with a unit coefficient the band of the 1-D pair (a, b) on
-cells of width h is h^(1 - a - b) times its band on unit cells, whose rows
-are those of one interior row except for the leading rows, which the
-repeated knots at the lower end shape, and their mirror images.  So the
-CrossSection runs the kernel once per 1-D axial pair on 3 d + 1 unit cells
-(CrossSection.stencil), whose centre row is an interior one, and the load
-likewise, before any job, and every axial factor places its band from that
-(_placed): the leading rows, then the interior row, then the mirror of the
-first half with the sign (-1)^(a + b).  The bands and the load equal their
-signed mirrors bitwise.  A factor of fewer than 3 d + 1 cells, whose rows
-near one end also see the other end's knots, places from a stencil of its
-own cell count, on the same path.  For p = 2 every axial band and the
-axial load are the outer products of the 1-D ones.  assemble_cylinder and
+pencil's eigenbasis.  Nor does the stencil.  Every factor, axial or of
+omega, has uniform cells, and with a unit coefficient the band of the 1-D
+pair (a, b) on cells of width h is h^(1 - a - b) times its band on unit
+cells, whose rows are those of one interior row except for the leading
+rows, which the repeated knots at the lower end shape, and their mirror
+images.  So the CrossSection runs the kernel once per 1-D pair of any
+coefficient on 3 d + 1 unit cells (CrossSection.stencil), whose centre row
+is an interior one, and the unit load likewise, before any job, and every
+factor places its bands and load from that (_placed): the leading rows,
+then the interior row, then the mirror of the first half with the sign
+(-1)^(a + b).  These equal their signed mirrors bitwise, and they do not
+depend on where the factor lies.  A factor of fewer than 3 d + 1 cells,
+whose rows near one end also see the other end's knots, places from a
+stencil of its own cell count, on the same path.  One rule builds every
+piece on several factors: along a factor whose coordinate the coefficient
+(or the forcing) does not read, its placed 1-D band (or load); only the
+factors it reads go through the kernel, with the coefficient; the outer
+product of the pieces (_outer) joins them.  So every axial band is the
+outer product of placed ones, and so is an A_cross block whose
+coefficient is constant, times that constant; a coefficient that reads
+x_k of omega meets the kernel on x_k's factor alone.  The blocks and the
+load are therefore bitwise signed-mirror symmetric along every axis of
+omega whose coordinate no coefficient (no forcing) reads, and the same on
+every translate of omega of the same width.  assemble_cylinder and
 assemble_limit take the CrossSection as their whole description of the
 problem: assemble_limit's system is the block of the zero axial part with
 the cross-section load, and assemble_cylinder builds only the n-D band, if
@@ -70,8 +80,8 @@ full band would sum it: zero, then each Kronecker part (the outer product
 of its axial band's slots s_1..s_p and its cross-section band's slots
 s_p+1..s_n), then the n-D band.  The system's matrix A is that sum, read
 as it is.  A symmetric problem's A is symmetric up to rounding, since the
-kernel forms and sums the two entries of a mirror pair in different
-orders; no reader symmetrizes it.  A symmetric kernel reads only A's
+kernel and the sum over the Kronecker parts form the two entries of a
+mirror pair in different orders; no reader symmetrizes it.  A symmetric kernel reads only A's
 lower triangle, and the backward-error check judges its x against A
 itself, the matrix that was assembled.  One slot walk
 (_band_entries) hands out the entries, and every written form of the
@@ -104,16 +114,16 @@ cross-section axes (CrossSection.mirrored) are the section's parity axes
 (CrossSection.parity_axes), and each parity tuple over them has one block,
 its cross-section bands the section's folded to its even or odd half along
 each parity axis (_folded_band with odd: P e_i = e_i - e_m(i), the centre
-left out).  Omega's uniform knots and quadrature points are
-mirror-symmetric only up to roundoff (the kernel's blocks up to 8e-13 of
-their largest entry on omega = (15.89, 16.89) at 48 cells per unit), so the
-CrossSection replaces each cross-section block by its mirror average
-(_mirror_averaged) along every parity axis, and every system that reads
-the blocks, the limit system too, commutes with the reflections bitwise.
-A forcing that does not read the coordinate of a parity axis is even in
-it, so the CrossSection mirror averages its load along that axis too; the
-odd fold of that load is then exactly zero, not rounding noise.  The
-folded cross-section blocks are formed per system, not kept per sweep.
+left out).  No coefficient reads the coordinate of a parity axis, so every
+block is placed from the stencil along it and commutes with its
+reflection bitwise, and so does every system that reads the blocks, the
+limit system too; omega's own knots and quadrature points mirror only up
+to roundoff (the kernel's blocks up to 8e-13 of their largest entry on
+omega = (15.89, 16.89) at 48 cells per unit), and no block's kernel
+piece spans a parity axis.  A forcing that does not read the coordinate of a
+parity axis has its load placed along it too, even bitwise, so the odd
+fold of that load is exactly zero, not rounding noise.  The folded
+cross-section blocks are formed per system, not kept per sweep.
 A block's load is the system's folded alike (_folded_rows): the uncoupled
 systems P_s^T A P_s y_s = P_s^T b, leaving out a block whose folded load is
 exactly zero (the odd blocks of an even forcing), and joined gives
@@ -141,14 +151,17 @@ in ascending order, so assembling the same problem twice gives
 bitwise-identical matrices.
 
 The cross-section (limit) problem keeps only coefficient pairs whose
-multi-indices have no axial components; axial coordinates are pinned to zero
-when evaluating coefficients and forcing there, which is exactly the
-axis-independence the hypothesis validator enforces.  A limit pair whose
-coefficient reads x1..xp, which the validator refuses, is refused by
-assemble_limit too.  The CrossSection checks its blocks and load for
-non-finite entries once, as the stage `cross-section` (l = inf), so no
-system built from it checks them again; assemble_cylinder checks only the
-n-D band it assembles at each l.
+multi-indices have no axial components.  The kernel takes the coordinate
+index of each factor it runs on, and a coordinate no factor carries is 0.0
+when it evaluates a coefficient or the forcing: the axial ones on omega,
+which is exactly the axis-independence the hypothesis validator enforces,
+and those of omega's factors that the field does not read.  A limit pair
+whose coefficient reads x1..xp, which the validator refuses, is refused by
+assemble_limit too.  The CrossSection checks the kernel's pieces on omega
+(or a constant coefficient or forcing) for non-finite entries once, as the
+stage `cross-section` (l = inf), before it joins them with placed bands,
+so no system built from it checks them again; assemble_cylinder checks
+only the n-D band it assembles at each l.
 """
 
 import itertools
@@ -333,10 +346,11 @@ class AssembledSystem:
         extension along every axial axis of an even section, then the even
         or odd extension (parities[j] True for odd) along parity axis j.
         Each Kronecker part's axial band is folded once (_folded_band), and
-        shared by every block; its cross-section band, the section's mirror
-        average, is folded per block, and the load alike (_folded_rows).  A
-        commutes with every such reflection (bitwise on the parity axes,
-        whose blocks are mirror averaged) and b is even on the axial axes,
+        shared by every block; its cross-section band, the section's, is
+        folded per block, and the load alike (_folded_rows).  A commutes
+        with every such reflection (bitwise on the parity axes, along which
+        the blocks are placed from the stencil) and b is even on the axial
+        axes,
         so the blocks are uncoupled and x = joined(blocks, ys) solves
         A x = b; a skipped block's y is zero.  A block has no basis; its
         dims and degrees come from its pieces.
@@ -421,21 +435,8 @@ def _folded_band(band, axis: int, odd: bool = False):
     return np.ascontiguousarray(np.moveaxis(folded, (0, 1), (axis, k + axis)))
 
 
-def _mirror_averaged(band, axes):
-    """The band of (A + M A M) / 2 for the band of A, along each of `axes`
-    in turn, M the reflection i -> m(i) = N - 1 - i of that factor: in band
-    layout, A(m(i), m(k)) is the band flipped along the factor's rows and
-    its slots, and an out-of-space slot meets an out-of-space slot.  Both
-    entries of a mirror pair are the same sum, so the result commutes with
-    every reflection bitwise, and its even and odd folds are uncoupled."""
-    k = band.ndim // 2
-    for axis in axes:
-        band = 0.5 * (band + np.flip(band, (axis, k + axis)))
-    return band
-
-
 def _placed(ref, n: int, sign: float = 1.0):
-    """The band (or, for a 1-D ref, the load) of an axial factor of n
+    """The band (or the load, a band of slot width 1) of a 1-D factor of n
     functions on uniform cells, from the reference ref of such a factor
     (CrossSection.stencil).
 
@@ -454,6 +455,18 @@ def _placed(ref, n: int, sign: float = 1.0):
         centre = out[half - 1 : half]
         centre[...] = 0.5 * (centre + sign * np.flip(centre))
     return out
+
+
+def _outer(pieces):
+    """The band of the tensor product of the bands pieces, on consecutive
+    factors in their order, in band layout: the outer product of the
+    pieces, its row axes moved before its slot axes.  A load is a band of
+    slot width 1, and a 0-d piece scales the product."""
+    out = np.ones(())
+    for piece in pieces:
+        k, j = out.ndim // 2, piece.ndim // 2
+        out = np.moveaxis(np.multiply.outer(out, piece), range(2 * k, 2 * k + j), range(k, k + j))
+    return np.ascontiguousarray(out)
 
 
 def _transposed(band):
@@ -685,39 +698,44 @@ def _local_blocks(factors):
         yield tuple(cells), r, tuple(rows)
 
 
-def _quadrature_grid(tables, pinned):
-    """Weights W of shape (c1, q1, c2, q2, ...), the coordinates a field is
-    evaluated at, and the shape of the point grid.
+def _quadrature_grid(tables, axes, ncoords):
+    """Weights W of shape (c1, q1, c2, q2, ...), the ncoords coordinates a
+    field is evaluated at, and the shape of the point grid.
 
-    The first `pinned` coordinates are 0.0 (cross-section blocks evaluate
-    fields with the axial coordinates at zero); the others are broadcastable
-    axes of the tensor grid of per-axis quadrature points.
+    Coordinate axes[k] is a broadcastable axis of the tensor grid of
+    per-axis quadrature points, that of factor k, and ncoords is
+    len(tables) when None; a coordinate no factor carries, which no field
+    the kernel evaluates reads, is 0.0.
     """
     W = np.ones(())
     for _, wts, _B in tables:
         W = np.multiply.outer(W, wts)
-    axes = [t[0] for t in tables]
-    coords = (0.0,) * pinned + tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
-    return W, coords, tuple(len(a) for a in axes)
+    points = [t[0] for t in tables]
+    coords = [0.0] * (ncoords or len(tables))
+    for k, x in zip(axes, np.meshgrid(*points, indexing="ij", sparse=True)):
+        coords[k] = x
+    return W, tuple(coords), tuple(len(a) for a in points)
 
 
-def _galerkin(factors, terms, pinned: int = 0):
+def _galerkin(factors, terms, axes=None, ncoords=None):
     """The einsum kernel: band of the sum over terms (alpha, beta, coef) of
     the integral of coef D^alpha u D^beta v on the tensor space of factors.
 
-    alpha and beta index the factors; coef receives `pinned` leading zero
-    coordinates before the factors' own.  Rows carry the test function v.
+    Factor k carries coordinate axes[k] of ncoords (default: coordinate k
+    of len(factors)), and alpha and beta index the coordinates; coef reads
+    only those the factors carry (_quadrature_grid).  Rows carry the test
+    function v.
 
     The element values are contracted one slab of cells along the first
     factor at a time, at most _SLAB_BYTES of them (one cell at least), on
     one einsum path fixed up front when there are several slabs, and each
     slab is stamped into the band before the next: slabs ascend, so every
-    entry still sums its cells in ascending order.  Non-finite values are computed without a warning and
-    left to the caller's check (_check_finite).
+    entry still sums its cells in ascending order.  Non-finite values are
+    computed without a warning and left to the caller's check
+    (_check_finite).
     """
-    n = len(factors)
-    tables = _local_tables(factors)
-    W, coords, grid_shape = _quadrature_grid(tables, pinned)
+    n, axes, tables = len(factors), axes or range(len(factors)), _local_tables(factors)
+    W, coords, grid_shape = _quadrature_grid(tables, axes, ncoords)
     cw_sub = "".join(c + q for c, q in zip(_CELL_LETTERS[:n], _QUAD_LETTERS[:n]))
     # trial function carries alpha, test function carries beta
     subscripts = ",".join(
@@ -731,7 +749,7 @@ def _galerkin(factors, terms, pinned: int = 0):
         ops = []
         for k in range(n):
             B = tables[k][2][cells] if k == 0 else tables[k][2]
-            ops += [B[:, :, alpha[k], :], B[:, :, beta[k], :]]
+            ops += [B[:, :, alpha[axes[k]], :], B[:, :, beta[axes[k]], :]]
         return ops + [CW]
 
     first = factors[0]
@@ -775,13 +793,13 @@ def _galerkin(factors, terms, pinned: int = 0):
     return band
 
 
-def _load(factors, forcing, pinned: int = 0):
-    """Load vector: the forcing integrated against every basis function.
-    Non-finite values are computed without a warning and left to the
-    caller's check (_check_finite), as _galerkin leaves them."""
-    n = len(factors)
-    tables = _local_tables(factors)
-    W, coords, grid_shape = _quadrature_grid(tables, pinned)
+def _load(factors, forcing, axes=None, ncoords=None):
+    """Load vector: the forcing integrated against every basis function,
+    factor k carrying coordinate axes[k] of ncoords as in _galerkin; a band of
+    slot width 1.  Non-finite values are computed without a warning and
+    left to the caller's check (_check_finite), as _galerkin leaves them."""
+    n, tables = len(factors), _local_tables(factors)
+    W, coords, grid_shape = _quadrature_grid(tables, axes or range(n), ncoords)
     FW = W * np.broadcast_to(forcing(coords), grid_shape).reshape(W.shape)
     # one operand per axis (cell, point, test function), then the weights
     subs = [c + q + r for c, q, r in zip(_CELL_LETTERS, _QUAD_LETTERS, _ROW_LETTERS[:n])]
@@ -793,7 +811,7 @@ def _load(factors, forcing, pinned: int = 0):
     rhs = np.zeros(tuple(f.dim for f in factors))
     for cells, r, rows in _local_blocks(factors):
         rhs[rows] += Fv[cells + r]
-    return rhs.ravel()
+    return rhs.reshape(rhs.shape + (1,) * n)
 
 
 def _validate_degree(spec: ProblemSpec, degree: int) -> int:
@@ -844,104 +862,109 @@ class CrossSection:
       caching the de Boor tables every field and system on it reads and
       the Gram bands (splines.axis_grams) every norm on it reads;
     - keys and blocks: the axial key (alpha_axial, beta_axial) of each
-      Kronecker part and its cross-section band, the kernel on the factors
-      with the part's coefficients and the axial coordinates pinned at zero
-      (assemble_limit's system is the zero key's block);
+      Kronecker part and its cross-section band, summed over the part's
+      pairs in their order, each pair's band joined (_on_omega) from the
+      placed bands of the factors its coefficient does not read and the
+      kernel's on those it reads (assemble_limit's system is the zero
+      key's block);
     - nd_terms: the pairs whose coefficient reads x1..xp, which go through
       the kernel on all n factors at each l;
-    - load: the cross-section load vector, mirror averaged along every
-      parity axis whose coordinate the forcing does not read, so that its
-      odd folds are exactly zero;
-    - stencil(cells): the kernel's 1-D axial band of each axial pair and
-      the axial load on 3 d + 1 unit cells (fewer for a shorter factor),
-      built before any job forks, which axial(factor) places and scales
-      for the axial factor of every l;
+    - load: the cross-section load vector, joined the same way from the
+      placed unit loads and the kernel's load on the factors the forcing
+      reads, so that its odd folds along a parity axis whose coordinate
+      the forcing does not read are exactly zero;
+    - stencil(cells): the kernel's 1-D band of each 1-D pair and the unit
+      load on 3 d + 1 unit cells (fewer for a shorter factor), built before
+      any job forks, which every axial factor (axial) and every factor of
+      omega places and scales (_placed_on);
     - eigenbasis(): for a two-part system, (lam, V) of the cross-section
       pencil, computed on first use and kept;
     - parity_axes: when a banded kernel solves the cylinder systems (no
       n-D band, not two-part), the mirrored cross-section axes (mirrored),
-      else ().  The blocks are then
-      the mirror averages of the kernel's along them (_mirror_averaged),
-      which every system of the sweep reads and
-      AssembledSystem.parity_blocks folds per system; no folded block is
-      kept.
+      else ().  Every system of the sweep reads the blocks, equal to their
+      mirrors bitwise along these axes, and AssembledSystem.parity_blocks
+      folds them per system; no folded block is kept.
 
     A sweep's forked jobs inherit it with all of these; nothing is cached
-    at module level.  A block or the load with a non-finite entry raises
-    AssemblyError at the stage `cross-section` (l = inf), before any system
-    is built from them.
+    at module level.  A kernel piece of a block or the load with a
+    non-finite entry raises AssemblyError at the stage `cross-section`
+    (l = inf), before any system is built from them.
     """
 
     def __init__(self, spec: ProblemSpec, resolution: int, degree: int | None = None):
-        p = spec.p
+        p, n = spec.p, spec.n
         self.spec = spec
         self.resolution = int(resolution)
         self.degree = _validate_degree(spec, degree)
         self.factors = tuple(self._factor(lo, hi) for lo, hi in spec.omega)
-        by_axial_part, self.nd_terms = {}, []
-        for alpha, beta in sorted(spec.coefficients):
-            coef = spec.coefficients[(alpha, beta)]
-            if coef.reads_axial(p):
-                self.nd_terms.append((alpha, beta, coef))
-            else:
-                by_axial_part.setdefault((alpha[:p], beta[:p]), []).append(
-                    (alpha[p:], beta[p:], coef)
-                )
-        self.keys = tuple(by_axial_part)
-        self.blocks = tuple(_galerkin(self.factors, terms, pinned=p)
-                            for terms in by_axial_part.values())
-        self.load = _load(self.factors, spec.forcing, pinned=p)
-        for C in self.blocks:
-            _check_finite(spec, "cross-section", None, matrix=C)
-        _check_finite(spec, "cross-section", None, rhs=self.load)
-        self.parity_axes = () if self.nd_terms or self.two_part else self.mirrored
-        # omega's knots and Gauss points mirror only up to roundoff; the
-        # mirror averages commute with the reflections bitwise
-        self.blocks = tuple(_mirror_averaged(C, self.parity_axes) for C in self.blocks)
-        load = self.load.reshape(tuple(f.dim for f in self.factors))
-        for k in self.parity_axes:
-            if not spec.forcing.reads(p + k + 1):
-                # the forcing is even in x_k, so its load is too, and the
-                # load's mirror average has an odd fold of exactly zero
-                load = 0.5 * (load + np.flip(load, k))
-        self.load = load.ravel()
-        for shared in self.blocks + (self.load,):
-            shared.flags.writeable = False  # every system reads them
         self._eigenbasis = None
         self._stencils = {}
         self.stencil(3 * self.degree + 1)  # every long factor's, before any job forks
+        placed = [self._placed_on(f) for f in self.factors]
+        blocks, self.nd_terms = {}, []
+        for (alpha, beta), coef in sorted(spec.coefficients.items()):
+            if coef.reads_axial(p):
+                self.nd_terms.append((alpha, beta, coef))
+                continue
+            bands = [on_k[alpha[p + k], beta[p + k]] for k, (on_k, _) in enumerate(placed)]
+            C = self._on_omega(coef, "matrix", bands,
+                               lambda f, axes: _galerkin(f, [(alpha, beta, coef)], axes, n))
+            key = (alpha[:p], beta[:p])
+            blocks[key] = blocks[key] + C if key in blocks else C
+        self.keys, self.blocks = tuple(blocks), tuple(blocks.values())
+        self.load = self._on_omega(spec.forcing, "rhs", [load for _, load in placed],
+                                   lambda f, axes: _load(f, spec.forcing, axes, n)).ravel()
+        self.parity_axes = () if self.nd_terms or self.two_part else self.mirrored
+        for shared in self.blocks + (self.load,):
+            shared.flags.writeable = False  # every system reads them
+
+    def _on_omega(self, field, what, pieces, kernel):
+        """The band (or the load) on omega of field times the 1-D pieces:
+        pieces[k], the unit-coefficient band of factor k, for every factor
+        whose coordinate field does not read, joined (_outer) with
+        kernel(factors, axes), the kernel's on the factors it reads (which
+        are consecutive: omega has at most two), or with field's constant
+        value when it reads none.  That value is checked first, as the
+        stage `cross-section`: an infinity would meet the zero slots."""
+        p, q = self.spec.p, len(pieces)
+        read = [k for k in range(q) if field.reads(p + k + 1)]
+        value = (kernel([self.factors[k] for k in read], [p + k for k in read]) if read
+                 else field((0.0,) * self.spec.n))
+        _check_finite(self.spec, "cross-section", None, **{what: value})
+        pieces[min(read, default=0) : max(read, default=-1) + 1] = [value]
+        return _outer(pieces)
 
     def stencil(self, cells: int):
-        """(bands, load) that an axial factor of `cells` uniform cells is
-        placed from (axial): the kernel's on min(cells, 3 d + 1) unit
-        cells, built on first use and kept.  bands maps each 1-D axial pair
-        (a, b) of the keys to its band with unit coefficient, and load is
-        the unit forcing's load, each mirror symmetric (_placed).  On
-        3 d + 1 cells the centre row, that of function 2 d before the
-        constraint, couples functions d..3 d, which are all uniform
-        B-splines the constraint keeps, for every m <= d: an interior row.
-        So every factor of that many cells or more reads one stencil; a
-        shorter one, whose rows near one end also see the other end's
-        knots, reads one of its own cell count.
+        """(bands, load) that a factor of `cells` uniform cells is placed
+        from (_placed_on): the kernel's on min(cells, 3 d + 1) unit cells,
+        built on first use and kept.  bands maps each 1-D pair (a, b) that
+        a coefficient has on some axis to its band with unit coefficient,
+        and load is the unit forcing's load, each mirror symmetric
+        (_placed).  On 3 d + 1 cells the centre row, that of function 2 d
+        before the constraint, couples functions d..3 d, which are all
+        uniform B-splines the constraint keeps, for every m <= d: an
+        interior row.  So every factor of that many cells or more reads one
+        stencil; a shorter one, whose rows near one end also see the other
+        end's knots, reads one of its own cell count.
         """
         cells = min(cells, 3 * self.degree + 1)
         if cells not in self._stencils:
             factor = SplineBasis1D(0.0, cells, cells, self.degree, self.spec.m)
-            pairs = sorted({(a[k], b[k]) for a, b in self.keys for k in range(self.spec.p)})
+            pairs = sorted({ab for key in self.spec.coefficients for ab in zip(*key)})
             bands = {(a, b): _placed(_galerkin((factor,), [((a,), (b,), _unit)]), factor.dim,
                                      (-1.0) ** (a + b)) for a, b in pairs}
             load = _placed(_load((factor,), _unit), factor.dim)
             for ref in (*bands.values(), load):
-                ref.flags.writeable = False  # every cylinder system reads it
+                ref.flags.writeable = False  # every system of the sweep reads it
             self._stencils[cells] = bands, load
         return self._stencils[cells]
 
-    def axial(self, factor):
-        """(bands, load) of a cylinder whose p axial factors are `factor`:
-        each key's axial band and the unit forcing's axial load, placed
-        from the stencil (_placed) and scaled to the factor's cell width h,
-        the band of the pair (a, b) by h^(1 - a - b) and the load by h; for
-        p = 2 the outer products of the 1-D ones."""
+    def _placed_on(self, factor):
+        """(bands, load) of a factor of uniform cells, of the section's
+        degree and constraint: each band of the stencil (a key (a, b) of
+        stencil(factor.cells)) and the unit forcing's load, placed
+        (_placed) and scaled to the factor's cell width h, the band by
+        h^(1 - a - b) and the load by h."""
         refs, ref_load = self.stencil(factor.cells)
         h, n = factor.h, factor.dim
         placed = {(a, b): _placed(ref, n, (-1.0) ** (a + b)) * h ** (1 - a - b)
@@ -951,18 +974,16 @@ class CrossSection:
         # rounding, and the average with the transpose keeps it bitwise
         placed = {(a, b): 0.5 * (band + _transposed(placed[b, a])) if (b, a) in placed else band
                   for (a, b), band in placed.items()}
-        bands = []
-        for alpha, beta in self.keys:
-            band = placed[alpha[0], beta[0]]
-            for a, b in zip(alpha[1:], beta[1:]):
-                # (rows, slots, row, slot) -> (rows, row, slots, slot)
-                band = np.multiply.outer(band, placed[a, b])
-                band = np.ascontiguousarray(np.moveaxis(band, -2, band.ndim // 2 - 1))
-            bands.append(band)
-        load = line = _placed(ref_load, n) * h
-        for _ in range(1, self.spec.p):
-            load = np.multiply.outer(load, line)
-        return bands, load
+        return placed, _placed(ref_load, n) * h
+
+    def axial(self, factor):
+        """(bands, load) of a cylinder whose p axial factors are `factor`:
+        each key's axial band and the unit forcing's axial load, the outer
+        products (_outer) of the factor's placed ones (_placed_on)."""
+        placed, line = self._placed_on(factor)
+        p = self.spec.p
+        bands = [_outer([placed[ab] for ab in zip(alpha, beta)]) for alpha, beta in self.keys]
+        return bands, _outer([line] * p).reshape((factor.dim,) * p)
 
     def _factor(self, lo, hi) -> SplineBasis1D:
         """The spline factor on (lo, hi) at the section's resolution and
@@ -999,11 +1020,10 @@ class CrossSection:
     @property
     def mirrored(self) -> tuple:
         """The cross-section axes k (0 for x_{p+1}) that reflect
-        (_reflects).  The uniform knots of omega's factors are
-        mirror-symmetric up to roundoff, so the reflection maps each basis
-        function i of the axis to m(i) = N - 1 - i, and the blocks commute
-        with it up to roundoff (bitwise once mirror averaged); the forcing
-        may have either parity."""
+        (_reflects).  The reflection maps each basis function i of the axis
+        to m(i) = N - 1 - i, and the blocks, placed from the stencil along
+        it since no coefficient reads x_k, commute with it bitwise; the
+        forcing may have either parity."""
         p = self.spec.p
         return tuple(k for k in range(self.spec.n - p) if self._reflects(p + k))
 

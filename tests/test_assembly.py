@@ -47,7 +47,6 @@ from cylasym.assembly import (
     _folded_rows,
     _galerkin,
     _load,
-    _mirror_averaged,
     _unit,
     assemble_cylinder,
     assemble_limit,
@@ -61,6 +60,7 @@ from cylasym.problem import (
     parse_problem_config,
 )
 from cylasym.analysis import CutoffRho
+from cylasym.harness import SweepPlan, run_sweep
 from cylasym.splines import DiscreteField, SplineBasis1D, axis_grams, composite_gauss
 
 
@@ -190,15 +190,17 @@ def test_biharmonic_cylinder_matches_brute_force():
     assert np.abs(system.rhs - want_rhs).max() <= 1e-13
 
 
-def _mixed_axial_spec():
+def _mixed_axial_spec(off="x2", zero="1 + x2"):
     # one pair reads the axial variable, the others do not; the (1,0)/(0,0)
-    # pairs give the Kronecker part off-diagonal axial blocks
+    # pairs give the Kronecker part off-diagonal axial blocks, or with an
+    # `off` that reads x1 join the first pair in the n-D band, as the
+    # (0,0)/(0,0) pair does with a `zero` that reads x1
     texts = {
         ((1, 0), (1, 0)): "2 + sin(x1)",
         ((0, 1), (0, 1)): "1 + x2^2 / 2",
-        ((0, 0), (0, 0)): "1 + x2",
-        ((1, 0), (0, 0)): "x2",
-        ((0, 0), (1, 0)): "x2",
+        ((0, 0), (0, 0)): zero,
+        ((1, 0), (0, 0)): off,
+        ((0, 0), (1, 0)): off,
     }
     return ProblemSpec(
         m=1,
@@ -381,6 +383,9 @@ class _Recorder:
     def reads_axial(self, p):
         return self._field.reads_axial(p)
 
+    def reads(self, k):
+        return self._field.reads(k)
+
     def __call__(self, coords):
         self.shapes.append(np.broadcast(*coords).shape)
         return self._field(coords)
@@ -397,12 +402,14 @@ def test_axis_independent_pairs_skip_the_full_grid():
         m=1, n=2, p=1, omega=((0.0, 1.0),), coefficients=coefs,
         forcing=ScalarField.parse("1", 2),
     )
+    # the constant reads no coordinate of omega either, so it is evaluated
+    # once, at a point, and scales the placed bands
     system = assembled_cylinder(spec, ell=2.0, resolution=4, degree=2)
     full = tuple(f.cells * (f.degree + 1) for f in system.basis.factors)
     cross = full[1:]
     assert coefs[((1, 0), (1, 0))].shapes == [full]
     assert coefs[((0, 1), (0, 1))].shapes == [cross]
-    assert coefs[((0, 0), (0, 0))].shapes == [cross]
+    assert coefs[((0, 0), (0, 0))].shapes == [()]
 
 
 def test_biharmonic_limit_matches_brute_force():
@@ -575,13 +582,16 @@ def test_symmetric_matvec_matches_the_matrix(symmetric_system):
 
 
 @pytest.mark.parametrize("spec,ell,resolution", [
-    (builtin_problem("biharmonic_strip"), 1.0, 5), (_mixed_axial_spec(), 1.0, 3),
+    (builtin_problem("biharmonic_strip"), 1.0, 5),
+    (_mixed_axial_spec(off="x1", zero="2 + x1"), 1.0, 4),
 ], ids=["biharmonic", "strip_sin_x1"])
 def test_a_symmetric_system_is_the_matrix_its_kernel_assembles(spec, ell, resolution):
-    # the kernel sums the two entries of a mirror pair in different orders,
-    # so A is symmetric only up to roundoff (strip_sin_x1 through its n-D
-    # band); lower_band writes A's own lower triangle and matvec multiplies
-    # by A itself, checked against the oracle's CSR of the full band
+    # the Kronecker parts (biharmonic) and the kernel (strip_sin_x1, whose
+    # n-D band holds a symmetric pair, then the pairs (1,0)/(0,0) that read x1)
+    # sum the two entries of a mirror pair in different orders, so A is
+    # symmetric only up to roundoff; lower_band writes A's own lower
+    # triangle and matvec multiplies by A itself, checked against the
+    # oracle's CSR of the full band
     system = assembled_cylinder(spec, ell=ell, resolution=resolution)
     assert system.symmetric
     A, n = oracle_csr(system), system.ndofs
@@ -930,6 +940,12 @@ _BIHARMONIC_3D = parse_problem_config(
     "a_2_0_0_2_0_0 = 1\na_0_2_0_0_2_0 = 1\na_0_0_2_0_0_2 = 1\n"
     "a_2_0_0_0_2_0 = 1\na_0_2_0_2_0_0 = 1\n\n[forcing]\nf = 1 + x2 + x3\n",
     "biharmonic_3d")
+# x3's coefficient and the forcing read x3, so they go through the kernel
+# on x3's factor; x2 stays a parity axis, placed from the stencil
+_VARCOEF_3D = parse_problem_config(
+    "[problem]\nm = 2\nn = 3\np = 1\nomega = 0,1;0,2\n\n[coef]\n"
+    "a_2_0_0_2_0_0 = 1\na_0_2_0_0_2_0 = 1\na_0_0_2_0_0_2 = 1 + x3^2\n"
+    "a_2_0_0_0_2_0 = 1\na_0_2_0_2_0_0 = 1\n\n[forcing]\nf = 1 + x3\n", "varcoef_3d")
 # symmetric, with the odd keys (1, 0) and (0, 1) on x1 and x2: no axial
 # fold, and only x3 mirrored
 _MIXED_3D = parse_problem_config(
@@ -970,8 +986,9 @@ def test_each_parity_block_is_p_transpose_a_p(spec, ell, resolution, degree, mir
         assert got.shape == (P.shape[1],) * 2 and block.ndofs == P.shape[1]
         assert np.abs(got - P.T @ A @ P).max() <= 4e-15 * np.abs(A).max()
         assert np.abs(block.rhs - P.T @ b).max() <= 2e-15 * np.abs(b).max()
-        # the section's blocks are mirror averaged, so the blocks are
-        # uncoupled up to the roundoff of the dense products
+        # the section's blocks equal their mirrors bitwise along the parity
+        # axes, so the blocks are uncoupled up to the roundoff of the dense
+        # products
         for other, _ in blocks:
             if other != parities:
                 coupling = P.T @ A @ parity_extension(system, other)
@@ -1029,8 +1046,8 @@ def test_a_block_with_a_zero_load_is_left_out():
 
 @pytest.mark.parametrize("forcing,blocks", [("1", 1), ("0.6344", 1), ("1 + x2", 2)])
 def test_the_block_count_follows_the_forcing(forcing, blocks):
-    # a forcing that does not read x2 is even in it: the section mirror
-    # averages its load along x2, so the odd block's folded load is exactly
+    # a forcing that does not read x2 is even in it: the section places its
+    # load along x2 from the stencil, so the odd block's folded load is exactly
     # zero, before the axial fold and after it, and the block is left out;
     # a forcing that reads x2 keeps both blocks
     system = assembled_cylinder(_forced(_BIHARMONIC, forcing), ell=2.0, resolution=8)
@@ -1048,33 +1065,61 @@ def test_the_block_count_follows_the_forcing(forcing, blocks):
 def test_the_section_blocks_are_mirror_averaged(omega, resolution):
     # omega's knots and Gauss points mirror only up to roundoff: on
     # (15.89, 16.89) at 48 cells/unit the kernel's blocks differ from their
-    # mirrors by 8e-13 of their largest entry.  The section keeps their
-    # mirror averages, equal to their mirrors bitwise and within that
-    # roundoff of the kernel's, and the limit system reads them too
+    # mirrors by 8e-13 of their largest entry.  The section places its
+    # constant-coefficient blocks from the stencil, so each is its own
+    # mirror average: equal to its signed mirror bitwise, and to the block
+    # of the same omega translated to the origin, where the kernel's knots
+    # round least, and within 1e-13 of the kernel's there; the limit system
+    # reads them too
     spec = dataclasses.replace(_BIHARMONIC, omega=(omega,), name=None)
     section = CrossSection(spec, resolution)
-    p = spec.p
-    by_axial_part = {}
+    origin = CrossSection(dataclasses.replace(spec, omega=((0.0, omega[1] - omega[0]),)),
+                          resolution)
+    p, n = spec.p, spec.n
+    terms = {}
     for (alpha, beta), coef in sorted(spec.coefficients.items()):
-        by_axial_part.setdefault((alpha[:p], beta[:p]), []).append((alpha[p:], beta[p:], coef))
-    for C, terms in zip(section.blocks, by_axial_part.values()):
-        kernel = _galerkin(section.factors, terms, pinned=p)
-        assert np.array_equal(C, np.flip(C))
-        assert np.abs(C - kernel).max() <= 1e-12 * np.abs(kernel).max()
+        terms.setdefault((alpha[:p], beta[:p]), []).append((alpha, beta, coef))
+    assert section.keys == origin.keys == tuple(terms)
+    for (alpha, beta), C, at_origin in zip(section.keys, section.blocks, origin.blocks):
+        kernel = _galerkin(origin.factors, terms[alpha, beta], range(p, n), n)
+        sign = (-1.0) ** sum(a + b for a, b in zip(*next(iter(terms[alpha, beta]))[:2]))
+        assert np.array_equal(C, sign * np.flip(C))
+        assert np.array_equal(C, at_origin)
+        assert np.abs(C - kernel).max() <= 1e-13 * np.abs(kernel).max()
     zero_key = section.keys.index(((0,), (0,)))
     assert assemble_limit(section).nd_band is section.blocks[zero_key]
 
 
+def test_a_variable_coefficient_keeps_its_fold_without_averaging():
+    # x3's coefficient and the forcing read x3 only, so x2 stays the parity
+    # axis: each block is the kernel's on x3 joined with bands placed from
+    # the stencil along x2, equal to its x2 mirror bitwise, and the load of
+    # f = 1 + x3 is even in x2, so its odd fold is exactly zero and one
+    # block is solved; the sweep passes the backward-error gate (it read
+    # 9.3e-17 and 1.1e-16)
+    section = CrossSection(_VARCOEF_3D, 5)
+    assert section.mirrored == section.parity_axes == (0,)
+    for C in section.blocks:
+        assert np.array_equal(C, np.flip(C, (0, 2)))
+    system = assemble_cylinder(section, ell=2.0)
+    assert not _folded_rows(system.rhs.reshape(system._dims), 1, odd=True).any()
+    assert [parities for parities, _ in system.parity_blocks()] == [(False,)]
+    records = run_sweep(SweepPlan(spec=_VARCOEF_3D, ells=(2.0, 4.0), resolution=5)).records
+    assert all(0.0 < r.backward_error <= 1e-14 for r in records)
+
+
 @pytest.mark.parametrize("coef,forcing,what", [
     ("1 + 1 / (x3 - 0.5)^2", "1", "matrix"), ("1", "1 / (x3 - 0.5)", "rhs"),
-], ids=["block", "load"])
+    ("1 / 0", "1", "matrix"),
+], ids=["block", "load", "constant"])
 def test_a_non_finite_block_or_load_is_refused_by_the_section(coef, forcing, what):
     # 13 cells put a Gauss node on x3 = 1/2, where the coefficient or the
-    # forcing is infinite; the section checks its blocks and load once,
-    # before it mirror averages them or any system reads them, and names
-    # its stage.  The kernel computes the infinity on two cross-section
-    # axes without a warning, which filterwarnings = error would turn into
-    # a failure here
+    # forcing is infinite; the section checks the kernel's piece on x3 once,
+    # before it joins it with x2's placed band (inf times its zero slots
+    # would warn) or any system reads it, and names its stage.  The kernel
+    # computes the infinity without a warning, which filterwarnings = error
+    # would turn into a failure here; a constant coefficient of 1 / 0 is
+    # checked before it scales the placed bands
     spec = parse_problem_config(
         "[problem]\nm = 1\nn = 3\np = 1\nomega = 0,1;0,1\n\n[coef]\n"
         f"a_1_0_0_1_0_0 = 1\na_0_1_0_0_1_0 = 1\na_0_0_1_0_0_1 = {coef}\n"
@@ -1191,8 +1236,8 @@ def _grams(extent, cutoff=None):
     return axis_grams(factor, extent, 3, 2, 4, cutoff)[1]
 
 
-# every producer of a band; the folds and mirror averages act on the
-# kernel's bands
+# every producer of a band; the folds act on the kernel's, the placed and
+# the joined bands
 _BANDS = {
     "axial_degree_m+1": lambda: (_axial_bands(_BIHARMONIC, 3)
                                  + _axial_bands(_laplace_box(2), 2)),
@@ -1208,8 +1253,10 @@ _BANDS = {
         for band in (*bands, *section.stencil(factor.cells)[0].values())],
     "nd_box3d_sin_x1": lambda: [
         assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band],
-    "mirror_averaged": lambda: [_mirror_averaged(C, (0, 1))
-                                for C in CrossSection(_laplace_box(1), 4).blocks],
+    "placed_on_omega": lambda: [
+        band for section in (CrossSection(_laplace_box(1), 4), CrossSection(_BIHARMONIC_3D, 5))
+        for f in section.factors for band in section._placed_on(f)[0].values()],
+    "joined_on_omega": lambda: CrossSection(_VARCOEF_3D, 5).blocks,
     "folded_even": lambda: (
         [_folded_band(A, axis) for A in _axial_bands(_laplace_box(2), 2) for axis in (0, 1)]
         + [_folded_band(A, 0) for A in _axial_bands(_BIHARMONIC, 2)]),

@@ -137,28 +137,29 @@ def test_sweep_interior_tables_cover_expected_indices(poisson_report):
 
 def test_sweep_interior_tables_hold_their_values():
     # reprs of the estimator on the one difference field u_l - ext(u_inf),
-    # taken when the axial bands came to be placed from a per-sweep stencil,
-    # mirror symmetric bitwise: they moved by up to 4.5e-13 relative at
-    # l = 2 and 5.6e-10 at l = 4, where the differences are 2500 times
-    # smaller and the roundoff of the matrix weighs more, as LAPACK's dpbtrf
-    # (up to 7.7e-14 and 3.3e-10) and reading the assembled matrix, not
+    # taken when the cross-section blocks came to be placed from the
+    # sweep's stencil too, mirror symmetric bitwise: they moved by up to
+    # 3.9e-13 relative at l = 2 and 8.1e-10 at l = 4, where the differences
+    # are 2500 times smaller and the roundoff of the matrix weighs more, as
+    # the axial stencil (up to 4.5e-13 and 5.6e-10), LAPACK's dpbtrf (up to
+    # 7.7e-14 and 3.3e-10) and reading the assembled matrix, not
     # (A + A^T) / 2 (up to 1.9e-13 and 5.1e-10), had moved them before
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.646638683303461e-05, '0_1': 0.000225328554973306, "
-            "'1_0': 0.00023244104608632714, '0_2': 0.0018229449955435091, "
-            "'1_1': 0.000772473934188958, '2_0': 0.0021641968173926555}",
-            "{'0_0': 0.0006463618950815988, '1_0': 0.004082053622872008, "
-            "'2_0': 0.0244341201846532}",
+            "{'0_0': 4.646638683302425e-05, '0_1': 0.00022532855497321797, "
+            "'1_0': 0.00023244104608634877, '0_2': 0.0018229449955428462, "
+            "'1_1': 0.0007724739341890813, '2_0': 0.0021641968173926993}",
+            "{'0_0': 0.0006463618950815903, '1_0': 0.004082053622871986, "
+            "'2_0': 0.024434120184653643}",
         ),
         (
-            "{'0_0': 1.8792150699813448e-08, '0_1': 8.232017679494659e-08, "
-            "'1_0': 8.233974725470484e-08, '0_2': 6.093924713392622e-07, "
-            "'1_1': 4.0071555263576653e-07, '2_0': 3.597904534952696e-07}",
-            "{'0_0': 1.4292434524650427e-07, '1_0': 5.297804487769455e-07, "
-            "'2_0': 3.7524279444945707e-06}",
+            "{'0_0': 1.8792150699479234e-08, '0_1': 8.232017674312923e-08, "
+            "'1_0': 8.233974730110727e-08, '0_2': 6.093924708474458e-07, "
+            "'1_1': 4.007155527477673e-07, '2_0': 3.5979045362406356e-07}",
+            "{'0_0': 1.429243452434114e-07, '1_0': 5.297804488184464e-07, "
+            "'2_0': 3.752427944949592e-06}",
         ),
     ]
 
@@ -171,10 +172,11 @@ def test_sweep_localized_energy_decays_dyadically(poisson_report):
 
 
 def test_no_kernel_runs_per_l(monkeypatch):
-    # the section runs the kernel once per cross-section block and once
-    # per 1-D axial pair of its stencil, before any job; the cylinders
-    # place their axial bands and loads from that stencil, so a sweep of
-    # four half-lengths runs the kernel as often as one of two
+    # the section runs the kernel once per 1-D pair of its stencil, before
+    # any job, and on omega only for a field that reads omega's
+    # coordinates; the cylinders place their axial bands and loads from
+    # that stencil, so a sweep of four half-lengths runs the kernel as
+    # often as one of two
     galerkin, calls = assembly._galerkin, []
 
     def counted(*args, **kwargs):
@@ -296,7 +298,6 @@ def test_sweep_needs_no_csr_and_no_krylov_solver(monkeypatch):
     monkeypatch.setattr(assembly.AssembledSystem, "matrix", property(refuse))
     for name in ("cg_jacobi", "gmres_jacobi", "smallest_ritz_estimate"):
         monkeypatch.setattr(harness, name, refuse)
-        monkeypatch.setattr(linalg, name, refuse)
     for spec, method in ((POISSON, "fast_diagonalization"),
                          (parse_problem_config(SKEW_CONFIG, "skew"), "lu_banded")):
         rep = run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=4))
@@ -402,9 +403,10 @@ def _cross_section_work(monkeypatch, spec, ells, resolution):
     counts = [0, 0, 0]
     galerkin, eigh, local_ders = assembly._galerkin, np.linalg.eigh, SplineBasis1D.local_ders
 
-    def counted_galerkin(factors, terms, pinned=0):
-        counts[0] += pinned == spec.p  # the cross-section kernel pins x1..xp
-        return galerkin(factors, terms, pinned)
+    def counted_galerkin(factors, *args):
+        # axial extents are (-l, l) and the stencil's (0, cells)
+        counts[0] += any((f.lo, f.hi) in spec.omega for f in factors)
+        return galerkin(factors, *args)
 
     def counted_eigh(*args, **kwargs):
         counts[1] += 1
@@ -422,18 +424,20 @@ def _cross_section_work(monkeypatch, spec, ells, resolution):
     return counts
 
 
-@pytest.mark.parametrize("spec,resolution,parts,eighs", [
-    (_laplace_box(), 6, 2, 1),
-    (builtin_problem("biharmonic_strip"), 8, 4, 0),
+@pytest.mark.parametrize("spec,resolution,eighs", [
+    (_laplace_box(), 6, 1),
+    (builtin_problem("biharmonic_strip"), 8, 0),
 ], ids=["box3d", "biharmonic"])
-def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, parts, eighs):
-    # one cross-section block per axial part, shared by the limit system and
-    # every l, and one eigendecomposition of the two-part pencil; the de Boor
-    # tables of the cross-section factors are cached on the factors, which
-    # every l shares, so more l values evaluate none again
+def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, eighs):
+    # no coefficient reads a coordinate of omega, so every cross-section
+    # block is placed from the stencil and the kernel never runs on omega's
+    # factors; one eigendecomposition of the two-part pencil; the de Boor
+    # tables of the cross-section factors (box3d's load, which reads x2 and
+    # x3, and the norms' Gram bands) are cached on the factors, which every
+    # l shares, so more l values evaluate none again
     three = _cross_section_work(monkeypatch, spec, (2.0, 4.0, 8.0), resolution)
     four = _cross_section_work(monkeypatch, spec, (2.0, 3.0, 4.0, 8.0), resolution)
-    assert three[:2] == four[:2] == [parts, eighs]
+    assert three[:2] == four[:2] == [0, eighs]
     assert three[2] == four[2] > 0
 
 
@@ -817,7 +821,8 @@ _ONE_ACCEPTANCE = {
     # (spec, where, folds, banded solves, method)
     "box3d_two_part": (_laplace_box(), "cyl", True, 0, "fast_diagonalization"),
     # its even half's even parity block: f = 1 is even in x2, so the
-    # section's load is mirror averaged and the odd block's load is zero
+    # section's load, placed from the stencil, has an odd block's load of
+    # exactly zero
     "biharmonic_multi_part": (builtin_problem("biharmonic_strip"), "cyl", True, 1,
                               "cholesky_banded"),
     "biharmonic_cross_section": (builtin_problem("biharmonic_strip"), "lim", False, 1,
@@ -918,7 +923,7 @@ _BLOCKED = {
 @pytest.mark.parametrize("spec,ell,resolution,degree", _BLOCKED.values(), ids=_BLOCKED.keys())
 def test_a_block_solve_agrees_with_the_full_path_solve(spec, ell, resolution, degree):
     # the blocks split the system with no coupling dropped (its section's
-    # blocks are mirror averaged); both their solve and the whole system's
+    # blocks equal their mirrors bitwise); both their solve and the whole system's
     # pass the gate, so they differ by at most |A^-1| times the sum of
     # their residual bounds, as for the even fold above
     system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
@@ -938,8 +943,9 @@ def test_a_block_solve_agrees_with_the_full_path_solve(spec, ell, resolution, de
 def test_the_block_solve_passes_the_gate_on_the_full_system(omega, resolution):
     # omega's knots and Gauss points mirror only up to roundoff (the
     # kernel's blocks up to 4e-15 relative on (0, 1) at 12 and 24 cells per
-    # unit, 8e-13 on (15.89, 16.89) at 48); the section mirror averages its
-    # blocks, so the parity blocks split the full system exactly, and the
+    # unit, 8e-13 on (15.89, 16.89) at 48); the section places its blocks
+    # from the stencil, mirror symmetric bitwise, so the parity blocks split
+    # the full system exactly, and the
     # unchanged gate on it passes with a margin of at least 10 (the largest
     # backward error measured at l = 2, 4, 8 and 16 is 6.6e-16, on (0, 1)
     # at 24 cells per unit and on (-16.67, -15.67))
@@ -947,8 +953,8 @@ def test_the_block_solve_passes_the_gate_on_the_full_system(omega, resolution):
     section = assembly.CrossSection(spec, resolution)
     for ell in (2.0, 16.0):
         system = assembly.assemble_cylinder(section, ell=ell)
-        # on (100, 101) and (1000, 1001) the load of f = 1 is even bitwise,
-        # so the odd block's is exactly zero and it is left out
+        # on every omega the load of f = 1 is even bitwise, so the odd
+        # block's is exactly zero and it is left out
         assert system.section.parity_axes and system.parity_blocks()
         berr = harness._solve_system(system).backward_error
         margin = linalg.BACKWARD_ERROR_TOL / berr

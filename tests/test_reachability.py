@@ -21,14 +21,9 @@ from cylasym.problem import builtin_names
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cylasym"
 ALLOWED = {
-    # bench/instrument.py patches the Krylov solvers on cylasym.harness and
-    # reads the CSR matrix of every system it traces; no sweep calls them
-    "cg_jacobi": "bench/instrument.py patches it; no sweep solves by Krylov",
-    "gmres_jacobi": "bench/instrument.py patches it; no sweep solves by Krylov",
-    "smallest_ritz_estimate": "bench/instrument.py patches it; no sweep estimates Ritz values",
-    "_jacobi_weights": "a helper of the Krylov solvers",
-    "_true_residual": "a helper of the Krylov solvers",
-    "NonConvergenceError.__init__": "raised by the Krylov solvers only",
+    # bench/instrument.py wraps the retired Krylov names on cylasym.harness
+    # and reads the CSR matrix of every system it traces; no sweep calls them
+    "_no_krylov": "bench/instrument.py wraps the Krylov names bound to it; no sweep calls them",
     "AssembledSystem.matrix": "bench/instrument.py reads it after every assembly",
     "_sendable": "runs only in the forked children, which exit by os._exit",
     "_Parser.error": "argparse's error path",

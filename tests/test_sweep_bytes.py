@@ -12,10 +12,10 @@ every system, its tridiagonal cross-section system at degree 1 included.
 The 3-D box, the Laplacian on (-l, l) x (0, 1)^2 at 4 cells per
 unit, pins the fast-diagonalization path of a two-dimensional
 cross-section.  The biharmonic strip, whose forcing f = 1 is even in x2,
-pins the solve of the even parity block alone (the section mirror averages
-its load, so the odd block's is exactly zero and left out); the biharmonic
-strip with f = 1 + x2, which reads x2, pins both parity blocks of a
-cross-section axis.  The p = 2 box, the Laplacian on (-l, l)^2 x (0, 1) at
+pins the solve of the even parity block alone (the section places its load
+along x2 from the stencil, so the odd block's is exactly zero and left
+out); the biharmonic strip with f = 1 + x2, which reads x2, pins both
+parity blocks of a cross-section axis.  The p = 2 box, the Laplacian on (-l, l)^2 x (0, 1) at
 4 cells per unit, pins the fold of two axial axes, and the Poisson strip with
 a_1_0_1_0 = 2 + sin(x1) the solve of an n-D band.  Two refinement runs,
 `python -m cylasym refine --l 2` of the Poisson strip at degree 1 and of
@@ -47,33 +47,33 @@ PINNED_VERSIONS = {
                 "MAX_THREADS=64",
 }
 DIGESTS = {
-    "poisson_strip": "c8332474cd4de2907683dd914df30cca04886c6f47853d86cb7cd1ab51366eff",
-    "biharmonic_strip": "8149a643be399bde99967841d79162e71acd4fcb2e6dcc6f7a59e1de3aa0f082",
+    "poisson_strip": "0c0a65e843e76165d19691d539f2133409db00e69706b3844789d4c53c4dea2d",
+    "biharmonic_strip": "8eeebc9b7262f041a02313d32f88313140cb0bd7cdb5d8c56706954d9f86fceb",
     "varcoef_strip": "cd47bd757eee12bcc0396daf7b09082bf8d33f679b118976e20f3b45694821a2",
-    "skew_strip": "98f4bbe5387e173e2ab44a760cf3a95e902fe6ea9b6353e57fca097c3377c4b1",
-    "skew_strip_degree_1": "ec6e23f8aa765d6fd983606dcd27534301d5f0c5647c1cfe2ce6a63b9b4608fd",
-    "box3d": "3369f16799fb33dc9c9a0dbc6ab7dff326a3b566bf17b9c15a3efd83d1f0d2d0",
-    "box_p2": "8dd8c33ea7e202efd926c1bd6ac53298bd53f31c7222e32e8cfa5d9adae5852a",
-    "poisson_sin_x1": "489684b6562aba250c6526ea518e878fc4d1af0b49345f76ad71b93f87b9096a",
-    "biharmonic_x2": "011a729ecfac4711ab696ab7ffab4a09e8d705653e0e7244ae564f953f414831",
+    "skew_strip": "f64b600d9397e32571a08c5a1fa0597eebf19b90e69645862d71200901e79edc",
+    "skew_strip_degree_1": "ee62c5f107441b28332c18d58cd3e2b3bfde28527a482afc750ff37ad4a7cdf2",
+    "box3d": "dabe0c2d30cdad4fc022b3cd9ecc3ea2a1c34eea1ce152691be4ef682a93d77f",
+    "box_p2": "4a804ff08991cca7773afe51d513c691b2db9a57e8ad2558f2b2964952609060",
+    "poisson_sin_x1": "88007fe5b1254b97bafc5ba0daf1e6730f0bbdf3190d082f9c5d9e07cd86711f",
+    "biharmonic_x2": "c86b721ccef84121c2abbf5ea03a26507c87a994e426052e69fcd6c9b3b00ac2",
 }
 JSON_DIGESTS = {
-    "poisson_strip": "b5fcadfba5003faea780350f29390885eeeea0dfb0846f44d47cb9099fd7d5c9",
-    "biharmonic_strip": "7994d6101cb67623401674d7377bc82c33c5ab7f3c90a665ec5a7399e815c324",
+    "poisson_strip": "e2c5f097edd056d4d82b39945792439cebfa8ba667c94448341b9ffd27d2fdfd",
+    "biharmonic_strip": "2b6c32ac1e8232c4dc2590f8b15971be675326937bb133722accf3aa8b2b7922",
     "varcoef_strip": "9ddf1dcf47db4290b46ae18cd644abd10dd0285c9fde900fef0276861ffc3c2e",
-    "skew_strip": "4eb2d8faa68caebad28c6710a3cf5b5ce61db67c44f4a746bc8536ed6f5f41b4",
-    "skew_strip_degree_1": "a35b03f8f102087e6795219f8df0cd938e5dbf08c48c14738cb520eadda93c9c",
-    "box3d": "bd303394c5f52ee0b45c2c57e9bb8a7b4c223263af21724dc7b1ac5b90c6221e",
-    "box_p2": "687ffceeebb162a00ef20cc2e1848202a203b8b828471188947cd5fc886e1cea",
-    "poisson_sin_x1": "cb29cba4920499fd29e7b62d3efd6912723e3d5ea717b8b790fe7fa5ef9bc736",
-    "biharmonic_x2": "9382b56935a2f8898cd38077635008f74a9d932139d0798cf41dd6a4aab80110",
+    "skew_strip": "76f4ac3401fb98bca492f226323024622c5588c0a470cd7a11210d9c9c102ebf",
+    "skew_strip_degree_1": "6b794a0f22ce00b2636fcbfa36393009a0bca69c55657f83744732fd013cccd3",
+    "box3d": "d5b48e3fa625f876579540a68a25c4267bdfb226c4bd8b08a90c04609b95cd02",
+    "box_p2": "df150d62612f78988667c1b0b175a287f4c22ea6b5eee7811f42f21e869a8c24",
+    "poisson_sin_x1": "a353955a7f50bd86053c33eaf4165cccabc8a3248370b2e9e7199806f042123d",
+    "biharmonic_x2": "8fd0f6ffd3c99056e3f017d4fb2f53640630a91ef2fd2a719aa78328e20c3bd4",
 }
 # the CSV of `cylasym refine --l 2` at each problem's cells and degree
 REFINE_DIGESTS = {
     ("poisson_strip", "8,16,32,64", "1"):
-        "e3731b8335f669d386a8c08755ef3b5b03fc2faae38d8092ef9263c70205b484",
+        "9a595352d40954b5eab74ace67fbae4934f8029bf3937b16ab74bead86195a65",
     ("biharmonic_strip", "6,12,24", "3"):
-        "7523afa3175972dc84240c5faabefb8ca403e0627dfb08554df407a8ebc03430",
+        "13e2bfb174902861c7d81cd95bb27612deb90c862cf8409267ce495188b9559f",
 }
 SKEW_CONFIG = (
     "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
