@@ -88,8 +88,9 @@ itself, the matrix that was assembled.  One slot walk
 system is written from it: lower_band writes the entries on and below the
 diagonal into LAPACK lower band storage, a Fortran-ordered (kd + 1, N)
 array with kd = sum_k d_k stride_k (stride_k the flat-index step of axis
-k); general_band writes every entry into LAPACK general band storage,
-(2 kd + 1, N).  AssembledSystem.matrix writes the CSR matrix of every entry
+k); general_band writes every entry into the storage dgbsv factors in
+place, (3 kd + 1, N): LAPACK general band storage below kd zero rows for
+the fill-in.  AssembledSystem.matrix writes the CSR matrix of every entry
 on every read: the tests and the benchmark's trace mode read it, no solve
 does, so it imports scipy.sparse itself, on its first read, and the
 package imports no scipy module.  A symmetric system of exactly two
@@ -139,8 +140,8 @@ system.  Its residual skips the walk: matvec multiplies by the matrix from
 the pieces, sum_j A_j X C_j^T plus the n-D band, each band applied along
 its axes by band_apply: one einsum over a sliding window of X.  inf_norm,
 for a system of Kronecker parts alone, forms the same entries as the walk
-but sums each row's magnitudes once per distinct axial coefficient tuple,
-which a uniform axial mesh repeats (_kron_row_sums); for a system with an
+but sums only the first axial row of each run of equal rows, which the
+placed axial bands repeat bit for bit (_kron_row_sums); for a system with an
 n-D band (the cross-section system among them) it sums the magnitudes of
 every slot tuple (_slot), so such a system is walked twice, once by its
 kernel's band and once by its norm.  The readers share a system's pieces
@@ -183,9 +184,6 @@ _COL_LETTERS = "lmn"
 _SLAB_BYTES = 4 * 2**20
 _AXIS_LETTERS = "abc"  # band_apply: the axes of X
 _SLOT_LETTERS = "stu"  # band_apply: the band's slot axes
-# entries per chunk of _kron_row_sums' (tuples, cross rows, cross slots)
-# arrays
-_CHUNK_ENTRIES = 2**15
 
 
 class AssemblyError(RuntimeError):
@@ -288,16 +286,17 @@ class AssembledSystem:
         return _write_band(self._entries(lower=True), self._dims, self._degrees, 0)
 
     def general_band(self):
-        """LAPACK general band storage of the matrix, Fortran-ordered, with
-        A[i, j] at ab[kd + i - j, j]."""
+        """The matrix in the storage LAPACK's dgbsv factors in place,
+        Fortran-ordered, (3 kd + 1, N) with A[i, j] at ab[2 kd + i - j, j]:
+        general band storage below kd zero rows for the fill-in."""
         return _write_band(self._entries(lower=False), self._dims, self._degrees,
-                           _half_bandwidth(self._dims, self._degrees))
+                           2 * _half_bandwidth(self._dims, self._degrees))
 
     def inf_norm(self) -> float:
         """|A|_inf: the largest sum over a row of the magnitudes of its
         entries, each entry formed from the pieces as the bands write it.
-        A system of Kronecker parts alone sums its rows per distinct axial
-        coefficient tuple (_kron_row_sums); a system with an n-D band sums
+        A system of Kronecker parts alone sums the first row of each run of
+        equal axial rows (_kron_row_sums); a system with an n-D band sums
         |slot(s)| over its slot tuples s.  An out-of-space slot adds an
         exact zero.
         """
@@ -584,43 +583,34 @@ def band_apply(band, X, lead: int = 0):
 
 def _kron_row_sums(parts, p: int):
     """Row sums of the magnitudes of the entries of a system of Kronecker
-    parts alone, of shape (axial rows, cross-section rows), from its pieces.
+    parts alone, of shape (kept axial rows, cross-section rows), from its
+    pieces.
 
     Row (i, r) and slot (e, s) of the band hold sum_j A_j[i, e] C_j[r, s],
     summed in part order: every entry is the one the bands write, up to the
     sign of a zero (the bands add the parts to a zero).  It depends on the
-    axial row only through the tuple t(i, e) of the A_j[i, e], and a uniform
-    axial mesh repeats those tuples bit for bit; so the cross-section sums
-    g(t)[r] = sum_s |entry| are formed once per distinct tuple, found by a
-    lexsort, and row (i, r) adds g(t(i, e))[r] over its axial slots e, from
-    slot 0 on.  Out-of-space slots are zero, so they add exact zeros.
+    axial row i only through the row (A_j[i, e]) over slots e and parts j,
+    and the axial bands, placed from the stencil, repeat whole rows bit for
+    bit between their leading rows and the mirrors of those.  Equal rows
+    have equal sums, so only the first row of each run of equal rows is
+    kept: 5, 11 and 15 for degrees 1, 2 and 3, at every l (per row of the
+    first axial factor for p = 2).  Each kept row's sum runs over s down
+    the middle axis of its (kept rows, slots, rows) entries, then over e
+    from slot 0.  Out-of-space slots are zero, so they add exact zeros.
     """
-    axial_shape, cross_shape = parts[0][0].shape, parts[0][1].shape
-    n_ax, w_ax = math.prod(axial_shape[:p]), math.prod(axial_shape[p:])
-    n_c = math.prod(cross_shape[: len(cross_shape) // 2])
-    keys = np.stack([A.reshape(-1) for A, _ in parts], axis=1)
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    first = np.ones(len(order), dtype=bool)  # the first of each run of equal tuples
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    tuples = ordered[first]
-    # (slots, rows) per cross-section piece: the sum over slots runs down
-    # the middle axis of each chunk, over whole contiguous rows
+    n_c = math.prod(parts[0][1].shape[: parts[0][1].ndim // 2])
+    rows = np.stack([A.reshape(math.prod(A.shape[:p]), -1) for A, _ in parts], axis=-1)
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=(1, 2))
+    rows = rows[first, :, :, None, None]
+    # (slots, rows) per cross-section piece
     cross = [np.ascontiguousarray(C.reshape(n_c, -1).T) for _, C in parts]
-    sums = np.empty((len(tuples), n_c))
-    chunk = max(1, _CHUNK_ENTRIES // cross[0].size)
-    for lo in range(0, len(tuples), chunk):
-        t = tuples[lo : lo + chunk, :, None, None]
-        entries = t[:, 0] * cross[0]
+    row_abs = 0.0
+    for e in range(rows.shape[1]):
+        entries = rows[:, e, 0] * cross[0]
         for j, C in enumerate(cross[1:], 1):
-            entries += t[:, j] * C
-        sums[lo : lo + chunk] = np.abs(entries, out=entries).sum(axis=1)
-    group = group.reshape(n_ax, w_ax)
-    row_abs = sums[group[:, 0]]
-    for e in range(1, w_ax):
-        row_abs += sums[group[:, e]]
+            entries += rows[:, e, j] * C
+        row_abs = row_abs + np.abs(entries, out=entries).sum(axis=1)
     return row_abs
 
 
@@ -632,8 +622,8 @@ def _write_band(entries, dims, degrees, upper: int):
     """LAPACK band storage of the entries with `upper` superdiagonals: a
     Fortran-ordered (upper + kd + 1, N) array with A[i, j] at
     ab[upper + i - j, j].  upper = 0 gives lower band storage, A[j + q, j]
-    at ab[q, j], of the entries on and below the diagonal; upper = kd gives
-    general band storage."""
+    at ab[q, j], of the entries on and below the diagonal; upper = 2 kd
+    gives dgbsv's storage, kd zero rows above the general band."""
     kd = _half_bandwidth(dims, degrees)
     ab = np.zeros((upper + kd + 1, math.prod(dims)), order="F")
     for c, rows, cols, values in entries:
@@ -877,8 +867,9 @@ class CrossSection:
       load on 3 d + 1 unit cells (fewer for a shorter factor), built before
       any job forks, which every axial factor (axial) and every factor of
       omega places and scales (_placed_on);
-    - eigenbasis(): for a two-part system, (lam, V) of the cross-section
-      pencil, computed on first use and kept;
+    - eigenbasis: for a two-part system, (lam, V) of the pencil
+      (C_other, C_top) of the dense symmetric cross-section blocks, top
+      part first (linalg.pencil_eigenbasis), else None;
     - parity_axes: when a banded kernel solves the cylinder systems (no
       n-D band, not two-part), the mirrored cross-section axes (mirrored),
       else ().  Every system of the sweep reads the blocks, equal to their
@@ -888,7 +879,8 @@ class CrossSection:
     A sweep's forked jobs inherit it with all of these; nothing is cached
     at module level.  A kernel piece of a block or the load with a
     non-finite entry raises AssemblyError at the stage `cross-section`
-    (l = inf), before any system is built from them.
+    (l = inf), before any system is built from them; an indefinite top
+    block raises linalg.SolverError at that stage too.
     """
 
     def __init__(self, spec: ProblemSpec, resolution: int, degree: int | None = None):
@@ -897,7 +889,6 @@ class CrossSection:
         self.resolution = int(resolution)
         self.degree = _validate_degree(spec, degree)
         self.factors = tuple(self._factor(lo, hi) for lo, hi in spec.omega)
-        self._eigenbasis = None
         self._stencils = {}
         self.stencil(3 * self.degree + 1)  # every long factor's, before any job forks
         placed = [self._placed_on(f) for f in self.factors]
@@ -915,7 +906,11 @@ class CrossSection:
         self.load = self._on_omega(spec.forcing, "rhs", [load for _, load in placed],
                                    lambda f, axes: _load(f, spec.forcing, axes, n)).ravel()
         self.parity_axes = () if self.nd_terms or self.two_part else self.mirrored
-        for shared in self.blocks + (self.load,):
+        self.eigenbasis = None
+        if self.two_part:
+            self.eigenbasis = pencil_eigenbasis(*_cross_pencil(self.blocks, self.keys),
+                                                _where(spec, "cross-section", None))
+        for shared in self.blocks + (self.load,) + (self.eigenbasis or ()):
             shared.flags.writeable = False  # every system reads them
 
     def _on_omega(self, field, what, pieces, kernel):
@@ -1026,16 +1021,6 @@ class CrossSection:
         forcing may have either parity."""
         p = self.spec.p
         return tuple(k for k in range(self.spec.n - p) if self._reflects(p + k))
-
-    def eigenbasis(self, where: str = "solve"):
-        """(lam, V) of the pencil (C_other, C_top) of the dense symmetric
-        cross-section blocks, top part first (linalg.pencil_eigenbasis), for
-        a two-part system; failures are prefixed with `where`."""
-        if not self.two_part:
-            raise ValueError("the Kronecker pencil describes a two-part system only")
-        if self._eigenbasis is None:
-            self._eigenbasis = pencil_eigenbasis(*_cross_pencil(self.blocks, self.keys), where)
-        return self._eigenbasis
 
     def cylinder_basis(self, ell) -> TensorBasis:
         """The space on (-ell, ell)^p x omega: p new axial factors times

@@ -55,27 +55,24 @@ def lattice_counts(region, domain, alphas, h: float, p: int) -> list:
     return counts
 
 
-def interior_derivative_error(w, p: int, alphas, region, h: float, m: int | None = None) -> dict:
+def interior_derivative_error(w, p: int, alphas, region, h: float, m: int) -> dict:
     """Lattice H^m-aggregated forward-difference estimators, {alpha: value}.
 
     For each alpha, in the order given: sqrt(sum over |beta| <= m of the
     trapezoid-lattice integral of (delta_h^alpha D^beta w)^2) over the
     region, w a field on (axial box) x omega whose first p axes are axial:
-    in the sweep, w = u_l - ext(u_inf).  m defaults to the constraint order
-    of w's first cross-section factor.  The forward differences of alpha
-    consume alpha_k extra layers on the upper side of axis k; that inflated
-    lattice must stay inside the domain of w, and when alpha has
-    cross-sectional components the region must be strictly interior in the
-    cross-sectional axes.  Each D^beta is evaluated once, on the lattice
-    inflated by the largest alpha_k, and each alpha differences its leading
-    points: a value depends on its own point only, so an estimate equals the
-    one from [alpha] alone.
+    in the sweep, w = u_l - ext(u_inf), and m its problem's order.  The
+    forward differences of alpha consume alpha_k extra layers on the upper
+    side of axis k; that inflated lattice must stay inside the domain of w,
+    and when alpha has cross-sectional components the region must be
+    strictly interior in the cross-sectional axes.  Each D^beta is
+    evaluated once, on the lattice inflated by the largest alpha_k, and
+    each alpha differences its leading points: a value depends on its own
+    point only, so an estimate equals the one from [alpha] alone.
     """
     n = w.basis.naxes
     if not 0 < p < n:
         raise LatticeError(f"need 0 < p < {n} axial axes, got p = {p}")
-    if m is None:
-        m = w.basis.factors[p].bc_order
     if h <= 0:
         raise LatticeError(f"spacing must be positive, got {h}")
     alphas = [tuple(alpha) for alpha in alphas]

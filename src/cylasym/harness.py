@@ -4,10 +4,11 @@ measure convergence to the cross-section limit, and emit reports.
 run_sweep builds the half of the sweep that does not depend on l once, as
 an assembly.CrossSection: the cross-section factors with their cached de
 Boor tables, the cross-section block of every axial part, the load and, for
-a two-part system, the pencil's eigenbasis.  The limit system is its
-zero-axial-part block and load, solved once in the parent, and the norm of
-u_inf leaves the factors' Gram bands cached on them for every later norm;
-per-ell jobs assemble only the axial pieces and are independent.
+a two-part system, the pencil's eigenbasis, whose failure names the stage
+`cross-section` (l = inf).  The limit system is its zero-axial-part block
+and load, solved once in the parent, and the norm of u_inf leaves the
+factors' Gram bands cached on them for every later norm; per-ell jobs
+assemble only the axial pieces and are independent.
 The jobs are split into min(workers, jobs) chains (_chains), the largest
 ell first onto the least-loaded chain.  A lone chain, as with one worker or
 one job, runs inline, the largest ell first, which allocates the largest
@@ -59,6 +60,7 @@ Solver failures name the problem, ell and stage.
 """
 
 import contextlib
+import math
 import os
 import pickle
 import signal
@@ -204,15 +206,23 @@ class SweepPlan:
 
 def _check_cells(spec: ProblemSpec, name: str, resolution: int, ell: float, axial: str) -> None:
     """Raise ValueError, naming the problem, unless the resolution is at
-    least 1 cell per unit length and every spline factor gets the 2m + 1
-    cells it needs at it: on the axial extent (-ell, ell), which the message
-    calls `axial`, and on each extent of the cross-section."""
+    least 1 cell per unit length and every spline factor gets a finite
+    number of cells at it, at least the 2m + 1 it needs: on the axial
+    extent (-ell, ell), which the message calls `axial`, and on each extent
+    of the cross-section."""
     if resolution < 1:
         raise ValueError(f"problem {name}: resolution {resolution} is below 1 cell per unit length")
     need = 2 * spec.m + 1
     for what, (lo, hi) in [(axial, (-ell, ell))] + [
         (f"the extent of x{spec.p + k + 1}", extent) for k, extent in enumerate(spec.omega)
     ]:
+        try:
+            finite = math.isfinite((hi - lo) * resolution)
+        except OverflowError:  # a resolution beyond the largest float
+            finite = False
+        if not finite:
+            raise ValueError(f"problem {name}: resolution {resolution} puts no finite number "
+                             f"of cells on ({lo:g}, {hi:g}), {what}")
         cells = cells_for((lo, hi), resolution)
         if cells < need:
             raise ValueError(
@@ -241,12 +251,8 @@ def _kernel(system, where: str):
     solve(block) -> y on the system or any of its parity blocks, and its
     name."""
     if system.two_part:
-        # the cross-section's eigenbasis, computed once per sweep and read
-        # before any block is solved, so an indefinite top block raises
-        # even when every block is left out
-        eigenbasis = system.section.eigenbasis(where)
-        return (lambda block: kronecker_solve(block.axial_pencil(), eigenbasis, block.rhs,
-                                              block.matvec, where),
+        return (lambda block: kronecker_solve(block.axial_pencil(), system.section.eigenbasis,
+                                              block.rhs, block.matvec, where),
                 "fast_diagonalization")
     if system.symmetric:
         return (lambda block: cholesky_solve(block.lower_band(), block.rhs, where),
@@ -461,11 +467,6 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     u_inf = DiscreteField(limit_system.basis, limit_result.x)
     timings["limit_solve_s"] = time.perf_counter() - t0
 
-    if section.two_part:
-        # every job solves with this eigenbasis, so a forked job inherits it;
-        # a failure would be every job's, and names the smallest l, as the
-        # first failing job in plan order would
-        section.eigenbasis(_where(spec, "solve", plan.ells[0]))
     # caches the cross-section factors' Gram bands before any job forks
     norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution)
     # the localized energies of u_{l_max} at l_max / 2, l_max / 4, ... down

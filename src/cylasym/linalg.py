@@ -12,7 +12,8 @@ two LAPACK kernels, banded Cholesky (dpbtrf, dpbtrs) and banded LU (dgbsv):
   transforms; the modes are stacked into one block-diagonal band, which
   dpbtrf factors in one call, and one step of iterative refinement follows.
   The pencil's eigenbasis (pencil_eigenbasis) depends on the cross-section
-  alone, so a sweep computes it once and hands it to the solve at every l.
+  alone, so the sweep's CrossSection computes it once, and the solve at
+  every l reads it.
   With N_ax axial and N_c cross-section unknowns and degree d it costs
   O(N_c^3 + N_ax N_c^2 + N_ax N_c d^2), against O(N_ax N_c^3 d^2) for a
   Cholesky of the whole band, whose half-bandwidth is about d N_c.
@@ -23,8 +24,9 @@ two LAPACK kernels, banded Cholesky (dpbtrf, dpbtrs) and banded LU (dgbsv):
   system whose cross-section is mirror-symmetric, one after the other, so
   that each band has about half the rows and half the bandwidth of the
   whole.
-- lu_solve, for a nonsymmetric system: LU with partial pivoting on LAPACK
-  general band storage (dgbsv), on parity blocks alike.
+- lu_solve, for a nonsymmetric system: LU with partial pivoting (dgbsv),
+  in place on the general band storage with room for the fill-in that
+  AssembledSystem.general_band writes, on parity blocks alike.
 
 Each is a kernel: it returns x, and raises SolverError only when a
 factorization fails, which proves a block or a mode is not positive
@@ -71,7 +73,6 @@ class SolverError(RuntimeError):
 class SolveResult:
     x: np.ndarray
     residual: float  # true relative residual |b - Ax| / |b|
-    iterations: int  # 0: every solve is direct
     method: str
     backward_error: float | None = None  # computed by _accept
 
@@ -94,7 +95,7 @@ def _accept(x, b, a_norm: float, matvec, where: str, method: str) -> SolveResult
         raise SolverError(
             f"{where}: backward error {berr:.3e} exceeds {BACKWARD_ERROR_TOL:g}"
         )
-    return SolveResult(x, residual, 0, method, berr)
+    return SolveResult(x, residual, method, berr)
 
 
 def cholesky_solve(ab, b, where: str = "solve"):
@@ -144,9 +145,9 @@ def kronecker_solve(axial, eigenbasis, b, matvec, where: str = "solve"):
     axial is (A_top, A_other), the symmetric axial blocks in LAPACK lower
     band storage of one shape (kd + 1, N_ax); eigenbasis is (lam, V) of the
     cross-section pencil (C_other, C_top), from pencil_eigenbasis, which
-    depends on the cross-section alone, so a sweep computes it once for
-    every l.  The (N_ax, N_c) view X of x then solves
-    (A_top + lam_k A_other) y_k = (B V)_k for every mode k, and X = Y V^T.
+    depends on the cross-section alone (CrossSection.eigenbasis).  The
+    (N_ax, N_c) view X of x then solves (A_top + lam_k A_other) y_k =
+    (B V)_k for every mode k, and X = Y V^T.
     The N_c axial matrices are stacked into one block-diagonal band, mode k
     in rows k N_ax to (k + 1) N_ax - 1, which dpbtrf factors in one call
     and dpbtrs solves in one call per right-hand side.  One step of
@@ -183,16 +184,14 @@ def kronecker_solve(axial, eigenbasis, b, matvec, where: str = "solve"):
 def lu_solve(ab, b, where: str = "solve"):
     """x with Ax = b for a general banded A, by LU with partial pivoting.
 
-    ab is A's LAPACK general band storage, (2 kd + 1, N) with A[i, j] at
-    ab[kd + i - j, j].  It is copied into the (3 kd + 1, N) storage dgbsv
-    factors, below kd rows for the fill-in.  A singular A raises SolverError
-    prefixed with `where`.
+    ab is the storage dgbsv factors: (3 kd + 1, N), with A[i, j] at
+    ab[2 kd + i - j, j] and the top kd rows zero for the fill-in.  dgbsv
+    overwrites it by the factors, in place when Fortran-ordered.  A
+    singular A raises SolverError prefixed with `where`.
     """
     _, _, dgbsv = _lapack()
-    kd = ab.shape[0] // 2
-    lu = np.zeros((3 * kd + 1, ab.shape[1]))
-    lu[kd:] = ab
-    *_, x, info = dgbsv(kd, kd, lu, b, overwrite_ab=1, overwrite_b=0)
+    kd = (ab.shape[0] - 1) // 3
+    *_, x, info = dgbsv(kd, kd, ab, b, overwrite_ab=1, overwrite_b=0)
     if info > 0:
         raise SolverError(f"{where}: matrix is singular (singular matrix)")
     _check_arguments(info, "dgbsv")

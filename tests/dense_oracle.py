@@ -469,7 +469,7 @@ def _full_path(system, where):
     no fold: fast diagonalization for a two-part system, banded Cholesky
     for another symmetric one, banded LU otherwise."""
     if system.two_part:
-        return (linalg.kronecker_solve(system.axial_pencil(), system.section.eigenbasis(where),
+        return (linalg.kronecker_solve(system.axial_pencil(), system.section.eigenbasis,
                                        system.rhs, system.matvec, where),
                 "fast_diagonalization")
     if system.symmetric:
@@ -558,7 +558,7 @@ def inverse_inf_norm(system, dense_below: int = 3000) -> float:
     from scipy.sparse.linalg import LinearOperator, onenormest
 
     if system.two_part:
-        axial, eigenbasis = system.axial_pencil(), system.section.eigenbasis()
+        axial, eigenbasis = system.axial_pencil(), system.section.eigenbasis
 
         def solve(v):
             return linalg.kronecker_solve(axial, eigenbasis, np.ravel(v), system.matvec)

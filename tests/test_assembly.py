@@ -14,6 +14,7 @@ builds it from a full band without that walk.
 
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -621,11 +622,12 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
     want = np.abs(A).sum(axis=1).max()
     assert abs(a_norm - want) <= 1e-15 * want
     assert np.abs(system.matvec(x) - A @ x).max() <= 1e-15 * want * np.abs(x).max()
-    kd = ab.shape[0] // 2
+    kd = (ab.shape[0] - 1) // 3
     assert ab.flags.f_contiguous and ab.shape[1] == system.ndofs
+    assert not ab[:kd].any()  # dgbsv's rows for the fill-in
     for c in range(-kd, kd + 1):  # column minus row
         n = system.ndofs - abs(c)
-        assert ab[kd - c, max(c, 0) : max(c, 0) + n].tobytes() == np.diagonal(A, c).tobytes()
+        assert ab[2 * kd - c, max(c, 0) : max(c, 0) + n].tobytes() == np.diagonal(A, c).tobytes()
 
 
 def _raw_band(rng, dims, widths, outside=np.nan):
@@ -840,6 +842,40 @@ def test_inf_norm_is_the_largest_row_sum_of_the_matrix(spec, ell, resolution, de
         system = assembled_limit(spec, resolution=resolution, degree=degree)
     want = abs(oracle_csr(system)).sum(axis=1).max()
     assert abs(system.inf_norm() - want) <= 1e-15 * want
+
+
+def _every_row_sums(parts, p):
+    """_kron_row_sums over every axial row, none left out, in its orders:
+    each entry summed over the parts in their order, its magnitude over the
+    cross-section slots down the middle axis, then over the axial slots
+    from slot 0."""
+    n_c = math.prod(parts[0][1].shape[: parts[0][1].ndim // 2])
+    axial = [A.reshape(math.prod(A.shape[:p]), -1) for A, _ in parts]
+    cross = [np.ascontiguousarray(C.reshape(n_c, -1).T) for _, C in parts]
+    row_abs = 0.0
+    for e in range(axial[0].shape[1]):
+        entries = axial[0][:, e, None, None] * cross[0]
+        for A, C in zip(axial[1:], cross[1:]):
+            entries += A[:, e, None, None] * C
+        row_abs = row_abs + np.abs(entries).sum(axis=1)
+    return row_abs
+
+
+@pytest.mark.parametrize("spec,ell,resolution,kept", [
+    (builtin_problem("biharmonic_strip"), 16.0, 32, 15),
+    (_laplace_box(2), 8.0, 4, 11 * 64),
+], ids=["biharmonic", "box_p2"])
+def test_the_row_sums_of_equal_axial_rows_are_summed_once(spec, ell, resolution, kept):
+    # the placed axial bands repeat whole rows, so |A|_inf sums the first
+    # row of each run of equal rows alone: the same row sums, bit for bit,
+    # as over every axial row, and the same largest one; the p = 2 box keeps
+    # 11 rows per row of its first axial factor
+    system = assembled_cylinder(spec, ell=ell, resolution=resolution)
+    once = assembly._kron_row_sums(system.kron_parts, spec.p)
+    every = _every_row_sums(system.kron_parts, spec.p)
+    assert len(once) == kept < len(every)
+    assert np.array_equal(np.unique(once, axis=0), np.unique(every, axis=0))
+    assert system.inf_norm() == every.max()
 
 
 _FOLD_CASES = {

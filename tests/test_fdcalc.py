@@ -282,18 +282,14 @@ def test_interior_error_positive_for_perturbed_field():
     assert err > 0.01
 
 
-def test_interior_error_order_defaults_to_the_cross_section_constraint():
+def test_interior_error_order_is_the_m_it_is_given():
     # the difference field's axial factor is unconstrained (bc_order 0); the
-    # default m is the cross-section's constraint order, 1, not 0
+    # order bound is the m passed, the cross-section's constraint order 1
     u_inf = _cross_field()
     _, w = difference_field(_extension(_cross_field(seed=9)), u_inf)
     assert w.basis.factors[0].bc_order == 0
-    alphas = [(0, 0), (1, 0), (0, 1)]
-    region = ((-0.5, 0.5), (0.25, 0.75))
-    default = interior_derivative_error(w, 1, alphas, region, h=1.0 / 16)
-    assert default == interior_derivative_error(w, 1, alphas, region, h=1.0 / 16, m=1)
     with pytest.raises(LatticeError, match="exceeds m = 1"):
-        interior_derivative_error(w, 1, [(1, 1)], region, h=1.0 / 16)
+        interior_derivative_error(w, 1, [(1, 1)], ((-0.5, 0.5), (0.25, 0.75)), h=1.0 / 16, m=1)
 
 
 def test_interior_error_region_guards():
@@ -426,7 +422,7 @@ def test_the_sweep_estimates_equal_delta_alpha_bit_for_bit(monkeypatch, spec, re
     # difference fields
     calls = []
 
-    def recorded(w, p, alphas, region, h, m=None):
+    def recorded(w, p, alphas, region, h, m):
         out = interior_derivative_error(w, p, alphas, region, h, m=m)
         calls.append((w, p, region, h, m, out))
         return out

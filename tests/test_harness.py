@@ -550,7 +550,7 @@ def test_the_system_structure_picks_the_solve(spec, where, method):
         system = assembled_limit(spec, resolution=5)
     result = harness._solve_system(system)
     assert result.method == method
-    assert result.iterations == 0 and result.backward_error <= 1e-14
+    assert result.backward_error <= 1e-14
 
 
 _SWEEP_IN_A_CHILD = """
@@ -617,9 +617,10 @@ def test_a_sweep_maps_one_blas(problem, resolution, workers):
 def test_an_indefinite_top_block_names_the_problem_and_l():
     # a_{e1 e1} = x2 - 1/2 changes sign on the cross-section, so the block
     # that weights the axial stiffness is indefinite; the spec fails the
-    # ellipticity check, which a sweep runs first, so assemble directly.
-    # The eigenbasis is read before any block is solved, so a zero forcing,
-    # whose every block is left out, raises too
+    # ellipticity check, which a sweep runs first, so build the section
+    # directly.  The section computes the eigenbasis as it is built, before
+    # any system, so a zero forcing, whose every block would be left out,
+    # raises too, at the stage `cross-section` (l = inf)
     for forcing in ("1", "0"):
         spec = ProblemSpec(
             m=1, n=2, p=1, omega=((0.0, 1.0),),
@@ -627,12 +628,10 @@ def test_an_indefinite_top_block_names_the_problem_and_l():
                           ((0, 1), (0, 1)): ScalarField.parse("1", 2)},
             forcing=ScalarField.parse(forcing, 2), name="signed",
         )
-        system = assembled_cylinder(spec, ell=2.0, resolution=4)
-        assert system.two_part
-        with pytest.raises(linalg.SolverError, match="^solve for problem signed at l = 2: "
-                           "cross-section block of the highest axial part is not positive "
-                           "definite"):
-            harness._solve_system(system)
+        with pytest.raises(linalg.SolverError, match="^cross-section for problem signed on "
+                           "the cross-section \\(l = inf\\): cross-section block of the "
+                           "highest axial part is not positive definite"):
+            assembly.CrossSection(spec, 4)
 
 
 def test_sweep_runs_the_largest_ell_first_and_reports_in_plan_order(monkeypatch):
@@ -1280,6 +1279,30 @@ def test_cli_refuses_a_resolution_below_one(capsys, argv, value):
     captured = capsys.readouterr()
     assert captured.err == (f"error: problem poisson_strip: resolution {value} is below 1 cell "
                             "per unit length\n")
+
+
+@pytest.mark.parametrize("argv,extent", [
+    (["sweep", "--problem", "poisson_strip", "--l", "1e308"],
+     "(-1e+308, 1e+308), the axial extent at the smallest l"),
+    (["refine", "--problem", "poisson_strip", "--l", "1e308"],
+     "(-1e+308, 1e+308), the axial extent at l = 1e+308"),
+    (["sweep", "--problem", "poisson_strip", "--cells-per-unit", "1" + "0" * 400],
+     "(-2, 2), the axial extent at the smallest l"),
+    (["sweep", "--problem", "{config}"], "(-1e+308, 1e+308), the extent of x2"),
+], ids=["sweep-l", "refine-l", "sweep-cells", "sweep-omega"])
+def test_cli_refuses_an_infinite_cell_count(tmp_path, capsys, argv, extent):
+    # (hi - lo) times the resolution overflows a float: the axial extent
+    # of a huge l, a resolution of 401 digits, or a huge omega, which
+    # `validate` passes; cells_for would raise OverflowError
+    config = tmp_path / "huge.cfg"
+    config.write_text("[problem]\nm = 1\nn = 2\np = 1\nomega = -1e308,1e308\n\n[coef]\n"
+                      "a_1_0_1_0 = 1\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n")
+    argv = [arg.format(config=config) for arg in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    name = argv[2]  # the builtin's name, or the config's path
+    assert err.startswith(f"error: problem {name}: resolution ") and err.count("\n") == 1, err
+    assert err.endswith(f" puts no finite number of cells on {extent}\n"), err
 
 
 def test_python_dash_m_runs_the_cli(capsys):
