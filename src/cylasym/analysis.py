@@ -15,10 +15,14 @@ tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:
   G_n^(alpha_n)) X, where G_k^(a) is the banded 1-D Gram matrix of the a-th
   derivatives of the axis-k basis functions on the same Gauss points
   (splines.axis_grams), applied along its axis in assembly's band layout.
-  A factor caches its cutoff-free Grams, so the cross-section factors u_inf
-  owns, the same at every l, build theirs once per sweep.  The plateau
-  cutoff of the localized energy is folded into the axial Grams by
-  Leibniz.  Each alpha's part is clamped at zero, since a form can round
+  Every cutoff-free Gram band of a norm here (a factor's whole extent, and
+  the inner cylinder (-ell0, ell0) of error_Hm when its ends are
+  breakpoints d cells or more inside the axial factor) is placed from a
+  reference on unit cells, not summed over the Gauss points, and a factor
+  caches it, so the cross-section factors u_inf owns, the same at every l,
+  build theirs once per sweep.  The plateau cutoff of the localized energy
+  is folded into the axial Grams by Leibniz; those Grams, and those of a
+  box off the cell grid, are summed over the points.  Each alpha's part is clamped at zero, since a form can round
   below zero where a grid sum of squares cannot; error_Hm returns err_L2,
   the alpha = 0 part of its pass, with err_Hm.
 - any other function is an evaluator: a callable (axes, alpha) -> grid of

@@ -7,9 +7,9 @@ indices differ by at most d_k on every axis, so a matrix is an array of shape
 couples row (i_k) with column (i_k + s_k - d_k).  The slots whose column
 falls outside the space hold no matrix entry, and every band the package
 builds holds zero in them: the kernel's, since the tables zero the
-functions the constraint drops, and those the folds, placements (_placed,
-_transposed), outer products (_outer) and Gram bands (splines.axis_grams)
-form.  So band_apply, matvec and
+functions the constraint drops, and those the folds, placements
+(splines.placed, _transposed), outer products (_outer) and Gram bands
+(splines.axis_grams) form.  So band_apply, matvec and
 _kron_row_sums read a band as it is; the slot walk and the folds read the
 in-space slots only, since they also place entries and define the folded
 space.  A new producer of bands keeps this invariant, and
@@ -49,7 +49,8 @@ rows, which the repeated knots at the lower end shape, and their mirror
 images.  So the CrossSection runs the kernel once per 1-D pair of any
 coefficient on 3 d + 1 unit cells (CrossSection.stencil), whose centre row
 is an interior one, and the unit load likewise, before any job, and every
-factor places its bands and load from that (_placed): the leading rows,
+factor places its bands and load from that (splines.placed, which places
+the norms' Gram bands too): the leading rows,
 then the interior row, then the mirror of the first half with the sign
 (-1)^(a + b).  These equal their signed mirrors bitwise, and they do not
 depend on where the factor lies.  A factor of fewer than 3 d + 1 cells,
@@ -174,7 +175,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import pencil_eigenbasis
 from .problem import ProblemSpec
-from .splines import SplineBasis1D, TensorBasis, cells_for, composite_gauss
+from .splines import SplineBasis1D, TensorBasis, cells_for, composite_gauss, placed
 
 _CELL_LETTERS = "abc"
 _QUAD_LETTERS = "uvw"
@@ -432,28 +433,6 @@ def _folded_band(band, axis: int, odd: bool = False):
         add(folded, np.where(here.reshape(here.shape + (1,) * (B.ndim - 2)), term, 0.0),
             out=folded)
     return np.ascontiguousarray(np.moveaxis(folded, (0, 1), (axis, k + axis)))
-
-
-def _placed(ref, n: int, sign: float = 1.0):
-    """The band (or the load, a band of slot width 1) of a 1-D factor of n
-    functions on uniform cells, from the reference ref of such a factor
-    (CrossSection.stencil).
-
-    Row i < ceil(n / 2) is ref's row min(i, c), c = (len(ref) - 1) // 2:
-    the reference's leading rows, then its centre row, which is an interior
-    row on a reference of 3 d + 1 cells and otherwise one of a reference of
-    n functions.  Row m(i) = n - 1 - i is row i mirrored, its slots
-    reversed and times sign, (-1)^(a + b) for the key (a, b); the centre
-    row of an odd n is its own mirror average.  So the result equals its
-    signed mirror bitwise.
-    """
-    half = (n + 1) // 2
-    lead = ref[np.minimum(np.arange(half), (len(ref) - 1) // 2)]
-    out = np.concatenate([lead, sign * np.flip(lead[: n // 2])])
-    if n % 2:
-        centre = out[half - 1 : half]
-        centre[...] = 0.5 * (centre + sign * np.flip(centre))
-    return out
 
 
 def _outer(pieces):
@@ -876,8 +855,8 @@ class CrossSection:
       mirrors bitwise along these axes, and AssembledSystem.parity_blocks
       folds them per system; no folded block is kept.
 
-    A sweep's forked jobs inherit it with all of these; nothing is cached
-    at module level.  A kernel piece of a block or the load with a
+    A sweep's forked jobs inherit it with all of these; none of it is
+    cached at module level.  A kernel piece of a block or the load with a
     non-finite entry raises AssemblyError at the stage `cross-section`
     (l = inf), before any system is built from them; an indefinite top
     block raises linalg.SolverError at that stage too.
@@ -935,8 +914,8 @@ class CrossSection:
         built on first use and kept.  bands maps each 1-D pair (a, b) that
         a coefficient has on some axis to its band with unit coefficient,
         and load is the unit forcing's load, each mirror symmetric
-        (_placed).  On 3 d + 1 cells the centre row, that of function 2 d
-        before the constraint, couples functions d..3 d, which are all
+        (splines.placed).  On 3 d + 1 cells the centre row, that of
+        function 2 d before the constraint, couples functions d..3 d, which are all
         uniform B-splines the constraint keeps, for every m <= d: an
         interior row.  So every factor of that many cells or more reads one
         stencil; a shorter one, whose rows near one end also see the other
@@ -946,9 +925,9 @@ class CrossSection:
         if cells not in self._stencils:
             factor = SplineBasis1D(0.0, cells, cells, self.degree, self.spec.m)
             pairs = sorted({ab for key in self.spec.coefficients for ab in zip(*key)})
-            bands = {(a, b): _placed(_galerkin((factor,), [((a,), (b,), _unit)]), factor.dim,
-                                     (-1.0) ** (a + b)) for a, b in pairs}
-            load = _placed(_load((factor,), _unit), factor.dim)
+            bands = {(a, b): placed(_galerkin((factor,), [((a,), (b,), _unit)]), factor.dim,
+                                    (-1.0) ** (a + b)) for a, b in pairs}
+            load = placed(_load((factor,), _unit), factor.dim)
             for ref in (*bands.values(), load):
                 ref.flags.writeable = False  # every system of the sweep reads it
             self._stencils[cells] = bands, load
@@ -958,18 +937,18 @@ class CrossSection:
         """(bands, load) of a factor of uniform cells, of the section's
         degree and constraint: each band of the stencil (a key (a, b) of
         stencil(factor.cells)) and the unit forcing's load, placed
-        (_placed) and scaled to the factor's cell width h, the band by
-        h^(1 - a - b) and the load by h."""
+        (splines.placed) and scaled to the factor's cell width h, the band
+        by h^(1 - a - b) and the load by h."""
         refs, ref_load = self.stencil(factor.cells)
         h, n = factor.h, factor.dim
-        placed = {(a, b): _placed(ref, n, (-1.0) ** (a + b)) * h ** (1 - a - b)
-                  for (a, b), ref in refs.items()}
+        bands = {(a, b): placed(ref, n, (-1.0) ** (a + b)) * h ** (1 - a - b)
+                 for (a, b), ref in refs.items()}
         # the kernel's band of (b, a) is that of (a, b) transposed, bitwise;
         # rows placed from different reference rows keep that only up to
         # rounding, and the average with the transpose keeps it bitwise
-        placed = {(a, b): 0.5 * (band + _transposed(placed[b, a])) if (b, a) in placed else band
-                  for (a, b), band in placed.items()}
-        return placed, _placed(ref_load, n) * h
+        bands = {(a, b): 0.5 * (band + _transposed(bands[b, a])) if (b, a) in bands else band
+                 for (a, b), band in bands.items()}
+        return bands, placed(ref_load, n) * h
 
     def axial(self, factor):
         """(bands, load) of a cylinder whose p axial factors are `factor`:

@@ -172,6 +172,7 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if args.command == "sweep":
@@ -194,6 +195,11 @@ def main(argv=None) -> int:
     except WorkerError as exc:
         print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_WORKER
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        where = f"problem {args.problem}: " if args else ""
+        print(f"error: {where}out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

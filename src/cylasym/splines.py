@@ -16,14 +16,26 @@ tables: a value gathers the coefficients of its point's window and sums
 them in a fixed order, so it depends on its own point only, and no dense
 (points x dim) basis matrix is ever built.  The same tables give the
 assembly kernel its local values, so every system and field on a factor
-shares them, and they give the banded 1-D Gram matrices of weighted sums
-over points (gram_band; axis_grams builds them for a factor on a composite
-Gauss rule, and the factor caches the cutoff-free ones, read-only, as it
-caches its tables), from which analysis integrates the norms of spline
-fields without evaluating them.  composite_gauss scales one memoized, read-only
-Gauss-Legendre rule per point count, read from a table of the rules of 1 to
-8 points, bit for bit those of numpy.polynomial.legendre.leggauss, so the
-package does not import numpy.polynomial; a larger count calls leggauss.
+shares them.
+
+The norms of spline fields are Kronecker forms of banded 1-D Gram
+matrices, which analysis applies without evaluating the fields
+(axis_grams, on a composite Gauss rule).  On uniform cells a band is
+placed (placed), the rule that builds assembly's constant-coefficient
+bands: its leading rows and one interior row, read from a reference on
+unit cells, then their mirror images, scaled to the cell width.  Two
+references per degree, constraint order, m and points per cell, each
+built on first use in a process (_gram_reference), cover the whole
+extent of a factor and a box at least d cells inside one, so no uncut
+band a command integrates reads a table of the factor.  A band with a
+cutoff, and one on a box whose ends are not breakpoints, is summed over
+the points from the factor's table (gram_band).  The factor caches its
+uncut bands, read-only, as it caches its tables.
+
+composite_gauss scales one memoized, read-only Gauss-Legendre rule per
+point count, read from a table of the rules of 1 to 8 points, bit for bit
+those of numpy.polynomial.legendre.leggauss, so the package does not import
+numpy.polynomial; a larger count calls leggauss.
 """
 
 import math
@@ -209,24 +221,31 @@ def gram_band(vals, cols, weights, size: int):
     return band.reshape(size, width)
 
 
-def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cutoff=None):
-    """(rows, (G^(0), .., G^(m))): Gram bands of one factor's functions on
-    the composite Gauss rule of extent, over the slice `rows` of functions
-    nonzero there.
+def placed(ref, n: int, sign: float = 1.0):
+    """The band (or the load, a band of slot width 1) of a 1-D factor of n
+    functions on uniform cells, from the reference ref of such a factor:
+    assembly's stencil of a pair, or a Gram reference (axis_grams).
 
-    G^(a)[i, j] sums w_q phi_i^(a)(x_q) phi_j^(a)(x_q), phi the factor's
-    basis (from its cached local table).  A cutoff (rho, width) multiplies
-    each function by rho(x / width): by Leibniz, phi^(a) is then the sum
-    over b <= a of C(a, b) B^(b) rho^(a - b) / width^(a - b).  G^(a) does
-    not depend on m, so the bands of a smaller m are a prefix bit for bit.
-    Without a cutoff the factor caches the bands, read-only, per (extent,
-    m, resolution, points_per_cell), as it caches its local tables.
+    Row i < ceil(n / 2) is ref's row min(i, c), c = (len(ref) - 1) // 2:
+    the reference's leading rows, then its centre row, which is an interior
+    row on a reference of 3 d + 1 cells and otherwise one of a reference of
+    n functions.  Row m(i) = n - 1 - i is row i mirrored, its slots
+    reversed and times sign, (-1)^(a + b) for the key (a, b); the centre
+    row of an odd n is its own mirror average.  So the result equals its
+    signed mirror bitwise.
     """
-    if m > factor.degree:
-        raise ValueError(f"derivative order {m} exceeds degree {factor.degree}")
-    key = ((float(extent[0]), float(extent[1])), m, resolution, points_per_cell)
-    if cutoff is None and key in factor._grams:
-        return factor._grams[key]
+    half = (n + 1) // 2
+    lead = ref[np.minimum(np.arange(half), (len(ref) - 1) // 2)]
+    out = np.concatenate([lead, sign * np.flip(lead[: n // 2])])
+    if n % 2:
+        centre = out[half - 1 : half]
+        centre[...] = 0.5 * (centre + sign * np.flip(centre))
+    return out
+
+
+def _gauss_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cutoff=None):
+    """axis_grams' per-point kernel: (rows, (G^(0), .., G^(m))) summed over
+    the composite Gauss points of extent from the factor's local table."""
     pts, wts = gauss_axis(extent, resolution, points_per_cell)
     vals, cols = factor.local_table(pts)
     lo = int(cols.min())
@@ -240,12 +259,91 @@ def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cu
             for a in range(m + 1)
         ]
     size = int(cols.max()) + 1
-    table = slice(lo, lo + size), tuple(gram_band(phi, cols, wts, size) for phi in phis)
-    if cutoff is None:
+    return slice(lo, lo + size), tuple(gram_band(phi, cols, wts, size) for phi in phis)
+
+
+@lru_cache(maxsize=None)
+def _gram_reference(degree: int, bc_order: int, cells: int, margin: int, m: int,
+                    points_per_cell: int):
+    """The bands G^(0..m) that _placed_grams places from, read-only: the
+    kernel's (_gauss_grams) on `cells` unit cells that lie `margin` cells
+    inside a factor of unit cells, of the degree and constraint order, each
+    made mirror symmetric (placed).  Built on first use in a process and
+    kept, as _legendre's rules are."""
+    factor = SplineBasis1D(0.0, cells + 2 * margin, cells + 2 * margin, degree, bc_order)
+    _, bands = _gauss_grams(factor, (margin, margin + cells), m, 1, points_per_cell)
+    refs = tuple(placed(band, len(band)) for band in bands)
+    for ref in refs:
+        ref.flags.writeable = False
+    return refs
+
+
+def _placed_grams(factor, extent, m: int, resolution: int, points_per_cell: int):
+    """axis_grams' placed bands (rows, (G^(0), .., G^(m))), or None unless
+    the composite rule of extent runs on the factor's own cells c0..c1 - 1
+    (its ends are breakpoints, up to rounding) and these are the whole
+    extent or lie d cells or more inside the factor's ends.
+
+    The whole extent places from a reference of its own constraint order,
+    and an inner box, whose functions are all uniform B-splines that no
+    constraint drops, from one on a box d cells inside an unconstrained
+    factor.  A reference has 3 d + 1 cells, or the box's own count when it
+    is shorter.
+    """
+    ends = [float(x) for x in extent]
+    c0, c1 = (round((x - factor.lo) / factor.h) for x in ends)
+    tol = _DOMAIN_RTOL * max(1.0, abs(factor.lo), abs(factor.hi))
+    if c1 - c0 != cells_for(ends, resolution) or any(
+            abs(factor.lo + c * factor.h - x) > tol for c, x in zip((c0, c1), ends)):
+        return None
+    d = factor.degree
+    if (c0, c1) == (0, factor.cells):
+        bc, margin = factor.bc_order, 0
+    elif c0 >= d and c1 <= factor.cells - d:
+        bc, margin = 0, d
+    else:
+        return None
+    refs = _gram_reference(d, bc, min(c1 - c0, 3 * d + 1), margin, m, points_per_cell)
+    first, size = c0 - factor.bc_order + bc, c1 - c0 + d - 2 * bc
+    return slice(first, first + size), tuple(
+        placed(ref, size) * factor.h ** (1 - 2 * a) for a, ref in enumerate(refs))
+
+
+def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cutoff=None):
+    """(rows, (G^(0), .., G^(m))): Gram bands of one factor's functions on
+    the composite Gauss rule of extent, over the slice `rows` of functions
+    nonzero there.
+
+    G^(a)[i, j] sums w_q phi_i^(a)(x_q) phi_j^(a)(x_q), phi the factor's
+    basis.  On cells of width h, G^(a) is h^(1 - 2a) times its band on
+    unit cells, whose rows are those of one interior row except for the
+    leading rows and their mirror images.  So without a cutoff the bands of
+    the boxes a command integrates, a factor's whole extent and a box on
+    its breakpoints d cells or more inside its ends (the inner cylinder of
+    error_Hm), are placed (placed) from a reference on unit cells
+    (_placed_grams), as assembly places its bands: bitwise mirror
+    symmetric, the same on every translate of the factor, and read from no
+    table of the factor.  Every other box, and every band with a cutoff,
+    is summed point by point from the factor's cached local table
+    (_gauss_grams).  A cutoff (rho, width) multiplies each function by
+    rho(x / width): by Leibniz, phi^(a) is then the sum over b <= a of
+    C(a, b) B^(b) rho^(a - b) / width^(a - b).  G^(a) does not depend on
+    m, so the bands of a smaller m are a prefix bit for bit.  Without a
+    cutoff the factor caches the bands, read-only, per (extent, m,
+    resolution, points_per_cell).
+    """
+    if m > factor.degree:
+        raise ValueError(f"derivative order {m} exceeds degree {factor.degree}")
+    if cutoff is not None:
+        return _gauss_grams(factor, extent, m, resolution, points_per_cell, cutoff)
+    key = ((float(extent[0]), float(extent[1])), m, resolution, points_per_cell)
+    if key not in factor._grams:
+        table = (_placed_grams(factor, extent, m, resolution, points_per_cell)
+                 or _gauss_grams(factor, extent, m, resolution, points_per_cell))
         for band in table[1]:
             band.flags.writeable = False  # every norm on the factor reads it
         factor._grams[key] = table
-    return table
+    return factor._grams[key]
 
 
 class SplineBasis1D:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -22,8 +23,9 @@ from dense_oracle import (
     full_path_solve,
     inverse_inf_norm,
 )
+from test_sweep_bytes import BOX_CONFIG, BOX_P2_CONFIG
 
-from cylasym import analysis, assembly, cli, harness, linalg
+from cylasym import analysis, assembly, cli, harness, linalg, splines
 from cylasym.analysis import difference_field, norm_Hm, write_report_csv
 from cylasym.fdcalc import interior_derivative_error
 from cylasym.harness import (
@@ -37,6 +39,7 @@ from cylasym.problem import (
     ProblemConfigError,
     ProblemSpec,
     ScalarField,
+    builtin_names,
     builtin_problem,
     parse_problem_config,
 )
@@ -481,6 +484,68 @@ def test_a_sweep_builds_the_gram_bands_of_each_cross_section_factor_once(monkeyp
     for f in factors:
         (_, bands), = f._grams.values()
         assert len(bands) == spec.m + 1 and not any(g.flags.writeable for g in bands)
+
+
+def test_no_uncut_gram_band_of_a_sweep_reads_a_local_table(monkeypatch):
+    # every uncut Gram band a sweep integrates (whole extents, and the inner
+    # cylinder d cells or more inside the axial factor) is placed from a
+    # reference on unit cells: no de Boor table of a sweep's factor is
+    # built for it.  Building a reference reads one of its own unit-cell
+    # factor, and the cutoff bands of the localized energies read theirs
+    specs = [builtin_problem(name) for name in builtin_names()] + [
+        parse_problem_config(text, name) for name, text in (("box3d", BOX_CONFIG),
+                                                            ("box_p2", BOX_P2_CONFIG))]
+    uncut, reads, grams = [False], Counter(), Counter()
+    axis_grams, reference = analysis.axis_grams, splines._gram_reference
+    local_table = SplineBasis1D.local_table
+
+    def within(fn, flag):
+        def call(*args):
+            uncut.append(flag(args))
+            try:
+                return fn(*args)
+            finally:
+                uncut.pop()
+        return call
+
+    def counted(factor, x):
+        reads[uncut[-1]] += 1
+        return local_table(factor, x)
+
+    def cut_or_not(args):
+        grams[args[5] is None] += 1
+        return args[5] is None
+
+    monkeypatch.setattr(analysis, "axis_grams", within(axis_grams, cut_or_not))
+    monkeypatch.setattr(splines, "_gram_reference", within(reference, lambda args: False))
+    monkeypatch.setattr(SplineBasis1D, "local_table", counted)
+    for spec in specs:
+        run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0, 8.0), resolution=4 if spec.n == 3 else 8))
+    assert grams[True] > 0 and grams[False] > 0 and reads[False] > 0
+    assert reads[True] == 0
+
+
+def test_the_uncut_norms_of_a_job_hold_no_per_point_tables():
+    # norm_Hm(u_l) and error_Hm of the biharmonic strip at 32 cells per
+    # unit, l = 16, from cold references: traced peak 1.68 MiB, the
+    # Kronecker products of u_l's 1023 x 31 coefficients; with the Gram
+    # bands summed over 3072 Gauss points it was 2.17 MiB
+    spec, resolution = builtin_problem("biharmonic_strip"), 32
+    section = assembly.CrossSection(spec, resolution)
+    limit = assembly.assemble_limit(section)
+    system = assembly.assemble_cylinder(section, ell=16.0)
+    u_inf = DiscreteField(limit.basis, harness._solve_system(limit).x)
+    u_l = DiscreteField(system.basis, harness._solve_system(system).x)
+    p, w = difference_field(u_l, u_inf)
+    splines._gram_reference.cache_clear()
+    tracemalloc.start()
+    try:
+        norm_Hm(u_l, u_l.basis.domain, spec.m, resolution)
+        analysis.error_Hm(p, w, 1.0, spec.m, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.85 * 2**20, peak / 2**20
 
 
 def test_a_sweep_pads_no_band_or_field_with_numpy_pad(monkeypatch):
@@ -1303,6 +1368,28 @@ def test_cli_refuses_an_infinite_cell_count(tmp_path, capsys, argv, extent):
     name = argv[2]  # the builtin's name, or the config's path
     assert err.startswith(f"error: problem {name}: resolution ") and err.count("\n") == 1, err
     assert err.endswith(f" puts no finite number of cells on {extent}\n"), err
+
+
+def test_cli_reports_running_out_of_memory_in_one_line(tmp_path):
+    # omega = (0, 1e12) passes validate and every cell-count check, and the
+    # sweep then asks numpy for 116 TiB of breakpoints.  The child's address
+    # space is capped, so that allocation fails whatever the machine's
+    # overcommit setting
+    config = tmp_path / "huge.cfg"
+    config.write_text("[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1e12\n\n[coef]\n"
+                      "a_1_0_1_0 = 1\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n")
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    child = subprocess.run(
+        [sys.executable, "-m", "cylasym", "sweep", "--problem", str(config), "--l", "2,4"],
+        capture_output=True, text=True, preexec_fn=capped, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr.startswith(f"error: problem {config}: out of memory: Unable to allocate ")
+    assert child.stderr.count("\n") == 1, child.stderr
 
 
 def test_python_dash_m_runs_the_cli(capsys):

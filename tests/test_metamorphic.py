@@ -14,9 +14,11 @@ the skew strip (banded LU) and the 3-D box (fast diagonalization), at l =
 
 Translating omega moves no exact value.  The section places the blocks of
 coefficients and the load of a forcing that read no coordinate of omega
-from one stencil on unit cells, so on omega = (3, 4) they are those on
-(0, 1) bitwise; only the norms, whose Gram bands the kernel builds on
-omega's own points, round differently there.
+from one stencil on unit cells, and the norms place their Gram bands from
+references on unit cells (splines.axis_grams), so on omega = (3, 4) they
+are those on (0, 1) bitwise, and so is the whole sweep.  Where a
+coefficient or the forcing reads x2, the kernel evaluates it on omega's
+own points, and the values round differently there.
 
 Nor does a symmetry of the problem move an exact value: permuting the two
 cross-section axes of a 3-D box (fast diagonalization), with its omega,
@@ -37,6 +39,7 @@ from cylasym.analysis import write_report_csv
 from cylasym.assembly import CrossSection
 from cylasym.harness import SweepPlan, run_sweep
 from cylasym.problem import ScalarField, builtin_problem, parse_problem_config
+from cylasym.splines import axis_grams
 
 CASES = {
     # (spec, cells per unit)
@@ -92,10 +95,12 @@ def _csv_rows(report, path):
 
 
 def test_translating_omega_moves_every_value_by_roundoff_only(tmp_path):
-    # biharmonic strip, f = 1, 8 cells per unit: every CSV value agreed
-    # within 2.3e-15 relative (err_H2m_interior bitwise) on (3, 4) and
-    # (0, 1); when the kernel built the blocks on omega's knots, err_Hm
-    # moved by 7.4e-11 at l = 4 and 1e-2 at l = 8
+    # biharmonic strip, f = 1, 8 cells per unit: the CSVs on (3, 4) and
+    # (0, 1) are the same bytes, since every block, load and Gram band is
+    # placed from unit cells; when the kernel built the norms' Gram bands
+    # on omega's points, values agreed within 2.3e-15 relative, and when
+    # it built the blocks there, err_Hm moved by 7.4e-11 at l = 4 and 1e-2
+    # at l = 8
     spec = builtin_problem("biharmonic_strip")
     moved = dataclasses.replace(spec, omega=((3.0, 4.0),))
     for a, b in ((CrossSection(spec, 8), CrossSection(moved, 8)),
@@ -105,11 +110,7 @@ def test_translating_omega_moves_every_value_by_roundoff_only(tmp_path):
         assert all(np.array_equal(C, D) for C, D in zip(a.blocks, b.blocks))
         assert np.array_equal(a.load, b.load)
     rows = [_csv_rows(_sweep(s, 8), tmp_path / f"{k}.csv") for k, s in enumerate((spec, moved))]
-    assert [row["ell"] for row in rows[1]] == [row["ell"] for row in rows[0]] == ["2", "4", "8"]
-    for here, there in zip(*rows):
-        for field, value in here.items():
-            x, y = float(value), float(there[field])
-            assert abs(x - y) <= 1e-14 * abs(x), (here["ell"], field)
+    assert [row["ell"] for row in rows[0]] == ["2", "4", "8"] and rows[1] == rows[0]
 
 
 ERROR_FIELDS = ("err_L2", "err_Hm", "err_H2m_interior")
@@ -120,6 +121,31 @@ def _gaps(report, other, fields):
     """{(l, field): relative gap} of two sweeps' records."""
     return {(a.ell, f): abs(getattr(b, f) - getattr(a, f)) / abs(getattr(a, f))
             for a, b in zip(report.records, other.records) for f in fields}
+
+
+def test_translating_omega_with_fields_that_read_it_moves_every_value_by_roundoff_only():
+    # the Poisson strip with a_0_1_0_1 = 1 + x2 and f = sin(pi x2) on (0, 1)
+    # against the same fields shifted onto (3, 4), at 8 cells per unit.  The
+    # Gram bands of omega's factor are the same bitwise, so the gaps come
+    # from evaluating the fields on omega's points.  Measured relative gaps:
+    # the errors at most 1.6e-13 at l = 2 and 1.0e-10 at l = 4, both norms
+    # at most 6.7e-16 at every l.  At l = 8 the errors sit at the floor
+    # (err_Hm 3.9e-13) and differ by up to 6.2e-4, so they are left out
+    def strip(omega, x2):
+        return parse_problem_config(
+            f"[problem]\nm = 1\nn = 2\np = 1\nomega = {omega}\n\n[coef]\n"
+            f"a_1_0_1_0 = 1\na_0_1_0_1 = 1 + {x2}\n\n[forcing]\n"
+            f"f = sin(3.141592653589793 * {x2})\n", "strip")
+
+    specs = [strip("0,1", "x2"), strip("3,4", "(x2 - 3)")]
+    (f,), (g,) = (CrossSection(spec, 8).factors for spec in specs)
+    for a, b in zip(axis_grams(f, (0.0, 1.0), 1, 8, 3)[1], axis_grams(g, (3.0, 4.0), 1, 8, 3)[1]):
+        assert np.array_equal(a, b)
+    reports = [_sweep(spec, 8) for spec in specs]
+    errors = _gaps(*reports, ERROR_FIELDS)
+    for field in ERROR_FIELDS:
+        assert errors[2.0, field] <= 5e-13 and errors[4.0, field] <= 3e-10, field
+    assert max(_gaps(*reports, NORM_FIELDS).values()) <= 3e-15
 
 
 def _box(omega, a2, a3, forcing):

@@ -219,6 +219,54 @@ def test_a_factor_caches_its_cutoff_free_gram_bands_read_only():
     assert all(g.flags.writeable for g in cut) and len(f._grams) == 5
 
 
+# per degree d, (factor (lo, hi, cells), box) of every kind of box
+# axis_grams places: the whole extent, a box d cells or more inside the
+# factor's ends, and each of them shorter than 3 d + 1 cells
+_PLACED_BOXES = {
+    "whole": lambda d: ((-4.0, 4.0, 64), (-4.0, 4.0)),
+    "inner": lambda d: ((-4.0, 4.0, 64), (-1.0, 1.0)),
+    "short_whole": lambda d: ((0.0, 1.0, 3 * d), (0.0, 1.0)),
+    "short_inner": lambda d: ((-4.0, 4.0, 64), (-0.125, 0.125)),
+}
+
+
+@pytest.mark.parametrize("box", _PLACED_BOXES)
+@pytest.mark.parametrize("degree,bc_order", [
+    (d, b) for d in (1, 2, 3) for b in (0, d)
+])
+def test_placed_gram_bands_match_the_per_point_kernel(degree, bc_order, box):
+    # measured: at most 1.5e-13 of the band's largest entry over degrees
+    # 1-3, constraint orders 0 and m, and factors within |x| <= 16; the
+    # gap is the kernel's rounding of x - knot at the physical points
+    (lo, hi, cells), extent = _PLACED_BOXES[box](degree)
+    resolution = round(cells / (hi - lo))
+    f = SplineBasis1D(lo, hi, cells, degree, bc_order)
+    rows, bands = axis_grams(f, extent, degree, resolution, 3)
+    assert not f._tables  # placed: no local table of the factor was built
+    want_rows, want = splines._gauss_grams(SplineBasis1D(lo, hi, cells, degree, bc_order),
+                                           extent, degree, resolution, 3)
+    assert rows == want_rows
+    for band, kernel in zip(bands, want):
+        assert np.abs(band - kernel).max() <= 4e-13 * np.abs(kernel).max()
+        # bitwise mirror symmetric, rows and slots reversed
+        assert np.array_equal(band, band[::-1, ::-1])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_placed_gram_bands_are_the_same_on_every_translate(degree):
+    # on (1000, 1001) the kernel rounds x - knot a thousand times coarser;
+    # the placed bands depend on the cell width and the function count only
+    for bc_order in (0, degree):
+        for cells, (a, b) in ((24, (0.0, 1.0)), (96, (1.0, 3.0))):
+            hi = cells / 24
+            here = axis_grams(SplineBasis1D(0.0, hi, cells, degree, bc_order), (a, b),
+                              degree, 24, 3)
+            there = axis_grams(SplineBasis1D(1000.0, 1000.0 + hi, cells, degree, bc_order),
+                               (1000.0 + a, 1000.0 + b), degree, 24, 3)
+            assert here[0] == there[0]
+            assert all(np.array_equal(g, h) for g, h in zip(here[1], there[1]))
+
+
 def test_domain_and_order_errors():
     basis = SplineBasis1D(0.0, 1.0, cells=8, degree=2, bc_order=1)
     with pytest.raises(ValueError, match="outside domain"):

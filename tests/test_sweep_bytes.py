@@ -47,33 +47,33 @@ PINNED_VERSIONS = {
                 "MAX_THREADS=64",
 }
 DIGESTS = {
-    "poisson_strip": "0c0a65e843e76165d19691d539f2133409db00e69706b3844789d4c53c4dea2d",
-    "biharmonic_strip": "8eeebc9b7262f041a02313d32f88313140cb0bd7cdb5d8c56706954d9f86fceb",
-    "varcoef_strip": "cd47bd757eee12bcc0396daf7b09082bf8d33f679b118976e20f3b45694821a2",
-    "skew_strip": "f64b600d9397e32571a08c5a1fa0597eebf19b90e69645862d71200901e79edc",
-    "skew_strip_degree_1": "ee62c5f107441b28332c18d58cd3e2b3bfde28527a482afc750ff37ad4a7cdf2",
-    "box3d": "dabe0c2d30cdad4fc022b3cd9ecc3ea2a1c34eea1ce152691be4ef682a93d77f",
-    "box_p2": "4a804ff08991cca7773afe51d513c691b2db9a57e8ad2558f2b2964952609060",
-    "poisson_sin_x1": "88007fe5b1254b97bafc5ba0daf1e6730f0bbdf3190d082f9c5d9e07cd86711f",
-    "biharmonic_x2": "c86b721ccef84121c2abbf5ea03a26507c87a994e426052e69fcd6c9b3b00ac2",
+    "poisson_strip": "eea9eaff86bc3a04f598e8033db3fbe400be03b9eb91262436e6d780fdcafacc",
+    "biharmonic_strip": "63bf18fb54d9c53f8d689f28ab6568f2ce42cc9231cf42f2f1e87ada5881c141",
+    "varcoef_strip": "d5a4bcbe7e9d643eac80c990391106c3e0d49256f4fc5466b6396da2afec3000",
+    "skew_strip": "b96912699e1b7ebd0f7ccf38e44d1ef70d6fc54cec23e34febcd5867088d74ae",
+    "skew_strip_degree_1": "3f93bd0a2540c1f0a09157763f436c87133fe2c9ceb7d903d43eedd354ab12ec",
+    "box3d": "8306014447ac991bc9141e23b9f67ed03735bf44a651a0b1ec6bbdc903cc412a",
+    "box_p2": "c238c1b1ab0fb5b3d8974bd5368e1044794c12c3ae344c7b71b580c7eeb82bec",
+    "poisson_sin_x1": "06668ddcd5080c7403eaf3fcbd66377ff4d6bed68344e3cafee3b536f9e1c050",
+    "biharmonic_x2": "511c82a41c29faa56f1be4d3c1ebe9c0d601af3986930b91b9a225e8d8d19f5d",
 }
 JSON_DIGESTS = {
-    "poisson_strip": "e2c5f097edd056d4d82b39945792439cebfa8ba667c94448341b9ffd27d2fdfd",
-    "biharmonic_strip": "2b6c32ac1e8232c4dc2590f8b15971be675326937bb133722accf3aa8b2b7922",
-    "varcoef_strip": "9ddf1dcf47db4290b46ae18cd644abd10dd0285c9fde900fef0276861ffc3c2e",
-    "skew_strip": "76f4ac3401fb98bca492f226323024622c5588c0a470cd7a11210d9c9c102ebf",
-    "skew_strip_degree_1": "6b794a0f22ce00b2636fcbfa36393009a0bca69c55657f83744732fd013cccd3",
-    "box3d": "d5b48e3fa625f876579540a68a25c4267bdfb226c4bd8b08a90c04609b95cd02",
-    "box_p2": "df150d62612f78988667c1b0b175a287f4c22ea6b5eee7811f42f21e869a8c24",
-    "poisson_sin_x1": "a353955a7f50bd86053c33eaf4165cccabc8a3248370b2e9e7199806f042123d",
-    "biharmonic_x2": "8fd0f6ffd3c99056e3f017d4fb2f53640630a91ef2fd2a719aa78328e20c3bd4",
+    "poisson_strip": "44d2533fb51e56a8d48ecf2e5b6450967eeb0515c4c6fd72546784a2d70b37c1",
+    "biharmonic_strip": "83a33c6f534d68c2fc37d5314b8782d158f9ef5c35b1cba83c5cedcf7cce63df",
+    "varcoef_strip": "5ed6cd5da0815283cf2bc2fd64fb1c1d0484b6592cc250720e79d0ed23663ba1",
+    "skew_strip": "a8a2c2e4ae89b7507ff6042c0f5bd68bba0f483631f5b5275ed9fcea9e12c40c",
+    "skew_strip_degree_1": "93145ac1c65d98514ebe690815fca7101855e012e32b42d372772582a901fd35",
+    "box3d": "b5215441370791162bccd19a97223fab96bc3272064bcba4487b66c77f1427b0",
+    "box_p2": "1fa543ecdd90cb4f4bef3bbabe8c42e9791557436a435832bc2820e1c600e618",
+    "poisson_sin_x1": "fccb39213043f80b016fe3b943aa5be7477887dbbff7a28b52165880027d37a9",
+    "biharmonic_x2": "d9f981f51cf10ff274fa0b16710bdbf8e536e908c9336574a3a8eed7e17912c5",
 }
 # the CSV of `cylasym refine --l 2` at each problem's cells and degree
 REFINE_DIGESTS = {
     ("poisson_strip", "8,16,32,64", "1"):
-        "9a595352d40954b5eab74ace67fbae4934f8029bf3937b16ab74bead86195a65",
+        "d4815ea3d37e3dfce2ddbef04c7898d62a922e13d7c295891a24c63887983a27",
     ("biharmonic_strip", "6,12,24", "3"):
-        "13e2bfb174902861c7d81cd95bb27612deb90c862cf8409267ce495188b9559f",
+        "d06ee002f0c996b55ce3c0d28b42ee9dbb363a9b4c0577c5d10fd67f514067dc",
 }
 SKEW_CONFIG = (
     "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
