@@ -46,13 +46,13 @@ omega, has uniform cells, and with a unit coefficient the band of the 1-D
 pair (a, b) on cells of width h is h^(1 - a - b) times its band on unit
 cells, whose rows are those of one interior row except for the leading
 rows, which the repeated knots at the lower end shape, and their mirror
-images.  So the CrossSection runs the kernel once per 1-D pair of any
-coefficient on 3 d + 1 unit cells (CrossSection.stencil), whose centre row
-is an interior one, and the unit load likewise, before any job, and every
-factor places its bands and load from that (splines.placed, which places
-the norms' Gram bands too): the leading rows,
-then the interior row, then the mirror of the first half with the sign
-(-1)^(a + b).  These equal their signed mirrors bitwise, and they do not
+images.  So the kernel runs once per 1-D pair of any coefficient on
+3 d + 1 unit cells (CrossSection.stencil, kept per process by _stencil,
+as splines keeps its Gram references), whose centre row is an interior
+one, and the unit load likewise, before any job, and every factor places
+its bands and load from that (splines.placed, which places the norms'
+Gram bands too): the leading rows, then the interior row, then the
+mirror of the first half with the sign (-1)^(a + b).  These equal their signed mirrors bitwise, and they do not
 depend on where the factor lies.  A factor of fewer than 3 d + 1 cells,
 whose rows near one end also see the other end's knots, places from a
 stencil of its own cell count, on the same path.  One rule builds every
@@ -92,7 +92,7 @@ array with kd = sum_k d_k stride_k (stride_k the flat-index step of axis
 k); general_band writes every entry into the storage dgbsv factors in
 place, (3 kd + 1, N): LAPACK general band storage below kd zero rows for
 the fill-in.  AssembledSystem.matrix writes the CSR matrix of every entry
-on every read: the tests and the benchmark's trace mode read it, no solve
+on every read: the benchmark's trace mode and one test read it, no solve
 does, so it imports scipy.sparse itself, on its first read, and the
 package imports no scipy module.  A symmetric system of exactly two
 Kronecker parts, each with equal axial indices, and no n-D band (two_part)
@@ -101,8 +101,9 @@ written by the same walk.  No full-size band is ever built.
 
 A cylinder system commutes with the reflection of an axis k about the
 middle of its extent when no coefficient reads x_k and every pair has
-alpha_k + beta_k even on it (CrossSection._reflects), and the solve uses
-those symmetries through one fold, AssembledSystem.parity_blocks.  When
+alpha_k + beta_k even on it (read off once, as a CrossSection is built),
+and the solve uses those symmetries through one fold,
+AssembledSystem.parity_blocks.  When
 every axial axis reflects (CrossSection.even) the load is even on them too,
 since the forcing may not read x1..xp, so only the even half is solved:
 each Kronecker part's axial band is folded once per system, along each
@@ -169,6 +170,7 @@ only the n-D band it assembles at each l.
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -812,6 +814,22 @@ def _unit(coords):
     return np.ones(())
 
 
+@lru_cache(maxsize=None)
+def _stencil(degree: int, bc_order: int, cells: int, pairs: tuple):
+    """(bands, load) on `cells` unit cells of the degree and constraint
+    order, read-only: the kernel's band with unit coefficient of each 1-D
+    pair (a, b) in pairs and the unit forcing's load, each mirror symmetric
+    (splines.placed).  Built on first use in a process and kept, as
+    splines._gram_reference's bands are (CrossSection.stencil)."""
+    factor = SplineBasis1D(0.0, cells, cells, degree, bc_order)
+    bands = {(a, b): placed(_galerkin((factor,), [((a,), (b,), _unit)]), factor.dim,
+                            (-1.0) ** (a + b)) for a, b in pairs}
+    load = placed(_load((factor,), _unit), factor.dim)
+    for ref in (*bands.values(), load):
+        ref.flags.writeable = False  # every system that places from it reads it
+    return bands, load
+
+
 def check_half_length(spec: ProblemSpec, ell) -> None:
     """Raise AssemblyError unless ell is a finite, positive half-length."""
     if not (math.isfinite(ell) and ell > 0):
@@ -828,8 +846,21 @@ class CrossSection:
     system at every l share it:
 
     - factors: the cross-section spline factors, those of u_inf, each
-      caching the de Boor tables every field and system on it reads and
-      the Gram bands (splines.axis_grams) every norm on it reads;
+      caching the de Boor tables every field and system on it reads;
+    - even, mirrored and two_part, fixed here from one pass over the
+      coefficients.  An axis k (0 for x1) reflects when every cylinder
+      system commutes with its reflection about the middle of its extent:
+      no coefficient reads x_{k+1}, and every pair has alpha_k + beta_k
+      even.  even: every axial axis reflects, which implies no nd_terms;
+      the forcing may not read x1..xp and (-l, l) is symmetric, so u_l is
+      then even in every x_k and the solve folds its axial bands
+      (AssembledSystem.parity_blocks).  mirrored: the cross-section axes
+      k (0 for x_{p+1}) that reflect; the reflection maps each basis
+      function i of the axis to m(i) = N - 1 - i, and the blocks, placed
+      from the stencil along it, commute with it bitwise, while the
+      forcing may have either parity.  two_part: every cylinder system is
+      symmetric, exactly two Kronecker parts, each with equal axial
+      indices, and no n-D band;
     - keys and blocks: the axial key (alpha_axial, beta_axial) of each
       Kronecker part and its cross-section band, summed over the part's
       pairs in their order, each pair's band joined (_on_omega) from the
@@ -843,9 +874,10 @@ class CrossSection:
       reads, so that its odd folds along a parity axis whose coordinate
       the forcing does not read are exactly zero;
     - stencil(cells): the kernel's 1-D band of each 1-D pair and the unit
-      load on 3 d + 1 unit cells (fewer for a shorter factor), built before
-      any job forks, which every axial factor (axial) and every factor of
-      omega places and scales (_placed_on);
+      load on 3 d + 1 unit cells (fewer for a shorter factor), which every
+      axial factor (axial) and every factor of omega places and scales
+      (_placed_on), from the process's memo (_stencil), which the section
+      fills for 3 d + 1 cells before any job forks;
     - eigenbasis: for a two-part system, (lam, V) of the pencil
       (C_other, C_top) of the dense symmetric cross-section blocks, top
       part first (linalg.pencil_eigenbasis), else None;
@@ -855,9 +887,9 @@ class CrossSection:
       mirrors bitwise along these axes, and AssembledSystem.parity_blocks
       folds them per system; no folded block is kept.
 
-    A sweep's forked jobs inherit it with all of these; none of it is
-    cached at module level.  A kernel piece of a block or the load with a
-    non-finite entry raises AssemblyError at the stage `cross-section`
+    A sweep's forked jobs inherit it with all of these, and the memo with
+    it.  A kernel piece of a block or the load with a non-finite entry
+    raises AssemblyError at the stage `cross-section`
     (l = inf), before any system is built from them; an indefinite top
     block raises linalg.SolverError at that stage too.
     """
@@ -868,11 +900,21 @@ class CrossSection:
         self.resolution = int(resolution)
         self.degree = _validate_degree(spec, degree)
         self.factors = tuple(self._factor(lo, hi) for lo, hi in spec.omega)
-        self._stencils = {}
+        coefficients = sorted(spec.coefficients.items())
+        # the 1-D pairs of the stencil, and the axes k (0 for x1) whose
+        # reflection some pair breaks: its coefficient reads x_{k+1}, or
+        # alpha_k + beta_k is odd
+        pairs, broken = set(), set()
+        for (alpha, beta), coef in coefficients:
+            pairs.update(zip(alpha, beta))
+            broken.update(k for k in range(n) if coef.reads(k + 1) or (alpha[k] + beta[k]) % 2)
+        self._pairs = tuple(sorted(pairs))
+        self.even = broken.isdisjoint(range(p))
+        self.mirrored = tuple(k for k in range(n - p) if p + k not in broken)
         self.stencil(3 * self.degree + 1)  # every long factor's, before any job forks
         placed = [self._placed_on(f) for f in self.factors]
         blocks, self.nd_terms = {}, []
-        for (alpha, beta), coef in sorted(spec.coefficients.items()):
+        for (alpha, beta), coef in coefficients:
             if coef.reads_axial(p):
                 self.nd_terms.append((alpha, beta, coef))
                 continue
@@ -882,6 +924,8 @@ class CrossSection:
             key = (alpha[:p], beta[:p])
             blocks[key] = blocks[key] + C if key in blocks else C
         self.keys, self.blocks = tuple(blocks), tuple(blocks.values())
+        self.two_part = (spec.symmetric and not self.nd_terms and len(self.keys) == 2
+                         and all(a == b for a, b in self.keys))
         self.load = self._on_omega(spec.forcing, "rhs", [load for _, load in placed],
                                    lambda f, axes: _load(f, spec.forcing, axes, n)).ravel()
         self.parity_axes = () if self.nd_terms or self.two_part else self.mirrored
@@ -910,28 +954,17 @@ class CrossSection:
 
     def stencil(self, cells: int):
         """(bands, load) that a factor of `cells` uniform cells is placed
-        from (_placed_on): the kernel's on min(cells, 3 d + 1) unit cells,
-        built on first use and kept.  bands maps each 1-D pair (a, b) that
-        a coefficient has on some axis to its band with unit coefficient,
-        and load is the unit forcing's load, each mirror symmetric
-        (splines.placed).  On 3 d + 1 cells the centre row, that of
-        function 2 d before the constraint, couples functions d..3 d, which are all
-        uniform B-splines the constraint keeps, for every m <= d: an
-        interior row.  So every factor of that many cells or more reads one
-        stencil; a shorter one, whose rows near one end also see the other
-        end's knots, reads one of its own cell count.
+        from (_placed_on): the kernel's on min(cells, 3 d + 1) unit cells
+        (_stencil).  bands maps each 1-D pair (a, b) that a coefficient has
+        on some axis to its band with unit coefficient, and load is the
+        unit forcing's load.  On 3 d + 1 cells the centre row, that of
+        function 2 d before the constraint, couples functions d..3 d, which
+        are all uniform B-splines the constraint keeps, for every m <= d:
+        an interior row.  So every factor of that many cells or more reads
+        one stencil; a shorter one, whose rows near one end also see the
+        other end's knots, reads one of its own cell count.
         """
-        cells = min(cells, 3 * self.degree + 1)
-        if cells not in self._stencils:
-            factor = SplineBasis1D(0.0, cells, cells, self.degree, self.spec.m)
-            pairs = sorted({ab for key in self.spec.coefficients for ab in zip(*key)})
-            bands = {(a, b): placed(_galerkin((factor,), [((a,), (b,), _unit)]), factor.dim,
-                                    (-1.0) ** (a + b)) for a, b in pairs}
-            load = placed(_load((factor,), _unit), factor.dim)
-            for ref in (*bands.values(), load):
-                ref.flags.writeable = False  # every system of the sweep reads it
-            self._stencils[cells] = bands, load
-        return self._stencils[cells]
+        return _stencil(self.degree, self.spec.m, min(cells, 3 * self.degree + 1), self._pairs)
 
     def _placed_on(self, factor):
         """(bands, load) of a factor of uniform cells, of the section's
@@ -964,42 +997,6 @@ class CrossSection:
         degree, constrained to order m."""
         return SplineBasis1D(lo, hi, cells_for((lo, hi), self.resolution), self.degree,
                              self.spec.m)
-
-    @property
-    def two_part(self) -> bool:
-        """True when every cylinder system is symmetric, exactly two
-        Kronecker parts, each with equal axial indices, and no n-D band."""
-        return (
-            self.spec.symmetric
-            and not self.nd_terms
-            and len(self.keys) == 2
-            and all(a == b for a, b in self.keys)
-        )
-
-    def _reflects(self, k: int) -> bool:
-        """True when every cylinder system commutes with the reflection of
-        axis k (0 for x1) about the middle of its extent: no coefficient
-        reads x_{k+1}, and every pair has alpha_k + beta_k even."""
-        return all(not coef.reads(k + 1) and (alpha[k] + beta[k]) % 2 == 0
-                   for (alpha, beta), coef in self.spec.coefficients.items())
-
-    @property
-    def even(self) -> bool:
-        """True when every axial axis reflects (_reflects), which implies
-        no nd_terms.  The forcing may not read x1..xp and (-l, l) is
-        symmetric, so then u_l is even in every x_k and the solve folds its
-        axial bands (AssembledSystem.parity_blocks)."""
-        return all(self._reflects(k) for k in range(self.spec.p))
-
-    @property
-    def mirrored(self) -> tuple:
-        """The cross-section axes k (0 for x_{p+1}) that reflect
-        (_reflects).  The reflection maps each basis function i of the axis
-        to m(i) = N - 1 - i, and the blocks, placed from the stencil along
-        it since no coefficient reads x_k, commute with it bitwise; the
-        forcing may have either parity."""
-        p = self.spec.p
-        return tuple(k for k in range(self.spec.n - p) if self._reflects(p + k))
 
     def cylinder_basis(self, ell) -> TensorBasis:
         """The space on (-ell, ell)^p x omega: p new axial factors times

@@ -6,8 +6,7 @@ an assembly.CrossSection: the cross-section factors with their cached de
 Boor tables, the cross-section block of every axial part, the load and, for
 a two-part system, the pencil's eigenbasis, whose failure names the stage
 `cross-section` (l = inf).  The limit system is its zero-axial-part block
-and load, solved once in the parent, and the norm of u_inf leaves the
-factors' Gram bands cached on them for every later norm; per-ell jobs
+and load, solved once in the parent, with the norm of u_inf; per-ell jobs
 assemble only the axial pieces and are independent.
 The jobs are split into min(workers, jobs) chains (_chains), the largest
 ell first onto the least-loaded chain.  A lone chain, as with one worker or
@@ -15,8 +14,8 @@ one job, runs inline, the largest ell first, which allocates the largest
 Cholesky factor before the smaller jobs have grown the heap.  With more
 than one chain, every chain runs in a child of its own (_join_chains),
 forked after the CrossSection, u_inf and its norm are built, so the child
-inherits them, with the cached Gram bands, instead of unpickling them, and
-sends back only one pickle of its outcomes; the parent runs no job.
+inherits them instead of unpickling them, and sends back only one pickle
+of its outcomes; the parent runs no job.
 Records and reports still follow the plan's order, and when jobs fail the
 error raised is that of the smallest failing ell, as a run in plan order
 would raise.  Every number is computed from the same arrays inline and in a
@@ -467,7 +466,6 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
     u_inf = DiscreteField(limit_system.basis, limit_result.x)
     timings["limit_solve_s"] = time.perf_counter() - t0
 
-    # caches the cross-section factors' Gram bands before any job forks
     norm_u_inf = norm_Hm(u_inf, list(spec.omega), spec.m, plan.resolution)
     # the localized energies of u_{l_max} at l_max / 2, l_max / 4, ... down
     # to ell0, computed by the l_max job

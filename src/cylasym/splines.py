@@ -29,8 +29,8 @@ built on first use in a process (_gram_reference), cover the whole
 extent of a factor and a box at least d cells inside one, so no uncut
 band a command integrates reads a table of the factor.  A band with a
 cutoff, and one on a box whose ends are not breakpoints, is summed over
-the points from the factor's table (gram_band).  The factor caches its
-uncut bands, read-only, as it caches its tables.
+the points from the factor's table (gram_band).  No band is kept: each
+call places its bands from the references anew.
 
 composite_gauss scales one memoized, read-only Gauss-Legendre rule per
 point count, read from a table of the rules of 1 to 8 points, bit for bit
@@ -328,22 +328,13 @@ def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cu
     (_gauss_grams).  A cutoff (rho, width) multiplies each function by
     rho(x / width): by Leibniz, phi^(a) is then the sum over b <= a of
     C(a, b) B^(b) rho^(a - b) / width^(a - b).  G^(a) does not depend on
-    m, so the bands of a smaller m are a prefix bit for bit.  Without a
-    cutoff the factor caches the bands, read-only, per (extent, m,
-    resolution, points_per_cell).
+    m, so the bands of a smaller m are a prefix bit for bit.  Nothing is
+    kept: placing costs microseconds, so every call places (or sums) anew.
     """
     if m > factor.degree:
         raise ValueError(f"derivative order {m} exceeds degree {factor.degree}")
-    if cutoff is not None:
-        return _gauss_grams(factor, extent, m, resolution, points_per_cell, cutoff)
-    key = ((float(extent[0]), float(extent[1])), m, resolution, points_per_cell)
-    if key not in factor._grams:
-        table = (_placed_grams(factor, extent, m, resolution, points_per_cell)
-                 or _gauss_grams(factor, extent, m, resolution, points_per_cell))
-        for band in table[1]:
-            band.flags.writeable = False  # every norm on the factor reads it
-        factor._grams[key] = table
-    return factor._grams[key]
+    uncut = None if cutoff else _placed_grams(factor, extent, m, resolution, points_per_cell)
+    return uncut or _gauss_grams(factor, extent, m, resolution, points_per_cell, cutoff)
 
 
 class SplineBasis1D:
@@ -373,7 +364,6 @@ class SplineBasis1D:
         )
         self.h = (self.hi - self.lo) / self.cells
         self._tables = {}
-        self._grams = {}  # axis_grams' cutoff-free bands
 
     @property
     def dim(self) -> int:

@@ -552,7 +552,7 @@ def inverse_inf_norm(system, dense_below: int = 3000) -> float:
     Cholesky factor.  onenormest estimates from below, usually exactly."""
     n = system.ndofs
     if n < dense_below:
-        return float(np.abs(np.linalg.inv(system.matrix.toarray())).sum(axis=1).max())
+        return float(np.abs(np.linalg.inv(oracle_csr(system).toarray())).sum(axis=1).max())
     assert system.symmetric
     from scipy.linalg import cho_solve_banded, cholesky_banded
     from scipy.sparse.linalg import LinearOperator, onenormest

@@ -7,9 +7,10 @@ band layout) covers variable coefficients, coefficients that read the axial
 variables, the fourth-order case and 3-D boxes.  On 3-D boxes the Kronecker
 assembly is also checked against the einsum kernel run on all three axes.
 The LAPACK lower band storage and the matrix-vector product that the direct
-solve reads are checked against the CSR matrix, and the CSR matrix, written
-from the same slot walk as the bands, against dense_oracle.oracle_csr, which
-builds it from a full band without that walk.
+solve reads are checked against dense_oracle.oracle_csr, the CSR matrix
+built from a full band without the slot walk that writes the bands, and
+every test reads A from it.  AssembledSystem.matrix, written from that walk
+for the benchmark's trace mode, is checked against it bit for bit.
 """
 
 import dataclasses
@@ -87,11 +88,11 @@ def test_hat_limit_system_frozen():
     # degree-1 splines, 4 cells on (0,1): stiffness 8 on the diagonal, -4 off,
     # load h = 1/4; nodal values of t(1-t)/2 are reproduced exactly.
     system = assembled_limit(builtin_problem("poisson_strip"), resolution=4, degree=1)
-    A = system.matrix.toarray()
+    A = oracle_csr(system).toarray()
     want = np.array([[8.0, -4.0, 0.0], [-4.0, 8.0, -4.0], [0.0, -4.0, 8.0]])
     assert np.allclose(A, want, atol=1e-12)
     assert np.allclose(system.rhs, 0.25, atol=1e-15)
-    x = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    x = np.linalg.solve(oracle_csr(system).toarray(), system.rhs)
     assert np.allclose(x, [3.0 / 32.0, 4.0 / 32.0, 3.0 / 32.0], atol=1e-14)
 
 
@@ -105,7 +106,7 @@ def test_kronecker_sum_identity():
     A2 = _matrix_1d(cx, 1, 1)
     M2 = _matrix_1d(cx, 0, 0)
     want = np.kron(A1, M2) + np.kron(M1, A2)
-    got = system.matrix.toarray()
+    got = oracle_csr(system).toarray()
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -121,7 +122,7 @@ def test_rhs_factorizes_for_constant_forcing():
 
 def test_matrix_spd_and_symmetric():
     system = assembled_cylinder(builtin_problem("poisson_strip"), ell=1.0, resolution=4)
-    A = system.matrix
+    A = oracle_csr(system)
     assert system.symmetric
     assert (A != A.T).nnz == 0
     eigs = np.linalg.eigvalsh(A.toarray())
@@ -174,7 +175,7 @@ def test_variable_coefficient_matches_brute_force():
     system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
     want_A, want_rhs = _brute_force(system, spec)
     scale = np.abs(want_A).max()
-    assert np.abs(system.matrix.toarray() - want_A).max() <= 1e-12 * scale
+    assert np.abs(oracle_csr(system).toarray() - want_A).max() <= 1e-12 * scale
     assert np.abs(system.rhs - want_rhs).max() <= 1e-13 * max(1.0, np.abs(want_rhs).max())
 
 
@@ -183,7 +184,7 @@ def test_biharmonic_cylinder_matches_brute_force():
     spec = builtin_problem("biharmonic_strip")
     system = assembled_cylinder(spec, ell=1.0, resolution=5, degree=3)
     want_A, want_rhs = _brute_force(system, spec)
-    A = system.matrix
+    A = oracle_csr(system)
     # the kernel sums a mirror pair's cells in different orders: A - A^T
     # measured 7.2e-17 of A's largest entry
     assert abs(A - A.T).max() <= 1e-16 * abs(A).max()
@@ -216,7 +217,7 @@ def _mixed_axial_spec(off="x2", zero="1 + x2"):
 def test_axial_coefficient_matches_brute_force():
     spec = _mixed_axial_spec()
     system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
-    A = system.matrix
+    A = oracle_csr(system)
     assert system.symmetric
     # A - A^T measured 2.3e-17 of A's largest entry
     assert abs(A - A.T).max() <= 1e-16 * abs(A).max()
@@ -255,7 +256,7 @@ def test_kronecker_assembly_matches_nd_kernel(p):
     system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
     terms = [(a, b, spec.coefficients[(a, b)]) for a, b in sorted(spec.coefficients)]
     want = _to_csr(_galerkin(system.basis.factors, terms))
-    got = system.matrix
+    got = oracle_csr(system)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
@@ -267,7 +268,7 @@ def test_box_assembly_matches_brute_force(p, axial_text):
     # with axial_text one pair reads x1 and goes through the n-D kernel
     spec = _box_spec(p, axial_text)
     system = assembled_cylinder(spec, ell=1.0, resolution=3, degree=2)
-    A = system.matrix
+    A = oracle_csr(system)
     pattern = sp.csr_matrix(_shared_cell_pattern(system.basis.factors))
     assert A.indices.dtype == np.int32
     assert np.array_equal(A.indptr, pattern.indptr)
@@ -294,7 +295,7 @@ def test_fewest_cells_match_brute_force(name, resolution, degree):
     system = assembled_cylinder(spec, ell=0.5, resolution=resolution, degree=degree)
     assert {f.cells for f in system.basis.factors} == {2 * spec.m + 1}
     want_A, want_rhs = _brute_force(system, spec)
-    assert np.abs(system.matrix.toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
+    assert np.abs(oracle_csr(system).toarray() - want_A).max() <= 1e-12 * np.abs(want_A).max()
     assert np.abs(system.rhs - want_rhs).max() <= 1e-13 * np.abs(want_rhs).max()
 
 def test_axial_coefficient_assembly_memory():
@@ -316,7 +317,7 @@ def test_axial_coefficient_assembly_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    A = system.matrix
+    A = oracle_csr(system)
     assert peak <= 20 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
@@ -418,7 +419,7 @@ def test_biharmonic_limit_matches_brute_force():
     system = assembled_limit(spec, resolution=8, degree=3)
     basis = system.basis.factors[0]
     want = _matrix_1d(basis, 2, 2)
-    assert np.abs(system.matrix.toarray() - want).max() <= 1e-11 * np.abs(want).max()
+    assert np.abs(oracle_csr(system).toarray() - want).max() <= 1e-11 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name,degree", [("poisson_strip", 1), ("biharmonic_strip", 3)])
@@ -430,7 +431,7 @@ def test_limit_solution_converges_to_analytic(name, degree):
     errs = []
     for res in (8, 16):
         system = assembled_limit(spec, resolution=res, degree=degree)
-        u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
+        u = DiscreteField(system.basis, np.linalg.solve(oracle_csr(system).toarray(), system.rhs))
         errs.append(np.abs(u.eval_grid([ts], (0,)) - exact(ts, 0)).max())
     assert errs[0] > 1e-12
     assert errs[1] <= errs[0] / 3.5
@@ -443,7 +444,7 @@ def test_limit_solution_exact_when_space_contains_it(name, degree):
     spec = builtin_problem(name)
     exact = analytic_limit(name)
     system = assembled_limit(spec, resolution=8, degree=degree)
-    u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
+    u = DiscreteField(system.basis, np.linalg.solve(oracle_csr(system).toarray(), system.rhs))
     ts = np.linspace(0.0, 1.0, 33)
     assert np.abs(u.eval_grid([ts], (0,)) - exact(ts, 0)).max() <= 1e-13
 
@@ -451,7 +452,7 @@ def test_limit_solution_exact_when_space_contains_it(name, degree):
 def test_solution_conforms_at_boundary():
     spec = builtin_problem("biharmonic_strip")
     system = assembled_cylinder(spec, ell=1.0, resolution=6, degree=3)
-    u = DiscreteField(system.basis, np.linalg.solve(system.matrix.toarray(), system.rhs))
+    u = DiscreteField(system.basis, np.linalg.solve(oracle_csr(system).toarray(), system.rhs))
     ts = np.linspace(0.0, 1.0, 9)
     for alpha in [(0, 0), (0, 1)]:  # axial boundary
         assert np.abs(u.eval_grid([[1.0], ts], alpha)).max() <= 1e-12
@@ -464,8 +465,8 @@ def test_assembly_deterministic():
     spec = builtin_problem("varcoef_strip")
     s1 = assembled_cylinder(spec, ell=2.0, resolution=4)
     s2 = assembled_cylinder(spec, ell=2.0, resolution=4)
-    assert np.array_equal(s1.matrix.data, s2.matrix.data)
-    assert np.array_equal(s1.matrix.indices, s2.matrix.indices)
+    assert np.array_equal(oracle_csr(s1).data, oracle_csr(s2).data)
+    assert np.array_equal(oracle_csr(s1).indices, oracle_csr(s2).indices)
     assert np.array_equal(s1.rhs, s2.rhs)
 
 
@@ -561,7 +562,7 @@ def test_lower_band_is_the_lower_diagonals_of_the_matrix(symmetric_system):
     system = symmetric_system
     assert system.symmetric
     ab, a_norm = system.lower_band(), system.inf_norm()
-    A = system.matrix
+    A = oracle_csr(system)
     n = system.ndofs
     assert ab.flags.f_contiguous and ab.shape[1] == n
     strides = np.cumprod([1] + [f.dim for f in system.basis.factors][:0:-1])[::-1]
@@ -579,7 +580,7 @@ def test_symmetric_matvec_matches_the_matrix(symmetric_system):
     x = np.random.default_rng(7).standard_normal(system.ndofs)
     a_norm = system.inf_norm()
     got = system.matvec(x)
-    assert np.abs(got - system.matrix @ x).max() <= 1e-15 * a_norm * np.abs(x).max()
+    assert np.abs(got - oracle_csr(system) @ x).max() <= 1e-15 * a_norm * np.abs(x).max()
 
 
 @pytest.mark.parametrize("spec,ell,resolution", [
@@ -616,7 +617,7 @@ def test_nonsymmetric_pieces_match_the_matrix(p, axial_text, where):
     else:
         system = assembled_limit(spec, resolution=3, degree=2)
     assert not system.symmetric
-    A = system.matrix.toarray()
+    A = oracle_csr(system).toarray()
     x = np.random.default_rng(8).standard_normal(system.ndofs)
     ab, a_norm = system.general_band(), system.inf_norm()
     want = np.abs(A).sum(axis=1).max()
@@ -668,7 +669,7 @@ def test_kronecker_pencil_rebuilds_the_two_part_matrix():
     # the top part is the one with the axial derivatives: its axial block is
     # the 1-D stiffness, whose rows sum to zero away from the boundary
     assert abs(dense[0][5].sum()) <= 1e-12 * np.abs(dense[0][5]).max()
-    want = system.matrix.toarray()
+    want = oracle_csr(system).toarray()
     got = np.kron(dense[0], c_top) + np.kron(dense[1], c_other)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     assert np.all(np.linalg.eigvalsh(c_top) > 0.0)
@@ -894,11 +895,11 @@ def test_the_folded_system_is_p_transpose_a_p(spec, ell, resolution, degree):
     # every block of an even section is folded along every axial axis (and
     # the biharmonic strip's along x2 too): P^T A P with P its extension
     system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
-    A, b = system.matrix.toarray(), system.rhs
+    A, b = oracle_csr(system).toarray(), system.rhs
     full = system.lower_band() if system.symmetric else system.general_band()
     for parities, block in system.parity_blocks():
         P = parity_extension(system, parities)
-        got = block.matrix.toarray()
+        got = oracle_csr(block).toarray()
         assert got.shape == (P.shape[1],) * 2 and block.ndofs == P.shape[1]
         assert np.abs(got - P.T @ A @ P).max() <= 2e-15 * np.abs(A).max()
         # p = 2 folds one axis after the other, so its sums of four run in
@@ -1010,7 +1011,7 @@ def test_each_parity_block_is_p_transpose_a_p(spec, ell, resolution, degree, mir
     # P folds every axial axis of an even section, then each parity axis
     system = assembled_cylinder(spec, ell=ell, resolution=resolution, degree=degree)
     assert system.section.mirrored == system.section.parity_axes == mirrored
-    A, b = system.matrix.toarray(), system.rhs
+    A, b = oracle_csr(system).toarray(), system.rhs
     blocks = system.parity_blocks()
     assert [parities for parities, _ in blocks] == list(
         itertools.product((False, True), repeat=len(mirrored)))
@@ -1018,7 +1019,7 @@ def test_each_parity_block_is_p_transpose_a_p(spec, ell, resolution, degree, mir
     ys, want = [], 0.0
     for parities, block in blocks:
         P = parity_extension(system, parities)
-        got = block.matrix.toarray()
+        got = oracle_csr(block).toarray()
         assert got.shape == (P.shape[1],) * 2 and block.ndofs == P.shape[1]
         assert np.abs(got - P.T @ A @ P).max() <= 4e-15 * np.abs(A).max()
         assert np.abs(block.rhs - P.T @ b).max() <= 2e-15 * np.abs(b).max()

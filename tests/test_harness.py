@@ -179,7 +179,8 @@ def test_no_kernel_runs_per_l(monkeypatch):
     # any job, and on omega only for a field that reads omega's
     # coordinates; the cylinders place their axial bands and loads from
     # that stencil, so a sweep of four half-lengths runs the kernel as
-    # often as one of two
+    # often as one of two.  The stencil is kept per process, so each sweep
+    # starts from an empty memo
     galerkin, calls = assembly._galerkin, []
 
     def counted(*args, **kwargs):
@@ -190,6 +191,7 @@ def test_no_kernel_runs_per_l(monkeypatch):
     counts = []
     for ells in ((2.0, 4.0), (2.0, 4.0, 8.0, 16.0)):
         calls.clear()
+        assembly._stencil.cache_clear()
         run_sweep(SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=ells, resolution=8))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
@@ -448,42 +450,34 @@ def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, ei
     (_laplace_box(), 6),
     (builtin_problem("biharmonic_strip"), 8),
 ], ids=["box3d", "biharmonic"])
-def test_a_sweep_builds_the_gram_bands_of_each_cross_section_factor_once(monkeypatch, spec,
-                                                                         resolution):
-    # every norm of a sweep reads the cross-section factors' Gram bands from
-    # the factors' cache, which the norm of u_inf fills in the parent before
-    # any job runs: one miss per factor, and the bands read-only
-    sections, reads, misses, before_jobs = [], Counter(), Counter(), []
-    cross_section, run_jobs = harness.CrossSection, harness._run_jobs
-    axis_grams = analysis.axis_grams
+def test_every_norm_of_a_sweep_places_the_same_cross_section_gram_bands(monkeypatch, spec,
+                                                                        resolution):
+    # no Gram band is kept on a factor: every norm of a sweep places the
+    # cross-section factors' bands anew, and every call gives the same
+    # rows and bands bit for bit
+    sections, calls = [], {}
+    cross_section, axis_grams = harness.CrossSection, analysis.axis_grams
 
     def recorded(*args):
         sections.append(cross_section(*args))
         return sections[-1]
 
-    def counted(factor, *args):
-        cached = list(factor._grams.values())
-        reads[id(factor)] += 1
-        table = axis_grams(factor, *args)
-        misses[id(factor)] += not any(table is entry for entry in cached)
-        return table
-
-    def jobs_after_grams(*args):
-        before_jobs.extend(len(f._grams) for f in sections[0].factors)
-        return run_jobs(*args)
+    def bytes_of(factor, *args):
+        rows, bands = axis_grams(factor, *args)
+        calls.setdefault(id(factor), []).append((rows, [g.tobytes() for g in bands]))
+        return rows, bands
 
     monkeypatch.setattr(harness, "CrossSection", recorded)
-    monkeypatch.setattr(analysis, "axis_grams", counted)
-    monkeypatch.setattr(harness, "_run_jobs", jobs_after_grams)
+    monkeypatch.setattr(analysis, "axis_grams", bytes_of)
     run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0, 8.0), resolution=resolution))
     factors = sections[0].factors
-    assert len(sections) == 1 and before_jobs == [1] * len(factors)
-    # the norm of u_inf, then per l its error, norm and (at l_max) the
-    # localized energies at l = 4, 2 and 1
-    assert [(reads[id(f)], misses[id(f)]) for f in factors] == [(1 + 3 * 2 + 3, 1)] * len(factors)
+    assert len(sections) == 1
     for f in factors:
-        (_, bands), = f._grams.values()
-        assert len(bands) == spec.m + 1 and not any(g.flags.writeable for g in bands)
+        # the norm of u_inf, then per l its error, norm and (at l_max) the
+        # localized energies at l = 4, 2 and 1
+        first, *rest = calls[id(f)]
+        assert len(rest) == 3 * 2 + 3 and len(first[1]) == spec.m + 1
+        assert all(call == first for call in rest)
 
 
 def test_no_uncut_gram_band_of_a_sweep_reads_a_local_table(monkeypatch):

@@ -8,9 +8,12 @@ coefficient and the forcing by 4 scales A and b by 4, which leaves every
 solution unchanged bitwise: the Cholesky factor doubles, LU pivots alike,
 and the cross-section pencil of fast diagonalization keeps its eigenbasis.
 So the CSV, which holds no coefficient, is unchanged byte for byte.  Each
-relation runs on the biharmonic strip (banded Cholesky on parity blocks),
-the skew strip (banded LU) and the 3-D box (fast diagonalization), at l =
-2, 4, 8 and at most 8 cells per unit.
+relation runs at l = 2, 4, 8 on every pinned sweep of test_sweep_bytes
+that no other relation here covers, at the cells per unit its digest
+pins: the Poisson, biharmonic and variable-coefficient strips and the
+biharmonic strip with f = 1 + x2 (banded Cholesky on parity blocks), the
+skew strip at degrees 2 and 1 (banded LU), the 3-D box (fast
+diagonalization) and the p = 2 box (the fold of two axial axes).
 
 Translating omega moves no exact value.  The section places the blocks of
 coefficients and the load of a forcing that read no coordinate of omega
@@ -22,8 +25,9 @@ own points, and the values round differently there.
 
 Nor does a symmetry of the problem move an exact value: permuting the two
 cross-section axes of a 3-D box (fast diagonalization), with its omega,
-coefficients and forcing, or reflecting x1 in a coefficient that reads it
-(the n-D band).  Every value then moves by roundoff only, which grows as
+coefficients and forcing, swapping the two axial axes of a p = 2 box with
+its axial coefficients (both axial axes folded), or reflecting x1 in a
+coefficient that reads it (the n-D band).  Every value then moves by roundoff only, which grows as
 u_l - ext(u_inf) falls towards the solve's floor, so each bound is set
 from the gaps measured at each l.
 """
@@ -33,7 +37,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from test_sweep_bytes import BOX_CONFIG, SKEW_CONFIG
+from test_sweep_bytes import BIHARMONIC_X2_CONFIG, BOX_CONFIG, BOX_P2_CONFIG, SKEW_CONFIG
 
 from cylasym.analysis import write_report_csv
 from cylasym.assembly import CrossSection
@@ -42,10 +46,15 @@ from cylasym.problem import ScalarField, builtin_problem, parse_problem_config
 from cylasym.splines import axis_grams
 
 CASES = {
-    # (spec, cells per unit)
-    "biharmonic_strip": (builtin_problem("biharmonic_strip"), 8),
-    "skew_strip": (parse_problem_config(SKEW_CONFIG, "skew_strip"), 8),
-    "box3d": (parse_problem_config(BOX_CONFIG, "box3d"), 4),
+    # (spec, cells per unit, degree or None for m + 1)
+    "poisson_strip": (builtin_problem("poisson_strip"), 8, None),
+    "biharmonic_strip": (builtin_problem("biharmonic_strip"), 8, None),
+    "varcoef_strip": (builtin_problem("varcoef_strip"), 8, None),
+    "skew_strip": (parse_problem_config(SKEW_CONFIG, "skew_strip"), 8, None),
+    "skew_strip_degree_1": (parse_problem_config(SKEW_CONFIG, "skew_strip"), 8, 1),
+    "box3d": (parse_problem_config(BOX_CONFIG, "box3d"), 4, None),
+    "box_p2": (parse_problem_config(BOX_P2_CONFIG, "box_p2"), 4, None),
+    "biharmonic_x2": (parse_problem_config(BIHARMONIC_X2_CONFIG, "biharmonic_x2"), 8, None),
 }
 SCALED_FIELDS = ("err_L2", "err_Hm", "err_H2m_interior", "norm_ul_Hm_full")
 
@@ -64,15 +73,16 @@ def _scaled(spec, coefficients=None, forcing=None):
         forcing=spec.forcing if forcing is None else _times(forcing, spec.forcing))
 
 
-def _sweep(spec, resolution):
-    return run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0, 8.0), resolution=resolution))
+def _sweep(spec, resolution, degree=None):
+    return run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0, 8.0), resolution=resolution,
+                               degree=degree))
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_doubling_the_forcing_doubles_every_error_and_norm(name):
-    spec, resolution = CASES[name]
-    base = _sweep(spec, resolution).records
-    doubled = _sweep(_scaled(spec, forcing=2), resolution).records
+    spec, resolution, degree = CASES[name]
+    base = _sweep(spec, resolution, degree).records
+    doubled = _sweep(_scaled(spec, forcing=2), resolution, degree).records
     for r, d in zip(base, doubled):
         for field in SCALED_FIELDS:
             assert getattr(d, field) == 2.0 * getattr(r, field), (r.ell, field)
@@ -80,11 +90,11 @@ def test_doubling_the_forcing_doubles_every_error_and_norm(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_scaling_the_whole_problem_leaves_the_csv_unchanged(name, tmp_path):
-    spec, resolution = CASES[name]
+    spec, resolution, degree = CASES[name]
     paths = []
     for k, scaled in enumerate((spec, _scaled(spec, coefficients=4, forcing=4))):
         paths.append(tmp_path / f"{k}.csv")
-        write_report_csv(_sweep(scaled, resolution), paths[-1])
+        write_report_csv(_sweep(scaled, resolution, degree), paths[-1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -192,4 +202,25 @@ def test_reflecting_x1_moves_every_value_by_roundoff_only():
     errors = _gaps(*reports, ("err_L2", "err_Hm"))
     for field in ("err_L2", "err_Hm"):
         assert errors[2.0, field] <= 1e-15 and errors[4.0, field] <= 2e-12, field
+    assert max(_gaps(*reports, NORM_FIELDS).values()) <= 1e-15
+
+
+def test_swapping_the_axial_axes_moves_every_value_by_roundoff_only():
+    # the p = 2 box with weights 1 on x1 and 3 on x2 against 3 on x1 and 1
+    # on x2, f = sin(pi x3), 4 cells per unit: u_l of one is u_l of the
+    # other with x1 and x2 swapped, and each solve folds both axial axes.
+    # Measured relative gaps: the errors at most 2.0e-15 at l = 2 and
+    # 2.3e-13 at l = 4 (err_H2m_interior the largest), both norms at most
+    # 2.8e-16 at every l
+    def box(a1, a2):
+        return parse_problem_config(
+            "[problem]\nm = 1\nn = 3\np = 2\nomega = 0,1\n\n[coef]\n"
+            f"a_1_0_0_1_0_0 = {a1}\na_0_1_0_0_1_0 = {a2}\na_0_0_1_0_0_1 = 1\n\n[forcing]\n"
+            "f = sin(3.141592653589793 * x3)\n", "box")
+
+    reports = [run_sweep(SweepPlan(spec=box(*a), ells=(2.0, 4.0), resolution=4))
+               for a in ((1, 3), (3, 1))]
+    errors = _gaps(*reports, ERROR_FIELDS)
+    for field in ERROR_FIELDS:
+        assert errors[2.0, field] <= 1e-14 and errors[4.0, field] <= 1e-12, field
     assert max(_gaps(*reports, NORM_FIELDS).values()) <= 1e-15

@@ -27,11 +27,34 @@ relative gaps at l = 2 and 4 measured 1.9e-6 and 1.8e-6 (err_L2), 6.8e-6
 and 6.9e-6 (err_Hm) at 16 cells per unit, and 1.2e-7, 1.2e-7, 4.2e-7 and
 4.3e-7 at 32; the bounds below are those with a margin, and every gap must
 shrink at least 8 times from 16 to 32 cells per unit.
+
+The p = 2 box, -Laplace u = sin(pi x3) on (-l, l)^2 x (0, 1) with
+Dirichlet data, has u_inf = sin(pi x3) / pi^2 and u_l - u_inf =
+sin(pi x3) g, where G = u_l / sin(pi x3) solves -Laplace G + pi^2 G = 1 on
+the square with G = 0 on its edges, and
+
+    g = -cosh(pi x2) / (pi^2 cosh(pi l))
+        - sum over odd k of c_k cos(nu_k x2) cosh(kappa_k x1)
+                            / (kappa_k^2 cosh(kappa_k l)),
+    c_k = 4 (-1)^((k - 1) / 2) / (k pi),  nu_k = k pi / (2 l),
+    kappa_k = sqrt(pi^2 + nu_k^2):
+
+the 1-D part of the cosine series in x2 summed in closed form, so each
+term is at most exp(-kappa_k (l - |x1|)) on the inner square: 400
+modes give the same errors bitwise as 200.  g, g_x1 and g_x2 are
+integrated over (-ell0, ell0)^2 by a 200-point Gauss rule per axis (300
+points move the errors by at most 6.2e-15 relative).  The relative gaps at l = 2 and 4 measured
+5.0e-4 and 1.0e-3 (err_L2), 1.7e-3 and 2.3e-3 (err_Hm) at 4 cells per
+unit, and 1.4e-5, 2.6e-5, 1.1e-4 and 1.2e-4 at 8; the bounds below are
+those with a margin, and every gap must shrink at least 8 times from 4
+to 8 cells per unit.
 """
 
 import math
 
-from test_sweep_bytes import BOX_CONFIG
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+from test_sweep_bytes import BOX_CONFIG, BOX_P2_CONFIG
 
 from cylasym.harness import SweepPlan, run_sweep
 from cylasym.problem import builtin_problem, parse_problem_config
@@ -42,6 +65,8 @@ BOX_BOUNDS = {(6, "err_L2"): 3e-3, (6, "err_Hm"): 1.2e-3,
               (12, "err_L2"): 2.5e-4, (12, "err_Hm"): 1e-4}
 STRIP_BOUNDS = {(16, "err_L2"): 2.5e-6, (16, "err_Hm"): 9e-6,
                 (32, "err_L2"): 1.6e-7, (32, "err_Hm"): 5.5e-7}
+BOX_P2_BOUNDS = {(4, "err_L2"): 1.3e-3, (4, "err_Hm"): 3e-3,
+                 (8, "err_L2"): 3.5e-5, (8, "err_Hm"): 1.5e-4}
 
 
 def _box_errors(ell, ell0):
@@ -72,6 +97,36 @@ def _strip_errors(ell, ell0):
     return math.sqrt(l2), math.sqrt(h1)
 
 
+def _cosh_ratios(kappa, x, ell):
+    """(cosh(kappa x) / cosh(kappa ell), sinh(kappa x) / cosh(kappa ell)),
+    for |x| <= ell, without overflow at large kappa."""
+    near, far = np.exp(kappa * (np.abs(x) - ell)), np.exp(-kappa * (np.abs(x) + ell))
+    scale = 1.0 + np.exp(-2.0 * kappa * ell)
+    return (near + far) / scale, np.sign(x) * (near - far) / scale
+
+
+def _box_p2_errors(ell, ell0, points=200, modes=200):
+    """The exact (err_L2, err_Hm) of the p = 2 box at half-length ell."""
+    x, w = leggauss(points)
+    x, w = ell0 * x, ell0 * w
+    k = 2 * np.arange(modes) + 1
+    nu = k * math.pi / (2.0 * ell)
+    kappa = np.sqrt(math.pi**2 + nu**2)
+    a = -4.0 * (-1.0) ** ((k - 1) // 2) / (k * math.pi * kappa**2)
+    cosh, sinh = _cosh_ratios(kappa, x[:, None], ell)  # [x1, mode]
+    cos, sin = np.cos(nu * x[:, None]), np.sin(nu * x[:, None])  # [x2, mode]
+    cosh_pi, sinh_pi = _cosh_ratios(math.pi, x, ell)
+    g = (cosh * a) @ cos.T - cosh_pi / math.pi**2  # [x1, x2]
+    g_x1 = (sinh * kappa * a) @ cos.T
+    g_x2 = -(cosh * a) @ (sin * nu).T - sinh_pi / math.pi
+    weights = np.outer(w, w)
+    g2 = np.sum(weights * g**2)
+    # sin(pi x3)^2 integrates to 1/2 over omega, its derivative's square to pi^2 / 2
+    l2 = g2 / 2.0
+    h1 = l2 + np.sum(weights * (g_x1**2 + g_x2**2)) / 2.0 + math.pi**2 * g2 / 2.0
+    return math.sqrt(l2), math.sqrt(h1)
+
+
 def _check_closed_form(spec, exact, bounds):
     """Every gap within its bound at both resolutions of bounds, and each
     shrinking at least 8 times from the coarser to the finer."""
@@ -96,3 +151,8 @@ def test_the_box_errors_approach_their_closed_form():
 
 def test_the_poisson_strip_errors_approach_their_closed_form():
     _check_closed_form(builtin_problem("poisson_strip"), _strip_errors, STRIP_BOUNDS)
+
+
+def test_the_p2_box_errors_approach_their_closed_form():
+    _check_closed_form(parse_problem_config(BOX_P2_CONFIG, "box_p2"), _box_p2_errors,
+                       BOX_P2_BOUNDS)
