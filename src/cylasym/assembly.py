@@ -34,9 +34,9 @@ A_cross the band on the cross-section factors with the coefficient a; in
 band layout that is the broadcast product of the two bands.  Pairs that
 share an axial part share one product.  Every pair whose coefficient reads
 x1..xp, which the hypotheses allow when alpha has an axial component, goes
-through the kernel on all n factors.  The forcing may not read x1..xp, so
-the load vector is kron(axial load of the unit forcing, cross-section
-load); a forcing that reads them is refused.
+through the kernel on all n factors, into one band: the x1-band.  The
+forcing may not read x1..xp, so the load vector is kron(axial load of the
+unit forcing, cross-section load); a forcing that reads them is refused.
 
 None of the cross-section pieces depends on l, so a CrossSection builds
 them once for a sweep: the cross-section factors, the A_cross block of
@@ -68,23 +68,26 @@ omega whose coordinate no coefficient (no forcing) reads, and the same on
 every translate of omega of the same width.  assemble_cylinder and
 assemble_limit take the CrossSection as their whole description of the
 problem: assemble_limit's system is the block of the zero axial part with
-the cross-section load, and assemble_cylinder builds only the n-D band, if
+the cross-section load, and assemble_cylinder builds only the x1-band, if
 a pair needs it, by the kernel at each l; it places the axial pieces.
 
-An AssembledSystem keeps those pieces, not the sum: the (axial band,
-cross-section band) pair of every axial part, each in its own factors' band
-layout, and the n-D band when some pair needs it (the cross-section system
-keeps only its n-D band, the kernel on its own factors); its symmetry and
-axial keys are read off the problem and the CrossSection.  Slot tuple s of
-the band, in every row, is summed from them when it is read, in the order a
-full band would sum it: zero, then each Kronecker part (the outer product
-of its axial band's slots s_1..s_p and its cross-section band's slots
-s_p+1..s_n), then the n-D band.  The system's matrix A is that sum, read
-as it is.  A symmetric problem's A is symmetric up to rounding, since the
-kernel and the sum over the Kronecker parts form the two entries of a
-mirror pair in different orders; no reader symmetrizes it.  A symmetric kernel reads only A's
-lower triangle, and the backward-error check judges its x against A
-itself, the matrix that was assembled.  One slot walk
+An AssembledSystem is a tuple of Kronecker parts and nothing else, not
+their sum.  A part (A, C) is a band A on the leading factors times a band
+C on the trailing ones, each in its own factors' band layout, and the
+split falls where A's axes end.  A cylinder system has one (axial band,
+cross-section block) part per axial key and, when some pair needs it, the
+x1-band times the 0-d band 1.0 as its last part; the cross-section system
+has one part, the 0-d band 1.0 times the block of the zero key.  Its
+symmetry and axial keys are read off the problem and the CrossSection.
+Slot tuple s of the band, in every row, is summed from the parts when it
+is read, in the order a full band would sum it: zero, then each part in
+order, the outer product of A's slots of s and C's.  The system's matrix
+A is that sum, read as it is.  A symmetric problem's A is symmetric up to
+rounding, since the kernel and the sum over the Kronecker parts form the
+two entries of a mirror pair in different orders; no reader symmetrizes
+it.  A symmetric kernel reads only A's lower triangle, and the
+backward-error check judges its x against A itself, the matrix that was
+assembled.  One slot walk
 (_band_entries) hands out the entries, and every written form of the
 system is written from it: lower_band writes the entries on and below the
 diagonal into LAPACK lower band storage, a Fortran-ordered (kd + 1, N)
@@ -94,10 +97,10 @@ place, (3 kd + 1, N): LAPACK general band storage below kd zero rows for
 the fill-in.  AssembledSystem.matrix writes the CSR matrix of every entry
 on every read: the benchmark's trace mode and one test read it, no solve
 does, so it imports scipy.sparse itself, on its first read, and the
-package imports no scipy module.  A symmetric system of exactly two
-Kronecker parts, each with equal axial indices, and no n-D band (two_part)
-also hands over its axial pencil: the lower bands of the two axial blocks,
-written by the same walk.  No full-size band is ever built.
+package imports no scipy module.  A cylinder system of exactly two
+Kronecker parts, each with equal axial indices, of a symmetric problem
+(two_part) also hands over its axial pencil: the lower bands of the two
+axial blocks, written by the same walk.  No full-size band is ever built.
 
 A cylinder system commutes with the reflection of an axis k about the
 middle of its extent when no coefficient reads x_k and every pair has
@@ -112,7 +115,7 @@ A(i, k) + A(i, m(k)) + A(m(i), k) + A(m(i), m(k)) with m(i) = N_ax - 1 - i
 and the centre of an odd N_ax counted once, from in-space slots only, with
 the half bandwidth unchanged.  The forcing may have either parity on the
 cross-section, so there every parity is solved: when a banded kernel
-solves the cylinder systems (no n-D band, not two-part), the reflecting
+solves the cylinder systems (no x1-band, not two-part), the reflecting
 cross-section axes (CrossSection.mirrored) are the section's parity axes
 (CrossSection.parity_axes), and each parity tuple over them has one block,
 its cross-section bands the section's folded to its even or odd half along
@@ -125,29 +128,31 @@ to roundoff (the kernel's blocks up to 8e-13 of their largest entry on
 omega = (15.89, 16.89) at 48 cells per unit), and no block's kernel
 piece spans a parity axis.  A forcing that does not read the coordinate of a
 parity axis has its load placed along it too, even bitwise, so the odd
-fold of that load is exactly zero, not rounding noise.  The folded
-cross-section blocks are formed per system, not kept per sweep.
-A block's load is the system's folded alike (_folded_rows): the uncoupled
-systems P_s^T A P_s y_s = P_s^T b, leaving out a block whose folded load is
-exactly zero (the odd blocks of an even forcing), and joined gives
-x = sum_s P_s y_s.  A block takes its dims
-and degrees from its pieces, so it needs no spline basis.  Each block has
+fold of that load is exactly zero, not rounding noise.  Each part's
+cross-section band is folded per system, not kept per sweep.  A block's
+load is the system's folded alike (_folded_rows): the uncoupled systems
+P_s^T A P_s y_s = P_s^T b, leaving out a block whose folded load is
+exactly zero (the odd blocks of an even forcing), and joined gives x =
+sum_s P_s y_s.  Every system is solved on its blocks: one that folds on
+no axis, the cross-section system always (the parity axes apply to
+systems with axial factors only), is its own single block, and with a
+load of exactly zero it has none and x = 0.  A block takes its dims and
+degrees from its parts, so it needs no spline basis.  Each block has
 about half the cross-section functions per parity axis and so about half
 the half bandwidth, which cuts a banded Cholesky, costing N kd^2, by 8 per
 block and 4 for the pair.  assemble_cylinder returns the full system, and
 the solve folds it.
 
-The backward-error check reads the matrix from the pieces, for every
+The backward-error check reads the matrix from the parts, for every
 system.  Its residual skips the walk: matvec multiplies by the matrix from
-the pieces, sum_j A_j X C_j^T plus the n-D band, each band applied along
-its axes by band_apply: one einsum over a sliding window of X.  inf_norm,
-for a system of Kronecker parts alone, forms the same entries as the walk
-but sums only the first axial row of each run of equal rows, which the
-placed axial bands repeat bit for bit (_kron_row_sums); for a system with an
-n-D band (the cross-section system among them) it sums the magnitudes of
-every slot tuple (_slot), so such a system is walked twice, once by its
-kernel's band and once by its norm.  The readers share a system's pieces
-as they are, so a system marks them read-only.
+the parts, sum_j A_j X C_j^T, each band applied along its axes by
+band_apply: one einsum over a sliding window of X, a 0-d band scaling X
+by 1.0.  inf_norm, when every part splits at the same factor (every
+system but one with an x1-band), forms the same entries as the walk but
+sums only the first leading row of each run of equal rows, which the
+placed axial bands repeat bit for bit (_kron_row_sums); a system with an
+x1-band sums the magnitudes of every slot tuple (_slot).  The readers
+share a system's bands as they are, so a system marks them read-only.
 
 Every evaluation and sum runs in a fixed order, each entry summing its cells
 in ascending order, so assembling the same problem twice gives
@@ -164,7 +169,7 @@ assemble_limit too.  The CrossSection checks the kernel's pieces on omega
 (or a constant coefficient or forcing) for non-finite entries once, as the
 stage `cross-section` (l = inf), before it joins them with placed bands,
 so no system built from it checks them again; assemble_cylinder checks
-only the n-D band it assembles at each l.
+only the x1-band it assembles at each l.
 """
 
 import itertools
@@ -195,31 +200,33 @@ class AssemblyError(RuntimeError):
 
 @dataclass
 class AssembledSystem:
-    """A Galerkin system kept as the pieces its band is the sum of.
+    """A Galerkin system kept as the Kronecker parts its band is the sum of.
 
-    kron_parts holds one (axial band, cross-section band) pair per axial
-    key, each in the band layout of its own factors; nd_band is the
-    kernel's band on all factors, or None when no pair needs it.  The
-    cross-section bands are those of section, the CrossSection the system
-    was assembled from, which also gives its problem (spec).  The matrix
-    is the sum of the pieces, as it is, for a symmetric problem too.  The
-    written forms (lower_band, general_band, matrix, axial_pencil) come
-    from the slot walk; matvec, and inf_norm of a system of Kronecker parts
-    alone, read the pieces without it, as they are.  The pieces are
-    read-only, and zero outside the space, as every band is.
+    kron_parts holds one (A, C) pair per part: A a band on the leading
+    factors, C a band on the trailing ones, each in its own factors' band
+    layout, the split falling where A's axes end.  A cylinder system has
+    one (axial band, cross-section block) part per axial key and, when a
+    pair reads x1..xp, a last part (the kernel's band on all factors, the
+    0-d band 1.0); the cross-section system has the one part (1.0, its
+    block).  The cross-section blocks are those of section, the
+    CrossSection the system was assembled from, which also gives its
+    problem (spec).  The matrix is the sum of the parts, as it is, for a
+    symmetric problem too.  The written forms (lower_band, general_band,
+    matrix, axial_pencil) come from the slot walk; matvec, and inf_norm of
+    a system whose parts all split at one factor, read the parts without
+    it, as they are.  The bands are read-only, and zero outside the space,
+    as every band is.
     """
 
     rhs: np.ndarray
     basis: TensorBasis
     section: "CrossSection"
-    ell: float | None = None
-    kron_parts: tuple = ()
-    nd_band: np.ndarray | None = None
+    ell: float | None
+    kron_parts: tuple
 
     def __post_init__(self):
-        for band in (*itertools.chain(*self.kron_parts), self.nd_band):
-            if band is not None:
-                band.flags.writeable = False  # the readers share it as it is
+        for band in itertools.chain(*self.kron_parts):
+            band.flags.writeable = False  # the readers share it as it is
 
     @property
     def spec(self) -> ProblemSpec:
@@ -235,17 +242,13 @@ class AssembledSystem:
 
     @property
     def _dims(self):
-        """The dimension of every factor, read off the pieces' rows."""
-        if self.kron_parts:
-            A, C = self.kron_parts[0]
-            return A.shape[: A.ndim // 2] + C.shape[: C.ndim // 2]
-        return self.nd_band.shape[: self.nd_band.ndim // 2]
+        """The dimension of every factor, read off the first part's rows."""
+        return tuple(n for band in self.kron_parts[0] for n in band.shape[: band.ndim // 2])
 
     @property
     def _degrees(self):
-        """The degree of every factor, read off the pieces' slot widths."""
-        bands = self.kron_parts[0] if self.kron_parts else (self.nd_band,)
-        return tuple(w // 2 for band in bands for w in band.shape[band.ndim // 2 :])
+        """The degree of every factor, read off the first part's slot widths."""
+        return tuple(w // 2 for band in self.kron_parts[0] for w in band.shape[band.ndim // 2 :])
 
     @property
     def matrix(self):
@@ -266,16 +269,11 @@ class AssembledSystem:
 
     def _slot(self, s):
         """Slot tuple s of the band in every row, of shape (dim_1..dim_n):
-        zero, plus each Kronecker part, plus the n-D band."""
-        nd = None if self.nd_band is None else self.nd_band[(slice(None),) * len(s) + s]
-        if not self.kron_parts:
-            return nd
-        p = self.spec.p
+        zero plus each part, the outer product of A's slots of s and C's."""
         out = np.zeros(self._dims)
         for A, C in self.kron_parts:
-            out += np.multiply.outer(A[(Ellipsis,) + s[:p]], C[(Ellipsis,) + s[p:]])
-        if nd is not None:
-            out += nd
+            k = A.ndim // 2
+            out += np.multiply.outer(A[(Ellipsis,) + s[:k]], C[(Ellipsis,) + s[k:]])
         return out
 
     def _entries(self, lower: bool):
@@ -297,35 +295,34 @@ class AssembledSystem:
 
     def inf_norm(self) -> float:
         """|A|_inf: the largest sum over a row of the magnitudes of its
-        entries, each entry formed from the pieces as the bands write it.
-        A system of Kronecker parts alone sums the first row of each run of
-        equal axial rows (_kron_row_sums); a system with an n-D band sums
-        |slot(s)| over its slot tuples s.  An out-of-space slot adds an
-        exact zero.
+        entries, each entry formed from the parts as the bands write it.
+        When every part splits at one factor it sums the first row of each
+        run of equal leading rows (_kron_row_sums); a system with a part on
+        all factors sums |slot(s)| over its slot tuples s.  An out-of-space
+        slot adds an exact zero.
         """
-        if self.nd_band is None:
-            return float(_kron_row_sums(self.kron_parts, self.spec.p).max())
+        splits = {A.ndim // 2 for A, _ in self.kron_parts}
+        if len(splits) == 1:
+            return float(_kron_row_sums(self.kron_parts, *splits).max())
         rows = np.zeros(self._dims)
         for s in itertools.product(*(range(2 * d + 1) for d in self._degrees)):
             rows += np.abs(self._slot(s))
         return float(rows.max())
 
     def matvec(self, x):
-        """The matrix times x from the pieces: sum_j A_j X C_j^T plus the n-D
-        band, with X the (axial, cross-section) view of x."""
+        """The matrix times x from the parts: sum_j A_j X C_j^T, with X the
+        (leading, trailing) view of x at each part's split."""
         X = np.reshape(x, self._dims)
         Y = np.zeros(X.shape)
         for A, C in self.kron_parts:
-            Y += band_apply(A, band_apply(C, X, self.spec.p))
-        if self.nd_band is not None:
-            Y += band_apply(self.nd_band, X)
+            Y += band_apply(A, band_apply(C, X, A.ndim // 2))
         return Y.ravel()
 
     @property
     def two_part(self) -> bool:
         """True for a cylinder system of a two-part section
-        (CrossSection.two_part): axial_pencil describes it."""
-        return bool(self.kron_parts) and self.section.two_part
+        (CrossSection.two_part), whose two parts axial_pencil describes."""
+        return self.section.two_part and len(self.kron_parts) == 2
 
     def axial_pencil(self):
         """(A_top, A_other) of a two-part system: the LAPACK lower band of
@@ -337,42 +334,45 @@ class AssembledSystem:
             raise ValueError("the Kronecker pencil describes a two-part system only")
         return tuple(_lower_of_band(A) for A, _ in _top_first(self.kron_parts, self.section.keys))
 
+    def _axial(self) -> int:
+        """p for a cylinder system, 0 for the cross-section system."""
+        return len(self._dims) - len(self.section.factors)
+
     def parity_blocks(self):
-        """(parities, block) per parity tuple over the section's parity axes
-        (CrossSection.parity_axes) whose folded load is not exactly zero,
-        or None unless this is a cylinder system that folds on some axis:
-        every axial axis of an even section (CrossSection.even), or some
-        parity axis.
+        """(parities, block) per parity tuple over the parity axes whose
+        folded load is not exactly zero: the section's parity axes
+        (CrossSection.parity_axes) for a cylinder system, none for the
+        cross-section system.  A system that folds on no axis is its own
+        single block, and a system whose load is exactly zero has none.
 
         The block is the system P_s^T A P_s y = P_s^T b, P_s the even
-        extension along every axial axis of an even section, then the even
-        or odd extension (parities[j] True for odd) along parity axis j.
-        Each Kronecker part's axial band is folded once (_folded_band), and
-        shared by every block; its cross-section band, the section's, is
-        folded per block, and the load alike (_folded_rows).  A commutes
-        with every such reflection (bitwise on the parity axes, along which
-        the blocks are placed from the stencil) and b is even on the axial
-        axes,
-        so the blocks are uncoupled and x = joined(blocks, ys) solves
-        A x = b; a skipped block's y is zero.  A block has no basis; its
-        dims and degrees come from its pieces.
+        extension along every axial axis of an even section
+        (CrossSection.even), then the even or odd extension (parities[j]
+        True for odd) along parity axis j.  Each part's axial band is
+        folded once (_folded_band), and shared by every block; its
+        cross-section band is folded per block, and the load alike
+        (_folded_rows).  A commutes with every such reflection (bitwise on
+        the parity axes, along which the blocks are placed from the
+        stencil) and b is even on the axial axes, so the blocks are
+        uncoupled and x = joined(blocks, ys) solves A x = b; a skipped
+        block's y is zero.  A block has no basis; its dims and degrees
+        come from its parts.
         """
-        p, section = self.spec.p, self.section
+        p, section = self._axial(), self.section
         axial = range(p) if section.even else ()
-        if not (self.kron_parts and (axial or section.parity_axes)):
-            return None
+        parity_axes = section.parity_axes if p else ()
         bands, rhs = [A for A, _ in self.kron_parts], self.rhs.reshape(self._dims)
         for axis in axial:
             bands = [_folded_band(A, axis) for A in bands]
             rhs = _folded_rows(rhs, axis)
         out = []
-        for parities in itertools.product((False, True), repeat=len(section.parity_axes)):
-            blocks, load = section.blocks, rhs
-            for axis, odd in zip(section.parity_axes, parities):
+        for parities in itertools.product((False, True), repeat=len(parity_axes)):
+            blocks, load = [C for _, C in self.kron_parts], rhs
+            for axis, odd in zip(parity_axes, parities):
                 load = _folded_rows(load, p + axis, odd)
             if load.any():
-                for axis, odd in zip(section.parity_axes, parities):
-                    blocks = tuple(_folded_band(C, axis, odd) for C in blocks)
+                for axis, odd in zip(parity_axes, parities):
+                    blocks = [_folded_band(C, axis, odd) for C in blocks]
                 out.append((parities, replace(self, rhs=load.ravel(), basis=None,
                                               kron_parts=tuple(zip(bands, blocks)))))
         return tuple(out)
@@ -384,7 +384,7 @@ class AssembledSystem:
         first block on, so that x keeps the signs of zero of the blocks'
         solutions, then the sum unfolded along the axial axes of an even
         section, bitwise even on them."""
-        p, dims, section, X = self.spec.p, self._dims, self.section, None
+        p, dims, section, X = self._axial(), self._dims, self.section, None
         for (parities, block), y in zip(blocks, ys):
             Y = np.reshape(y, block._dims)
             for axis, odd in zip(section.parity_axes, parities):
@@ -525,11 +525,6 @@ def _band_entries(slot, dims, degrees, lower: bool):
         yield c, rows, cols, slot(s)[rows]
 
 
-def _slot_of(band):
-    """slot(s) of a band in band layout, for _band_entries."""
-    return lambda s: band[(slice(None),) * len(s) + s]
-
-
 def zero_padded(a, widths):
     """a with widths[k] zeros at both ends of its axis k, in the memory
     order numpy.pad gives: Fortran when a is Fortran- and not C-contiguous,
@@ -563,9 +558,10 @@ def band_apply(band, X, lead: int = 0):
 
 
 def _kron_row_sums(parts, p: int):
-    """Row sums of the magnitudes of the entries of a system of Kronecker
-    parts alone, of shape (kept axial rows, cross-section rows), from its
-    pieces.
+    """Row sums of the magnitudes of the entries of a system whose parts
+    all split after factor p, of shape (kept axial rows, cross-section
+    rows), from its parts; the cross-section system (p = 0) has one axial
+    row, that of its 0-d band 1.0.
 
     Row (i, r) and slot (e, s) of the band hold sum_j A_j[i, e] C_j[r, s],
     summed in part order: every entry is the one the bands write, up to the
@@ -617,7 +613,8 @@ def _lower_of_band(band):
     band B in band layout."""
     k = band.ndim // 2
     dims, degrees = band.shape[:k], [w // 2 for w in band.shape[k:]]
-    return _write_band(_band_entries(_slot_of(band), dims, degrees, True), dims, degrees, 0)
+    entries = _band_entries(lambda s: band[(Ellipsis,) + s], dims, degrees, True)
+    return _write_band(entries, dims, degrees, 0)
 
 
 def _dense(ab):
@@ -860,7 +857,7 @@ class CrossSection:
       from the stencil along it, commute with it bitwise, while the
       forcing may have either parity.  two_part: every cylinder system is
       symmetric, exactly two Kronecker parts, each with equal axial
-      indices, and no n-D band;
+      indices, and no x1-band;
     - keys and blocks: the axial key (alpha_axial, beta_axial) of each
       Kronecker part and its cross-section band, summed over the part's
       pairs in their order, each pair's band joined (_on_omega) from the
@@ -868,7 +865,7 @@ class CrossSection:
       kernel's on those it reads (assemble_limit's system is the zero
       key's block);
     - nd_terms: the pairs whose coefficient reads x1..xp, which go through
-      the kernel on all n factors at each l;
+      the kernel on all n factors at each l, into the x1-band;
     - load: the cross-section load vector, joined the same way from the
       placed unit loads and the kernel's load on the factors the forcing
       reads, so that its odd folds along a parity axis whose coordinate
@@ -882,7 +879,7 @@ class CrossSection:
       (C_other, C_top) of the dense symmetric cross-section blocks, top
       part first (linalg.pencil_eigenbasis), else None;
     - parity_axes: when a banded kernel solves the cylinder systems (no
-      n-D band, not two-part), the mirrored cross-section axes (mirrored),
+      x1-band, not two-part), the mirrored cross-section axes (mirrored),
       else ().  Every system of the sweep reads the blocks, equal to their
       mirrors bitwise along these axes, and AssembledSystem.parity_blocks
       folds them per system; no folded block is kept.
@@ -1012,8 +1009,9 @@ def assemble_cylinder(section: CrossSection, ell: float) -> AssembledSystem:
 
     Only the axial pieces are built here: each Kronecker part's axial
     band and the axial load, placed from the section's stencil
-    (CrossSection.axial), and the n-D band, by the kernel, if a pair needs
-    it.  The cross-section blocks and load come from section.
+    (CrossSection.axial), and the x1-band, by the kernel, if a pair needs
+    it: the last part, times the 0-d band 1.0.  The cross-section blocks
+    and load come from section.
     """
     spec = section.spec
     check_half_length(spec, ell)
@@ -1027,19 +1025,21 @@ def assemble_cylinder(section: CrossSection, ell: float) -> AssembledSystem:
     basis = section.cylinder_basis(ell)
     factors = basis.factors
     bands, load = section.axial(factors[0])
-    nd_band = _galerkin(factors, section.nd_terms) if section.nd_terms else None
-    _check_finite(spec, "assemble_cylinder", ell, matrix=nd_band)
+    parts = tuple(zip(bands, section.blocks))
+    if section.nd_terms:
+        parts += ((_galerkin(factors, section.nd_terms), np.ones(())),)
+        _check_finite(spec, "assemble_cylinder", ell, matrix=parts[-1][0])
     rhs = np.multiply.outer(load, section.load).ravel()
-    return AssembledSystem(rhs, basis, section, float(ell), tuple(zip(bands, section.blocks)),
-                           nd_band)
+    return AssembledSystem(rhs, basis, section, float(ell), parts)
 
 
 def assemble_limit(section: CrossSection) -> AssembledSystem:
     """Cross-section problem of section: pairs with purely cross-sectional
     indices.
 
-    Its band is the cross-section block of the zero axial part, which the
-    cylinder systems share, and its load the cross-section load.  A limit
+    Its one part is the 0-d band 1.0 times the cross-section block of the
+    zero axial part, which the cylinder systems share, and its load the
+    cross-section load.  A limit
     pair whose coefficient reads x1..xp, which the hypotheses refuse, has no
     such block, and is refused.
     """
@@ -1057,4 +1057,5 @@ def assemble_limit(section: CrossSection) -> AssembledSystem:
             f"{axial}; the limit problem needs axis-independent coefficients"
         )
     band = section.blocks[section.keys.index(((0,) * p, (0,) * p))]
-    return AssembledSystem(section.load, TensorBasis(section.factors), section, None, (), band)
+    return AssembledSystem(section.load, TensorBasis(section.factors), section, None,
+                           ((np.ones(()), band),))

@@ -28,15 +28,17 @@ def _lattice_count(lo, hi, h) -> int:
 
 def lattice_counts(region, domain, alphas, h: float, p: int) -> list:
     """Points per axis of the lattice of spacing h on region; raises
-    LatticeError unless, for every alpha, the lattice inflated by alpha_k
-    layers on the upper side of axis k stays inside domain, strictly inside
-    on the cross-sectional axes (k >= p) when alpha has cross-sectional
-    components.  The sweep plan checks its lattices with it before any work."""
-    counts = []
-    for k, (lo, hi) in enumerate(region):
-        if not lo < hi:
-            raise LatticeError(f"empty region on axis {k}")
-        counts.append(_lattice_count(lo, hi, h))
+    LatticeError unless every axis holds at least 2 points, the fewest the
+    trapezoid rule integrates with, and, for every alpha, the lattice
+    inflated by alpha_k layers on the upper side of axis k stays inside
+    domain, strictly inside on the cross-sectional axes (k >= p) when alpha
+    has cross-sectional components.  The sweep plan checks its lattices
+    with it before any work."""
+    counts = [_lattice_count(lo, hi, h) if lo < hi else 0 for lo, hi in region]
+    for k, ((lo, hi), count) in enumerate(zip(region, counts)):
+        if count < 2:  # one point would weigh 1/2 in the trapezoid rule
+            raise LatticeError(f"axis {k} of the region, [{lo:g}, {hi:g}], holds {count} lattice "
+                               f"points at spacing h = {h:g}; the trapezoid rule needs 2")
     for alpha in alphas:
         strict_needed = not in_N1(alpha, p)
         for k, ((lo, _), (dlo, dhi), count) in enumerate(zip(region, domain, counts)):

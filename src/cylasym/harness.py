@@ -25,20 +25,22 @@ field u_l - ext(u_inf), built once per job, so no job sends its solution
 back.
 
 _solve_system is the one place a system is solved and accepted, every
-system alike, the limit system included.  A cylinder system that commutes
-with reflections is solved on its parity blocks
-(AssembledSystem.parity_blocks): its even half along every axial axis of an
+system alike, the limit system included, and every system is solved on
+its parity blocks (AssembledSystem.parity_blocks).  A cylinder system that
+commutes with reflections has its even half along every axial axis of an
 even section (CrossSection.even: no coefficient reads an axial x_k, and
 every pair has alpha_k + beta_k even on it, so u_l is even in x_k), times
 each parity along each of the section's parity axes
 (CrossSection.parity_axes), a block whose folded load is exactly zero left
 out (the odd blocks along an axis whose coordinate the forcing does not
 read, since the section places its load there from the stencil, even
-bitwise); any other system, one with an n-D band or the cross-section
-system, is solved whole.  The kernel is picked once, from the system's structure
-(_kernel): a symmetric system of two Kronecker parts
-(AssembledSystem.two_part) by fast diagonalization of its cross-section
-pencil (linalg.kronecker_solve), any other symmetric system by banded
+bitwise).  A system that folds on no axis, one with an x1-band or the
+cross-section system, is its own single block, and a system whose load is
+exactly zero has no block: no kernel runs, and x = 0.  The kernel is
+picked once, from the system's structure (_kernel): a cylinder system of
+two Kronecker parts of a symmetric problem (AssembledSystem.two_part) by
+fast diagonalization of its cross-section pencil
+(linalg.kronecker_solve), any other symmetric system by banded
 Cholesky of its lower band (linalg.cholesky_solve), and a nonsymmetric one
 by banded LU of its general band (linalg.lu_solve).  All three call the
 LAPACK of the OpenBLAS numpy has already mapped, so a sweep maps one BLAS.
@@ -183,7 +185,9 @@ class SweepPlan:
             except LatticeError as exc:
                 raise ValueError(
                     f"problem {name}: the interior lattice of spacing h = 1/(2 resolution) "
-                    f"= {h:g} does not fit in the smallest cylinder, l = {ell:g}: {exc}"
+                    f"= {h:g} at resolution {self.resolution} and interior margin "
+                    f"{self.interior_margin:g} is refused in the smallest cylinder, "
+                    f"l = {ell:g}: {exc}"
                 ) from None
 
     @property
@@ -231,17 +235,15 @@ def _check_cells(spec: ProblemSpec, name: str, resolution: int, ell: float, axia
 
 
 def _solve_system(system):
-    """The SolveResult of the system: solved on its parity blocks when it
-    folds (AssembledSystem.parity_blocks), by the one kernel its structure
-    picks (_kernel), and accepted by the backward-error check on the full
-    system's right-hand side, residual and |A|_inf."""
+    """The SolveResult of the system: solved on its parity blocks
+    (AssembledSystem.parity_blocks), one after the other, each band freed
+    before the next, by the one kernel its structure picks (_kernel), and
+    accepted by the backward-error check on the full system's right-hand
+    side, residual and |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
     solve, method = _kernel(system, where)
     blocks = system.parity_blocks()
-    if blocks is None:
-        x = solve(system)
-    else:  # one block after the other, each band freed before the next
-        x = system.joined(blocks, [solve(block) for _, block in blocks])
+    x = system.joined(blocks, [solve(block) for _, block in blocks])
     return _accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
 
 

@@ -18,7 +18,7 @@ two LAPACK kernels, banded Cholesky (dpbtrf, dpbtrs) and banded LU (dgbsv):
   O(N_c^3 + N_ax N_c^2 + N_ax N_c d^2), against O(N_ax N_c^3 d^2) for a
   Cholesky of the whole band, whose half-bandwidth is about d N_c.
 - cholesky_solve, for every other symmetric system (more Kronecker parts, as
-  the biharmonic strip has, an n-D band, the cross-section system): it
+  the biharmonic strip has, an x1-band, the cross-section system): it
   factors LAPACK lower band storage in place (dpbtrf) and solves with the
   factor (dpbtrs).  The harness hands it each parity block of a cylinder
   system whose cross-section is mirror-symmetric, one after the other, so

@@ -105,19 +105,14 @@ def assembled_limit(spec, resolution: int, degree=None):
 
 def full_band(system):
     """The band of an AssembledSystem, every slot tuple in every row summed
-    from its pieces in the package's order: zero, each Kronecker part, then
-    the n-D band."""
-    if not system.kron_parts:
-        return system.nd_band.copy()
-    p = system.spec.p
-    n = p + system.kron_parts[0][1].ndim // 2
-    band = 0.0
+    from its Kronecker parts in the package's order: zero, then each part,
+    split where its leading band's axes end."""
+    n, band = len(system._dims), 0.0
     for A, C in system.kron_parts:
-        # (axial rows, axial slots, cross rows, cross slots) to band layout
+        k = A.ndim // 2
+        # (leading rows, leading slots, trailing rows, trailing slots) to band layout
         product = np.multiply.outer(A, C)
-        band = band + np.moveaxis(product, range(p, 2 * p), range(n, n + p))
-    if system.nd_band is not None:
-        band = band + system.nd_band
+        band = band + np.moveaxis(product, range(k, 2 * k), range(n, n + k))
     return band
 
 
@@ -438,12 +433,13 @@ def odd_extension(n: int):
 
 
 def parity_extension(system, parities):
-    """The dense P of the parity block `parities` of a cylinder system: the
-    even extension along every axial axis of an even section, the even or
-    odd extension along each of its section's parity axes, the identity on
-    every other axis."""
-    p, dims, section = system.spec.p, system._dims, system.section
-    odd = dict(zip(section.parity_axes, parities))
+    """The dense P of the parity block `parities` of a system: for a
+    cylinder system the even extension along every axial axis of an even
+    section, the even or odd extension along each of its section's parity
+    axes, the identity on every other axis; the identity for the
+    cross-section system, which folds on no axis."""
+    p, dims, section = system._axial(), system._dims, system.section
+    odd = dict(zip(section.parity_axes if p else (), parities))
     P = np.ones((1, 1))
     for k, dim in enumerate(dims):
         if k < p and section.even:
@@ -453,6 +449,16 @@ def parity_extension(system, parities):
         else:
             P = np.kron(P, np.eye(dim))
     return P
+
+
+def is_its_own_block(system) -> bool:
+    """Whether the system's parity blocks are the system itself: one block,
+    of no parity, with the system's own parts and its load, as a system that
+    folds on no axis has."""
+    [(parities, block)] = system.parity_blocks()
+    parts = list(zip(itertools.chain(*block.kron_parts), itertools.chain(*system.kron_parts)))
+    return (parities == () and len(parts) == 2 * len(system.kron_parts)
+            and all(a is b for a, b in parts) and block.rhs.tobytes() == system.rhs.tobytes())
 
 
 def kronecker_pencil(system):
@@ -508,21 +514,21 @@ def fold_path_solve(system):
     Any other system is solved whole.
     """
     where = _where(system.spec, "solve", system.ell)
-    p, section, method = system.spec.p, system.section, _method(system)
-    half, folds = system, bool(system.kron_parts) and section.even
+    p, section, method = system._axial(), system.section, _method(system)
+    half, folds = system, p and section.even
     if folds:
         parts, rhs = system.kron_parts, system.rhs.reshape(system._dims)
         for axis in range(p):
             parts = tuple((_folded_band(A, axis), C) for A, C in parts)
             rhs = _folded_rows(rhs, axis)
         half = replace(system, rhs=rhs.ravel(), basis=None, kron_parts=parts)
-    axes = section.parity_axes if system.kron_parts else ()
+    axes = section.parity_axes if p else ()
     if not axes:
         y = _full_path(half, where)[0]
     else:
         dims, y = half._dims, None
         for parities in itertools.product((False, True), repeat=len(axes)):
-            blocks, rhs = section.blocks, half.rhs.reshape(dims)
+            blocks, rhs = [C for _, C in half.kron_parts], half.rhs.reshape(dims)
             for axis, odd in zip(axes, parities):
                 blocks = tuple(_folded_band(C, axis, odd) for C in blocks)
                 rhs = _folded_rows(rhs, p + axis, odd)

@@ -33,6 +33,7 @@ from dense_oracle import (
     band_apply_per_call,
     dense_basis_matrix,
     even_extension,
+    is_its_own_block,
     kronecker_pencil,
     odd_extension,
     oracle_csr,
@@ -340,6 +341,21 @@ def test_every_local_function_is_kept_on_some_cell_at_the_fewest_cells(m):
                 list(itertools.product(locals_, locals_))
 
 
+def _x1_band(system):
+    """The kernel's band on all factors of a cylinder system some of whose
+    pairs read x1..xp: its last part, (band, 1.0)."""
+    band, one = system.kron_parts[-1]
+    assert one.shape == () and one == 1.0 and band.ndim == 2 * len(system._dims)
+    return band
+
+
+def _limit_block(system):
+    """The block of a cross-section system, whose one part is (1.0, block)."""
+    [(one, block)] = system.kron_parts
+    assert one.shape == () and one == 1.0
+    return block
+
+
 def test_the_nd_kernel_holds_one_slab_of_elements():
     # the benchmark's box3d at 12 cells/unit with a_1_0_0_1_0_0 = 2 + sin(x1),
     # l = 4: the n-D band is 13.2 MiB, and assemble_cylinder peaked at
@@ -353,8 +369,9 @@ def test_the_nd_kernel_holds_one_slab_of_elements():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert system.nd_band.nbytes > 13 * 2**20
-    assert peak <= 2.5 * system.nd_band.nbytes, peak / 2**20
+    band = _x1_band(system)
+    assert band.nbytes > 13 * 2**20
+    assert peak <= 2.5 * band.nbytes, peak / 2**20
 
 
 def test_the_nd_product_holds_no_copy_of_the_band():
@@ -371,7 +388,8 @@ def test_the_nd_product_holds_no_copy_of_the_band():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.05 * system.nd_band.nbytes, peak / system.nd_band.nbytes
+    band = _x1_band(system)
+    assert peak <= 0.05 * band.nbytes, peak / band.nbytes
 
 
 class _Recorder:
@@ -533,7 +551,7 @@ def test_the_nd_band_is_the_same_on_any_slab_size(monkeypatch, spec, resolution)
     bands = []
     for slab_bytes in (1, 2**14, 2**40):
         monkeypatch.setattr(assembly, "_SLAB_BYTES", slab_bytes)
-        bands.append(assemble_cylinder(section, ell=1.0).nd_band.tobytes())
+        bands.append(_x1_band(assemble_cylinder(section, ell=1.0)).tobytes())
     assert bands[0] == bands[1] == bands[2]
 
 
@@ -701,12 +719,13 @@ def test_the_limit_system_is_the_zero_axial_block_of_the_cylinder(spec, ell, res
     limit = assembled_limit(spec, resolution=resolution)
     cylinder = assembled_cylinder(spec, ell=ell, resolution=resolution)
     block = cylinder.kron_parts[cylinder.section.keys.index(zero)][1]
-    assert limit.nd_band.shape == block.shape and limit.nd_band.tobytes() == block.tobytes()
+    band = _limit_block(limit)
+    assert band.shape == block.shape and band.tobytes() == block.tobytes()
     assert limit.rhs.tobytes() == cylinder.section.load.tobytes()
     section = CrossSection(spec, resolution)
     shared = assemble_cylinder(section, ell=ell)
     limit = assemble_limit(section)
-    assert limit.nd_band is shared.kron_parts[shared.section.keys.index(zero)][1]
+    assert _limit_block(limit) is shared.kron_parts[shared.section.keys.index(zero)][1]
     assert limit.rhs is section.load and limit.basis.factors == shared.basis.factors[spec.p:]
 
 
@@ -806,14 +825,14 @@ def test_the_even_predicate_reads_the_axial_keys(spec, even):
     # even: no coefficient reads x1..xp and every pair has alpha_k + beta_k
     # even on every axial axis k; only the parity blocks of a cylinder
     # system of such a section halve its axial factors, and a cross-section
-    # system has no blocks
+    # system is its own single block
     section = CrossSection(spec, 6)
     assert section.even is even
     cylinder = assemble_cylinder(section, ell=1.0)
     blocks, p = cylinder.parity_blocks(), spec.p
     halved = tuple((n + 1) // 2 for n in cylinder._dims[:p])
-    assert (blocks is not None and all(block._dims[:p] == halved for _, block in blocks)) is even
-    assert assemble_limit(section).parity_blocks() is None
+    assert blocks and all(block._dims[:p] == halved for _, block in blocks) is even
+    assert is_its_own_block(assemble_limit(section))
 
 
 _SKEW = _plus(_POISSON, {((0, 1), (0, 0)): "1"})
@@ -1041,7 +1060,7 @@ def test_the_mirror_predicate_reads_every_pair():
     # it for every pair; only a section whose cylinder systems a banded
     # kernel solves keeps its mirrored axes as parity axes, and its
     # cylinder systems' blocks then carry one parity per parity axis; its
-    # limit system has no blocks
+    # limit system is its own single block
     cases = {
         "biharmonic": (_BIHARMONIC, (0,), True),
         "varcoef": (builtin_problem("varcoef_strip"), (), False),
@@ -1058,8 +1077,8 @@ def test_the_mirror_predicate_reads_every_pair():
         assert section.parity_axes == (mirrored if blocks else ()), name
         cylinder = assemble_cylinder(section, ell=1.0)
         folds = cylinder.parity_blocks()
-        assert (folds is not None and len(folds[0][0]) > 0) is blocks, name
-        assert assemble_limit(section).parity_blocks() is None
+        assert (len(folds[0][0]) > 0) is blocks, name
+        assert is_its_own_block(assemble_limit(section))
 
 
 def test_a_block_with_a_zero_load_is_left_out():
@@ -1124,7 +1143,7 @@ def test_the_section_blocks_are_mirror_averaged(omega, resolution):
         assert np.array_equal(C, at_origin)
         assert np.abs(C - kernel).max() <= 1e-13 * np.abs(kernel).max()
     zero_key = section.keys.index(((0,), (0,)))
-    assert assemble_limit(section).nd_band is section.blocks[zero_key]
+    assert _limit_block(assemble_limit(section)) is section.blocks[zero_key]
 
 
 def test_a_variable_coefficient_keeps_its_fold_without_averaging():
@@ -1289,7 +1308,7 @@ _BANDS = {
         for section, _, factor, bands, _ in _axial_pieces(*_STENCIL_CASES[case])
         for band in (*bands, *section.stencil(factor.cells)[0].values())],
     "nd_box3d_sin_x1": lambda: [
-        assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4).nd_band],
+        _x1_band(assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4))],
     "placed_on_omega": lambda: [
         band for section in (CrossSection(_laplace_box(1), 4), CrossSection(_BIHARMONIC_3D, 5))
         for f in section.factors for band in section._placed_on(f)[0].values()],
@@ -1303,7 +1322,7 @@ _BANDS = {
     "grams_cutoff": lambda: _grams((-2.0, 2.0), (CutoffRho(3), 1.0)),
     "parity_blocks": lambda: _parity_pieces([*_BLOCK_CASES.values(),
                                              *_FOLD_CASES.values()]),
-    "limit": lambda: [assembled_limit(spec, resolution=5).nd_band for spec in (
+    "limit": lambda: [_limit_block(assembled_limit(spec, resolution=5)) for spec in (
         _BIHARMONIC, _laplace_box(1), _box_spec(1), _MIXED_3D)],
 }
 
@@ -1323,5 +1342,5 @@ def test_a_systems_pieces_are_read_only():
     system = assembled_cylinder(_laplace_box(1, "2 + sin(x1)"), ell=1.0, resolution=4)
     blocks = assembled_cylinder(_BIHARMONIC_3D, ell=1.0, resolution=5).parity_blocks()
     for s in (system, assembled_limit(_BIHARMONIC, resolution=5), *(b for _, b in blocks)):
-        for band in (*itertools.chain(*s.kron_parts), s.nd_band):
-            assert band is None or not band.flags.writeable
+        for band in itertools.chain(*s.kron_parts):
+            assert not band.flags.writeable

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cylasym import harness
+from cylasym import cli, harness
 from cylasym.analysis import difference_field
 from cylasym.fdcalc import LatticeError, interior_derivative_error, lattice_counts
 from cylasym.harness import SweepPlan, run_sweep
@@ -323,6 +323,36 @@ def test_interior_error_region_guards():
         )
     with pytest.raises(LatticeError, match="exceeds m"):
         interior_derivative_error(w, 1, [(0, 0), (2, 0)], strict, h=1.0 / 16, m=1)
+
+
+@pytest.mark.parametrize("region,axis,count", [
+    (((-0.02, 0.02), (0.49, 0.51)), 0, 1), (((-0.5, 0.5), (0.49, 0.51)), 1, 1),
+    (((-0.5, 0.5), (0.75, 0.25)), 1, 0),
+])
+def test_an_axis_of_fewer_than_two_lattice_points_is_refused(region, axis, count):
+    # one point weighs 1/2 in the trapezoid rule on its axis, so the estimate
+    # would be neither the region's integral nor zero; an empty region has none
+    domain = ((-2.0, 2.0), (0.0, 1.0))
+    lo, hi = region[axis]
+    with pytest.raises(LatticeError, match=rf"axis {axis} of the region, \[{lo:g}, {hi:g}\], "
+                                           rf"holds {count} lattice points at spacing h = 0.0625"):
+        lattice_counts(region, domain, [(0, 0)], 1.0 / 16, 1)
+    assert lattice_counts(((-0.0625, 0.0625), (0.5, 0.5625)), domain, [(0, 0)], 1.0 / 16,
+                          1) == [3, 2]
+
+
+def test_a_sweep_whose_interior_axis_holds_one_point_exits_one(capsys):
+    # margin 0.49 leaves (-0.02, 0.02) of x1 and (0.49, 0.51) of x2: one point
+    # of the spacing 1/16 each, where err_H2m_interior read 2.11e-4,
+    # 1.49e-4 and 9.94e-5 at 8, 16 and 24 cells/unit, against 7.3e-3 at
+    # margin 0.25; the plan refuses the sweep before any work
+    code = cli.main(["sweep", "--problem", "poisson_strip", "--l", "2",
+                     "--cells-per-unit", "8", "--interior-margin", "0.49"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "problem poisson_strip: " in err
+    assert "at resolution 8 and interior margin 0.49 is refused" in err
+    assert "holds 1 lattice points" in err
 
 
 def _cylinder_difference(seed=3):

@@ -22,6 +22,7 @@ from dense_oracle import (
     fold_path_solve,
     full_path_solve,
     inverse_inf_norm,
+    is_its_own_block,
 )
 from test_sweep_bytes import BOX_CONFIG, BOX_P2_CONFIG
 
@@ -565,7 +566,7 @@ def test_a_sweep_pads_no_band_or_field_with_numpy_pad(monkeypatch):
     monkeypatch.setattr(np, "pad", lambda *args, **kw: pads.append(args) or pad(*args, **kw))
     run_sweep(SweepPlan(spec=_laplace_box(), ells=(2.0, 4.0, 8.0), resolution=12))
     monkeypatch.undo()
-    cylinders = [key for key, system in systems.items() if system.kron_parts]
+    cylinders = [key for key, system in systems.items() if system.ell is not None]
     halves = [key for key in cylinders if systems[key].basis is None]
     assert len(cylinders) == 6 and len(halves) == 3
     assert all(reads[key] >= (1 if key in halves else 2) for key in cylinders)
@@ -848,7 +849,7 @@ def test_a_system_that_does_not_fold_is_solved_whole_bit_for_bit(spec, where, me
         return assembled_limit(spec, resolution=6)
 
     system = assembled()
-    assert system.parity_blocks() is None
+    assert is_its_own_block(system)
     result, full = harness._solve_system(system), full_path_solve(assembled())
     assert result.method == full.method == method
     assert result.x.tobytes() == full.x.tobytes()
@@ -1116,6 +1117,25 @@ def test_a_zero_forcing_solves_no_block(monkeypatch, spec, kernel, method):
     system = assembled_cylinder(_zero_forcing(spec), ell=2.0, resolution=6)
     assert system.parity_blocks() == ()
     monkeypatch.setattr(harness, kernel, refuse)
+    result = harness._solve_system(system)
+    assert result.method == method and result.backward_error == 0.0
+    assert result.x.shape == (system.ndofs,) and not np.signbit(result.x).any()
+    assert not result.x.any()
+
+
+@pytest.mark.parametrize("spec,where,method", _UNFOLDED.values(), ids=_UNFOLDED.keys())
+def test_a_system_with_a_zero_load_calls_no_kernel(monkeypatch, spec, where, method):
+    # a system that folds on no axis is its own single block, and with a
+    # load of exactly zero it has none: no kernel runs, and x is +0.0
+    def refuse(*args, **kwargs):
+        raise AssertionError("a system with a zero load was solved")
+
+    spec = _zero_forcing(spec)
+    system = (assembled_cylinder(spec, ell=2.0, resolution=6) if where == "cyl"
+              else assembled_limit(spec, resolution=6))
+    assert system.parity_blocks() == ()
+    for kernel in ("cholesky_solve", "kronecker_solve", "lu_solve"):
+        monkeypatch.setattr(harness, kernel, refuse)
     result = harness._solve_system(system)
     assert result.method == method and result.backward_error == 0.0
     assert result.x.shape == (system.ndofs,) and not np.signbit(result.x).any()
@@ -1428,7 +1448,7 @@ def test_cli_hypothesis_failure_exits_two(tmp_path, capsys):
         # once, when the section is built
         ("a_0_1_0_1", "1 + 1 / (x2 - 0.5)^2", "cross-section", "l = inf"),
         ("a_1_0_1_0", "1 + 1 / (x2 - 0.5)^2", "cross-section", "l = inf"),
-        # a coefficient that reads x1 goes into the n-D band, assembled at
+        # a coefficient that reads x1 goes into the x1-band, assembled at
         # every l
         ("a_1_0_1_0", "(1 + 0 * x1) / (x2 - 0.5)^2", "assemble_cylinder", "l = 2"),
     ],

@@ -48,16 +48,46 @@ points move the errors by at most 6.2e-15 relative).  The relative gaps at l = 2
 unit, and 1.4e-5, 2.6e-5, 1.1e-4 and 1.2e-4 at 8; the bounds below are
 those with a margin, and every gap must shrink at least 8 times from 4
 to 8 cells per unit.
+
+A two-part problem of order m = 1 (the Poisson and varcoef strips, the
+box) has a reference exact in x1 on the sweep's own cross-section space.
+With (lam, V) its CrossSection.eigenbasis, C_top the dense top block and U
+the sweep's limit solution, the cross-section unknowns of the solution
+exact in x1 differ from U by
+
+    W(x1) = -V diag(cosh(sqrt(lam) x1) / cosh(sqrt(lam) l)) V^T C_top U,
+
+so the gaps to it are the sweep's axial discretization error alone.  W,
+W_x1 and the cross-section gradient are integrated over (-ell0, ell0) x
+omega with omega's Gram bands (splines.axis_grams) and a 100-point Gauss
+rule in x1 (200 or 300 points move the errors by at most 3.4e-14
+relative).  The relative gaps at l = 2 and 4 measured, err_L2 then
+err_Hm: Poisson strip 5.7e-6, 1.2e-5, 4.0e-6, 2.5e-6 at 16 cells per unit
+and 3.6e-7, 7.7e-7, 2.5e-7, 1.6e-7 at 32; varcoef strip 6.3e-6, 1.3e-5,
+4.4e-6, 2.7e-6 and 4.0e-7, 8.4e-7, 2.8e-7, 1.7e-7; box 8.8e-5, 2.0e-4,
+3.6e-5, 7.7e-5 at 12 and 5.6e-6, 1.3e-5, 2.3e-6, 4.9e-6 at 24.  The bounds
+are those with a margin, and every gap must shrink at least 8 times per
+doubling.
 """
 
 import math
+from functools import partial
 
 import numpy as np
+import pytest
 from numpy.polynomial.legendre import leggauss
 from test_sweep_bytes import BOX_CONFIG, BOX_P2_CONFIG
 
-from cylasym.harness import SweepPlan, run_sweep
+from cylasym.assembly import (
+    CrossSection,
+    _cross_pencil,
+    _dense,
+    _lower_of_band,
+    assemble_limit,
+)
+from cylasym.harness import SweepPlan, _solve_system, run_sweep
 from cylasym.problem import builtin_problem, parse_problem_config
+from cylasym.splines import NORM_POINTS_PER_CELL, axis_grams
 
 KAPPA = math.pi * math.sqrt(2.0)
 # relative gap bounds per (cells per unit, field)
@@ -67,6 +97,19 @@ STRIP_BOUNDS = {(16, "err_L2"): 2.5e-6, (16, "err_Hm"): 9e-6,
                 (32, "err_L2"): 1.6e-7, (32, "err_Hm"): 5.5e-7}
 BOX_P2_BOUNDS = {(4, "err_L2"): 1.3e-3, (4, "err_Hm"): 3e-3,
                  (8, "err_L2"): 3.5e-5, (8, "err_Hm"): 1.5e-4}
+# (spec, relative gap bounds per (cells per unit, field)) of each two-part
+# reference
+TWO_PART = {
+    "poisson_strip": (builtin_problem("poisson_strip"),
+                      {(16, "err_L2"): 1.5e-5, (16, "err_Hm"): 5e-6,
+                       (32, "err_L2"): 1e-6, (32, "err_Hm"): 3.2e-7}),
+    "varcoef_strip": (builtin_problem("varcoef_strip"),
+                      {(16, "err_L2"): 1.7e-5, (16, "err_Hm"): 5.5e-6,
+                       (32, "err_L2"): 1.1e-6, (32, "err_Hm"): 3.5e-7}),
+    "box3d": (parse_problem_config(BOX_CONFIG, "box3d"),
+              {(12, "err_L2"): 2.5e-4, (12, "err_Hm"): 1e-4,
+               (24, "err_L2"): 1.6e-5, (24, "err_Hm"): 6.2e-6}),
+}
 
 
 def _box_errors(ell, ell0):
@@ -127,15 +170,42 @@ def _box_p2_errors(ell, ell0, points=200, modes=200):
     return math.sqrt(l2), math.sqrt(h1)
 
 
+def _two_part_errors(spec, ell, ell0, cells):
+    """The (err_L2, err_Hm) of the solution exact in x1 of a two-part
+    problem of order m = 1 at cells per unit, at half-length ell."""
+    section = CrossSection(spec, cells)
+    assert section.two_part and spec.m == 1
+    u_inf = _solve_system(assemble_limit(section)).x
+    (lam, V), (c_top, _) = section.eigenbasis, _cross_pencil(section.blocks, section.keys)
+    kappa, coef = np.sqrt(lam), V.T @ (c_top @ u_inf)
+    x, w = leggauss(100)
+    cosh, sinh = _cosh_ratios(kappa, ell0 * x[:, None], ell)  # [x1, mode]
+    W, W_x1 = -(cosh * coef) @ V.T, -(sinh * kappa * coef) @ V.T
+    # omega's Gram matrices of the values and of the gradient, over the
+    # cross-section unknowns in their order
+    mass, grad = np.ones((1, 1)), np.zeros((1, 1))
+    for f, extent in zip(section.factors, spec.omega):
+        G0, G1 = (_dense(_lower_of_band(G))
+                  for G in axis_grams(f, extent, 1, cells, NORM_POINTS_PER_CELL)[1])
+        mass, grad = np.kron(mass, G0), np.kron(grad, G0) + np.kron(mass, G1)
+
+    def integral(A, G):
+        return ell0 * np.sum(w[:, None] * (A @ G) * A)
+
+    l2 = integral(W, mass)
+    return math.sqrt(l2), math.sqrt(l2 + integral(W_x1, mass) + integral(W, grad))
+
+
 def _check_closed_form(spec, exact, bounds):
     """Every gap within its bound at both resolutions of bounds, and each
-    shrinking at least 8 times from the coarser to the finer."""
+    shrinking at least 8 times from the coarser to the finer; exact(ell,
+    ell0, cells) is the exact (err_L2, err_Hm) at cells per unit."""
     coarse, fine = sorted({cells for cells, _ in bounds})
     gaps = {}
     for cells in (coarse, fine):
         plan = SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=cells)
         for record in run_sweep(plan).records:
-            want = dict(zip(("err_L2", "err_Hm"), exact(record.ell, plan.ell0)))
+            want = dict(zip(("err_L2", "err_Hm"), exact(record.ell, plan.ell0, cells)))
             for field, value in want.items():
                 gap = abs(getattr(record, field) - value) / value
                 assert gap <= bounds[cells, field], (cells, record.ell, field, gap)
@@ -146,13 +216,21 @@ def _check_closed_form(spec, exact, bounds):
 
 
 def test_the_box_errors_approach_their_closed_form():
-    _check_closed_form(parse_problem_config(BOX_CONFIG, "box3d"), _box_errors, BOX_BOUNDS)
+    _check_closed_form(parse_problem_config(BOX_CONFIG, "box3d"),
+                       lambda ell, ell0, _: _box_errors(ell, ell0), BOX_BOUNDS)
 
 
 def test_the_poisson_strip_errors_approach_their_closed_form():
-    _check_closed_form(builtin_problem("poisson_strip"), _strip_errors, STRIP_BOUNDS)
+    _check_closed_form(builtin_problem("poisson_strip"),
+                       lambda ell, ell0, _: _strip_errors(ell, ell0), STRIP_BOUNDS)
 
 
 def test_the_p2_box_errors_approach_their_closed_form():
-    _check_closed_form(parse_problem_config(BOX_P2_CONFIG, "box_p2"), _box_p2_errors,
-                       BOX_P2_BOUNDS)
+    _check_closed_form(parse_problem_config(BOX_P2_CONFIG, "box_p2"),
+                       lambda ell, ell0, _: _box_p2_errors(ell, ell0), BOX_P2_BOUNDS)
+
+
+@pytest.mark.parametrize("name", TWO_PART)
+def test_the_two_part_errors_approach_their_reference_exact_in_x1(name):
+    spec, bounds = TWO_PART[name]
+    _check_closed_form(spec, partial(_two_part_errors, spec), bounds)

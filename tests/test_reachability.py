@@ -31,14 +31,20 @@ ALLOWED = {
 }
 
 
-def _defined(code, out):
-    """The code objects of the functions defined in code, in class bodies
-    and nested ones included; lambdas and comprehensions are left out."""
+def _defined(code, out, prefix=""):
+    """(code object, qualified name) of the functions defined in code, in
+    class bodies and nested ones included; lambdas and comprehensions are
+    left out.  The name is built as the compiler builds co_qualname, which
+    Python 3.10 lacks: a class body adds `Class.` to the names of what it
+    encloses, a function (lambda and comprehension too) `name.<locals>.`."""
     for const in code.co_consts:
         if isinstance(const, CodeType):
-            if const.co_flags & CO_OPTIMIZED and not const.co_name.startswith("<"):
-                out.append(const)
-            _defined(const, out)
+            function = const.co_flags & CO_OPTIMIZED
+            name = prefix + const.co_name
+            if function and not const.co_name.startswith("<"):
+                assert getattr(const, "co_qualname", name) == name, (const.co_qualname, name)
+                out.append((const, name))
+            _defined(const, out, name + (".<locals>." if function else "."))
     return out
 
 
@@ -68,7 +74,7 @@ def test_every_function_in_src_is_entered_by_the_commands(tmp_path, capsys):
     defined = {}
     for path in sorted(SRC.glob("*.py")):
         code = compile(path.read_text(), str(path), "exec")
-        defined.update((_key(c), c.co_qualname) for c in _defined(code, []))
+        defined.update((_key(c), name) for c, name in _defined(code, []))
     # a function cache filled by an earlier test would skip its function
     for name, module in list(sys.modules.items()):
         if name.startswith("cylasym"):
