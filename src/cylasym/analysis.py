@@ -334,6 +334,7 @@ class ConvergenceReport:
     fitted_rate_H2m: float | None
     floor_detected: bool
     hypothesis: object
+    predicted_rate: float | None = None
     localized_table: list = field(default_factory=list)
     rate_masks: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
@@ -378,6 +379,7 @@ def report_to_dict(report: ConvergenceReport) -> dict:
         "records": [asdict(r) for r in report.records],
         "fitted_rate_Hm": report.fitted_rate_Hm,
         "fitted_rate_H2m": report.fitted_rate_H2m,
+        "predicted_rate": report.predicted_rate,
         "floor_detected": report.floor_detected,
         "rate_masks": {k: list(v) for k, v in report.rate_masks.items()},
         "localized_energy": [

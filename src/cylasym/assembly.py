@@ -40,8 +40,9 @@ unit forcing, cross-section load); a forcing that reads them is refused.
 
 None of the cross-section pieces depends on l, so a CrossSection builds
 them once for a sweep: the cross-section factors, the A_cross block of
-every axial part, the cross-section load and, for a two-part system, the
-pencil's eigenbasis.  Nor does the stencil.  Every factor, axial or of
+every axial part, the cross-section load and, for a two-part or
+separable section, the eigenbasis of its cross-section axes.  Nor does the
+stencil.  Every factor, axial or of
 omega, has uniform cells, and with a unit coefficient the band of the 1-D
 pair (a, b) on cells of width h is h^(1 - a - b) times its band on unit
 cells, whose rows are those of one interior row except for the leading
@@ -97,10 +98,13 @@ place, (3 kd + 1, N): LAPACK general band storage below kd zero rows for
 the fill-in.  AssembledSystem.matrix writes the CSR matrix of every entry
 on every read: the benchmark's trace mode and one test read it, no solve
 does, so it imports scipy.sparse itself, on its first read, and the
-package imports no scipy module.  A cylinder system of exactly two
-Kronecker parts, each with equal axial indices, of a symmetric problem
-(two_part) also hands over its axial pencil: the lower bands of the two
-axial blocks, written by the same walk.  No full-size band is ever built.
+package imports no scipy module.  No full-size band is ever built.
+
+Fast diagonalization reads a cylinder system of a section with an
+eigenbasis through CrossSection.pencil: x1's two bands in lower band
+storage, written by the same walk, and the eigenbasis of every other axis,
+one group at a time: one 1-D pencil per axis for a separable section, one
+dense pencil of the whole section for another two-part one.
 
 A cylinder system commutes with the reflection of an axis k about the
 middle of its extent when no coefficient reads x_k and every pair has
@@ -115,7 +119,7 @@ A(i, k) + A(i, m(k)) + A(m(i), k) + A(m(i), m(k)) with m(i) = N_ax - 1 - i
 and the centre of an odd N_ax counted once, from in-space slots only, with
 the half bandwidth unchanged.  The forcing may have either parity on the
 cross-section, so there every parity is solved: when a banded kernel
-solves the cylinder systems (no x1-band, not two-part), the reflecting
+solves the cylinder systems (no x1-band, no eigenbasis), the reflecting
 cross-section axes (CrossSection.mirrored) are the section's parity axes
 (CrossSection.parity_axes), and each parity tuple over them has one block,
 its cross-section bands the section's folded to its even or odd half along
@@ -175,7 +179,7 @@ only the x1-band it assembles at each l.
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -212,7 +216,7 @@ class AssembledSystem:
     CrossSection the system was assembled from, which also gives its
     problem (spec).  The matrix is the sum of the parts, as it is, for a
     symmetric problem too.  The written forms (lower_band, general_band,
-    matrix, axial_pencil) come from the slot walk; matvec, and inf_norm of
+    matrix) come from the slot walk; matvec, and inf_norm of
     a system whose parts all split at one factor, read the parts without
     it, as they are.  The bands are read-only, and zero outside the space,
     as every band is.
@@ -317,22 +321,6 @@ class AssembledSystem:
         for A, C in self.kron_parts:
             Y += band_apply(A, band_apply(C, X, A.ndim // 2))
         return Y.ravel()
-
-    @property
-    def two_part(self) -> bool:
-        """True for a cylinder system of a two-part section
-        (CrossSection.two_part), whose two parts axial_pencil describes."""
-        return self.section.two_part and len(self.kron_parts) == 2
-
-    def axial_pencil(self):
-        """(A_top, A_other) of a two-part system: the LAPACK lower band of
-        each axial block, written as lower_band writes the whole system's,
-        top part first: the one of highest axial order, whose cross-section
-        block ellipticity makes positive definite.
-        """
-        if not self.two_part:
-            raise ValueError("the Kronecker pencil describes a two-part system only")
-        return tuple(_lower_of_band(A) for A, _ in _top_first(self.kron_parts, self.section.keys))
 
     def _axial(self) -> int:
         """p for a cylinder system, 0 for the cross-section system."""
@@ -576,10 +564,10 @@ def _kron_row_sums(parts, p: int):
     from slot 0.  Out-of-space slots are zero, so they add exact zeros.
     """
     n_c = math.prod(parts[0][1].shape[: parts[0][1].ndim // 2])
-    rows = np.stack([A.reshape(math.prod(A.shape[:p]), -1) for A, _ in parts], axis=-1)
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=(1, 2))
-    rows = rows[first, :, :, None, None]
+    flat = [A.reshape(math.prod(A.shape[:p]), -1) for A, _ in parts]
+    first = np.ones(len(flat[0]), dtype=bool)
+    first[1:] = np.any([(A[1:] != A[:-1]).any(axis=1) for A in flat], axis=0)
+    rows = np.stack([A[first] for A in flat], axis=-1)[:, :, :, None, None]
     # (slots, rows) per cross-section piece
     cross = [np.ascontiguousarray(C.reshape(n_c, -1).T) for _, C in parts]
     row_abs = 0.0
@@ -844,7 +832,7 @@ class CrossSection:
 
     - factors: the cross-section spline factors, those of u_inf, each
       caching the de Boor tables every field and system on it reads;
-    - even, mirrored and two_part, fixed here from one pass over the
+    - even, mirrored, two_part and separable, fixed here from the
       coefficients.  An axis k (0 for x1) reflects when every cylinder
       system commutes with its reflection about the middle of its extent:
       no coefficient reads x_{k+1}, and every pair has alpha_k + beta_k
@@ -857,7 +845,8 @@ class CrossSection:
       from the stencil along it, commute with it bitwise, while the
       forcing may have either parity.  two_part: every cylinder system is
       symmetric, exactly two Kronecker parts, each with equal axial
-      indices, and no x1-band;
+      indices, and no x1-band.  separable: m = 1, and every pair has
+      alpha = beta and a constant weight, x1's positive.  Either is even;
     - keys and blocks: the axial key (alpha_axial, beta_axial) of each
       Kronecker part and its cross-section band, summed over the part's
       pairs in their order, each pair's band joined (_on_omega) from the
@@ -875,11 +864,14 @@ class CrossSection:
       axial factor (axial) and every factor of omega places and scales
       (_placed_on), from the process's memo (_stencil), which the section
       fills for 3 d + 1 cells before any job forks;
-    - eigenbasis: for a two-part system, (lam, V) of the pencil
-      (C_other, C_top) of the dense symmetric cross-section blocks, top
-      part first (linalg.pencil_eigenbasis), else None;
+    - eigenbasis: (lam, groups) of the cross-section axes, as
+      linalg.kronecker_solve reads them, else None.  A separable section
+      has one 1-D pencil per axis (_axis_pencil), the first matrix over
+      the square root of x1's weight, lam the outer sum plus the mass
+      weight over x1's; another two-part section one group, the pencil
+      (C_other, C_top) of its dense blocks, top part first;
     - parity_axes: when a banded kernel solves the cylinder systems (no
-      x1-band, not two-part), the mirrored cross-section axes (mirrored),
+      x1-band, no eigenbasis), the mirrored cross-section axes (mirrored),
       else ().  Every system of the sweep reads the blocks, equal to their
       mirrors bitwise along these axes, and AssembledSystem.parity_blocks
       folds them per system; no folded block is kept.
@@ -906,6 +898,12 @@ class CrossSection:
             pairs.update(zip(alpha, beta))
             broken.update(k for k in range(n) if coef.reads(k + 1) or (alpha[k] + beta[k]) % 2)
         self._pairs = tuple(sorted(pairs))
+        # each weight keyed by the axis of its derivative, None for none
+        weights = {}
+        if spec.m == 1 and all(a == b and not c.reads_axial(n) for (a, b), c in coefficients):
+            weights = {a.index(1) if any(a) else None: float(c((0.0,) * n))
+                       for (a, _), c in coefficients}
+        self.separable = weights.get(0, 0.0) > 0.0
         self.even = broken.isdisjoint(range(p))
         self.mirrored = tuple(k for k in range(n - p) if p + k not in broken)
         self.stencil(3 * self.degree + 1)  # every long factor's, before any job forks
@@ -925,13 +923,44 @@ class CrossSection:
                          and all(a == b for a, b in self.keys))
         self.load = self._on_omega(spec.forcing, "rhs", [load for _, load in placed],
                                    lambda f, axes: _load(f, spec.forcing, axes, n)).ravel()
-        self.parity_axes = () if self.nd_terms or self.two_part else self.mirrored
-        self.eigenbasis = None
-        if self.two_part:
-            self.eigenbasis = pencil_eigenbasis(*_cross_pencil(self.blocks, self.keys),
-                                                _where(spec, "cross-section", None))
-        for shared in self.blocks + (self.load,) + (self.eigenbasis or ()):
+        where, self.eigenbasis = _where(spec, "cross-section", None), None
+        if self.separable:
+            self._weights = {k: w / weights[0] for k, w in weights.items()}
+            mus, groups = zip(*(self._axis_pencil(on_k, p + k, where)
+                                for k, (on_k, _) in enumerate(placed)))
+            lam = reduce(np.add.outer, mus, self._weights.get(None, 0.0))
+            self.eigenbasis = (lam.ravel(), (groups[0] / math.sqrt(weights[0]),) + groups[1:])
+        elif self.two_part:
+            lam, V = pencil_eigenbasis(*_cross_pencil(self.blocks, self.keys), where)
+            self.eigenbasis = (lam, (V,))
+        self.parity_axes = () if self.nd_terms or self.eigenbasis else self.mirrored
+        eigen = (self.eigenbasis[0], *self.eigenbasis[1]) if self.eigenbasis else ()
+        for shared in self.blocks + (self.load,) + eigen:
             shared.flags.writeable = False  # every system reads them
+
+    def _axis_pencil(self, bands, axis: int, where: str):
+        """(mu, V) of the pencil (w K, M) of a factor's placed stiffness
+        and mass bands, w the weight of `axis` (0 for x1) over x1's."""
+        M, K = bands[0, 0], bands[1, 1] * self._weights.get(axis, 0.0)
+        return pencil_eigenbasis(_dense(_lower_of_band(M)), _dense(_lower_of_band(K)), where)
+
+    def pencil(self, factor):
+        """((A_top, A_other), (lam, groups)) for linalg.kronecker_solve of
+        the even half, the one block, of the cylinder on axial factors
+        `factor`: the axial blocks (axial), top first, of a two-part
+        section, or x1's stiffness and mass bands of a separable one, then
+        x2's pencil per l for p = 2; every band folded (_folded_band)."""
+        p = self.spec.p
+        if not self.separable:
+            bands, _ = self.axial(factor)
+            return (tuple(_lower_of_band(reduce(_folded_band, range(p), A))
+                          for A in _top_first(bands, self.keys)), self.eigenbasis)
+        placed = {ab: _folded_band(band, 0) for ab, band in self._placed_on(factor)[0].items()}
+        lam, groups = self.eigenbasis
+        for axis in range(p - 1, 0, -1):
+            mu, V = self._axis_pencil(placed, axis, _where(self.spec, "solve", factor.hi))
+            lam, groups = np.add.outer(mu, lam).ravel(), (V,) + groups
+        return (_lower_of_band(placed[1, 1]), _lower_of_band(placed[0, 0])), (lam, groups)
 
     def _on_omega(self, field, what, pieces, kernel):
         """The band (or the load) on omega of field times the 1-D pieces:

@@ -123,6 +123,8 @@ def _cmd_sweep(args) -> int:
         print(f"fitted rate (H^m): {report.fitted_rate_Hm:.3f}")
     if report.fitted_rate_H2m is not None:
         print(f"fitted rate (interior): {report.fitted_rate_H2m:.3f}")
+    if report.predicted_rate is not None:
+        print(f"predicted rate: {report.predicted_rate:.7f}")
     if report.floor_detected:
         print("note: discretization floor detected; floored points excluded from fits")
     for w in report.warnings:

@@ -4,10 +4,13 @@ measure convergence to the cross-section limit, and emit reports.
 run_sweep builds the half of the sweep that does not depend on l once, as
 an assembly.CrossSection: the cross-section factors with their cached de
 Boor tables, the cross-section block of every axial part, the load and, for
-a two-part system, the pencil's eigenbasis, whose failure names the stage
-`cross-section` (l = inf).  The limit system is its zero-axial-part block
-and load, solved once in the parent, with the norm of u_inf; per-ell jobs
-assemble only the axial pieces and are independent.
+a two-part or separable section, the eigenbasis of its cross-section axes,
+whose failure names the stage `cross-section` (l = inf).  For p = 1 the
+report's predicted_rate is sqrt(min lam) of that eigenbasis: the decay
+rate of the slowest cross-section mode, exp(-sqrt(lam) (l - |x1|)).  The
+limit system is its zero-axial-part block and load, solved once in the
+parent, with the norm of u_inf; per-ell jobs assemble only the axial
+pieces and are independent.
 The jobs are split into min(workers, jobs) chains (_chains), the largest
 ell first onto the least-loaded chain.  A lone chain, as with one worker or
 one job, runs inline, the largest ell first, which allocates the largest
@@ -38,8 +41,8 @@ bitwise).  A system that folds on no axis, one with an x1-band or the
 cross-section system, is its own single block, and a system whose load is
 exactly zero has no block: no kernel runs, and x = 0.  The kernel is
 picked once, from the system's structure (_kernel): a cylinder system of
-two Kronecker parts of a symmetric problem (AssembledSystem.two_part) by
-fast diagonalization of its cross-section pencil
+a section with an eigenbasis by fast diagonalization of the pencil
+CrossSection.pencil gives for its even half, its one block
 (linalg.kronecker_solve), any other symmetric system by banded
 Cholesky of its lower band (linalg.cholesky_solve), and a nonsymmetric one
 by banded LU of its general band (linalg.lu_solve).  All three call the
@@ -250,10 +253,11 @@ def _solve_system(system):
 def _kernel(system, where: str):
     """(solve, method): the kernel of the system's structure, called as
     solve(block) -> y on the system or any of its parity blocks, and its
-    name."""
-    if system.two_part:
-        return (lambda block: kronecker_solve(block.axial_pencil(), system.section.eigenbasis,
-                                              block.rhs, block.matvec, where),
+    name.  A cylinder system of a section with an eigenbasis has one
+    block, its even half, whose pencil is built here, once per system."""
+    if system.ell is not None and system.section.eigenbasis:
+        axial, eigenbasis = system.section.pencil(system.basis.factors[0])
+        return (lambda block: kronecker_solve(axial, eigenbasis, block.rhs, block.matvec, where),
                 "fast_diagonalization")
     if system.symmetric:
         return (lambda block: cholesky_solve(block.lower_band(), block.rhs, where),
@@ -296,7 +300,8 @@ def _sweep_worker(args):
     # bench/instrument.py reads ell as a keyword
     system = assemble_cylinder(section, ell=ell)
     result = _solve_system(system)
-    u_l = DiscreteField(system.basis, result.x)
+    u_l, dofs = DiscreteField(system.basis, result.x), system.ndofs
+    del system  # its bands, 22 MiB for the p = 2 box at l = 8, before the norms
 
     m, p = spec.m, spec.p
     _, w = difference_field(u_l, u_inf)
@@ -314,7 +319,7 @@ def _sweep_worker(args):
     wall = time.perf_counter() - t0
     record = ErrorRecord(
         ell=float(ell),
-        dofs=system.ndofs,
+        dofs=dofs,
         err_L2=err_L2,
         err_Hm=err_Hm_val,
         err_H2m_interior=float(np.sqrt(total_sq)),
@@ -509,6 +514,8 @@ def run_sweep(plan: SweepPlan) -> ConvergenceReport:
         records=records,
         fitted_rate_Hm=None if fit_hm is None else fit_hm.rate,
         fitted_rate_H2m=None if fit_int is None else fit_int.rate,
+        predicted_rate=(math.sqrt(section.eigenbasis[0].min())
+                        if spec.p == 1 and section.eigenbasis else None),
         floor_detected=floor,
         hypothesis=hyp,
         localized_table=localized,

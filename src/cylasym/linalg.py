@@ -3,20 +3,25 @@
 Every system of a sweep is solved directly, by one of three banded solves on
 two LAPACK kernels, banded Cholesky (dpbtrf, dpbtrs) and banded LU (dgbsv):
 
-- kronecker_solve, for a symmetric system A_top (x) C_top + A_other (x)
-  C_other (the Poisson and variable-coefficient strips, the Laplacian box):
-  fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  The
-  cross-section pencil (C_other, C_top), reduced by the Cholesky factor of
-  C_top to a symmetric eigenproblem, turns it into one banded Cholesky of
-  A_top + lam_k A_other per cross-section mode k, between two dense
-  transforms; the modes are stacked into one block-diagonal band, which
-  dpbtrf factors in one call, and one step of iterative refinement follows.
-  The pencil's eigenbasis (pencil_eigenbasis) depends on the cross-section
-  alone, so the sweep's CrossSection computes it once, and the solve at
-  every l reads it.
-  With N_ax axial and N_c cross-section unknowns and degree d it costs
-  O(N_c^3 + N_ax N_c^2 + N_ax N_c d^2), against O(N_ax N_c^3 d^2) for a
-  Cholesky of the whole band, whose half-bandwidth is about d N_c.
+- kronecker_solve, for a symmetric system that is a sum of Kronecker
+  products with one banded x1 factor, in two parts A_top and A_other along
+  x1: fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6, 1964).
+  The eigenbasis of the other axes, one group of axes at a time, turns it
+  into one banded Cholesky of A_top + lam_k A_other per mode k, between
+  two transforms; the modes are stacked into one block-diagonal band,
+  which dpbtrf factors in one call, and one step of iterative refinement
+  follows.  A group's eigenbasis comes from a symmetric pencil
+  (pencil_eigenbasis): a separable Laplacian-type system (the Poisson
+  strip, the Laplacian boxes) has one group per axis, the 1-D pencil of its
+  stiffness and mass bands, and any other two-part system (the
+  variable-coefficient strip) one group of every cross-section axis, the
+  pencil of its two dense cross-section blocks.  The cross-section's
+  groups depend on it alone, so the sweep's CrossSection computes them
+  once; the solve at every l reads them, and a p = 2 box adds the group of
+  x2 per l.  With N_ax axial unknowns, M modes of groups of sizes n_g and
+  degree d it costs O(sum_g n_g^3 + N_ax M sum_g n_g + N_ax M d^2), against
+  O(N_ax M^3 d^2) for a Cholesky of the whole band, whose half-bandwidth
+  is about d M.
 - cholesky_solve, for every other symmetric system (more Kronecker parts, as
   the biharmonic strip has, an x1-band, the cross-section system): it
   factors LAPACK lower band storage in place (dpbtrf) and solves with the
@@ -140,23 +145,27 @@ def pencil_eigenbasis(c_top, c_other, where: str = "solve"):
 
 def kronecker_solve(axial, eigenbasis, b, matvec, where: str = "solve"):
     """x with (A_top (x) C_top + A_other (x) C_other) x = b, by fast
-    diagonalization of the cross-section pencil.
+    diagonalization of the pencil (C_other, C_top).
 
-    axial is (A_top, A_other), the symmetric axial blocks in LAPACK lower
-    band storage of one shape (kd + 1, N_ax); eigenbasis is (lam, V) of the
-    cross-section pencil (C_other, C_top), from pencil_eigenbasis, which
-    depends on the cross-section alone (CrossSection.eigenbasis).  The
-    (N_ax, N_c) view X of x then solves (A_top + lam_k A_other) y_k =
-    (B V)_k for every mode k, and X = Y V^T.
-    The N_c axial matrices are stacked into one block-diagonal band, mode k
+    axial is (A_top, A_other), the symmetric x1 blocks in LAPACK lower
+    band storage of one shape (kd + 1, N_ax); eigenbasis is (lam, groups):
+    V, the Kronecker product of the groups' matrices in their order, each
+    applied along its own axis of the (N_ax, n_1, ..., n_G) view of x, n_g
+    its order, has V^T C_top V = I and V^T C_other V = diag(lam), lam over
+    the modes in C order.  The
+    (N_ax, modes) view X of x then solves (A_top + lam_k A_other) y_k =
+    (B V)_k for every mode k, and X = Y V^T; V is never formed, as each
+    group's matrix is applied along its own axis (_along).  The axial
+    matrices of the modes are stacked into one block-diagonal band, mode k
     in rows k N_ax to (k + 1) N_ax - 1, which dpbtrf factors in one call
     and dpbtrs solves in one call per right-hand side.  One step of
     iterative refinement follows, with the residual b - matvec(x).  A mode
     that fails to factor raises SolverError prefixed with `where`.
     """
     b = np.asarray(b, dtype=np.float64)
-    (a_top, a_other), (lam, V) = axial, eigenbasis
+    (a_top, a_other), (lam, groups) = axial, eigenbasis
     kd, n_ax = a_top.shape[0] - 1, a_top.shape[1]
+    dims = (n_ax,) + tuple(len(V) for V in groups)
     dpbtrf, dpbtrs, _ = _lapack()
     # stacked[k, i] is column i of mode k's band, so its transpose is the
     # stacked band's storage, Fortran-ordered; slots past a mode's last row
@@ -171,14 +180,27 @@ def kronecker_solve(axial, eigenbasis, b, matvec, where: str = "solve"):
     _check_arguments(info, "dpbtrf")
 
     def solve(r):
-        # column k of r V: mode k of every axial row
-        y, info = dpbtrs(factor, (r.reshape(n_ax, -1) @ V).T.ravel(), lower=1, overwrite_b=1)
+        R = r.reshape(dims)
+        for axis, V in enumerate(groups, 1):
+            R = _along(R, V, axis)
+        # column k of R: mode k of every axial row
+        y, info = dpbtrs(factor, R.reshape(n_ax, -1).T.ravel(), lower=1, overwrite_b=1)
         _check_arguments(info, "dpbtrs")
-        return (y.reshape(-1, n_ax).T @ V.T).ravel()
+        Y = np.moveaxis(y.reshape(dims[1:] + (n_ax,)), -1, 0)
+        for axis, V in enumerate(groups, 1):
+            Y = _along(Y, V.T, axis)
+        return Y.ravel()
 
     x = solve(b)
     x += solve(b - matvec(x))
     return x
+
+
+def _along(X, V, axis: int):
+    """X times V along `axis`: the sum over i of X[..., i, ...] V[i, j],
+    one batched matmul over the other axes; X @ V itself for the last axis
+    of a matrix."""
+    return np.moveaxis(np.moveaxis(X, axis, -1) @ V, -1, axis)
 
 
 def lu_solve(ab, b, where: str = "solve"):

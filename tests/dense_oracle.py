@@ -40,9 +40,12 @@ fold_path_solve by the two folds chained, as it did before they became one
 into parity blocks), and inverse_inf_norm gives |A^-1|_inf for a
 forward-error bound.
 
-A two-part system's solve reads its axial pencil, and its CrossSection the
-eigenbasis of the dense cross-section blocks; kronecker_pencil gives both
-halves, dense, so a test can rebuild the matrix from them.
+A cylinder system of a section with an eigenbasis is solved by fast
+diagonalization of the pencil CrossSection.pencil gives for its even half,
+its one parity block.  kronecker_pencil gives a two-part system's axial
+blocks and dense cross-section blocks, so a test can rebuild the matrix
+from them, and unfolded_pencil the pencil of the whole system, folded
+along no axis, which full_path_solve reads.
 
 problem.validate_hypotheses minimizes the principal symbol one chunk of
 samples at a time, and draws the n >= 3 directions' normals in one flat
@@ -67,18 +70,21 @@ bumps, which lie outside the trial space.
 import itertools
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 
-from cylasym import linalg
+from cylasym import assembly, linalg
 from cylasym.analysis import _EPS, CutoffRho, _gauss_grid, difference_field
 from cylasym.assembly import (
     CrossSection,
-    _cross_pencil,
+    _dense,
     _folded_band,
+    _lower_of_band,
+    _top_first,
     _folded_rows,
     _unfolded_rows,
     _where,
@@ -462,21 +468,36 @@ def is_its_own_block(system) -> bool:
 
 
 def kronecker_pencil(system):
-    """((A_top, A_other), (C_top, C_other)) of a two-part system: A_* its
-    axial_pencil, C_* the dense symmetric matrix of each cross-section
-    block's lower triangle, top part first, as CrossSection.eigenbasis
-    reduces them."""
-    return system.axial_pencil(), _cross_pencil([C for _, C in system.kron_parts],
-                                                system.section.keys)
+    """((A_top, A_other), (C_top, C_other)) of a two-part system: A_* the
+    LAPACK lower band of each axial block, C_* the dense symmetric matrix
+    of each cross-section block's lower triangle, top part first, as the
+    section's pencil reduces them."""
+    parts = _top_first(system.kron_parts, system.section.keys)
+    return (tuple(_lower_of_band(A) for A, _ in parts),
+            tuple(_dense(_lower_of_band(C)) for _, C in parts))
 
 
-def _full_path(system, where):
+def is_fast(system) -> bool:
+    """Whether the system's structure picks fast diagonalization: a
+    cylinder system, or one of its blocks, of a section with an
+    eigenbasis."""
+    return system.ell is not None and system.section.eigenbasis is not None
+
+
+def unfolded_pencil(system):
+    """CrossSection.pencil for the whole cylinder system, not its even
+    half: the same bands and pencils, with _folded_band read as the
+    identity."""
+    with mock.patch.object(assembly, "_folded_band", lambda band, axis, odd=False: band):
+        return system.section.pencil(system.basis.factors[0])
+
+
+def _full_path(system, where, pencil=None):
     """(x, method): the kernel the structure of the whole system picks, with
-    no fold: fast diagonalization for a two-part system, banded Cholesky
-    for another symmetric one, banded LU otherwise."""
-    if system.two_part:
-        return (linalg.kronecker_solve(system.axial_pencil(), system.section.eigenbasis,
-                                       system.rhs, system.matvec, where),
+    no fold: fast diagonalization by the pencil of a system is_fast picks,
+    banded Cholesky for another symmetric one, banded LU otherwise."""
+    if is_fast(system):
+        return (linalg.kronecker_solve(*pencil, system.rhs, system.matvec, where),
                 "fast_diagonalization")
     if system.symmetric:
         return linalg.cholesky_solve(system.lower_band(), system.rhs, where), "cholesky_banded"
@@ -487,13 +508,13 @@ def full_path_solve(system):
     """The whole system solved by the kernel its structure picks, with no
     fold, and accepted by linalg._accept on its own residual and |A|_inf."""
     where = _where(system.spec, "solve", system.ell)
-    x, method = _full_path(system, where)
+    x, method = _full_path(system, where, is_fast(system) and unfolded_pencil(system))
     return linalg._accept(x, system.rhs, system.inf_norm(), system.matvec, where, method)
 
 
 def _method(system):
     """The name of the kernel the system's structure picks."""
-    if system.two_part:
+    if is_fast(system):
         return "fast_diagonalization"
     return "cholesky_banded" if system.symmetric else "lu_banded"
 
@@ -524,7 +545,9 @@ def fold_path_solve(system):
         half = replace(system, rhs=rhs.ravel(), basis=None, kron_parts=parts)
     axes = section.parity_axes if p else ()
     if not axes:
-        y = _full_path(half, where)[0]
+        # a section with an eigenbasis is even, with no parity axes
+        pencil = is_fast(system) and section.pencil(system.basis.factors[0])
+        y = _full_path(half, where, pencil)[0]
     else:
         dims, y = half._dims, None
         for parities in itertools.product((False, True), repeat=len(axes)):
@@ -563,11 +586,11 @@ def inverse_inf_norm(system, dense_below: int = 3000) -> float:
     from scipy.linalg import cho_solve_banded, cholesky_banded
     from scipy.sparse.linalg import LinearOperator, onenormest
 
-    if system.two_part:
-        axial, eigenbasis = system.axial_pencil(), system.section.eigenbasis
+    if is_fast(system):
+        pencil = unfolded_pencil(system)
 
         def solve(v):
-            return linalg.kronecker_solve(axial, eigenbasis, np.ravel(v), system.matvec)
+            return linalg.kronecker_solve(*pencil, np.ravel(v), system.matvec)
     else:
         factor = cholesky_banded(system.lower_band(), lower=True)
 

@@ -404,9 +404,10 @@ def _laplace_box(coef="1"):
 
 
 def _cross_section_work(monkeypatch, spec, ells, resolution):
-    """[kernel calls on the cross-section factors, numpy.linalg.eigh calls,
-    de Boor evaluations on the cross-section factors] of a serial sweep."""
-    counts = [0, 0, 0]
+    """[kernel calls on the cross-section factors, the order of each
+    numpy.linalg.eigh call's matrix, de Boor evaluations on the
+    cross-section factors] of a serial sweep."""
+    counts = [0, [], 0]
     galerkin, eigh, local_ders = assembly._galerkin, np.linalg.eigh, SplineBasis1D.local_ders
 
     def counted_galerkin(factors, *args):
@@ -414,9 +415,9 @@ def _cross_section_work(monkeypatch, spec, ells, resolution):
         counts[0] += any((f.lo, f.hi) in spec.omega for f in factors)
         return galerkin(factors, *args)
 
-    def counted_eigh(*args, **kwargs):
-        counts[1] += 1
-        return eigh(*args, **kwargs)
+    def counted_eigh(a, *args, **kwargs):
+        counts[1].append(len(a))
+        return eigh(a, *args, **kwargs)
 
     def counted_local_ders(self, x, nders):
         counts[2] += (self.lo, self.hi) in spec.omega  # axial extents are (-l, l)
@@ -431,13 +432,15 @@ def _cross_section_work(monkeypatch, spec, ells, resolution):
 
 
 @pytest.mark.parametrize("spec,resolution,eighs", [
-    (_laplace_box(), 6, 1),
-    (builtin_problem("biharmonic_strip"), 8, 0),
+    (_laplace_box(), 6, [6, 6]),
+    (builtin_problem("biharmonic_strip"), 8, []),
 ], ids=["box3d", "biharmonic"])
 def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, eighs):
     # no coefficient reads a coordinate of omega, so every cross-section
     # block is placed from the stencil and the kernel never runs on omega's
-    # factors; one eigendecomposition of the two-part pencil; the de Boor
+    # factors; box3d's section is separable, so its eigenbasis is one 1-D
+    # pencil per cross-section axis, of its 6 functions, computed once, and
+    # no pencil of the section's N_c = 36 functions is formed; the de Boor
     # tables of the cross-section factors (box3d's load, which reads x2 and
     # x3, and the norms' Gram bands) are cached on the factors, which every
     # l shares, so more l values evaluate none again
@@ -573,11 +576,24 @@ def test_a_sweep_pads_no_band_or_field_with_numpy_pad(monkeypatch):
     assert pads == []
 
 
+def _weighted_box(p):
+    """The Laplacian box on (-l, l)^p x (0, 1)^(3 - p) with weights 3, 2 and
+    0.5 on x1, x2 and x3 and a mass term 1.5: separable, with the x1
+    stiffness weight and the mass weight away from 0 and 1."""
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+    return ProblemSpec(
+        m=1, n=3, p=p, omega=((0.0, 1.0),) * (3 - p),
+        coefficients={(a, a): ScalarField.parse(t, 3) for a, t in zip(axes, "3 2 0.5 1.5".split())},
+        forcing=ScalarField.parse("sin(3.141592653589793 * x3)", 3))
+
+
 @pytest.mark.parametrize("name,spec,ell,resolutions", [
     ("poisson", POISSON, 4.0, (8, 16, 32)),
     ("varcoef", builtin_problem("varcoef_strip"), 4.0, (8, 16, 32)),
     ("box3d", _laplace_box(), 2.0, (4, 8)),
-], ids=["poisson", "varcoef", "box3d"])
+    ("weighted_box3d", _weighted_box(1), 2.0, (4, 8)),
+    ("weighted_box_p2", _weighted_box(2), 2.0, (3, 5)),
+], ids=["poisson", "varcoef", "box3d", "weighted_box3d", "weighted_box_p2"])
 def test_two_part_solve_matches_cholesky(name, spec, ell, resolutions):
     for resolution in resolutions:
         system = assembled_cylinder(spec, ell=ell, resolution=resolution)
@@ -611,6 +627,69 @@ def test_the_system_structure_picks_the_solve(spec, where, method):
     result = harness._solve_system(system)
     assert result.method == method
     assert result.backward_error <= 1e-14
+
+
+_GROUPS = {
+    # (spec, solver_method of its cylinder systems, (separable, the order of
+    # each group's matrix at l = 2 and 5 cells per unit) or None for no
+    # eigenbasis); x1 has 20 functions there, x2 of the p = 2 box 10 in its
+    # even half, and each axis of omega 5
+    "poisson_strip": (POISSON, "fast_diagonalization", (True, [5])),
+    "biharmonic_strip": (builtin_problem("biharmonic_strip"), "cholesky_banded", None),
+    "varcoef_strip": (builtin_problem("varcoef_strip"), "fast_diagonalization", (False, [5])),
+    "box3d": (_laplace_box(), "fast_diagonalization", (True, [5, 5])),
+    "box_p2": (parse_problem_config(BOX_P2_CONFIG, "box_p2"), "fast_diagonalization",
+               (True, [10, 5])),
+    # a coefficient that reads x3 keeps the dense pencil of the whole
+    # section, one group of its 25 functions
+    "box3d_x2_reads_x3": (dataclasses.replace(_laplace_box(), coefficients={
+        **_laplace_box().coefficients,
+        ((0, 1, 0), (0, 1, 0)): ScalarField.parse("1 + x3^2", 3)}),
+        "fast_diagonalization", (False, [25])),
+}
+
+
+@pytest.mark.parametrize("spec,method,groups", _GROUPS.values(), ids=_GROUPS.keys())
+def test_the_section_structure_picks_the_groups_it_diagonalizes(spec, method, groups):
+    section = assembly.CrossSection(spec, 5)
+    system = assembly.assemble_cylinder(section, ell=2.0)
+    result = harness._solve_system(system)
+    assert result.method == method and result.backward_error <= 1e-14
+    if groups is None:
+        assert section.eigenbasis is None
+    else:
+        lam, matrices = section.pencil(system.basis.factors[0])[1]
+        assert (section.separable, [len(V) for V in matrices]) == groups
+        assert len(lam) == math.prod(len(V) for V in matrices)
+
+
+@pytest.mark.parametrize("spec,resolution,exact,measured", [
+    (_laplace_box(), 12, math.pi * math.sqrt(2.0), 4.4428976),
+    (_laplace_box(), 24, math.pi * math.sqrt(2.0), 4.4428838),
+    (POISSON, 16, math.pi, 3.1415959),
+], ids=["box3d_12", "box3d_24", "poisson_16"])
+def test_a_p1_sweep_with_an_eigenbasis_predicts_its_rate(spec, resolution, exact, measured):
+    # sqrt(min lam) of the section's eigenbasis: the decay rate of the
+    # slowest cross-section mode, which tends to the exact rate from above
+    report = run_sweep(SweepPlan(spec=spec, ells=(2.0,), resolution=resolution))
+    assert round(report.predicted_rate, 7) == measured
+    assert 0.0 < report.predicted_rate - exact < 4e-6 * exact  # 3.3e-6 measured at most
+    assert analysis.report_to_dict(report)["predicted_rate"] == report.predicted_rate
+
+
+def test_the_predicted_rate_gap_shrinks_under_refinement():
+    gaps = [run_sweep(SweepPlan(spec=_laplace_box(), ells=(2.0,), resolution=r)).predicted_rate
+            - math.pi * math.sqrt(2.0) for r in (12, 24)]
+    assert 0.0 < gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("spec", [builtin_problem("biharmonic_strip"),
+                                  parse_problem_config(BOX_P2_CONFIG, "box_p2")],
+                         ids=["biharmonic_strip", "box_p2"])
+def test_a_sweep_without_a_p1_eigenbasis_predicts_no_rate(spec):
+    report = run_sweep(SweepPlan(spec=spec, ells=(2.0,), resolution=5))
+    assert report.predicted_rate is None
+    assert analysis.report_to_dict(report)["predicted_rate"] is None
 
 
 _SWEEP_IN_A_CHILD = """
@@ -1239,6 +1318,8 @@ def test_cli_sweep_writes_outputs(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "fitted rate (H^m):" in out
+    rate = json.loads(json_path.read_text())["predicted_rate"]
+    assert f"predicted rate: {rate:.7f}" in out and 3.14 < rate < 3.2
     assert csv_path.exists() and json_path.exists()
     assert csv_path.read_text().splitlines()[0].startswith("ell,dofs,err_L2")
 

@@ -157,7 +157,8 @@ def _kron_pencil(n_ax=12, kd=2, n_c=5, seed=0, c_other=None):
 
 def _kron_dense(A, pencil, b, where="solve"):
     axial, cross = pencil
-    x = kronecker_solve(axial, pencil_eigenbasis(*cross, where), b, lambda v: A @ v, where)
+    lam, V = pencil_eigenbasis(*cross, where)
+    x = kronecker_solve(axial, (lam, (V,)), b, lambda v: A @ v, where)
     return _accepted(A, b, x, "fast_diagonalization")
 
 
@@ -172,6 +173,29 @@ def test_kronecker_matches_dense(n_ax, kd, n_c, seed):
     assert np.allclose(res.x, np.linalg.solve(A, b), atol=1e-12)
     r = b - A @ res.x
     assert res.backward_error == backward_error(r, np.abs(A).sum(axis=1).max(), res.x, b)
+    assert res.backward_error <= 1e-15
+
+
+@pytest.mark.parametrize("dims", [(9, 4, 3), (5, 1, 6), (7, 3, 1)])
+def test_kronecker_applies_each_group_along_its_axis(dims):
+    # A_top (x) M_2 (x) M_3 + A_other (x) (K_2 (x) M_3 + M_2 (x) K_3): the
+    # eigenbasis of every axis after x1 is that of its own 1-D pencil
+    # (K_k, M_k), lam the outer sum, and no dense V of the product is formed
+    n_ax, *rest = dims
+    rng = np.random.default_rng(sum(dims))
+    a_top, a_other = _spd_banded(n_ax, 2, 11), _spd_banded(n_ax, 2, 12)
+    pencils = []
+    for n in rest:
+        M, K = rng.standard_normal((2, n, n))
+        pencils.append((M @ M.T + n * np.eye(n), K @ K.T))
+    (M2, K2), (M3, K3) = pencils
+    A = np.kron(a_top, np.kron(M2, M3)) + np.kron(a_other, np.kron(K2, M3) + np.kron(M2, K3))
+    (mu2, V2), (mu3, V3) = (pencil_eigenbasis(M, K) for M, K in pencils)
+    b = rng.standard_normal(A.shape[0])
+    x = kronecker_solve((_lower_storage(a_top, 2), _lower_storage(a_other, 2)),
+                        (np.add.outer(mu2, mu3).ravel(), (V2, V3)), b, lambda v: A @ v)
+    res = _accepted(A, b, x, "fast_diagonalization")
+    assert np.allclose(res.x, np.linalg.solve(A, b), atol=1e-12)
     assert res.backward_error <= 1e-15
 
 
@@ -216,7 +240,7 @@ def test_kronecker_names_the_indefinite_mode(k):
     lam[k] = -10.0
     with pytest.raises(SolverError, match=f"^solve: axial matrix of cross-section mode {k} "
                        "\\(eigenvalue -10\\) is not positive definite"):
-        kronecker_solve((a_top, a_other), (lam, np.eye(5)), np.ones(60), lambda v: v)
+        kronecker_solve((a_top, a_other), (lam, (np.eye(5),)), np.ones(60), lambda v: v)
 
 
 def test_kronecker_rejects_a_large_backward_error():
@@ -225,8 +249,8 @@ def test_kronecker_rejects_a_large_backward_error():
     # step, with the true matrix, refuses
     A, pencil = _kron_pencil(seed=7)
     b = np.ones(A.shape[0])
-    x = kronecker_solve(pencil[0], pencil_eigenbasis(*pencil[1]), b,
-                        lambda v: (A * (1 + 1e-3)) @ v)
+    lam, V = pencil_eigenbasis(*pencil[1])
+    x = kronecker_solve(pencil[0], (lam, (V,)), b, lambda v: (A * (1 + 1e-3)) @ v)
     with pytest.raises(SolverError, match="^solve: backward error .* exceeds 1e-14$"):
         _accept(x, b, float(np.abs(A).sum(axis=1).max()), lambda v: A @ v, "solve",
                 "fast_diagonalization")

@@ -13,7 +13,8 @@ that no other relation here covers, at the cells per unit its digest
 pins: the Poisson, biharmonic and variable-coefficient strips and the
 biharmonic strip with f = 1 + x2 (banded Cholesky on parity blocks), the
 skew strip at degrees 2 and 1 (banded LU), the 3-D box (fast
-diagonalization) and the p = 2 box (the fold of two axial axes).
+diagonalization) and the p = 2 box (the fold of two axial axes, then fast
+diagonalization along x2 and x3).
 
 Translating omega moves no exact value.  The section places the blocks of
 coefficients and the load of a forcing that read no coordinate of omega

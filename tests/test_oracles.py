@@ -43,15 +43,18 @@ the 1-D part of the cosine series in x2 summed in closed form, so each
 term is at most exp(-kappa_k (l - |x1|)) on the inner square: 400
 modes give the same errors bitwise as 200.  g, g_x1 and g_x2 are
 integrated over (-ell0, ell0)^2 by a 200-point Gauss rule per axis (300
-points move the errors by at most 6.2e-15 relative).  The relative gaps at l = 2 and 4 measured
-5.0e-4 and 1.0e-3 (err_L2), 1.7e-3 and 2.3e-3 (err_Hm) at 4 cells per
-unit, and 1.4e-5, 2.6e-5, 1.1e-4 and 1.2e-4 at 8; the bounds below are
-those with a margin, and every gap must shrink at least 8 times from 4
-to 8 cells per unit.
+points move the errors by at most 6.2e-15 relative).  The relative gaps
+at l = 2 and 4 measured 5.0e-4 and 1.0e-3 (err_L2), 1.7e-3 and 2.3e-3
+(err_Hm) at 4 cells per unit, 1.4e-5, 2.6e-5, 1.1e-4 and 1.2e-4 at 8, and
+2.2e-6, 3.7e-6, 2.2e-5 and 2.3e-5 at 12, which fast diagonalization along
+x2 and x3 makes affordable; the bounds below are those with a margin, and
+every gap must shrink at least 8 times from 4 to 8 cells per unit and
+(12 / 8)^3 = 3.4 times from 8 to 12 (5.1 to 7.0 measured).
 
 A two-part problem of order m = 1 (the Poisson and varcoef strips, the
 box) has a reference exact in x1 on the sweep's own cross-section space.
-With (lam, V) its CrossSection.eigenbasis, C_top the dense top block and U
+With (lam, groups) its CrossSection.eigenbasis, V the Kronecker product
+of the groups' matrices, C_top the dense top block and U
 the sweep's limit solution, the cross-section unknowns of the solution
 exact in x1 differ from U by
 
@@ -71,7 +74,7 @@ doubling.
 """
 
 import math
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -96,7 +99,8 @@ BOX_BOUNDS = {(6, "err_L2"): 3e-3, (6, "err_Hm"): 1.2e-3,
 STRIP_BOUNDS = {(16, "err_L2"): 2.5e-6, (16, "err_Hm"): 9e-6,
                 (32, "err_L2"): 1.6e-7, (32, "err_Hm"): 5.5e-7}
 BOX_P2_BOUNDS = {(4, "err_L2"): 1.3e-3, (4, "err_Hm"): 3e-3,
-                 (8, "err_L2"): 3.5e-5, (8, "err_Hm"): 1.5e-4}
+                 (8, "err_L2"): 3.5e-5, (8, "err_Hm"): 1.5e-4,
+                 (12, "err_L2"): 5e-6, (12, "err_Hm"): 3e-5}
 # (spec, relative gap bounds per (cells per unit, field)) of each two-part
 # reference
 TWO_PART = {
@@ -176,7 +180,8 @@ def _two_part_errors(spec, ell, ell0, cells):
     section = CrossSection(spec, cells)
     assert section.two_part and spec.m == 1
     u_inf = _solve_system(assemble_limit(section)).x
-    (lam, V), (c_top, _) = section.eigenbasis, _cross_pencil(section.blocks, section.keys)
+    (lam, groups), (c_top, _) = section.eigenbasis, _cross_pencil(section.blocks, section.keys)
+    V = reduce(np.kron, groups)
     kappa, coef = np.sqrt(lam), V.T @ (c_top @ u_inf)
     x, w = leggauss(100)
     cosh, sinh = _cosh_ratios(kappa, ell0 * x[:, None], ell)  # [x1, mode]
@@ -197,12 +202,13 @@ def _two_part_errors(spec, ell, ell0, cells):
 
 
 def _check_closed_form(spec, exact, bounds):
-    """Every gap within its bound at both resolutions of bounds, and each
-    shrinking at least 8 times from the coarser to the finer; exact(ell,
-    ell0, cells) is the exact (err_L2, err_Hm) at cells per unit."""
-    coarse, fine = sorted({cells for cells, _ in bounds})
+    """Every gap within its bound at every resolution of bounds, and each
+    shrinking at least (fine / coarse)^3 times, 8 times per doubling, from
+    each resolution to the next; exact(ell, ell0, cells) is the exact
+    (err_L2, err_Hm) at cells per unit."""
+    resolutions = sorted({cells for cells, _ in bounds})
     gaps = {}
-    for cells in (coarse, fine):
+    for cells in resolutions:
         plan = SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=cells)
         for record in run_sweep(plan).records:
             want = dict(zip(("err_L2", "err_Hm"), exact(record.ell, plan.ell0, cells)))
@@ -210,9 +216,10 @@ def _check_closed_form(spec, exact, bounds):
                 gap = abs(getattr(record, field) - value) / value
                 assert gap <= bounds[cells, field], (cells, record.ell, field, gap)
                 gaps[cells, record.ell, field] = gap
-    for (cells, ell, field), gap in gaps.items():
-        if cells == coarse:
-            assert gaps[fine, ell, field] <= gap / 8.0, (ell, field)
+    for coarse, fine in zip(resolutions, resolutions[1:]):
+        for (cells, ell, field), gap in gaps.items():
+            if cells == coarse:
+                assert gaps[fine, ell, field] <= gap / (fine / coarse) ** 3, (fine, ell, field)
 
 
 def test_the_box_errors_approach_their_closed_form():

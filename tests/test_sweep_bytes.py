@@ -52,21 +52,21 @@ DIGESTS = {
     "varcoef_strip": "d5a4bcbe7e9d643eac80c990391106c3e0d49256f4fc5466b6396da2afec3000",
     "skew_strip": "b96912699e1b7ebd0f7ccf38e44d1ef70d6fc54cec23e34febcd5867088d74ae",
     "skew_strip_degree_1": "3f93bd0a2540c1f0a09157763f436c87133fe2c9ceb7d903d43eedd354ab12ec",
-    "box3d": "8306014447ac991bc9141e23b9f67ed03735bf44a651a0b1ec6bbdc903cc412a",
-    "box_p2": "c238c1b1ab0fb5b3d8974bd5368e1044794c12c3ae344c7b71b580c7eeb82bec",
+    "box3d": "ae615605de4bb0b05c30b892a82fed46a23b20b8fa99fc4055656b47c3548227",
+    "box_p2": "012ce15478be2ff81a6992da6e14a6e522c352fde19d7d9d8a4a5b7d838fdd7d",
     "poisson_sin_x1": "06668ddcd5080c7403eaf3fcbd66377ff4d6bed68344e3cafee3b536f9e1c050",
     "biharmonic_x2": "511c82a41c29faa56f1be4d3c1ebe9c0d601af3986930b91b9a225e8d8d19f5d",
 }
 JSON_DIGESTS = {
-    "poisson_strip": "44d2533fb51e56a8d48ecf2e5b6450967eeb0515c4c6fd72546784a2d70b37c1",
-    "biharmonic_strip": "83a33c6f534d68c2fc37d5314b8782d158f9ef5c35b1cba83c5cedcf7cce63df",
-    "varcoef_strip": "5ed6cd5da0815283cf2bc2fd64fb1c1d0484b6592cc250720e79d0ed23663ba1",
-    "skew_strip": "a8a2c2e4ae89b7507ff6042c0f5bd68bba0f483631f5b5275ed9fcea9e12c40c",
-    "skew_strip_degree_1": "93145ac1c65d98514ebe690815fca7101855e012e32b42d372772582a901fd35",
-    "box3d": "b5215441370791162bccd19a97223fab96bc3272064bcba4487b66c77f1427b0",
-    "box_p2": "1fa543ecdd90cb4f4bef3bbabe8c42e9791557436a435832bc2820e1c600e618",
-    "poisson_sin_x1": "fccb39213043f80b016fe3b943aa5be7477887dbbff7a28b52165880027d37a9",
-    "biharmonic_x2": "d9f981f51cf10ff274fa0b16710bdbf8e536e908c9336574a3a8eed7e17912c5",
+    "poisson_strip": "cc299c78d95d69eb5762ba0bc9e6eeaac2f291f1c2a675795b11e1d5650f8108",
+    "biharmonic_strip": "c0cac3a1a0383f1625e99e0632c802c7dc88d557cd668d62c81ab1251ac5ead5",
+    "varcoef_strip": "ea643aa1b46b2ef57e43d35a1e046b2387a470bfe16c89a4736a9d7d531b8fa8",
+    "skew_strip": "54e223ee32508c364c1fb5b6abf5b547ce9377703681955f79791b0bb33d617b",
+    "skew_strip_degree_1": "222ab5f94a7614b9ab17a57d28fc8600870b8763f5ef19a046b7856aef422592",
+    "box3d": "a8c5b9253eb43089cf591c17bfdf6d75cd151bb707e07a0a97a0de93d2048656",
+    "box_p2": "33c1b2ffdb102f1ce3e0f822094f0965d5e9789273925be5c3dadb1da18f61c4",
+    "poisson_sin_x1": "186fc06a5ee5ef9a22c387b11533432ffacfb0882f567456b992c1a346d78047",
+    "biharmonic_x2": "f893562623d10531bfbf451a2526cc53d359fbe7e99ac74723c3021fd185750c",
 }
 # the CSV of `cylasym refine --l 2` at each problem's cells and degree
 REFINE_DIGESTS = {
