@@ -5,7 +5,7 @@ difference_field builds it once, as a DiscreteField: the unconstrained
 axial splines, which sum to 1, times the cross-section factors u_inf owns,
 with the exact coefficients pad(C_l) - 1 x U_inf.  Every consumer reads that
 field: the norms below integrate it, and the interior estimates in fdcalc
-evaluate it.
+apply their lattice matrices to its coefficients.
 
 Every norm is a composite Gauss rule (3 points per cell by default) on the
 tensor grid of a box.  Two integrators apply it, equal in exact arithmetic:

@@ -2,10 +2,10 @@
 measure convergence to the cross-section limit, and emit reports.
 
 run_sweep builds the half of the sweep that does not depend on l once, as
-an assembly.CrossSection: the cross-section factors with their cached de
-Boor tables, the cross-section block of every axial part, the load and, for
-a two-part or separable section, the eigenbasis of its cross-section axes,
-whose failure names the stage `cross-section` (l = inf).  For p = 1 the
+an assembly.CrossSection: the cross-section factors, the cross-section
+block of every axial part, the load and, for a two-part or separable
+section, the eigenbasis of its cross-section axes, whose failure names the
+stage `cross-section` (l = inf).  For p = 1 the
 report's predicted_rate is sqrt(min lam) of that eigenbasis: the decay
 rate of the slowest cross-section mode, exp(-sqrt(lam) (l - |x1|)).  The
 limit system is its zero-axial-part block and load, solved once in the

@@ -1,16 +1,19 @@
 """Discrete identities of the difference calculus, built only by the tests.
 
 The package's interior estimator (fdcalc.interior_derivative_error)
-differences its lattice in place.  The objects here state the calculus its
+differences the basis, not a field: its lattice matrices hold the centred
+differences of basis derivatives.  The objects here state the calculus its
 proof rests on: GridSample is a field's values on a uniform lattice,
 delta_k the divided first difference (f(x + h e_k) - f(x)) / h along axis
-k (or the backward variant with step -h), and delta_alpha iterates it axis
-by axis in ascending axis order, which fixes the floating-point evaluation
-order, the estimator's too.  On top of these sit the two discrete
-identities, summation by parts and the shifted Leibniz rule, as defect
-calculators, and a mean-value containment check.  The multi-index helpers
-at the end (leq, sub, multi_binom, sub_indices) enumerate the sub-indices
-of a Leibniz expansion.
+k, read as standing at x (forward), x + h (backward, step -h) or
+x + h / 2 (centred), and delta_alpha iterates it axis by axis in ascending
+axis order, which fixes the floating-point evaluation order.
+centred_estimate is the estimator's definition on these: a field sampled
+by eval_grid, differenced by the centred delta_alpha.  On top of these sit
+the two discrete identities, summation by parts and the shifted Leibniz
+rule, as defect calculators, and a mean-value containment check.  The
+multi-index helpers at the end (leq, sub, multi_binom, sub_indices)
+enumerate the sub-indices of a Leibniz expansion.
 """
 
 from dataclasses import dataclass
@@ -19,8 +22,8 @@ from math import comb
 
 import numpy as np
 
-from cylasym.fdcalc import _TOL, LatticeError, _lattice_count
-from cylasym.multiindex import MultiIndex, _check_same_length, order
+from cylasym.fdcalc import _TOL, LatticeError, _lattice_count, lattice_counts
+from cylasym.multiindex import MultiIndex, _check_same_length, enumerate_upto, order
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,9 @@ def sample_function(fn, box, spacing) -> GridSample:
     return GridSample(tuple(b[0] for b in box), tuple(spacing), np.array(values))
 
 
-def delta_k(s: GridSample, k: int, backward: bool = False) -> GridSample:
-    """Divided difference along axis k; backward uses step -h (Eq. form (f(x)-f(x-h))/h)."""
+def delta_k(s: GridSample, k: int, backward: bool = False, centred: bool = False) -> GridSample:
+    """Divided difference along axis k; backward uses step -h (Eq. form
+    (f(x)-f(x-h))/h), centred step h / 2 both ways ((f(x+h/2)-f(x-h/2))/h)."""
     if not 0 <= k < s.n:
         raise LatticeError(f"axis {k} out of range for {s.n} axes")
     if s.values.shape[k] < 2:
@@ -79,10 +83,13 @@ def delta_k(s: GridSample, k: int, backward: bool = False) -> GridSample:
     origin = list(s.origin)
     if backward:
         origin[k] += h  # defined where x - h e_k exists
+    elif centred:
+        origin[k] += h / 2  # midway between the two points it reads
     return GridSample(tuple(origin), s.spacing, diff)
 
 
-def delta_alpha(s: GridSample, alpha, backward: bool = False) -> GridSample:
+def delta_alpha(s: GridSample, alpha, backward: bool = False,
+                centred: bool = False) -> GridSample:
     """Iterated divided differences, axes in ascending order."""
     if len(alpha) != s.n:
         raise LatticeError(f"multi-index {alpha} does not match {s.n} axes")
@@ -96,8 +103,30 @@ def delta_alpha(s: GridSample, alpha, backward: bool = False) -> GridSample:
     out = s
     for k, a in enumerate(alpha):
         for _ in range(a):
-            out = delta_k(out, k, backward=backward)
+            out = delta_k(out, k, backward=backward, centred=centred)
     return out
+
+
+def centred_estimate(w, p: int, alpha, region, h: float, m: int) -> float:
+    """The interior estimate of one alpha by its definition: each D^beta
+    of the field w sampled by eval_grid on the region's lattice inflated by
+    alpha_k h / 2 on both sides of axis k, differenced by the centred
+    delta_alpha, which stands on the region's lattice, and summed with
+    trapezoid weights, beta in enumerate_upto order."""
+    n = w.basis.naxes
+    counts = lattice_counts(region, w.basis.domain, [alpha], h, p)
+    origin = tuple(lo - a * h / 2 for (lo, _), a in zip(region, alpha))
+    axes = [o + h * np.arange(c + a) for o, c, a in zip(origin, counts, alpha)]
+    weights = np.ones(())
+    for count in counts:
+        trapezoid = np.ones(count)
+        trapezoid[0] = trapezoid[-1] = 0.5
+        weights = np.multiply.outer(weights, trapezoid)
+    total = 0.0
+    for beta in enumerate_upto(n, m):
+        sample = GridSample(origin, (h,) * n, w.eval_grid(axes, beta))
+        total += float(np.sum(weights * delta_alpha(sample, alpha, centred=True).values ** 2))
+    return float(np.sqrt(total * h**n))
 
 
 def _same_lattice(f: GridSample, g: GridSample) -> None:

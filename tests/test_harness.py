@@ -24,9 +24,10 @@ from dense_oracle import (
     inverse_inf_norm,
     is_its_own_block,
 )
+from lattice_identities import centred_estimate
 from test_sweep_bytes import BOX_CONFIG, BOX_P2_CONFIG
 
-from cylasym import analysis, assembly, cli, harness, linalg, splines
+from cylasym import analysis, assembly, cli, fdcalc, harness, linalg, splines
 from cylasym.analysis import difference_field, norm_Hm, write_report_csv
 from cylasym.fdcalc import interior_derivative_error
 from cylasym.harness import (
@@ -93,15 +94,34 @@ def test_plan_rejects_a_factor_with_fewer_than_2m_plus_1_cells():
 
 
 def test_plan_rejects_an_interior_lattice_that_leaves_the_cylinder(monkeypatch):
-    # the N1 lattice on (-l0, l0) at h = 1/8, inflated by m = 1 layer, ends
-    # at 1.125; the estimator raises the same error after both solves
+    # the N1 lattice on (-l0, l0) at h = 1/8, inflated by m h / 2 on both
+    # sides, spans [-1.0625, 1.0625]; the estimator raises the same error
+    # after both solves
     spec = builtin_problem("varcoef_strip")
     with pytest.raises(ValueError, match=r"problem varcoef_strip: .* h = 1/\(2 resolution\) = "
-                                         r"0\.125 .* l = 1\.01: .* spans \[-1, 1\.125\], "
+                                         r"0\.125 .* l = 1\.01: .* spans \[-1\.0625, 1\.0625\], "
                                          r"domain \[-1\.01, 1\.01\]"):
         SweepPlan(spec=spec, ells=(1.01, 2.0), resolution=4)
     rep = run_sweep(SweepPlan(spec=spec, ells=(1.125, 2.0), resolution=4))
     assert [r.ell for r in rep.records] == [1.125, 2.0]
+
+
+def test_the_plan_checks_the_centred_inflation_of_the_interior_lattice(capsys):
+    # poisson_strip at 8 cells per unit, h = 1/16: the centred differences
+    # of alpha = (1, 0) on the N1 lattice of (-1, 1) read h / 2 beyond both
+    # ends, to -1.03125 and 1.03125.  A cylinder of half-length 1.015625
+    # ends inside that and is refused; one of 1.03125 holds it exactly and
+    # sweeps
+    code = cli.main(["sweep", "--problem", "poisson_strip", "--l", "1.015625",
+                     "--cells-per-unit", "8"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "problem poisson_strip: the interior lattice of spacing h" in err
+    assert ("leaves the domain: on axis 0 the lattice spans [-1.03125, 1.03125], "
+            "domain [-1.01562, 1.01562]") in err
+    assert cli.main(["sweep", "--problem", "poisson_strip", "--l", "1.03125",
+                     "--cells-per-unit", "8"]) == 0
+    assert capsys.readouterr().out.startswith("ell=1.03125 ")
 
 
 def test_plan_degree_defaults_to_m_plus_one():
@@ -147,23 +167,26 @@ def test_sweep_interior_tables_hold_their_values():
     # are 2500 times smaller and the roundoff of the matrix weighs more, as
     # the axial stencil (up to 4.5e-13 and 5.6e-10), LAPACK's dpbtrf (up to
     # 7.7e-14 and 3.3e-10) and reading the assembled matrix, not
-    # (A + A^T) / 2 (up to 1.9e-13 and 5.1e-10), had moved them before
+    # (A + A^T) / 2 (up to 1.9e-13 and 5.1e-10), had moved them before.
+    # Re-pinned when the differences became centred and moved onto the
+    # lattice matrices of the basis: the alpha = 0 values moved by at most
+    # one ulp, the others by up to 9.3% at these 6 cells per unit
     plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(2.0, 4.0), resolution=6)
     records = run_sweep(plan).records
     assert [(repr(r.interior_alpha), repr(r.n1_full_alpha)) for r in records] == [
         (
-            "{'0_0': 4.646638683302425e-05, '0_1': 0.00022532855497321797, "
-            "'1_0': 0.00023244104608634877, '0_2': 0.0018229449955428462, "
-            "'1_1': 0.0007724739341890813, '2_0': 0.0021641968173926993}",
-            "{'0_0': 0.0006463618950815903, '1_0': 0.004082053622871986, "
-            "'2_0': 0.024434120184653643}",
+            "{'0_0': 4.6466386833024264e-05, '0_1': 0.00021259446752899702, "
+            "'1_0': 0.00021561530933316233, '0_2': 0.0018734731875828788, "
+            "'1_1': 0.0007008240721596116, '2_0': 0.002094038279233519}",
+            "{'0_0': 0.0006463618950815903, '1_0': 0.003924758265961554, "
+            "'2_0': 0.022907749326265336}",
         ),
         (
-            "{'0_0': 1.8792150699479234e-08, '0_1': 8.232017674312923e-08, "
-            "'1_0': 8.233974730110727e-08, '0_2': 6.093924708474458e-07, "
-            "'1_1': 4.007155527477673e-07, '2_0': 3.5979045362406356e-07}",
-            "{'0_0': 1.429243452434114e-07, '1_0': 5.297804488184464e-07, "
-            "'2_0': 3.752427944949592e-06}",
+            "{'0_0': 1.879215069947923e-08, '0_1': 7.99878393501243e-08, "
+            "'1_0': 8.052930491246672e-08, '0_2': 5.930191415438335e-07, "
+            "'1_1': 3.7817432055843263e-07, '2_0': 3.5039959331629197e-07}",
+            "{'0_0': 1.429243452434114e-07, '1_0': 5.098408414266374e-07, "
+            "'2_0': 3.6187793165853497e-06}",
         ),
     ]
 
@@ -314,33 +337,16 @@ def test_sweep_needs_no_csr_and_no_krylov_solver(monkeypatch):
 
 def test_sweep_norms_evaluate_no_field_on_a_grid(monkeypatch):
     # the H^m norms and localized energies are Kronecker forms of the
-    # coefficients; only the interior estimates evaluate a field, and only
-    # the difference field u_l - ext(u_inf): unconstrained on the axial
-    # axis, never u_l's or u_inf's own basis
-    calls = {"norms": 0, "other": 0}
-    inside = []
-    evaluated = set()
-    eval_grid = DiscreteField.eval_grid
+    # coefficients, and so are the interior estimates, on the lattice
+    # matrices of the basis: a sweep evaluates no field on a grid
+    def refuse(self, axes, alpha):
+        raise AssertionError("the sweep evaluated a field on a grid")
 
-    def counted(self, axes, alpha):
-        calls["norms" if inside else "other"] += 1
-        evaluated.add(tuple(f.bc_order for f in self.basis.factors))
-        return eval_grid(self, axes, alpha)
-
-    monkeypatch.setattr(DiscreteField, "eval_grid", counted)
-    for name in ("error_Hm", "localized_energy", "norm_Hm"):
-        def flagged(*args, _norm=getattr(harness, name), **kwargs):
-            inside.append(name)
-            try:
-                return _norm(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(harness, name, flagged)
-    run_sweep(SweepPlan(spec=POISSON, ells=(2.0, 4.0), resolution=6))
-    assert calls["norms"] == 0
-    assert calls["other"] > 0
-    assert evaluated == {(0, 1)}
+    monkeypatch.setattr(DiscreteField, "eval_grid", refuse)
+    for spec, resolution in ((POISSON, 6), (builtin_problem("biharmonic_strip"), 8),
+                             (parse_problem_config(BOX_CONFIG, "box3d"), 4),
+                             (parse_problem_config(BOX_P2_CONFIG, "box_p2"), 4)):
+        run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0), resolution=resolution))
 
 
 def _eval_grid_axes_swapped(self, axes, alpha):
@@ -355,18 +361,28 @@ def _eval_grid_axes_swapped(self, axes, alpha):
 
 
 def test_interior_estimate_holds_when_the_axes_are_swapped(monkeypatch):
-    # the estimates divide differences of D^beta values by h^|alpha|, h =
-    # 1/64, which magnifies their rounding; evaluating u_l and ext(u_inf)
-    # apart and subtracting made the l = 8 estimate move by 25% with the
-    # contraction order, the one difference field keeps it to rounding
-    plan = SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(8.0,), resolution=32)
-    (before,) = run_sweep(plan).records
+    # the estimates divide differences by h^|alpha|, h = 1/64, which
+    # magnifies their rounding; evaluating u_l and ext(u_inf) apart and
+    # subtracting made the l = 8 estimate move by 25% with the contraction
+    # order.  The lattice matrices difference the basis and meet the one
+    # difference field's coefficients: the centred differences of its
+    # values, evaluated with the axes contracted last to first, agree with
+    # them within 2.5e-15 relative (1.0e-15 contracted first to last)
+    calls = []
+
+    def recorded(w, p, alphas, region, h, m):
+        out = interior_derivative_error(w, p, alphas, region, h, m=m)
+        calls.append((w, p, region, h, m, out))
+        return out
+
+    monkeypatch.setattr(harness, "interior_derivative_error", recorded)
+    run_sweep(SweepPlan(spec=builtin_problem("biharmonic_strip"), ells=(8.0,), resolution=32))
     monkeypatch.setattr(DiscreteField, "eval_grid", _eval_grid_axes_swapped)
-    (after,) = run_sweep(plan).records
-    pairs = [(before.err_H2m_interior, after.err_H2m_interior)]
-    pairs += [(before.interior_alpha[k], after.interior_alpha[k]) for k in before.interior_alpha]
-    for old, new in pairs:
-        assert old > 0.0 and abs(new - old) <= 1e-12 * old
+    assert len(calls) == 2
+    for w, p, region, h, m, out in calls:
+        for alpha, value in out.items():
+            reference = centred_estimate(w, p, alpha, region, h, m)
+            assert value > 0.0 and abs(value - reference) <= 1e-14 * reference, alpha
 
 
 BOX_P2_CONFIG = (
@@ -426,6 +442,7 @@ def _cross_section_work(monkeypatch, spec, ells, resolution):
     monkeypatch.setattr(assembly, "_galerkin", counted_galerkin)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(SplineBasis1D, "local_ders", counted_local_ders)
+    fdcalc._lattice_matrices.cache_clear()  # kept per process, as the stencil is
     run_sweep(SweepPlan(spec=spec, ells=ells, resolution=resolution))
     monkeypatch.undo()
     return counts
@@ -443,7 +460,9 @@ def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, ei
     # no pencil of the section's N_c = 36 functions is formed; the de Boor
     # tables of the cross-section factors (box3d's load, which reads x2 and
     # x3, and the norms' Gram bands) are cached on the factors, which every
-    # l shares, so more l values evaluate none again
+    # l shares, and the interior lattices' matrices on omega are kept per
+    # process (fdcalc._lattice_matrices), so more l values evaluate none
+    # again
     three = _cross_section_work(monkeypatch, spec, (2.0, 4.0, 8.0), resolution)
     four = _cross_section_work(monkeypatch, spec, (2.0, 3.0, 4.0, 8.0), resolution)
     assert three[:2] == four[:2] == [0, eighs]
@@ -521,6 +540,37 @@ def test_no_uncut_gram_band_of_a_sweep_reads_a_local_table(monkeypatch):
         run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0, 8.0), resolution=4 if spec.n == 3 else 8))
     assert grams[True] > 0 and grams[False] > 0 and reads[False] > 0
     assert reads[True] == 0
+
+
+@pytest.mark.parametrize("spec,resolution", [
+    (builtin_problem("biharmonic_strip"), 8),
+    (parse_problem_config(BOX_CONFIG, "box3d"), 12),
+    (parse_problem_config(BOX_P2_CONFIG, "box_p2"), 4),
+], ids=["biharmonic", "box3d", "box_p2"])
+def test_a_sweep_reads_each_lattice_table_once(monkeypatch, spec, resolution):
+    # the interior estimates read their lattice matrices from a memo kept
+    # per process (fdcalc._lattice_matrices), which reads one de Boor table
+    # per axis of each of the two lattices as it fills, and reads none
+    # again: the x1 lattice of every l reads one reference lattice of the
+    # same cell width, so a sweep of four half-lengths reads as many lattice
+    # tables as one of three, and no lattice table is read anywhere else
+    reads = Counter()
+    local_table = SplineBasis1D.local_table
+
+    def counted(factor, x):
+        reads[sys._getframe(1).f_code.co_name] += 1
+        return local_table(factor, x)
+
+    monkeypatch.setattr(SplineBasis1D, "local_table", counted)
+    counts = []
+    for ells in ((2.0, 4.0, 8.0), (2.0, 3.0, 4.0, 8.0)):
+        reads.clear()
+        fdcalc._lattice_matrices.cache_clear()
+        run_sweep(SweepPlan(spec=spec, ells=ells, resolution=resolution))
+        assert "eval_grid" not in reads
+        counts.append((reads["_lattice_matrices"], fdcalc._lattice_matrices.cache_info().misses))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0][0] == counts[0][1] <= 2 * spec.n
 
 
 def test_the_uncut_norms_of_a_job_hold_no_per_point_tables():

@@ -189,11 +189,11 @@ def test_reflecting_x1_moves_every_value_by_roundoff_only():
     # f = 1, 8 cells per unit: the coefficient reads x1, so the solve
     # factors the n-D band.  Measured relative gaps: err_L2 and err_Hm at
     # most 2.3e-16 at l = 2 and 4.1e-13 at l = 4, both norms at most 1.7e-16
-    # at every l.  At l = 8, near the floor, err_Hm differs by 2.6e-9, so the
-    # errors are left out there.  err_H2m_interior is left out at every l:
-    # a forward difference at x stands for the derivative at x + h / 2,
-    # which the reflection moves to x - h / 2, and it differs by 1.5e-2
-    # (a centred estimator, ROADMAP item 15, would mend it)
+    # at every l.  The interior estimates, whose centred differences the
+    # reflection maps onto the mirror lattice, at most 5.9e-15 at l = 2 and
+    # 2.7e-12 at l = 4 (interior_alpha 1_0).  At l = 8, near the floor,
+    # err_Hm differs by 2.6e-9 and the interior estimates by up to 1.7e-8,
+    # so the errors are left out there
     specs = [parse_problem_config(
         "[problem]\nm = 1\nn = 2\np = 1\nomega = 0,1\n\n[coef]\n"
         f"a_1_0_1_0 = 2 {sign} sin(x1)\na_0_1_0_1 = 1\n\n[forcing]\nf = 1\n", "strip")
@@ -204,6 +204,14 @@ def test_reflecting_x1_moves_every_value_by_roundoff_only():
     for field in ("err_L2", "err_Hm"):
         assert errors[2.0, field] <= 1e-15 and errors[4.0, field] <= 2e-12, field
     assert max(_gaps(*reports, NORM_FIELDS).values()) <= 1e-15
+    for a, b in zip(*(report.records[:2] for report in reports)):
+        pairs = [(a.err_H2m_interior, b.err_H2m_interior)] + [
+            (table_a[k], table_b[k])
+            for table_a, table_b in ((a.interior_alpha, b.interior_alpha),
+                                     (a.n1_full_alpha, b.n1_full_alpha))
+            for k in table_a]
+        bound = 1e-12 if a.ell == 2.0 else 1e-11
+        assert all(x > 1e-12 and abs(y - x) <= bound * x for x, y in pairs), a.ell
 
 
 def test_swapping_the_axial_axes_moves_every_value_by_roundoff_only():

@@ -47,26 +47,26 @@ PINNED_VERSIONS = {
                 "MAX_THREADS=64",
 }
 DIGESTS = {
-    "poisson_strip": "eea9eaff86bc3a04f598e8033db3fbe400be03b9eb91262436e6d780fdcafacc",
-    "biharmonic_strip": "63bf18fb54d9c53f8d689f28ab6568f2ce42cc9231cf42f2f1e87ada5881c141",
-    "varcoef_strip": "d5a4bcbe7e9d643eac80c990391106c3e0d49256f4fc5466b6396da2afec3000",
-    "skew_strip": "b96912699e1b7ebd0f7ccf38e44d1ef70d6fc54cec23e34febcd5867088d74ae",
-    "skew_strip_degree_1": "3f93bd0a2540c1f0a09157763f436c87133fe2c9ceb7d903d43eedd354ab12ec",
-    "box3d": "ae615605de4bb0b05c30b892a82fed46a23b20b8fa99fc4055656b47c3548227",
-    "box_p2": "012ce15478be2ff81a6992da6e14a6e522c352fde19d7d9d8a4a5b7d838fdd7d",
-    "poisson_sin_x1": "06668ddcd5080c7403eaf3fcbd66377ff4d6bed68344e3cafee3b536f9e1c050",
-    "biharmonic_x2": "511c82a41c29faa56f1be4d3c1ebe9c0d601af3986930b91b9a225e8d8d19f5d",
+    "poisson_strip": "94209fa224591ef70b759cadfaa7615c90ff310a3e09e9be92c8f71b8b693652",
+    "biharmonic_strip": "492deecc14f6f3a04743a3cc242b305743b08491babde2a04f00ae3ea5ba9a26",
+    "varcoef_strip": "ff981518bece31229f2c3fbcfd002b29a51235e6bd0b2c798e8b92abe93e542b",
+    "skew_strip": "37800540be1d32760dc559403969c98feac9413fd9610e65a4432cb79bb8addf",
+    "skew_strip_degree_1": "d91c38163ef2ff5364c763287967da35dcc4edd17b4ad21ba36910e026521b31",
+    "box3d": "e8807110d3ecdf03551eb39d7b8e4c217de054dad9684033a3df01015b2e8d9f",
+    "box_p2": "3e662aeb65ecb0b557f0f4b16d8ac59b5d5b838e3358e7653a5cc0a5dbd02bbb",
+    "poisson_sin_x1": "a93a6f0bd765bae276da76654d2646ce627b6471f32df084778b5dc370d6c800",
+    "biharmonic_x2": "edac9ed30d39017a2a528cb18438eb933b9fb19089cfa303a994cf5619ebf071",
 }
 JSON_DIGESTS = {
-    "poisson_strip": "cc299c78d95d69eb5762ba0bc9e6eeaac2f291f1c2a675795b11e1d5650f8108",
-    "biharmonic_strip": "c0cac3a1a0383f1625e99e0632c802c7dc88d557cd668d62c81ab1251ac5ead5",
-    "varcoef_strip": "ea643aa1b46b2ef57e43d35a1e046b2387a470bfe16c89a4736a9d7d531b8fa8",
-    "skew_strip": "54e223ee32508c364c1fb5b6abf5b547ce9377703681955f79791b0bb33d617b",
-    "skew_strip_degree_1": "222ab5f94a7614b9ab17a57d28fc8600870b8763f5ef19a046b7856aef422592",
-    "box3d": "a8c5b9253eb43089cf591c17bfdf6d75cd151bb707e07a0a97a0de93d2048656",
-    "box_p2": "33c1b2ffdb102f1ce3e0f822094f0965d5e9789273925be5c3dadb1da18f61c4",
-    "poisson_sin_x1": "186fc06a5ee5ef9a22c387b11533432ffacfb0882f567456b992c1a346d78047",
-    "biharmonic_x2": "f893562623d10531bfbf451a2526cc53d359fbe7e99ac74723c3021fd185750c",
+    "poisson_strip": "8c071851df0d28c7cbc23a1180e326be0f2080ee79110e52fb94d648e62810ed",
+    "biharmonic_strip": "69f5ab44938b76dd334a9b7d7e48d089f30213ebd3b46481f3843a05ce294c38",
+    "varcoef_strip": "9328f2b6ef27982e936729d8589ca82c868a941f3fcf9c0f53822c0da82ebc8a",
+    "skew_strip": "6781508c5a36c091e41d88dd22419443b65cbb65a231d8fca8b616996ab756e9",
+    "skew_strip_degree_1": "98290daffdd1f60ee2b532be5e065a388cf864184299f819c89ad33dda6fa45b",
+    "box3d": "e3eff10896eae1625f52be724b0c9a7271a46bc170fe1da8243e14f7da9b9243",
+    "box_p2": "2199cb43473db8b63b180355c6ada47be2e586e38144b355b06bf74e0e256f19",
+    "poisson_sin_x1": "161ebc01452a2712a4c8c629584da5b7a3f731de341bb57c619522151510592d",
+    "biharmonic_x2": "010409f082ed665373bcfb73f72da4aaf7555a9026f11191319c756630174312",
 }
 # the CSV of `cylasym refine --l 2` at each problem's cells and degree
 REFINE_DIGESTS = {
