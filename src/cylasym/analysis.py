@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import band_apply, zero_padded
+from .assembly import band_apply, kron_applied, zero_padded
 from .expr import format_number
 from .multiindex import enumerate_upto
 from .splines import (
@@ -81,8 +81,9 @@ def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = NORM_POI
     """Per |alpha| <= m, in enumerate_upto order, the Gauss-rule integral of
     (D^alpha u)^2 over the box for the DiscreteField u:
     max(0, X : (G_1^(alpha_1) x .. x G_n^(alpha_n)) X), X its coefficients,
-    each band applied along its axis, first to last.  The alphas that share
-    a prefix (alpha_1..alpha_k) share its k band applications.
+    each band applied along its axis, first to last (assembly.kron_applied,
+    so the alphas that share a prefix alpha_1..alpha_k share its k band
+    applications).
 
     The cutoff, if any, multiplies the first `axial` factors.  The
     quadratic form equals the grid sum in exact arithmetic but can round
@@ -92,17 +93,9 @@ def _kron_parts(u, box, m: int, resolution: int, points_per_cell: int = NORM_POI
                                    cutoff if k < axial else None)
                         for k, (f, extent) in enumerate(zip(u.basis.factors, box))))
     X = u.coeffs[rows]
-    n = len(box)
-    applied = {(): X}  # per proper prefix of alpha, its bands applied to X
-    parts = []
-    for alpha in enumerate_upto(n, m):
-        for k in range(1, n):
-            if alpha[:k] not in applied:
-                applied[alpha[:k]] = band_apply(bands[k - 1][alpha[k - 1]],
-                                                applied[alpha[: k - 1]], k - 1)
-        Y = band_apply(bands[n - 1][alpha[n - 1]], applied[alpha[: n - 1]], n - 1)
-        parts.append(max(0.0, float(np.sum(X * Y))))
-    return parts
+    products = kron_applied(X, enumerate_upto(len(box), m),
+                            lambda k, a, Y: band_apply(bands[k][a], Y, k))
+    return [max(0.0, float(np.sum(X * Y))) for Y in products]
 
 
 def norm_Hm(u, box, m: int, resolution: int,

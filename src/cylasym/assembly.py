@@ -16,8 +16,8 @@ space.  A new producer of bands keeps this invariant, and
 test_every_band_is_zero_outside_its_space pins it for every producer.
 
 One einsum kernel builds the band on a tensor product of factors: per-axis
-local basis derivative tables (each factor's cached local_table of its
-Gauss points, so every system on a factor reads one table) are contracted
+local basis derivative tables (each factor's local_table of its Gauss
+points, computed per kernel call) are contracted
 cell-by-cell against quadrature weights and coefficient values, one einsum
 per coefficient pair, and each local test function's element values are
 added into the rows that SplineBasis1D.window assigns it.  The kernel does
@@ -545,6 +545,20 @@ def band_apply(band, X, lead: int = 0):
     return Y.transpose(np.argsort(order))
 
 
+def kron_applied(X, keys, apply):
+    """Per key, in order, X with apply(k, key[k], .) applied along each
+    axis k in turn, first to last: the product of a Kronecker form whose
+    factor on axis k is chosen by key[k].  Keys that share a leading run
+    key[:k] share its k applications, each computed once; apply decides
+    how an application lays its result out for the next."""
+    applied = {(): X}  # per proper leading run of a key, its applications
+    for key in keys:
+        for k in range(len(key) - 1):
+            if key[: k + 1] not in applied:
+                applied[key[: k + 1]] = apply(k, key[k], applied[key[:k]])
+        yield apply(len(key) - 1, key[-1], applied[key[:-1]])
+
+
 def _kron_row_sums(parts, p: int):
     """Row sums of the magnitudes of the entries of a system whose parts
     all split after factor p, of shape (kept axial rows, cross-section
@@ -621,10 +635,9 @@ def _local_tables(factors):
     Returns (pts, wts, B) per axis with B of shape
     (cells, points_per_cell, degree + 1, degree + 1): B[c, q, k, r] is the
     k-th derivative of local function r of cell c at its point q, zero where
-    the constraint drops the function.  B is the factor's cached local_table
-    of the composite Gauss points, so every system assembled on one factor
-    reads one table; quadrature points are cell-major, so row c of B holds
-    the functions active on cell c.
+    the constraint drops the function.  B is the factor's local_table of
+    the composite Gauss points, computed on each call; quadrature points
+    are cell-major, so row c of B holds the functions active on cell c.
     """
     points_per_cell = max(f.degree for f in factors) + 1
     tables = []
@@ -830,8 +843,9 @@ class CrossSection:
     on omega is the same at every l, and the limit system and the cylinder
     system at every l share it:
 
-    - factors: the cross-section spline factors, those of u_inf, each
-      caching the de Boor tables every field and system on it reads;
+    - factors: the cross-section spline factors, those of u_inf, which
+      keep no de Boor table: what the sweep needs of them is placed from
+      the stencil, or computed here once (the kernel's pieces);
     - even, mirrored, two_part and separable, fixed here from the
       coefficients.  An axis k (0 for x1) reflects when every cylinder
       system commutes with its reflection about the middle of its extent:
@@ -843,10 +857,12 @@ class CrossSection:
       k (0 for x_{p+1}) that reflect; the reflection maps each basis
       function i of the axis to m(i) = N - 1 - i, and the blocks, placed
       from the stencil along it, commute with it bitwise, while the
-      forcing may have either parity.  two_part: every cylinder system is
-      symmetric, exactly two Kronecker parts, each with equal axial
-      indices, and no x1-band.  separable: m = 1, and every pair has
-      alpha = beta and a constant weight, x1's positive.  Either is even;
+      forcing may have either parity.  two_part: p = 1, and every
+      cylinder system is symmetric, exactly two Kronecker parts, each with
+      equal axial indices, and no x1-band (an elliptic p = 2 problem has
+      three axial keys, and the pencil reads x1's bands alone).
+      separable: m = 1, and every pair has alpha = beta and a constant
+      weight, x1's positive.  Either is even;
     - keys and blocks: the axial key (alpha_axial, beta_axial) of each
       Kronecker part and its cross-section band, summed over the part's
       pairs in their order, each pair's band joined (_on_omega) from the
@@ -919,8 +935,8 @@ class CrossSection:
             key = (alpha[:p], beta[:p])
             blocks[key] = blocks[key] + C if key in blocks else C
         self.keys, self.blocks = tuple(blocks), tuple(blocks.values())
-        self.two_part = (spec.symmetric and not self.nd_terms and len(self.keys) == 2
-                         and all(a == b for a, b in self.keys))
+        self.two_part = (p == 1 and spec.symmetric and not self.nd_terms
+                         and len(self.keys) == 2 and all(a == b for a, b in self.keys))
         self.load = self._on_omega(spec.forcing, "rhs", [load for _, load in placed],
                                    lambda f, axes: _load(f, spec.forcing, axes, n)).ravel()
         where, self.eigenbasis = _where(spec, "cross-section", None), None
@@ -947,20 +963,20 @@ class CrossSection:
     def pencil(self, factor):
         """((A_top, A_other), (lam, groups)) for linalg.kronecker_solve of
         the even half, the one block, of the cylinder on axial factors
-        `factor`: the axial blocks (axial), top first, of a two-part
-        section, or x1's stiffness and mass bands of a separable one, then
-        x2's pencil per l for p = 2; every band folded (_folded_band)."""
-        p = self.spec.p
-        if not self.separable:
-            bands, _ = self.axial(factor)
-            return (tuple(_lower_of_band(reduce(_folded_band, range(p), A))
-                          for A in _top_first(bands, self.keys)), self.eigenbasis)
-        placed = {ab: _folded_band(band, 0) for ab, band in self._placed_on(factor)[0].items()}
+        `factor`: x1's placed bands (_placed_on) of the largest and the
+        smallest x1 pair of the keys, folded (_folded_band), then x2's
+        pencil per l for p = 2.  A two-part section has p = 1, so those
+        are its two axial blocks, top first; a separable one's are x1's
+        stiffness and mass bands."""
+        pairs = [(alpha[0], beta[0]) for alpha, beta in self.keys]
+        top, other = max(pairs), min(pairs)
+        bands = self._placed_on(factor)[0]
+        placed = {ab: _folded_band(bands[ab], 0) for ab in (top, other)}
         lam, groups = self.eigenbasis
-        for axis in range(p - 1, 0, -1):
+        for axis in range(self.spec.p - 1, 0, -1):
             mu, V = self._axis_pencil(placed, axis, _where(self.spec, "solve", factor.hi))
             lam, groups = np.add.outer(mu, lam).ravel(), (V,) + groups
-        return (_lower_of_band(placed[1, 1]), _lower_of_band(placed[0, 0])), (lam, groups)
+        return (_lower_of_band(placed[top]), _lower_of_band(placed[other])), (lam, groups)
 
     def _on_omega(self, field, what, pieces, kernel):
         """The band (or the load) on omega of field times the 1-D pieces:

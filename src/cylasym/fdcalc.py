@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .assembly import kron_applied
 from .multiindex import enumerate_upto, in_N1, order
 from .splines import SplineBasis1D
 
@@ -157,9 +158,9 @@ def interior_derivative_error(w, p: int, alphas, region, h: float, m: int) -> di
     domain of w, and when alpha has cross-sectional components the region
     must be strictly interior in the cross-sectional axes.  Each term is
     the Kronecker form of the axis matrices (_axis_matrices) applied to the
-    coefficients, axis by axis; the terms that share a leading run of
-    (alpha_k, beta_k) share its products, so an estimate equals the one
-    from [alpha] alone.
+    coefficients, axis by axis (assembly.kron_applied: the terms that
+    share a leading run of (alpha_k, beta_k) share its products), so an
+    estimate equals the one from [alpha] alone.
     """
     n = w.basis.naxes
     if not 0 < p < n:
@@ -176,14 +177,10 @@ def interior_derivative_error(w, p: int, alphas, region, h: float, m: int) -> di
     inflate = [max(col) for col in zip((0,) * n, *alphas)]
     columns, mats = zip(*(_axis_matrices(f, lo, c, h, a, m) for f, (lo, _), c, a
                           in zip(w.basis.factors, region, counts, inflate)))
-    applied = {(): w.coeffs[columns]}  # per leading run of (alpha_k, beta_k), its product
     totals = dict.fromkeys(alphas, 0.0)
-    for beta in enumerate_upto(n, m):
-        for alpha in totals:
-            pairs = tuple(zip(alpha, beta))
-            for k in range(n - 1):
-                if pairs[: k + 1] not in applied:
-                    applied[pairs[: k + 1]] = _along(mats[k][pairs[k]], applied[pairs[:k]])
-            Y = _along(mats[n - 1][pairs[n - 1]], applied[pairs[: n - 1]])
-            totals[alpha] += float(np.vdot(Y, Y))
+    terms = [(alpha, beta) for beta in enumerate_upto(n, m) for alpha in totals]
+    products = kron_applied(w.coeffs[columns], [tuple(zip(*term)) for term in terms],
+                            lambda k, ab, Y: _along(mats[k][ab], Y))
+    for (alpha, _), Y in zip(terms, products):
+        totals[alpha] += float(np.vdot(Y, Y))
     return {alpha: float(np.sqrt(total * h**n)) for alpha, total in totals.items()}

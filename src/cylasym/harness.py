@@ -152,33 +152,33 @@ class SweepPlan:
     def __post_init__(self):
         ells = tuple(float(e) for e in self.ells)
         object.__setattr__(self, "ells", ells)
+        spec = self.spec
+        name = spec.name or self.source or "unnamed"
         if len(ells) < 1:
-            raise ValueError("need at least one ell value")
+            raise ValueError(f"problem {name}: need at least one ell value")
         for e in ells + (self.ell0,):
             if not np.isfinite(e):
-                raise ValueError(f"ell and ell0 values must be finite, got {e}")
+                raise ValueError(f"problem {name}: ell and ell0 values must be finite, got {e}")
         if any(b <= a for a, b in zip(ells, ells[1:])):
-            raise ValueError("ell values must be strictly increasing")
+            raise ValueError(f"problem {name}: ell values must be strictly increasing")
         if self.ell0 <= 0:
-            raise ValueError(f"ell0 must be positive, got {self.ell0}")
+            raise ValueError(f"problem {name}: ell0 must be positive, got {self.ell0}")
         if min(ells) <= self.ell0:
             raise ValueError(
-                f"smallest ell ({min(ells)}) must exceed ell0 ({self.ell0})"
-            )
+                f"problem {name}: smallest ell ({min(ells)}) must exceed ell0 ({self.ell0})")
         if not 0.0 < self.interior_margin < 0.5:
-            raise ValueError("interior margin must lie strictly between 0 and 0.5")
+            raise ValueError(f"problem {name}: interior margin must lie strictly between 0 and 0.5")
         if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
+            raise ValueError(f"problem {name}: worker count must be at least 1")
         if self.workers > 1 and not hasattr(os, "fork"):
-            raise ValueError("more than 1 worker needs os.fork, which this platform lacks")
-        if self.degree is not None and self.degree < self.spec.m:
+            raise ValueError(f"problem {name}: more than 1 worker needs os.fork, which this "
+                             "platform lacks")
+        if self.degree is not None and self.degree < spec.m:
             raise ValueError(
-                f"degree {self.degree} cannot conform to order m = {self.spec.m}"
-            )
+                f"problem {name}: degree {self.degree} cannot conform to order m = {spec.m}")
         # every spline factor needs 2m + 1 cells, and the interior lattices
         # must fit inside the smallest cylinder
-        spec, ell = self.spec, ells[0]
-        name = spec.name or self.source or "unnamed"
+        ell = ells[0]
         _check_cells(spec, name, self.resolution, ell, "the axial extent at the smallest l")
         h, lattices = _interior_lattices(spec, self.ell0, self.interior_margin, self.resolution)
         domain = [(-ell, ell)] * spec.p + list(spec.omega)
@@ -554,13 +554,13 @@ def run_refinement(
     if not ell > ell0:
         raise ValueError(f"{_where(spec, 'run_refinement', ell)}: half-length must exceed "
                          f"l0 = {ell0:g}, that of the inner cylinder the error is measured on")
-    resolutions = [int(r) for r in resolutions]
+    resolutions, name = [int(r) for r in resolutions], spec.name or "unnamed"
     if len(resolutions) < 3:
-        raise ValueError(f"need at least 3 resolutions, got {len(resolutions)}")
+        raise ValueError(f"problem {name}: need at least 3 resolutions, got {len(resolutions)}")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
-        raise ValueError("resolutions must be strictly increasing")
+        raise ValueError(f"problem {name}: resolutions must be strictly increasing")
     for res in resolutions:
-        _check_cells(spec, spec.name or "unnamed", res, ell, f"the axial extent at l = {ell:g}")
+        _check_cells(spec, name, res, ell, f"the axial extent at l = {ell:g}")
     exact = analytic_limit(spec.name)
     if exact is None:
         raise ProblemConfigError(

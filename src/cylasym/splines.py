@@ -8,15 +8,19 @@ subspace of H^m_0 on the box (degree d >= m gives C^{d-1} >= C^{m-1}
 smoothness across cells, and d >= m makes the constraint count meaningful).
 
 Basis values and derivatives come from the de Boor triangular recursion
-(the derivative variant), vectorized over evaluation points.  Each factor
-caches, per point array, one read-only table of the degree + 1 local basis
-values and derivatives of every point (dropped functions zeroed) and their
-constrained column indices.  Fields are evaluated cell by cell from those
+(the derivative variant), vectorized over evaluation points.  A factor's
+local_table computes, for a point array, one read-only table of the
+degree + 1 local basis values and derivatives of every point (dropped
+functions zeroed) and their constrained column indices, anew on every
+call: a factor keeps no table.  What a process keeps is computed from
+tables once, in three memos: assembly's stencils (_stencil), the norms'
+Gram references (_gram_reference below) and fdcalc's lattice matrices
+(_lattice_matrices).  eval_grid evaluates a field cell by cell from the
 tables: a value gathers the coefficients of its point's window and sums
-them in a fixed order, so it depends on its own point only, and no dense
-(points x dim) basis matrix is ever built.  The same tables give the
-assembly kernel its local values, so every system and field on a factor
-shares them.
+them in a fixed order, so it depends on its own point only, and it builds
+no dense (points x dim) basis matrix.  The assembly kernel reads its local
+values from the same tables; fdcalc sums dense (lattice points x functions
+read) matrices from them.
 
 The norms of spline fields are Kronecker forms of banded 1-D Gram
 matrices, which analysis applies without evaluating the fields
@@ -324,7 +328,7 @@ def axis_grams(factor, extent, m: int, resolution: int, points_per_cell: int, cu
     (_placed_grams), as assembly places its bands: bitwise mirror
     symmetric, the same on every translate of the factor, and read from no
     table of the factor.  Every other box, and every band with a cutoff,
-    is summed point by point from the factor's cached local table
+    is summed point by point from a local table of the factor
     (_gauss_grams).  A cutoff (rho, width) multiplies each function by
     rho(x / width): by Leibniz, phi^(a) is then the sum over b <= a of
     C(a, b) B^(b) rho^(a - b) / width^(a - b).  G^(a) does not depend on
@@ -363,7 +367,6 @@ class SplineBasis1D:
             [np.full(degree, self.lo), breakpoints, np.full(degree, self.hi)]
         )
         self.h = (self.hi - self.lo) / self.cells
-        self._tables = {}
 
     @property
     def dim(self) -> int:
@@ -401,25 +404,21 @@ class SplineBasis1D:
         return cols, (cols >= 0) & (cols < self.dim)
 
     def local_table(self, x):
-        """(vals, cols) for the points x, cached per point array (its bytes).
+        """(vals, cols) for the points x, computed on every call.
 
         vals[q, k, r] is the k-th derivative, k <= degree, of unconstrained
         function first[q] + r at x[q], zero where the constraint drops it;
         cols[q, r] is its constrained index, clamped into range.  Derivative
         k of the recursion does not depend on how many are computed, so one
-        table serves every order bit for bit.  Both arrays are read-only.
+        table serves every order bit for bit, and each row depends on its
+        own point only.  Both arrays are read-only.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        key = x.tobytes()
-        table = self._tables.get(key)
-        if table is None:
-            ders, first = self.local_ders(x, self.degree)
-            cols, valid = self.window(first)
-            vals = np.where(valid[:, None, :], ders, 0.0)
-            cols = np.clip(cols, 0, self.dim - 1)
-            vals.flags.writeable = cols.flags.writeable = False
-            table = self._tables[key] = (vals, cols)
-        return table
+        ders, first = self.local_ders(x, self.degree)
+        cols, valid = self.window(first)
+        vals = np.where(valid[:, None, :], ders, 0.0)
+        cols = np.clip(cols, 0, self.dim - 1)
+        vals.flags.writeable = cols.flags.writeable = False
+        return vals, cols
 
 
 class TensorBasis:

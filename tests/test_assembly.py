@@ -42,7 +42,7 @@ from dense_oracle import (
     transposed_band,
 )
 
-from cylasym import assembly
+from cylasym import assembly, harness
 from cylasym.assembly import (
     AssemblyError,
     CrossSection,
@@ -705,6 +705,26 @@ def test_other_sections_have_no_eigenbasis(name):
     section = CrossSection(spec, resolution)
     assert not section.two_part and not section.separable
     assert section.eigenbasis is None
+
+
+def test_a_two_key_section_with_two_axial_axes_is_not_two_part():
+    # x1 and x3 derivatives only, x3's weight reading x3 (not separable):
+    # not elliptic, but the library builds it, with two axial keys, (1, 0)
+    # and (0, 0), each on equal indices.  The pencil reads x1's bands
+    # alone, which no p = 2 axial block is, so only a p = 1 section is
+    # two-part; this one is solved by banded Cholesky
+    spec = ProblemSpec(m=1, n=3, p=2, omega=((0.0, 1.0),),
+                       coefficients={(a, a): ScalarField.parse(t, 3)
+                                     for a, t in (((1, 0, 0), "1"), ((0, 0, 1), "1 + x3"))},
+                       forcing=ScalarField.parse("1", 3))
+    section = CrossSection(spec, 4)
+    assert spec.symmetric and len(section.keys) == 2 and all(a == b for a, b in section.keys)
+    assert not section.two_part and not section.separable and section.eigenbasis is None
+    system = assemble_cylinder(section, ell=1.0)
+    result = harness._solve_system(system)
+    assert result.method == "cholesky_banded"
+    want = np.linalg.solve(oracle_csr(system).toarray(), system.rhs)
+    assert np.abs(result.x - want).max() <= 1e-12 * np.abs(want).max()
 
 
 _ANISOTROPIC_BOX = ProblemSpec(

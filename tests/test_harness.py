@@ -458,11 +458,11 @@ def test_a_sweep_builds_its_cross_section_once(monkeypatch, spec, resolution, ei
     # factors; box3d's section is separable, so its eigenbasis is one 1-D
     # pencil per cross-section axis, of its 6 functions, computed once, and
     # no pencil of the section's N_c = 36 functions is formed; the de Boor
-    # tables of the cross-section factors (box3d's load, which reads x2 and
-    # x3, and the norms' Gram bands) are cached on the factors, which every
-    # l shares, and the interior lattices' matrices on omega are kept per
-    # process (fdcalc._lattice_matrices), so more l values evaluate none
-    # again
+    # tables of the cross-section factors are read only as the section is
+    # built (box3d's load, which reads x2 and x3) and as the interior
+    # lattices' matrices on omega fill their per-process memo
+    # (fdcalc._lattice_matrices), while the norms place their Gram bands
+    # there, so more l values evaluate none again
     three = _cross_section_work(monkeypatch, spec, (2.0, 4.0, 8.0), resolution)
     four = _cross_section_work(monkeypatch, spec, (2.0, 3.0, 4.0, 8.0), resolution)
     assert three[:2] == four[:2] == [0, eighs]
@@ -571,6 +571,33 @@ def test_a_sweep_reads_each_lattice_table_once(monkeypatch, spec, resolution):
         counts.append((reads["_lattice_matrices"], fdcalc._lattice_matrices.cache_info().misses))
     assert counts[0] == counts[1]
     assert 0 < counts[0][0] == counts[0][1] <= 2 * spec.n
+
+
+@pytest.mark.parametrize("spec,resolution,calls", [
+    (builtin_problem("biharmonic_strip"), 8, [45, 27]),
+    (parse_problem_config(BOX_CONFIG, "box3d"), 4, [29, 18]),
+], ids=["biharmonic", "box3d"])
+def test_the_interior_estimates_share_the_products_of_a_common_prefix(monkeypatch, spec,
+                                                                        resolution, calls):
+    # the terms (alpha, beta) of an estimate that share a leading run of
+    # (alpha_k, beta_k) share its products (assembly.kron_applied): per l,
+    # the interior region and then N1 take these many gemms (fdcalc._along),
+    # where one term at a time takes n per term: 72 and 36 for the
+    # biharmonic strip, 48 and 24 for box3d
+    counts, along, estimate = [], fdcalc._along, harness.interior_derivative_error
+
+    def counted_along(*args):
+        counts[-1] += 1
+        return along(*args)
+
+    def counted_estimate(*args, **kwargs):
+        counts.append(0)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(fdcalc, "_along", counted_along)
+    monkeypatch.setattr(harness, "interior_derivative_error", counted_estimate)
+    run_sweep(SweepPlan(spec=spec, ells=(2.0, 4.0, 8.0), resolution=resolution))
+    assert counts == calls * 3
 
 
 def test_the_uncut_norms_of_a_job_hold_no_per_point_tables():
@@ -1489,6 +1516,28 @@ def test_cli_refuses_a_resolution_below_one(capsys, argv, value):
     captured = capsys.readouterr()
     assert captured.err == (f"error: problem poisson_strip: resolution {value} is below 1 cell "
                             "per unit length\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--l", ","], "need at least one ell value"),
+    (["sweep", "--l", "1e308,2e308"], "ell and ell0 values must be finite, got inf"),
+    (["sweep", "--l", "4,2"], "ell values must be strictly increasing"),
+    (["sweep", "--l0", "-1"], "ell0 must be positive, got -1.0"),
+    (["sweep", "--l", "2,4", "--l0", "3"], "smallest ell (2.0) must exceed ell0 (3.0)"),
+    (["sweep", "--interior-margin", "0.5"], "interior margin must lie strictly between 0 and 0.5"),
+    (["sweep", "--workers", "0"], "worker count must be at least 1"),
+    (["sweep", "--workers", "2"], "more than 1 worker needs os.fork, which this platform lacks"),
+    (["sweep", "--degree", "0"], "degree 0 cannot conform to order m = 1"),
+    (["refine", "--cells", "4,8"], "need at least 3 resolutions, got 2"),
+    (["refine", "--cells", "8,4,16"], "resolutions must be strictly increasing"),
+], ids=["ell-count", "finite", "order", "ell0-sign", "ell0-below", "margin", "workers", "fork",
+        "degree", "resolution-count", "resolution-order"])
+def test_cli_refusals_name_the_problem(monkeypatch, capsys, argv, message):
+    # every refusal of a sweep plan or of a refinement's resolutions starts
+    # with the problem's name, as the cell-count checks do
+    monkeypatch.delattr(os, "fork")  # no refused command forks
+    assert cli.main([argv[0], "--problem", "poisson_strip", *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: problem poisson_strip: {message}\n"
 
 
 @pytest.mark.parametrize("argv,extent", [

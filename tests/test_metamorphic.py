@@ -31,6 +31,9 @@ its axial coefficients (both axial axes folded), or reflecting x1 in a
 coefficient that reads it (the n-D band).  Every value then moves by roundoff only, which grows as
 u_l - ext(u_inf) falls towards the solve's floor, so each bound is set
 from the gaps measured at each l.
+
+Widening omega from (0, 1) to (0, 2) at half the cells per unit scales the
+cross-section pencil by 1/4, so the predicted rate halves up to rounding.
 """
 
 import csv
@@ -233,3 +236,18 @@ def test_swapping_the_axial_axes_moves_every_value_by_roundoff_only():
     for field in ERROR_FIELDS:
         assert errors[2.0, field] <= 1e-14 and errors[4.0, field] <= 1e-12, field
     assert max(_gaps(*reports, NORM_FIELDS).values()) <= 1e-15
+
+
+@pytest.mark.parametrize("resolution", [8, 16])
+def test_widening_omega_halves_the_predicted_rate(resolution):
+    # the Poisson strip on (0, 2) at r cells per unit has the cells of
+    # (0, 1) at 2 r, twice as wide: its cross-section pencil's eigenvalues
+    # are those of (0, 1) over 4, so sqrt(min lam), the predicted rate,
+    # halves up to the eigensolver's rounding; measured relative gaps
+    # 1.3e-14 at r = 8 and 1.0e-14 at r = 16
+    spec = builtin_problem("poisson_strip")
+    wide = dataclasses.replace(spec, omega=((0.0, 2.0),))
+    narrow_rate, wide_rate = (
+        run_sweep(SweepPlan(spec=s, ells=(2.0,), resolution=r)).predicted_rate
+        for s, r in ((spec, 2 * resolution), (wide, resolution)))
+    assert abs(wide_rate - narrow_rate / 2) <= 1e-13 * (narrow_rate / 2)

@@ -1,7 +1,7 @@
 """Spline basis oracles: partition of unity, boundary constraints, polynomial
 reproduction (values and derivatives), the two field evaluation paths
 agreeing with each other, and the cell-local evaluation against the dense
-basis matrix: values, locality, table cache and memory."""
+basis matrix: values, locality, tables and memory."""
 
 import itertools
 import tracemalloc
@@ -230,15 +230,18 @@ _PLACED_BOXES = {
 @pytest.mark.parametrize("degree,bc_order", [
     (d, b) for d in (1, 2, 3) for b in (0, d)
 ])
-def test_placed_gram_bands_match_the_per_point_kernel(degree, bc_order, box):
+def test_placed_gram_bands_match_the_per_point_kernel(monkeypatch, degree, bc_order, box):
     # measured: at most 1.5e-13 of the band's largest entry over degrees
     # 1-3, constraint orders 0 and m, and factors within |x| <= 16; the
     # gap is the kernel's rounding of x - knot at the physical points
     (lo, hi, cells), extent = _PLACED_BOXES[box](degree)
     resolution = round(cells / (hi - lo))
     f = SplineBasis1D(lo, hi, cells, degree, bc_order)
+    reads = []
+    monkeypatch.setattr(f, "local_table",
+                        lambda x: reads.append(x) or SplineBasis1D.local_table(f, x))
     rows, bands = axis_grams(f, extent, degree, resolution, 3)
-    assert not f._tables  # placed: no local table of the factor was built
+    assert reads == []  # placed: no local table of the factor was computed
     want_rows, want = splines._gauss_grams(SplineBasis1D(lo, hi, cells, degree, bc_order),
                                            extent, degree, resolution, 3)
     assert rows == want_rows
@@ -392,16 +395,18 @@ def _counting_recursion(monkeypatch):
     return calls
 
 
-def test_tables_are_computed_once_per_point_array(monkeypatch):
+def test_tables_give_equal_values_for_equal_points():
+    # no factor keeps a table: a repeat call, another derivative order in
+    # between, and equal points in a fresh array compute equal values
     field, rng = _random_field(31, _FIELDS[2])
     axes = _test_axes(field, rng)
-    calls = _counting_recursion(monkeypatch)
     first = field.eval_grid(axes, (1, 2))
-    assert len(calls) == 2
-    # another derivative order, and equal points in a fresh array, hit the cache
-    field.eval_grid([ax.copy() for ax in axes], (0, 0))
+    field.eval_grid(axes, (0, 0))
     assert np.array_equal(field.eval_grid(axes, (1, 2)), first)
-    assert len(calls) == 2
+    assert np.array_equal(field.eval_grid([ax.copy() for ax in axes], (1, 2)), first)
+    for f, ax in zip(field.basis.factors, axes):
+        for got, want in zip(f.local_table(ax.copy()), f.local_table(ax)):
+            assert np.array_equal(got, want)
 
 
 def test_tables_are_read_only():
